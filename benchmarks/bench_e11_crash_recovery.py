@@ -15,7 +15,9 @@ integration, and this experiment quantifies the deal:
     (the new default — crash-safe);
   - ``wal`` with ``group_commit=8``: the bounded-loss-window variant.
 
-  Reported: device writes, blocks written, simulated time, journal syncs.
+  Reported: device writes, blocks written, simulated time, journal syncs —
+  and, as machine-readable metrics per mode, WAL bytes per op, journal-region
+  blocks written per op, all blocks written per op and checkpoints.
   The claim under test: WAL costs a bounded log-write overhead over naked
   write-back while writing far fewer home-location blocks than
   write-through — the fastest configuration is also the safe one.
@@ -34,7 +36,7 @@ import time
 from repro.core import HFADFileSystem
 from repro.storage import BlockDevice
 
-from conftest import emit_table, scaled
+from conftest import emit_table, record_metric, scaled
 
 OPS = scaled(300, 60)
 RECOVERY_TAILS = scaled((10, 40, 160), (5, 10, 20))
@@ -58,6 +60,27 @@ def _make_fs(durability, device=None, group_commit=1):
         query_cache_entries=0,
         persistent_index=False,
     )
+
+
+def _count_journal_blocks(device, fs):
+    """Count the blocks every later write puts into ``fs``'s journal region
+    (log flushes and checkpoint truncations); returns the running total as a
+    one-element list."""
+    total = [0]
+    if fs.recovery is None:
+        return total
+    journal = fs.recovery.journal
+    region = range(journal.journal_start, journal.journal_start + journal.journal_blocks)
+    plain_write = device.write_blocks
+
+    def write_blocks(block, data, nblocks=None):
+        before = device.stats.blocks_written
+        plain_write(block, data, nblocks)
+        if block in region:
+            total[0] += device.stats.blocks_written - before
+
+    device.write_blocks = write_blocks
+    return total
 
 
 def _run_ops(fs, ops, rng):
@@ -93,6 +116,8 @@ def test_durability_mode_throughput(benchmark):
     for label, config in configurations:
         device, fs = _make_fs(**config)
         before = device.stats.snapshot()
+        info_before = fs.stats()["recovery"]
+        journal_blocks = _count_journal_blocks(device, fs)
         start = time.perf_counter()
         _run_ops(fs, OPS, random.Random(11))
         elapsed = time.perf_counter() - start
@@ -100,6 +125,17 @@ def test_durability_mode_throughput(benchmark):
         info = fs.stats()["recovery"]
         syncs = info.get("journal_syncs", 0) if isinstance(info, dict) else 0
         results[label] = delta
+
+        def moved(counter):
+            return info.get(counter, 0) - info_before.get(counter, 0)
+
+        record_metric(f"wal_bytes_per_op[{label}]",
+                      round(moved("journal_bytes_appended") / OPS, 1))
+        record_metric(f"journal_blocks_written_per_op[{label}]",
+                      round(journal_blocks[0] / OPS, 3))
+        record_metric(f"blocks_written_per_op[{label}]",
+                      round(delta.blocks_written / OPS, 3))
+        record_metric(f"checkpoints[{label}]", moved("checkpoints"))
         rows.append([
             label, OPS, delta.writes, delta.blocks_written,
             f"{delta.simulated_us:.0f}", syncs, f"{elapsed * 1000:.1f}",

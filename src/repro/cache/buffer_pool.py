@@ -181,9 +181,13 @@ class PoolConsumer:
     """
 
     def __init__(self, pool: "BufferPool", name: str,
-                 writeback: Optional[Callable[[Hashable, object], None]]) -> None:
+                 writeback: Optional[Callable[[Hashable, object], None]],
+                 serial: int) -> None:
         self.pool = pool
         self.name = name
+        #: registration order within the pool; with the page id it picks the
+        #: stripe, so stripe placement is the same in every process.
+        self.serial = serial
         self.writeback = writeback
         # One CacheStats per stripe: the hot path bumps the stripe-local
         # slice under the stripe lock, keeping counters exact without any
@@ -282,6 +286,7 @@ class BufferPool:
         ]
         self._consumers: Dict[str, PoolConsumer] = {}
         self._name_serials: Dict[str, int] = {}
+        self._next_serial = 0
         # Guards consumer registration only — never held with a stripe lock.
         self._registry_lock = threading.Lock()
 
@@ -291,11 +296,13 @@ class BufferPool:
     def stripe_count(self) -> int:
         return len(self._stripes)
 
-    def _stripe_of(self, key: _Key) -> _Stripe:
+    def _stripe_of(self, consumer: PoolConsumer, page_id: Hashable) -> _Stripe:
         stripes = self._stripes
         if len(stripes) == 1:
             return stripes[0]
-        return stripes[hash(key) % len(stripes)]
+        # Not hash((name, page_id)): str hashes are randomized per process,
+        # and which pages share an LRU list decides misses and evictions.
+        return stripes[hash((consumer.serial, page_id)) % len(stripes)]
 
     @property
     def policy(self) -> EvictionPolicy:
@@ -340,7 +347,8 @@ class BufferPool:
                 serial += 1
                 unique = f"{name}#{serial}"
             self._name_serials[name] = serial + 1
-            consumer = PoolConsumer(self, unique, writeback)
+            consumer = PoolConsumer(self, unique, writeback, self._next_serial)
+            self._next_serial += 1
             self._consumers[unique] = consumer
             return consumer
 
@@ -363,7 +371,7 @@ class BufferPool:
 
     def _get(self, consumer: PoolConsumer, page_id: Hashable):
         key = (consumer.name, page_id)
-        stripe = self._stripe_of(key)
+        stripe = self._stripe_of(consumer, page_id)
         # Attribution happens here (not in the page stores) so a single
         # source counts cache traffic for *every* consumer — which is what
         # makes the per-operation totals exactly equal the pool-stats deltas
@@ -387,7 +395,7 @@ class BufferPool:
     def _put(self, consumer: PoolConsumer, page_id: Hashable, value,
              dirty: bool, lsn: Optional[int] = None) -> None:
         key = (consumer.name, page_id)
-        stripe = self._stripe_of(key)
+        stripe = self._stripe_of(consumer, page_id)
         with stripe.lock:
             frame = stripe.frames.get(key)
             if frame is not None:
@@ -405,7 +413,7 @@ class BufferPool:
 
     def _pin(self, consumer: PoolConsumer, page_id: Hashable, delta: int) -> None:
         key = (consumer.name, page_id)
-        stripe = self._stripe_of(key)
+        stripe = self._stripe_of(consumer, page_id)
         with stripe.lock:
             frame = stripe.frames.get(key)
             if frame is None:
@@ -422,7 +430,7 @@ class BufferPool:
     def _invalidate(self, consumer: PoolConsumer, page_id: Hashable) -> None:
         """Drop a page without write-back (e.g. the page was freed)."""
         key = (consumer.name, page_id)
-        stripe = self._stripe_of(key)
+        stripe = self._stripe_of(consumer, page_id)
         with stripe.lock:
             resident = stripe.frames.pop(key, None) is not None
             # Tell the policy even when the page is not resident: ARC keeps
@@ -494,7 +502,7 @@ class BufferPool:
     def flush_page(self, consumer: PoolConsumer, page_id: Hashable) -> bool:
         """Write back one dirty page (True if it was dirty and resident)."""
         key = (consumer.name, page_id)
-        stripe = self._stripe_of(key)
+        stripe = self._stripe_of(consumer, page_id)
         with stripe.lock:
             frame = stripe.frames.get(key)
             if frame is None or not frame.dirty:
@@ -556,21 +564,21 @@ class BufferPool:
 
     def _page_lsn(self, consumer: PoolConsumer, page_id: Hashable) -> Optional[int]:
         key = (consumer.name, page_id)
-        stripe = self._stripe_of(key)
+        stripe = self._stripe_of(consumer, page_id)
         with stripe.lock:
             frame = stripe.frames.get(key)
             return frame.lsn if frame is not None else None
 
     def _peek(self, consumer: PoolConsumer, page_id: Hashable):
         key = (consumer.name, page_id)
-        stripe = self._stripe_of(key)
+        stripe = self._stripe_of(consumer, page_id)
         with stripe.lock:
             frame = stripe.frames.get(key)
             return frame.value if frame is not None else None
 
     def _is_dirty(self, consumer: PoolConsumer, page_id: Hashable) -> bool:
         key = (consumer.name, page_id)
-        stripe = self._stripe_of(key)
+        stripe = self._stripe_of(consumer, page_id)
         with stripe.lock:
             frame = stripe.frames.get(key)
             return frame is not None and frame.dirty

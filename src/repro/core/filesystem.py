@@ -1417,11 +1417,14 @@ class HFADFileSystem:
             ("indexer", lambda: self.fulltext_index.indexer.backlog()),
             ("object_count", lambda: self.object_count),
             ("buffer_pool",
-             lambda: self.buffer_pool.snapshot() if self.buffer_pool else None),
+             lambda: (self.buffer_pool.snapshot()
+                      if self.buffer_pool is not None else None)),
             ("query_cache",
-             lambda: self.query_cache.snapshot() if self.query_cache else None),
+             lambda: (self.query_cache.snapshot()
+                      if self.query_cache is not None else None)),
             ("ranked_cache",
-             lambda: self.ranked_cache.snapshot() if self.ranked_cache else None),
+             lambda: (self.ranked_cache.snapshot()
+                      if self.ranked_cache is not None else None)),
             ("persistent_index", self._persistent_index_snapshot),
             ("recovery",
              lambda: (self.recovery.snapshot() if self.recovery is not None

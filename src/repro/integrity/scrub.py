@@ -11,10 +11,10 @@ best available source, in order:
    session's own writes).  A dirty frame is flushed through the pool (the
    WAL rule fires as usual); a clean frame is re-encoded, re-framed and
    rewritten in place — both write only committed or WAL-logged state.
-2. **The WAL tail.**  ``Journal.latest_page_image`` returns the newest
-   durable committed (and non-revoked) framed image logged for the block;
-   rewriting it home is exactly the idempotent redo that mount-time replay
-   performs.
+2. **The WAL tail.**  ``Journal.latest_page_image`` rebuilds the newest
+   durable committed (and non-revoked) framed image logged for the block —
+   its full image plus any deltas, by the same fold as replay; rewriting
+   it home is exactly the idempotent redo that mount-time replay performs.
 3. Neither source: the page is **quarantined**.  Subsequent page-ins fail
    fast with :class:`~repro.errors.CorruptionError` and the query layer
    degrades (full-text falls back to an object-content rescan) instead of

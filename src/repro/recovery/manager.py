@@ -7,11 +7,13 @@ write-back) and the namespace/OSD transaction boundaries — into a single
 write-ahead-logging discipline:
 
 * **Redo-only WAL with LSNs.**  Every page mutation of an on-device btree is
-  logged as a physical ``DATA`` record before the page is even buffered;
-  logical state that cannot be rediscovered by walking (the master-tree
-  root, the next object id) is logged as ``META`` records.  Records get
-  monotonically increasing LSNs and pages are stamped with the LSN of their
-  latest record.
+  logged as a physical page record before the page is even buffered (the
+  journal keeps it as a full ``DATA`` image on first touch after a
+  checkpoint and as a byte-splice ``DELTA`` afterwards); logical state
+  that cannot be rediscovered by walking (the master-tree root, the next
+  object id) is logged as ``META`` records.  Records get monotonically
+  increasing LSNs and pages are stamped with the LSN of their latest
+  record.
 * **No-force.**  Commit does not write pages home; it appends a commit
   marker and (group-)syncs the log.  Dirty pages linger in the pool and
   reach the device on eviction, flush or checkpoint.
@@ -24,10 +26,10 @@ write-ahead-logging discipline:
 * **Fuzzy checkpoints.**  When the journal passes ``checkpoint_threshold``
   of its capacity (checked between transactions), every dirty page is
   flushed, the journal is truncated and a fresh superblock is written.
-* **Mount-time replay.**  :meth:`replay` scans the journal tail, rewrites
-  committed page images to their home locations (idempotent physical redo)
-  and folds committed ``META`` records into the superblock state — all
-  before any index is opened.
+* **Mount-time replay.**  :meth:`replay` scans the journal tail, rebuilds
+  each committed page from its logged image and deltas, writes it to its
+  home location (idempotent physical redo) and folds committed ``META``
+  records into the superblock state — all before any index is opened.
 
 Abort semantics are deliberately asymmetric, mirroring journaling
 filesystems: *namespace* aborts are handled above this layer by applying
@@ -473,7 +475,12 @@ class RecoveryManager:
         return lsn
 
     def log_page(self, block: int, payload: bytes) -> int:
-        """Log a physical page image; returns the record's LSN."""
+        """Log a physical page image; returns the record's LSN.
+
+        The journal decides whether the record holds the whole image or a
+        delta against the block's previous one; either way it counts as one
+        logged page.
+        """
         with self._stats_lock:
             self.stats.pages_logged += 1
         return self._log_record(TYPE_DATA, block, payload)
@@ -875,10 +882,10 @@ class RecoveryManager:
     def replay(self) -> int:
         """Mount-time recovery: replay the committed journal tail.
 
-        Physical ``DATA`` records are rewritten to their home locations (in
-        commit order — replay is idempotent because later images simply
-        overwrite earlier ones); committed ``META`` records are folded into
-        the superblock state.  Returns the number of transactions replayed.
+        Every page with committed records is rebuilt from them and written
+        to its home location once (idempotent: replay never reads the home
+        location); committed ``META`` records are folded into the
+        superblock state.  Returns the number of transactions replayed.
         The caller should checkpoint once the namespace is rebuilt, clearing
         the replayed tail.
         """

@@ -1,5 +1,9 @@
 """The sharded buffer pool: stripe layout, exact stats, thread safety."""
 
+import json
+import os
+import subprocess
+import sys
 import threading
 
 from repro.cache import BufferPool
@@ -178,3 +182,36 @@ def test_single_stripe_keeps_global_lru_order():
     consumer.put("d", "d")  # evicts the coldest: "b"
     assert consumer.get("b") is None
     assert consumer.get("a") == "a"
+
+
+_FIXED_OP_LIST = """
+import json
+from repro.core import HFADFileSystem
+fs = HFADFileSystem(num_blocks=1 << 15, btree_on_device=True, cache_pages=64)
+oids = [fs.create(f"document {i} about topic{i % 7} and word{i % 13}".encode(),
+                  owner=f"user{i % 5}", annotations=[f"label{i % 11}"])
+        for i in range(120)]
+for i in range(300):
+    fs.read(oids[(i * 37) % len(oids)])
+    fs.find(("UDEF", f"label{i % 11}"))
+    fs.search_text(f"topic{i % 7}")
+pool = fs.stats()["buffer_pool"]
+assert pool["stripes"] > 1 and pool["totals"]["evictions"] > 0
+print(json.dumps([pool["totals"], pool["consumers"]], sort_keys=True))
+"""
+
+
+class TestStripeChoiceIsProcessIndependent:
+    def test_pool_counters_do_not_depend_on_the_hash_seed(self):
+        # The stripe a page lands in decides which pages compete for one LRU
+        # list; derived from a str hash it changed with PYTHONHASHSEED, and
+        # so did misses and evictions for one and the same op list.
+        def run(seed):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            done = subprocess.run([sys.executable, "-c", _FIXED_OP_LIST], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            return json.loads(done.stdout)
+
+        assert run("1") == run("2")

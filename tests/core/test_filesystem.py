@@ -198,3 +198,12 @@ class TestStats:
         assert stats["objects"].bytes_read > 0
         assert stats["naming"].naming_operations == 1
         assert stats["device"].writes >= 1
+
+    def test_empty_result_caches_still_report_snapshots(self, fs):
+        # An empty cache is falsy (it has a length); "is it configured" must
+        # not be answered by its truth value.
+        stats = fs.stats()
+        assert isinstance(stats["query_cache"], dict)
+        assert isinstance(stats["ranked_cache"], dict)
+        assert stats["query_cache"] == fs.query_cache.snapshot()
+        assert stats["ranked_cache"] == fs.ranked_cache.snapshot()

@@ -81,6 +81,31 @@ class TestRepair:
         assert fs.search_text("searchable") == oids
         fs.close()
 
+    def test_repair_from_a_delta_chain_is_byte_exact(self):
+        from repro.integrity import verify_frame
+        from repro.storage.journal import TYPE_DATA, TYPE_DELTA
+
+        device, fs = make_fs()
+        oids = populate(fs)
+        store = fs._fulltext_tree.store
+        leaf, node = fs._fulltext_tree.root_id, store.read(fs._fulltext_tree.root_id)
+        while not node.is_leaf:
+            leaf, node = node.children[0], store.read(node.children[0])
+        logged = [record.rtype for _txid, records in fs.recovery.journal.scan()
+                  for record in records if record.block == leaf]
+        # Postings kept landing in the first leaf: one image, then splices.
+        assert logged[0] == TYPE_DATA and logged.count(TYPE_DELTA) >= 2
+        expected = store._encode_page(node.encode())
+        store._consumer.drop_all(write_back=True)  # no cache source
+        device.flip_bit(leaf, 40)
+        report = fs.scrub()
+        assert report.repaired_from_wal == 1 and report.quarantined == 0
+        healed = device.read_blocks(leaf, store.page_blocks)
+        assert healed[:len(expected)] == expected
+        verify_frame(healed)
+        assert fs.search_text("searchable") == oids
+        fs.close()
+
     def test_unrepairable_page_is_quarantined(self):
         device, fs = make_fs()
         populate(fs)
