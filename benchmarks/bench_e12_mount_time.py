@@ -1,24 +1,19 @@
-"""E12 — mount cost: persisted index trees vs re-derive-from-content.
+"""E12 — mount cost: O(metadata), not O(data).
 
-PR 3 made mounts replay the journal and walk metadata, but still re-read and
-re-analyzed every object's bytes to rebuild the full-text and image indexes
-— an O(data) step that dominated restart time as corpora grew.  This
-experiment quantifies what ``repro.index`` persistence buys:
+A mount replays the journal, walks metadata and re-attaches the full-text
+and image indexes from their on-device btrees; it never re-reads or
+re-tokenizes object bytes.  (The retired re-derive-from-content control is
+in README's "Retired configurations" table.)
 
-* **E12a — mount cost vs corpus size.**  The same corpus is built twice,
-  once on the default persisted-index format and once with
-  ``persistent_index=False`` (the legacy re-derive format); each device is
+* **E12a — mount cost vs corpus size.**  Corpora of growing size are built,
   imaged and mounted, measuring wall time, device read requests and blocks
-  read.  Re-derive mounts read (and re-tokenize) every content byte, so
-  they scale with object *data*; persisted mounts read only btree pages —
-  index *metadata*, a small fraction of the data — and skip tokenization
-  entirely.
+  read.  Mounts read only btree pages — index *metadata* — so the cost per
+  document does not grow with the corpus.
 
 * **E12b — content-volume independence.**  One corpus is re-built with its
   documents padded 4x (same vocabulary, same postings, 4x the bytes).  The
-  persisted mount's read traffic stays flat; the re-derive mount's grows
-  with the padding.  This is the "O(metadata), not O(data)" claim in its
-  purest form.
+  mount's read traffic stays flat.  This is the "O(metadata), not O(data)"
+  claim in its purest form.
 """
 
 from __future__ import annotations
@@ -44,15 +39,13 @@ WORDS = (
 ).split()
 
 
-def _build_device(num_docs, persistent, content_repeats=CONTENT_REPEATS, seed=17):
+def _build_device(num_docs, content_repeats=CONTENT_REPEATS, seed=17):
     device = BlockDevice(num_blocks=1 << 18)
     fs = HFADFileSystem(
         device=device,
         btree_on_device=True,
-        durability="wal",
         journal_blocks=511,
         query_cache_entries=0,
-        persistent_index=persistent,
     )
     rng = random.Random(seed)
     for serial in range(num_docs):
@@ -83,37 +76,25 @@ def _measure_mount(device, probe_answers):
 def test_mount_time_vs_corpus_size(benchmark):
     rows = []
     blocks = {}
-    wall = {}
     for num_docs in CORPUS_SIZES:
-        for label, persistent in (("persisted", True), ("re-derive", False)):
-            device, probes = _build_device(num_docs, persistent)
-            elapsed, delta = _measure_mount(device, probes)
-            blocks[(label, num_docs)] = delta.blocks_read
-            wall[(label, num_docs)] = elapsed
-            rows.append([
-                num_docs, label, delta.reads, delta.blocks_read,
-                f"{elapsed * 1000:.1f}",
-            ])
+        device, probes = _build_device(num_docs)
+        elapsed, delta = _measure_mount(device, probes)
+        blocks[num_docs] = delta.blocks_read
+        rows.append([
+            num_docs, delta.reads, delta.blocks_read, f"{elapsed * 1000:.1f}",
+        ])
     emit_table(
-        "E12a: mount cost, persisted index vs re-derive-from-content",
-        ["docs", "format", "device reads", "blocks read", "mount ms"],
+        "E12a: mount cost vs corpus size",
+        ["docs", "device reads", "blocks read", "mount ms"],
         rows,
     )
-    # Re-derive pays for every content block *and* re-tokenizes it, so both
-    # its read traffic and its wall time pull away as the corpus grows; the
-    # persisted mount reads only index pages.  (At toy corpus sizes the
-    # fixed journal scan dominates both, so the gates apply to the largest
-    # size and to the growth, not to every point.)
-    largest = CORPUS_SIZES[-1]
-    assert blocks[("persisted", largest)] < blocks[("re-derive", largest)]
-    saved_small = (blocks[("re-derive", CORPUS_SIZES[0])]
-                   - blocks[("persisted", CORPUS_SIZES[0])])
-    saved_large = (blocks[("re-derive", largest)] - blocks[("persisted", largest)])
-    assert saved_large > saved_small
-    assert wall[("persisted", largest)] < wall[("re-derive", largest)]
+    # The mount reads index pages plus a fixed journal scan, so blocks read
+    # per document can only fall as the corpus grows.
+    smallest, largest = CORPUS_SIZES[0], CORPUS_SIZES[-1]
+    assert blocks[largest] / largest <= blocks[smallest] / smallest
 
-    # Benchmark the steady-state persisted mount for the timing report.
-    device, probes = _build_device(CORPUS_SIZES[0], persistent=True)
+    # Benchmark the steady-state mount for the timing report.
+    device, probes = _build_device(smallest)
     snapshot = device.dump()
 
     def mount_once():
@@ -126,33 +107,24 @@ def test_mount_time_vs_corpus_size(benchmark):
 
 
 def test_mount_cost_tracks_metadata_not_data(benchmark):
-    """Padding content 4x leaves the persisted mount's reads flat."""
+    """Padding content 4x leaves the mount's reads flat."""
     num_docs = CORPUS_SIZES[0]
     rows = []
     blocks = {}
-    for label, persistent in (("persisted", True), ("re-derive", False)):
-        for pad_label, repeats in (("1x", CONTENT_REPEATS), ("4x", PADDED_REPEATS)):
-            device, probes = _build_device(num_docs, persistent,
-                                           content_repeats=repeats)
-            elapsed, delta = _measure_mount(device, probes)
-            blocks[(label, pad_label)] = delta.blocks_read
-            rows.append([label, pad_label, delta.reads, delta.blocks_read,
-                         f"{elapsed * 1000:.1f}"])
+    for pad_label, repeats in (("1x", CONTENT_REPEATS), ("4x", PADDED_REPEATS)):
+        device, probes = _build_device(num_docs, content_repeats=repeats)
+        elapsed, delta = _measure_mount(device, probes)
+        blocks[pad_label] = delta.blocks_read
+        rows.append([pad_label, delta.reads, delta.blocks_read,
+                     f"{elapsed * 1000:.1f}"])
     emit_table(
         f"E12b: mount cost vs content volume ({num_docs} docs, same vocabulary)",
-        ["format", "content", "device reads", "blocks read", "mount ms"],
+        ["content", "device reads", "blocks read", "mount ms"],
         rows,
     )
-    # Re-derive pays for the padding byte for byte; the persisted mount's
-    # traffic is independent of content volume (same postings either way).
-    # Deltas, not ratios: the fixed journal scan inflates both baselines.
-    rederive_growth = blocks[("re-derive", "4x")] - blocks[("re-derive", "1x")]
-    persisted_growth = blocks[("persisted", "4x")] - blocks[("persisted", "1x")]
-    assert rederive_growth > 100
-    assert persisted_growth <= max(8, rederive_growth // 10)
-
-    device, probes = _build_device(num_docs, persistent=True,
-                                   content_repeats=PADDED_REPEATS)
+    # Same postings either way: the mount's traffic is independent of
+    # content volume (slack for extent-tree geometry).
+    assert blocks["4x"] - blocks["1x"] <= 8
 
     def mount_padded():
         return _measure_mount(device, probes)

@@ -43,7 +43,7 @@ WORDS = ("serve batch ack durable flush session scope shard "
 
 def _make_served_fs(group_commit, sync_interval_ms):
     fs = HFADFileSystem(
-        num_blocks=1 << 16, btree_on_device=True, durability="wal",
+        num_blocks=1 << 16, btree_on_device=True,
         journal_blocks=511, query_cache_entries=0,
         group_commit=group_commit, sync_interval_ms=sync_interval_ms,
     )

@@ -114,7 +114,7 @@ def test_e2_real_thread_lock_profile():
     writers = scaled(8, 4)
     creates_per_writer = scaled(40, 8)
     fs = HFADFileSystem(
-        num_blocks=1 << 17, btree_on_device=True, durability="wal",
+        num_blocks=1 << 17, btree_on_device=True,
         query_cache_entries=0,
     )
     barrier = threading.Barrier(writers)
@@ -324,7 +324,7 @@ def test_e2_closed_loop_curves():
     rows = []
     for clients in client_counts:
         fs = HFADFileSystem(
-            num_blocks=1 << 17, btree_on_device=True, durability="wal",
+            num_blocks=1 << 17, btree_on_device=True,
             query_cache_entries=0,
         )
         seed_rng = random.Random(42)

@@ -128,11 +128,6 @@ class DevicePageStore(PageStore):
     :param name: consumer name under which pool statistics are reported.
     :param recovery: optional :class:`~repro.recovery.manager.RecoveryManager`;
         when set, every node write is WAL-logged before it is buffered.
-    :param checksum: wrap every page in a CRC32 frame
-        (:mod:`repro.integrity.checksum`): page-ins verify, writes/log
-        records/write-backs stamp.  Usable ``page_bytes`` shrinks by the
-        frame overhead.  Recorded per device in the superblock
-        (``checksum_pages``) so mounts configure their stores to match.
     :param integrity: optional :class:`~repro.integrity.IntegrityContext`
         shared across the filesystem's stores — supplies the retrying
         device-read path, the corruption counters and the page quarantine.
@@ -148,7 +143,6 @@ class DevicePageStore(PageStore):
         write_back: Optional[bool] = None,
         name: str = "btree",
         recovery=None,
-        checksum: bool = False,
         integrity=None,
     ) -> None:
         if page_blocks <= 0:
@@ -156,12 +150,13 @@ class DevicePageStore(PageStore):
         self.device = device
         self.allocator = allocator
         self.page_blocks = page_blocks
-        self.checksum = checksum
         self.integrity = integrity
         #: raw on-device page footprint; ``page_bytes`` below is the *node*
-        #: budget, reduced by the checksum frame when one is in use.
+        #: budget: every page is wrapped in a CRC32 frame
+        #: (:mod:`repro.integrity.checksum`), verified on page-in and
+        #: stamped on every write, log record and write-back.
         self.raw_page_bytes = page_blocks * device.block_size
-        self.page_bytes = self.raw_page_bytes - (FRAME_OVERHEAD if checksum else 0)
+        self.page_bytes = self.raw_page_bytes - FRAME_OVERHEAD
         self.cache_pages = cache_pages
         if buffer_pool is None and cache_pages:
             buffer_pool = BufferPool(capacity=cache_pages)
@@ -221,18 +216,17 @@ class DevicePageStore(PageStore):
         op = current_operation()
         if op is not None:
             op.pages_read += 1  # a real device page-in (cache hits returned above)
-        if self.checksum:
+        if self.integrity is not None:
+            self.integrity.stats.checksum_verifications += 1
+        try:
+            raw = verify_frame(raw, context=f"page {page_id}")
+        except CorruptionError:
             if self.integrity is not None:
-                self.integrity.stats.checksum_verifications += 1
-            try:
-                raw = verify_frame(raw, context=f"page {page_id}")
-            except CorruptionError:
-                if self.integrity is not None:
-                    self.integrity.stats.checksum_failures += 1
-                    # Remember the damage: re-reads fail fast, the query
-                    # layer can degrade, and the scrubber knows to repair.
-                    self.integrity.quarantine_page(page_id)
-                raise
+                self.integrity.stats.checksum_failures += 1
+                # Remember the damage: re-reads fail fast, the query
+                # layer can degrade, and the scrubber knows to repair.
+                self.integrity.quarantine_page(page_id)
+            raise
         node = decode_node(raw)
         if self._consumer is not None:
             self._consumer.put(page_id, node)
@@ -254,7 +248,7 @@ class DevicePageStore(PageStore):
             # buffered, so no path to the device can overtake it.  The
             # *framed* bytes are logged, so replay (and the scrubber's WAL
             # repair) rewrite exactly what a healthy write-back would.
-            lsn = self.recovery.log_page(page_id, self._encode_page(encoded))
+            lsn = self.recovery.log_page(page_id, frame_page(encoded))
         if self.integrity is not None:
             # A fresh logged write supersedes any rotten on-device bytes:
             # reads now come from the pool and the WAL holds the new image.
@@ -268,17 +262,13 @@ class DevicePageStore(PageStore):
         # Unreachable with a recovery manager (the constructor enforces
         # pool + write_back); this is the plain write-through path.
         self.device.write_blocks(
-            page_id, self._encode_page(encoded), nblocks=self.page_blocks
+            page_id, frame_page(encoded), nblocks=self.page_blocks
         )
         op = current_operation()
         if op is not None:
             op.pages_written += 1
         if self._consumer is not None:
             self._consumer.put(page_id, node, lsn=lsn)
-
-    def _encode_page(self, encoded: bytes) -> bytes:
-        """Device/WAL representation of encoded node bytes (framed or raw)."""
-        return frame_page(encoded) if self.checksum else encoded
 
     def free(self, page_id: int) -> None:
         if self.integrity is not None:
@@ -304,7 +294,7 @@ class DevicePageStore(PageStore):
     def _write_page(self, page_id: int, node) -> None:
         """Buffer-pool write-back target: persist a (dirty) node."""
         self.device.write_blocks(
-            page_id, self._encode_page(node.encode()), nblocks=self.page_blocks
+            page_id, frame_page(node.encode()), nblocks=self.page_blocks
         )
         op = current_operation()
         if op is not None:

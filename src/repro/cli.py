@@ -605,14 +605,9 @@ class HFADShell:
 # ---------------------------------------------------------------------------
 
 
-def build_shell(demo: bool = False, on_device: bool = False,
-                durability: str = "wal") -> HFADShell:
+def build_shell(demo: bool = False, on_device: bool = False) -> HFADShell:
     """Create a shell, optionally pre-loaded with the synthetic corpus."""
-    fs = HFADFileSystem(
-        num_blocks=1 << 17,
-        btree_on_device=on_device,
-        durability=durability,
-    )
+    fs = HFADFileSystem(num_blocks=1 << 17, btree_on_device=on_device)
     if demo:
         from repro.workloads import load_into_hfad, mixed_corpus
 
@@ -635,17 +630,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="persist index/extent btrees on the simulated device",
     )
     parser.add_argument(
-        "--durability", choices=["wal", "writeback", "writethrough"], default="wal",
-        help="durability mode for on-device btrees (default: wal)",
-    )
-    parser.add_argument(
         "-c", "--command", action="append", default=[],
         help="run this command and exit (repeatable)",
     )
     options = parser.parse_args(argv)
-    shell = build_shell(
-        demo=options.demo, on_device=options.on_device, durability=options.durability
-    )
+    shell = build_shell(demo=options.demo, on_device=options.on_device)
     try:
         if options.command:
             for line in options.command:

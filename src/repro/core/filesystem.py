@@ -17,7 +17,6 @@ veneer and the benchmarks use:
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import nullcontext
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -67,28 +66,17 @@ from repro.telemetry import (
     explain_query,
 )
 
-#: durability modes for on-device btrees (``btree_on_device=True``):
-#: ``"wal"`` — write-back caching protected by write-ahead logging and
-#: mount-time replay (the default: fastest *and* safe);
-#: ``"writeback"`` — write-back caching with no log (fast, crash-unsafe);
-#: ``"writethrough"`` — every page write goes straight to the device
-#: (slow, individually-torn-operation-unsafe but cache-loss-safe).
-DURABILITY_MODES = ("wal", "writeback", "writethrough")
-
-# Durable-naming key/attribute vocabulary.  Manual names and POSIX paths are
-# persisted as *individual master-tree entries* (``ObjectStore.put_name``) so
-# a heavily-tagged object never grows an unbounded metadata record.  With the
-# persistent index (the default for WAL devices), full-text postings and
-# image features live in their own on-device btrees and mounts re-attach
-# them; the attributes below are the legacy re-derive path for devices
-# formatted with ``persistent_index=False``.
 #: health-check severities, worst-wins (the gauge exports the number).
 _HEALTH_LEVELS = {"ok": 0, "warn": 1, "fail": 2}
 
+# Durable-naming key/attribute vocabulary.  Manual names and POSIX paths are
+# persisted as *individual master-tree entries* (``ObjectStore.put_name``) so
+# a heavily-tagged object never grows an unbounded metadata record.  Full-text
+# postings and image features live in their own on-device btrees and mounts
+# re-attach them.
 _NAME_ENTRY = "n:"       # "n:TAG/value" → the object carries this name
 _PATH_ENTRY = "p:"       # "p:/a/b"      → the object is linked at this path
 _ATTR_INDEXED = "hfad.ci"     # content-indexed flag
-_ATTR_HISTOGRAM = "hfad.img"  # JSON colour histogram for the image index
 
 
 class HFADFileSystem:
@@ -102,6 +90,12 @@ class HFADFileSystem:
         instead of synchronously.
     :param index_workers: background indexing threads when lazy.
     :param btree_on_device: persist index/extent btrees on the device too.
+        The device is formatted with a superblock and a write-ahead journal,
+        btrees run write-back through the shared buffer pool, every page is
+        CRC32-framed (``repro.integrity``), full-text postings and image
+        features live in their own on-device btrees, and every operation is
+        crash-atomic; re-open such a device with :meth:`mount`.  In-memory
+        trees (the default) are volatile by nature.
     :param enable_planner: plan conjunctive queries by selectivity.
     :param cache_pages: global buffer-pool budget (in pages) shared by every
         on-device btree; ``0`` disables page caching (ablation path).
@@ -109,17 +103,12 @@ class HFADFileSystem:
         ``"clock"``, ``"arc"``).
     :param query_cache_entries: capacity of the query-result cache; ``0``
         disables result caching so every query re-evaluates the indexes.
-    :param durability: one of :data:`DURABILITY_MODES`; only meaningful with
-        ``btree_on_device=True`` (in-memory trees are volatile by nature).
-        The default ``"wal"`` formats the device with a superblock and a
-        write-ahead journal, runs btrees write-back, and makes every
-        operation crash-atomic; re-open such a device with :meth:`mount`.
     :param journal_blocks: size of the WAL region in device blocks (the
         metadata prefix ``superblock + journal`` is rounded up to a power of
         two and reserved out of the data allocator).  Must fit the largest
-        single transaction: with the persistent index, indexing one document
-        logs a btree page image per distinct term, so size the journal up
-        for workloads that ingest huge, vocabulary-rich documents.
+        single transaction: indexing one document logs a btree page image
+        per distinct term, so size the journal up for workloads that ingest
+        huge, vocabulary-rich documents.
     :param checkpoint_threshold: journal-fill fraction triggering automatic
         checkpoints.
     :param group_commit: commits batched per journal sync (``1`` = sync
@@ -131,20 +120,6 @@ class HFADFileSystem:
         ``group_commit > 1`` so a lone writer's commit is durable within
         the interval instead of stranded until the next writer; ``0``
         disables the flusher (the pre-fix behaviour).
-    :param checksum_pages: wrap every on-device btree page in a CRC32
-        checksum frame (``repro.integrity``), verified on every page-in and
-        stamped on write-back — bit rot is *detected* instead of silently
-        corrupting query answers.  Only meaningful with on-device btrees
-        under ``durability="wal"`` (the frame format is versioned in the
-        superblock; :meth:`mount` follows whatever the device was formatted
-        with, and legacy unchecksummed devices keep reading transparently).
-    :param persistent_index: store full-text postings and image features in
-        on-device btrees (WAL-covered like every other tree) so that
-        :meth:`mount` re-attaches them from their persisted roots instead of
-        re-reading and re-analyzing every object's bytes — O(metadata)
-        mounts.  Only meaningful with ``durability="wal"``; ``False`` keeps
-        the legacy re-derive-at-mount behaviour (the ablation path
-        ``benchmarks/bench_e12_mount_time.py`` measures against).
     :param telemetry: enable the observability subsystem
         (``repro.telemetry``): native instruments (latency histograms, WAL
         batch sizes) record, queries leave traces in the last-N ring, and
@@ -177,23 +152,17 @@ class HFADFileSystem:
         cache_pages: int = 256,
         cache_policy: str = "lru",
         query_cache_entries: int = 256,
-        durability: str = "wal",
         journal_blocks: int = 511,
         checkpoint_threshold: float = 0.5,
         group_commit: int = 1,
         sync_interval_ms: Optional[float] = None,
-        persistent_index: bool = True,
-        checksum_pages: bool = True,
         telemetry: bool = True,
         slow_query_ms: Optional[float] = 100.0,
         _mounted: Optional[dict] = None,
     ) -> None:
-        if durability not in DURABILITY_MODES:
-            raise ValueError(f"durability must be one of {DURABILITY_MODES}")
         if device is None:
             device = BlockDevice(num_blocks=num_blocks, latency_model=latency_model)
         self.device = device
-        self.durability = durability if btree_on_device else "volatile"
         #: the observability subsystem: a metrics registry every layer's
         #: stats migrate onto (via pull collectors — see
         #: :meth:`_register_telemetry`) plus the last-N query-trace ring.
@@ -218,7 +187,7 @@ class HFADFileSystem:
         )
         self._scrubber: Optional[Scrubber] = None
         #: on-device btrees backing the persistent full-text / image indexes
-        #: (None = in-memory indexes, re-derived at mount).
+        #: (None = in-memory indexes).
         self._fulltext_tree = None
         self._image_tree = None
         if _mounted is not None:
@@ -234,31 +203,26 @@ class HFADFileSystem:
                 integrity=self.integrity,
             )
             # Re-attach the persistent index trees from their checkpointed
-            # (and replay-updated) roots.  Zero roots mean the device was
-            # formatted without them: the naming rebuild below re-derives
-            # those indexes the legacy way.
-            if self.recovery.state.get("fulltext_root", 0):
-                self._fulltext_tree = self.objects.open_index_tree(
-                    "index.fulltext",
-                    root_id=self.recovery.state["fulltext_root"],
-                    on_root_change=self._fulltext_root_moved,
-                )
-            if self.recovery.state.get("image_root", 0):
-                self._image_tree = self.objects.open_index_tree(
-                    "index.image",
-                    root_id=self.recovery.state["image_root"],
-                    on_root_change=self._image_root_moved,
-                )
-        elif btree_on_device and durability == "wal":
+            # (and replay-updated) roots.
+            self._fulltext_tree = self.objects.open_index_tree(
+                "index.fulltext",
+                root_id=self.recovery.state["fulltext_root"],
+                on_root_change=self._fulltext_root_moved,
+            )
+            self._image_tree = self.objects.open_index_tree(
+                "index.image",
+                root_id=self.recovery.state["image_root"],
+                on_root_change=self._image_root_moved,
+            )
+        elif btree_on_device:
             # mkfs: reserve the metadata prefix (superblock + journal) out of
             # the data allocator and write checkpoint zero.
             from repro.storage.buddy import BuddyAllocator, _next_power_of_two
 
             if self.buffer_pool is None:
                 raise ValueError(
-                    "durability='wal' needs a buffer pool (cache_pages > 0): "
-                    "no-steal holds uncommitted dirty pages in memory.  Use "
-                    "durability='writethrough' for the uncached ablation path."
+                    "btree_on_device=True needs a buffer pool (cache_pages > "
+                    "0): no-steal holds uncommitted dirty pages in memory."
                 )
             data_region_start = 1 + journal_blocks
             reserved = _next_power_of_two(data_region_start)
@@ -285,65 +249,46 @@ class HFADFileSystem:
                 buffer_pool=self.buffer_pool,
                 cache_pages=cache_pages,
                 recovery=self.recovery,
-                checksum_pages=checksum_pages,
                 integrity=self.integrity,
             )
-            if persistent_index:
-                # mkfs: the index trees are created alongside the master tree
-                # so checkpoint zero already records their roots.
-                self._fulltext_tree = self.objects.open_index_tree(
-                    "index.fulltext", on_root_change=self._fulltext_root_moved
-                )
-                self._image_tree = self.objects.open_index_tree(
-                    "index.image", on_root_change=self._image_root_moved
-                )
+            # mkfs: the index trees are created alongside the master tree
+            # so checkpoint zero already records their roots.
+            self._fulltext_tree = self.objects.open_index_tree(
+                "index.fulltext", on_root_change=self._fulltext_root_moved
+            )
+            self._image_tree = self.objects.open_index_tree(
+                "index.image", on_root_change=self._image_root_moved
+            )
             self.recovery.initialize(
                 master_root=self.objects._master.root_id,
                 next_oid=self.objects._next_oid,
                 data_region_start=data_region_start,
                 page_blocks=self.objects.page_blocks,
                 max_keys=self.objects.max_keys,
-                # "is not None": an empty BPlusTree is falsy (len() == 0).
-                fulltext_root=(
-                    self._fulltext_tree.root_id
-                    if self._fulltext_tree is not None else 0
-                ),
-                image_root=(
-                    self._image_tree.root_id
-                    if self._image_tree is not None else 0
-                ),
-                checksum_pages=int(self.objects.checksum_pages),
+                fulltext_root=self._fulltext_tree.root_id,
+                image_root=self._image_tree.root_id,
             )
         else:
-            self.objects = ObjectStore(
-                device=device,
-                btree_on_device=btree_on_device,
-                buffer_pool=self.buffer_pool,
-                cache_pages=cache_pages,
-                write_back=(durability == "writeback") if btree_on_device else None,
-                integrity=self.integrity,
-            )
+            self.objects = ObjectStore(device=device)
         # Index stores (Figure 1: the extensible collection of indices).
-        # With persistent index trees, the FULLTEXT store's engine and the
-        # image store write through to on-device btrees whose pages ride the
-        # same buffer pool and WAL as everything else.
+        # On a device, the FULLTEXT store's engine and the image store write
+        # through to on-device btrees whose pages ride the same buffer pool
+        # and WAL as everything else.
         self.keyvalue_index = KeyValueIndexStore()
         self.path_index = PosixPathIndexStore()
-        if self._fulltext_tree is not None:
+        if btree_on_device:
             self.fulltext_index = FullTextIndexStore(
                 lazy=lazy_indexing,
                 workers=index_workers,
                 index=PersistentInvertedIndex(self._fulltext_tree, recovery=self.recovery),
             )
-        else:
-            self.fulltext_index = FullTextIndexStore(lazy=lazy_indexing, workers=index_workers)
-        if self._image_tree is not None:
             self.image_index = PersistentImageIndexStore(
                 self._image_tree,
                 recovery=self.recovery,
                 load=(_mounted is not None),
             )
         else:
+            self.fulltext_index = FullTextIndexStore(lazy=lazy_indexing, workers=index_workers)
             self.image_index = ImageIndexStore()
         self.registry = IndexStoreRegistry()
         self.registry.register(self.keyvalue_index)
@@ -430,21 +375,22 @@ class HFADFileSystem:
         telemetry: bool = True,
         slow_query_ms: Optional[float] = 100.0,
     ) -> "HFADFileSystem":
-        """Re-open a device formatted with ``durability="wal"``.
+        """Re-open a device formatted with ``btree_on_device=True``.
 
-        Recovery runs before any index is opened: the superblock is loaded,
-        the journal's committed tail is replayed onto home locations, and
-        only then are the master tree, the extent trees and the naming
-        indexes rebuilt from the (now consistent) device state.  Full-text
-        postings and image features re-attach from their persistent index
-        trees (recorded in the superblock) without reading any object
-        content — mounts cost O(metadata); devices formatted with
-        ``persistent_index=False`` fall back to re-deriving them from
-        object bytes.  Every operation that completed before the crash is
+        Recovery runs before any index is opened: the superblock is loaded
+        and asked whether its format is one this code serves (a refusal
+        leaves the device untouched), the journal's committed tail is
+        replayed onto home locations, and only then are the master tree,
+        the extent trees and the naming indexes rebuilt from the (now
+        consistent) device state.  Full-text postings and image features
+        re-attach from their persistent index trees (recorded in the
+        superblock) without reading any object content — mounts cost
+        O(metadata).  Every operation that completed before the crash is
         visible; every operation that did not reach its commit marker has
         vanished whole.
         """
         superblock = Superblock.load(device)
+        superblock.require_mountable()
         recovery = RecoveryManager.from_superblock(
             device, superblock,
             checkpoint_threshold=checkpoint_threshold,
@@ -461,7 +407,6 @@ class HFADFileSystem:
             enable_planner=enable_planner,
             lazy_indexing=lazy_indexing,
             index_workers=index_workers,
-            durability="wal",
             telemetry=telemetry,
             slow_query_ms=slow_query_ms,
             _mounted={"recovery": recovery},
@@ -474,12 +419,8 @@ class HFADFileSystem:
         object's metadata record (which lives in the master btree and is
         therefore covered by the WAL).  Full-text postings and image
         features are already attached from their persistent index trees —
-        no object bytes are read — unless the device was formatted with
-        ``persistent_index=False``, in which case they are re-derived from
-        content (the legacy O(data) path).
+        no object bytes are read.
         """
-        persistent_fulltext = self._fulltext_tree is not None
-        persistent_image = self._image_tree is not None
         #: deferred index mutations planned by _plan_fulltext_heal — run
         #: only after the rebuild walk so probes see a quiescent tree.
         heal_actions: List = []
@@ -498,12 +439,12 @@ class HFADFileSystem:
             for entry in names_by_oid.get(oid, ()):
                 if entry.startswith(_NAME_ENTRY):
                     pair = TagValue.parse(entry[len(_NAME_ENTRY):])
-                    if pair.tag == TAG_FULLTEXT and persistent_fulltext:
+                    if pair.tag == TAG_FULLTEXT:
                         # Normally already in the posting tree — but kept
                         # aside for the lazy-crash heal below.
                         manual_fulltext.append(pair)
                         continue
-                    if pair.tag == TAG_IMAGE and persistent_image:
+                    if pair.tag == TAG_IMAGE:
                         continue  # already in the on-device feature tree
                     self._ensure_tag_registered(pair.tag)
                     self.naming.add_name(oid, pair)
@@ -513,31 +454,21 @@ class HFADFileSystem:
             content_indexed = attributes.get(_ATTR_INDEXED) == "1"
             if content_indexed:
                 self._content_indexed.add(oid)
-            if persistent_fulltext:
-                self._plan_fulltext_heal(oid, content_indexed, manual_fulltext,
-                                         heal_actions)
-            elif content_indexed:
-                content = self.objects.read(oid)
-                if content:
-                    self.fulltext_index.index_content(oid, content)
-            if _ATTR_HISTOGRAM in attributes and not persistent_image:
-                self.image_index.index_histogram(
-                    oid, json.loads(attributes[_ATTR_HISTOGRAM])
+            self._plan_fulltext_heal(oid, content_indexed, manual_fulltext,
+                                     heal_actions)
+        # Scrub orphans: a deleted object's queued (lazy) content add may
+        # have applied — in its own WAL transaction — after the delete
+        # committed, leaving postings with no object behind them.
+        for doc_oid in self.fulltext_index.index.document_ids():
+            if doc_oid not in metadata_by_oid:
+                heal_actions.append(
+                    lambda doomed=doc_oid: self.fulltext_index.drop_content(doomed)
                 )
-        if persistent_fulltext:
-            # Scrub orphans: a deleted object's queued (lazy) content add may
-            # have applied — in its own WAL transaction — after the delete
-            # committed, leaving postings with no object behind them.
-            for doc_oid in self.fulltext_index.index.document_ids():
-                if doc_oid not in metadata_by_oid:
-                    heal_actions.append(
-                        lambda doomed=doc_oid: self.fulltext_index.drop_content(doomed)
-                    )
-            # Execute the planned heals only now: with lazy indexing the
-            # first submission starts worker threads, and the probes above
-            # must all run against a quiescent tree.
-            for action in heal_actions:
-                action()
+        # Execute the planned heals only now: with lazy indexing the
+        # first submission starts worker threads, and the probes above
+        # must all run against a quiescent tree.
+        for action in heal_actions:
+            action()
         for tag in (TAG_POSIX, TAG_FULLTEXT, TAG_IMAGE):
             self.registry.touch(tag)
 
@@ -700,7 +631,7 @@ class HFADFileSystem:
         persist the superblock.  Returns the number of pages flushed."""
         with self._operation("checkpoint"):
             if self.recovery is None:
-                return self.buffer_pool.flush() if self.buffer_pool else 0
+                return 0
             self.objects.flush_access_times()
             return self.recovery.checkpoint()
 
@@ -733,8 +664,7 @@ class HFADFileSystem:
                 self.device,
                 self.integrity,
                 self._scrub_sources,
-                journal=(self.recovery.journal
-                         if self.recovery is not None else None),
+                journal=self.recovery.journal,
             )
         started = time.perf_counter()
         with self._operation("scrub", f"limit={limit}"):
@@ -1292,10 +1222,6 @@ class HFADFileSystem:
         with self._durable():
             colour = self.image_index.index_histogram(oid, histogram)
             self.registry.touch(TAG_IMAGE)
-            if self._image_tree is None:
-                # Legacy format only: the persistent image tree (when
-                # present) already carries the histogram.
-                self._persist_attr(oid, _ATTR_HISTOGRAM, json.dumps(list(histogram)))
             return colour
 
     # ------------------------------------------------------------------
@@ -1366,7 +1292,7 @@ class HFADFileSystem:
             return None
         snapshot = self.integrity.stats.snapshot()
         snapshot["quarantined_pages"] = len(self.integrity.quarantine)
-        snapshot["checksum_pages"] = int(self.objects.checksum_pages)
+        snapshot["checksum_pages"] = self.recovery.state["checksum_pages"]
         return snapshot
 
     def _persistent_index_snapshot(self) -> Optional[Dict[str, object]]:
@@ -1385,9 +1311,7 @@ class HFADFileSystem:
         return {
             "fulltext_root": self._fulltext_tree.root_id,
             "fulltext_documents": fulltext_documents,
-            "image_root": (
-                self._image_tree.root_id if self._image_tree is not None else 0
-            ),
+            "image_root": self._image_tree.root_id,
             "image_objects": image_objects,
         }
 
@@ -1428,7 +1352,7 @@ class HFADFileSystem:
             ("persistent_index", self._persistent_index_snapshot),
             ("recovery",
              lambda: (self.recovery.snapshot() if self.recovery is not None
-                      else {"mode": self.durability})),
+                      else {"mode": "volatile"})),
             ("integrity", self._integrity_snapshot),
         ):
             metrics.register_collector(name, fn)

@@ -16,7 +16,7 @@ Transactions are not isolated from concurrent readers (hFAD naming results
 are explicitly unordered sets, so readers may observe intermediate states);
 they provide atomicity of the namespace update only.
 
-When the filesystem runs with ``durability="wal"``, each namespace
+When the filesystem runs with ``btree_on_device=True``, each namespace
 transaction is additionally bracketed by one WAL transaction
 (:class:`~repro.recovery.manager.RecoveryManager`), so the whole group of
 operations is atomic across a *crash* too: commit writes one commit marker

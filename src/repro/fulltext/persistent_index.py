@@ -31,10 +31,7 @@ Key layout (one tree, five record kinds)::
   (adds tighten them, removes leave them) so they can only ever be
   conservative — a stale bound costs pruning power, never correctness —
   and they ride the same WAL transactions as the postings, so bounds
-  survive crashes and remounts.  Devices formatted before these fields
-  existed carry 8-byte legacy records; their bounds are recomputed from
-  the live postings on first use (queries scan, the first mutation
-  upgrades the record in place).
+  survive crashes and remounts.
 * ``B`` records are the block-max refinement: per-term maximum frequency
   over fixed aligned doc-id blocks of :data:`BLOCK_SPAN` oids, also
   maintained monotonically.  A WAND pivot that survives the global bound
@@ -261,87 +258,17 @@ class PersistentInvertedIndex:
         count, total = self._read_stats()
         self._tree.put(_STATS_KEY, _STATS.pack(count + docs, total + tokens))
 
-    def _df_record(self, term: str) -> Tuple[int, Optional[Tuple[int, int]]]:
-        """``(document_frequency, (max_tf, min_len) or None)``.
-
-        The bound pair is ``None`` on legacy 8-byte records (devices
-        formatted before the bound fields existed).
-        """
+    def _df_record(self, term: str) -> Tuple[int, int, int]:
+        """``(document_frequency, max_tf, min_len)``; zeros for an unknown term."""
         raw = self._tree.get(self._df_key(term))
-        if raw is None:
-            return 0, None
-        if len(raw) == _DF_RECORD.size:
-            df, max_tf, min_len = _DF_RECORD.unpack(raw)
-            return df, (max_tf, min_len)
-        return _U64.unpack(raw)[0], None
+        return _DF_RECORD.unpack(raw) if raw is not None else (0, 0, 0)
 
     def _term_df(self, term: str) -> int:
         return self._df_record(term)[0]
 
-    def _walk_bounds(
-        self, term: str, skip_doc: Optional[int] = None
-    ) -> Tuple[int, int, Dict[int, int]]:
-        """One posting walk computing ``(max_tf, min_len, per-block max)``.
-
-        ``skip_doc`` excludes an in-flight document whose ``D`` record is
-        not written yet (its length would read as the 1-token minimum and
-        pin ``min_len`` forever); the caller folds its real stats in.
-        """
-        max_tf, min_len = 0, 0
-        block_max: Dict[int, int] = {}
-        length_for = self._length_memo()
-        prefix = self._posting_prefix(term)
-        for key, raw in self._tree.cursor(prefix=prefix):
-            doc_id = _OID.unpack(key[len(prefix):])[0]
-            if doc_id == skip_doc:
-                continue
-            tf = _POSTING_HEADER.unpack_from(raw, 0)[0]
-            max_tf = max(max_tf, tf)
-            length = length_for(doc_id) or 1
-            min_len = length if min_len == 0 else min(min_len, length)
-            block = doc_id >> BLOCK_SHIFT
-            block_max[block] = max(block_max.get(block, 0), tf)
-        return max_tf, min_len, block_max
-
-    def _scan_bounds(self, term: str) -> Tuple[int, int]:
-        """Recompute ``(max_tf, min_len)`` from the live postings — the
-        query-path fallback for legacy records (no writes)."""
-        max_tf, min_len, _blocks = self._walk_bounds(term)
-        return max_tf, min_len
-
-    def _term_bounds(
-        self, term: str, df: int, stored: Optional[Tuple[int, int]]
-    ) -> Tuple[int, int]:
-        """The term's upper-bound inputs; scans when the fields are absent."""
-        if df == 0:
-            return 0, 0
-        return stored if stored is not None else self._scan_bounds(term)
-
-    def _upgrade_legacy_bounds(self, term: str, in_flight: int) -> Tuple[int, int]:
-        """Backfill block-max records for a legacy term; returns its bounds.
-
-        A legacy device carries postings with neither the ``F`` bound
-        fields nor ``B`` block records.  Before the first new posting lands
-        on such a term, every *existing* posting must be covered —
-        otherwise the new posting's block record could under-bound an old
-        posting in the same block and let WAND prune a true result.  One
-        prefix walk computes the term bounds and writes every block maximum
-        (WAL-covered, since this runs inside the caller's mutation
-        transaction).  The ``in_flight`` document — whose posting is
-        already in the tree but whose stats the caller accounts separately
-        — is excluded from the walk.
-        """
-        max_tf, min_len, block_max = self._walk_bounds(term, skip_doc=in_flight)
-        for block, tf in block_max.items():
-            self._tree.put(self._block_key(term, block), _U64.pack(tf))
-        return max_tf, min_len
-
     def _record_term_added(self, term: str, doc_id: int, tf: int, doc_len: int) -> None:
         """Account one new posting: df + 1, term and block bounds tightened."""
-        df, stored = self._df_record(term)
-        if stored is None and df > 0:
-            stored = self._upgrade_legacy_bounds(term, in_flight=doc_id)
-        max_tf, min_len = stored if stored is not None else (0, 0)
+        df, max_tf, min_len = self._df_record(term)
         self._tree.put(
             self._df_key(term),
             _DF_RECORD.pack(
@@ -362,7 +289,7 @@ class PersistentInvertedIndex:
         only gets less aggressive).  When the term's last posting goes, the
         frequency record and every block record are scrubbed with it.
         """
-        df, stored = self._df_record(term)
+        df, max_tf, min_len = self._df_record(term)
         if df <= 1:
             if df == 1:
                 self._tree.delete(self._df_key(term))
@@ -370,10 +297,7 @@ class PersistentInvertedIndex:
             for key in doomed:
                 self._tree.delete(key)
             return
-        if stored is None:
-            self._tree.put(self._df_key(term), _U64.pack(df - 1))  # stays legacy
-        else:
-            self._tree.put(self._df_key(term), _DF_RECORD.pack(df - 1, *stored))
+        self._tree.put(self._df_key(term), _DF_RECORD.pack(df - 1, max_tf, min_len))
 
     def _read_doc(self, doc_id: int) -> Optional[Tuple[int, List[str]]]:
         """``(doc_length, terms)`` from the chunked ``D`` records."""
@@ -610,7 +534,7 @@ class PersistentInvertedIndex:
         Block records store frequencies only, so the term-level minimum
         length feeds the length term (a block's shortest doc can only be
         longer — looser, never unsafe).  Blocks without a ``B`` record
-        (legacy postings) fall back to the term-level bound entirely.
+        fall back to the term-level bound entirely.
         """
         cache: Dict[int, float] = {}
 
@@ -650,12 +574,11 @@ class PersistentInvertedIndex:
         length_for = self._length_memo()
         cursors = []
         for term in terms:
-            df, stored = self._df_record(term)
+            df, max_tf, min_len = self._df_record(term)
             if df == 0:
                 continue
             self.term_lookups += 1
             idf = bm25_idf(total_docs, df)
-            max_tf, min_len = self._term_bounds(term, df, stored)
             upper = bm25_upper_bound(idf, k1, b, max_tf, min_len, average_length)
             cursors.append(
                 _PostingScoredCursor(
@@ -726,8 +649,7 @@ class PersistentInvertedIndex:
         average_length = total_tokens / total_docs
         length_for = self._length_memo()
         for term in self.vocabulary():
-            df, stored = self._df_record(term)
-            term_max, term_min_len = self._term_bounds(term, df, stored)
+            df, term_max, term_min_len = self._df_record(term)
             idf = bm25_idf(total_docs, df)
             term_bound = bm25_upper_bound(idf, k1, b, term_max, term_min_len, average_length)
             score = bm25_scorer(idf, k1, b, average_length, length_for)

@@ -1,6 +1,6 @@
 """Per-page CRC32 checksum frames — the self-verifying page format.
 
-Every btree page written by a checksummed :class:`DevicePageStore` is wrapped
+Every btree page written by a :class:`DevicePageStore` is wrapped
 in a small frame before it reaches the WAL or the device::
 
     MAGIC ("HFPG") | length | crc32(length_be32 + payload) | payload
@@ -12,9 +12,8 @@ The frame travels *inside* the WAL too: ``log_page`` records framed bytes,
 so mount-time replay rewrites exactly what a healthy write-back would have,
 and the scrubber can repair a rotten home location straight from the log.
 
-Whether a device uses framed pages is recorded in the superblock
-(``checksum_pages``); legacy devices read transparently because the field
-defaults to 0.
+The superblock's ``checksum_pages`` field is the format's version stamp:
+``1`` is this frame, and a device stamped otherwise is refused at mount.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import zlib
 
 from repro.errors import CorruptionError
 
-#: frame magic: distinguishes a framed page from legacy raw-node bytes.
+#: frame magic: distinguishes a framed page from raw node bytes.
 FRAME_MAGIC = b"HFPG"
 
 _FRAME = struct.Struct(">4sII")  # magic | payload length | crc32

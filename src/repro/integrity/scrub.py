@@ -161,25 +161,18 @@ class Scrubber:
             report.errors.append(f"page {page_id}: unreadable: {error}")
             report.unreachable_subtrees += 1
             return
-        payload: Optional[bytes] = None
-        if getattr(store, "checksum", False):
-            try:
-                payload = verify_frame(raw, context=f"page {page_id}")
-            except CorruptionError:
-                payload = self._repair(store, page_id, report)
-                if payload is None:
-                    return  # quarantined; children undiscoverable
-            else:
-                report.pages_clean += 1
-                if self.context.release_page(page_id):
-                    # e.g. a replayed WAL already healed it since quarantine.
-                    stats.scrub_pages_released += 1
-                    report.released += 1
+        try:
+            payload = verify_frame(raw, context=f"page {page_id}")
+        except CorruptionError:
+            payload = self._repair(store, page_id, report)
+            if payload is None:
+                return  # quarantined; children undiscoverable
         else:
-            # Legacy unchecksummed device: the walk still exercises every
-            # page (and the retry wrapper), but rot is undetectable here.
-            payload = raw
             report.pages_clean += 1
+            if self.context.release_page(page_id):
+                # e.g. a replayed WAL already healed it since quarantine.
+                stats.scrub_pages_released += 1
+                report.released += 1
         try:
             node = decode_node(payload)
         except Exception as error:  # noqa: BLE001 — report, keep scrubbing

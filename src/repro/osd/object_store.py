@@ -81,8 +81,6 @@ class ObjectStore:
         multi-page update — btree split, extent re-keying, create/delete —
         is atomic across a crash), btree page writes are logged, and the
         store is re-mountable via :meth:`mount`.
-    :param write_back: buffer btree page writes dirty in the pool (default:
-        on when ``recovery`` protects them, off otherwise).
     :param page_blocks: blocks per btree page.
     """
 
@@ -97,9 +95,7 @@ class ObjectStore:
         buffer_pool: Optional[BufferPool] = None,
         cache_pages: int = 256,
         recovery=None,
-        write_back: Optional[bool] = None,
         page_blocks: int = 4,
-        checksum_pages: bool = False,
         integrity=None,
     ) -> None:
         if device is None:
@@ -117,8 +113,6 @@ class ObjectStore:
             buffer_pool=buffer_pool,
             cache_pages=cache_pages,
             recovery=recovery,
-            write_back=write_back,
-            checksum_pages=checksum_pages,
             integrity=integrity,
         )
         self.allocator = allocator
@@ -139,8 +133,6 @@ class ObjectStore:
         buffer_pool: Optional[BufferPool],
         cache_pages: int,
         recovery,
-        write_back: Optional[bool],
-        checksum_pages: bool = False,
         integrity=None,
     ) -> None:
         """Field initialization shared by ``__init__`` and :meth:`mount`.
@@ -164,10 +156,6 @@ class ObjectStore:
         self.buffer_pool = buffer_pool
         self.cache_pages = cache_pages
         self.recovery = recovery if btree_on_device else None
-        self.write_back = write_back
-        #: frame every btree page with a CRC32 checksum (repro.integrity);
-        #: per-device, recorded in the superblock as ``checksum_pages``.
-        self.checksum_pages = checksum_pages if btree_on_device else False
         #: shared integrity context (retrying reads, quarantine, counters).
         self.integrity = integrity if btree_on_device else None
         self._trees: Dict[int, BPlusTree] = {}
@@ -211,8 +199,6 @@ class ObjectStore:
             buffer_pool=buffer_pool,
             cache_pages=cache_pages,
             recovery=recovery,
-            write_back=None,  # WAL-protected: write-back on
-            checksum_pages=bool(state.get("checksum_pages", 0)),
             integrity=integrity,
         )
         store.allocator = BuddyAllocator(total_blocks=device.num_blocks, base=0)
@@ -403,8 +389,6 @@ class ObjectStore:
                 buffer_pool=self.buffer_pool,
                 name=name,
                 recovery=self.recovery,
-                write_back=self.write_back,
-                checksum=self.checksum_pages,
                 integrity=self.integrity,
             )
         return InMemoryPageStore()

@@ -21,7 +21,7 @@ one) also the safe one:
   write) after the Nth write, then hands the surviving stable-storage image
   to a re-mount for audit.
 
-Entry points: ``HFADFileSystem(durability="wal")`` formats a device with
+Entry points: ``HFADFileSystem(btree_on_device=True)`` formats a device with
 this layer; ``HFADFileSystem.mount(device)`` re-opens one, replaying the
 committed journal tail before any index is touched.
 """

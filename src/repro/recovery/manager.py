@@ -167,7 +167,7 @@ class RecoveryManager:
             "checkpoint_seq": 0,
             "fulltext_root": 0,
             "image_root": 0,
-            "checksum_pages": 0,
+            "checksum_pages": 1,
         }
         self.pool = None  # the shared BufferPool, once attached
         self.poisoned = False
@@ -830,15 +830,14 @@ class RecoveryManager:
             checkpoint_seq=self.state["checkpoint_seq"],
             fulltext_root=self.state.get("fulltext_root", 0),
             image_root=self.state.get("image_root", 0),
-            checksum_pages=self.state.get("checksum_pages", 0),
+            checksum_pages=self.state["checksum_pages"],
         ).store(self.device, self.superblock_block)
 
     # ------------------------------------------------------------ lifecycle
 
     def initialize(self, master_root: int, next_oid: int,
                    data_region_start: int, page_blocks: int, max_keys: int,
-                   fulltext_root: int = 0, image_root: int = 0,
-                   checksum_pages: int = 0) -> None:
+                   fulltext_root: int = 0, image_root: int = 0) -> None:
         """mkfs: record the freshly created roots and write checkpoint zero."""
         self.state.update(
             master_root=master_root,
@@ -848,7 +847,6 @@ class RecoveryManager:
             max_keys=max_keys,
             fulltext_root=fulltext_root,
             image_root=image_root,
-            checksum_pages=checksum_pages,
         )
         self.checkpoint()
 
@@ -928,5 +926,5 @@ class RecoveryManager:
             "replayed_pages": self.stats.replayed_pages,
             "wal_forced_syncs": self.stats.wal_forced_syncs,
             "checkpoint_seq": self.state.get("checkpoint_seq", 0),
-            "checksum_pages": self.state.get("checksum_pages", 0),
+            "checksum_pages": self.state["checksum_pages"],
         }

@@ -13,6 +13,11 @@ The superblock is the fixed-location record that makes that possible:
 * btree shape knobs (``page_blocks``, ``max_keys``) so a mount builds
   compatible page stores.
 
+This module is also the one place that knows which on-device formats are
+mountable: :meth:`Superblock.from_bytes` rejects a field set it does not
+recognise and :meth:`Superblock.require_mountable` refuses a format this
+code does not serve.
+
 It is written only at **checkpoints**, never in the hot path: between
 checkpoints the recovery manager logs superblock-relevant changes as logical
 ``META`` records in the WAL, and mount-time replay folds them back in.  A
@@ -25,7 +30,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from repro.errors import RecoveryError
 from repro.storage.block_device import BlockDevice
@@ -53,15 +58,13 @@ class Superblock:
     #: monotonically increasing checkpoint counter (diagnostics).
     checkpoint_seq: int = 0
     #: root pages of the persistent full-text / image index btrees; ``0``
-    #: means the device was formatted without them (mounts then re-derive
-    #: those indexes from object bytes, the pre-persistent behaviour).
+    #: means the device carries none and is refused at mount.
     fulltext_root: int = 0
     image_root: int = 0
-    #: page-format version: ``1`` means every btree page is wrapped in a
-    #: CRC32 checksum frame (:mod:`repro.integrity.checksum`); ``0`` is the
-    #: legacy raw-node format.  Defaulting to 0 makes superblocks written
-    #: before this field existed read transparently as legacy devices.
-    checksum_pages: int = 0
+    #: page-format version stamp: ``1`` means every btree page is wrapped
+    #: in a CRC32 checksum frame (:mod:`repro.integrity.checksum`) — the
+    #: only page format; any other value is refused at mount.
+    checksum_pages: int = 1
 
     # -- serialization --------------------------------------------------------
 
@@ -78,13 +81,41 @@ class Superblock:
         if magic != _MAGIC:
             raise RecoveryError(
                 "no hFAD superblock on this device (was it ever formatted "
-                "with durability='wal'?)"
+                "with btree_on_device=True?)"
             )
         payload = raw[_PREFIX.size:_PREFIX.size + length]
         if len(payload) < length or (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
             raise RecoveryError("superblock checksum mismatch (torn write?)")
-        fields = json.loads(payload.decode("utf-8"))
-        return cls(**fields)
+        stored = json.loads(payload.decode("utf-8"))
+        expected = {f.name for f in fields(cls)}
+        found = set(stored) if isinstance(stored, dict) else set()
+        if found != expected:
+            raise RecoveryError(
+                "superblock written by another format version: "
+                f"unknown fields {sorted(found - expected)}, "
+                f"missing fields {sorted(expected - found)}"
+            )
+        return cls(**stored)
+
+    def require_mountable(self) -> None:
+        """Refuse a format this code does not serve, naming the field.
+
+        Mounts ask before journal replay writes a single home block, so a
+        refused device is left byte-identical.
+        """
+        if self.checksum_pages != 1:
+            raise RecoveryError(
+                f"unsupported on-device format: superblock checksum_pages="
+                f"{self.checksum_pages}, but only CRC-framed btree pages "
+                "(checksum_pages=1) are mountable"
+            )
+        for name in ("fulltext_root", "image_root"):
+            if not getattr(self, name):
+                raise RecoveryError(
+                    f"unsupported on-device format: superblock {name}=0, but "
+                    "only devices carrying their persistent index trees are "
+                    "mountable"
+                )
 
     # -- device I/O -----------------------------------------------------------
 

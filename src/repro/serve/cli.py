@@ -54,7 +54,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     fs = HFADFileSystem(
         num_blocks=options.blocks,
         btree_on_device=True,
-        durability="wal",
         group_commit=options.group_commit,
         sync_interval_ms=options.sync_interval_ms,
     )

@@ -42,7 +42,7 @@ QUERY_THREADS = 2
 
 def make_fs(**overrides):
     options = dict(
-        num_blocks=1 << 16, btree_on_device=True, durability="wal",
+        num_blocks=1 << 16, btree_on_device=True,
         query_cache_entries=0,
     )
     options.update(overrides)

@@ -207,3 +207,15 @@ class TestStats:
         assert isinstance(stats["ranked_cache"], dict)
         assert stats["query_cache"] == fs.query_cache.snapshot()
         assert stats["ranked_cache"] == fs.ranked_cache.snapshot()
+
+
+def test_constructor_surface():
+    """On-device means one engine: the mode-selecting knobs are gone."""
+    import inspect
+
+    parameters = inspect.signature(HFADFileSystem.__init__).parameters
+    for name, value in (("durability", "wal"), ("persistent_index", True),
+                        ("checksum_pages", True)):
+        assert name not in parameters
+        with pytest.raises(TypeError):
+            HFADFileSystem(**{name: value})

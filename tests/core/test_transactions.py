@@ -63,12 +63,12 @@ class TestUndoOrdering:
 
 
 class TestWalBracket:
-    """With durability='wal', a namespace group is one WAL transaction."""
+    """On a device, a namespace group is one WAL transaction."""
 
     def make_fs(self):
         device = BlockDevice(num_blocks=1 << 14, block_size=512)
         return HFADFileSystem(
-            device=device, btree_on_device=True, durability="wal",
+            device=device, btree_on_device=True,
             journal_blocks=127, cache_pages=64,
         )
 

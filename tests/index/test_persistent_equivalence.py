@@ -29,7 +29,7 @@ def make_ops(seed, steps=STEPS, start_step=0, fulltext_tags=True, deletes=True):
     ``fulltext_tags=False`` / ``deletes=False`` carve out two op kinds whose
     *in-memory* semantics are already order-sensitive (manual FULLTEXT tags
     collapse term frequencies; lazy indexing applies deletes out of queue
-    order) — the legacy re-derive and lazy-mode tests compare without them.
+    order) — the lazy-mode test compares without them.
     """
     rng = random.Random(seed)
     ops = []
@@ -125,7 +125,6 @@ def build_pair(lazy=False):
     persistent = HFADFileSystem(
         device=device,
         btree_on_device=True,
-        durability="wal",
         query_cache_entries=0,
         lazy_indexing=lazy,
     )
@@ -186,33 +185,6 @@ def test_lazy_indexing_equivalence_with_remount():
     apply_ops(mounted, more, oids_p)
     apply_ops(reference, more, oids_r)
     assert mounted.flush_indexing(timeout=30)
-    assert_equivalent(reference, mounted)
-    mounted.close()
-    reference.close()
-
-
-def test_rederive_format_still_equivalent():
-    """persistent_index=False keeps the legacy re-derive path equivalent."""
-    device = BlockDevice(num_blocks=1 << 16)
-    legacy = HFADFileSystem(
-        device=device,
-        btree_on_device=True,
-        durability="wal",
-        query_cache_entries=0,
-        persistent_index=False,
-    )
-    reference = HFADFileSystem(query_cache_entries=0)
-    oids_l, oids_r = {}, {}
-    # Manual FULLTEXT tags are excluded: the legacy rebuild re-derives
-    # content *after* replaying manual name entries, which collapses their
-    # term frequencies — a long-standing re-derive quirk the persistent
-    # index does not have.
-    ops = make_ops(424, steps=40, fulltext_tags=False)
-    apply_ops(legacy, ops, oids_l)
-    apply_ops(reference, ops, oids_r)
-    legacy.close()
-    mounted = HFADFileSystem.mount(device, query_cache_entries=0)
-    assert mounted.stats()["persistent_index"] is None
     assert_equivalent(reference, mounted)
     mounted.close()
     reference.close()

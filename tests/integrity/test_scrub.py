@@ -82,7 +82,7 @@ class TestRepair:
         fs.close()
 
     def test_repair_from_a_delta_chain_is_byte_exact(self):
-        from repro.integrity import verify_frame
+        from repro.integrity import frame_page, verify_frame
         from repro.storage.journal import TYPE_DATA, TYPE_DELTA
 
         device, fs = make_fs()
@@ -95,7 +95,7 @@ class TestRepair:
                   for record in records if record.block == leaf]
         # Postings kept landing in the first leaf: one image, then splices.
         assert logged[0] == TYPE_DATA and logged.count(TYPE_DELTA) >= 2
-        expected = store._encode_page(node.encode())
+        expected = frame_page(node.encode())
         store._consumer.drop_all(write_back=True)  # no cache source
         device.flip_bit(leaf, 40)
         report = fs.scrub()
@@ -169,41 +169,11 @@ class TestInterruptibleScrub:
 
 
 class TestLegacyDevices:
-    def test_unchecksummed_format_scrubs_clean(self):
-        _device, fs = make_fs(checksum_pages=False)
-        populate(fs)
-        fs.checkpoint()
-        assert fs.stats()["integrity"]["checksum_pages"] == 0
-        report = fs.scrub()
-        assert report.complete
-        assert report.pages_clean == report.pages_scanned
-
-    def test_legacy_rot_is_undetectable_by_design(self):
-        # The documented blind spot of the legacy format: without frames the
-        # scrubber walks every page but cannot tell rot from data.
-        device, fs = make_fs(checksum_pages=False)
-        populate(fs)
-        fs.checkpoint()
-        tree = fs._fulltext_tree
-        tree.store._consumer.drop_all(write_back=True)
-        device.flip_bit(tree.root_id, 5000)
-        report = fs.scrub()
-        assert report.quarantined == 0  # nothing detected
-
-    def test_legacy_device_remounts_transparently(self):
-        device, fs = make_fs(checksum_pages=False)
-        oids = populate(fs)
-        fs.close()
-        mounted = HFADFileSystem.mount(device)
-        assert mounted.objects.checksum_pages is False
-        assert mounted.search_text("searchable") == oids
-        mounted.close()
-
     def test_checksummed_device_remounts_checksummed(self):
         device, fs = make_fs()
         oids = populate(fs)
         fs.close()
         mounted = HFADFileSystem.mount(device)
-        assert mounted.objects.checksum_pages is True
+        assert mounted.stats()["integrity"]["checksum_pages"] == 1
         assert mounted.search_text("searchable") == oids
         mounted.close()

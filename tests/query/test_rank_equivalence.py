@@ -13,8 +13,7 @@ Locked down here across every axis that could break it:
 * the full filesystem stack on a WAL device, before and after a re-mount,
   and after unlink/rename/rewrite churn on the re-mounted instance;
 * limits ``{1, k, n, > n}`` (heap never full, exactly full, overfull);
-* equal-score ties (order must be deterministic: ascending object id);
-* legacy ``F`` records without the bound fields (the recompute fallback).
+* equal-score ties (order must be deterministic: ascending object id).
 
 Seeds come from ``RANK_SEEDS`` so CI can widen the sweep.
 """
@@ -27,7 +26,7 @@ import pytest
 from repro.btree import BPlusTree
 from repro.core import HFADFileSystem
 from repro.fulltext.inverted_index import InvertedIndex
-from repro.fulltext.persistent_index import _DF_PREFIX, PersistentInvertedIndex
+from repro.fulltext.persistent_index import PersistentInvertedIndex
 from repro.storage import BlockDevice
 
 SEEDS = [int(s) for s in os.environ.get("RANK_SEEDS", "11,23").split(",")]
@@ -144,42 +143,6 @@ def test_tie_breaking_is_deterministic_by_doc_id():
         assert engine.rank("tie", limit=3) == engine.rank_exhaustive("tie", limit=3)
 
 
-def test_legacy_frequency_records_fall_back_to_recompute():
-    """8-byte ``F`` records (pre-bound devices): ranking recomputes bounds
-    from live postings, and the first mutation upgrades the records."""
-    engine = PersistentInvertedIndex(BPlusTree())
-    rng = random.Random(7)
-    for doc_id in range(40):
-        engine.add_document(doc_id, skewed_text(rng))
-    # Strip every F record down to the legacy 8-byte layout and drop the
-    # block-max records, simulating a device formatted before this PR.
-    tree = engine.tree
-    legacy = [(key, value[:8]) for key, value in tree.cursor(prefix=_DF_PREFIX)]
-    for key, value in legacy:
-        tree.put(key, value)
-    doomed = [key for key, _value in tree.cursor(prefix=b"B\x00")]
-    for key in doomed:
-        tree.delete(key)
-
-    query = f"{WORDS[1]} {WORDS[2]}"
-    for limit in (1, 5, None):
-        assert engine.rank(query, limit=limit) == engine.rank_exhaustive(query, limit=limit)
-    assert not engine.bound_violations()
-
-    # A mutation on a legacy term must upgrade its record and backfill the
-    # block maxima so the new posting cannot under-bound its older siblings.
-    engine.add_document(99, " ".join(WORDS))
-    assert not engine.bound_violations()
-    for limit in (1, 5):
-        assert engine.rank(query, limit=limit) == engine.rank_exhaustive(query, limit=limit)
-    # The upgrade must not pin min_len at the 1-token floor (the in-flight
-    # document's not-yet-written length record must be excluded from the
-    # walk): every corpus document here is >= 3 tokens long.
-    df, bounds = engine._df_record(WORDS[1])
-    assert df > 0 and bounds is not None
-    assert bounds[1] >= 3, f"legacy upgrade pinned min_len to {bounds[1]}"
-
-
 # ---------------------------------------------------------------------------
 # full-stack: WAL device, remount, churn
 # ---------------------------------------------------------------------------
@@ -230,7 +193,7 @@ def test_fs_rank_equivalence_across_remount_and_churn(seed):
     rng = random.Random(seed * 31)
     device = BlockDevice(num_blocks=1 << 16)
     fs = HFADFileSystem(
-        device=device, btree_on_device=True, durability="wal", query_cache_entries=0
+        device=device, btree_on_device=True, query_cache_entries=0
     )
     oids, serial = [], 0
     serial = fs_ops(rng, fs, oids, serial)

@@ -21,7 +21,7 @@ from repro.recovery.manager import DEFAULT_SYNC_INTERVAL_MS
 
 def build_fs(device, sync_interval_ms):
     return HFADFileSystem(
-        device=device, btree_on_device=True, durability="wal",
+        device=device, btree_on_device=True,
         journal_blocks=511, group_commit=4,
         sync_interval_ms=sync_interval_ms,
     )
@@ -70,14 +70,14 @@ def test_idle_flush_makes_lone_commit_durable():
 
 
 def test_default_interval_auto_enabled_with_group_commit():
-    fs = HFADFileSystem(btree_on_device=True, durability="wal",
+    fs = HFADFileSystem(btree_on_device=True,
                         journal_blocks=255, group_commit=4)
     try:
         assert fs.recovery.sync_interval_ms == DEFAULT_SYNC_INTERVAL_MS
     finally:
         fs.close()
     # group_commit=1 syncs every commit: no flusher needed, none configured.
-    fs = HFADFileSystem(btree_on_device=True, durability="wal",
+    fs = HFADFileSystem(btree_on_device=True,
                         journal_blocks=255, group_commit=1)
     try:
         assert fs.recovery.sync_interval_ms == 0.0
@@ -87,7 +87,7 @@ def test_default_interval_auto_enabled_with_group_commit():
 
 def test_negative_interval_rejected():
     with pytest.raises(ValueError):
-        HFADFileSystem(btree_on_device=True, durability="wal",
+        HFADFileSystem(btree_on_device=True,
                        journal_blocks=255, group_commit=4,
                        sync_interval_ms=-1.0)
 

@@ -1,9 +1,12 @@
 """Mount-time recovery of a whole HFADFileSystem: clean and dirty remounts."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import HFADFileSystem
 from repro.errors import RecoveryError
+from repro.recovery import Superblock
 from repro.storage import BlockDevice
 
 
@@ -11,7 +14,6 @@ def make_fs(device=None, **kwargs):
     if device is None:
         device = BlockDevice(num_blocks=1 << 14, block_size=512)
     kwargs.setdefault("btree_on_device", True)
-    kwargs.setdefault("durability", "wal")
     kwargs.setdefault("journal_blocks", 127)
     kwargs.setdefault("cache_pages", 64)
     return device, HFADFileSystem(device=device, **kwargs)
@@ -142,28 +144,28 @@ class TestMountErrors:
         with pytest.raises(RecoveryError):
             HFADFileSystem.mount(BlockDevice(num_blocks=1 << 12, block_size=512))
 
-    def test_other_durability_modes_have_no_superblock(self):
-        device, fs = make_fs(durability="writethrough")
-        fs.create(b"volatile trees")
-        with pytest.raises(RecoveryError):
-            HFADFileSystem.mount(clone(device))
+    @pytest.mark.parametrize(
+        "field", ["checksum_pages", "fulltext_root", "image_root"]
+    )
+    def test_refused_format_leaves_the_device_untouched(self, field):
+        device, fs = make_fs()
+        fs.create(b"committed only in the journal", path="/j.txt")
+        image = clone(device)  # no checkpoint: replay would write home blocks
+        replace(Superblock.load(image), **{field: 0}).store(image)
+        before = image.dump()
+        with pytest.raises(RecoveryError, match=field):
+            HFADFileSystem.mount(image)
+        assert image.dump() == before
 
     def test_tiny_device_rejected_at_format_time(self):
         with pytest.raises(ValueError):
             HFADFileSystem(
                 device=BlockDevice(num_blocks=64, block_size=512),
-                btree_on_device=True, durability="wal", journal_blocks=255,
+                btree_on_device=True, journal_blocks=255,
             )
 
 
 class TestDurabilityModes:
-    def test_writeback_mode_has_no_journal(self):
-        _, fs = make_fs(durability="writeback")
-        assert fs.recovery is None
-        assert fs.stats()["recovery"] == {"mode": "writeback"}
-        oid = fs.create(b"fast and loose")
-        assert fs.read(oid) == b"fast and loose"
-
     def test_volatile_mode_reported_for_in_memory_trees(self):
         fs = HFADFileSystem(btree_on_device=False)
         assert fs.stats()["recovery"] == {"mode": "volatile"}
@@ -184,7 +186,7 @@ class TestGroupCommitReuse:
         # resurrected A must still read back its own bytes.
         device = BlockDevice(num_blocks=1 << 14, block_size=512)
         fs = HFADFileSystem(
-            device=device, btree_on_device=True, durability="wal",
+            device=device, btree_on_device=True,
             journal_blocks=127, cache_pages=64, group_commit=8,
         )
         a = fs.create(b"A" * 4096, path="/a.bin", index_content=False)

@@ -4,9 +4,8 @@ The acceptance gate for ``repro.index`` persistence: re-opening a device
 must re-attach the full-text and image indexes from their on-device btrees
 — the only reads a mount issues are metadata reads (superblock, journal,
 btree pages), never object-content byte ranges — and the answers must be
-byte-identical to the pre-unmount instance.  A control test runs the same
-corpus on the legacy ``persistent_index=False`` format to prove the read
-tracker actually bites.
+byte-identical to the pre-unmount instance.  The heal test's exactly-one
+content read proves the read tracker actually bites.
 """
 
 import random
@@ -65,13 +64,11 @@ def snapshot_answers(fs):
     }
 
 
-def make_fs(device, persistent=True):
+def make_fs(device):
     return HFADFileSystem(
         device=device,
         btree_on_device=True,
-        durability="wal",
         query_cache_entries=0,
-        persistent_index=persistent,
     )
 
 
@@ -93,23 +90,6 @@ def test_persistent_mount_reads_no_object_content():
     )
     assert snapshot_answers(mounted) == expected
     assert mounted.fsck()["clean"]
-    mounted.close()
-
-
-def test_rederive_mount_does_read_content():
-    """Control: the legacy format re-reads every indexed object's bytes."""
-    device = ContentReadTracker(num_blocks=1 << 16)
-    fs = make_fs(device, persistent=False)
-    build_corpus(fs, random.Random(5))
-    fs.close()
-
-    device.tracking = True
-    mounted = HFADFileSystem.mount(device, query_cache_entries=0)
-    device.tracking = False
-
-    assert device.content_reads >= NUM_DOCS  # one read per indexed object
-    # Search still works — re-derive is slower, not wrong.
-    assert mounted.search_text(WORDS[0]) == fs.search_text(WORDS[0])
     mounted.close()
 
 

@@ -168,10 +168,11 @@ class TestReplay:
         assert fresh.stats.replayed_pages >= 1
         raw = device.read_blocks(page, 2)
         assert raw != bytes(1024)
-        # The replayed page decodes to the node that was committed.
+        # The replayed page is a valid frame around the committed node.
         from repro.btree.node import decode_node
+        from repro.integrity import verify_frame
 
-        assert decode_node(raw).keys == [b"replayed"]
+        assert decode_node(verify_frame(raw)).keys == [b"replayed"]
 
     def test_replay_applies_meta_records(self):
         device, manager, _, _store = make_stack()

@@ -1,5 +1,10 @@
 """Superblock round trips and corruption detection."""
 
+import json
+import struct
+import zlib
+from dataclasses import asdict
+
 import pytest
 
 from repro.errors import RecoveryError
@@ -17,9 +22,17 @@ def make_superblock(**overrides):
         page_blocks=4,
         max_keys=32,
         checkpoint_seq=3,
+        fulltext_root=4100,
+        image_root=4104,
     )
     fields.update(overrides)
     return Superblock(**fields)
+
+
+def encode_fields(fields):
+    """A CRC-valid superblock image carrying an arbitrary field set."""
+    payload = json.dumps(fields, sort_keys=True).encode("utf-8")
+    return struct.pack(">8sII", b"HFADSB01", len(payload), zlib.crc32(payload)) + payload
 
 
 class TestRoundTrip:
@@ -71,3 +84,24 @@ class TestCorruption:
         device.write_block(SUPERBLOCK_BLOCK, bytes(raw))
         with pytest.raises(RecoveryError):
             Superblock.load(device)
+
+
+class TestFormatVersions:
+    def test_unknown_field_is_a_recovery_error(self):
+        fields = dict(asdict(make_superblock()), future_field=1)
+        with pytest.raises(RecoveryError, match="future_field"):
+            Superblock.from_bytes(encode_fields(fields))
+
+    def test_missing_field_is_a_recovery_error(self):
+        fields = asdict(make_superblock())
+        del fields["master_root"]
+        with pytest.raises(RecoveryError, match="master_root"):
+            Superblock.from_bytes(encode_fields(fields))
+
+    def test_current_format_is_mountable(self):
+        make_superblock().require_mountable()
+
+    @pytest.mark.parametrize("field", ["checksum_pages", "fulltext_root", "image_root"])
+    def test_unserved_format_refused_naming_the_field(self, field):
+        with pytest.raises(RecoveryError, match=field):
+            make_superblock(**{field: 0}).require_mountable()

@@ -46,7 +46,6 @@ def build_fs(device):
     return HFADFileSystem(
         device=device,
         btree_on_device=True,
-        durability="wal",
         journal_blocks=511,
         cache_pages=48,
         query_cache_entries=0,

@@ -20,7 +20,7 @@ from repro.serve.session import MAX_PENDING_RESULTS, Session
 @pytest.fixture()
 def fs():
     fs = HFADFileSystem(
-        btree_on_device=True, durability="wal", journal_blocks=511,
+        btree_on_device=True, journal_blocks=511,
         num_blocks=1 << 14, group_commit=4, sync_interval_ms=5.0,
     )
     yield fs

