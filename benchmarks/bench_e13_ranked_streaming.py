@@ -3,13 +3,13 @@
 PR 2 taught *boolean* queries to stop early; ``rank()`` still scored every
 document containing any query term.  The scored-cursor pipeline
 (repro.query.scored) closes that gap: per-term cursors carry upper-bound
-scores (persisted in the ``F``/``B`` records for the on-device index), and
-the WAND merge skips documents — and with block-max records, whole posting
-blocks — that provably cannot reach the top k.
+scores (the index's ``F``/``B`` records), and the WAND merge skips
+documents — and with block-max records, whole posting blocks — that
+provably cannot reach the top k.
 
 This benchmark builds the same kind of deliberately skewed corpus E10 used
 — one term in every document, a rare high-signal term in a sliver of them —
-and asks for the top 10 both ways on both engines:
+and asks for the top 10 both ways:
 
 * ``exhaustive`` — score every matching document, sort, cut (the seed
   behaviour and the ``limit=None`` path);
@@ -26,8 +26,6 @@ import time
 
 import pytest
 
-from repro.btree import BPlusTree
-from repro.fulltext.inverted_index import InvertedIndex
 from repro.fulltext.persistent_index import PersistentInvertedIndex
 
 from conftest import emit_table, scaled
@@ -48,22 +46,20 @@ QUERIES = [
 ]
 
 
-def build_engines():
-    memory = InvertedIndex()
-    persistent = PersistentInvertedIndex(BPlusTree())
+def build_engine():
+    engine = PersistentInvertedIndex()
     stride = CORPUS_SIZE // RARE_SIZE
     for doc_id in range(CORPUS_SIZE):
         text = "common filler text"
         if doc_id % stride == 0 and doc_id // stride < RARE_SIZE:
             text += " rare rare rare"
-        memory.add_document(doc_id, text)
-        persistent.add_document(doc_id, text)
-    return memory, persistent
+        engine.add_document(doc_id, text)
+    return engine
 
 
 @pytest.fixture(scope="module")
-def engines():
-    return build_engines()
+def engine():
+    return build_engine()
 
 
 def timed(fn, repeats):
@@ -75,53 +71,47 @@ def timed(fn, repeats):
     return best
 
 
-def test_e13_wand_scores_fewer_documents(engines):
-    memory, persistent = engines
+def test_e13_wand_scores_fewer_documents(engine):
     rows = []
-    for engine_name, engine in (("memory", memory), ("persistent", persistent)):
-        for label, query in QUERIES:
-            engine.reset_counters()
-            exhaustive = engine.rank_exhaustive(query, limit=TOP_K)
-            scored_exhaustive = engine.ranked.documents_scored
+    for label, query in QUERIES:
+        engine.reset_counters()
+        exhaustive = engine.rank_exhaustive(query, limit=TOP_K)
+        scored_exhaustive = engine.ranked.documents_scored
 
-            engine.reset_counters()
-            streamed = engine.rank(query, limit=TOP_K)
-            stats = engine.ranked.snapshot()
+        engine.reset_counters()
+        streamed = engine.rank(query, limit=TOP_K)
+        stats = engine.ranked.snapshot()
 
-            # Correctness first: pruning changes cost, never answers.
-            assert streamed == exhaustive, f"{engine_name}/{label}: WAND diverged"
+        # Correctness first: pruning changes cost, never answers.
+        assert streamed == exhaustive, f"{label}: WAND diverged"
 
-            ratio = scored_exhaustive / max(1, stats["documents_scored"])
-            if label == "rare ∨ common":
-                # Acceptance: the headline query scores >= 5x fewer docs.
-                assert ratio >= 5.0, (
-                    f"{engine_name}/{label}: only {ratio:.1f}x fewer documents scored"
-                )
+        ratio = scored_exhaustive / max(1, stats["documents_scored"])
+        if label == "rare ∨ common":
+            # Acceptance: the headline query scores >= 5x fewer docs.
+            assert ratio >= 5.0, f"{label}: only {ratio:.1f}x fewer documents scored"
 
-            latency_exhaustive = timed(
-                lambda q=query: engine.rank_exhaustive(q, limit=TOP_K), REPEATS
+        latency_exhaustive = timed(
+            lambda q=query: engine.rank_exhaustive(q, limit=TOP_K), REPEATS
+        )
+        latency_wand = timed(lambda q=query: engine.rank(q, limit=TOP_K), REPEATS)
+
+        rows.append(
+            (
+                label,
+                scored_exhaustive,
+                stats["documents_scored"],
+                stats["candidates_pruned"],
+                stats["blocks_skipped"],
+                f"{ratio:.1f}x",
+                f"{latency_exhaustive * 1e6:.0f}",
+                f"{latency_wand * 1e6:.0f}",
+                f"{latency_exhaustive / max(latency_wand, 1e-9):.1f}x",
             )
-            latency_wand = timed(lambda q=query: engine.rank(q, limit=TOP_K), REPEATS)
-
-            rows.append(
-                (
-                    engine_name,
-                    label,
-                    scored_exhaustive,
-                    stats["documents_scored"],
-                    stats["candidates_pruned"],
-                    stats["blocks_skipped"],
-                    f"{ratio:.1f}x",
-                    f"{latency_exhaustive * 1e6:.0f}",
-                    f"{latency_wand * 1e6:.0f}",
-                    f"{latency_exhaustive / max(latency_wand, 1e-9):.1f}x",
-                )
-            )
+        )
     emit_table(
         f"E13 — ranked streaming at limit={TOP_K} "
         f"({CORPUS_SIZE} docs, rare={RARE_SIZE})",
         (
-            "engine",
             "query",
             "scored:exh",
             "scored:wand",
@@ -136,18 +126,16 @@ def test_e13_wand_scores_fewer_documents(engines):
     )
 
 
-def test_e13_headline_latency_beats_exhaustive(engines):
+def test_e13_headline_latency_beats_exhaustive(engine):
     """The headline query must also be measurably faster, not just cheaper."""
-    memory, _persistent = engines
     query = "rare common"
-    latency_exhaustive = timed(lambda: memory.rank_exhaustive(query, limit=TOP_K), REPEATS)
-    latency_wand = timed(lambda: memory.rank(query, limit=TOP_K), REPEATS)
+    latency_exhaustive = timed(lambda: engine.rank_exhaustive(query, limit=TOP_K), REPEATS)
+    latency_wand = timed(lambda: engine.rank(query, limit=TOP_K), REPEATS)
     assert latency_wand < latency_exhaustive, (
         f"WAND ({latency_wand * 1e6:.0f}us) not faster than "
         f"exhaustive ({latency_exhaustive * 1e6:.0f}us)"
     )
 
 
-def test_e13_rank_latency(benchmark, engines):
-    memory, _persistent = engines
-    benchmark(lambda: memory.rank("rare common", limit=TOP_K))
+def test_e13_rank_latency(benchmark, engine):
+    benchmark(lambda: engine.rank("rare common", limit=TOP_K))

@@ -7,15 +7,16 @@ EXPERIMENTS.md.  Two kinds of output are produced:
   experiment is about, and
 * a printed result table (rows of counters: index traversals, device reads,
   conflicts, ...) — the "same rows the paper would report" part.  Run with
-  ``-s`` to see the tables inline; they are also appended to
-  ``benchmarks/results.txt`` so a full run leaves a machine-readable record.
+  ``-s`` to see the tables inline; a full run also records them in the
+  module's ``BENCH_<experiment>.json`` snapshot.
 
 Smoke mode: setting ``BENCH_SMOKE=1`` shrinks corpora and repetition counts
 (:func:`scaled`) so CI can execute every benchmark end to end in seconds and
 perf scripts cannot silently rot.  Smoke numbers are *not* meaningful
 measurements — they only prove the scripts still run and their invariants
-still hold.  When pytest-benchmark is not installed, a no-op ``benchmark``
-fixture (one plain call, no timing) keeps the modules importable.
+still hold — so a smoke run writes no snapshot.  When pytest-benchmark is not
+installed, a no-op ``benchmark`` fixture (one plain call, no timing) keeps
+the modules importable.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.hierarchical import DesktopSearchEngine, FFSFileSystem
 from repro.telemetry import to_jsonable
 from repro.workloads import load_into_ffs, load_into_hfad, mixed_corpus
 
-RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
 #: per-run JSON metric snapshots land next to the repo root as
 #: ``BENCH_<experiment>.json`` (one file per bench module) so successive
 #: runs leave a comparable trajectory of numbers, not just prose tables.
@@ -82,6 +82,8 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_sessionfinish(session):
+    if SMOKE:
+        return  # the tracked snapshots are full-mode measurements
     for stem, record in _BENCH_RECORDS.items():
         record["written_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
         path = os.path.join(SNAPSHOT_DIR, f"BENCH_{stem}.json")
@@ -118,7 +120,7 @@ except ImportError:  # pragma: no cover
 
 
 def emit_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Format, print and persist one experiment's result table."""
+    """Format, print and record one experiment's result table."""
     rows = [list(map(str, row)) for row in rows]
     widths = [len(header) for header in headers]
     for row in rows:
@@ -130,8 +132,6 @@ def emit_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[objec
         lines.append("  ".join(cell.ljust(widths[index]) for index, cell in enumerate(row)))
     text = "\n" + "\n".join(lines) + "\n"
     print(text)
-    with open(RESULTS_PATH, "a", encoding="utf-8") as handle:
-        handle.write(text)
     stem = _CURRENT_STEM[0]
     if stem is not None:
         _record_for(stem)["tables"].append({

@@ -101,9 +101,10 @@ class InMemoryPageStore(PageStore):
         self._pages[page_id] = node
 
     def free(self, page_id: int) -> None:
-        if self._pages.pop(page_id, None) is None and page_id not in self._pages:
-            # Freeing an unknown page is a logic error in the tree.
-            pass
+        # Freeing an unknown page is a logic error in the tree.
+        if page_id not in self._pages:
+            raise BTreeError(f"page {page_id} is not allocated")
+        del self._pages[page_id]
 
     @property
     def live_pages(self) -> int:

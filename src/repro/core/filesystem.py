@@ -32,7 +32,6 @@ from repro.errors import (
     NoSuchObjectError,
     RecoveryError,
 )
-from repro.fulltext.inverted_index import InvertedIndex
 from repro.fulltext.persistent_index import PersistentInvertedIndex
 from repro.integrity import IntegrityContext, Scrubber, ScrubReport
 from repro.index.path_index import normalize_path
@@ -187,7 +186,8 @@ class HFADFileSystem:
         )
         self._scrubber: Optional[Scrubber] = None
         #: on-device btrees backing the persistent full-text / image indexes
-        #: (None = in-memory indexes).
+        #: (None = volatile: the full-text engine makes its own in-memory
+        #: tree, the image store keeps dicts).
         self._fulltext_tree = None
         self._image_tree = None
         if _mounted is not None:
@@ -273,22 +273,22 @@ class HFADFileSystem:
         # Index stores (Figure 1: the extensible collection of indices).
         # On a device, the FULLTEXT store's engine and the image store write
         # through to on-device btrees whose pages ride the same buffer pool
-        # and WAL as everything else.
+        # and WAL as everything else; off it, the same engine runs over an
+        # in-memory tree with no WAL.
         self.keyvalue_index = KeyValueIndexStore()
         self.path_index = PosixPathIndexStore()
+        self.fulltext_index = FullTextIndexStore(
+            lazy=lazy_indexing,
+            workers=index_workers,
+            index=PersistentInvertedIndex(self._fulltext_tree, recovery=self.recovery),
+        )
         if btree_on_device:
-            self.fulltext_index = FullTextIndexStore(
-                lazy=lazy_indexing,
-                workers=index_workers,
-                index=PersistentInvertedIndex(self._fulltext_tree, recovery=self.recovery),
-            )
             self.image_index = PersistentImageIndexStore(
                 self._image_tree,
                 recovery=self.recovery,
                 load=(_mounted is not None),
             )
         else:
-            self.fulltext_index = FullTextIndexStore(lazy=lazy_indexing, workers=index_workers)
             self.image_index = ImageIndexStore()
         self.registry = IndexStoreRegistry()
         self.registry.register(self.keyvalue_index)
@@ -1096,7 +1096,7 @@ class HFADFileSystem:
         """Build the one-shot degraded naming stack; returns (naming, partial)."""
         partial = False
         rescue = FullTextIndexStore(
-            index=InvertedIndex(analyzer=self.fulltext_index.index.analyzer)
+            index=PersistentInvertedIndex(analyzer=self.fulltext_index.index.analyzer)
         )
         for oid in sorted(self._content_indexed):
             try:

@@ -7,28 +7,22 @@ behaviourally relevant parts:
 
 * :mod:`repro.fulltext.analyzer` — tokenization, stop-word removal and a
   light suffix-stripping stemmer.
-* :mod:`repro.fulltext.postings` — per-term posting lists with positions and
-  term frequencies.
-* :mod:`repro.fulltext.inverted_index` — the inverted index: document
-  add/remove/update, conjunctive (AND) and disjunctive (OR) term queries,
-  phrase queries, and BM25 ranking.
+* :mod:`repro.fulltext.persistent_index` — the inverted index, stored in
+  one B+-tree (in memory or on the device): document add/remove/update,
+  conjunctive (AND) and disjunctive (OR) term queries, phrase queries, and
+  BM25 ranking.
 * :mod:`repro.fulltext.lazy_indexer` — the background indexing pipeline:
   documents are queued and indexed by worker threads, so ingest latency and
   query visibility lag can be traded off (experiment E6).
 """
 
 from repro.fulltext.analyzer import Analyzer
-from repro.fulltext.inverted_index import InvertedIndex, SearchHit
 from repro.fulltext.lazy_indexer import LazyIndexer
-from repro.fulltext.persistent_index import PersistentInvertedIndex
-from repro.fulltext.postings import Posting, PostingList
+from repro.fulltext.persistent_index import PersistentInvertedIndex, SearchHit
 
 __all__ = [
     "Analyzer",
-    "InvertedIndex",
     "PersistentInvertedIndex",
     "SearchHit",
     "LazyIndexer",
-    "Posting",
-    "PostingList",
 ]

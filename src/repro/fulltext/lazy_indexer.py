@@ -1,7 +1,7 @@
 """Lazy (background) full-text indexing.
 
 Paper Section 3.4: "we use background threads to perform lazy full-text
-indexing."  The :class:`LazyIndexer` wraps an :class:`InvertedIndex` with a
+indexing."  The :class:`LazyIndexer` wraps the inverted index with a
 bounded work queue drained by worker threads, so object writes return before
 their content is searchable.  The trade-off — ingest latency versus query
 visibility lag — is what experiment E6 measures.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import FullTextError
-from repro.fulltext.inverted_index import InvertedIndex
+from repro.fulltext.persistent_index import PersistentInvertedIndex
 
 _STOP = object()
 
@@ -38,7 +38,7 @@ class IndexerStats:
 
 
 class LazyIndexer:
-    """Queue-and-worker wrapper around an :class:`InvertedIndex`.
+    """Queue-and-worker wrapper around a :class:`PersistentInvertedIndex`.
 
     :param index: the inverted index to feed (a fresh one if omitted).
     :param workers: number of background threads.
@@ -52,7 +52,7 @@ class LazyIndexer:
 
     def __init__(
         self,
-        index: Optional[InvertedIndex] = None,
+        index: Optional[PersistentInvertedIndex] = None,
         workers: int = 1,
         max_queue: int = 1024,
         synchronous: bool = False,
@@ -60,7 +60,7 @@ class LazyIndexer:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        self.index = index if index is not None else InvertedIndex()
+        self.index = index if index is not None else PersistentInvertedIndex()
         self.synchronous = synchronous
         self.on_apply = on_apply
         self.stats = IndexerStats()
@@ -284,7 +284,7 @@ class LazyIndexer:
                     text()  # the queued mutation closure
                     self._count("indexed")
         except Exception as error:  # noqa: BLE001 — the worker must
-            # survive a failed apply (a persistent engine can raise
+            # survive a failed apply (a device-backed engine can raise
             # journal/space errors): record it and keep draining, or
             # every later flush() would block forever on a queue
             # nobody services.
@@ -322,7 +322,7 @@ class LazyIndexer:
 
     def mutation_lock(self):
         """The worker lock, for foreground mutations of an engine that has
-        no serialization of its own (in-memory index, no WAL)."""
+        no serialization of its own (no WAL)."""
         return self._lock
 
     @property

@@ -1,14 +1,24 @@
-"""The persistent inverted index: postings in an on-device B+-tree.
+"""The inverted index: term → postings in one B+-tree, with BM25 ranking.
 
-Drop-in replacement for :class:`~repro.fulltext.inverted_index.InvertedIndex`
-whose state lives entirely in one B+-tree instead of Python dicts.  When the
-tree is device-backed (the :class:`~repro.btree.pages.DevicePageStore` the
-OSD hands out for index trees), every page write flows through the shared
-buffer pool and is WAL-logged by the recovery manager — so the full-text
-namespace gets the same crash-atomicity as every other btree, and a re-mount
-re-attaches the index from its persisted root instead of re-reading and
-re-analyzing every object's bytes (the O(data)-mount problem the ROADMAP
-flagged after PR 3).
+This is the FULLTEXT index store's engine.  Documents are identified by an
+integer id (hFAD object ids); their text is analyzed and each resulting term
+gets a posting.  Queries support conjunctive search (``search`` /
+``search_all`` — the semantics the paper specifies for a vector of FULLTEXT
+tag/value pairs, "the conjunction of the results of an index lookup for each
+element"), disjunctive search (``search_any``), phrase search
+(``search_phrase``) over stored positions, and BM25-ranked retrieval
+(``rank``).  Work counters (postings scanned, terms looked up) feed
+experiment E1's comparison with desktop search over a hierarchical FS.
+
+All state lives in one B+-tree; whether the index is volatile is a property
+of that tree's page store.  By default the tree sits on an
+:class:`~repro.btree.pages.InMemoryPageStore`.  When it is device-backed
+(the :class:`~repro.btree.pages.DevicePageStore` the OSD hands out for index
+trees), every page write flows through the shared buffer pool and is
+WAL-logged by the recovery manager — so the full-text namespace gets the
+same crash-atomicity as every other btree, and a re-mount re-attaches the
+index from its persisted root instead of re-reading and re-analyzing every
+object's bytes.
 
 Key layout (one tree, five record kinds)::
 
@@ -60,12 +70,12 @@ from __future__ import annotations
 
 import struct
 from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.btree import BPlusTree
 from repro.errors import KeyNotFoundError
 from repro.fulltext.analyzer import Analyzer
-from repro.fulltext.inverted_index import SearchHit
 from repro.index.keyvalue_index import PrefixOidCursor
 from repro.query.cursors import DocIdCursor, EmptyCursor, IntersectCursor, ScanCounter, UnionCursor
 from repro.query.scored import (
@@ -101,6 +111,14 @@ DOC_CHUNK_BYTES = 768
 #: is ``oid >> BLOCK_SHIFT``, so every block spans BLOCK_SPAN object ids.
 BLOCK_SHIFT = 7
 BLOCK_SPAN = 1 << BLOCK_SHIFT
+
+
+@dataclass(frozen=True)
+class SearchHit:
+    """A ranked search result."""
+
+    doc_id: int
+    score: float
 
 
 def _encode_term(term: str) -> bytes:
@@ -179,8 +197,9 @@ class _PostingScoredCursor(ScoredCursor):
 class PersistentInvertedIndex:
     """An inverted index stored in a B+-tree (optionally WAL-protected).
 
-    :param tree: the backing :class:`~repro.btree.BPlusTree`; device-backed
-        in the filesystem (shared pool, WAL logging), in-memory in tests.
+    :param tree: the backing :class:`~repro.btree.BPlusTree` — device-backed
+        (shared pool, WAL logging) when the filesystem persists its indexes;
+        a fresh tree over an in-memory page store if omitted.
     :param recovery: optional recovery manager; mutations bracket themselves
         in one of its transactions (joining any enclosing one).
     :param analyzer: analysis pipeline (must match whatever indexed the
@@ -189,12 +208,12 @@ class PersistentInvertedIndex:
 
     def __init__(
         self,
-        tree: BPlusTree,
+        tree: Optional[BPlusTree] = None,
         recovery=None,
         analyzer: Optional[Analyzer] = None,
     ) -> None:
         self.analyzer = analyzer or Analyzer()
-        self._tree = tree
+        self._tree = tree if tree is not None else BPlusTree()
         self._recovery = recovery
         self.term_lookups = 0
         self._scan = ScanCounter()
@@ -421,9 +440,8 @@ class PersistentInvertedIndex:
     def _query_dfs(self, terms: List[str]) -> Optional[List[Tuple[int, str]]]:
         """``(df, term)`` per query term, ``None`` if any term is absent.
 
-        Mirrors the in-memory index's ``_posting_lists`` accounting: one
-        term lookup is charged per term until the first missing one empties
-        the conjunction.
+        One term lookup is charged per term until the first missing one
+        empties the conjunction.
         """
         infos: List[Tuple[int, str]] = []
         for term in terms:
@@ -556,12 +574,13 @@ class PersistentInvertedIndex:
              span=None) -> List[SearchHit]:
         """BM25-ranked disjunctive retrieval.
 
-        Bit-identical to the in-memory index given the same corpus: the same
-        per-term, ascending-doc-id accumulation order, the same integer
-        document-length bookkeeping, the same tie-break.  With a ``limit``
-        the query streams through the same WAND merge the in-memory engine
-        uses, refined here by the persisted block-max records; ``limit=None``
-        ranks exhaustively.
+        With a ``limit`` the query streams through a WAND top-k merge
+        (:class:`~repro.query.scored.WandCursor`), refined by the block-max
+        records: documents whose summed term upper bounds cannot beat the
+        current k-th best score are skipped without being scored.  The
+        result is identical — same floating-point scores, same order — to
+        :meth:`rank_exhaustive`; only the work differs.  ``limit=None``
+        ranks exhaustively (every matching document is wanted anyway).
         """
         if limit is None:
             return self.rank_exhaustive(query, limit=None, k1=k1, b=b)
@@ -598,7 +617,11 @@ class PersistentInvertedIndex:
     def rank_exhaustive(
         self, query, limit: Optional[int] = None, k1: float = 1.5, b: float = 0.75
     ) -> List[SearchHit]:
-        """BM25 ranking that scores every matching document (no pruning)."""
+        """BM25 ranking that scores every matching document (no pruning).
+
+        The reference the differential harness holds :meth:`rank` against,
+        and the ``limit=None`` execution path.
+        """
         terms = self.analyzer.analyze_query(query)
         total_docs, total_tokens = self._read_stats()
         if not terms or not total_docs:

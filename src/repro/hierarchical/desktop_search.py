@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.fulltext import Analyzer, InvertedIndex
+from repro.fulltext import Analyzer, PersistentInvertedIndex
 from repro.hierarchical.ffs import FFSFileSystem
 
 
@@ -47,7 +47,7 @@ class DesktopSearchEngine:
 
     def __init__(self, fs: FFSFileSystem, analyzer: Optional[Analyzer] = None) -> None:
         self.fs = fs
-        self.index = InvertedIndex(analyzer=analyzer)
+        self.index = PersistentInvertedIndex(analyzer=analyzer)
         # The index speaks in integer doc ids; map them to and from paths the
         # way a real desktop indexer stores file references.
         self._doc_to_path: Dict[int, str] = {}

@@ -16,7 +16,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import List, Optional, Sequence
 
-from repro.fulltext import Analyzer, InvertedIndex, LazyIndexer
+from repro.fulltext import Analyzer, LazyIndexer, PersistentInvertedIndex
 from repro.index.store import IndexStore
 from repro.index.tags import TAG_FULLTEXT, TagValue
 from repro.query.cursors import ListCursor
@@ -32,18 +32,18 @@ class FullTextIndexStore(IndexStore):
         analyzer: Optional[Analyzer] = None,
         lazy: bool = False,
         workers: int = 1,
-        index: Optional[InvertedIndex] = None,
+        index: Optional[PersistentInvertedIndex] = None,
         max_queue: int = 1024,
     ) -> None:
-        #: the engine: the in-memory inverted index by default, or a
-        #: :class:`~repro.fulltext.persistent_index.PersistentInvertedIndex`
-        #: when the filesystem persists postings in an on-device btree.
-        self.index = index if index is not None else InvertedIndex(analyzer=analyzer)
+        #: the engine: over an in-memory tree by default; the filesystem
+        #: passes one over an on-device, WAL-logged tree when it persists
+        #: postings.
+        self.index = index if index is not None else PersistentInvertedIndex(analyzer=analyzer)
         self.lazy = lazy
         #: a WAL-bracketed engine serializes its own mutations under the
-        #: recovery manager's transaction lock; an in-memory engine has only
-        #: the worker lock to hide behind.
-        self._engine_wal_serialized = getattr(self.index, "_recovery", None) is not None
+        #: recovery manager's transaction lock; an engine without a WAL has
+        #: only the worker lock to hide behind.
+        self._engine_wal_serialized = self.index._recovery is not None
         if self._engine_wal_serialized:
             # A bounded queue's blocking enqueue could deadlock against the
             # transaction lock: the submitter (inside a WAL transaction)
@@ -71,8 +71,8 @@ class FullTextIndexStore(IndexStore):
 
         With a WAL-bracketed engine the mutation's own transaction already
         excludes the workers (taking the worker lock here would invert the
-        worker's lock → transaction-lock order and deadlock).  An in-memory
-        engine has no such serialization, so the worker lock is taken.
+        worker's lock → transaction-lock order and deadlock).  An engine
+        without a WAL has no such serialization, so the worker lock is taken.
         """
         if self.lazy and not self._engine_wal_serialized:
             return self.indexer.mutation_lock()
@@ -142,9 +142,9 @@ class FullTextIndexStore(IndexStore):
         counts only the postings the merge actually touches.
 
         In lazy mode the result is materialized under the worker lock
-        instead: a live cursor would read the index (for the persistent
-        engine: a multi-page btree traversal) concurrently with a worker
-        thread structurally mutating it.
+        instead: a live cursor would read the index (a multi-page btree
+        traversal) concurrently with a worker thread structurally mutating
+        it.
         """
         if self.lazy:
             return ListCursor(self.indexer.search(value))

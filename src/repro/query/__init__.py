@@ -21,7 +21,6 @@ from repro.query.cursors import (
 )
 from repro.query.scored import (
     UNBOUNDED_BLOCK_END,
-    ListScoredCursor,
     RankStats,
     ScoredCursor,
     WandCursor,
@@ -38,7 +37,6 @@ __all__ = [
     "EmptyCursor",
     "IntersectCursor",
     "ListCursor",
-    "ListScoredCursor",
     "RankStats",
     "ScanCounter",
     "ScoredCursor",

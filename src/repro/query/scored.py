@@ -56,8 +56,6 @@ import math
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.query.cursors import ScanCounter, gallop_to
-
 #: ``block_end`` sentinel for cursors without block structure: one block
 #: spanning every possible doc id.
 UNBOUNDED_BLOCK_END = (1 << 62) - 1
@@ -66,10 +64,10 @@ UNBOUNDED_BLOCK_END = (1 << 62) - 1
 # ---------------------------------------------------------------------------
 # shared BM25 arithmetic
 #
-# Both inverted-index engines (in-memory and persisted) route their
-# exhaustive ranking loops *and* their scored cursors through these helpers,
-# so "WAND equals exhaustive, bit for bit" holds by construction: the same
-# closure performs the same operations in the same order either way.
+# The inverted index routes its exhaustive ranking loop *and* its scored
+# cursors through these helpers, so "WAND equals exhaustive, bit for bit"
+# holds by construction: the same closure performs the same operations in
+# the same order either way.
 # ---------------------------------------------------------------------------
 
 
@@ -202,69 +200,6 @@ class ScoredCursor:
     def block_end(self, doc: int) -> int:
         """Last doc id of the block containing ``doc``."""
         return UNBOUNDED_BLOCK_END
-
-
-class ListScoredCursor(ScoredCursor):
-    """Scored cursor over a materialized ascending id sequence.
-
-    The in-memory inverted index's per-term cursor: ``ids`` is the posting
-    list's cached sorted-id tuple, ``frequency_for`` resolves a doc's term
-    frequency, ``scorer`` is a :func:`bm25_scorer` closure and ``upper``
-    the precomputed :func:`bm25_upper_bound`.  ``seek`` gallops the same way
-    :class:`~repro.query.cursors.ListCursor` does.
-    """
-
-    def __init__(
-        self,
-        ids: Sequence[int],
-        frequency_for: Callable[[int], int],
-        scorer: Callable[[int, int], float],
-        upper: float,
-        counter: Optional[ScanCounter] = None,
-    ) -> None:
-        self._ids = ids
-        self._frequency_for = frequency_for
-        self._scorer = scorer
-        self._upper = upper
-        self._counter = counter
-        self._index = 0
-        if counter is not None and ids:
-            counter.scanned += 1  # positioned on the first posting
-
-    def doc(self) -> Optional[int]:
-        if self._index >= len(self._ids):
-            return None
-        return self._ids[self._index]
-
-    def score(self) -> float:
-        doc = self._ids[self._index]
-        return self._scorer(doc, self._frequency_for(doc))
-
-    def next(self) -> Optional[int]:
-        if self._index >= len(self._ids):
-            return None
-        self._index += 1
-        doc = self.doc()
-        if doc is not None and self._counter is not None:
-            self._counter.scanned += 1
-        return doc
-
-    def seek(self, target: int) -> Optional[int]:
-        ids, low = self._ids, self._index
-        if low >= len(ids):
-            return None
-        if ids[low] >= target:
-            return ids[low]  # clamp: never move backward off the position
-        if self._counter is not None:
-            self._counter.seeks += 1
-        self._index = gallop_to(ids, low, target)
-        doc = self.doc()
-        if doc is not None and self._counter is not None:
-            self._counter.scanned += 1
-        return doc
-
-    def max_score(self) -> float:
-        return self._upper
 
 
 # ---------------------------------------------------------------------------

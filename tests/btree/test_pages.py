@@ -45,6 +45,8 @@ class TestInMemoryPageStore:
         assert store.live_pages == 1
         store.free(page)
         assert store.live_pages == 0
+        with pytest.raises(BTreeError):
+            store.free(page)
 
     def test_read_of_unknown_or_unwritten_page(self):
         store = InMemoryPageStore()

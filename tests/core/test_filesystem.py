@@ -2,9 +2,11 @@
 
 import pytest
 
+import repro.fulltext
 from repro.core import HFADFileSystem
 from repro.errors import NoSuchObjectError
 from repro.index import TAG_FULLTEXT, TAG_UDEF, TAG_USER, TagValue
+from repro.query import bm25_idf, bm25_scorer
 
 
 @pytest.fixture
@@ -131,6 +133,18 @@ class TestNamingThroughFacade:
         hits = fs.rank_text("grand canyon")
         assert hits[0].doc_id == b
 
+    def test_phrase_search_consults_the_first_64_positions(self, fs):
+        # MAX_STORED_POSITIONS applies off a device too: term frequency (and
+        # with it BM25) stays exact, a phrase anchored past the 64th
+        # occurrence is not matched.
+        oid = fs.create(b"echo early " + b"echo " * 98 + b"echo late")
+        assert fs.search_text("echo") == [oid]
+        lone_document = bm25_scorer(bm25_idf(1, 1), 1.5, 0.75, 102.0, lambda _oid: 102)
+        assert fs.rank("echo")[0].score == lone_document(oid, 100)
+        engine = fs.fulltext_index.index
+        assert engine.search_phrase("echo early") == [oid]
+        assert engine.search_phrase("echo late") == []
+
     def test_image_indexing(self, fs):
         oid = fs.create(b"\x89PNG fake image bytes", index_content=False)
         color = fs.index_image(oid, [10, 0, 0, 0, 0, 0, 0, 0])
@@ -207,6 +221,14 @@ class TestStats:
         assert isinstance(stats["ranked_cache"], dict)
         assert stats["query_cache"] == fs.query_cache.snapshot()
         assert stats["ranked_cache"] == fs.ranked_cache.snapshot()
+
+
+def test_one_fulltext_engine(fs):
+    """Volatility is a property of the page store, not of the index class."""
+    on_device = HFADFileSystem(btree_on_device=True, num_blocks=1 << 14)
+    assert type(fs.fulltext_index.index) is type(on_device.fulltext_index.index)
+    assert not {"InvertedIndex", "PostingList", "Posting"} & set(dir(repro.fulltext))
+    on_device.close()
 
 
 def test_constructor_surface():

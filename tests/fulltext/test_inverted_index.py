@@ -1,58 +1,14 @@
-"""Tests for the inverted index and posting lists."""
+"""Tests for the inverted index (over its default in-memory page store)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fulltext import InvertedIndex, Posting, PostingList
-from repro.fulltext.postings import intersect, union
-
-
-class TestPostingList:
-    def test_add_and_lookup(self):
-        plist = PostingList()
-        plist.add(Posting(doc_id=3, term_frequency=2))
-        assert 3 in plist
-        assert plist.get(3).term_frequency == 2
-        assert len(plist) == 1
-
-    def test_replace_posting(self):
-        plist = PostingList()
-        plist.add(Posting(doc_id=1, term_frequency=1))
-        plist.add(Posting(doc_id=1, term_frequency=5))
-        assert len(plist) == 1
-        assert plist.get(1).term_frequency == 5
-
-    def test_remove(self):
-        plist = PostingList()
-        plist.add(Posting(doc_id=1, term_frequency=1))
-        assert plist.remove(1)
-        assert not plist.remove(1)
-        assert len(plist) == 0
-
-    def test_doc_ids_sorted(self):
-        plist = PostingList()
-        for doc_id in [5, 1, 9, 3]:
-            plist.add(Posting(doc_id=doc_id, term_frequency=1))
-        # doc_ids() hands back its cached tuple (no per-call copy).
-        assert plist.doc_ids() == (1, 3, 5, 9)
-        assert plist.doc_ids() is plist.doc_ids()
-        assert [p.doc_id for p in plist] == [1, 3, 5, 9]
-
-    def test_intersect_and_union(self):
-        a, b = PostingList(), PostingList()
-        for doc_id in [1, 2, 3]:
-            a.add(Posting(doc_id=doc_id, term_frequency=1))
-        for doc_id in [2, 3, 4]:
-            b.add(Posting(doc_id=doc_id, term_frequency=1))
-        assert intersect([a, b]) == [2, 3]
-        assert union([a, b]) == [1, 2, 3, 4]
-        assert intersect([]) == []
-        assert union([]) == []
+from repro.fulltext import PersistentInvertedIndex
 
 
 class TestInvertedIndex:
     def make_index(self):
-        index = InvertedIndex()
+        index = PersistentInvertedIndex()
         index.add_document(1, "grand canyon vacation photos with margo")
         index.add_document(2, "vacation in paris, photos of the eiffel tower")
         index.add_document(3, "quarterly budget spreadsheet for the grand project")
@@ -104,7 +60,7 @@ class TestInvertedIndex:
         assert index.document_count == 3
 
     def test_phrase_search(self):
-        index = InvertedIndex()
+        index = PersistentInvertedIndex()
         index.add_document(1, "grand canyon trip")
         index.add_document(2, "canyon grand trip")
         assert index.search_phrase("grand canyon") == [1]
@@ -131,7 +87,7 @@ class TestInvertedIndex:
         assert index.term_count == len(vocabulary)
 
     def test_ranking_prefers_better_match(self):
-        index = InvertedIndex()
+        index = PersistentInvertedIndex()
         index.add_document(1, "photo photo photo of the canyon")
         index.add_document(2, "one photo among many other words about hiking trips and gear")
         hits = index.rank("photo")
@@ -143,7 +99,7 @@ class TestInvertedIndex:
         assert index.rank("vacation", limit=1)[0].doc_id in (1, 2)
         assert len(index.rank("vacation", limit=1)) == 1
         assert index.rank("zanzibar") == []
-        assert InvertedIndex().rank("anything") == []
+        assert PersistentInvertedIndex().rank("anything") == []
 
     def test_work_counters(self):
         index = self.make_index()
@@ -164,7 +120,7 @@ class TestInvertedIndexProperties:
         )
     )
     def test_search_matches_naive_scan(self, corpus):
-        index = InvertedIndex()
+        index = PersistentInvertedIndex()
         for doc_id, words in corpus.items():
             index.add_document(doc_id, " ".join(words))
         for term in ["alpha", "gamma", "zeta"]:
@@ -174,7 +130,7 @@ class TestInvertedIndexProperties:
     @settings(max_examples=30, deadline=None)
     @given(st.sets(st.integers(0, 100), min_size=1, max_size=30))
     def test_remove_all_documents_empties_index(self, doc_ids):
-        index = InvertedIndex()
+        index = PersistentInvertedIndex()
         for doc_id in doc_ids:
             index.add_document(doc_id, f"common term document{doc_id}")
         for doc_id in doc_ids:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FullTextError
-from repro.fulltext import InvertedIndex, LazyIndexer
+from repro.fulltext import LazyIndexer, PersistentInvertedIndex
 
 
 class TestSynchronousMode:
@@ -68,7 +68,7 @@ class TestBackgroundMode:
             indexer.submit_removal(1)
 
     def test_wraps_existing_index(self):
-        index = InvertedIndex()
+        index = PersistentInvertedIndex()
         index.add_document(100, "pre existing content")
         indexer = LazyIndexer(index=index, synchronous=True)
         assert indexer.search("existing") == [100]

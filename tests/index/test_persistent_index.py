@@ -1,17 +1,18 @@
-"""Unit tests: the tree-backed index engines mirror the in-memory ones.
+"""Unit tests: the tree-backed index engines give the right answers.
 
-The persistent engines must be drop-in replacements, so most tests here are
-differential: run the same mutations against an :class:`InvertedIndex` and a
-:class:`PersistentInvertedIndex` (over a plain in-memory tree — no device,
-no WAL) and demand identical answers, including bit-identical BM25 scores.
+The inverted index runs over a plain in-memory tree (no device, no WAL) with
+a tiny fan-out, so a few dozen documents already split and merge pages; its
+answers are held against :class:`BruteForceIndex`, which scans every live
+document — bit for bit for BM25, since both score through the same helpers.
 """
 
 import random
 
 from repro.btree import BPlusTree
-from repro.fulltext import Analyzer, InvertedIndex, PersistentInvertedIndex
+from repro.fulltext import Analyzer, PersistentInvertedIndex, SearchHit
 from repro.index.image_index import ImageIndexStore
 from repro.index.persistent import PersistentImageIndexStore
+from repro.query import bm25_idf, bm25_scorer
 
 WORDS = (
     "search namespace index posting btree mount journal replay object tag "
@@ -19,64 +20,124 @@ WORDS = (
 ).split()
 
 
-def make_pair():
-    return InvertedIndex(), PersistentInvertedIndex(BPlusTree(max_keys=8))
+class BruteForceIndex:
+    """What an inverted index must answer, computed by scanning every document.
+
+    Texts here are drawn from WORDS (no stop words, nothing too short), so a
+    term's position is its index in the document's analyzed stream.
+    """
+
+    def __init__(self):
+        self.analyzer = Analyzer()
+        self.docs = {}  # doc id -> analyzed term stream
+
+    def add(self, doc_id, text):
+        self.docs[doc_id] = self.analyzer.analyze(text)
+        return len(self.terms_for(doc_id))
+
+    def terms_for(self, doc_id):
+        return list(dict.fromkeys(self.docs.get(doc_id, [])))
+
+    def frequencies(self, term):
+        return {doc_id: stream.count(term) for doc_id, stream in self.docs.items() if term in stream}
+
+    def search(self, query, combine=set.intersection):
+        matches = [set(self.frequencies(term)) for term in self.analyzer.analyze_query(query)]
+        return sorted(combine(*matches)) if matches else []
+
+    def search_phrase(self, phrase):
+        terms = self.analyzer.analyze_query(phrase)
+        return sorted(
+            doc_id for doc_id, stream in self.docs.items()
+            if terms and any(stream[at:at + len(terms)] == terms for at in range(len(stream)))
+        )
+
+    def rank(self, query, k1=1.5, b=0.75):
+        average_length = sum(map(len, self.docs.values())) / max(1, len(self.docs))
+        scores = {}
+        for term in self.analyzer.analyze_query(query):
+            frequencies = self.frequencies(term)
+            idf = bm25_idf(len(self.docs), len(frequencies))
+            score = bm25_scorer(idf, k1, b, average_length, lambda doc_id: len(self.docs[doc_id]))
+            for doc_id, tf in sorted(frequencies.items()):
+                scores[doc_id] = scores.get(doc_id, 0.0) + score(doc_id, tf)
+        hits = [SearchHit(doc_id=doc_id, score=score) for doc_id, score in scores.items()]
+        return sorted(hits, key=lambda hit: (-hit.score, hit.doc_id))
 
 
-def random_text(rng, low=1, high=30):
+def make_engine():
+    return PersistentInvertedIndex(BPlusTree(max_keys=8))
+
+
+def random_text(rng, low, high):
     return " ".join(rng.choice(WORDS) for _ in range(rng.randint(low, high)))
+
+
+def churn(rng, model, engine, steps):
+    """Randomized add / replace / remove / append_terms, applied to both."""
+    for _ in range(steps):
+        roll = rng.random()
+        if not model.docs or roll < 0.5:  # add, or replace when the id is live
+            doc_id, text = rng.randint(1, 40), random_text(rng, 1, 12)
+            assert engine.add_document(doc_id, text) == model.add(doc_id, text)
+        elif roll < 0.75:
+            doc_id = rng.choice(sorted(model.docs))
+            del model.docs[doc_id]
+            assert engine.remove_document(doc_id) is True
+        else:  # append_terms keeps a document's distinct terms, not its old stream
+            doc_id, word = rng.choice(sorted(model.docs)), rng.choice(WORDS)
+            text = " ".join(model.terms_for(doc_id) + [word])
+            assert engine.append_terms(doc_id, word) == model.add(doc_id, text)
+
+
+def assert_answers_match(rng, model, engine, where):
+    for probe in (random_text(rng, 1, 1), random_text(rng, 2, 3)):
+        assert engine.search(probe) == model.search(probe), (where, probe)
+        assert engine.search_any(probe) == model.search(probe, set.union), (where, probe)
+        assert engine.search_phrase(probe) == model.search_phrase(probe), (where, probe)
+        everything = model.rank(probe)
+        assert engine.rank(probe, limit=None) == everything, (where, probe)
+        for limit in (1, 3):
+            assert engine.rank(probe, limit=limit) == everything[:limit], (where, probe, limit)
+    for word in WORDS:
+        assert engine.document_frequency(word) == len(model.search(word)), (where, word)
 
 
 class TestDifferentialEquivalence:
     def test_randomized_mutations_and_queries(self):
-        rng = random.Random(7)
-        memory, persistent = make_pair()
-        docs = {}
-        for step in range(300):
-            roll = rng.random()
-            if not docs or roll < 0.55:
-                doc_id = rng.randint(1, 40)
-                text = random_text(rng)
-                docs[doc_id] = text
-                assert memory.add_document(doc_id, text) == persistent.add_document(doc_id, text)
-            elif roll < 0.75:
-                doc_id = rng.choice(sorted(docs))
-                del docs[doc_id]
-                assert memory.remove_document(doc_id) == persistent.remove_document(doc_id)
-            else:
-                probe = random_text(rng, 1, 3)
-                assert memory.search(probe) == persistent.search(probe)
-                assert memory.search_any(probe) == persistent.search_any(probe)
-                assert memory.rank(probe, limit=None) == persistent.rank(probe, limit=None)
-        assert memory.document_count == persistent.document_count == len(docs)
-        assert memory.vocabulary() == persistent.vocabulary()
-        assert memory.term_count == persistent.term_count
-        for doc_id in docs:
-            assert memory.terms_for(doc_id) == persistent.terms_for(doc_id)
-            assert (doc_id in memory) == (doc_id in persistent)
-        for word in WORDS:
-            assert memory.document_frequency(word) == persistent.document_frequency(word)
+        # 200 short histories, not one long one: bookkeeping slips (a df that
+        # drifts, a posting left behind) show within a few dozen operations.
+        for seed in range(200):
+            rng = random.Random(seed)
+            model, engine = BruteForceIndex(), make_engine()
+            for step in range(3):
+                churn(rng, model, engine, steps=10)
+                assert_answers_match(rng, model, engine, (seed, step))
+            assert engine.document_ids() == sorted(model.docs)
+            assert engine.document_count == len(model.docs)
+            assert engine.term_count == len(engine.vocabulary())
+            assert engine.vocabulary() == sorted(set().union(*model.docs.values()))
+            for doc_id in range(1, 41):
+                assert engine.terms_for(doc_id) == model.terms_for(doc_id)
+                assert (doc_id in engine) == (doc_id in model.docs)
+            assert engine.bound_violations() == []
 
     def test_replacement_updates_postings(self):
-        memory, persistent = make_pair()
-        for index in (memory, persistent):
-            index.add_document(1, "alpha beta gamma")
-            index.update_document(1, "beta delta")
-        assert memory.search("alpha") == persistent.search("alpha") == []
-        assert memory.search("beta delta") == persistent.search("beta delta") == [1]
-        assert memory.terms_for(1) == persistent.terms_for(1)
+        engine = make_engine()
+        engine.add_document(1, "alpha beta gamma")
+        engine.update_document(1, "beta delta")
+        assert engine.search("alpha") == []
+        assert engine.search("beta delta") == [1]
+        assert engine.terms_for(1) == ["beta", "delta"]
 
     def test_phrase_search_matches(self):
-        memory, persistent = make_pair()
-        for index in (memory, persistent):
-            index.add_document(1, "the quick brown fox jumps")
-            index.add_document(2, "brown quick the fox sleeps")
-        assert memory.search_phrase("quick brown fox") == persistent.search_phrase(
-            "quick brown fox"
-        ) == [1]
+        engine = make_engine()
+        engine.add_document(1, "the quick brown fox jumps")
+        engine.add_document(2, "brown quick the fox sleeps")
+        assert engine.search_phrase("quick brown fox") == [1]
 
     def test_streaming_cursor_is_sorted_and_seekable(self):
-        _memory, persistent = make_pair()
+        persistent = make_engine()
         for doc_id in range(1, 30):
             persistent.add_document(doc_id, "common" + (" rare" if doc_id % 7 == 0 else ""))
         cursor = persistent.cursor("common rare")
@@ -86,12 +147,11 @@ class TestDifferentialEquivalence:
         assert cursor.next() is None
 
     def test_empty_document_is_tracked(self):
-        memory, persistent = make_pair()
-        for index in (memory, persistent):
-            index.add_document(5, "the a of")  # all stop words / too short
-        assert (5 in memory) == (5 in persistent) is True
-        assert memory.remove_document(5) == persistent.remove_document(5) is True
-        assert (5 in persistent) is False
+        engine = make_engine()
+        engine.add_document(5, "the a of")  # all stop words / too short
+        assert (5 in engine) is True
+        assert engine.remove_document(5) is True
+        assert (5 in engine) is False
 
     def test_custom_analyzer_is_respected(self):
         analyzer = Analyzer(stem=False)

@@ -58,6 +58,13 @@ class TestDegradedSearch:
         assert fs.stats()["integrity"]["degraded_queries"] >= 1
         fs.close()
 
+    def test_rescue_stack_runs_the_same_engine(self):
+        _device, fs, _oids = quarantined_fulltext_fs()
+        rescue = fs._rescue_naming()[0].registry.store_for("FULLTEXT")
+        assert type(rescue.index) is type(fs.fulltext_index.index)
+        assert rescue.index.tree is not fs._fulltext_tree  # off the damaged device
+        fs.close()
+
     def test_manual_fulltext_keywords_survive_degradation(self):
         device, fs, oids = quarantined_fulltext_fs()
         # Manual FULLTEXT names are persisted in the master tree, not the

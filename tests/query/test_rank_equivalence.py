@@ -8,8 +8,7 @@ pruning dropped a true result.
 
 Locked down here across every axis that could break it:
 
-* randomized seeded corpora with churn (removes, rewrites, appends) on both
-  engines — the in-memory index and the persisted B+-tree index;
+* randomized seeded corpora with churn (removes, rewrites, appends);
 * the full filesystem stack on a WAL device, before and after a re-mount,
   and after unlink/rename/rewrite churn on the re-mounted instance;
 * limits ``{1, k, n, > n}`` (heap never full, exactly full, overfull);
@@ -23,9 +22,7 @@ import random
 
 import pytest
 
-from repro.btree import BPlusTree
 from repro.core import HFADFileSystem
-from repro.fulltext.inverted_index import InvertedIndex
 from repro.fulltext.persistent_index import PersistentInvertedIndex
 from repro.storage import BlockDevice
 
@@ -45,34 +42,23 @@ def skewed_text(rng, min_words=3, max_words=30):
 
 
 def build_engines(seed, docs=70, churn=30):
-    """Identical randomized corpus + churn applied to both engines."""
+    """A randomized corpus plus churn, indexed."""
     rng = random.Random(seed)
-    memory = InvertedIndex()
-    persistent = PersistentInvertedIndex(BPlusTree())
-    live = {}
+    engine = PersistentInvertedIndex()
+    live = set(range(docs))
     for doc_id in range(docs):
-        text = skewed_text(rng)
-        live[doc_id] = text
-        memory.add_document(doc_id, text)
-        persistent.add_document(doc_id, text)
+        engine.add_document(doc_id, skewed_text(rng))
     for _ in range(churn):
         doc_id = rng.choice(sorted(live))
         roll = rng.random()
         if roll < 0.3 and len(live) > 5:
-            memory.remove_document(doc_id)
-            persistent.remove_document(doc_id)
-            del live[doc_id]
+            engine.remove_document(doc_id)
+            live.discard(doc_id)
         elif roll < 0.65:
-            text = skewed_text(rng)
-            live[doc_id] = text
-            memory.update_document(doc_id, text)
-            persistent.update_document(doc_id, text)
+            engine.update_document(doc_id, skewed_text(rng))
         else:
-            extra = rng.choice(WORDS)
-            memory.append_terms(doc_id, extra)
-            persistent.append_terms(doc_id, extra)
-            live[doc_id] += " " + extra
-    return memory, persistent
+            engine.append_terms(doc_id, rng.choice(WORDS))
+    return engine
 
 
 def probe_queries(rng):
@@ -83,64 +69,46 @@ def probe_queries(rng):
     return single + multi + duplicated + missing
 
 
-def assert_rank_equivalent(engine, reference_hits, query, limit):
-    hits = engine.rank(query, limit=limit)
-    assert hits == reference_hits, (
-        f"WAND != exhaustive for {query!r} limit={limit}: "
-        f"{hits[:3]} vs {reference_hits[:3]}"
-    )
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_engines_match_exhaustive_at_every_limit(seed):
-    memory, persistent = build_engines(seed)
+    engine = build_engines(seed)
     rng = random.Random(seed * 13)
-    n = memory.document_count
-    assert n == persistent.document_count
+    n = engine.document_count
     for query in probe_queries(rng):
-        for limit in (1, 5, n, n + 7):
-            expected = memory.rank_exhaustive(query, limit=limit)
-            assert_rank_equivalent(memory, expected, query, limit)
-            # Cross-engine: the persisted index must agree score for score.
-            assert_rank_equivalent(persistent, expected, query, limit)
-            assert persistent.rank_exhaustive(query, limit=limit) == expected
-        # limit=None is the exhaustive path on both engines by definition.
-        assert memory.rank(query, limit=None) == persistent.rank(query, limit=None)
+        for limit in (1, 5, n, n + 7, None):  # None: exhaustive by definition
+            expected = engine.rank_exhaustive(query, limit=limit)
+            assert engine.rank(query, limit=limit) == expected, (query, limit)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_wand_actually_prunes_on_skewed_corpora(seed):
     """The harness must not pass vacuously: top-k at small limits has to do
     measurably less scoring work than the exhaustive reference."""
-    memory, persistent = build_engines(seed, docs=300, churn=0)
+    engine = build_engines(seed, docs=300, churn=0)
     query = f"{WORDS[0]} {WORDS[20]}"  # one common term, one rare term
-    for engine in (memory, persistent):
-        engine.reset_counters()
-        exhaustive = engine.rank_exhaustive(query, limit=10)
-        scored_exhaustive = engine.ranked.documents_scored
-        engine.reset_counters()
-        assert engine.rank(query, limit=10) == exhaustive
-        scored_wand = engine.ranked.documents_scored
-        assert scored_wand < scored_exhaustive, (
-            f"WAND scored {scored_wand} of {scored_exhaustive} documents — no pruning"
-        )
+    engine.reset_counters()
+    exhaustive = engine.rank_exhaustive(query, limit=10)
+    scored_exhaustive = engine.ranked.documents_scored
+    engine.reset_counters()
+    assert engine.rank(query, limit=10) == exhaustive
+    scored_wand = engine.ranked.documents_scored
+    assert scored_wand < scored_exhaustive, (
+        f"WAND scored {scored_wand} of {scored_exhaustive} documents — no pruning"
+    )
 
 
 def test_tie_breaking_is_deterministic_by_doc_id():
-    """Equal-score documents order by ascending id — in both engines, at
-    every limit, including limits that cut through the tie group."""
-    memory = InvertedIndex()
-    persistent = PersistentInvertedIndex(BPlusTree())
+    """Equal-score documents order by ascending id at every limit,
+    including limits that cut through the tie group."""
+    engine = PersistentInvertedIndex()
     for doc_id in (9, 3, 7, 1, 5):  # insertion order deliberately shuffled
-        for engine in (memory, persistent):
-            engine.add_document(doc_id, "identical tie content")
-    for engine in (memory, persistent):
-        for limit in (2, 5, None):
-            hits = engine.rank("tie content", limit=limit)
-            expected_ids = [1, 3, 5, 7, 9][: limit if limit is not None else 5]
-            assert [hit.doc_id for hit in hits] == expected_ids
-            assert len({hit.score for hit in hits}) == 1  # truly tied
-        assert engine.rank("tie", limit=3) == engine.rank_exhaustive("tie", limit=3)
+        engine.add_document(doc_id, "identical tie content")
+    for limit in (2, 5, None):
+        hits = engine.rank("tie content", limit=limit)
+        expected_ids = [1, 3, 5, 7, 9][: limit if limit is not None else 5]
+        assert [hit.doc_id for hit in hits] == expected_ids
+        assert len({hit.score for hit in hits}) == 1  # truly tied
+    assert engine.rank("tie", limit=3) == engine.rank_exhaustive("tie", limit=3)
 
 
 # ---------------------------------------------------------------------------
