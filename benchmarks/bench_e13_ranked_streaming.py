@@ -3,9 +3,9 @@
 PR 2 taught *boolean* queries to stop early; ``rank()`` still scored every
 document containing any query term.  The scored-cursor pipeline
 (repro.query.scored) closes that gap: per-term cursors carry upper-bound
-scores (the index's ``F``/``B`` records), and the WAND merge skips
-documents — and with block-max records, whole posting blocks — that
-provably cannot reach the top k.
+scores (the term's statistics record and each posting block's exact
+``max_tf`` trailer), and the WAND merge skips documents — and, by the
+block trailers, whole posting blocks — that provably cannot reach the top k.
 
 This benchmark builds the same kind of deliberately skewed corpus E10 used
 — one term in every document, a rare high-signal term in a sliver of them —

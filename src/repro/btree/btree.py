@@ -117,14 +117,8 @@ class BPlusTree:
         return self._count
 
     def __contains__(self, key: bytes) -> bool:
-        return self.get(key, default=None) is not None or self._has_exact(key)
-
-    def _has_exact(self, key: bytes) -> bool:
-        try:
-            self.lookup(key)
-            return True
-        except KeyNotFoundError:
-            return False
+        # Values are always ``bytes``, so one lookup settles it.
+        return self.get(key) is not None
 
     def _check_key(self, key: bytes) -> bytes:
         if not isinstance(key, (bytes, bytearray)):
@@ -295,6 +289,74 @@ class BPlusTree:
         self.store.write(right_id, right)
         self.store.write(page_id, node)
         return separator, right_id
+
+    # ----------------------------------------------------------- sorted apply
+
+    def apply_sorted(self, updates) -> None:
+        """Apply ``(key, fn)`` edits, keys strictly increasing, one write per leaf.
+
+        ``fn(old_value_or_None)`` returns the key's new value, or ``None`` to
+        delete it / leave it absent; returning the value it was given writes
+        nothing.  One descent finds a leaf and its exclusive upper separator;
+        every update below that bound is applied to the in-memory leaf, which
+        then gets a single ``store.write``.  An edit the leaf cannot take — it
+        would split, or leave a non-root leaf under ``min_keys`` — is undone
+        and goes through :meth:`put` / :meth:`delete` instead, so splits,
+        borrows and merges keep their one implementation.
+        """
+        updates = [(self._check_key(key), fn) for key, fn in updates]
+        if any(a[0] >= b[0] for a, b in zip(updates, updates[1:])):
+            raise BTreeError("apply_sorted needs strictly increasing keys")
+        done = 0
+        with self._lock:
+            while done < len(updates):
+                page_id, node, upper = self._root_id, self.store.read(self._root_id), None
+                self.node_visits += 1
+                while not node.is_leaf:  # _find_leaf, remembering the bound
+                    index = bisect.bisect_right(node.keys, updates[done][0])
+                    if index < len(node.keys):
+                        upper = node.keys[index]
+                    page_id = node.children[index]
+                    node = self.store.read(page_id)
+                    self.node_visits += 1
+                leaf, keys, values = node, node.keys, node.values
+                dirty = structural = False
+                while done < len(updates) and not structural:
+                    key, fn = updates[done]
+                    if upper is not None and key >= upper:
+                        break
+                    done += 1
+                    index = bisect.bisect_left(keys, key)
+                    present = index < len(keys) and keys[index] == key
+                    old = values[index] if present else None
+                    new = fn(old)
+                    if new == old:
+                        continue
+                    if new is None:
+                        structural = page_id != self._root_id and len(keys) <= self.min_keys
+                        if not structural:
+                            del keys[index], values[index]
+                            self._count -= 1
+                    elif present:
+                        values[index] = self._check_value(new)
+                        structural = self._overfull(leaf)
+                        if structural:
+                            values[index] = old
+                    else:
+                        keys.insert(index, key)
+                        values.insert(index, self._check_value(new))
+                        structural = self._overfull(leaf)
+                        if structural:
+                            del keys[index], values[index]
+                        else:
+                            self._count += 1
+                    dirty = dirty or not structural
+                if dirty:
+                    self.store.write(page_id, leaf)
+                if structural and new is None:
+                    self.delete(key)
+                elif structural:
+                    self.put(key, new)
 
     # ---------------------------------------------------------------- delete
 

@@ -20,39 +20,33 @@ same crash-atomicity as every other btree, and a re-mount re-attaches the
 index from its persisted root instead of re-reading and re-analyzing every
 object's bytes.
 
-Key layout (one tree, five record kinds)::
+Key layout (one tree, five record kinds; ``block`` is ``oid >> BLOCK_SHIFT``)::
 
+    D \x00 oid(8) \x00 seq(4)   -> chunk of: doc_length(4) | { term_len(2) term npos(1) position(4) * npos } ...
+    L \x00 block(8)            -> (doc_length + 1)(4) * BLOCK_SPAN, slot ``oid & (BLOCK_SPAN - 1)``; 0 = not indexed
     S                          -> doc_count(8) | total_token_count(8)
-    F \x00 term                -> document_frequency(8) | max_tf(8) | min_len(8)
-    D \x00 oid(8) \x00 seq(4)  -> chunk of: doc_length(4) | term \x00 term ...
-    T \x00 term \x00 oid(8)    -> tf(4) | npos(4) | position(4) * min(npos, 64)
-    B \x00 term \x00 block(8)  -> max_tf(8) for oids in [block << 7, ...)
+    T \x00 term \x00 block(8)   -> { oid(8) tf(4) } * n, oids ascending | max_tf(4), exact
+    T \x00 term \x01            -> document_frequency(8) | max_tf(8) | min_len(8)
 
-* ``T`` keys end in the big-endian oid, so a term's prefix range streams in
-  ascending object-id order — the exact contract of the PR-2 cursor
-  protocol.  Queries reuse the same B+-tree prefix-range cursor the
-  key/value index streams with; nothing is materialized.
-* ``F`` records make document-frequency (planner cardinality, rarest-first
-  ordering, BM25 idf) an O(log n) point lookup instead of a range count.
-  The trailing ``max_tf``/``min_len`` fields are the term's WAND
-  upper-bound inputs: the largest term frequency and the smallest document
-  length ever stored for the term (the shortest document maximizes the
-  length-normalized contribution).  Both are maintained *monotonically*
-  (adds tighten them, removes leave them) so they can only ever be
-  conservative — a stale bound costs pruning power, never correctness —
-  and they ride the same WAL transactions as the postings, so bounds
-  survive crashes and remounts.
-* ``B`` records are the block-max refinement: per-term maximum frequency
-  over fixed aligned doc-id blocks of :data:`BLOCK_SPAN` oids, also
-  maintained monotonically.  A WAND pivot that survives the global bound
-  test is re-tested against the (much tighter) block bounds, and a whole
-  block whose summed bounds cannot beat the heap is leapt over in one seek.
-* ``D`` records hold the per-document stats BM25 needs (token count) plus
-  the term list used to scrub postings on remove/update.  They are chunked
-  so a document with a huge vocabulary can never produce a single btree
-  entry larger than a page (single oversized entries cannot be split).
-* ``S`` is the corpus aggregate (document count, total token count) so the
-  BM25 average document length never needs a scan.
+* A mutation sorts its edits by key and hands them to
+  :meth:`~repro.btree.BPlusTree.apply_sorted`: one descent and one page write
+  (one WAL record) per touched leaf.  The journal logs a page as a single
+  splice, so an edit's bytes stay together: rows are interleaved (an append
+  is one insertion at the block's tail, not one per column) and a term's
+  statistics sort directly *after* its last block (analyzer tokens are
+  ``[a-z0-9_]``), a few dozen bytes past that tail.
+* ``T`` blocks stream a term's postings in ascending oid order — the cursor
+  protocol's contract.  A seek bisects inside the current block or
+  re-descends to the target's block; the trailer is the block-max WAND bound,
+  readable without decoding a row.  The statistics' ``max_tf`` / ``min_len``
+  are the term-wide bound inputs: adds tighten them, removes leave them (a
+  stale bound costs pruning, never correctness).
+* ``L`` holds what BM25 needs per scored document, one record per block, so
+  lengths stay out of the posting rows (and out of the WAL).  It doubles as
+  the list of indexed documents — hence ``+ 1``: an empty document counts.
+* ``D`` is the document's own record, in first-occurrence term order: the
+  terms to scrub on remove, the positions phrase search reads for its
+  candidates.  Chunked, so one entry can never outgrow a page.
 
 Positions are capped at :data:`MAX_STORED_POSITIONS` per posting: term
 frequency stays exact (BM25 is unaffected) but phrase queries only consult
@@ -69,14 +63,15 @@ the recovery manager's transaction lock.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.btree import BPlusTree
-from repro.errors import KeyNotFoundError
 from repro.fulltext.analyzer import Analyzer
-from repro.index.keyvalue_index import PrefixOidCursor
 from repro.query.cursors import DocIdCursor, EmptyCursor, IntersectCursor, ScanCounter, UnionCursor
 from repro.query.scored import (
     RankStats,
@@ -90,16 +85,17 @@ from repro.query.scored import (
 _OID = struct.Struct(">Q")
 _SEP = b"\x00"
 _STATS_KEY = b"S"
-_DF_PREFIX = b"F\x00"
 _DOC_PREFIX = b"D\x00"
+_LENGTH_PREFIX = b"L\x00"
 _TERM_PREFIX = b"T\x00"
-_BLOCK_PREFIX = b"B\x00"
+#: ends a term's statistics key: sorts after every ``term \x00 block`` key of
+#: the term and before any longer term's keys (no token byte is below 0x02).
+_TERM_STATS_END = b"\x01"
+_U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
 _STATS = struct.Struct(">QQ")
-_POSTING_HEADER = struct.Struct(">II")
-#: the modern ``F`` record: document frequency + the WAND bound inputs
-#: (max term frequency, min document length).
+_ROW = struct.Struct(">QI")
+#: a term's statistics: df + the WAND bound inputs (max tf, min document length).
 _DF_RECORD = struct.Struct(">QQQ")
 
 #: positions stored per posting; term frequency stays exact beyond the cap.
@@ -107,10 +103,13 @@ MAX_STORED_POSITIONS = 64
 #: bytes per ``D`` chunk — small enough that a chunk entry always fits even
 #: the smallest configured btree page.
 DOC_CHUNK_BYTES = 768
-#: aligned doc-id block geometry for the ``B`` block-max records: block id
-#: is ``oid >> BLOCK_SHIFT``, so every block spans BLOCK_SPAN object ids.
-BLOCK_SHIFT = 7
+#: block id is ``oid >> BLOCK_SHIFT``: a ``T`` block holds at most BLOCK_SPAN
+#: rows, an ``L`` record that many lengths.  6, not 7: shorter WAL splices
+#: (perfbench ingest, 72 against 81 WAL bytes per user byte) for 5 % more writes.
+BLOCK_SHIFT = 6
 BLOCK_SPAN = 1 << BLOCK_SHIFT
+_LENGTHS = struct.Struct(f">{BLOCK_SPAN}I")
+_NO_LENGTHS = bytes(_LENGTHS.size)
 
 
 @dataclass(frozen=True)
@@ -122,73 +121,150 @@ class SearchHit:
 
 
 def _encode_term(term: str) -> bytes:
-    # Analyzer tokens are lower-cased ``[a-z0-9_]`` runs, so the NUL
-    # separator can never appear inside an encoded term.
+    # Analyzer tokens are lower-cased ``[a-z0-9_]`` runs, so neither the NUL
+    # separator nor the 0x01 statistics marker can appear inside one.
     return term.encode("utf-8")
 
 
-class _PostingScoredCursor(ScoredCursor):
-    """Scored cursor over one term's persisted ``T`` prefix range.
+@lru_cache(maxsize=None)
+def _rows(count: int) -> struct.Struct:
+    """Codec for the ``count`` interleaved ``(oid, tf)`` rows of one block."""
+    return struct.Struct(">" + "QI" * count)
 
-    Streams ``(oid, tf)`` straight off the posting records; ``seek``
-    re-descends the tree in O(log n) (clamped at the current position, per
-    the scored-cursor contract).  ``block_max``/``block_end`` expose the
-    persisted ``B`` block-max records through the engine-supplied resolver.
+
+def _decode_block(raw: bytes) -> Tuple[int, ...]:
+    """A block's rows, flat: ``oid, tf, oid, tf, ...`` (the trailer is skipped)."""
+    return _rows(len(raw) // _ROW.size).unpack_from(raw)
+
+
+def _edit_block(raw: Optional[bytes], oid: int, tf: int) -> Optional[bytes]:
+    """The block with ``oid``'s row set to ``tf`` (0 drops it); None once empty.
+
+    The trailer is recomputed from the rows, so it is always the exact
+    maximum — a block bound can only tighten.
+    """
+    flat = _decode_block(raw) if raw else ()
+    at = 2 * bisect_left(flat[0::2], oid)
+    present = at < len(flat) and flat[at] == oid
+    flat = flat[:at] + ((oid, tf) if tf else ()) + flat[at + 2 * present:]
+    if not flat:
+        return None
+    return _rows(len(flat) // 2).pack(*flat) + _U32.pack(max(flat[1::2]))
+
+
+class _BlockCursor(DocIdCursor):
+    """One term's postings in oid order, decoded a block at a time.
+
+    ``next`` steps inside the decoded block; ``seek`` bisects inside it, or
+    re-descends the tree to the target's block in O(log n).  Every posting
+    the cursor lands on is counted as scanned; rows merely decoded are not.
     """
 
-    def __init__(
-        self,
-        tree_cursor,
-        prefix: bytes,
-        scorer: Callable[[int, int], float],
-        upper: float,
-        block_upper: Callable[[int], float],
-        counter: Optional[ScanCounter] = None,
-    ) -> None:
-        self._cursor = tree_cursor
+    def __init__(self, tree: BPlusTree, prefix: bytes, counter: ScanCounter,
+                 estimate: int = 0) -> None:
+        self._tree = tree
+        self._blocks = tree.cursor(prefix=prefix)
         self._prefix = prefix
+        self._counter = counter
+        self._estimate = estimate
+        #: the current block: its value, its rows (flat), their oids, our row
+        self._raw, self._flat, self._oids, self._at = b"", (), (), -1
+        self._doc: Optional[int] = -1  # nothing returned yet; None = exhausted
+
+    def _settle(self, at: int) -> int:
+        self._at = at
+        self._doc = self._oids[at]
+        self._counter.scanned += 1
+        return self._doc
+
+    def _land(self, item, target: int = 0) -> Optional[int]:
+        """Settle on the first posting ``>= target`` in block ``item`` or after."""
+        while item is not None:
+            flat = _decode_block(item[1])
+            oids = flat[0::2]
+            at = bisect_left(oids, target)
+            if at < len(oids):
+                self._raw, self._flat, self._oids = item[1], flat, oids
+                return self._settle(at)
+            item = self._blocks.next_item()
+        self._doc = None
+        return None
+
+    def _advance(self, target: int) -> Optional[int]:
+        """Move to the first posting ``>= target`` (``target`` > current doc)."""
+        oids = self._oids
+        block = target >> BLOCK_SHIFT
+        if not oids or block != oids[-1] >> BLOCK_SHIFT:
+            return self._land(self._blocks.seek(self._prefix + _OID.pack(block)), target)
+        if target > oids[-1]:  # past this block's rows: the tree cursor is there
+            return self._land(self._blocks.next_item())
+        return self._settle(bisect_left(oids, target, self._at + 1))
+
+    def next(self) -> Optional[int]:
+        if self._doc is None:
+            return None
+        if self._at + 1 < len(self._oids):
+            return self._settle(self._at + 1)
+        return self._land(self._blocks.next_item())
+
+    def seek(self, target: int) -> Optional[int]:
+        if self._doc is None:
+            return None
+        self._counter.seeks += 1
+        return self._advance(max(target, self._doc + 1))
+
+    def estimate(self) -> int:
+        return self._estimate
+
+
+class _PostingScoredCursor(_BlockCursor, ScoredCursor):
+    """Scored cursor over one term's posting blocks.
+
+    Holds a position (``seek`` at or before it is a no-op, per the
+    scored-cursor contract) and scores it with the row's tf.  ``block_max``
+    turns a block's trailer into a bound score: the current block's is at
+    hand, any other costs one ``tree.get`` and no row decode.
+    """
+
+    def __init__(self, tree: BPlusTree, prefix: bytes, counter: ScanCounter,
+                 scorer: Callable[[int, int], float], upper: float,
+                 bound_for: Callable[[int], float]) -> None:
+        super().__init__(tree, prefix, counter)
         self._scorer = scorer
         self._upper = upper
-        self._block_upper = block_upper
-        self._counter = counter
-        self._doc: Optional[int] = None
-        self._tf = 0
-        self._accept(self._cursor.next_item())
-
-    def _accept(self, item) -> Optional[int]:
-        if item is None:
-            self._doc = None
-            return None
-        key, raw = item
-        self._doc = _OID.unpack(key[len(self._prefix):])[0]
-        self._tf = _POSTING_HEADER.unpack_from(raw, 0)[0]
-        if self._counter is not None:
-            self._counter.scanned += 1
-        return self._doc
+        self._bound_for = bound_for
+        self._bounds: Dict[int, float] = {}
+        _BlockCursor.next(self)
 
     def doc(self) -> Optional[int]:
         return self._doc
 
     def score(self) -> float:
-        return self._scorer(self._doc, self._tf)
+        return self._scorer(self._doc, self._flat[2 * self._at + 1])
 
-    def next(self) -> Optional[int]:
-        if self._doc is None:
-            return None
-        return self._accept(self._cursor.next_item())
+    next = _BlockCursor.next  # named here: the scored protocol's ``next`` too
 
     def seek(self, target: int) -> Optional[int]:
         if self._doc is None or target <= self._doc:
             return self._doc
-        if self._counter is not None:
-            self._counter.seeks += 1
-        return self._accept(self._cursor.seek(self._prefix + _OID.pack(target)))
+        self._counter.seeks += 1
+        return self._advance(target)
 
     def max_score(self) -> float:
         return self._upper
 
     def block_max(self, doc: int) -> float:
-        return self._block_upper(doc)
+        block = doc >> BLOCK_SHIFT
+        bound = self._bounds.get(block)
+        if bound is None:
+            if self._oids and self._oids[0] >> BLOCK_SHIFT == block:
+                raw = self._raw
+            else:
+                raw = self._tree.get(self._prefix + _OID.pack(block))
+            # No block, no postings: nothing in it can score.
+            max_tf = _U32.unpack_from(raw, len(raw) - _U32.size)[0] if raw else 0
+            bound = self._bounds[block] = self._bound_for(max_tf)
+        return bound
 
     def block_end(self, doc: int) -> int:
         return (((doc >> BLOCK_SHIFT) + 1) << BLOCK_SHIFT) - 1
@@ -246,26 +322,20 @@ class PersistentInvertedIndex:
 
     # ---------------------------------------------------------------- keys
 
-    def _df_key(self, term: str) -> bytes:
-        return _DF_PREFIX + _encode_term(term)
-
     def _doc_prefix(self, doc_id: int) -> bytes:
         return _DOC_PREFIX + _OID.pack(doc_id) + _SEP
 
     def _doc_key(self, doc_id: int, seq: int) -> bytes:
         return self._doc_prefix(doc_id) + _U32.pack(seq)
 
+    def _length_key(self, block: int) -> bytes:
+        return _LENGTH_PREFIX + _OID.pack(block)
+
     def _posting_prefix(self, term: str) -> bytes:
         return _TERM_PREFIX + _encode_term(term) + _SEP
 
-    def _posting_key(self, term: str, doc_id: int) -> bytes:
-        return self._posting_prefix(term) + _OID.pack(doc_id)
-
-    def _block_prefix(self, term: str) -> bytes:
-        return _BLOCK_PREFIX + _encode_term(term) + _SEP
-
-    def _block_key(self, term: str, block: int) -> bytes:
-        return self._block_prefix(term) + _U64.pack(block)
+    def _term_stats_key(self, term: str) -> bytes:
+        return _TERM_PREFIX + _encode_term(term) + _TERM_STATS_END
 
     # ------------------------------------------------------------- records
 
@@ -273,80 +343,78 @@ class PersistentInvertedIndex:
         raw = self._tree.get(_STATS_KEY)
         return _STATS.unpack(raw) if raw is not None else (0, 0)
 
-    def _bump_stats(self, docs: int, tokens: int) -> None:
-        count, total = self._read_stats()
-        self._tree.put(_STATS_KEY, _STATS.pack(count + docs, total + tokens))
-
     def _df_record(self, term: str) -> Tuple[int, int, int]:
         """``(document_frequency, max_tf, min_len)``; zeros for an unknown term."""
-        raw = self._tree.get(self._df_key(term))
+        raw = self._tree.get(self._term_stats_key(term))
         return _DF_RECORD.unpack(raw) if raw is not None else (0, 0, 0)
 
     def _term_df(self, term: str) -> int:
         return self._df_record(term)[0]
 
-    def _record_term_added(self, term: str, doc_id: int, tf: int, doc_len: int) -> None:
-        """Account one new posting: df + 1, term and block bounds tightened."""
-        df, max_tf, min_len = self._df_record(term)
-        self._tree.put(
-            self._df_key(term),
-            _DF_RECORD.pack(
-                df + 1,
-                max(max_tf, tf),
-                doc_len if min_len == 0 else min(min_len, doc_len),
-            ),
-        )
-        block_key = self._block_key(term, doc_id >> BLOCK_SHIFT)
-        raw = self._tree.get(block_key)
-        if raw is None or _U64.unpack(raw)[0] < tf:
-            self._tree.put(block_key, _U64.pack(tf))
-
-    def _record_term_removed(self, term: str) -> None:
-        """Account one dropped posting: df - 1; bounds stay (conservative).
-
-        A removed document can strand a too-loose bound — harmless (pruning
-        only gets less aggressive).  When the term's last posting goes, the
-        frequency record and every block record are scrubbed with it.
-        """
-        df, max_tf, min_len = self._df_record(term)
-        if df <= 1:
-            if df == 1:
-                self._tree.delete(self._df_key(term))
-            doomed = [key for key, _value in self._tree.cursor(prefix=self._block_prefix(term))]
-            for key in doomed:
-                self._tree.delete(key)
-            return
-        self._tree.put(self._df_key(term), _DF_RECORD.pack(df - 1, max_tf, min_len))
-
-    def _read_doc(self, doc_id: int) -> Optional[Tuple[int, List[str]]]:
-        """``(doc_length, terms)`` from the chunked ``D`` records."""
-        payload = b"".join(
-            value for _key, value in self._tree.cursor(prefix=self._doc_prefix(doc_id))
-        )
-        if not payload:
+    def _read_doc(self, doc_id: int) -> Optional[Tuple[int, Dict[str, Tuple[int, ...]], int]]:
+        """``(doc_length, {term: stored positions}, chunk count)`` from ``D``."""
+        chunks = [value for _key, value in self._tree.cursor(prefix=self._doc_prefix(doc_id))]
+        if not chunks:
             return None
-        length = _U32.unpack_from(payload, 0)[0]
-        body = payload[_U32.size:]
-        terms = [t.decode("utf-8") for t in body.split(_SEP)] if body else []
-        return length, terms
+        payload = b"".join(chunks)
+        positions: Dict[str, Tuple[int, ...]] = {}
+        at = _U32.size
+        while at < len(payload):
+            end = at + _U16.size + _U16.unpack_from(payload, at)[0]
+            term = payload[at + _U16.size:end].decode("utf-8")
+            positions[term] = struct.unpack_from(f">{payload[end]}I", payload, end + 1)
+            at = end + 1 + _U32.size * payload[end]
+        return _U32.unpack_from(payload, 0)[0], positions, len(chunks)
 
-    def _write_doc(self, doc_id: int, length: int, terms: List[str]) -> None:
-        payload = _U32.pack(length) + _SEP.join(_encode_term(t) for t in terms)
-        for seq in range(0, max(1, -(-len(payload) // DOC_CHUNK_BYTES))):
-            chunk = payload[seq * DOC_CHUNK_BYTES:(seq + 1) * DOC_CHUNK_BYTES]
-            self._tree.put(self._doc_key(doc_id, seq), chunk)
-
-    def _delete_doc_chunks(self, doc_id: int) -> None:
-        keys = [key for key, _value in self._tree.cursor(prefix=self._doc_prefix(doc_id))]
-        for key in keys:
-            self._tree.delete(key)
-
-    def _decode_posting(self, raw: bytes) -> Tuple[int, Tuple[int, ...]]:
-        tf, npos = _POSTING_HEADER.unpack_from(raw, 0)
-        positions = struct.unpack_from(f">{npos}I", raw, _POSTING_HEADER.size)
-        return tf, positions
+    def _blocks(self, term: str) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+        """``(oids, tfs, trailer max_tf)`` of each of ``term``'s blocks, in order."""
+        for _key, raw in self._tree.cursor(prefix=self._posting_prefix(term)):
+            flat = _decode_block(raw)
+            yield flat[0::2], flat[1::2], _U32.unpack_from(raw, len(raw) - _U32.size)[0]
 
     # ------------------------------------------------------------- mutation
+
+    def _apply(self, doc_id: int, length: int, tfs: Iterable[Tuple[str, int]],
+               chunks: List[Optional[bytes]]) -> None:
+        """Add (``tf`` > 0) or drop (``tf`` = 0) one document's every record.
+
+        One sorted batch: the ``D`` chunks, the ``L`` slot, ``S``, and per
+        term its block and its statistics — each leaf is written once.
+        """
+        adding = chunks[0] is not None
+        sign = 1 if adding else -1
+        slot = (doc_id & (BLOCK_SPAN - 1)) * _U32.size
+        stored = _U32.pack(length + 1 if adding else 0)
+        block = _OID.pack(doc_id >> BLOCK_SHIFT)
+
+        def lengths(raw: Optional[bytes]) -> Optional[bytes]:
+            raw = raw or _NO_LENGTHS
+            raw = raw[:slot] + stored + raw[slot + _U32.size:]
+            return raw if raw != _NO_LENGTHS else None
+
+        def corpus(raw: Optional[bytes]) -> bytes:
+            count, total = _STATS.unpack(raw) if raw else (0, 0)
+            return _STATS.pack(count + sign, total + sign * length)
+
+        def term_stats(tf: int) -> Callable[[Optional[bytes]], Optional[bytes]]:
+            def edit(raw: Optional[bytes]) -> Optional[bytes]:
+                df, max_tf, min_len = _DF_RECORD.unpack(raw) if raw else (0, 0, 0)
+                if adding:
+                    shortest = length if min_len == 0 else min(min_len, length)
+                    return _DF_RECORD.pack(df + 1, max(max_tf, tf), shortest)
+                # The bounds stay (conservative) until the last posting goes.
+                return _DF_RECORD.pack(df - 1, max_tf, min_len) if df > 1 else None
+            return edit
+
+        updates = [(self._doc_key(doc_id, seq), lambda _old, chunk=chunk: chunk)
+                   for seq, chunk in enumerate(chunks)]
+        updates += [(_LENGTH_PREFIX + block, lengths), (_STATS_KEY, corpus)]
+        for term, tf in tfs:
+            updates.append((self._posting_prefix(term) + block,
+                            lambda raw, tf=tf: _edit_block(raw, doc_id, tf)))
+            updates.append((self._term_stats_key(term), term_stats(tf)))
+        updates.sort(key=itemgetter(0))
+        self._tree.apply_sorted(updates)
 
     def add_document(self, doc_id: int, text) -> int:
         """Index ``text`` under ``doc_id``; returns the number of terms stored.
@@ -360,14 +428,16 @@ class PersistentInvertedIndex:
             occurrences: Dict[str, List[int]] = {}
             for term, position in analyzed:
                 occurrences.setdefault(term, []).append(position)
+            parts = [_U32.pack(len(analyzed))]
             for term, positions in occurrences.items():
-                stored = positions[:MAX_STORED_POSITIONS]
-                value = _POSTING_HEADER.pack(len(positions), len(stored))
-                value += struct.pack(f">{len(stored)}I", *stored)
-                self._tree.put(self._posting_key(term, doc_id), value)
-                self._record_term_added(term, doc_id, len(positions), len(analyzed))
-            self._write_doc(doc_id, len(analyzed), list(occurrences))
-            self._bump_stats(docs=+1, tokens=len(analyzed))
+                encoded, kept = _encode_term(term), positions[:MAX_STORED_POSITIONS]
+                parts.append(_U16.pack(len(encoded)) + encoded)
+                parts.append(struct.pack(f">B{len(kept)}I", len(kept), *kept))
+            payload = b"".join(parts)
+            chunks = [payload[at:at + DOC_CHUNK_BYTES]
+                      for at in range(0, len(payload), DOC_CHUNK_BYTES)]
+            tfs = ((term, len(positions)) for term, positions in occurrences.items())
+            self._apply(doc_id, len(analyzed), tfs, chunks)
             return len(occurrences)
 
     def remove_document(self, doc_id: int) -> bool:
@@ -382,15 +452,9 @@ class PersistentInvertedIndex:
             doc = self._read_doc(doc_id)
             if doc is None:
                 return False
-            length, terms = doc
-            for term in terms:
-                try:
-                    self._tree.delete(self._posting_key(term, doc_id))
-                except KeyNotFoundError:
-                    continue
-                self._record_term_removed(term)
-            self._delete_doc_chunks(doc_id)
-            self._bump_stats(docs=-1, tokens=-length)
+            length, positions, chunk_count = doc
+            self._apply(doc_id, length, ((term, 0) for term in positions),
+                        [None] * chunk_count)
             return True
 
     def update_document(self, doc_id: int, text) -> int:
@@ -416,7 +480,7 @@ class PersistentInvertedIndex:
 
     @property
     def term_count(self) -> int:
-        return sum(1 for _ in self._tree.cursor(prefix=_DF_PREFIX))
+        return len(self.vocabulary())
 
     def __contains__(self, doc_id: int) -> bool:
         return self._tree.get(self._doc_key(doc_id, 0)) is not None
@@ -430,12 +494,8 @@ class PersistentInvertedIndex:
 
     def _term_cursor(self, term: str, df: int,
                      counter: Optional[ScanCounter] = None) -> DocIdCursor:
-        return PrefixOidCursor(
-            self._tree,
-            self._posting_prefix(term),
-            cardinality=lambda: df,
-            counter=counter if counter is not None else self._scan,
-        )
+        return _BlockCursor(self._tree, self._posting_prefix(term),
+                            counter if counter is not None else self._scan, estimate=df)
 
     def _query_dfs(self, terms: List[str]) -> Optional[List[Tuple[int, str]]]:
         """``(df, term)`` per query term, ``None`` if any term is absent.
@@ -456,8 +516,8 @@ class PersistentInvertedIndex:
         """A streaming cursor over the conjunctive matches of ``query``.
 
         Multi-term values become a rarest-first leapfrog intersection of
-        B+-tree prefix-range cursors; seeks re-descend the tree in O(log n),
-        so huge common terms are probed, never scanned end to end.
+        posting-block cursors; a seek leaves its block by re-descending the
+        tree in O(log n), so huge common terms are probed, never scanned.
         """
         terms = self.analyzer.analyze_query(query)
         if not terms:
@@ -498,7 +558,7 @@ class PersistentInvertedIndex:
         """Documents containing the exact (analyzed) phrase, in order.
 
         Only the stored position prefix (:data:`MAX_STORED_POSITIONS`) of
-        each posting is consulted.
+        each posting is consulted, read from the candidates' ``D`` records.
         """
         analyzed = self.analyzer.analyze_with_positions(phrase)
         terms = [term for term, _pos in analyzed]
@@ -509,14 +569,11 @@ class PersistentInvertedIndex:
             return candidates
         results: List[int] = []
         for doc_id in candidates:
-            positions: List[set] = []
-            for term in terms:
-                raw = self._tree.get(self._posting_key(term, doc_id))
-                positions.append(set(self._decode_posting(raw)[1] if raw else ()))
-            first_positions = positions[0]
+            stored = self._read_doc(doc_id)[1]
+            positions = [set(stored.get(term, ())) for term in terms]
             if any(
                 all((start + offset) in positions[offset] for offset in range(1, len(terms)))
-                for start in first_positions
+                for start in positions[0]
             ):
                 results.append(doc_id)
         return results
@@ -524,59 +581,26 @@ class PersistentInvertedIndex:
     # -------------------------------------------------------------- ranking
 
     def _length_memo(self) -> Callable[[int], int]:
-        """A memoized doc-length resolver (chunk-0 header reads only)."""
-        lengths: Dict[int, int] = {}
+        """A doc-length resolver: one ``L`` read per block of scored documents."""
+        blocks: Dict[int, Tuple[int, ...]] = {}
 
         def length_for(doc_id: int) -> int:
-            if doc_id not in lengths:
-                # Only the length header is needed — chunk 0 carries it,
-                # so skip decoding the (possibly multi-chunk) term list.
-                head = self._tree.get(self._doc_key(doc_id, 0))
-                lengths[doc_id] = _U32.unpack_from(head, 0)[0] if head else 0
-            return lengths[doc_id]
+            block = doc_id >> BLOCK_SHIFT
+            lengths = blocks.get(block)
+            if lengths is None:
+                raw = self._tree.get(self._length_key(block)) or _NO_LENGTHS
+                lengths = blocks[block] = _LENGTHS.unpack(raw)
+            return max(lengths[doc_id & (BLOCK_SPAN - 1)] - 1, 0)  # stored + 1
 
         return length_for
-
-    def _block_bound_factory(
-        self,
-        term: str,
-        idf: float,
-        k1: float,
-        b: float,
-        term_upper: float,
-        min_len: int,
-        average_length: float,
-    ) -> Callable[[int], float]:
-        """Per-block upper-bound scores for ``term`` (memoized per query).
-
-        Block records store frequencies only, so the term-level minimum
-        length feeds the length term (a block's shortest doc can only be
-        longer — looser, never unsafe).  Blocks without a ``B`` record
-        fall back to the term-level bound entirely.
-        """
-        cache: Dict[int, float] = {}
-
-        def block_upper(doc_id: int) -> float:
-            block = doc_id >> BLOCK_SHIFT
-            if block not in cache:
-                raw = self._tree.get(self._block_key(term, block))
-                if raw is None:
-                    cache[block] = term_upper
-                else:
-                    cache[block] = bm25_upper_bound(
-                        idf, k1, b, _U64.unpack(raw)[0], min_len, average_length
-                    )
-            return cache[block]
-
-        return block_upper
 
     def rank(self, query, limit: Optional[int] = 10, k1: float = 1.5, b: float = 0.75,
              span=None) -> List[SearchHit]:
         """BM25-ranked disjunctive retrieval.
 
         With a ``limit`` the query streams through a WAND top-k merge
-        (:class:`~repro.query.scored.WandCursor`), refined by the block-max
-        records: documents whose summed term upper bounds cannot beat the
+        (:class:`~repro.query.scored.WandCursor`), refined by the blocks'
+        exact maxima: documents whose summed term upper bounds cannot beat the
         current k-th best score are skipped without being scored.  The
         result is identical — same floating-point scores, same order — to
         :meth:`rank_exhaustive`; only the work differs.  ``limit=None``
@@ -599,18 +623,14 @@ class PersistentInvertedIndex:
             self.term_lookups += 1
             idf = bm25_idf(total_docs, df)
             upper = bm25_upper_bound(idf, k1, b, max_tf, min_len, average_length)
-            cursors.append(
-                _PostingScoredCursor(
-                    self._tree.cursor(prefix=self._posting_prefix(term)),
-                    self._posting_prefix(term),
-                    bm25_scorer(idf, k1, b, average_length, length_for),
-                    upper,
-                    self._block_bound_factory(
-                        term, idf, k1, b, upper, min_len, average_length
-                    ),
-                    counter=self._scan,
-                )
-            )
+            # A block stores frequencies only, so the term's minimum length
+            # feeds the length term of its bound (looser, never unsafe).
+            cursors.append(_PostingScoredCursor(
+                self._tree, self._posting_prefix(term), self._scan,
+                bm25_scorer(idf, k1, b, average_length, length_for), upper,
+                lambda max_tf, idf=idf, min_len=min_len: bm25_upper_bound(
+                    idf, k1, b, max_tf, min_len, average_length),
+            ))
         top = WandCursor(cursors, limit, stats=self.ranked, span=span).top_k()
         return [SearchHit(doc_id=doc_id, score=score) for doc_id, score in top]
 
@@ -637,11 +657,10 @@ class PersistentInvertedIndex:
             self.term_lookups += 1
             idf = bm25_idf(total_docs, df)
             score = bm25_scorer(idf, k1, b, average_length, length_for)
-            for key, raw in self._tree.cursor(prefix=self._posting_prefix(term)):
-                self.postings_scanned += 1
-                doc_id = _OID.unpack(key[-_OID.size:])[0]
-                tf = _POSTING_HEADER.unpack_from(raw, 0)[0]
-                scores[doc_id] = scores.get(doc_id, 0.0) + score(doc_id, tf)
+            for oids, tfs, _max_tf in self._blocks(term):
+                self.postings_scanned += len(oids)
+                for doc_id, tf in zip(oids, tfs):
+                    scores[doc_id] = scores.get(doc_id, 0.0) + score(doc_id, tf)
         self.ranked.documents_scored += len(scores)
         hits = [SearchHit(doc_id=doc_id, score=score) for doc_id, score in scores.items()]
         hits.sort(key=lambda hit: (-hit.score, hit.doc_id))
@@ -650,18 +669,18 @@ class PersistentInvertedIndex:
         return hits
 
     def bound_violations(self, k1: float = 1.5, b: float = 0.75) -> List[str]:
-        """Postings whose actual BM25 contribution escapes the stored bounds.
+        """Postings that escape the stored bounds or disagree with their records.
 
-        The persisted-bound safety invariant — checked by the property test
+        The persisted-index safety invariant — checked by the property test
         and the crash-torture audit after every recovery:
 
-        * the ``F`` record's max tf (when present) dominates every live
-          posting's term frequency;
-        * every ``B`` block record dominates the frequencies of the live
-          postings in its block (the query path trusts a block record
-          whenever one exists);
-        * the derived upper-bound *score* dominates every live posting's
-          actual contribution under the current corpus statistics.
+        * a term's statistics count exactly the rows in its blocks, and its
+          max tf dominates every row's term frequency;
+        * every block trailer *is* the largest frequency among its rows;
+        * every row's document has a ``D`` record, whose length header is
+          the ``L`` slot BM25 scores it with;
+        * the derived upper-bound *score* dominates every row's actual
+          contribution under the current corpus statistics.
 
         Returns human-readable violations; empty means the invariant holds.
         """
@@ -671,31 +690,41 @@ class PersistentInvertedIndex:
             return violations
         average_length = total_tokens / total_docs
         length_for = self._length_memo()
+        headers: Dict[int, Optional[int]] = {}
         for term in self.vocabulary():
             df, term_max, term_min_len = self._df_record(term)
             idf = bm25_idf(total_docs, df)
             term_bound = bm25_upper_bound(idf, k1, b, term_max, term_min_len, average_length)
             score = bm25_scorer(idf, k1, b, average_length, length_for)
-            prefix = self._posting_prefix(term)
-            for key, raw in self._tree.cursor(prefix=prefix):
-                doc_id = _OID.unpack(key[len(prefix):])[0]
-                tf = _POSTING_HEADER.unpack_from(raw, 0)[0]
-                if tf > term_max:
+            rows = 0
+            for oids, tfs, block_max in self._blocks(term):
+                rows += len(oids)
+                if block_max != max(tfs):
                     violations.append(
-                        f"term {term!r} doc {doc_id}: stored max tf {term_max} < tf {tf}"
+                        f"term {term!r} block {oids[0] >> BLOCK_SHIFT}: trailer "
+                        f"{block_max} is not the block's max tf {max(tfs)}"
                     )
-                block_raw = self._tree.get(self._block_key(term, doc_id >> BLOCK_SHIFT))
-                if block_raw is not None and _U64.unpack(block_raw)[0] < tf:
-                    violations.append(
-                        f"term {term!r} doc {doc_id}: block bound "
-                        f"{_U64.unpack(block_raw)[0]} < tf {tf}"
-                    )
-                actual = score(doc_id, tf)
-                if actual > term_bound:
-                    violations.append(
-                        f"term {term!r} doc {doc_id}: contribution {actual} "
-                        f"exceeds bound {term_bound}"
-                    )
+                for doc_id, tf in zip(oids, tfs):
+                    if tf > term_max:
+                        violations.append(
+                            f"term {term!r} doc {doc_id}: stored max tf {term_max} < tf {tf}"
+                        )
+                    if doc_id not in headers:
+                        head = self._tree.get(self._doc_key(doc_id, 0))
+                        headers[doc_id] = _U32.unpack_from(head, 0)[0] if head else None
+                    if headers[doc_id] != length_for(doc_id):
+                        violations.append(
+                            f"term {term!r} doc {doc_id}: D length {headers[doc_id]} "
+                            f"but L length {length_for(doc_id)}"
+                        )
+                    actual = score(doc_id, tf)
+                    if actual > term_bound:
+                        violations.append(
+                            f"term {term!r} doc {doc_id}: contribution {actual} "
+                            f"exceeds bound {term_bound}"
+                        )
+            if rows != df:
+                violations.append(f"term {term!r}: df {df} but {rows} rows in its blocks")
         return violations
 
     # ------------------------------------------------------------ inspection
@@ -703,26 +732,26 @@ class PersistentInvertedIndex:
     def terms_for(self, doc_id: int) -> List[str]:
         """The analyzed terms stored for ``doc_id`` (empty if not indexed)."""
         doc = self._read_doc(doc_id)
-        return doc[1] if doc is not None else []
+        return list(doc[1]) if doc is not None else []
 
     def document_ids(self) -> List[int]:
-        """Every indexed document id, ascending (one ``D``-prefix walk).
+        """Every indexed document id, ascending (read off the ``L`` records).
 
         The mount path uses this to scrub orphans: documents whose object
         was deleted while their (lazy) index application was still queued.
         """
         ids: List[int] = []
-        for key, _value in self._tree.cursor(prefix=_DOC_PREFIX):
-            doc_id = _OID.unpack_from(key, len(_DOC_PREFIX))[0]
-            if not ids or ids[-1] != doc_id:  # chunks of one doc are adjacent
-                ids.append(doc_id)
+        for key, raw in self._tree.cursor(prefix=_LENGTH_PREFIX):
+            first = _OID.unpack_from(key, len(_LENGTH_PREFIX))[0] << BLOCK_SHIFT
+            ids.extend(first + slot for slot, stored in enumerate(_LENGTHS.unpack(raw)) if stored)
         return ids
 
     def vocabulary(self) -> List[str]:
-        """All indexed terms, sorted (``F`` keys are already in term order)."""
+        """All indexed terms, sorted (statistics keys are in term order)."""
         return [
-            key[len(_DF_PREFIX):].decode("utf-8")
-            for key, _value in self._tree.cursor(prefix=_DF_PREFIX)
+            key[len(_TERM_PREFIX):-1].decode("utf-8")
+            for key, _value in self._tree.cursor(prefix=_TERM_PREFIX)
+            if _SEP not in key[len(_TERM_PREFIX):]  # a block key has one
         ]
 
     def reset_counters(self) -> None:

@@ -45,8 +45,7 @@ class PrefixOidCursor(DocIdCursor):
     """Streams the oids of one key-prefix range straight off a B+-tree.
 
     Works for any key layout whose keys end in the big-endian oid (this
-    store's ``F\\0tag\\0value\\0<oid>`` entries, the persistent inverted
-    index's ``T\\0term\\0<oid>`` postings): key order *is* ascending oid
+    store's ``F\\0tag\\0value\\0<oid>`` entries): key order *is* ascending oid
     order, so no sort or materialization is needed.  ``seek`` maps an oid
     target onto a tree re-descent (O(log n)), which is what lets leapfrog
     intersections skip most of a huge tag's entries.

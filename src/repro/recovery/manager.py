@@ -168,6 +168,7 @@ class RecoveryManager:
             "fulltext_root": 0,
             "image_root": 0,
             "checksum_pages": 1,
+            "fulltext_format": 2,
         }
         self.pool = None  # the shared BufferPool, once attached
         self.poisoned = False
@@ -831,6 +832,7 @@ class RecoveryManager:
             fulltext_root=self.state.get("fulltext_root", 0),
             image_root=self.state.get("image_root", 0),
             checksum_pages=self.state["checksum_pages"],
+            fulltext_format=self.state["fulltext_format"],
         ).store(self.device, self.superblock_block)
 
     # ------------------------------------------------------------ lifecycle
@@ -874,6 +876,7 @@ class RecoveryManager:
             fulltext_root=superblock.fulltext_root,
             image_root=superblock.image_root,
             checksum_pages=superblock.checksum_pages,
+            fulltext_format=superblock.fulltext_format,
         )
         return manager
 

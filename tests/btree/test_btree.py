@@ -319,6 +319,15 @@ class TestTraversalAccounting:
         tree.lookup(key(50))
         assert tree.node_visits == tree.depth()
 
+    def test_a_membership_miss_descends_once(self):
+        tree = BPlusTree(max_keys=4)
+        for i in range(100):
+            tree.put(key(i), value(i))
+        tree.reset_counters()
+        assert b"absent" not in tree
+        assert key(50) in tree
+        assert tree.node_visits == 2 * tree.depth()
+
     def test_reset_counters(self):
         tree = BPlusTree(max_keys=4)
         tree.put(b"a", b"b")

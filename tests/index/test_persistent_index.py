@@ -7,12 +7,14 @@ document — bit for bit for BM25, since both score through the same helpers.
 """
 
 import random
+import struct
 
 from repro.btree import BPlusTree
 from repro.fulltext import Analyzer, PersistentInvertedIndex, SearchHit
+from repro.fulltext.persistent_index import BLOCK_SPAN, DOC_CHUNK_BYTES, MAX_STORED_POSITIONS
 from repro.index.image_index import ImageIndexStore
 from repro.index.persistent import PersistentImageIndexStore
-from repro.query import bm25_idf, bm25_scorer
+from repro.query import IntersectCursor, bm25_idf, bm25_scorer
 
 WORDS = (
     "search namespace index posting btree mount journal replay object tag "
@@ -159,6 +161,106 @@ class TestDifferentialEquivalence:
         persistent.add_document(1, "photos")
         assert persistent.search("photos") == [1]
         assert persistent.search("photo") == []
+
+
+class TestPostingBlockLayout:
+    """The on-tree shape: aligned blocks of rows, ``L`` lengths, chunked ``D``."""
+
+    EDGE = [BLOCK_SPAN - 1, BLOCK_SPAN, BLOCK_SPAN + 1]
+
+    def keys(self, engine, prefix):
+        return [key for key, _value in engine.tree.cursor(prefix=prefix)]
+
+    def block_rows(self, engine, term, block):
+        raw = engine.tree.get(engine._posting_prefix(term) + struct.pack(">Q", block))
+        rows = (len(raw) - 4) // 12
+        return list(struct.unpack_from(">" + "QI" * rows, raw)), raw[-4:]
+
+    def test_oids_straddling_a_block_boundary(self):
+        engine = make_engine()
+        for doc_id in self.EDGE + [3 * BLOCK_SPAN]:
+            engine.add_document(doc_id, "edge" + (" far" if doc_id >= BLOCK_SPAN else ""))
+        assert len(self.keys(engine, engine._posting_prefix("edge"))) == 3
+        assert engine.search("edge") == self.EDGE + [3 * BLOCK_SPAN]
+        for target, landed in [(0, BLOCK_SPAN - 1), (BLOCK_SPAN - 1, BLOCK_SPAN - 1),
+                               (BLOCK_SPAN, BLOCK_SPAN), (BLOCK_SPAN + 1, BLOCK_SPAN + 1),
+                               (BLOCK_SPAN + 2, 3 * BLOCK_SPAN), (3 * BLOCK_SPAN + 1, None)]:
+            assert engine.cursor("edge").seek(target) == landed, target
+        stepping = engine.cursor("edge")
+        assert [stepping.seek(BLOCK_SPAN), stepping.next(), stepping.seek(0), stepping.next()] == [
+            BLOCK_SPAN, BLOCK_SPAN + 1, 3 * BLOCK_SPAN, None]
+        both = engine.cursor("edge far")
+        assert isinstance(both, IntersectCursor)
+        assert list(both) == [BLOCK_SPAN, BLOCK_SPAN + 1, 3 * BLOCK_SPAN]
+        ranked = engine.rank("edge far", limit=2)
+        assert ranked == engine.rank_exhaustive("edge far", limit=2)
+        assert {hit.doc_id for hit in engine.rank("edge", limit=10)} == set(engine.search("edge"))
+        assert engine.bound_violations() == []
+
+    def test_removals_scrub_emptied_records(self):
+        engine = make_engine()
+        engine.add_document(1, "common solo")
+        engine.add_document(BLOCK_SPAN + 1, "common")
+        length_keys = self.keys(engine, b"L\x00")
+        assert len(length_keys) == 2
+        engine.remove_document(BLOCK_SPAN + 1)
+        # The block's last row, and the block's last document: both records go.
+        assert len(self.keys(engine, engine._posting_prefix("common"))) == 1
+        assert self.keys(engine, b"L\x00") == length_keys[:1]
+        assert engine.document_frequency("common") == 1
+        engine.remove_document(1)
+        # The terms' last postings: their statistics go; only ``S`` is left.
+        assert engine.tree.get(engine._term_stats_key("common")) is None
+        assert [key for key, _value in engine.tree.items()] == [b"S"]
+        assert engine.document_count == 0
+
+    def test_out_of_order_insertion_keeps_rows_sorted(self):
+        engine = make_engine()
+        for doc_id, count in [(9, 1), (2, 3), (30, 2), (5, 1)]:
+            engine.add_document(doc_id, " ".join(["word"] * count))
+        rows, trailer = self.block_rows(engine, "word", 0)
+        assert rows == [2, 3, 5, 1, 9, 1, 30, 2]
+        assert trailer == struct.pack(">I", 3)
+        engine.remove_document(2)  # the block's maximum leaves: the trailer follows
+        assert self.block_rows(engine, "word", 0) == ([5, 1, 9, 1, 30, 2], struct.pack(">I", 2))
+        assert engine.bound_violations() == []
+
+    def test_a_hundred_occurrences_keep_their_tf_and_64_positions(self):
+        engine = make_engine()
+        engine.add_document(7, " ".join(["echo"] * 100 + ["tail"]))
+        assert self.block_rows(engine, "echo", 0)[0] == [7, 100]
+        assert engine._read_doc(7)[1]["echo"] == tuple(range(MAX_STORED_POSITIONS))
+        assert engine.search_phrase("echo echo") == [7]
+        assert engine.search_phrase("echo tail") == []  # position 99 is past the cap
+        assert engine.rank("echo") == engine.rank_exhaustive("echo")
+
+    def test_a_large_document_round_trips_through_several_chunks(self):
+        engine = make_engine()
+        words = [f"token{i:03d}" for i in range(120)]
+        text = " ".join(words + words[:40])
+        assert engine.add_document(3, text) == 120
+        chunks = self.keys(engine, engine._doc_prefix(3))
+        assert len(chunks) > 2
+        assert all(len(engine.tree.get(key)) <= DOC_CHUNK_BYTES for key in chunks)
+        length, positions, chunk_count = engine._read_doc(3)
+        assert (length, chunk_count) == (160, len(chunks))
+        assert list(positions) == words == engine.terms_for(3)
+        assert positions["token005"] == (5, 125)
+        assert engine.search_phrase("token119 token000 token001") == [3]
+        assert engine.remove_document(3) is True
+        assert self.keys(engine, engine._doc_prefix(3)) == []
+
+    def test_an_empty_document_is_indexed_with_length_zero(self):
+        engine = make_engine()
+        engine.add_document(5, "the a of")
+        assert 5 in engine and engine.document_ids() == [5]
+        assert engine._read_doc(5) == (0, {}, 1)
+        assert engine._length_memo()(5) == 0 == engine._length_memo()(6)
+        assert engine.tree.get(engine._length_key(0))[20:24] == struct.pack(">I", 1)  # length + 1
+        assert engine.document_count == 1
+        assert engine.remove_document(5) is True
+        assert 5 not in engine and engine.document_ids() == []
+        assert self.keys(engine, b"L\x00") == []  # an all-zero record is not kept
 
 
 class TestPersistentImageStore:

@@ -1,6 +1,9 @@
 """Mount-time recovery of a whole HFADFileSystem: clean and dirty remounts."""
 
-from dataclasses import replace
+import json
+import struct
+import zlib
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -145,7 +148,7 @@ class TestMountErrors:
             HFADFileSystem.mount(BlockDevice(num_blocks=1 << 12, block_size=512))
 
     @pytest.mark.parametrize(
-        "field", ["checksum_pages", "fulltext_root", "image_root"]
+        "field", ["checksum_pages", "fulltext_root", "image_root", "fulltext_format"]
     )
     def test_refused_format_leaves_the_device_untouched(self, field):
         device, fs = make_fs()
@@ -154,6 +157,25 @@ class TestMountErrors:
         replace(Superblock.load(image), **{field: 0}).store(image)
         before = image.dump()
         with pytest.raises(RecoveryError, match=field):
+            HFADFileSystem.mount(image)
+        assert image.dump() == before
+
+    @pytest.mark.parametrize("stamp", [None, 1])
+    def test_refused_fulltext_format_leaves_the_device_untouched(self, stamp):
+        # An image from before posting blocks: no stamp at all, or stamp 1.
+        device, fs = make_fs()
+        fs.create(b"committed only in the journal", path="/j.txt")
+        image = clone(device)
+        fields = asdict(Superblock.load(image))
+        if stamp is None:
+            del fields["fulltext_format"]
+        else:
+            fields["fulltext_format"] = stamp
+        payload = json.dumps(fields, sort_keys=True).encode("utf-8")
+        image.write_block(0, struct.pack(">8sII", b"HFADSB01", len(payload),
+                                         zlib.crc32(payload)) + payload)
+        before = image.dump()
+        with pytest.raises(RecoveryError, match="fulltext_format"):
             HFADFileSystem.mount(image)
         assert image.dump() == before
 
@@ -303,8 +325,11 @@ class TestPageDeltas:
         from repro.storage.journal import TYPE_DATA, TYPE_DELTA
 
         device, fs = make_fs()
+        # Few enough creates that the journal never reaches its checkpoint
+        # threshold: the scan below must see all of them, not a fresh tail.
         oids = [fs.create(f"note {i} on shared words".encode(), path=f"/n/{i}",
-                          annotations=["kept"]) for i in range(40)]
+                          annotations=["kept"]) for i in range(12)]
+        assert fs.recovery.stats.auto_checkpoints == 0
         kinds = [record.rtype for _txid, records in fs.recovery.journal.scan()
                  for record in records]
         # Pages touched again after their first logged image are deltas.

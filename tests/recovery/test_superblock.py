@@ -101,7 +101,21 @@ class TestFormatVersions:
     def test_current_format_is_mountable(self):
         make_superblock().require_mountable()
 
-    @pytest.mark.parametrize("field", ["checksum_pages", "fulltext_root", "image_root"])
+    @pytest.mark.parametrize(
+        "field", ["checksum_pages", "fulltext_root", "image_root", "fulltext_format"]
+    )
     def test_unserved_format_refused_naming_the_field(self, field):
         with pytest.raises(RecoveryError, match=field):
             make_superblock(**{field: 0}).require_mountable()
+
+    def test_an_image_without_the_fulltext_stamp_is_a_recovery_error(self):
+        # What the per-posting layout's code wrote: every field but the stamp.
+        fields = asdict(make_superblock())
+        del fields["fulltext_format"]
+        with pytest.raises(RecoveryError, match="fulltext_format"):
+            Superblock.from_bytes(encode_fields(fields))
+
+    def test_the_per_posting_fulltext_layout_is_refused(self):
+        assert make_superblock().fulltext_format == 2
+        with pytest.raises(RecoveryError, match="fulltext_format=1"):
+            make_superblock(fulltext_format=1).require_mountable()
