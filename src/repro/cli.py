@@ -441,6 +441,13 @@ class HFADShell:
             )
         if stats["buffer_pool"] is not None:
             lines.append(f"buffer pool: {stats['buffer_pool']}")
+        if stats["persistent_index"] is not None:
+            index = stats["persistent_index"]
+            lines.append(
+                f"fulltext backlog: {index['fulltext_backlog_docs']} document(s), "
+                f"{index['fulltext_backlog_keys']} key(s) unsettled; "
+                f"{index['fulltext_settles']} settle(s)"
+            )
         lines.append(f"recovery: {stats['recovery'].get('mode')}")
         return "\n".join(lines)
 

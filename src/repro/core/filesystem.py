@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from repro.cache import BufferPool, QueryResultCache, RankedResultCache
 from repro.core.access import AccessInterface, ObjectHandle
 from repro.core.naming import NamingInterface, PairLike, as_pair
-from repro.core.query import Query, QueryPlanner
+from repro.core.query import Not, Query, QueryPlanner, TagTerm, parse_query
 from repro.core.transactions import NamespaceTransaction, TransactionManager
 from repro.errors import (
     CorruptionError,
@@ -50,7 +50,7 @@ from repro.index import (
     PosixPathIndexStore,
     TagValue,
 )
-from repro.opcontext import current_operation
+from repro.opcontext import current_operation, detached
 from repro.osd.metadata import ObjectMetadata
 from repro.osd.object_store import ObjectStore
 from repro.recovery import RecoveryManager, Superblock
@@ -76,6 +76,14 @@ _HEALTH_LEVELS = {"ok": 0, "warn": 1, "fail": 2}
 _NAME_ENTRY = "n:"       # "n:TAG/value" → the object carries this name
 _PATH_ENTRY = "p:"       # "p:/a/b"      → the object is linked at this path
 _ATTR_INDEXED = "hfad.ci"     # content-indexed flag
+
+
+def _query_tags(query: Query) -> Iterable[str]:
+    """The tag of every term of a parsed boolean query."""
+    if isinstance(query, TagTerm):
+        return [query.tag]
+    children = [query.child] if isinstance(query, Not) else query.children
+    return [tag for child in children for tag in _query_tags(child)]
 
 
 class HFADFileSystem:
@@ -290,6 +298,10 @@ class HFADFileSystem:
             )
         else:
             self.image_index = ImageIndexStore()
+        if self.recovery is not None:
+            # The posting backlog's threshold settle: after a commit, never
+            # inside the transaction that crossed the line.
+            self.recovery.after_commit = self._settle_if_due
         self.registry = IndexStoreRegistry()
         self.registry.register(self.keyvalue_index)
         self.registry.register(self.path_index)
@@ -343,6 +355,9 @@ class HFADFileSystem:
         #: index stores registered on the fly for tags met during a mount.
         self._adhoc_stores: Dict[str, KeyValueIndexStore] = {}
         if _mounted is not None:
+            # A crash leaves a posting backlog (the engine re-derived its
+            # overlay from it); finish it before the first request.
+            self._settle()
             self._rebuild_naming()
             # Clear the replayed tail and persist the recovered roots.
             self.recovery.checkpoint()
@@ -565,6 +580,28 @@ class HFADFileSystem:
             trees = ("master", "fulltext", "image")
         return self._read_view(*trees)
 
+    def _view_of(self, tags: Iterable[str]):
+        """The read view a lookup of ``tags`` needs: ``master`` always, an
+        index tree only when a term routes to it — a tag-only ``find`` must
+        not queue behind full-text writers (or a backlog settle)."""
+        tags = set(tags)
+        return self._read_view("master", *(
+            tree for tag, tree in ((TAG_FULLTEXT, "fulltext"), (TAG_IMAGE, "image"))
+            if tag in tags))
+
+    def _settle(self) -> int:
+        """Settle the posting backlog as a ledger operation (a checkpoint's
+        settle is absorbed into the checkpoint's record)."""
+        with self._operation("settle"):
+            return self.fulltext_index.index.settle()
+
+    def _settle_if_due(self) -> None:
+        """After-commit hook: the threshold settle, booked to a record of its
+        own rather than to the operation whose commit tripped it."""
+        if self.fulltext_index.index.settle_due:
+            with detached():
+                self._settle()
+
     def _operation(self, kind: str, detail: str = ""):
         """Open a per-operation attribution scope (see ``repro.telemetry``).
 
@@ -632,6 +669,7 @@ class HFADFileSystem:
         with self._operation("checkpoint"):
             if self.recovery is None:
                 return 0
+            self._settle()
             self.objects.flush_access_times()
             return self.recovery.checkpoint()
 
@@ -989,7 +1027,7 @@ class HFADFileSystem:
         out of the index merge and stops — top-k early exit.
         """
         with self._operation("find", " ".join(str(as_pair(p)) for p in pairs)), \
-                self._read_view("master", "fulltext", "image"):
+                self._view_of(as_pair(p).tag for p in pairs):
             try:
                 return self.naming.resolve(list(pairs), limit=limit)
             except CorruptionError:
@@ -1002,7 +1040,7 @@ class HFADFileSystem:
     def find_one(self, *pairs: PairLike) -> int:
         """Like :meth:`find` but returns one match (raises if none)."""
         with self._operation("find", " ".join(str(as_pair(p)) for p in pairs)), \
-                self._read_view("master", "fulltext", "image"):
+                self._view_of(as_pair(p).tag for p in pairs):
             try:
                 return self.naming.resolve_one(list(pairs))
             except CorruptionError:
@@ -1019,16 +1057,18 @@ class HFADFileSystem:
         """
         text = str(query)
         started = time.perf_counter()
-        with self._operation("query", text) as op, \
-                self._read_view("master", "fulltext", "image"):
-            try:
-                result = self.naming.query(query, limit=limit)
-            except CorruptionError:
-                if self.integrity is None:
-                    raise
-                result = self._degraded(
-                    lambda naming: naming.query(query, limit=limit)
-                )
+        with self._operation("query", text) as op:
+            if isinstance(query, str):
+                query = parse_query(query)
+            with self._view_of(_query_tags(query)):
+                try:
+                    result = self.naming.query(query, limit=limit)
+                except CorruptionError:
+                    if self.integrity is None:
+                        raise
+                    result = self._degraded(
+                        lambda naming: naming.query(query, limit=limit)
+                    )
         self._maybe_slow("query", text, time.perf_counter() - started, op,
                          limit=limit)
         return result
@@ -1308,9 +1348,13 @@ class HFADFileSystem:
             image_objects: Optional[int] = self.image_index.indexed_count
         except CorruptionError:
             image_objects = None
+        backlog_docs, backlog_keys = self.fulltext_index.index.backlog
         return {
             "fulltext_root": self._fulltext_tree.root_id,
             "fulltext_documents": fulltext_documents,
+            "fulltext_backlog_docs": backlog_docs,
+            "fulltext_backlog_keys": backlog_keys,
+            "fulltext_settles": self.fulltext_index.index.settles,
             "image_root": self._image_tree.root_id,
             "image_objects": image_objects,
         }
@@ -1364,6 +1408,13 @@ class HFADFileSystem:
         metrics.gauge("health.status",
                       "aggregate health: 0=ok 1=warn 2=fail (worst check wins)",
                       fn=lambda: float(_HEALTH_LEVELS[self.health()["status"]]))
+        engine = self.fulltext_index.index
+        for at, what in enumerate(("docs", "keys")):
+            metrics.gauge(f"fulltext.backlog_{what}",
+                          f"posting backlog: {what} a settle still owes the tree",
+                          fn=lambda at=at: engine.backlog[at])
+        metrics.gauge("fulltext.settles", "posting backlog settles completed",
+                      fn=lambda: engine.settles)
         backlog = self.fulltext_index.indexer.backlog
         metrics.gauge("indexer.queued",
                       "submitted index work not yet picked up by a worker",

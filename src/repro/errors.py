@@ -57,6 +57,14 @@ class JournalError(StorageError):
     """The write-ahead journal detected corruption or misuse."""
 
 
+class JournalFullError(JournalError):
+    """A transaction's records do not fit the journal region.
+
+    A checkpoint between transactions empties the journal, so this is the
+    sizing error of one transaction: it logged more than ``journal_blocks``
+    can hold (see README "Durability" for what bounds a transaction)."""
+
+
 class TransactionError(StorageError):
     """A transaction was used after commit/abort or nested illegally."""
 

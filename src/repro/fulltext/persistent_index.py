@@ -20,21 +20,35 @@ same crash-atomicity as every other btree, and a re-mount re-attaches the
 index from its persisted root instead of re-reading and re-analyzing every
 object's bytes.
 
-Key layout (one tree, five record kinds; ``block`` is ``oid >> BLOCK_SHIFT``)::
+Key layout (one tree, seven record kinds; ``block`` is ``oid >> BLOCK_SHIFT``)::
 
     D \x00 oid(8) \x00 seq(4)   -> chunk of: doc_length(4) | { term_len(2) term npos(1) position(4) * npos } ...
     L \x00 block(8)            -> (doc_length + 1)(4) * BLOCK_SPAN, slot ``oid & (BLOCK_SPAN - 1)``; 0 = not indexed
+    P \x00 oid(8) \x00 seq(4)   -> chunk of: tf(4) per term, in the ``D`` record's term order
+    R \x00 oid(8) \x00 seq(4)   -> the removed version's ``D`` chunks, verbatim
     S                          -> doc_count(8) | total_token_count(8)
     T \x00 term \x00 block(8)   -> { oid(8) tf(4) } * n, oids ascending | max_tf(4), exact
     T \x00 term \x01            -> document_frequency(8) | max_tf(8) | min_len(8)
 
-* A mutation sorts its edits by key and hands them to
-  :meth:`~repro.btree.BPlusTree.apply_sorted`: one descent and one page write
-  (one WAL record) per touched leaf.  The journal logs a page as a single
-  splice, so an edit's bytes stay together: rows are interleaved (an append
-  is one insertion at the block's tail, not one per column) and a term's
-  statistics sort directly *after* its last block (analyzer tokens are
-  ``[a-z0-9_]``), a few dozen bytes past that tail.
+* A mutation writes through only the document's own records — ``D``, its
+  ``L`` slot, ``S`` and one *backlog* record — as one sorted
+  :meth:`~repro.btree.BPlusTree.apply_sorted` batch in the caller's WAL
+  transaction.  Its ``T`` edits go, as final values, to an in-memory overlay
+  every reader sees through (:class:`_TermView`); a *settle* writes the
+  overlay into the tree in key order — one page write per touched leaf per
+  batch of documents, not per document.
+* The backlog makes the overlay durable.  ``P``: this document's postings
+  are not in the tree yet (``D`` keeps only the first
+  :data:`MAX_STORED_POSITIONS` positions, hence the frequencies).  ``R``:
+  rows of this document for these terms are still in the tree — written
+  when a settled document is removed; removing a pending one just deletes
+  its ``P`` and ``D``.  A mount re-derives the overlay from the ``R`` range,
+  then the ``P`` range, and settles it; a settle retires the records, so a
+  cleanly closed image holds neither.
+* In a ``T`` block rows are interleaved (an append is one insertion at the
+  block's tail, not one per column) and a term's statistics sort directly
+  *after* its last block (analyzer tokens are ``[a-z0-9_]``): the journal
+  logs a page as a single splice, so an edit's bytes stay together.
 * ``T`` blocks stream a term's postings in ascending oid order — the cursor
   protocol's contract.  A seek bisects inside the current block or
   re-descends to the target's block; the trailer is the block-max WAND bound,
@@ -57,18 +71,20 @@ Mutations bracket themselves in a recovery-manager transaction, so an
 operation's WAL transaction (create = allocate + write + name + index is one
 commit marker), while a background (lazy-indexing) worker's application
 forms its own transaction — serialized against foreground transactions by
-the recovery manager's transaction lock.
+the recovery manager's transaction lock.  A settle is several transactions
+of its own, with every other writer held at the manager's checkpoint gate.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from bisect import bisect_left
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.btree import BPlusTree
 from repro.fulltext.analyzer import Analyzer
@@ -87,6 +103,8 @@ _SEP = b"\x00"
 _STATS_KEY = b"S"
 _DOC_PREFIX = b"D\x00"
 _LENGTH_PREFIX = b"L\x00"
+_PENDING_PREFIX = b"P\x00"
+_REMOVED_PREFIX = b"R\x00"
 _TERM_PREFIX = b"T\x00"
 #: ends a term's statistics key: sorts after every ``term \x00 block`` key of
 #: the term and before any longer term's keys (no token byte is below 0x02).
@@ -110,6 +128,10 @@ BLOCK_SHIFT = 6
 BLOCK_SPAN = 1 << BLOCK_SHIFT
 _LENGTHS = struct.Struct(f">{BLOCK_SPAN}I")
 _NO_LENGTHS = bytes(_LENGTHS.size)
+#: edited ``T`` keys at which a commit settles the overlay: ~100 perfbench
+#: documents, ~250 KB of values.  Measured on ``ingest``, not a parameter:
+#: half logs 10 % more WAL, at twice only the harness's checkpoints settle.
+SETTLE_KEYS = 4096
 
 
 @dataclass(frozen=True)
@@ -137,8 +159,9 @@ def _decode_block(raw: bytes) -> Tuple[int, ...]:
     return _rows(len(raw) // _ROW.size).unpack_from(raw)
 
 
-def _edit_block(raw: Optional[bytes], oid: int, tf: int) -> Optional[bytes]:
-    """The block with ``oid``'s row set to ``tf`` (0 drops it); None once empty.
+def _edit_block(raw: Optional[bytes], oid: int, tf: int) -> Tuple[Optional[bytes], bool]:
+    """The block with ``oid``'s row set to ``tf`` (0 drops it; None once
+    empty), and whether the row was there before.
 
     The trailer is recomputed from the rows, so it is always the exact
     maximum — a block bound can only tighten.
@@ -148,8 +171,107 @@ def _edit_block(raw: Optional[bytes], oid: int, tf: int) -> Optional[bytes]:
     present = at < len(flat) and flat[at] == oid
     flat = flat[:at] + ((oid, tf) if tf else ()) + flat[at + 2 * present:]
     if not flat:
-        return None
-    return _rows(len(flat) // 2).pack(*flat) + _U32.pack(max(flat[1::2]))
+        return None, present
+    return _rows(len(flat) // 2).pack(*flat) + _U32.pack(max(flat[1::2])), present
+
+
+def _chunked(payload: bytes) -> List[bytes]:
+    """``payload`` in :data:`DOC_CHUNK_BYTES` pieces (one empty piece for none)."""
+    return [payload[at:at + DOC_CHUNK_BYTES]
+            for at in range(0, len(payload), DOC_CHUNK_BYTES)] or [b""]
+
+
+def _parse_doc(chunks: List[bytes]) -> Tuple[int, Dict[str, Tuple[int, ...]]]:
+    """``(doc_length, {term: stored positions})`` of a ``D`` (or ``R``) record."""
+    payload = b"".join(chunks)
+    positions: Dict[str, Tuple[int, ...]] = {}
+    at = _U32.size
+    while at < len(payload):
+        end = at + _U16.size + _U16.unpack_from(payload, at)[0]
+        term = payload[at + _U16.size:end].decode("utf-8")
+        positions[term] = struct.unpack_from(f">{payload[end]}I", payload, end + 1)
+        at = end + 1 + _U32.size * payload[end]
+    return _U32.unpack_from(payload, 0)[0], positions
+
+
+def _settle_group(key: bytes) -> bytes:
+    """What a settle keeps in one transaction: a term's blocks and statistics
+    (re-deriving a half-written term would miscount its df), a document's
+    backlog chunks (half a record does not parse)."""
+    if not key.startswith(_TERM_PREFIX):
+        return key[:len(_TERM_PREFIX) + _OID.size]
+    separator = key.find(_SEP, len(_TERM_PREFIX))
+    return key[:separator] if separator > 0 else key[:-1]
+
+
+class _ViewCursor:
+    """A tree prefix cursor merged with the overlay's edits of that prefix:
+    an edit (``keys``, sorted) replaces — or, when None, hides — the tree's
+    pair of the same key.  Speaks what the posting readers use of the btree
+    cursor protocol: ``next_item``, ``seek`` and (fresh-pass) iteration.
+    """
+
+    def __init__(self, cursor, edits: Dict[bytes, Optional[bytes]], keys: List[bytes]) -> None:
+        self._cursor, self._edits, self._keys = cursor, edits, keys
+        self._position: Optional[Iterator[Tuple[bytes, bytes]]] = None
+
+    def _merge_from(self, key: bytes) -> Iterator[Tuple[bytes, bytes]]:
+        keys, edits, at = self._keys, self._edits, bisect_left(self._keys, key)
+        item = self._cursor.seek(key)  # clamped to the prefix by the tree cursor
+        while at < len(keys) or item is not None:
+            if at < len(keys) and (item is None or keys[at] <= item[0]):
+                if item is not None and item[0] == keys[at]:
+                    item = self._cursor.next_item()
+                if edits[keys[at]] is not None:
+                    yield keys[at], edits[keys[at]]
+                at += 1
+            else:
+                yield item
+                item = self._cursor.next_item()
+
+    def next_item(self) -> Optional[Tuple[bytes, bytes]]:
+        if self._position is None:
+            self._position = self._merge_from(b"")
+        return next(self._position, None)
+
+    def seek(self, key: bytes) -> Optional[Tuple[bytes, bytes]]:
+        self._position = self._merge_from(key)
+        return next(self._position, None)
+
+    def __iter__(self) -> Iterator[Tuple[bytes, bytes]]:
+        return self._merge_from(b"")
+
+
+class _TermView:
+    """The ``T`` records as every reader must see them: edits over the tree.
+
+    ``edits`` maps a block or statistics key to its *final* value (None =
+    deleted) — what writing the mutation through would have left in the
+    tree, so answers, scores and scan counts do not depend on what has
+    settled.  With no edits a read costs one ``if`` more than the tree's.
+    """
+
+    def __init__(self, tree: BPlusTree) -> None:
+        self.tree = tree
+        self.edits: Dict[bytes, Optional[bytes]] = {}
+        #: posting prefix -> its edited block keys: all a term's cursor merges.
+        self._blocks: Dict[bytes, List[bytes]] = {}
+
+    def get(self, key: bytes) -> Optional[bytes]:
+        return self.edits[key] if key in self.edits else self.tree.get(key)
+
+    def put(self, key: bytes, value: Optional[bytes], prefix: Optional[bytes] = None) -> None:
+        """Record ``key``'s final value; ``prefix`` files a block key under its term."""
+        if prefix is not None and key not in self.edits:
+            self._blocks.setdefault(prefix, []).append(key)
+        self.edits[key] = value
+
+    def cursor(self, prefix: bytes):
+        cursor = self.tree.cursor(prefix=prefix)
+        if not self.edits:
+            return cursor
+        keys = self.edits if prefix == _TERM_PREFIX else self._blocks.get(prefix)
+        return _ViewCursor(cursor, self.edits, sorted(keys)) if keys else cursor
 
 
 class _BlockCursor(DocIdCursor):
@@ -295,6 +417,13 @@ class PersistentInvertedIndex:
         self._scan = ScanCounter()
         #: ranked-retrieval work counters (``fs.stats()["ranked"]``).
         self.ranked = RankStats()
+        #: unsettled ``T`` edits, and the ``P`` / ``R`` keys that make them
+        #: durable (a document is *pending* while its first ``P`` chunk is in).
+        self._view = _TermView(self._tree)
+        self._backlog: Set[bytes] = set()
+        self._settling = False
+        self.settles = 0
+        self._load_backlog()
 
     @property
     def tree(self) -> BPlusTree:
@@ -309,24 +438,28 @@ class PersistentInvertedIndex:
     def postings_scanned(self, value: int) -> None:
         self._scan.scanned = value
 
+    @contextmanager
     def _txn(self):
         if self._recovery is None:
-            return nullcontext()
+            yield
+            self._settle_if_due()  # no commit to hook: the threshold is checked here
+            return
         # Declares the fulltext tree scope: a background indexing
         # transaction queues only against other fulltext writers, so it
         # overlaps foreground master-tree transactions.  A foreground
         # operation indexing synchronously *escalates* its open master
         # transaction with the fulltext lock here (master < fulltext is
         # the sanctioned order).
-        return self._recovery.transaction(trees=("fulltext",))
+        with self._recovery.transaction(trees=("fulltext",)):
+            yield
 
     # ---------------------------------------------------------------- keys
 
-    def _doc_prefix(self, doc_id: int) -> bytes:
-        return _DOC_PREFIX + _OID.pack(doc_id) + _SEP
+    def _doc_prefix(self, doc_id: int, kind: bytes = _DOC_PREFIX) -> bytes:
+        return kind + _OID.pack(doc_id) + _SEP
 
-    def _doc_key(self, doc_id: int, seq: int) -> bytes:
-        return self._doc_prefix(doc_id) + _U32.pack(seq)
+    def _doc_key(self, doc_id: int, seq: int, kind: bytes = _DOC_PREFIX) -> bytes:
+        return kind + _OID.pack(doc_id) + _SEP + _U32.pack(seq)
 
     def _length_key(self, block: int) -> bytes:
         return _LENGTH_PREFIX + _OID.pack(block)
@@ -345,47 +478,37 @@ class PersistentInvertedIndex:
 
     def _df_record(self, term: str) -> Tuple[int, int, int]:
         """``(document_frequency, max_tf, min_len)``; zeros for an unknown term."""
-        raw = self._tree.get(self._term_stats_key(term))
+        raw = self._view.get(self._term_stats_key(term))
         return _DF_RECORD.unpack(raw) if raw is not None else (0, 0, 0)
 
     def _term_df(self, term: str) -> int:
         return self._df_record(term)[0]
 
+    def _doc_chunks(self, doc_id: int) -> List[bytes]:
+        return [value for _key, value in self._tree.cursor(prefix=self._doc_prefix(doc_id))]
+
     def _read_doc(self, doc_id: int) -> Optional[Tuple[int, Dict[str, Tuple[int, ...]], int]]:
         """``(doc_length, {term: stored positions}, chunk count)`` from ``D``."""
-        chunks = [value for _key, value in self._tree.cursor(prefix=self._doc_prefix(doc_id))]
-        if not chunks:
-            return None
-        payload = b"".join(chunks)
-        positions: Dict[str, Tuple[int, ...]] = {}
-        at = _U32.size
-        while at < len(payload):
-            end = at + _U16.size + _U16.unpack_from(payload, at)[0]
-            term = payload[at + _U16.size:end].decode("utf-8")
-            positions[term] = struct.unpack_from(f">{payload[end]}I", payload, end + 1)
-            at = end + 1 + _U32.size * payload[end]
-        return _U32.unpack_from(payload, 0)[0], positions, len(chunks)
+        chunks = self._doc_chunks(doc_id)
+        return (*_parse_doc(chunks), len(chunks)) if chunks else None
 
     def _blocks(self, term: str) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
         """``(oids, tfs, trailer max_tf)`` of each of ``term``'s blocks, in order."""
-        for _key, raw in self._tree.cursor(prefix=self._posting_prefix(term)):
+        for _key, raw in self._view.cursor(self._posting_prefix(term)):
             flat = _decode_block(raw)
             yield flat[0::2], flat[1::2], _U32.unpack_from(raw, len(raw) - _U32.size)[0]
 
     # ------------------------------------------------------------- mutation
 
-    def _apply(self, doc_id: int, length: int, tfs: Iterable[Tuple[str, int]],
-               chunks: List[Optional[bytes]]) -> None:
-        """Add (``tf`` > 0) or drop (``tf`` = 0) one document's every record.
+    def _write_through(self, doc_id: int, length: int, sign: int,
+                       records: Dict[bytes, Optional[bytes]]) -> None:
+        """Add (``sign`` 1) or drop (-1) a document: everything but its rows.
 
-        One sorted batch: the ``D`` chunks, the ``L`` slot, ``S``, and per
-        term its block and its statistics — each leaf is written once.
+        One sorted batch: ``records`` (its ``D`` and backlog chunks; None
+        deletes), its ``L`` slot and ``S`` — each leaf is written once.
         """
-        adding = chunks[0] is not None
-        sign = 1 if adding else -1
         slot = (doc_id & (BLOCK_SPAN - 1)) * _U32.size
-        stored = _U32.pack(length + 1 if adding else 0)
-        block = _OID.pack(doc_id >> BLOCK_SHIFT)
+        stored = _U32.pack(length + 1 if sign > 0 else 0)
 
         def lengths(raw: Optional[bytes]) -> Optional[bytes]:
             raw = raw or _NO_LENGTHS
@@ -396,25 +519,60 @@ class PersistentInvertedIndex:
             count, total = _STATS.unpack(raw) if raw else (0, 0)
             return _STATS.pack(count + sign, total + sign * length)
 
-        def term_stats(tf: int) -> Callable[[Optional[bytes]], Optional[bytes]]:
-            def edit(raw: Optional[bytes]) -> Optional[bytes]:
-                df, max_tf, min_len = _DF_RECORD.unpack(raw) if raw else (0, 0, 0)
-                if adding:
-                    shortest = length if min_len == 0 else min(min_len, length)
-                    return _DF_RECORD.pack(df + 1, max(max_tf, tf), shortest)
-                # The bounds stay (conservative) until the last posting goes.
-                return _DF_RECORD.pack(df - 1, max_tf, min_len) if df > 1 else None
-            return edit
-
-        updates = [(self._doc_key(doc_id, seq), lambda _old, chunk=chunk: chunk)
-                   for seq, chunk in enumerate(chunks)]
-        updates += [(_LENGTH_PREFIX + block, lengths), (_STATS_KEY, corpus)]
-        for term, tf in tfs:
-            updates.append((self._posting_prefix(term) + block,
-                            lambda raw, tf=tf: _edit_block(raw, doc_id, tf)))
-            updates.append((self._term_stats_key(term), term_stats(tf)))
+        updates = [(key, lambda _old, value=value: value) for key, value in records.items()]
+        updates += [(self._length_key(doc_id >> BLOCK_SHIFT), lengths), (_STATS_KEY, corpus)]
         updates.sort(key=itemgetter(0))
         self._tree.apply_sorted(updates)
+        for key, value in records.items():
+            if not key.startswith(_DOC_PREFIX):
+                (self._backlog.discard if value is None else self._backlog.add)(key)
+
+    def _set_row(self, term: str, doc_id: int, tf: int, length: int = 0) -> None:
+        """Set (``tf`` > 0) or drop (``tf`` = 0) the document's row of ``term``,
+        and the term's statistics with it, in the overlay.
+
+        Presence-aware: ``df`` moves only when the row appears or disappears
+        (``max_tf`` / ``min_len`` only tighten on add and stay on remove — a
+        stale bound costs pruning, never correctness), so re-deriving an
+        edit the tree already holds changes nothing.  That is what makes a
+        crash between two settle transactions, and the mount's re-derivation
+        from the backlog, safe.
+        """
+        view, prefix = self._view, self._posting_prefix(term)
+        key = prefix + _OID.pack(doc_id >> BLOCK_SHIFT)
+        raw = view.get(key)
+        block, present = _edit_block(raw, doc_id, tf)
+        if block != raw:
+            view.put(key, block, prefix)
+        key = prefix[:-1] + _TERM_STATS_END
+        raw = view.get(key)
+        df, max_tf, min_len = _DF_RECORD.unpack(raw) if raw else (0, 0, 0)
+        df += (tf > 0) - present
+        if tf:
+            max_tf = max(max_tf, tf)
+            min_len = length if min_len == 0 else min(min_len, length)
+        # The bounds stay (conservative) until the last posting goes.
+        stats = _DF_RECORD.pack(df, max_tf, min_len) if df else None
+        if stats != raw:
+            view.put(key, stats)
+
+    def _load_backlog(self) -> None:
+        """Re-derive the overlay a crash lost: the ``R`` range, then the ``P``
+        range — O(backlog), no object content read."""
+        for kind in (_REMOVED_PREFIX, _PENDING_PREFIX):
+            records: Dict[int, List[bytes]] = {}
+            for key, value in self._tree.cursor(prefix=kind):
+                self._backlog.add(key)
+                records.setdefault(_OID.unpack_from(key, len(kind))[0], []).append(value)
+            for doc_id, chunks in records.items():
+                if kind == _REMOVED_PREFIX:
+                    for term in _parse_doc(chunks)[1]:
+                        self._set_row(term, doc_id, 0)
+                    continue
+                length, positions = _parse_doc(self._doc_chunks(doc_id))
+                tfs = struct.unpack(f">{len(positions)}I", b"".join(chunks))
+                for term, tf in zip(positions, tfs):
+                    self._set_row(term, doc_id, tf, length)
 
     def add_document(self, doc_id: int, text) -> int:
         """Index ``text`` under ``doc_id``; returns the number of terms stored.
@@ -433,11 +591,15 @@ class PersistentInvertedIndex:
                 encoded, kept = _encode_term(term), positions[:MAX_STORED_POSITIONS]
                 parts.append(_U16.pack(len(encoded)) + encoded)
                 parts.append(struct.pack(f">B{len(kept)}I", len(kept), *kept))
-            payload = b"".join(parts)
-            chunks = [payload[at:at + DOC_CHUNK_BYTES]
-                      for at in range(0, len(payload), DOC_CHUNK_BYTES)]
-            tfs = ((term, len(positions)) for term, positions in occurrences.items())
-            self._apply(doc_id, len(analyzed), tfs, chunks)
+            tfs = [len(positions) for positions in occurrences.values()]
+            records: Dict[bytes, Optional[bytes]] = {}
+            for kind, payload in ((_DOC_PREFIX, b"".join(parts)),
+                                  (_PENDING_PREFIX, struct.pack(f">{len(tfs)}I", *tfs))):
+                for seq, chunk in enumerate(_chunked(payload)):
+                    records[self._doc_key(doc_id, seq, kind)] = chunk
+            self._write_through(doc_id, len(analyzed), 1, records)
+            for term, tf in zip(occurrences, tfs):
+                self._set_row(term, doc_id, tf, len(analyzed))
             return len(occurrences)
 
     def remove_document(self, doc_id: int) -> bool:
@@ -449,13 +611,98 @@ class PersistentInvertedIndex:
         pass the probe and double-decrement the corpus stats.
         """
         with self._txn():
-            doc = self._read_doc(doc_id)
-            if doc is None:
+            chunks = self._doc_chunks(doc_id)
+            if not chunks:
                 return False
-            length, positions, chunk_count = doc
-            self._apply(doc_id, length, ((term, 0) for term in positions),
-                        [None] * chunk_count)
+            length, positions = _parse_doc(chunks)
+            records: Dict[bytes, Optional[bytes]] = {
+                self._doc_key(doc_id, seq): None for seq in range(len(chunks))}
+            seq, key = 0, self._doc_key(doc_id, 0, _PENDING_PREFIX)
+            while key in self._backlog:  # pending: no row of it is in the tree,
+                records[key] = None      # so its backlog record just goes
+                seq, key = seq + 1, self._doc_key(doc_id, seq + 1, _PENDING_PREFIX)
+            if not seq:  # its rows are in the tree until a settle has dropped them
+                for seq, chunk in enumerate(chunks):
+                    records[self._doc_key(doc_id, seq, _REMOVED_PREFIX)] = chunk
+            self._write_through(doc_id, length, -1, records)
+            for term in positions:
+                self._set_row(term, doc_id, 0)
             return True
+
+    # --------------------------------------------------------------- settle
+
+    @property
+    def backlog(self) -> Tuple[int, int]:
+        """``(documents with a backlog record, unsettled T keys)``."""
+        documents = {key[:len(_PENDING_PREFIX) + _OID.size] for key in tuple(self._backlog)}
+        return len(documents), len(self._view.edits)
+
+    @property
+    def settle_due(self) -> bool:
+        # Not while one runs: its own chunk commits fire the hook too.
+        return not self._settling and len(self._view.edits) >= SETTLE_KEYS
+
+    def _settle_if_due(self) -> None:
+        """The threshold trigger, called here only by a volatile engine: with
+        a WAL the facade runs the same test from the recovery manager's
+        ``after_commit`` hook — after the commit that crossed the line, never
+        inside its transaction."""
+        if self.settle_due:
+            self.settle()
+
+    def _apply_chunked(self, pairs: List[Tuple[bytes, Optional[bytes]]]) -> None:
+        """Write sorted ``(key, value)`` pairs (None deletes) into the tree, in
+        WAL transactions the journal has room for: past the checkpoint
+        threshold the next transaction checkpoints first, so each may count
+        on the journal's other part, and a key costs at most a first-touch
+        page image plus a split's.  A cut never splits a :func:`_settle_group`.
+        """
+        limit = sys.maxsize
+        if self._recovery is not None:
+            journal, threshold = self._recovery.journal, self._recovery.checkpoint_threshold
+            limit = max(1, int(journal.capacity_bytes * (1 - threshold))
+                        // (2 * self._tree.node_byte_limit))
+        start = 0
+        while start < len(pairs):
+            end = min(start + limit, len(pairs))
+            while end < len(pairs) and (_settle_group(pairs[end][0])
+                                        == _settle_group(pairs[end - 1][0])):
+                end += 1
+            with self._txn():
+                self._tree.apply_sorted([(key, lambda _old, value=value: value)
+                                         for key, value in pairs[start:end]])
+            start = end
+
+    def settle(self) -> int:
+        """Write the overlay into the tree — one page write per touched leaf —
+        and retire the backlog; returns the number of ``T`` keys written.
+
+        Runs between transactions (a commit crossing :data:`SETTLE_KEYS`,
+        checkpoint, close, mount), never inside one, with other writers held
+        at the recovery manager's gate so none sees it half done; readers
+        keep the overlay until the tree holds all of it.  ``R`` records go
+        before ``P``: a crash then leaves at worst a ``P`` whose
+        re-derivation is a no-op, never an ``R`` alone dropping rows its
+        document's ``P`` would have put back.
+        """
+        if not (self._view.edits or self._backlog):
+            return 0
+        gate = self._recovery.quiesced() if self._recovery is not None else nullcontext()
+        with gate:
+            edits = self._view.edits
+            if not (edits or self._backlog):
+                return 0  # the settle this thread waited out at the gate did it
+            self._settling = True
+            try:
+                self._apply_chunked(sorted(edits.items()))
+                retired = sorted(self._backlog)
+                for kind in (_REMOVED_PREFIX, _PENDING_PREFIX):
+                    self._apply_chunked([(key, None) for key in retired if key.startswith(kind)])
+            finally:
+                self._settling = False
+            self._view, self._backlog = _TermView(self._tree), set()
+            self.settles += 1
+            return len(edits)
 
     def update_document(self, doc_id: int, text) -> int:
         """Alias for :meth:`add_document` (which already replaces)."""
@@ -494,7 +741,7 @@ class PersistentInvertedIndex:
 
     def _term_cursor(self, term: str, df: int,
                      counter: Optional[ScanCounter] = None) -> DocIdCursor:
-        return _BlockCursor(self._tree, self._posting_prefix(term),
+        return _BlockCursor(self._view, self._posting_prefix(term),
                             counter if counter is not None else self._scan, estimate=df)
 
     def _query_dfs(self, terms: List[str]) -> Optional[List[Tuple[int, str]]]:
@@ -626,7 +873,7 @@ class PersistentInvertedIndex:
             # A block stores frequencies only, so the term's minimum length
             # feeds the length term of its bound (looser, never unsafe).
             cursors.append(_PostingScoredCursor(
-                self._tree, self._posting_prefix(term), self._scan,
+                self._view, self._posting_prefix(term), self._scan,
                 bm25_scorer(idf, k1, b, average_length, length_for), upper,
                 lambda max_tf, idf=idf, min_len=min_len: bm25_upper_bound(
                     idf, k1, b, max_tf, min_len, average_length),
@@ -680,11 +927,19 @@ class PersistentInvertedIndex:
         * every row's document has a ``D`` record, whose length header is
           the ``L`` slot BM25 scores it with;
         * the derived upper-bound *score* dominates every row's actual
-          contribution under the current corpus statistics.
+          contribution under the current corpus statistics;
+        * every ``P`` / ``R`` record in the tree is one the engine still owes
+          a settle (none survives one).
 
-        Returns human-readable violations; empty means the invariant holds.
+        Rows and statistics are read as every reader sees them, through the
+        unsettled overlay.  Returns human-readable violations; empty means
+        the invariant holds.
         """
-        violations: List[str] = []
+        violations = [
+            f"backlog record {key!r} survives a settle"
+            for kind in (_PENDING_PREFIX, _REMOVED_PREFIX)
+            for key, _value in self._tree.cursor(prefix=kind) if key not in self._backlog
+        ]
         total_docs, total_tokens = self._read_stats()
         if not total_docs:
             return violations
@@ -750,7 +1005,7 @@ class PersistentInvertedIndex:
         """All indexed terms, sorted (statistics keys are in term order)."""
         return [
             key[len(_TERM_PREFIX):-1].decode("utf-8")
-            for key, _value in self._tree.cursor(prefix=_TERM_PREFIX)
+            for key, _value in self._view.cursor(_TERM_PREFIX)
             if _SEP not in key[len(_TERM_PREFIX):]  # a block key has one
         ]
 

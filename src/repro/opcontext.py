@@ -17,6 +17,7 @@ the very layers doing the importing.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from contextvars import ContextVar
 from time import perf_counter
 from typing import Dict, List, Optional
@@ -38,6 +39,19 @@ def current_operation() -> "Optional[OperationContext]":
     and bump plain integer slots on the result.
     """
     return _ACTIVE.get()
+
+
+@contextmanager
+def detached():
+    """Suspend the active operation for the block: background work a
+    foreground operation happens to trigger (a backlog settle tripped by a
+    create's commit) opens its own operation inside instead of being absorbed.
+    """
+    token = _active_set(None)
+    try:
+        yield
+    finally:
+        _active_reset(token)
 
 
 class OperationContext:

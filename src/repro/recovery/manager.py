@@ -168,7 +168,7 @@ class RecoveryManager:
             "fulltext_root": 0,
             "image_root": 0,
             "checksum_pages": 1,
-            "fulltext_format": 2,
+            "fulltext_format": 3,
         }
         self.pool = None  # the shared BufferPool, once attached
         self.poisoned = False
@@ -196,6 +196,11 @@ class RecoveryManager:
         self._gate = threading.Condition()
         self._active_txns = 0
         self._checkpoint_pending = False
+        #: the thread inside :meth:`quiesced`, which alone passes the gate.
+        self._gate_owner: Optional[int] = None
+        #: optional callable run after an outermost commit has released its
+        #: locks and left the gate — the index backlog's threshold settle.
+        self.after_commit = None
         # Group-commit bookkeeping shared across committing threads.
         self._commit_lock = threading.Lock()
         # Superblock state dict + stats counters (cheap, leaf-level).
@@ -263,10 +268,7 @@ class RecoveryManager:
         # the toll instead: past the threshold, block here (holding no
         # locks yet) and drain the journal before joining the gate.
         self._checkpoint_if_needed()
-        with self._gate:
-            while self._checkpoint_pending:
-                self._gate.wait()
-            self._active_txns += 1
+        self._enter_gate()
         try:
             self._acquire_trees(txn, trees)
             self._check_usable()
@@ -279,6 +281,15 @@ class RecoveryManager:
         txn.on_commit = []
         txn.depth = 1
         return 1
+
+    def _enter_gate(self) -> None:
+        """Register one open transaction, waiting out a pending checkpoint
+        (or another thread's :meth:`quiesced` block)."""
+        with self._gate:
+            while (self._checkpoint_pending
+                   and self._gate_owner != threading.get_ident()):
+                self._gate.wait()
+            self._active_txns += 1
 
     def _acquire_trees(self, txn: _TxnLocal, trees) -> None:
         # Every acquire (fresh or re-entrant bump) is recorded and paired
@@ -354,6 +365,8 @@ class RecoveryManager:
             self._finish_outermost(txn)
         self._run_durable_actions()
         self.maybe_checkpoint()
+        if self.after_commit is not None:
+            self.after_commit()
 
     def abort(self) -> None:
         """Close one nesting level abnormally.
@@ -458,10 +471,7 @@ class RecoveryManager:
         # Autocommits register as micro-transactions in the checkpoint gate:
         # a record appended between a checkpoint's sync and its truncate
         # would otherwise be lost while its page is still only in the pool.
-        with self._gate:
-            while self._checkpoint_pending:
-                self._gate.wait()
-            self._active_txns += 1
+        self._enter_gate()
         try:
             txid = self.journal.allocate_txid()
             lsn = self.journal.append(rtype, txid, block, payload)
@@ -730,18 +740,40 @@ class RecoveryManager:
         autocommit) to resolve before flushing and truncating.  Read views
         are not excluded: repairs and flushes rewrite committed state only.
         """
+        with self.quiesced():
+            return self._checkpoint_quiesced()
+
+    @contextmanager
+    def quiesced(self):
+        """Hold the checkpoint gate: bar other threads' transactions for the block.
+
+        Entering waits — holding no lock — for every open transaction and
+        in-flight autocommit to resolve; until the block exits only the
+        calling thread may transact, and checkpoint between its
+        transactions.  A multi-transaction maintenance pass (the index
+        backlog's settle) needs both: writers must not see it half done,
+        and it may outgrow the journal.  The gate, not a tree lock: waiting
+        for a checkpoint while holding a lock open transactions queue on
+        would deadlock.  Re-entrant per thread.
+        """
         if self._txn.depth > 0:
             raise RecoveryError("cannot checkpoint inside an open transaction")
+        me = threading.get_ident()
+        if self._gate_owner == me:
+            yield
+            return
         with self._gate:
             while self._checkpoint_pending:
                 self._gate.wait()
             self._checkpoint_pending = True
             while self._active_txns > 0:
                 self._gate.wait()
+            self._gate_owner = me
         try:
-            return self._checkpoint_quiesced()
+            yield
         finally:
             with self._gate:
+                self._gate_owner = None
                 self._checkpoint_pending = False
                 self._gate.notify_all()
 
@@ -801,20 +833,10 @@ class RecoveryManager:
         threshold = self.checkpoint_threshold * self.journal.capacity_bytes
         if self.journal.bytes_used < threshold:
             return False
-        with self._gate:
-            while self._checkpoint_pending:
-                self._gate.wait()
+        with self.quiesced():
             if self.journal.bytes_used < threshold:
                 return False  # the checkpoint we waited out drained it
-            self._checkpoint_pending = True
-            while self._active_txns > 0:
-                self._gate.wait()
-        try:
             self._checkpoint_quiesced()
-        finally:
-            with self._gate:
-                self._checkpoint_pending = False
-                self._gate.notify_all()
         with self._stats_lock:
             self.stats.auto_checkpoints += 1
         return True

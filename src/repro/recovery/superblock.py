@@ -65,10 +65,11 @@ class Superblock:
     #: in a CRC32 checksum frame (:mod:`repro.integrity.checksum`) — the
     #: only page format; any other value is refused at mount.
     checksum_pages: int = 1
-    #: full-text tree layout stamp: ``2`` is posting blocks (``T`` blocks,
-    #: ``L`` lengths, positions in ``D``; :mod:`repro.fulltext.persistent_index`)
-    #: — the only layout; any other value is refused at mount.
-    fulltext_format: int = 2
+    #: full-text tree layout stamp: ``3`` is posting blocks (``T`` blocks,
+    #: ``L`` lengths, positions in ``D``) with the durable posting backlog
+    #: (``P`` / ``R`` records; :mod:`repro.fulltext.persistent_index`) — the
+    #: only layout; any other value is refused at mount.
+    fulltext_format: int = 3
 
     # -- serialization --------------------------------------------------------
 
@@ -113,11 +114,11 @@ class Superblock:
                 f"{self.checksum_pages}, but only CRC-framed btree pages "
                 "(checksum_pages=1) are mountable"
             )
-        if self.fulltext_format != 2:
+        if self.fulltext_format != 3:
             raise RecoveryError(
                 f"unsupported on-device format: superblock fulltext_format="
                 f"{self.fulltext_format}, but only posting-block full-text "
-                "trees (fulltext_format=2) are mountable"
+                "trees with a posting backlog (fulltext_format=3) are mountable"
             )
         for name in ("fulltext_root", "image_root"):
             if not getattr(self, name):

@@ -86,7 +86,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import JournalError, TransactionError
+from repro.errors import JournalError, JournalFullError, TransactionError
 from repro.storage.block_device import BlockDevice
 from repro.opcontext import current_operation
 
@@ -337,7 +337,7 @@ class Journal:
 
     def _require_capacity(self, nbytes: int) -> None:
         if len(self._log) + nbytes > self.capacity_bytes:
-            raise JournalError(
+            raise JournalFullError(
                 "journal full: checkpoint before committing more transactions"
             )
 

@@ -57,6 +57,7 @@ def corrupted(key_of, edit):
     persistent = PersistentInvertedIndex()
     persistent.add_document(1, "alpha alpha alpha beta")
     persistent.add_document(2, "alpha beta")
+    persistent.settle()  # the corruption is of tree records
     key = key_of(persistent)
     new = edit(persistent.tree.get(key))
     if new is None:

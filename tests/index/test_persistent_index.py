@@ -8,9 +8,12 @@ document — bit for bit for BM25, since both score through the same helpers.
 
 import random
 import struct
+import sys
+
+import pytest
 
 from repro.btree import BPlusTree
-from repro.fulltext import Analyzer, PersistentInvertedIndex, SearchHit
+from repro.fulltext import Analyzer, PersistentInvertedIndex, SearchHit, persistent_index
 from repro.fulltext.persistent_index import BLOCK_SPAN, DOC_CHUNK_BYTES, MAX_STORED_POSITIONS
 from repro.index.image_index import ImageIndexStore
 from repro.index.persistent import PersistentImageIndexStore
@@ -163,6 +166,135 @@ class TestDifferentialEquivalence:
         assert persistent.search("photo") == []
 
 
+def remounted(engine):
+    """What a crash leaves and a mount finds: the tree alone — a fresh engine
+    re-derives the unsettled overlay from the tree's ``P`` / ``R`` records."""
+    return PersistentInvertedIndex(engine.tree)
+
+
+def backlog_keys(engine):
+    return [key for kind in (b"P\x00", b"R\x00")
+            for key, _value in engine.tree.cursor(prefix=kind)]
+
+
+def rows_of(engine, doc_id):
+    """Every ``T`` block key in the *tree* holding a row of ``doc_id``."""
+    found = []
+    for key, raw in engine.tree.cursor(prefix=b"T\x00"):
+        if b"\x00" in key[2:]:  # a block, not a term's statistics
+            rows = (len(raw) - 4) // 12
+            if doc_id in struct.unpack_from(">" + "QI" * rows, raw)[0::2]:
+                found.append(key)
+    return found
+
+
+class TestPostingBacklog:
+    """Postings reach the tree late; no answer may depend on when."""
+
+    def assert_model_equal(self, seed, model, engine, where):
+        assert_answers_match(random.Random(seed), model, engine, where)
+        assert engine.document_ids() == sorted(model.docs), where
+        assert engine.document_count == len(model.docs), where
+        assert engine.vocabulary() == sorted(set().union(*model.docs.values())), where
+        for doc_id in range(1, 41):
+            assert engine.terms_for(doc_id) == model.terms_for(doc_id), where
+        assert engine.bound_violations() == [], where
+
+    @pytest.mark.parametrize("threshold", [1, persistent_index.SETTLE_KEYS, sys.maxsize])
+    def test_differential_holds_whenever_the_backlog_settles(self, monkeypatch, threshold):
+        # Settle after every mutation, at the shipped threshold, and only
+        # where the dice say — then again over what a crash would leave.
+        monkeypatch.setattr(persistent_index, "SETTLE_KEYS", threshold)
+        for seed in range(200):
+            rng, dice = random.Random(seed), random.Random(~seed)
+            model, engine = BruteForceIndex(), make_engine()
+            for step in range(6):
+                churn(rng, model, engine, steps=5)
+                if threshold == sys.maxsize and dice.random() < 0.4:
+                    engine.settle()
+                if threshold == 1:
+                    assert engine.backlog == (0, 0) and backlog_keys(engine) == []
+            self.assert_model_equal(seed, model, engine, (seed, "live"))
+            engine = remounted(engine)
+            self.assert_model_equal(seed, model, engine, (seed, "remounted"))
+            engine.settle()
+            assert backlog_keys(engine) == [] and engine.backlog == (0, 0)
+            self.assert_model_equal(seed, model, remounted(engine), (seed, "settled"))
+
+    def test_a_create_writes_its_records_and_no_posting(self):
+        engine = make_engine()
+        engine.add_document(7, "alpha beta alpha")
+        kinds = sorted({key[:1] for key, _value in engine.tree.items()})
+        assert kinds == [b"D", b"L", b"P", b"S"]
+        assert engine.tree.get(engine._doc_key(7, 0, b"P\x00")) == struct.pack(">II", 2, 1)
+        assert engine.backlog == (1, 4)  # two terms: a block and its statistics each
+        assert engine.search("alpha") == [7] and engine.document_frequency("beta") == 1
+
+    def test_removing_a_pending_document_writes_no_removal_record(self):
+        engine = make_engine()
+        engine.add_document(1, "alpha beta")
+        assert engine.remove_document(1) is True
+        assert backlog_keys(engine) == [] and engine.search("alpha") == []
+        engine.settle()
+        assert [key for key, _value in engine.tree.items()] == [b"S"]
+
+    def test_removing_an_applied_document_records_what_to_scrub(self):
+        engine = make_engine()
+        engine.add_document(1, "alpha beta")
+        engine.add_document(2, "alpha")
+        engine.settle()
+        chunks = [value for _key, value in engine.tree.cursor(prefix=engine._doc_prefix(1))]
+        engine.remove_document(1)
+        assert backlog_keys(engine) == [engine._doc_key(1, 0, b"R\x00")]
+        assert engine.tree.get(engine._doc_key(1, 0, b"R\x00")) == chunks[0]
+        assert rows_of(engine, 1) != [] and engine.search("alpha") == [2]
+        crashed = remounted(engine)
+        assert crashed.search("alpha") == [2] and crashed.search("beta") == []
+        crashed.settle()
+        assert rows_of(crashed, 1) == [] and backlog_keys(crashed) == []
+        assert crashed.bound_violations() == []
+
+    def test_replacing_an_applied_document_across_a_crash(self):
+        engine = make_engine()
+        engine.add_document(1, "alpha beta beta")
+        engine.settle()
+        engine.update_document(1, "beta gamma")  # R (old version) + P (new one)
+        assert {key[:1] for key in backlog_keys(engine)} == {b"P", b"R"}
+        crashed = remounted(engine)
+        for index in (engine, crashed):
+            assert index.search("alpha") == [] and index.search("beta gamma") == [1]
+            assert index.rank("beta") == index.rank_exhaustive("beta")
+            assert index.bound_violations() == []
+        crashed.settle()
+        assert rows_of(crashed, 1) == [crashed._posting_prefix(term) + struct.pack(">Q", 0)
+                                       for term in ("beta", "gamma")]
+
+    def test_a_hundred_occurrences_keep_their_tf_across_a_crash(self):
+        # D stores 64 positions; the exact frequency rides the P record.
+        engine = make_engine()
+        engine.add_document(7, " ".join(["echo"] * 100 + ["tail"]))
+        crashed = remounted(engine)
+        assert crashed.rank("echo") == engine.rank("echo")
+        crashed.settle()
+        raw = crashed.tree.get(crashed._posting_prefix("echo") + struct.pack(">Q", 0))
+        assert struct.unpack_from(">QI", raw) == (7, 100)
+
+    def test_a_backlog_record_that_survives_a_settle_is_a_violation(self):
+        engine = make_engine()
+        engine.add_document(1, "alpha")
+        engine.settle()
+        assert engine.bound_violations() == []
+        engine.tree.put(engine._doc_key(1, 0, b"P\x00"), struct.pack(">I", 1))
+        assert any("survives a settle" in violation for violation in engine.bound_violations())
+
+    def test_settle_reports_what_it_wrote_and_counts(self):
+        engine = make_engine()
+        assert engine.settle() == 0 and engine.settles == 0
+        engine.add_document(1, "alpha beta")
+        assert engine.settle() == 4 and engine.settles == 1
+        assert engine.settle() == 0 and engine.settles == 1
+
+
 class TestPostingBlockLayout:
     """The on-tree shape: aligned blocks of rows, ``L`` lengths, chunked ``D``."""
 
@@ -180,6 +312,7 @@ class TestPostingBlockLayout:
         engine = make_engine()
         for doc_id in self.EDGE + [3 * BLOCK_SPAN]:
             engine.add_document(doc_id, "edge" + (" far" if doc_id >= BLOCK_SPAN else ""))
+        engine.settle()
         assert len(self.keys(engine, engine._posting_prefix("edge"))) == 3
         assert engine.search("edge") == self.EDGE + [3 * BLOCK_SPAN]
         for target, landed in [(0, BLOCK_SPAN - 1), (BLOCK_SPAN - 1, BLOCK_SPAN - 1),
@@ -204,11 +337,13 @@ class TestPostingBlockLayout:
         length_keys = self.keys(engine, b"L\x00")
         assert len(length_keys) == 2
         engine.remove_document(BLOCK_SPAN + 1)
+        engine.settle()
         # The block's last row, and the block's last document: both records go.
         assert len(self.keys(engine, engine._posting_prefix("common"))) == 1
         assert self.keys(engine, b"L\x00") == length_keys[:1]
         assert engine.document_frequency("common") == 1
         engine.remove_document(1)
+        engine.settle()
         # The terms' last postings: their statistics go; only ``S`` is left.
         assert engine.tree.get(engine._term_stats_key("common")) is None
         assert [key for key, _value in engine.tree.items()] == [b"S"]
@@ -218,16 +353,19 @@ class TestPostingBlockLayout:
         engine = make_engine()
         for doc_id, count in [(9, 1), (2, 3), (30, 2), (5, 1)]:
             engine.add_document(doc_id, " ".join(["word"] * count))
+        engine.settle()
         rows, trailer = self.block_rows(engine, "word", 0)
         assert rows == [2, 3, 5, 1, 9, 1, 30, 2]
         assert trailer == struct.pack(">I", 3)
         engine.remove_document(2)  # the block's maximum leaves: the trailer follows
+        engine.settle()
         assert self.block_rows(engine, "word", 0) == ([5, 1, 9, 1, 30, 2], struct.pack(">I", 2))
         assert engine.bound_violations() == []
 
     def test_a_hundred_occurrences_keep_their_tf_and_64_positions(self):
         engine = make_engine()
         engine.add_document(7, " ".join(["echo"] * 100 + ["tail"]))
+        engine.settle()
         assert self.block_rows(engine, "echo", 0)[0] == [7, 100]
         assert engine._read_doc(7)[1]["echo"] == tuple(range(MAX_STORED_POSITIONS))
         assert engine.search_phrase("echo echo") == [7]

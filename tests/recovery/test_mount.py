@@ -160,9 +160,10 @@ class TestMountErrors:
             HFADFileSystem.mount(image)
         assert image.dump() == before
 
-    @pytest.mark.parametrize("stamp", [None, 1])
+    @pytest.mark.parametrize("stamp", [None, 1, 2])
     def test_refused_fulltext_format_leaves_the_device_untouched(self, stamp):
-        # An image from before posting blocks: no stamp at all, or stamp 1.
+        # An image from before posting blocks (no stamp at all, or stamp 1),
+        # or from before the posting backlog (stamp 2).
         device, fs = make_fs()
         fs.create(b"committed only in the journal", path="/j.txt")
         image = clone(device)

@@ -116,6 +116,11 @@ class TestFormatVersions:
             Superblock.from_bytes(encode_fields(fields))
 
     def test_the_per_posting_fulltext_layout_is_refused(self):
-        assert make_superblock().fulltext_format == 2
+        assert make_superblock().fulltext_format == 3
         with pytest.raises(RecoveryError, match="fulltext_format=1"):
             make_superblock(fulltext_format=1).require_mountable()
+
+    def test_the_eager_posting_block_layout_is_refused(self):
+        # Stamp 2 trees hold no backlog records, but one format is served.
+        with pytest.raises(RecoveryError, match="fulltext_format=2"):
+            make_superblock(fulltext_format=2).require_mountable()

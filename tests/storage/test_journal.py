@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import DeviceError, JournalError, TransactionError
+from repro.errors import DeviceError, JournalError, JournalFullError, TransactionError
 from repro.storage import BlockDevice, FaultPlan, Journal
+from repro.storage.journal import TYPE_DATA
 
 
 def make_journal(journal_blocks=16, num_blocks=256, block_size=512):
@@ -128,6 +129,22 @@ class TestRecovery:
                 txn = journal.begin()
                 txn.log_write(200, bytes([i % 250]) * 400)
                 txn.commit()
+
+    def test_one_transaction_larger_than_the_journal_is_a_typed_error(self):
+        # A checkpoint cannot help a single transaction that outgrows the
+        # region: the error says so by type, on both append paths.
+        device, journal = make_journal(journal_blocks=2, block_size=512)
+        txn = journal.begin()
+        for block in range(100, 104):
+            txn.log_write(block, b"x" * 400)
+        with pytest.raises(JournalFullError):
+            txn.commit()
+        assert device.read_block(100) == bytes(512)  # nothing reached home
+        txid = journal.allocate_txid()
+        with pytest.raises(JournalFullError):
+            for block in range(100, 104):
+                journal.append(TYPE_DATA, txid, block, bytes([block]) * 400)
+        assert issubclass(JournalFullError, JournalError)
 
     def test_commit_order_preserved_on_replay(self):
         device, journal = make_journal()

@@ -111,6 +111,35 @@ class TestDifferentialExactness:
         assert scrub["kind"] == "scrub"
         assert scrub["detail"] == "limit=4"
 
+    def test_a_threshold_settle_is_an_operation_of_its_own(self, wal_fs, monkeypatch):
+        from repro.fulltext import persistent_index
+
+        monkeypatch.setattr(persistent_index, "SETTLE_KEYS", 8)
+        before = _component_counters(wal_fs)
+        wal_fs.create(content=b"alpha beta gamma delta epsilon", owner="nick")
+        after = _component_counters(wal_fs)
+        create, settle = wal_fs.operations(2)  # newest first; the settle closed inside the create
+        assert (create["kind"], settle["kind"]) == ("create", "settle")
+        # The create is not charged for the postings of the batch it closed.
+        assert settle["wal_bytes"] > 0 and settle["wal_syncs"] > 1
+        assert settle["wal_bytes"] + create["wal_bytes"] == after["wal_bytes"] - before["wal_bytes"]
+        index = wal_fs.stats()["persistent_index"]
+        assert index["fulltext_settles"] == 1
+        assert (index["fulltext_backlog_docs"], index["fulltext_backlog_keys"]) == (0, 0)
+        gauges = wal_fs.stats()["telemetry"]["gauges"]
+        assert gauges["fulltext.settles"] == 1 and gauges["fulltext.backlog_keys"] == 0
+
+    def test_the_backlog_is_visible_between_settles(self, wal_fs):
+        wal_fs.create(content=b"alpha beta", owner="nick")
+        wal_fs.create(content=b"alpha gamma", owner="nick")
+        index = wal_fs.stats()["persistent_index"]
+        assert index["fulltext_backlog_docs"] == 2
+        assert index["fulltext_backlog_keys"] == 6  # three terms: a block and statistics each
+        assert wal_fs.stats()["telemetry"]["gauges"]["fulltext.backlog_docs"] == 2
+        wal_fs.checkpoint()  # its settle is absorbed into the checkpoint's record
+        assert wal_fs.operations(1)[0]["kind"] == "checkpoint"
+        assert wal_fs.stats()["persistent_index"]["fulltext_backlog_docs"] == 0
+
     def test_in_memory_operations_report_no_device_or_wal_traffic(self, mem_fs):
         op, deltas = _run_attributed(
             mem_fs, lambda: mem_fs.create(content=b"alpha beta", owner="kim"))

@@ -187,6 +187,19 @@ class TestObservabilityCommands:
         with pytest.raises(ShellError):
             shell.execute("stats --format yaml")
 
+    def test_stats_prints_the_posting_backlog_of_a_device_backed_engine(self, shell):
+        from repro.core.filesystem import HFADFileSystem
+
+        assert "fulltext backlog" not in shell.execute("stats")  # volatile: no device
+        durable = HFADShell(HFADFileSystem(btree_on_device=True, num_blocks=1 << 14))
+        durable.execute("put /a.txt alpha beta")
+        assert ("fulltext backlog: 1 document(s), 4 key(s) unsettled; 0 settle(s)"
+                in durable.execute("stats"))
+        durable.fs.checkpoint()
+        assert ("fulltext backlog: 0 document(s), 0 key(s) unsettled; 1 settle(s)"
+                in durable.execute("stats"))
+        durable.fs.close()
+
     def test_trace_lists_recent_queries(self, shell):
         assert shell.execute("trace") == "(no traces)"
         shell.execute("put /a.txt alpha beta")
