@@ -431,7 +431,6 @@ class HFADShell:
             f"{naming.queries} quer(y/ies), {naming.ranked_queries} ranked",
             f"keyvalue entries scanned: {stats['keyvalue_entries_scanned']}",
             f"fulltext postings scanned: {stats['fulltext_postings_scanned']}",
-            f"indexer backlog: {stats['indexer']}",
         ]
         if stats["query_cache"] is not None:
             cache = stats["query_cache"]

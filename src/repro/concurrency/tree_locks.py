@@ -8,16 +8,16 @@ master page.  This module turns that independence into concurrency: instead
 of one wholesale transaction mutex, each tree has a reader/writer queue.
 
 * **Writers** (WAL transactions) take the *exclusive* lock of every tree
-  they declare, so a background lazy-indexing transaction (``fulltext``)
-  overlaps a foreground namespace transaction (``master``).
+  they declare, so a transaction on ``fulltext`` alone (a posting-backlog
+  settle's) leaves readers of ``master`` running.
 * **Readers** (boolean/ranked queries) take *shared* locks for the duration
   of one :meth:`read_view`, so queries overlap each other freely and see a
   stable generation of each tree while writers to *other* trees proceed.
 
 Deadlock freedom is by construction, not by detection: every acquisition —
 shared or exclusive, including a transaction escalating to an extra tree
-mid-flight (``master`` → ``fulltext`` for synchronous indexing) — must
-follow the global rank order ``master < fulltext < image``.  Acquiring
+mid-flight (``master`` → ``fulltext`` when a create indexes its content) —
+must follow the global rank order ``master < fulltext < image``.  Acquiring
 against rank order raises :class:`~repro.errors.RecoveryError` immediately;
 upgrades (shared → exclusive) are refused for the same reason.  With a total
 acquisition order and no upgrades, a wait-for cycle cannot form.

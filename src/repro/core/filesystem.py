@@ -11,8 +11,9 @@ veneer and the benchmarks use:
   interfaces;
 * searches are conjunctions of tag/value pairs or full boolean queries,
   optionally planned by selectivity;
-* content indexing can be synchronous or lazy (background threads), matching
-  the paper's implementation sketch.
+* content is indexed inside the operation that wrote it; the full-text
+  engine's posting backlog defers the tree writes (the paper's lazy
+  indexing), not the visibility.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class HFADFileSystem:
         created when omitted.
     :param num_blocks: size of the private device (ignored if ``device`` given).
     :param latency_model: latency model for the private device.
-    :param lazy_indexing: index full-text content with background threads
-        instead of synchronously.
-    :param index_workers: background indexing threads when lazy.
     :param btree_on_device: persist index/extent btrees on the device too.
         The device is formatted with a superblock and a write-ahead journal,
         btrees run write-back through the shared buffer pool, every page is
@@ -152,8 +150,6 @@ class HFADFileSystem:
         device: Optional[BlockDevice] = None,
         num_blocks: int = 1 << 16,
         latency_model: Optional[LatencyModel] = None,
-        lazy_indexing: bool = False,
-        index_workers: int = 1,
         btree_on_device: bool = False,
         enable_planner: bool = True,
         cache_pages: int = 256,
@@ -286,8 +282,6 @@ class HFADFileSystem:
         self.keyvalue_index = KeyValueIndexStore()
         self.path_index = PosixPathIndexStore()
         self.fulltext_index = FullTextIndexStore(
-            lazy=lazy_indexing,
-            workers=index_workers,
             index=PersistentInvertedIndex(self._fulltext_tree, recovery=self.recovery),
         )
         if btree_on_device:
@@ -307,10 +301,9 @@ class HFADFileSystem:
         self.registry.register(self.path_index)
         self.registry.register(self.fulltext_index)
         self.registry.register(self.image_index)
-        # Content indexing mutates the inverted index outside the registry
-        # (possibly on a background thread); bump the FULLTEXT generation at
-        # the moment a mutation becomes visible so cached results die exactly
-        # then.
+        # Content indexing mutates the inverted index outside the registry;
+        # bump the FULLTEXT generation at the moment a mutation becomes
+        # visible so cached results die exactly then.
         self.fulltext_index.on_mutation = lambda: self.registry.touch(TAG_FULLTEXT)
         # Native API.
         self.query_cache = (
@@ -340,13 +333,6 @@ class HFADFileSystem:
             self.recovery.commit_batch_sizes = self.telemetry.metrics.histogram(
                 "wal.group_commit.batch_size",
                 "commit markers covered by each journal sync",
-            )
-        if self.telemetry.attribution is not None:
-            # Background index applies run in worker threads, outside any
-            # foreground operation's context — give each its own ledger
-            # entry so lazy-index work is attributed, not lost.
-            self.fulltext_index.indexer.operation_factory = (
-                self.telemetry.attribution.operation
             )
         self._install_timed_locks()
         self._register_telemetry()
@@ -382,8 +368,6 @@ class HFADFileSystem:
         cache_policy: str = "lru",
         query_cache_entries: int = 256,
         enable_planner: bool = True,
-        lazy_indexing: bool = False,
-        index_workers: int = 1,
         checkpoint_threshold: float = 0.5,
         group_commit: int = 1,
         sync_interval_ms: Optional[float] = None,
@@ -420,8 +404,6 @@ class HFADFileSystem:
             cache_policy=cache_policy,
             query_cache_entries=query_cache_entries,
             enable_planner=enable_planner,
-            lazy_indexing=lazy_indexing,
-            index_workers=index_workers,
             telemetry=telemetry,
             slow_query_ms=slow_query_ms,
             _mounted={"recovery": recovery},
@@ -436,9 +418,6 @@ class HFADFileSystem:
         features are already attached from their persistent index trees —
         no object bytes are read.
         """
-        #: deferred index mutations planned by _plan_fulltext_heal — run
-        #: only after the rebuild walk so probes see a quiescent tree.
-        heal_actions: List = []
         inventory = self.objects.take_mount_inventory()
         if inventory is not None:
             # The mount walk already materialized every master-tree entry;
@@ -450,90 +429,19 @@ class HFADFileSystem:
             }
             names_by_oid = {oid: self.objects.names(oid) for oid in metadata_by_oid}
         for oid in sorted(metadata_by_oid):
-            manual_fulltext: List[TagValue] = []
             for entry in names_by_oid.get(oid, ()):
                 if entry.startswith(_NAME_ENTRY):
                     pair = TagValue.parse(entry[len(_NAME_ENTRY):])
-                    if pair.tag == TAG_FULLTEXT:
-                        # Normally already in the posting tree — but kept
-                        # aside for the lazy-crash heal below.
-                        manual_fulltext.append(pair)
-                        continue
-                    if pair.tag == TAG_IMAGE:
-                        continue  # already in the on-device feature tree
+                    if pair.tag in (TAG_FULLTEXT, TAG_IMAGE):
+                        continue  # already in the on-device index trees
                     self._ensure_tag_registered(pair.tag)
                     self.naming.add_name(oid, pair)
                 elif entry.startswith(_PATH_ENTRY):
                     self.path_index.link(entry[len(_PATH_ENTRY):], oid)
-            attributes = metadata_by_oid[oid].attributes
-            content_indexed = attributes.get(_ATTR_INDEXED) == "1"
-            if content_indexed:
+            if metadata_by_oid[oid].attributes.get(_ATTR_INDEXED) == "1":
                 self._content_indexed.add(oid)
-            self._plan_fulltext_heal(oid, content_indexed, manual_fulltext,
-                                     heal_actions)
-        # Scrub orphans: a deleted object's queued (lazy) content add may
-        # have applied — in its own WAL transaction — after the delete
-        # committed, leaving postings with no object behind them.
-        for doc_oid in self.fulltext_index.index.document_ids():
-            if doc_oid not in metadata_by_oid:
-                heal_actions.append(
-                    lambda doomed=doc_oid: self.fulltext_index.drop_content(doomed)
-                )
-        # Execute the planned heals only now: with lazy indexing the
-        # first submission starts worker threads, and the probes above
-        # must all run against a quiescent tree.
-        for action in heal_actions:
-            action()
         for tag in (TAG_POSIX, TAG_FULLTEXT, TAG_IMAGE):
             self.registry.touch(tag)
-
-    def _plan_fulltext_heal(self, oid: int, content_indexed: bool,
-                            manual_fulltext: List[TagValue],
-                            heal_actions: List) -> None:
-        """Reconcile one object's persisted postings with its committed names.
-
-        With synchronous indexing the posting tree can never disagree with
-        the master tree (they commit together).  Lazy indexing applies in
-        separate worker transactions, so a crash can strand three states,
-        each healed from durable metadata alone:
-
-        * flagged content-indexed but no document record — the content add
-          never applied: re-derive from the object's bytes (the only case
-          that reads content, and the probe costs one index lookup);
-        * committed manual FULLTEXT name entries on an object with *no*
-          document record — the whole apply chain was lost: re-add them
-          (after the content, preserving submission order).  When a record
-          exists the entries are left alone: an entry's terms being absent
-          then is not diagnostic (re-indexing an edited object already
-          replaces manual terms with content terms — a long-standing
-          facade-level quirk — and "healing" those would change answers on
-          perfectly clean mounts);
-        * a document record with no content flag and no manual names — a
-          ``disable_content_indexing``'s queued removal was lost: drop it.
-
-        Only *probes* run here; the mutations are appended to
-        ``heal_actions`` and executed after the whole rebuild walk, because
-        with lazy indexing the first submission starts worker threads whose
-        applies would race the remaining probes.
-        """
-        engine = self.fulltext_index.index
-        if oid not in engine:
-            if content_indexed:
-                content = self.objects.read(oid)
-                if content:
-                    heal_actions.append(
-                        lambda o=oid, c=content: self.fulltext_index.index_content(o, c)
-                    )
-            # Re-applied through the store so ordering stays FIFO with the
-            # content re-derive queued just above.
-            for pair in manual_fulltext:
-                heal_actions.append(
-                    lambda o=oid, p=pair: self.naming.add_name(o, p)
-                )
-        elif not content_indexed and not manual_fulltext:
-            heal_actions.append(
-                lambda o=oid: self.fulltext_index.drop_content(o)
-            )
 
     def _ensure_tag_registered(self, tag: str) -> None:
         """Serve ad-hoc tags met during a mount with on-the-fly kv stores."""
@@ -969,6 +877,8 @@ class HFADFileSystem:
 
     def enable_content_indexing(self, oid: int) -> None:
         """Start tracking (and immediately index) the object's content."""
+        if not self.objects.exists(oid):
+            raise NoSuchObjectError(oid)
         with self._durable():
             self._content_indexed.add(oid)
             self._persist_attr(oid, _ATTR_INDEXED, "1")
@@ -976,6 +886,8 @@ class HFADFileSystem:
 
     def disable_content_indexing(self, oid: int) -> None:
         """Stop tracking the object's content and drop it from the index."""
+        if not self.objects.exists(oid):
+            raise NoSuchObjectError(oid)
         with self._durable():
             self._content_indexed.discard(oid)
             self._unpersist_attr(oid, _ATTR_INDEXED)
@@ -1272,23 +1184,13 @@ class HFADFileSystem:
         """Start a namespace transaction (atomic group of naming operations)."""
         return self.transactions.begin()
 
-    def flush_indexing(self, timeout: Optional[float] = None) -> bool:
-        """Wait for lazy full-text indexing to catch up."""
-        return self.fulltext_index.flush(timeout=timeout)
-
-    def wait_for_indexing(self, timeout: Optional[float] = None) -> bool:
-        """Alias of :meth:`flush_indexing`; afterwards the telemetry backlog
-        gauges (``indexer.queued`` / ``indexer.in_flight``) read zero."""
-        return self.flush_indexing(timeout=timeout)
-
     def close(self) -> None:
-        """Stop background indexing threads and checkpoint (clean unmount).
+        """Checkpoint (clean unmount).
 
         The checkpoint is best-effort: a dead device or a poisoned recovery
         manager must not turn teardown into a crash — recovery at the next
         mount handles those states by design.
         """
-        self.fulltext_index.close()
         if self.recovery is not None:
             self.recovery.stop_flusher()
             try:
@@ -1317,7 +1219,6 @@ class HFADFileSystem:
         "fulltext_term_lookups",
         "fulltext_postings_scanned",
         "ranked",
-        "indexer",
         "object_count",
         "buffer_pool",
         "query_cache",
@@ -1367,7 +1268,7 @@ class HFADFileSystem:
         reads them only when a snapshot is asked for — migrating costs the
         hot paths nothing, and collectors work even with telemetry disabled
         (which is what keeps ``stats()`` shape-identical either way).
-        Callback gauges expose the lazy-indexer backlog as live values.
+        Callback gauges expose the posting backlog as live values.
         """
         metrics = self.telemetry.metrics
         for name, fn in (
@@ -1382,7 +1283,6 @@ class HFADFileSystem:
             ("fulltext_postings_scanned",
              lambda: self.fulltext_index.index.postings_scanned),
             ("ranked", lambda: self.fulltext_index.ranked_stats.snapshot()),
-            ("indexer", lambda: self.fulltext_index.indexer.backlog()),
             ("object_count", lambda: self.object_count),
             ("buffer_pool",
              lambda: (self.buffer_pool.snapshot()
@@ -1415,16 +1315,6 @@ class HFADFileSystem:
                           fn=lambda at=at: engine.backlog[at])
         metrics.gauge("fulltext.settles", "posting backlog settles completed",
                       fn=lambda: engine.settles)
-        backlog = self.fulltext_index.indexer.backlog
-        metrics.gauge("indexer.queued",
-                      "submitted index work not yet picked up by a worker",
-                      fn=lambda: backlog()["queued"])
-        metrics.gauge("indexer.in_flight",
-                      "index work dequeued but not yet applied",
-                      fn=lambda: backlog()["in_flight"])
-        metrics.gauge("indexer.completed",
-                      "index applies finished (adds + removals)",
-                      fn=lambda: backlog()["completed"])
 
     def stats(self) -> Dict[str, object]:
         """A snapshot of work counters across every layer (for benchmarks).
@@ -1451,9 +1341,9 @@ class HFADFileSystem:
 
     def _keyvalue_entries_scanned(self) -> int:
         """Entries scanned across *every* keyvalue store — the primary one
-        plus any ad-hoc per-tag stores registered later (mount healing,
-        user-invented tags), so the analyze differential holds for those
-        leaves too."""
+        plus any ad-hoc per-tag stores registered later (tags met during a
+        mount, user-invented tags), so the analyze differential holds for
+        those leaves too."""
         total = self.keyvalue_index.scan_stats.scanned
         for store in self.registry.stores:
             if (isinstance(store, KeyValueIndexStore)
@@ -1620,19 +1510,6 @@ class HFADFileSystem:
                       f"degraded rescan fallback")
             else:
                 check("degraded_queries", "ok", "no degraded queries")
-        indexer = self.fulltext_index.indexer
-        backlog = indexer.backlog()
-        outstanding = backlog["queued"] + backlog["in_flight"]
-        ratio = outstanding / indexer.max_queue if indexer.max_queue else 0.0
-        if ratio >= 0.9:
-            status = "fail"
-        elif ratio >= 0.5 or backlog["failed"]:
-            status = "warn"
-        else:
-            status = "ok"
-        check("indexer", status,
-              f"{outstanding}/{indexer.max_queue or 'inline'} outstanding, "
-              f"{backlog['failed']} failed apply(ies)")
         if self.recovery is not None:
             journal = self.recovery.journal
             occupancy = (journal.bytes_used / journal.capacity_bytes

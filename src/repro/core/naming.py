@@ -138,8 +138,8 @@ class NamingInterface:
                 self.stats.cached_results += 1
                 return cached
         # Snapshot generations before evaluating: a concurrent mutation (e.g.
-        # lazy indexing applying on a worker thread) then prevents the stale
-        # result from being cached under the post-mutation generation.
+        # another thread's create) then prevents the stale result from being
+        # cached under the post-mutation generation.
         snapshot = self.query_cache.generations_for(query)
         results, exhausted = materialize(
             query.cursor(self.registry, self.planner), limit=limit, probe_exhaustion=True

@@ -3,7 +3,9 @@
 hFAD's FULLTEXT index store is, in the paper, "Lucene ported to sit atop the
 raw device and the storage allocator", with "background threads to perform
 lazy full-text indexing" (Section 3.4).  This package reproduces the
-behaviourally relevant parts:
+behaviourally relevant parts; the lazy part is the engine's durable posting
+backlog — a document is searchable when its create returns, its postings
+reach the tree later in sorted batches (experiment E6):
 
 * :mod:`repro.fulltext.analyzer` — tokenization, stop-word removal and a
   light suffix-stripping stemmer.
@@ -11,18 +13,13 @@ behaviourally relevant parts:
   one B+-tree (in memory or on the device): document add/remove/update,
   conjunctive (AND) and disjunctive (OR) term queries, phrase queries, and
   BM25 ranking.
-* :mod:`repro.fulltext.lazy_indexer` — the background indexing pipeline:
-  documents are queued and indexed by worker threads, so ingest latency and
-  query visibility lag can be traded off (experiment E6).
 """
 
 from repro.fulltext.analyzer import Analyzer
-from repro.fulltext.lazy_indexer import LazyIndexer
 from repro.fulltext.persistent_index import PersistentInvertedIndex, SearchHit
 
 __all__ = [
     "Analyzer",
     "PersistentInvertedIndex",
     "SearchHit",
-    "LazyIndexer",
 ]

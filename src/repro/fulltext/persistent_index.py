@@ -69,9 +69,8 @@ the stored prefix of a pathologically long document's occurrence list.
 Mutations bracket themselves in a recovery-manager transaction, so an
 ``add_document`` inside an enclosing filesystem operation *joins* that
 operation's WAL transaction (create = allocate + write + name + index is one
-commit marker), while a background (lazy-indexing) worker's application
-forms its own transaction — serialized against foreground transactions by
-the recovery manager's transaction lock.  A settle is several transactions
+commit marker): the document's records and the master-tree write they
+belong to commit together or not at all.  A settle is several transactions
 of its own, with every other writer held at the manager's checkpoint gate.
 """
 
@@ -444,10 +443,9 @@ class PersistentInvertedIndex:
             yield
             self._settle_if_due()  # no commit to hook: the threshold is checked here
             return
-        # Declares the fulltext tree scope: a background indexing
-        # transaction queues only against other fulltext writers, so it
-        # overlaps foreground master-tree transactions.  A foreground
-        # operation indexing synchronously *escalates* its open master
+        # Declares the fulltext tree scope: a settle's transaction queues
+        # only against other fulltext writers and readers.  A filesystem
+        # operation indexing content *escalates* its open master
         # transaction with the fulltext lock here (master < fulltext is
         # the sanctioned order).
         with self._recovery.transaction(trees=("fulltext",)):
@@ -607,7 +605,7 @@ class PersistentInvertedIndex:
 
         The existence probe runs *inside* the transaction: the recovery
         manager's transaction lock then serializes check-and-delete, so two
-        racing removals (a lazy worker vs a foreground delete) cannot both
+        racing removals (two server threads deleting one object) cannot both
         pass the probe and double-decrement the corpus stats.
         """
         with self._txn():
@@ -992,8 +990,8 @@ class PersistentInvertedIndex:
     def document_ids(self) -> List[int]:
         """Every indexed document id, ascending (read off the ``L`` records).
 
-        The mount path uses this to scrub orphans: documents whose object
-        was deleted while their (lazy) index application was still queued.
+        For audits: the crash-torture remount check and the differential
+        tests compare it with the live objects.
         """
         ids: List[int] = []
         for key, raw in self._tree.cursor(prefix=_LENGTH_PREFIX):

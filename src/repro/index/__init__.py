@@ -18,7 +18,7 @@ of indices facilitating multiple naming modes and types of search."
   veneer needs; an object may carry many paths ("a data item may have many
   names, all equally useful").
 * :mod:`repro.index.fulltext_index` — the FULLTEXT store wrapping the
-  inverted index (optionally with lazy background indexing).
+  inverted index.
 * :mod:`repro.index.image_index` — an example of an "arbitrary index type"
   (Section 3.2 mentions indices on images): indexes colour-histogram feature
   vectors and answers dominant-colour and similarity queries.

@@ -92,8 +92,8 @@ class IndexStoreRegistry:
         # Per-tag mutation generations, consumed by the query-result cache
         # (repro.cache.query_cache): every mutation that can change a tag's
         # lookups bumps its counter, so cached results for that tag — and
-        # only that tag — become stale.  touch() may be called from lazy
-        # indexing worker threads, so increments are locked: a lost update
+        # only that tag — become stale.  touch() may be called from several
+        # writer threads at once, so increments are locked: a lost update
         # would leave a stale cache entry validating as fresh forever.
         self._generations: Dict[str, int] = {}
         self._generation_lock = threading.Lock()

@@ -182,12 +182,12 @@ class RecoveryManager:
         #: number of commit markers each journal sync covered; installed by
         #: the filesystem facade when telemetry is enabled.
         self.commit_batch_sizes = None
-        # Per-tree transaction queues: a lazy-indexing worker's fulltext
-        # transaction overlaps a foreground master transaction, while two
-        # transactions on the *same* tree still serialize.  Journal appends
-        # from overlapping transactions interleave safely — records carry
-        # txids and replay groups by txid.  Readers take shared tree locks
-        # through the same table (snapshot read views).
+        # Per-tree transaction queues: a transaction on ``fulltext`` alone
+        # (a posting-backlog settle's) overlaps read views of ``master``,
+        # while two transactions on the *same* tree still serialize.  Journal
+        # appends from overlapping transactions interleave safely — records
+        # carry txids and replay groups by txid.  Readers take shared tree
+        # locks through the same table (snapshot read views).
         self.tree_locks = TreeLockTable()
         # Checkpoint quiescence gate: checkpoints flush the pool and
         # truncate the journal, so they wait for zero open transactions
@@ -249,10 +249,9 @@ class RecoveryManager:
         transaction, and only the outermost commit writes the commit marker.
         ``trees`` declares which trees the transaction mutates — the
         exclusive per-tree locks are what serialize it against other
-        threads, so two transactions on disjoint trees (a lazy-indexing
-        worker on ``fulltext``, the foreground on ``master``) overlap.  A
-        nested begin may *escalate* to additional trees (synchronous
-        indexing inside a namespace operation), which must follow the
+        threads, so two transactions on disjoint trees overlap.  A nested
+        begin may *escalate* to additional trees (a create indexing its
+        content inside its namespace operation), which must follow the
         global rank order — the table raises on violations, so a deadlock
         is impossible by construction.
         """

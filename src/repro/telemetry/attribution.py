@@ -8,7 +8,7 @@ pieces:
 * :class:`OperationContext` — a per-operation accumulator threaded through
   the engine via a :mod:`contextvars` variable.  The facade opens one
   context around every user-facing operation (``create``, ``query``,
-  ``rank``, ``scrub``, a lazy-index apply, ``checkpoint``); the low layers
+  ``rank``, ``scrub``, a backlog ``settle``, ``checkpoint``); the low layers
   (buffer pool, device page stores, journal, retry ladder) report into
   whatever context is active with one C-level ``ContextVar.get`` and an
   integer add — no parameter plumbing, no cost when no context is open.

@@ -271,17 +271,6 @@ class TestThroughFileSystem:
             assert a not in fs.query("FULLTEXT/beach")
             assert fs.query("FULLTEXT/mountain") == [a]
 
-    def test_lazy_indexing_invalidates_at_visibility_time(self):
-        from repro import HFADFileSystem
-
-        with HFADFileSystem(lazy_indexing=True, index_workers=1) as fs:
-            a = fs.create(b"needle in a haystack", path="/n.txt")
-            fs.flush_indexing(timeout=5)
-            assert a in fs.query("FULLTEXT/needle")
-            fs.write(a, 0, b"nothing to see here anymore")
-            fs.flush_indexing(timeout=5)
-            assert a not in fs.query("FULLTEXT/needle")
-
     def test_path_operations_invalidate_posix_queries(self):
         from repro import HFADFileSystem
 

@@ -1,6 +1,6 @@
 """Concurrency torture: crash injection composed with real threads.
 
-Writer threads, a query thread and the background indexer all hammer one
+Writer threads and a query thread hammer one
 WAL filesystem whose device is armed to crash after a sampled number of
 writes.  Whichever thread issues the fatal write sees ``CrashError``; the
 others fail shut behind the poisoned recovery manager.  The audit then

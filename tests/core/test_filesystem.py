@@ -194,14 +194,6 @@ class TestTransactionsThroughFacade:
         assert fs.find(("UDEF", "kept")) == [oid]
 
 
-class TestLazyIndexingMode:
-    def test_lazy_content_search_after_flush(self):
-        with HFADFileSystem(lazy_indexing=True, index_workers=2) as fs:
-            oids = [fs.create(f"lazy document {i} mentioning photos".encode()) for i in range(10)]
-            assert fs.flush_indexing(timeout=10)
-            assert fs.search_text("photos") == oids
-
-
 class TestStats:
     def test_stats_snapshot(self, fs):
         oid = fs.create(b"some words", path="/a")
@@ -241,3 +233,31 @@ def test_constructor_surface():
         assert name not in parameters
         with pytest.raises(TypeError):
             HFADFileSystem(**{name: value})
+
+
+def test_one_index_apply_path_surface():
+    """No knob selects when content reaches the index: it is always inside
+    the operation, and the engine's backlog does the deferring."""
+    import inspect
+
+    def public(function):
+        return [name for name in inspect.signature(function).parameters
+                if name != "self" and not name.startswith("_")]
+
+    constructor = public(HFADFileSystem.__init__)
+    assert len(constructor) == 14
+    assert set(public(HFADFileSystem.mount)) - {"device"} <= set(constructor)
+    with pytest.raises(TypeError):
+        HFADFileSystem(lazy_indexing=True)
+
+
+@pytest.mark.parametrize("on_device", [False, True])
+def test_content_indexing_toggles_refuse_an_unknown_object(on_device):
+    with HFADFileSystem(btree_on_device=on_device, num_blocks=1 << 14) as fs:
+        for toggle in (fs.enable_content_indexing, fs.disable_content_indexing):
+            with pytest.raises(NoSuchObjectError):
+                toggle(999)
+        assert 999 not in fs._content_indexed
+        # Refused before the durable bracket: the filesystem stays usable.
+        oid = fs.create(b"still works")
+        assert fs.search_text("works") == [oid]

@@ -56,18 +56,7 @@ class TestFullTextIndexStore:
         store = FullTextIndexStore()
         store.index_content(4, "temporary notes")
         store.drop_content(4)
-        store.flush()
         assert store.lookup(TAG_FULLTEXT, "notes") == []
-
-    def test_lazy_mode_visibility_after_flush(self):
-        store = FullTextIndexStore(lazy=True, workers=2)
-        try:
-            for oid in range(20):
-                store.index_content(oid, f"lazy document {oid} about photos")
-            assert store.flush(timeout=10)
-            assert len(store.lookup(TAG_FULLTEXT, "photos")) == 20
-        finally:
-            store.close()
 
     def test_cardinality_and_rank(self):
         store = FullTextIndexStore()

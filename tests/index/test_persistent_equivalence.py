@@ -5,7 +5,7 @@ against a WAL device with persistent index trees and against a plain
 in-memory filesystem must produce identical ``query``/``search_text``/
 ``rank_text`` answers — before an unmount, after a re-mount, and after
 continuing the workload on the re-mounted instance.  Exercised with
-unlink/rename churn and (separately) with lazy background indexing.
+unlink/rename churn.
 """
 
 import random
@@ -23,14 +23,8 @@ WORDS = (
 STEPS = 70
 
 
-def make_ops(seed, steps=STEPS, start_step=0, fulltext_tags=True, deletes=True):
-    """A deterministic op list applied identically to every filesystem.
-
-    ``fulltext_tags=False`` / ``deletes=False`` carve out two op kinds whose
-    *in-memory* semantics are already order-sensitive (manual FULLTEXT tags
-    collapse term frequencies; lazy indexing applies deletes out of queue
-    order) — the lazy-mode test compares without them.
-    """
+def make_ops(seed, steps=STEPS, start_step=0):
+    """A deterministic op list applied identically to every filesystem."""
     rng = random.Random(seed)
     ops = []
     live = []  # op-local view: which create-serials are still live
@@ -44,20 +38,14 @@ def make_ops(seed, steps=STEPS, start_step=0, fulltext_tags=True, deletes=True):
             ops.append(("append", rng.choice(live),
                         " ".join(rng.choice(WORDS) for _ in range(rng.randint(1, 5)))))
         elif roll < 0.6:
-            if fulltext_tags:
-                ops.append(("tag_fulltext", rng.choice(live), rng.choice(WORDS)))
-            else:
-                ops.append(("tag_udef", rng.choice(live), f"label{step}"))
+            ops.append(("tag_fulltext", rng.choice(live), rng.choice(WORDS)))
         elif roll < 0.68:
-            if fulltext_tags:
-                ops.append(("untag_fulltext", rng.choice(live), rng.choice(WORDS)))
-            else:
-                ops.append(("append", rng.choice(live), rng.choice(WORDS)))
+            ops.append(("untag_fulltext", rng.choice(live), rng.choice(WORDS)))
         elif roll < 0.76:
             ops.append(("rename", rng.choice(live), f"/moved/m{step}.txt"))
         elif roll < 0.82:
             ops.append(("unlink", rng.choice(live)))
-        elif roll < 0.9 or not deletes:
+        elif roll < 0.9:
             histogram = [rng.random() + 0.01 for _ in range(8)]
             ops.append(("image", rng.choice(live), histogram))
         else:
@@ -78,8 +66,6 @@ def apply_ops(fs, ops, oid_by_serial):
             fs.append(oid_by_serial[op[1]], b" " + op[2].encode())
         elif kind == "tag_fulltext":
             fs.tag(oid_by_serial[op[1]], "FULLTEXT", op[2])
-        elif kind == "tag_udef":
-            fs.tag(oid_by_serial[op[1]], "UDEF", op[2])
         elif kind == "untag_fulltext":
             fs.untag(oid_by_serial[op[1]], "FULLTEXT", op[2])
         elif kind == "rename":
@@ -120,13 +106,12 @@ def assert_equivalent(reference, candidate):
         assert sorted(candidate.paths_for(oid)) == sorted(reference.paths_for(oid))
 
 
-def build_pair(lazy=False):
+def build_pair():
     device = BlockDevice(num_blocks=1 << 16)
     persistent = HFADFileSystem(
         device=device,
         btree_on_device=True,
         query_cache_entries=0,
-        lazy_indexing=lazy,
     )
     reference = HFADFileSystem(query_cache_entries=0)
     return device, persistent, reference
@@ -155,36 +140,5 @@ def test_persistent_equals_in_memory_across_remount(seed):
     apply_ops(reference, more, oids_r)
     assert_equivalent(reference, mounted)
     assert mounted.fsck()["clean"]
-    mounted.close()
-    reference.close()
-
-
-def test_lazy_indexing_equivalence_with_remount():
-    # Deletes and manual FULLTEXT tag ops are excluded: delete and *untag*
-    # index removals run synchronously inside their WAL transactions (their
-    # results feed the naming layer) and so jump the worker queue — the
-    # documented visibility-lag semantics of lazy mode, identical for the
-    # in-memory engine.  Tag *adds* do ride the queue (FIFO with content,
-    # so a crash can never persist a tag ahead of its content), but a
-    # tag/untag pair still resolves in a different order than the
-    # synchronous reference.  Content indexing itself is FIFO, so after
-    # flush_indexing() the persisted postings must match exactly.
-    device, persistent, reference = build_pair(lazy=True)
-    oids_p, oids_r = {}, {}
-    ops = make_ops(314, fulltext_tags=False, deletes=False)
-    apply_ops(persistent, ops, oids_p)
-    apply_ops(reference, ops, oids_r)
-    assert persistent.flush_indexing(timeout=30)
-    assert_equivalent(reference, persistent)
-
-    persistent.close()
-    mounted = HFADFileSystem.mount(device, query_cache_entries=0, lazy_indexing=True)
-    assert mounted.flush_indexing(timeout=30)  # mount heals may enqueue
-    assert_equivalent(reference, mounted)
-    more = make_ops(315, steps=25, start_step=STEPS, fulltext_tags=False, deletes=False)
-    apply_ops(mounted, more, oids_p)
-    apply_ops(reference, more, oids_r)
-    assert mounted.flush_indexing(timeout=30)
-    assert_equivalent(reference, mounted)
     mounted.close()
     reference.close()

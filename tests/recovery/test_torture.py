@@ -269,6 +269,23 @@ def verify(fs, model):
             assert not violations, (
                 f"stale persisted rank bounds after recovery: {violations[:3]}"
             )
+        # No mount-time repair stands behind this: a document's records
+        # commit with the master-tree write they belong to, so at every
+        # crash point the posting tree holds exactly the documents the
+        # master tree justifies — none for a dead object, one for every
+        # flagged object with a token, none without a flag or manual name.
+        indexed = set(engine.document_ids())
+        assert indexed <= live, (
+            f"postings outlived their objects: {sorted(indexed - live)}"
+        )
+        for oid in live:
+            flagged = fs.stat(oid).attributes.get("hfad.ci") == "1"
+            if flagged and engine.analyzer.analyze_with_positions(fs.read(oid)):
+                assert oid in indexed, f"flagged object {oid} has no document record"
+            if oid in indexed:
+                assert flagged or any(
+                    entry.startswith("n:FULLTEXT/") for entry in fs.objects.names(oid)
+                ), f"document record {oid} has neither flag nor manual name"
 
     report = fs.fsck()
     assert report["clean"], f"fsck after remount: {report['errors']}"

@@ -370,8 +370,7 @@ class TestHealth:
         report = wal_fs.health()
         assert report["status"] == "ok"
         assert set(report["checks"]) == {
-            "quarantine", "device_retries", "degraded_queries",
-            "indexer", "wal",
+            "quarantine", "device_retries", "degraded_queries", "wal",
         }
         assert all(check["status"] == "ok"
                    for check in report["checks"].values())
