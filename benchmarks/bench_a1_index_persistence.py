@@ -67,8 +67,8 @@ def test_a1_page_cache_absorbs_reads():
     for cache_pages in (0, 16, 256):
         device = BlockDevice(num_blocks=1 << 15)
         allocator = BuddyAllocator(total_blocks=1 << 15)
-        store = DevicePageStore(device, allocator, page_blocks=4, cache_pages=cache_pages)
-        tree = BPlusTree(store=store, max_keys=32)
+        store = DevicePageStore(device, allocator, cache_pages=cache_pages)
+        tree = BPlusTree(store=store)
         for index in range(2000):
             tree.put(f"key{index:06d}".encode(), b"v" * 32)
         device.reset_stats()

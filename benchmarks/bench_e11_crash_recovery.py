@@ -135,7 +135,7 @@ def test_durability_mode_throughput(benchmark):
     )
     # Crash safety costs a bounded number of device blocks per operation
     # (log appends plus write-backs), and batching commit markers can only
-    # lower it.  Measured 2.12 at 300 ops, the closing settle included
+    # lower it.  Measured 2.08 at 300 ops, the closing settle included
     # (5.80 when every create wrote its postings through, 2.74 with one
     # tree entry per posting; README "Retired configurations"): a
     # fifteen-word vocabulary puts every posting block in one or two leaves,

@@ -1,16 +1,17 @@
-"""E9 — the unified cache subsystem: eviction policies and query caching.
+"""E9 — the unified cache subsystem: the buffer pool and query caching.
 
 The paper's viability argument (Section 3) leans on database buffer
 management: index lookups only rival hierarchical traversal if hot index
 pages and hot query results stay in memory.  This experiment measures both
 halves of ``repro.cache``:
 
-* **Buffer pool** — one btree worked through a fixed-budget
-  :class:`~repro.cache.BufferPool` under each eviction policy (LRU, LFU,
-  Clock, ARC) on two access patterns: a Zipfian point-lookup workload
-  (skewed, cache-friendly) and a repeated full scan (the classic LRU
-  killer).  Reported: device reads and hit ratio per policy, with the
-  uncached path (``cache_pages=0``) as the baseline.
+* **Buffer pool** — one btree, a few times the pool's size, worked through
+  a fixed-budget LRU :class:`~repro.cache.BufferPool` on two access
+  patterns: a Zipfian point-lookup workload (skewed, cache-friendly) and a
+  repeated full scan (the classic LRU killer).  Reported: device reads and
+  hit ratio, with the uncached path (``cache_pages=0``) as the baseline.
+  (The LFU / Clock / ARC sweep this used to run is frozen in README
+  "Retired configurations".)
 * **Query cache** — the same boolean query repeated against a corpus-loaded
   hFAD with the query-result cache on and off.  Reported: cold and warm
   latency and index lookups per run.  Expected shape: the warm cached run
@@ -26,7 +27,7 @@ import time
 import pytest
 
 from repro.btree import BPlusTree, DevicePageStore
-from repro.cache import POLICIES, BufferPool
+from repro.cache import BufferPool
 from repro.core import HFADFileSystem
 from repro.storage import BlockDevice, BuddyAllocator
 from repro.workloads import load_into_hfad
@@ -39,21 +40,20 @@ ZIPF_S = 1.2
 LOOKUPS = scaled(3000, 400)
 
 
-def _build_tree(policy):
-    """A device-backed btree whose pages go through one shared pool."""
+def _build_tree(cached: bool):
+    """A device-backed btree, its pages through a pool or straight to the device."""
     device = BlockDevice(num_blocks=1 << 15, block_size=512)
     allocator = BuddyAllocator(total_blocks=1 << 15)
-    if policy is None:
-        store = DevicePageStore(device, allocator, page_blocks=4, cache_pages=0)
+    if cached:
+        store = DevicePageStore(device, allocator,
+                                buffer_pool=BufferPool(capacity=POOL_PAGES), name="e9")
     else:
-        pool = BufferPool(capacity=POOL_PAGES, policy=policy)
-        store = DevicePageStore(
-            device, allocator, page_blocks=4, cache_pages=POOL_PAGES,
-            buffer_pool=pool, name=f"e9.{policy}",
-        )
-    tree = BPlusTree(store=store, max_keys=16)
+        store = DevicePageStore(device, allocator, cache_pages=0)
+    tree = BPlusTree(store=store)
     for i in range(KEYS):
-        tree.put(b"%06d" % i, b"value-%d" % i)
+        # Values a 4 KB page holds under twenty of: at full scale the tree
+        # is a few times the pool.
+        tree.put(b"%06d" % i, (b"value-%d" % i).ljust(200))
     return tree, store, device
 
 
@@ -74,31 +74,25 @@ def _run_workload(tree, store, device, keys):
     return device.stats.reads - reads_before
 
 
-def test_e9_eviction_policies():
+def test_e9_pool_absorbs_reads():
     rows = []
-    reads_by_policy = {}
-    for policy in [None] + sorted(POLICIES):
-        tree, store, device = _build_tree(policy)
+    zipf_reads_by_label = {}
+    for label, cached in (("uncached", False), ("lru", True)):
+        tree, store, device = _build_tree(cached)
         zipf_reads = _run_workload(
             tree, store, device, _zipf_keys(random.Random(9), LOOKUPS)
         )
         scan_reads = _run_workload(tree, store, device, _scan_keys(4))
-        label = policy or "uncached"
-        reads_by_policy[label] = (zipf_reads, scan_reads)
-        hit_ratio = (
-            f"{store._consumer.stats.hit_ratio:.2f}" if policy is not None else "-"
-        )
+        zipf_reads_by_label[label] = zipf_reads
+        hit_ratio = f"{store._consumer.stats.hit_ratio:.2f}" if cached else "-"
         rows.append((label, zipf_reads, scan_reads, hit_ratio))
-    # Every policy must beat the uncached path on the skewed workload.
-    uncached_zipf = reads_by_policy["uncached"][0]
-    for policy in POLICIES:
-        assert reads_by_policy[policy][0] < uncached_zipf, (
-            f"{policy} did not reduce device reads on the Zipfian workload"
-        )
+    assert zipf_reads_by_label["lru"] < zipf_reads_by_label["uncached"], (
+        "the pool did not reduce device reads on the Zipfian workload"
+    )
     emit_table(
-        "E9 — device reads by eviction policy "
-        f"({POOL_PAGES}-page pool, {KEYS}-key btree)",
-        ["policy", f"zipf reads ({LOOKUPS} lookups)", "scan reads (4 passes)", "hit ratio"],
+        "E9 — device reads through the buffer pool "
+        f"({POOL_PAGES}-page pool, {KEYS}-key btree, depth {tree.depth()})",
+        ["pool", f"zipf reads ({LOOKUPS} lookups)", "scan reads (4 passes)", "hit ratio"],
         rows,
     )
 
@@ -168,8 +162,7 @@ def test_e9_query_latency(benchmark, corpus, config):
         fs.close()
 
 
-@pytest.mark.parametrize("policy", sorted(POLICIES))
-def test_e9_policy_lookup_latency(benchmark, policy):
-    tree, store, device = _build_tree(policy)
+def test_e9_pool_lookup_latency(benchmark):
+    tree, store, device = _build_tree(cached=True)
     keys = _zipf_keys(random.Random(5), 200)
     benchmark(lambda: [tree.lookup(key) for key in keys])

@@ -11,8 +11,9 @@ equivalent ordered key/value store:
   first/last access.
 * :class:`~repro.btree.pages.InMemoryPageStore` and
   :class:`~repro.btree.pages.DevicePageStore` — page backends; the device
-  store persists nodes through the buddy allocator onto the shared block
-  device so benchmarks can charge btree traversals as real device I/O.
+  store persists nodes, one :data:`~repro.btree.pages.PAGE_BYTES` page each,
+  through the buddy allocator onto the shared block device so benchmarks
+  can charge btree traversals as real device I/O.
 * :class:`~repro.btree.cursor.Cursor` — ordered iteration with prefix and
   range filters, the building block for directory-style listings and string
   indexes.
@@ -23,7 +24,7 @@ simply the empty byte string, which sorts before every other key.
 
 from repro.btree.btree import BPlusTree
 from repro.btree.cursor import Cursor
-from repro.btree.pages import DevicePageStore, InMemoryPageStore, PageStore
+from repro.btree.pages import PAGE_BYTES, DevicePageStore, InMemoryPageStore, PageStore
 
 __all__ = [
     "BPlusTree",
@@ -31,4 +32,5 @@ __all__ = [
     "PageStore",
     "InMemoryPageStore",
     "DevicePageStore",
+    "PAGE_BYTES",
 ]

@@ -20,7 +20,14 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import BTreeError, KeyNotFoundError
 from repro.btree.cursor import Cursor
-from repro.btree.node import NO_PAGE, InnerNode, LeafNode
+from repro.btree.node import (
+    INNER_ENTRY_OVERHEAD,
+    LEAF_ENTRY_OVERHEAD,
+    NO_PAGE,
+    NODE_OVERHEAD,
+    InnerNode,
+    LeafNode,
+)
 from repro.btree.pages import InMemoryPageStore, PageStore
 
 _MISSING = object()
@@ -29,9 +36,20 @@ _MISSING = object()
 class BPlusTree:
     """An ordered mapping from ``bytes`` keys to ``bytes`` values.
 
+    Occupancy has one rule per kind of store.  Over a store with a page
+    size (``DevicePageStore.page_bytes``, kept as ``node_byte_limit``) only
+    *bytes* count: a node splits when its encoding outgrows the page,
+    underflows below a quarter page, lends to a sibling only while it stays
+    at least a quarter page itself, and merges with one when the pair fits
+    a page.  Over a store without a page size (volatile trees, unit tests)
+    only *keys* count: ``max_keys`` and ``min_keys``.  Either way a donor
+    lends while it does not underflow, so while no entry is over half a
+    page a repair always succeeds: what cannot merge can lend.
+
     :param store: page backend; defaults to a fresh in-memory store.
-    :param max_keys: maximum keys per node before it splits.  ``min_keys``
-        (underflow threshold) is ``max_keys // 2``.
+    :param max_keys: over a store with no page size, the most keys a node
+        holds before it splits; ``min_keys`` (underflow threshold) is
+        ``max_keys // 2``.
     :param root_id: attach to an *existing* tree rooted at this page instead
         of creating a fresh one (the crash-recovery mount path).  The element
         count is rebuilt by one leaf-chain walk unless ``count`` is supplied.
@@ -41,28 +59,18 @@ class BPlusTree:
     :param on_root_change: callback invoked with the new root page id
         whenever the root moves (root split or root collapse); the recovery
         layer uses it to journal the master-tree root.
-    :param node_byte_limit: split nodes whose *encoded* size would exceed
-        this many bytes, regardless of key count.  Defaults to the store's
-        page size when it has one (``DevicePageStore.page_bytes``), so
-        variable-size values (fat metadata records) can never overflow a
-        device page.  Byte-limited trees skip count-based merges that would
-        not fit, so their occupancy invariant is byte- rather than
-        count-driven.
     """
 
     def __init__(self, store: Optional[PageStore] = None, max_keys: int = 64,
                  root_id: Optional[int] = None,
                  count: Optional[int] = None,
-                 on_root_change=None,
-                 node_byte_limit: Optional[int] = None) -> None:
+                 on_root_change=None) -> None:
         if max_keys < 3:
             raise ValueError("max_keys must be at least 3")
         self.store = store if store is not None else InMemoryPageStore()
         self.max_keys = max_keys
         self.min_keys = max_keys // 2
-        if node_byte_limit is None:
-            node_byte_limit = getattr(self.store, "page_bytes", None)
-        self.node_byte_limit = node_byte_limit
+        self.node_byte_limit: Optional[int] = getattr(self.store, "page_bytes", None)
         self._lock = threading.RLock()
         self._count = 0
         #: nodes visited by lookups/cursors; the index-traversal experiments
@@ -91,25 +99,20 @@ class BPlusTree:
             self.on_root_change(new_root_id)
 
     def _overfull(self, node) -> bool:
-        """A node must split: too many keys, or too many encoded bytes.
+        """A node must split: it outgrew its page, or ``max_keys``.
 
         A single-entry node is never split (a value too large for a page is
         the store's oversized-node error, not a split opportunity).
         """
-        if len(node.keys) > self.max_keys:
-            return True
-        return (
-            self.node_byte_limit is not None
-            and len(node.keys) > 1
-            and node.encoded_size() > self.node_byte_limit
-        )
+        if self.node_byte_limit is None:
+            return len(node.keys) > self.max_keys
+        return node.nbytes > self.node_byte_limit and len(node.keys) > 1
 
-    def _fits(self, node) -> bool:
-        """Whether a (prospective) node respects the byte budget."""
-        return (
-            self.node_byte_limit is None
-            or node.encoded_size() <= self.node_byte_limit
-        )
+    def _underflowing(self, node) -> bool:
+        """A non-root node wants repair: under a quarter page, or ``min_keys``."""
+        if self.node_byte_limit is None:
+            return len(node.keys) < self.min_keys
+        return node.nbytes < self.node_byte_limit // 4
 
     # ------------------------------------------------------------------ basic
 
@@ -201,6 +204,8 @@ class BPlusTree:
                 new_root_id = self.store.allocate()
                 self.store.write(new_root_id, new_root)
                 self._move_root(new_root_id)
+            else:
+                self._collapse_root(root)
 
     def _insert(self, page_id: int, node, key: bytes, value: bytes):
         if node.is_leaf:
@@ -210,10 +215,13 @@ class BPlusTree:
         child = self.store.read(child_id)
         split = self._insert(child_id, child, key, value)
         if split is None:
+            if self._underflowing(child):  # a smaller value replaced a bigger one
+                self._rebalance(page_id, node, index)
             return None
         separator, right_id = split
         node.keys.insert(index, separator)
         node.children.insert(index + 1, right_id)
+        node.nbytes += INNER_ENTRY_OVERHEAD + len(separator)
         if not self._overfull(node):
             self.store.write(page_id, node)
             return None
@@ -222,70 +230,73 @@ class BPlusTree:
     def _insert_into_leaf(self, page_id: int, leaf: LeafNode, key: bytes, value: bytes):
         index = bisect.bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
-            # Replacing a value with a bigger one can overflow the byte
-            # budget without changing the key count (growing metadata
-            # records do exactly this) — split just like an insert would.
+            # Replacing a value with a bigger one can outgrow the page
+            # without changing the key count (growing metadata records do
+            # exactly this) — split just like an insert would.
+            leaf.nbytes += len(value) - len(leaf.values[index])
             leaf.values[index] = value
-            if not self._overfull(leaf):
-                self.store.write(page_id, leaf)
-                return None
-            return self._split_leaf(page_id, leaf)
-        leaf.keys.insert(index, key)
-        leaf.values.insert(index, value)
-        self._count += 1
+        else:
+            leaf.keys.insert(index, key)
+            leaf.values.insert(index, value)
+            leaf.nbytes += LEAF_ENTRY_OVERHEAD + len(key) + len(value)
+            self._count += 1
         if not self._overfull(leaf):
             self.store.write(page_id, leaf)
             return None
         return self._split_leaf(page_id, leaf)
 
-    def _leaf_split_point(self, leaf: LeafNode) -> int:
-        """Split index balancing *bytes*, not entry counts.
+    def _split_point(self, node) -> Tuple[int, int]:
+        """``(index, encoded bytes of the entries before it)`` to split at.
 
-        With uniform values this is the classic middle; with skewed value
-        sizes (one fat metadata record among small ones) a count-based
-        middle can leave one half still over the page budget.  The index
-        minimizing the larger half's byte size is chosen, so whenever any
-        split can keep both halves within the budget, this one does —
-        including the fat-entry-at-either-end cases where a "first half
-        reaching 50%" heuristic degenerates to the count middle.
+        By count this is the middle.  By bytes it is the index minimizing
+        the larger half: with uniform entries the classic middle, and with
+        skewed ones (one fat metadata record among small ones, where a
+        count middle can leave a half still over the page) whenever any
+        split keeps both halves within a page, this one does — including
+        the fat-entry-at-either-end cases.
         """
-        entries = len(leaf.keys)
-        if self.node_byte_limit is None:
-            return entries // 2
-        sizes = [leaf.entry_size(i) for i in range(entries)]
-        total = sum(sizes)
-        best = entries // 2
-        best_cost: Optional[int] = None
-        running = 0
-        for index in range(1, entries):
-            running += sizes[index - 1]
-            cost = max(running, total - running)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = index, cost
-        return best
+        sizes = [node.entry_size(i) for i in range(len(node.keys))]
+        best = len(sizes) // 2
+        if self.node_byte_limit is not None:
+            total = sum(sizes)
+            best_cost = running = 0
+            for index in range(1, len(sizes)):
+                running += sizes[index - 1]
+                cost = max(running, total - running)
+                if index == 1 or cost < best_cost:
+                    best, best_cost = index, cost
+        return best, sum(sizes[:best])
 
     def _split_leaf(self, page_id: int, leaf: LeafNode):
-        mid = self._leaf_split_point(leaf)
+        mid, left_bytes = self._split_point(leaf)
         right = LeafNode(
             keys=leaf.keys[mid:],
             values=leaf.values[mid:],
             next_leaf=leaf.next_leaf,
+            nbytes=leaf.nbytes - left_bytes,
         )
         right_id = self.store.allocate()
         leaf.keys = leaf.keys[:mid]
         leaf.values = leaf.values[:mid]
         leaf.next_leaf = right_id
+        leaf.nbytes = NODE_OVERHEAD + left_bytes
         self.store.write(right_id, right)
         self.store.write(page_id, leaf)
         return right.keys[0], right_id
 
     def _split_inner(self, page_id: int, node: InnerNode):
-        mid = len(node.keys) // 2
+        # keys[mid] moves up; its child pointer stays as the right half's first.
+        mid, left_bytes = self._split_point(node)
         separator = node.keys[mid]
-        right = InnerNode(keys=node.keys[mid + 1:], children=node.children[mid + 1:])
+        right = InnerNode(
+            keys=node.keys[mid + 1:],
+            children=node.children[mid + 1:],
+            nbytes=node.nbytes - left_bytes - INNER_ENTRY_OVERHEAD - len(separator),
+        )
         right_id = self.store.allocate()
         node.keys = node.keys[:mid]
         node.children = node.children[:mid + 1]
+        node.nbytes = NODE_OVERHEAD + left_bytes
         self.store.write(right_id, right)
         self.store.write(page_id, node)
         return separator, right_id
@@ -300,9 +311,9 @@ class BPlusTree:
         nothing.  One descent finds a leaf and its exclusive upper separator;
         every update below that bound is applied to the in-memory leaf, which
         then gets a single ``store.write``.  An edit the leaf cannot take — it
-        would split, or leave a non-root leaf under ``min_keys`` — is undone
-        and goes through :meth:`put` / :meth:`delete` instead, so splits,
-        borrows and merges keep their one implementation.
+        would split, or leave a non-root leaf underflowing — is undone and
+        goes through :meth:`put` / :meth:`delete` instead, so splits, borrows
+        and merges keep their one implementation.
         """
         updates = [(self._check_key(key), fn) for key, fn in updates]
         if any(a[0] >= b[0] for a, b in zip(updates, updates[1:])):
@@ -333,24 +344,36 @@ class BPlusTree:
                     if new == old:
                         continue
                     if new is None:
-                        structural = page_id != self._root_id and len(keys) <= self.min_keys
-                        if not structural:
-                            del keys[index], values[index]
-                            self._count -= 1
+                        grown = -leaf.entry_size(index)
+                        del keys[index], values[index]
                     elif present:
                         values[index] = self._check_value(new)
-                        structural = self._overfull(leaf)
-                        if structural:
-                            values[index] = old
+                        grown = len(new) - len(old)
                     else:
                         keys.insert(index, key)
                         values.insert(index, self._check_value(new))
+                        grown = leaf.entry_size(index)
+                    leaf.nbytes += grown
+                    if grown > 0:
                         structural = self._overfull(leaf)
-                        if structural:
-                            del keys[index], values[index]
-                        else:
+                    else:
+                        structural = (grown < 0 and page_id != self._root_id
+                                      and self._underflowing(leaf))
+                    if not structural:
+                        dirty = True
+                        if new is None:
+                            self._count -= 1
+                        elif not present:
                             self._count += 1
-                    dirty = dirty or not structural
+                        continue
+                    leaf.nbytes -= grown  # put the leaf back as it was
+                    if new is None:
+                        keys.insert(index, key)
+                        values.insert(index, old)
+                    elif present:
+                        values[index] = old
+                    else:
+                        del keys[index], values[index]
                 if dirty:
                     self.store.write(page_id, leaf)
                 if structural and new is None:
@@ -366,12 +389,14 @@ class BPlusTree:
         with self._lock:
             root = self.store.read(self._root_id)
             self._delete(self._root_id, root, key)
-            root = self.store.read(self._root_id)
-            if not root.is_leaf and len(root.keys) == 0:
-                # The root lost its last separator: promote its only child.
-                old_root_id = self._root_id
-                self._move_root(root.children[0])
-                self.store.free(old_root_id)
+            self._collapse_root(root)
+
+    def _collapse_root(self, root) -> None:
+        """A root that lost its last separator to a merge: promote its only child."""
+        if not root.is_leaf and not root.keys:
+            old_root_id = self._root_id
+            self._move_root(root.children[0])
+            self.store.free(old_root_id)
 
     def destroy(self) -> int:
         """Free every page of the tree back to its store; returns the count.
@@ -409,6 +434,7 @@ class BPlusTree:
             index = bisect.bisect_left(node.keys, key)
             if index >= len(node.keys) or node.keys[index] != key:
                 raise KeyNotFoundError(key)
+            node.nbytes -= node.entry_size(index)
             node.keys.pop(index)
             node.values.pop(index)
             self._count -= 1
@@ -421,39 +447,50 @@ class BPlusTree:
         if self._underflowing(child):
             self._rebalance(page_id, node, index)
 
-    def _underflowing(self, node) -> bool:
-        return len(node.keys) < self.min_keys
+    def _can_lend(self, parent: InnerNode, index: int, donor, child,
+                  from_left: bool) -> bool:
+        """Whether ``donor`` may move its entry nearest ``child`` over to it.
 
-    def _borrow_fits(self, parent: InnerNode, index: int, donor, child,
-                     from_left: bool) -> bool:
-        """Whether moving one entry from ``donor`` keeps ``child`` in budget."""
-        if self.node_byte_limit is None:
-            return True
-        if child.is_leaf:
-            donor_index = len(donor.keys) - 1 if from_left else 0
-            added = donor.entry_size(donor_index)
-        else:
-            separator = parent.keys[index - 1] if from_left else parent.keys[index]
-            added = 12 + len(separator)  # length prefix + key + child pointer
-        return child.encoded_size() + added <= self.node_byte_limit
-
-    def _merge_fits(self, left, right) -> bool:
-        """Whether merging two siblings respects the byte budget.
-
-        ``encoded_size`` of both nodes slightly over-counts the merged node
-        (one header survives, not two), so this is conservatively safe.
+        While it does not underflow itself: it keeps ``min_keys`` or, by
+        bytes, a quarter page — and then only if the child still fits its
+        page, and so does the parent once the separator between them is the
+        donor's next key.
         """
-        if self.node_byte_limit is None:
-            return True
-        return left.encoded_size() + right.encoded_size() <= self.node_byte_limit
+        limit = self.node_byte_limit
+        if limit is None:
+            return len(donor.keys) > self.min_keys
+        if len(donor.keys) < 2:
+            return False
+        edge = len(donor.keys) - 1 if from_left else 0
+        separator = parent.keys[index - 1 if from_left else index]
+        if child.is_leaf:
+            gained = donor.entry_size(edge)
+            rising = donor.keys[edge if from_left else 1]
+        else:
+            gained = INNER_ENTRY_OVERHEAD + len(separator)
+            rising = donor.keys[edge]
+        return (donor.nbytes - donor.entry_size(edge) >= limit // 4
+                and child.nbytes + gained <= limit
+                and parent.nbytes + len(rising) - len(separator) <= limit)
+
+    def _merged_bytes(self, parent: InnerNode, left_index: int, left, right) -> int:
+        """Encoded size of ``left`` and ``right`` merged into one node."""
+        merged = left.nbytes + right.nbytes - NODE_OVERHEAD
+        if not left.is_leaf:  # the separator between them comes down
+            merged += INNER_ENTRY_OVERHEAD + len(parent.keys[left_index])
+        return merged
+
+    def _merge_fits(self, parent: InnerNode, left_index: int, left, right) -> bool:
+        return (self.node_byte_limit is None
+                or self._merged_bytes(parent, left_index, left, right) <= self.node_byte_limit)
 
     def _rebalance(self, parent_id: int, parent: InnerNode, index: int) -> None:
         """Fix an underflowing child ``parent.children[index]``.
 
-        In a byte-limited tree a repair step that would overflow a page is
-        skipped; if neither borrowing nor merging fits, the child simply
-        stays count-underfull (occupancy is byte-driven there — classic
-        lazy deletion).
+        Siblings lend while :meth:`_can_lend` lets them (by count one entry
+        is always enough); a child still underflowing merges with a sibling
+        when the pair fits a page.  When entries over half a page leave
+        neither possible, the child stays as it is.
         """
         child_id = parent.children[index]
         child = self.store.read(child_id)
@@ -462,54 +499,68 @@ class BPlusTree:
         left = self.store.read(left_id) if left_id is not None else None
         right = self.store.read(right_id) if right_id is not None else None
 
-        if (left is not None and len(left.keys) > self.min_keys
-                and self._borrow_fits(parent, index, left, child, from_left=True)):
+        changed = {}  # page id -> node, each written once, in this order
+        while (left is not None and self._underflowing(child)
+               and self._can_lend(parent, index, left, child, from_left=True)):
             self._borrow_from_left(parent, index, left, child)
-            self.store.write(left_id, left)
-            self.store.write(child_id, child)
-            self.store.write(parent_id, parent)
-            return
-        if (right is not None and len(right.keys) > self.min_keys
-                and self._borrow_fits(parent, index, right, child, from_left=False)):
+            changed[left_id] = left
+        while (right is not None and self._underflowing(child)
+               and self._can_lend(parent, index, right, child, from_left=False)):
             self._borrow_from_right(parent, index, child, right)
-            self.store.write(right_id, right)
-            self.store.write(child_id, child)
-            self.store.write(parent_id, parent)
-            return
-        # Merge: prefer merging child into its left sibling.
-        if left is not None and self._merge_fits(left, child):
-            self._merge(parent, index - 1, left, child)
-            self.store.write(left_id, left)
-            self.store.write(parent_id, parent)
-            self.store.free(child_id)
-        elif right is not None and self._merge_fits(child, right):
-            self._merge(parent, index, child, right)
-            self.store.write(child_id, child)
-            self.store.write(parent_id, parent)
-            self.store.free(right_id)
+            changed[right_id] = right
+        if changed:
+            changed[child_id] = child
+            changed[parent_id] = parent
+        freed = None
+        if self._underflowing(child):
+            # Merge: prefer merging child into its left sibling.
+            if left is not None and self._merge_fits(parent, index - 1, left, child):
+                self._merge(parent, index - 1, left, child)
+                changed[left_id], changed[parent_id], freed = left, parent, child_id
+            elif right is not None and self._merge_fits(parent, index, child, right):
+                self._merge(parent, index, child, right)
+                changed[child_id], changed[parent_id], freed = child, parent, right_id
+        changed.pop(freed, None)
+        for page_id, node in changed.items():
+            self.store.write(page_id, node)
+        if freed is not None:
+            self.store.free(freed)
 
     def _borrow_from_left(self, parent: InnerNode, index: int, left, child) -> None:
+        moved = left.entry_size(len(left.keys) - 1)
+        old_separator = parent.keys[index - 1]
         if child.is_leaf:
             child.keys.insert(0, left.keys.pop())
             child.values.insert(0, left.values.pop())
             parent.keys[index - 1] = child.keys[0]
+            child.nbytes += moved
         else:
-            child.keys.insert(0, parent.keys[index - 1])
+            child.keys.insert(0, old_separator)
             parent.keys[index - 1] = left.keys.pop()
             child.children.insert(0, left.children.pop())
+            child.nbytes += INNER_ENTRY_OVERHEAD + len(old_separator)
+        left.nbytes -= moved
+        parent.nbytes += len(parent.keys[index - 1]) - len(old_separator)
 
     def _borrow_from_right(self, parent: InnerNode, index: int, child, right) -> None:
+        moved = right.entry_size(0)
+        old_separator = parent.keys[index]
         if child.is_leaf:
             child.keys.append(right.keys.pop(0))
             child.values.append(right.values.pop(0))
             parent.keys[index] = right.keys[0]
+            child.nbytes += moved
         else:
-            child.keys.append(parent.keys[index])
+            child.keys.append(old_separator)
             parent.keys[index] = right.keys.pop(0)
             child.children.append(right.children.pop(0))
+            child.nbytes += INNER_ENTRY_OVERHEAD + len(old_separator)
+        right.nbytes -= moved
+        parent.nbytes += len(parent.keys[index]) - len(old_separator)
 
     def _merge(self, parent: InnerNode, left_index: int, left, right) -> None:
         """Merge ``right`` into ``left``; ``left_index`` is left's separator slot."""
+        left.nbytes = self._merged_bytes(parent, left_index, left, right)
         if left.is_leaf:
             left.keys.extend(right.keys)
             left.values.extend(right.values)
@@ -518,6 +569,7 @@ class BPlusTree:
             left.keys.append(parent.keys[left_index])
             left.keys.extend(right.keys)
             left.children.extend(right.children)
+        parent.nbytes -= parent.entry_size(left_index)
         parent.keys.pop(left_index)
         parent.children.pop(left_index + 1)
 
@@ -601,22 +653,43 @@ class BPlusTree:
         """Verify structural invariants; raises ``AssertionError`` on failure.
 
         Checked: key ordering within and across nodes, uniform leaf depth,
-        minimum-occupancy rules (root exempt), child counts on inner nodes,
-        the leaf chain visiting every key in order, and the element count.
+        child counts on inner nodes, the leaf chain visiting every key in
+        order, the element count, and occupancy (root exempt).  By count, a
+        node holds at least ``min_keys``.  By bytes, a node's running size
+        is its encoded size and fits the page, and a node under a quarter
+        page is one that neither sibling could merge with — which entries
+        over half a page can leave, and smaller ones cannot.
         """
         leaf_depths: List[int] = []
         keys_by_walk: List[bytes] = []
+        limit = self.node_byte_limit
 
-        def walk(page_id: int, depth: int, low: Optional[bytes], high: Optional[bytes], is_root: bool):
+        def check_occupancy(node, parent, index: int) -> None:
+            kind = "leaf" if node.is_leaf else "inner"
+            if limit is None:
+                assert len(node.keys) >= self.min_keys, f"{kind} underflow"
+            elif self._underflowing(node):
+                for at in (index - 1, index):  # at: the left node's separator slot
+                    if 0 <= at < len(parent.keys):
+                        left, right = (self.store.read(parent.children[side])
+                                       for side in (at, at + 1))
+                        assert not self._merge_fits(parent, at, left, right), (
+                            f"{kind} underflow: under a quarter page beside a "
+                            "sibling it fits a page with")
+
+        def walk(page_id: int, depth: int, low: Optional[bytes], high: Optional[bytes],
+                 parent=None, index: int = 0):
             node = self.store.read(page_id)
+            is_root = parent is None
+            if limit is not None:
+                assert node.nbytes == node.encoded_size(), "running node size is stale"
+                assert node.nbytes <= limit, "node larger than its page"
+            if not is_root:
+                check_occupancy(node, parent, index)
             if node.is_leaf:
                 assert node.keys == sorted(node.keys), "leaf keys unsorted"
                 assert len(node.keys) == len(set(node.keys)), "duplicate keys in leaf"
                 assert len(node.keys) == len(node.values), "key/value length mismatch"
-                if not is_root and self.node_byte_limit is None:
-                    # Byte-limited trees may legitimately keep count-underfull
-                    # nodes (merges that would overflow a page are skipped).
-                    assert len(node.keys) >= self.min_keys, "leaf underflow"
                 for key in node.keys:
                     if low is not None:
                         assert key >= low, "leaf key below separator"
@@ -627,16 +700,13 @@ class BPlusTree:
                 return
             assert node.keys == sorted(node.keys), "inner keys unsorted"
             assert len(node.children) == len(node.keys) + 1, "child count mismatch"
-            if not is_root:
-                if self.node_byte_limit is None:
-                    assert len(node.keys) >= self.min_keys, "inner underflow"
-            else:
+            if is_root:
                 assert len(node.keys) >= 1, "non-leaf root must have a separator"
             bounds = [low] + list(node.keys) + [high]
             for i, child_id in enumerate(node.children):
-                walk(child_id, depth + 1, bounds[i], bounds[i + 1], is_root=False)
+                walk(child_id, depth + 1, bounds[i], bounds[i + 1], node, i)
 
-        walk(self._root_id, 1, None, None, is_root=True)
+        walk(self._root_id, 1, None, None)
         assert len(set(leaf_depths)) == 1, "leaves at different depths"
         assert keys_by_walk == sorted(keys_by_walk), "global key order violated"
         assert len(keys_by_walk) == self._count, "count does not match contents"

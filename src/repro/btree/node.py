@@ -8,6 +8,11 @@ block device page by :class:`repro.btree.pages.DevicePageStore`:
 ``[type:1][count:4] { [klen:4][key][vlen:4][value] } * count [next:8]``
 
 Inner nodes store ``count`` keys followed by ``count + 1`` child page ids.
+
+Every node carries ``nbytes``, the length :meth:`encode` would produce.  It
+is taken once when the node is built or decoded and then kept current by the
+tree, edit by edit, so the tree's byte-occupancy tests (split, underflow,
+lend, merge) cost O(1) instead of re-summing every entry.
 """
 
 from __future__ import annotations
@@ -28,6 +33,14 @@ _HEADER = struct.Struct(">BI")
 #: page id meaning "no page" (e.g. no next leaf).
 NO_PAGE = 0xFFFFFFFFFFFFFFFF
 
+#: encoded bytes of a node with no entries: the header plus a leaf's
+#: next-leaf link or an inner node's first child pointer.
+NODE_OVERHEAD = _HEADER.size + _U64.size
+#: encoded bytes a leaf entry adds to its key and value (two length prefixes),
+#: and an inner separator to its key (length prefix and child pointer).
+LEAF_ENTRY_OVERHEAD = 2 * _U32.size
+INNER_ENTRY_OVERHEAD = _U32.size + _U64.size
+
 
 @dataclass
 class LeafNode:
@@ -36,6 +49,11 @@ class LeafNode:
     keys: List[bytes] = field(default_factory=list)
     values: List[bytes] = field(default_factory=list)
     next_leaf: int = NO_PAGE
+    nbytes: int = field(default=0, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.nbytes:
+            self.nbytes = self.encoded_size()
 
     @property
     def is_leaf(self) -> bool:
@@ -52,15 +70,12 @@ class LeafNode:
         return b"".join(parts)
 
     def encoded_size(self) -> int:
-        """Exact byte length :meth:`encode` would produce (no allocation)."""
-        size = _HEADER.size + _U64.size
-        for key, value in zip(self.keys, self.values):
-            size += 2 * _U32.size + len(key) + len(value)
-        return size
+        """Exact byte length :meth:`encode` would produce, summed afresh."""
+        return NODE_OVERHEAD + sum(map(self.entry_size, range(len(self.keys))))
 
     def entry_size(self, index: int) -> int:
-        """Encoded bytes entry ``index`` contributes (for split placement)."""
-        return 2 * _U32.size + len(self.keys[index]) + len(self.values[index])
+        """Encoded bytes entry ``index`` contributes."""
+        return LEAF_ENTRY_OVERHEAD + len(self.keys[index]) + len(self.values[index])
 
 
 @dataclass
@@ -73,6 +88,11 @@ class InnerNode:
 
     keys: List[bytes] = field(default_factory=list)
     children: List[int] = field(default_factory=list)
+    nbytes: int = field(default=0, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.nbytes:
+            self.nbytes = self.encoded_size()
 
     @property
     def is_leaf(self) -> bool:
@@ -88,11 +108,13 @@ class InnerNode:
         return b"".join(parts)
 
     def encoded_size(self) -> int:
-        """Exact byte length :meth:`encode` would produce (no allocation)."""
-        size = _HEADER.size + _U64.size * len(self.children)
-        for key in self.keys:
-            size += _U32.size + len(key)
-        return size
+        """Exact byte length :meth:`encode` would produce, summed afresh."""
+        return (_HEADER.size + _U64.size * len(self.children)
+                + sum(_U32.size + len(key) for key in self.keys))
+
+    def entry_size(self, index: int) -> int:
+        """Encoded bytes separator ``index`` and one child pointer contribute."""
+        return INNER_ENTRY_OVERHEAD + len(self.keys[index])
 
 
 def decode_node(data: bytes):
@@ -114,7 +136,8 @@ def decode_node(data: bytes):
             values.append(bytes(data[offset:offset + vlen]))
             offset += vlen
         (next_leaf,) = _U64.unpack_from(data, offset)
-        return LeafNode(keys=keys, values=values, next_leaf=next_leaf)
+        return LeafNode(keys=keys, values=values, next_leaf=next_leaf,
+                        nbytes=offset + _U64.size)
     if node_type == _INNER:
         keys = []
         for _ in range(count):
@@ -127,5 +150,5 @@ def decode_node(data: bytes):
             (child,) = _U64.unpack_from(data, offset)
             offset += _U64.size
             children.append(child)
-        return InnerNode(keys=keys, children=children)
+        return InnerNode(keys=keys, children=children, nbytes=offset)
     raise BTreeError(f"unknown node type {node_type}")

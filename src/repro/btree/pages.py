@@ -4,7 +4,7 @@ The tree itself only speaks in page ids.  Two backends are provided:
 
 * :class:`InMemoryPageStore` — nodes kept as Python objects; used for
   volatile indexes and for fast unit testing of tree logic.
-* :class:`DevicePageStore` — each page is a fixed-size run of blocks obtained
+* :class:`DevicePageStore` — each page is :data:`PAGE_BYTES` of blocks obtained
   from a :class:`~repro.storage.buddy.BuddyAllocator` on a
   :class:`~repro.storage.block_device.BlockDevice`.  Nodes are serialized via
   :mod:`repro.btree.node` and every page read/write turns into device I/O, so
@@ -38,6 +38,11 @@ from repro.storage.block_device import BlockDevice
 from repro.storage.buddy import BuddyAllocator
 from repro.btree.node import decode_node
 from repro.opcontext import current_operation
+
+#: the one on-device page size: every btree page of every tree is this many
+#: bytes of whole blocks (1 block on the default device, 8 on a 512-byte one).
+#: The superblock stamps the block count and a mount refuses any other.
+PAGE_BYTES = 4096
 
 
 class PageStore:
@@ -116,8 +121,6 @@ class DevicePageStore(PageStore):
 
     :param device: shared block device.
     :param allocator: buddy allocator managing the region pages come from.
-    :param page_blocks: blocks per page (default 4 → 16 KiB pages with the
-        default 4 KiB block size).
     :param cache_pages: private buffer-pool capacity in pages when no shared
         pool is given; ``0`` disables caching entirely.
     :param buffer_pool: an existing :class:`~repro.cache.buffer_pool.BufferPool`
@@ -138,7 +141,6 @@ class DevicePageStore(PageStore):
         self,
         device: BlockDevice,
         allocator: BuddyAllocator,
-        page_blocks: int = 4,
         cache_pages: int = 64,
         buffer_pool: Optional[BufferPool] = None,
         write_back: Optional[bool] = None,
@@ -146,18 +148,19 @@ class DevicePageStore(PageStore):
         recovery=None,
         integrity=None,
     ) -> None:
-        if page_blocks <= 0:
-            raise ValueError("page_blocks must be positive")
+        if PAGE_BYTES % device.block_size:
+            raise ValueError(
+                f"a {PAGE_BYTES}-byte page is not a whole number of "
+                f"{device.block_size}-byte blocks"
+            )
         self.device = device
         self.allocator = allocator
-        self.page_blocks = page_blocks
+        self.page_blocks = PAGE_BYTES // device.block_size
         self.integrity = integrity
-        #: raw on-device page footprint; ``page_bytes`` below is the *node*
-        #: budget: every page is wrapped in a CRC32 frame
-        #: (:mod:`repro.integrity.checksum`), verified on page-in and
-        #: stamped on every write, log record and write-back.
-        self.raw_page_bytes = page_blocks * device.block_size
-        self.page_bytes = self.raw_page_bytes - FRAME_OVERHEAD
+        #: ``page_bytes`` is the *node* budget: every page is wrapped in a
+        #: CRC32 frame (:mod:`repro.integrity.checksum`), verified on
+        #: page-in and stamped on every write, log record and write-back.
+        self.page_bytes = PAGE_BYTES - FRAME_OVERHEAD
         self.cache_pages = cache_pages
         if buffer_pool is None and cache_pages:
             buffer_pool = BufferPool(capacity=cache_pages)
@@ -238,9 +241,13 @@ class DevicePageStore(PageStore):
         # deferred — an oversized node must fail at write(), not at eviction.
         encoded = node.encode()
         if len(encoded) > self.page_bytes:
+            # The tree splits by bytes, so a node this big holds one entry
+            # (or separator) no split can shrink.
+            at = max(range(len(node.keys)), key=node.entry_size)
             raise BTreeError(
-                f"encoded node of {len(encoded)} bytes exceeds page size "
-                f"{self.page_bytes}; lower the tree's max_keys"
+                f"entry {node.keys[at][:32]!r} of {node.entry_size(at)} bytes "
+                f"does not fit a page of {self.page_bytes} bytes "
+                f"(encoded node: {len(encoded)} bytes)"
             )
         self.writes += 1
         lsn = None

@@ -8,8 +8,7 @@ register with the pool and share one global budget of ``capacity`` pages.
 
 Semantics follow classic DB engines:
 
-* **Eviction** is pluggable (:mod:`repro.cache.policies`): LRU, LFU, Clock or
-  ARC, selected by name (``BufferPool(64, policy="arc")``).
+* **Eviction** is least recently used (:mod:`repro.cache.policies`).
 * **Pin/unpin** — a pinned page is never evicted; pins nest.  If every page
   is pinned when a victim is needed, :class:`~repro.errors.AllPagesPinnedError`
   is raised (the simulator's equivalent of a buffer-starvation deadlock).
@@ -52,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import AllPagesPinnedError, CacheError
-from repro.cache.policies import EvictionPolicy, make_policy
+from repro.cache.policies import EvictionPolicy, LRUPolicy
 # Leaf-module import (stdlib-only) — safe from this low layer; the
 # ``repro.telemetry`` package __init__ would pull in the query machinery.
 from repro.opcontext import current_operation
@@ -145,10 +144,10 @@ class _Stripe:
     __slots__ = ("index", "lock", "policy", "capacity", "frames", "pinned",
                  "stats", "pin_overflows")
 
-    def __init__(self, index: int, capacity: int, policy) -> None:
+    def __init__(self, index: int, capacity: int) -> None:
         self.index = index
         self.lock = threading.RLock()
-        self.policy: EvictionPolicy = make_policy(policy, capacity)
+        self.policy: EvictionPolicy = LRUPolicy(capacity)
         self.capacity = capacity
         self.frames: Dict[_Key, _Frame] = {}
         # Keys with pins > 0, maintained incrementally: _make_room runs on
@@ -251,15 +250,12 @@ class BufferPool:
     """Fixed-budget page cache shared between consumers.
 
     :param capacity: global budget in pages (must be >= 1).
-    :param policy: eviction policy name (``"lru"``, ``"lfu"``, ``"clock"``,
-        ``"arc"``), class, or instance.
     :param stripes: lock shard count; ``None`` picks automatically (1 for
         pools under 64 pages, up to 8 for larger ones).  ``stripes=1`` is
         the global-lock baseline.
     """
 
-    def __init__(self, capacity: int = 256, policy="lru",
-                 stripes: Optional[int] = None) -> None:
+    def __init__(self, capacity: int = 256, stripes: Optional[int] = None) -> None:
         if capacity < 1:
             raise CacheError("buffer pool capacity must be at least 1 page")
         if stripes is None:
@@ -281,7 +277,7 @@ class BufferPool:
         # ``len(pool) <= capacity`` stays a hard global bound.
         base, extra = divmod(capacity, stripes)
         self._stripes: List[_Stripe] = [
-            _Stripe(i, base + (1 if i < extra else 0), policy)
+            _Stripe(i, base + (1 if i < extra else 0))
             for i in range(stripes)
         ]
         self._consumers: Dict[str, PoolConsumer] = {}
@@ -303,11 +299,6 @@ class BufferPool:
         # Not hash((name, page_id)): str hashes are randomized per process,
         # and which pages share an LRU list decides misses and evictions.
         return stripes[hash((consumer.serial, page_id)) % len(stripes)]
-
-    @property
-    def policy(self) -> EvictionPolicy:
-        """The eviction policy (of stripe 0 — exact for unstriped pools)."""
-        return self._stripes[0].policy
 
     @property
     def stats(self) -> CacheStats:
@@ -433,11 +424,8 @@ class BufferPool:
         stripe = self._stripe_of(consumer, page_id)
         with stripe.lock:
             resident = stripe.frames.pop(key, None) is not None
-            # Tell the policy even when the page is not resident: ARC keeps
-            # ghost entries for evicted pages, and a freed page id that the
-            # allocator later reuses must not read as a ghost hit.
-            stripe.policy.on_remove(key)
             if resident:
+                stripe.policy.on_remove(key)
                 stripe.pinned.discard(key)
                 consumer._stripe_stats[stripe.index].invalidations += 1
                 stripe.stats.invalidations += 1
@@ -462,7 +450,7 @@ class BufferPool:
         consumer = self._consumers[key[0]]
         if frame.dirty:
             self._write_back(stripe, consumer, key[1], frame)
-        stripe.policy.on_evict(key)
+        stripe.policy.on_remove(key)
         consumer._stripe_stats[stripe.index].evictions += 1
         stripe.stats.evictions += 1
 
@@ -614,7 +602,6 @@ class BufferPool:
         """Pool-wide and per-consumer statistics (for ``HFADFileSystem.stats``)."""
         return {
             "capacity": self.capacity,
-            "policy": self.policy.name,
             "stripes": self.stripe_count,
             "resident": len(self),
             "dirty": self.dirty_pages,

@@ -1,47 +1,31 @@
-"""Eviction policies for the shared buffer pool.
+"""The buffer pool's eviction policy: least recently used.
 
-Classic database buffer managers differ mainly in *which* unpinned page they
-throw out when the pool is full.  Four textbook policies are provided:
-
-* :class:`LRUPolicy` — least recently used (an ordered dict, as in the old
-  private ``DevicePageStore`` cache).
-* :class:`LFUPolicy` — least frequently used, with LRU tie-breaking so cold
-  newcomers do not evict each other forever.
-* :class:`ClockPolicy` — the second-chance approximation of LRU used by most
-  real operating systems: a circular hand sweeps reference bits.
-* :class:`ARCPolicy` — Adaptive Replacement Cache (Megiddo & Modha, FAST'03):
-  two resident lists (recency ``T1`` and frequency ``T2``) plus two ghost
-  lists remembering recent evictions; the target size ``p`` of ``T1`` adapts
-  to the workload, so ARC behaves like LRU on scans and like LFU on skewed
-  (Zipfian) traffic.
-
-All policies implement the same small interface the
-:class:`~repro.cache.buffer_pool.BufferPool` drives:
+The pool drives a small interface, :class:`EvictionPolicy`:
 
 * ``on_add(key)``    — ``key`` became resident,
 * ``on_hit(key)``    — a resident ``key`` was accessed,
-* ``on_evict(key)``  — the pool evicted ``key`` (ARC moves it to a ghost list),
-* ``on_remove(key)`` — ``key`` was invalidated (freed page; drop all trace),
+* ``on_remove(key)`` — ``key`` left the pool (evicted, or its page freed),
 * ``victim(pinned)`` — propose a resident, unpinned key to evict, or ``None``.
 
 Keys are opaque hashables; the pool uses ``(consumer_name, page_id)`` tuples.
-The pool never evicts pinned pages: it passes the pinned set to ``victim``
-and every policy must skip those keys.
+The pool never evicts pinned pages: it passes the pinned set to ``victim``,
+which must skip those keys.
+
+:class:`LRUPolicy` is the one implementation.  LFU, Clock and ARC were
+measured against it (E9; the table is frozen in README "Retired
+configurations") and nothing served or benchmarked ever selected them.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional, Set
+from typing import Hashable, Optional, Set
 
 Key = Hashable
 
 
 class EvictionPolicy:
-    """Interface every eviction policy implements."""
-
-    name = "abstract"
+    """Interface an eviction policy implements."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -54,10 +38,6 @@ class EvictionPolicy:
     def on_hit(self, key: Key) -> None:
         raise NotImplementedError
 
-    def on_evict(self, key: Key) -> None:
-        # Most policies treat eviction and invalidation the same way.
-        self.on_remove(key)
-
     def on_remove(self, key: Key) -> None:
         raise NotImplementedError
 
@@ -67,8 +47,6 @@ class EvictionPolicy:
 
 class LRUPolicy(EvictionPolicy):
     """Evict the least recently used unpinned page."""
-
-    name = "lru"
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
@@ -90,231 +68,3 @@ class LRUPolicy(EvictionPolicy):
             if key not in pinned:
                 return key
         return None
-
-
-class LFUPolicy(EvictionPolicy):
-    """Evict the least frequently used page; ties broken by recency.
-
-    Victim selection uses a lazy-deletion min-heap of ``(freq, tick, key)``
-    entries: hits push a fresh entry and the stale ones are discarded when
-    they surface, keeping eviction O(log n) instead of a full scan per miss.
-    """
-
-    name = "lfu"
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self._freq: Dict[Key, int] = {}
-        self._last_use: Dict[Key, int] = {}
-        self._heap: list = []
-        self._tick = 0
-
-    def _touch(self, key: Key) -> None:
-        self._tick += 1
-        self._last_use[key] = self._tick
-        heapq.heappush(self._heap, (self._freq[key], self._tick, key))
-        # Hits below eviction pressure never pop stale entries, so the heap
-        # would otherwise grow with total accesses; rebuild once stale
-        # entries dominate (amortized O(1) per touch).
-        if len(self._heap) > 8 * (len(self._freq) + 1):
-            self._heap = [
-                (freq, self._last_use[live_key], live_key)
-                for live_key, freq in self._freq.items()
-            ]
-            heapq.heapify(self._heap)
-
-    def on_add(self, key: Key) -> None:
-        self._freq[key] = 1
-        self._touch(key)
-
-    def on_hit(self, key: Key) -> None:
-        if key in self._freq:
-            self._freq[key] += 1
-            self._touch(key)
-
-    def on_remove(self, key: Key) -> None:
-        self._freq.pop(key, None)
-        self._last_use.pop(key, None)
-        # Heap entries for the key are now stale; victim() discards them.
-
-    def victim(self, pinned: Set[Key]) -> Optional[Key]:
-        deferred = []
-        result = None
-        while self._heap:
-            freq, tick, key = self._heap[0]
-            current_freq = self._freq.get(key)
-            if current_freq != freq or self._last_use.get(key) != tick:
-                heapq.heappop(self._heap)  # stale entry
-                continue
-            if key in pinned:
-                deferred.append(heapq.heappop(self._heap))
-                continue
-            result = key
-            break
-        for entry in deferred:
-            heapq.heappush(self._heap, entry)
-        return result
-
-
-class ClockPolicy(EvictionPolicy):
-    """Second-chance / clock: a hand sweeps reference bits.
-
-    New pages enter with their reference bit set; a sweep clears bits until
-    it finds an unpinned page whose bit is already clear.  Removals leave
-    ``None`` tombstones in the ring (an O(n) ``list.index`` + pop on every
-    eviction would dominate miss-heavy workloads); the ring is compacted
-    once tombstones outnumber live slots.
-    """
-
-    name = "clock"
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self._ring: list = []
-        self._slot: Dict[Key, int] = {}
-        self._ref: Dict[Key, bool] = {}
-        self._hand = 0
-
-    def on_add(self, key: Key) -> None:
-        self._slot[key] = len(self._ring)
-        self._ring.append(key)
-        self._ref[key] = True
-
-    def on_hit(self, key: Key) -> None:
-        if key in self._ref:
-            self._ref[key] = True
-
-    def on_remove(self, key: Key) -> None:
-        index = self._slot.pop(key, None)
-        if index is None:
-            return
-        self._ring[index] = None
-        del self._ref[key]
-        if len(self._slot) < len(self._ring) // 2:
-            self._compact()
-
-    def _compact(self) -> None:
-        # Rebuild the ring of live keys, rotating so the hand lands on the
-        # same key it was about to inspect.
-        live = [key for key in self._ring[self._hand:] + self._ring[:self._hand] if key is not None]
-        self._ring = live
-        self._slot = {key: index for index, key in enumerate(live)}
-        self._hand = 0
-
-    def victim(self, pinned: Set[Key]) -> Optional[Key]:
-        if not self._slot:
-            return None
-        # Two full sweeps suffice: the first may only clear reference bits,
-        # the second must find any unpinned page.
-        for _ in range(2 * len(self._ring)):
-            if self._hand >= len(self._ring):
-                self._hand = 0
-            key = self._ring[self._hand]
-            if key is None or key in pinned:
-                self._hand = (self._hand + 1) % len(self._ring)
-                continue
-            if self._ref[key]:
-                self._ref[key] = False
-                self._hand = (self._hand + 1) % len(self._ring)
-                continue
-            return key
-        return None
-
-
-class ARCPolicy(EvictionPolicy):
-    """Adaptive Replacement Cache.
-
-    Resident pages live in ``t1`` (seen once, recency) or ``t2`` (seen more
-    than once, frequency); ghost lists ``b1``/``b2`` remember metadata of
-    recently evicted pages.  A hit in a ghost list steers the adaptation
-    parameter ``p`` — the target size of ``t1`` — toward whichever list the
-    workload is favouring.
-    """
-
-    name = "arc"
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self.p = 0.0
-        self._t1: "OrderedDict[Key, None]" = OrderedDict()
-        self._t2: "OrderedDict[Key, None]" = OrderedDict()
-        self._b1: "OrderedDict[Key, None]" = OrderedDict()
-        self._b2: "OrderedDict[Key, None]" = OrderedDict()
-
-    def on_add(self, key: Key) -> None:
-        if key in self._b1:
-            # A recency ghost hit: recency list was too small — grow it.
-            self.p = min(float(self.capacity), self.p + max(1.0, len(self._b2) / max(1, len(self._b1))))
-            del self._b1[key]
-            self._t2[key] = None
-        elif key in self._b2:
-            # A frequency ghost hit: shrink the recency target.
-            self.p = max(0.0, self.p - max(1.0, len(self._b1) / max(1, len(self._b2))))
-            del self._b2[key]
-            self._t2[key] = None
-        else:
-            self._t1[key] = None
-
-    def on_hit(self, key: Key) -> None:
-        if key in self._t1:
-            del self._t1[key]
-            self._t2[key] = None
-        elif key in self._t2:
-            self._t2.move_to_end(key)
-
-    def on_evict(self, key: Key) -> None:
-        if key in self._t1:
-            del self._t1[key]
-            self._b1[key] = None
-        elif key in self._t2:
-            del self._t2[key]
-            self._b2[key] = None
-        self._trim_ghosts()
-
-    def on_remove(self, key: Key) -> None:
-        for lst in (self._t1, self._t2, self._b1, self._b2):
-            lst.pop(key, None)
-
-    def _trim_ghosts(self) -> None:
-        while len(self._b1) > self.capacity:
-            self._b1.popitem(last=False)
-        while len(self._b2) > self.capacity:
-            self._b2.popitem(last=False)
-
-    @staticmethod
-    def _lru_unpinned(lst: "OrderedDict[Key, None]", pinned: Set[Key]) -> Optional[Key]:
-        for key in lst:
-            if key not in pinned:
-                return key
-        return None
-
-    def victim(self, pinned: Set[Key]) -> Optional[Key]:
-        # REPLACE from the ARC paper: evict from t1 while it exceeds its
-        # target size p, otherwise from t2; fall back to the other list when
-        # the preferred one has only pinned pages.
-        prefer_t1 = len(self._t1) > 0 and len(self._t1) > self.p
-        first, second = (self._t1, self._t2) if prefer_t1 else (self._t2, self._t1)
-        victim = self._lru_unpinned(first, pinned)
-        if victim is None:
-            victim = self._lru_unpinned(second, pinned)
-        return victim
-
-
-#: policy name → class, for the ``policy="lru"`` style constructor argument.
-POLICIES: Dict[str, type] = {
-    cls.name: cls for cls in (LRUPolicy, LFUPolicy, ClockPolicy, ARCPolicy)
-}
-
-
-def make_policy(policy, capacity: int) -> EvictionPolicy:
-    """Instantiate a policy from a name, class or ready instance."""
-    if isinstance(policy, EvictionPolicy):
-        return policy
-    if isinstance(policy, type) and issubclass(policy, EvictionPolicy):
-        return policy(capacity)
-    try:
-        return POLICIES[str(policy).lower()](capacity)
-    except KeyError:
-        raise ValueError(
-            f"unknown eviction policy {policy!r}; choose from {sorted(POLICIES)}"
-        )

@@ -104,8 +104,6 @@ class HFADFileSystem:
     :param enable_planner: plan conjunctive queries by selectivity.
     :param cache_pages: global buffer-pool budget (in pages) shared by every
         on-device btree; ``0`` disables page caching (ablation path).
-    :param cache_policy: buffer-pool eviction policy (``"lru"``, ``"lfu"``,
-        ``"clock"``, ``"arc"``).
     :param query_cache_entries: capacity of the query-result cache; ``0``
         disables result caching so every query re-evaluates the indexes.
     :param journal_blocks: size of the WAL region in device blocks (the
@@ -153,7 +151,6 @@ class HFADFileSystem:
         btree_on_device: bool = False,
         enable_planner: bool = True,
         cache_pages: int = 256,
-        cache_policy: str = "lru",
         query_cache_entries: int = 256,
         journal_blocks: int = 511,
         checkpoint_threshold: float = 0.5,
@@ -177,7 +174,7 @@ class HFADFileSystem:
         # configuration gets no pool (stats() then reports it as absent
         # rather than as an enabled-but-idle cache).
         self.buffer_pool = (
-            BufferPool(capacity=cache_pages, policy=cache_policy)
+            BufferPool(capacity=cache_pages)
             if cache_pages and btree_on_device
             else None
         )
@@ -267,8 +264,6 @@ class HFADFileSystem:
                 master_root=self.objects._master.root_id,
                 next_oid=self.objects._next_oid,
                 data_region_start=data_region_start,
-                page_blocks=self.objects.page_blocks,
-                max_keys=self.objects.max_keys,
                 fulltext_root=self._fulltext_tree.root_id,
                 image_root=self._image_tree.root_id,
             )
@@ -365,7 +360,6 @@ class HFADFileSystem:
         cls,
         device: BlockDevice,
         cache_pages: int = 256,
-        cache_policy: str = "lru",
         query_cache_entries: int = 256,
         enable_planner: bool = True,
         checkpoint_threshold: float = 0.5,
@@ -389,7 +383,7 @@ class HFADFileSystem:
         vanished whole.
         """
         superblock = Superblock.load(device)
-        superblock.require_mountable()
+        superblock.require_mountable(device.block_size)
         recovery = RecoveryManager.from_superblock(
             device, superblock,
             checkpoint_threshold=checkpoint_threshold,
@@ -401,7 +395,6 @@ class HFADFileSystem:
             device=device,
             btree_on_device=True,
             cache_pages=cache_pages,
-            cache_policy=cache_policy,
             query_cache_entries=query_cache_entries,
             enable_planner=enable_planner,
             telemetry=telemetry,

@@ -44,6 +44,10 @@ _OID = struct.Struct(">Q")
 # scans never interleave.
 _NAME_PREFIX = b"\xffN"
 
+#: keys per node of the volatile (``btree_on_device=False``) trees, which have
+#: no page to fill; on a device a node's bytes decide.
+_VOLATILE_MAX_KEYS = 32
+
 
 @dataclass
 class ObjectStoreStats:
@@ -81,7 +85,6 @@ class ObjectStore:
         multi-page update — btree split, extent re-keying, create/delete —
         is atomic across a crash), btree page writes are logged, and the
         store is re-mountable via :meth:`mount`.
-    :param page_blocks: blocks per btree page.
     """
 
     def __init__(
@@ -89,13 +92,11 @@ class ObjectStore:
         device: Optional[BlockDevice] = None,
         allocator: Optional[BuddyAllocator] = None,
         btree_on_device: bool = False,
-        max_keys: int = 32,
         max_extent_blocks: int = 1024,
         data_region_start: int = 0,
         buffer_pool: Optional[BufferPool] = None,
         cache_pages: int = 256,
         recovery=None,
-        page_blocks: int = 4,
         integrity=None,
     ) -> None:
         if device is None:
@@ -107,29 +108,21 @@ class ObjectStore:
         self._init_shared_state(
             device,
             btree_on_device=btree_on_device,
-            max_keys=max_keys,
             max_extent_blocks=max_extent_blocks,
-            page_blocks=page_blocks,
             buffer_pool=buffer_pool,
             cache_pages=cache_pages,
             recovery=recovery,
             integrity=integrity,
         )
         self.allocator = allocator
-        self._master = BPlusTree(
-            store=self._new_page_store("osd.master"),
-            max_keys=max_keys,
-            on_root_change=self._master_root_moved,
-        )
+        self._master = self._new_tree("osd.master", on_root_change=self._master_root_moved)
 
     def _init_shared_state(
         self,
         device: BlockDevice,
         *,
         btree_on_device: bool,
-        max_keys: int,
         max_extent_blocks: int,
-        page_blocks: int,
         buffer_pool: Optional[BufferPool],
         cache_pages: int,
         recovery,
@@ -147,9 +140,7 @@ class ObjectStore:
             raise ValueError("max_extent_blocks must be positive")
         self.device = device
         self.btree_on_device = btree_on_device
-        self.max_keys = max_keys
         self.max_extent_blocks = max_extent_blocks
-        self.page_blocks = page_blocks
         self.stats = ObjectStoreStats()
         if btree_on_device and buffer_pool is None and cache_pages:
             buffer_pool = BufferPool(capacity=cache_pages)
@@ -193,9 +184,7 @@ class ObjectStore:
         store._init_shared_state(
             device,
             btree_on_device=True,
-            max_keys=state["max_keys"],
             max_extent_blocks=max_extent_blocks,
-            page_blocks=state["page_blocks"],
             buffer_pool=buffer_pool,
             cache_pages=cache_pages,
             recovery=recovery,
@@ -208,9 +197,8 @@ class ObjectStore:
         # in the allocator, rebuild the element count (so BPlusTree skips
         # its own counting walk), and surface the leaf entries (metadata
         # records / extents) the rest of the mount needs.
-        store._master = BPlusTree(
-            store=store._new_page_store("osd.master"),
-            max_keys=store.max_keys,
+        store._master = store._new_tree(
+            "osd.master",
             root_id=state["master_root"],
             count=0,
             on_root_change=store._master_root_moved,
@@ -241,12 +229,7 @@ class ObjectStore:
                     f"object {oid} has no persisted extent-tree root; "
                     "the device was not formatted for mounting"
                 )
-            tree = BPlusTree(
-                store=store._new_page_store(),
-                max_keys=store.max_keys,
-                root_id=metadata.extent_root,
-                count=0,
-            )
+            tree = store._new_tree(root_id=metadata.extent_root, count=0)
             store._trees[oid] = tree
             tree_count, tree_entries = store._reserve_tree_pages(tree, collect=True)
             tree._count = tree_count
@@ -313,12 +296,10 @@ class ObjectStore:
         """
         if not self.btree_on_device:
             raise ObjectStoreError("index trees require btree_on_device=True")
-        page_store = self._new_page_store(name)
         if root_id is None:
-            return BPlusTree(store=page_store, max_keys=self.max_keys,
-                             on_root_change=on_root_change)
-        tree = BPlusTree(store=page_store, max_keys=self.max_keys,
-                         root_id=root_id, count=0, on_root_change=on_root_change)
+            return self._new_tree(name, on_root_change=on_root_change)
+        tree = self._new_tree(name, root_id=root_id, count=0,
+                              on_root_change=on_root_change)
         count, _entries = self._reserve_tree_pages(tree)
         tree._count = count
         return tree
@@ -379,19 +360,22 @@ class ObjectStore:
 
     # ------------------------------------------------------------ internals
 
-    def _new_page_store(self, name: str = "osd.extent"):
-        if self.btree_on_device:
-            return DevicePageStore(
-                self.device,
-                self.allocator,
-                page_blocks=self.page_blocks,
-                cache_pages=self.cache_pages,
-                buffer_pool=self.buffer_pool,
-                name=name,
-                recovery=self.recovery,
-                integrity=self.integrity,
-            )
-        return InMemoryPageStore()
+    def _new_tree(self, name: str = "osd.extent", **attach) -> BPlusTree:
+        """A btree over this store's kind of pages; ``attach`` is
+        :class:`BPlusTree`'s ``root_id`` / ``count`` / ``on_root_change``."""
+        if not self.btree_on_device:
+            return BPlusTree(store=InMemoryPageStore(),
+                             max_keys=_VOLATILE_MAX_KEYS, **attach)
+        page_store = DevicePageStore(
+            self.device,
+            self.allocator,
+            cache_pages=self.cache_pages,
+            buffer_pool=self.buffer_pool,
+            name=name,
+            recovery=self.recovery,
+            integrity=self.integrity,
+        )
+        return BPlusTree(store=page_store, **attach)
 
     def _txn(self):
         """One WAL transaction per public mutator (no-op without recovery)."""
@@ -509,7 +493,7 @@ class ObjectStore:
             )
             # The tree must exist before the metadata is saved so the save
             # records its root page (the mount path follows that pointer).
-            self._trees[oid] = BPlusTree(store=self._new_page_store(), max_keys=self.max_keys)
+            self._trees[oid] = self._new_tree()
             self._chunks[oid] = set()
             self._save_metadata(oid, metadata)
             self._live_objects += 1
@@ -577,39 +561,39 @@ class ObjectStore:
             except KeyNotFoundError:
                 return False
 
-    def _check_metadata_record(self, metadata: ObjectMetadata) -> None:
-        """Reject a metadata record that could not fit a master-tree page.
+    def _entry_budget(self) -> Optional[int]:
+        """Bytes one master-tree entry may take: half a page (``None`` for
+        volatile trees, which have no page).
 
-        Like :meth:`check_name`, this must run *before* anything is logged:
-        a single btree entry cannot be split, and failing mid-transaction
-        poisons the WAL.  The slack covers timestamps/extent-root fields
-        stamped later in the operation.
+        Half, not a whole one: a node that outgrows its page splits in two,
+        and two halves that both fit exist only while no entry — and no
+        key, which may become an inner node's separator — is over half a
+        page (a record of most of a page between two of a third of one
+        cannot be split at all).  An entry over budget would fail *after*
+        the enclosing WAL transaction logged pages, poisoning the
+        filesystem, so callers validate before mutating anything.
         """
         page_bytes = getattr(self._master.store, "page_bytes", None)
-        if page_bytes is None:
-            return
-        if len(metadata.to_bytes()) + 256 > page_bytes:
+        return None if page_bytes is None else page_bytes // 2
+
+    def _check_metadata_record(self, metadata: ObjectMetadata) -> None:
+        """Reject a metadata record over :meth:`_entry_budget`.  The slack
+        covers timestamps/extent-root fields stamped later in the operation."""
+        budget = self._entry_budget()
+        if budget is not None and len(metadata.to_bytes()) + 256 > budget:
             raise ObjectStoreError(
                 f"metadata record of {len(metadata.to_bytes())} bytes cannot "
-                f"fit a {page_bytes}-byte btree page (trim the attributes)"
+                f"fit half a btree page ({budget} bytes; trim the attributes)"
             )
 
     def check_name(self, name: str) -> None:
-        """Reject a name entry that could not fit a master-tree page.
-
-        A single btree entry cannot be split, so an oversized key would
-        fail *after* the enclosing WAL transaction logged pages — poisoning
-        the filesystem.  Callers validate before mutating anything.
-        """
-        store = self._master.store
-        page_bytes = getattr(store, "page_bytes", None)
-        if page_bytes is None:
-            return
+        """Reject a name entry over :meth:`_entry_budget`."""
+        budget = self._entry_budget()
         key_len = len(_NAME_PREFIX) + _OID.size + len(name.encode("utf-8"))
-        if key_len + 64 > page_bytes:
+        if budget is not None and key_len + 64 > budget:
             raise ObjectStoreError(
-                f"name entry of {key_len} bytes cannot fit a "
-                f"{page_bytes}-byte btree page"
+                f"name entry of {key_len} bytes cannot fit half a btree page "
+                f"({budget} bytes)"
             )
 
     def names(self, oid: int) -> List[str]:

@@ -50,6 +50,7 @@ from time import monotonic
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.btree.pages import PAGE_BYTES
 from repro.errors import CacheError, RecoveryError
 from repro.concurrency.tree_locks import TreeLockTable, _rank
 from repro.storage.block_device import BlockDevice
@@ -162,8 +163,7 @@ class RecoveryManager:
             "data_region_start": 0,
             "master_root": 0,
             "next_oid": 1,
-            "page_blocks": 4,
-            "max_keys": 32,
+            "page_blocks": PAGE_BYTES // device.block_size,
             "checkpoint_seq": 0,
             "fulltext_root": 0,
             "image_root": 0,
@@ -848,7 +848,6 @@ class RecoveryManager:
             master_root=self.state["master_root"],
             next_oid=self.state["next_oid"],
             page_blocks=self.state["page_blocks"],
-            max_keys=self.state["max_keys"],
             checkpoint_seq=self.state["checkpoint_seq"],
             fulltext_root=self.state.get("fulltext_root", 0),
             image_root=self.state.get("image_root", 0),
@@ -859,15 +858,13 @@ class RecoveryManager:
     # ------------------------------------------------------------ lifecycle
 
     def initialize(self, master_root: int, next_oid: int,
-                   data_region_start: int, page_blocks: int, max_keys: int,
+                   data_region_start: int,
                    fulltext_root: int = 0, image_root: int = 0) -> None:
         """mkfs: record the freshly created roots and write checkpoint zero."""
         self.state.update(
             master_root=master_root,
             next_oid=next_oid,
             data_region_start=data_region_start,
-            page_blocks=page_blocks,
-            max_keys=max_keys,
             fulltext_root=fulltext_root,
             image_root=image_root,
         )
@@ -891,8 +888,6 @@ class RecoveryManager:
             data_region_start=superblock.data_region_start,
             master_root=superblock.master_root,
             next_oid=superblock.next_oid,
-            page_blocks=superblock.page_blocks,
-            max_keys=superblock.max_keys,
             checkpoint_seq=superblock.checkpoint_seq,
             fulltext_root=superblock.fulltext_root,
             image_root=superblock.image_root,

@@ -10,8 +10,9 @@ The superblock is the fixed-location record that makes that possible:
   logical state that cannot be rediscovered by walking (everything else is
   reachable from the master tree: per-object extent-tree roots live in each
   object's metadata record, data chunks in its extent map);
-* btree shape knobs (``page_blocks``, ``max_keys``) so a mount builds
-  compatible page stores.
+* the page geometry stamp (``page_blocks``): a btree page is
+  :data:`~repro.btree.pages.PAGE_BYTES` whatever the device's block size,
+  and an image stamped with any other page size is refused.
 
 This module is also the one place that knows which on-device formats are
 mountable: :meth:`Superblock.from_bytes` rejects a field set it does not
@@ -32,6 +33,7 @@ import struct
 import zlib
 from dataclasses import asdict, dataclass, fields
 
+from repro.btree.pages import PAGE_BYTES
 from repro.errors import RecoveryError
 from repro.storage.block_device import BlockDevice
 
@@ -53,8 +55,9 @@ class Superblock:
     data_region_start: int
     master_root: int
     next_oid: int
-    page_blocks: int = 4
-    max_keys: int = 32
+    #: page-geometry stamp: device blocks per btree page.  Times the device's
+    #: block size it must come to ``PAGE_BYTES``, the only page size.
+    page_blocks: int
     #: monotonically increasing checkpoint counter (diagnostics).
     checkpoint_seq: int = 0
     #: root pages of the persistent full-text / image index btrees; ``0``
@@ -102,12 +105,20 @@ class Superblock:
             )
         return cls(**stored)
 
-    def require_mountable(self) -> None:
+    def require_mountable(self, block_size: int) -> None:
         """Refuse a format this code does not serve, naming the field.
 
         Mounts ask before journal replay writes a single home block, so a
-        refused device is left byte-identical.
+        refused device is left byte-identical.  ``block_size`` is the
+        device's, which the superblock does not record.
         """
+        if self.page_blocks * block_size != PAGE_BYTES:
+            raise RecoveryError(
+                f"unsupported on-device format: superblock page_blocks="
+                f"{self.page_blocks} on {block_size}-byte blocks is a "
+                f"{self.page_blocks * block_size}-byte btree page, but only "
+                f"{PAGE_BYTES}-byte pages are mountable"
+            )
         if self.checksum_pages != 1:
             raise RecoveryError(
                 f"unsupported on-device format: superblock checksum_pages="

@@ -27,8 +27,8 @@ def count_limited():
 def byte_limited():
     device = BlockDevice(num_blocks=1 << 14, block_size=512)
     store = DevicePageStore(device, BuddyAllocator(total_blocks=1 << 14),
-                            page_blocks=2, cache_pages=16)
-    return BPlusTree(store=store, max_keys=64)
+                            cache_pages=16)
+    return BPlusTree(store=store)
 
 
 def setter(value):
@@ -91,13 +91,15 @@ class TestAgainstDictModel:
         # last must empty them, and both must have gone through put/delete.
         tree, model, calls = make_tree(), {}, {"put": 0, "delete": 0}
         count_fallbacks(tree, calls)
+        # Values a count-limited leaf holds four of, and a page a dozen of.
+        scale = 1 if tree.node_byte_limit is None else 8
         rng = random.Random(7)
         for phase in range(12):
             batch = {}
             for _ in range(40):
                 i = rng.randrange(400)
                 grow = rng.random() < (0.85 if phase < 6 else 0.1)
-                batch[i] = bytes(rng.randrange(1, 60)) if grow else None
+                batch[i] = bytes(scale * rng.randrange(1, 60)) if grow else None
             for i in rng.sample(sorted(model), min(5, len(model))):
                 batch[int(i[1:])] = model[i]  # no-op: the value it already has
             apply_batch(tree, model, batch)

@@ -1,5 +1,7 @@
 """Unit and property-based tests for the B+-tree."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,11 +238,11 @@ class TestCursors:
 
 
 class TestDevicePageStore:
-    def make_device_tree(self, cache_pages=16, max_keys=16):
+    def make_device_tree(self, cache_pages=16):
         device = BlockDevice(num_blocks=1 << 14, block_size=512)
         allocator = BuddyAllocator(total_blocks=1 << 14)
-        store = DevicePageStore(device, allocator, page_blocks=8, cache_pages=cache_pages)
-        return BPlusTree(store=store, max_keys=max_keys), device, store
+        store = DevicePageStore(device, allocator, cache_pages=cache_pages)
+        return BPlusTree(store=store), device, store
 
     def test_roundtrip_through_device(self):
         tree, device, _store = self.make_device_tree()
@@ -254,7 +256,7 @@ class TestDevicePageStore:
         tree, device, store = self.make_device_tree(cache_pages=0)
         tree.put(b"durable", b"yes")
         # Reading through a second store over the same device must see the data.
-        fresh_store = DevicePageStore(device, store.allocator, page_blocks=8, cache_pages=0)
+        fresh_store = DevicePageStore(device, store.allocator, cache_pages=0)
         node = fresh_store.read(tree._root_id)
         assert b"durable" in node.keys
 
@@ -285,7 +287,7 @@ class TestDevicePageStore:
     def test_fat_values_split_by_bytes_instead_of_overflowing(self):
         # Nodes used to overflow their page when values were fat; trees over
         # a page store now split on *encoded bytes*, so this just works.
-        tree, _device, store = self.make_device_tree(max_keys=64)
+        tree, _device, store = self.make_device_tree()
         for i in range(64):
             tree.put(key(i), bytes(600))
         tree.check_invariants()
@@ -295,7 +297,7 @@ class TestDevicePageStore:
         assert tree.node_byte_limit == store.page_bytes
 
     def test_growing_value_in_place_splits_by_bytes(self):
-        tree, _device, store = self.make_device_tree(max_keys=64)
+        tree, _device, store = self.make_device_tree()
         for i in range(8):
             tree.put(key(i), b"small")
         for i in range(8):  # grow each value in place past a page's worth
@@ -305,9 +307,88 @@ class TestDevicePageStore:
             assert tree.lookup(key(i)) == bytes(store.page_bytes // 4)
 
     def test_single_value_larger_than_page_still_rejected(self):
-        tree, _device, store = self.make_device_tree(max_keys=64)
+        tree, _device, store = self.make_device_tree()
         with pytest.raises(BTreeError):
             tree.put(b"giant", bytes(store.page_bytes + 1))
+
+
+class TestByteOccupancy:
+    """Over a store with a page size, bytes alone decide when a node splits,
+    underflows, lends and merges; ``max_keys`` plays no part."""
+
+    def make_tree(self):
+        device = BlockDevice(num_blocks=1 << 14, block_size=512)
+        allocator = BuddyAllocator(total_blocks=1 << 14)
+        store = DevicePageStore(device, allocator, cache_pages=64)
+        return BPlusTree(store=store, max_keys=3), store
+
+    def non_root_sizes(self, tree):
+        sizes, stack = [], [tree.root_id]
+        while stack:
+            node = tree.store.read(stack.pop())
+            if not node.is_leaf:
+                stack.extend(node.children)
+                sizes.extend(tree.store.read(child).nbytes for child in node.children)
+        return sizes
+
+    def test_a_leaf_holds_a_page_of_entries_whatever_max_keys_says(self):
+        tree, store = self.make_tree()
+        entry = 8 + len(key(0)) + 100
+        fits = (store.page_bytes - 13) // entry
+        for i in range(fits):
+            tree.put(key(i), bytes(100))
+        assert tree.depth() == 1
+        tree.put(key(fits), bytes(100))
+        assert tree.depth() == 2
+        tree.check_invariants()
+
+    def test_deletes_keep_every_node_a_quarter_page(self):
+        tree, store = self.make_tree()
+        for i in range(2000):
+            tree.put(key(i), bytes(400))
+        assert tree.depth() == 3
+        order = list(range(2000))
+        random.Random(3).shuffle(order)
+        for done, i in enumerate(order[:-5], 1):
+            tree.delete(key(i))
+            if done % 100 == 0:
+                tree.check_invariants()
+                # Entries this small never leave a node stuck under a quarter.
+                assert all(size >= store.page_bytes // 4 for size in self.non_root_sizes(tree))
+        assert tree.depth() == 1 and len(tree) == 5
+
+    def test_replacing_values_with_smaller_ones_merges_the_leaves(self):
+        tree, store = self.make_tree()
+        for i in range(300):
+            tree.put(key(i), bytes(200))
+        leaves_before = len(self.non_root_sizes(tree))
+        for i in range(300):
+            tree.put(key(i), b"")  # the keys stay: no delete ever runs
+        tree.check_invariants()
+        sizes = self.non_root_sizes(tree)
+        assert len(sizes) < leaves_before / 4
+        assert all(size >= store.page_bytes // 4 for size in sizes)
+        assert [k for k, _ in tree.items()] == [key(i) for i in range(300)]
+
+    def test_a_sibling_lends_while_it_keeps_a_quarter_page_then_merges(self):
+        tree, store = self.make_tree()
+        for i in range(50):  # ascending: the split leaves the left leaf half full
+            tree.put(key(i), bytes(100))
+        left_id, right_id = tree.store.read(tree.root_id).children
+        left_keys = len(tree.store.read(left_id).keys)
+        lent = 0
+        for i in reversed(range(50)):  # drain the tree from its right end
+            tree.delete(key(i))
+            tree.check_invariants()
+            if tree.depth() == 1:
+                break
+            left, right = tree.store.read(left_id), tree.store.read(right_id)
+            assert min(left.nbytes, right.nbytes) >= store.page_bytes // 4
+            lent = max(lent, left_keys - len(left.keys))
+        # The left leaf gave entries up, but never so many as to underflow
+        # itself: with both at a quarter page the pair merged instead.
+        assert 0 < lent < left_keys
+        assert tree.depth() == 1 and len(tree) > 0
 
 
 class TestTraversalAccounting:
@@ -388,15 +469,17 @@ class TestByteBalancedSplits:
     def make_tree(self):
         device = BlockDevice(num_blocks=1 << 12, block_size=512)
         allocator = BuddyAllocator(total_blocks=1 << 12)
-        store = DevicePageStore(device, allocator, page_blocks=2, cache_pages=16)
-        return BPlusTree(store=store, max_keys=64), store
+        store = DevicePageStore(device, allocator, cache_pages=16)
+        return BPlusTree(store=store), store
 
     def test_split_isolates_a_fat_trailing_value(self):
         tree, store = self.make_tree()
         fat = store.page_bytes // 2 + store.page_bytes // 4
-        for i in range(20):
+        for i in range(80):
             tree.put(key(i), b"tiny")
+        assert tree.depth() == 1
         tree.put(b"\xff-last", bytes(fat))  # sorts after every small key
+        assert tree.depth() == 2
         tree.check_invariants()
         assert tree.lookup(b"\xff-last") == bytes(fat)
 
@@ -404,7 +487,8 @@ class TestByteBalancedSplits:
         tree, store = self.make_tree()
         fat = store.page_bytes // 2 + store.page_bytes // 4
         tree.put(b"\x00-first", bytes(fat))  # sorts before every small key
-        for i in range(20):
+        for i in range(80):
             tree.put(key(i), b"tiny")
+        assert tree.depth() == 2
         tree.check_invariants()
         assert tree.lookup(b"\x00-first") == bytes(fat)

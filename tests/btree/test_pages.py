@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.btree import DevicePageStore, InMemoryPageStore
+from repro.btree import PAGE_BYTES, DevicePageStore, InMemoryPageStore
 from repro.btree.node import NO_PAGE, InnerNode, LeafNode, decode_node
 from repro.errors import BTreeError
 from repro.storage import BlockDevice, BuddyAllocator
@@ -72,10 +72,10 @@ class TestInMemoryPageStore:
 
 
 class TestDevicePageStore:
-    def make_store(self, cache_pages=8, page_blocks=2):
+    def make_store(self, cache_pages=8):
         device = BlockDevice(num_blocks=1 << 12, block_size=512)
         allocator = BuddyAllocator(total_blocks=1 << 12)
-        return DevicePageStore(device, allocator, page_blocks=page_blocks, cache_pages=cache_pages), device
+        return DevicePageStore(device, allocator, cache_pages=cache_pages), device
 
     def test_roundtrip_through_device_blocks(self):
         store, device = self.make_store(cache_pages=0)
@@ -106,10 +106,17 @@ class TestDevicePageStore:
         assert len(store._cache) <= 2
 
     def test_oversized_node_rejected(self):
-        store, _ = self.make_store(page_blocks=1)
+        store, _ = self.make_store()
         page = store.allocate()
         with pytest.raises(BTreeError):
             store.write(page, LeafNode(keys=[b"k"], values=[bytes(4096)]))
+
+    def test_every_page_is_page_bytes_of_whole_blocks(self):
+        store, device = self.make_store()
+        assert store.page_blocks * device.block_size == PAGE_BYTES
+        page = store.allocate()
+        store.write(page, LeafNode(keys=[b"k"], values=[b"v"]))
+        assert device.stats.blocks_written == store.page_blocks
 
     def test_free_returns_blocks_to_allocator(self):
         store, _ = self.make_store()
@@ -120,10 +127,11 @@ class TestDevicePageStore:
         assert store.allocator.free_blocks == free_before
 
     def test_invalid_page_blocks(self):
-        device = BlockDevice(num_blocks=64, block_size=512)
+        # A page is whole blocks: a block bigger than a page cannot hold one.
+        device = BlockDevice(num_blocks=64, block_size=2 * PAGE_BYTES)
         allocator = BuddyAllocator(total_blocks=64)
-        with pytest.raises(ValueError):
-            DevicePageStore(device, allocator, page_blocks=0)
+        with pytest.raises(ValueError, match="whole number"):
+            DevicePageStore(device, allocator)
 
 
 class TestSharedBufferPool:
@@ -137,7 +145,7 @@ class TestSharedBufferPool:
         pool = BufferPool(capacity=capacity)
         stores = [
             DevicePageStore(
-                device, allocator, page_blocks=2, buffer_pool=pool,
+                device, allocator, buffer_pool=pool,
                 write_back=write_back, name=f"store{i}",
             )
             for i in range(2)
@@ -168,7 +176,7 @@ class TestWriteBack:
         device = BlockDevice(num_blocks=1 << 12, block_size=512)
         allocator = BuddyAllocator(total_blocks=1 << 12)
         store = DevicePageStore(
-            device, allocator, page_blocks=2, cache_pages=cache_pages, write_back=True
+            device, allocator, cache_pages=cache_pages, write_back=True
         )
         return store, device
 
@@ -236,7 +244,7 @@ class TestWriteBack:
         for i in range(100):
             assert tree.lookup(b"%04d" % i) == b"v%d" % i
         # The root is genuinely on the device: a cold, uncached store sees it.
-        fresh = DevicePageStore(device, store.allocator, page_blocks=2, cache_pages=0)
+        fresh = DevicePageStore(device, store.allocator, cache_pages=0)
         assert fresh.read(tree._root_id) is not None
 
 
@@ -250,7 +258,7 @@ class TestDetachDiscard:
         allocator = BuddyAllocator(total_blocks=1 << 12)
         pool = BufferPool(capacity=8)
         store = DevicePageStore(
-            device, allocator, page_blocks=2, buffer_pool=pool,
+            device, allocator, buffer_pool=pool,
             write_back=True, name="teardown",
         )
         return pool, store, device

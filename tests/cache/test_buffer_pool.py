@@ -7,8 +7,8 @@ from repro.cache import BufferPool
 from repro.errors import AllPagesPinnedError, CacheError
 
 
-def make_pool(capacity=4, policy="lru"):
-    pool = BufferPool(capacity=capacity, policy=policy)
+def make_pool(capacity=4):
+    pool = BufferPool(capacity=capacity)
     written = {}
     consumer = pool.register("test", writeback=written.__setitem__)
     return pool, consumer, written
@@ -163,18 +163,6 @@ class TestFlushAndInvalidate:
         assert written == {1: "mine"}
         assert other_written == {}
 
-    def test_invalidate_of_freed_page_clears_arc_ghost(self):
-        # Regression: freeing an evicted page must clear its ARC ghost entry,
-        # or the allocator reusing the page id reads as a false ghost hit.
-        pool = BufferPool(capacity=2, policy="arc")
-        consumer = pool.register("arc")
-        consumer.put(1, "a")
-        consumer.put(2, "b")
-        consumer.put(3, "c")  # evicts page 1 into the b1 ghost list
-        consumer.invalidate(1)  # page freed; ghost must die too
-        consumer.put(1, "recycled")  # reused page id: a genuinely new page
-        assert pool.policy.p == 0.0  # no ghost hit, no adaptation
-
     def test_invalidate_drops_without_writeback(self):
         pool, consumer, written = make_pool()
         consumer.put(1, "doomed", dirty=True)
@@ -193,13 +181,12 @@ class TestFlushAndInvalidate:
 
 class TestStats:
     def test_snapshot_shape(self):
-        pool, consumer, _ = make_pool(capacity=4, policy="arc")
+        pool, consumer, _ = make_pool(capacity=4)
         consumer.put(1, "a")
         consumer.get(1)
         consumer.get(2)
         snap = pool.snapshot()
         assert snap["capacity"] == 4
-        assert snap["policy"] == "arc"
         assert snap["resident"] == 1
         assert snap["totals"]["hits"] == 1
         assert snap["totals"]["misses"] == 1

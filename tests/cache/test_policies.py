@@ -1,52 +1,34 @@
-"""Shared conformance suite every eviction policy must pass.
+"""The conformance suite an eviction policy must pass, and the pool over it.
 
 The suite checks *correctness* properties (victims are resident and unpinned,
 removed keys are forgotten, the pool stays bounded and never loses data), not
-retention quality — LRU and ARC legitimately disagree about what to keep.
-Each test is parametrized over all four policies so a new policy only has to
-join the list to inherit the whole suite.
+retention quality.  The bare-policy tests are parametrized over the
+:class:`~repro.cache.EvictionPolicy` implementations — LRU is the only one.
 """
 
 import random
 
 import pytest
 
-from repro.cache import BufferPool, POLICIES, make_policy
-from repro.cache.policies import ARCPolicy, ClockPolicy, LFUPolicy, LRUPolicy
-
-ALL_POLICIES = sorted(POLICIES)
+from repro.cache import BufferPool, LRUPolicy
 
 
-@pytest.fixture(params=ALL_POLICIES)
-def policy_name(request):
+@pytest.fixture(params=[LRUPolicy], ids=["lru"])
+def make_policy(request):
     return request.param
 
 
 class TestPolicyInterface:
-    def test_make_policy_by_name(self, policy_name):
-        policy = make_policy(policy_name, 8)
-        assert policy.name == policy_name
-        assert policy.capacity == 8
-
-    def test_make_policy_rejects_unknown(self):
+    def test_capacity_must_be_positive(self, make_policy):
         with pytest.raises(ValueError):
-            make_policy("mru", 8)
-
-    def test_make_policy_accepts_class_and_instance(self):
-        assert make_policy(LRUPolicy, 4).name == "lru"
-        instance = ClockPolicy(4)
-        assert make_policy(instance, 99) is instance
-
-    def test_capacity_must_be_positive(self, policy_name):
-        with pytest.raises(ValueError):
-            make_policy(policy_name, 0)
+            make_policy(0)
 
 
 class TestPolicyConformance:
     """Drive the bare policy object with a random reference workload."""
 
-    def test_victim_is_resident_and_unpinned(self, policy_name):
-        policy = make_policy(policy_name, 4)
+    def test_victim_is_resident_and_unpinned(self, make_policy):
+        policy = make_policy(4)
         resident = set()
         rng = random.Random(7)
         for step in range(500):
@@ -59,37 +41,37 @@ class TestPolicyConformance:
                     victim = policy.victim(pinned)
                     assert victim in resident
                     assert victim not in pinned
-                    policy.on_evict(victim)
+                    policy.on_remove(victim)
                     resident.discard(victim)
                 policy.on_add(key)
                 resident.add(key)
 
-    def test_all_pinned_yields_no_victim(self, policy_name):
-        policy = make_policy(policy_name, 3)
+    def test_all_pinned_yields_no_victim(self, make_policy):
+        policy = make_policy(3)
         for key in ("a", "b", "c"):
             policy.on_add(key)
         assert policy.victim({"a", "b", "c"}) is None
 
-    def test_removed_key_is_never_chosen(self, policy_name):
-        policy = make_policy(policy_name, 3)
+    def test_removed_key_is_never_chosen(self, make_policy):
+        policy = make_policy(3)
         for key in ("a", "b", "c"):
             policy.on_add(key)
         policy.on_remove("a")
         for _ in range(3):
             victim = policy.victim(set())
             assert victim in {"b", "c"}
-            policy.on_evict(victim)
+            policy.on_remove(victim)
             policy.on_add(victim)
 
-    def test_empty_policy_has_no_victim(self, policy_name):
-        policy = make_policy(policy_name, 3)
+    def test_empty_policy_has_no_victim(self, make_policy):
+        policy = make_policy(3)
         assert policy.victim(set()) is None
 
 
 class TestPolicyConformanceThroughPool:
     """End-to-end: a pool with a backing store must never lose data."""
 
-    def _run_workload(self, policy_name, capacity, accesses, universe, seed):
+    def _run_workload(self, capacity, accesses, universe, seed):
         backing = {}
         writes = []
 
@@ -97,7 +79,7 @@ class TestPolicyConformanceThroughPool:
             writes.append(page_id)
             backing[page_id] = value
 
-        pool = BufferPool(capacity=capacity, policy=policy_name)
+        pool = BufferPool(capacity=capacity)
         consumer = pool.register("workload", writeback=writeback)
         rng = random.Random(seed)
         for step in range(accesses):
@@ -114,9 +96,9 @@ class TestPolicyConformanceThroughPool:
         pool.flush()
         return pool, consumer, backing, writes
 
-    def test_bounded_and_consistent(self, policy_name):
+    def test_bounded_and_consistent(self):
         pool, consumer, backing, writes = self._run_workload(
-            policy_name, capacity=8, accesses=2000, universe=32, seed=11
+            capacity=8, accesses=2000, universe=32, seed=11
         )
         assert len(pool) <= 8
         assert consumer.stats.hits > 0
@@ -126,8 +108,8 @@ class TestPolicyConformanceThroughPool:
         assert consumer.stats.writebacks > 0
         assert pool.dirty_pages == 0  # final flush cleaned everything
 
-    def test_read_your_writes(self, policy_name):
-        pool = BufferPool(capacity=4, policy=policy_name)
+    def test_read_your_writes(self):
+        pool = BufferPool(capacity=4)
         backing = {}
         consumer = pool.register("ryw", writeback=backing.__setitem__)
         # Write 20 distinct pages through a 4-page pool; every page must be
@@ -141,9 +123,9 @@ class TestPolicyConformanceThroughPool:
                 value = backing[page]
             assert value == f"v{page}"
 
-    def test_hot_page_retention_under_skew(self, policy_name):
-        """All policies must keep an extremely hot page resident (statistically)."""
-        pool = BufferPool(capacity=4, policy=policy_name)
+    def test_hot_page_retention_under_skew(self):
+        """An extremely hot page stays resident (statistically)."""
+        pool = BufferPool(capacity=4)
         consumer = pool.register("skew")
         rng = random.Random(3)
         hot_hits = 0
@@ -159,53 +141,6 @@ class TestPolicyConformanceThroughPool:
                 hot_hits += 1 if value is not None else 0
             if value is None:
                 consumer.put(page, page)
-        # The hot page is accessed every other step; any sane policy keeps it
-        # resident most of the time.
+        # The hot page is accessed every other step, so it is resident most
+        # of the time.
         assert hot_hits / hot_accesses > 0.5
-
-
-class TestARCSpecifics:
-    def test_ghost_hit_adapts_target(self):
-        policy = ARCPolicy(4)
-        for key in range(4):
-            policy.on_add(key)
-        victim = policy.victim(set())
-        policy.on_evict(victim)  # goes to the b1 ghost list
-        assert policy.p == 0.0
-        policy.on_add(victim)  # ghost hit: p must grow toward recency
-        assert policy.p > 0.0
-
-    def test_ghost_lists_stay_bounded(self):
-        policy = ARCPolicy(4)
-        for key in range(100):
-            policy.on_add(key)
-            victim = policy.victim(set())
-            if victim is not None:
-                policy.on_evict(victim)
-        assert len(policy._b1) <= 4
-        assert len(policy._b2) <= 4
-
-
-class TestLFUSpecifics:
-    def test_evicts_least_frequent(self):
-        policy = LFUPolicy(3)
-        for key in ("a", "b", "c"):
-            policy.on_add(key)
-        for _ in range(5):
-            policy.on_hit("a")
-        policy.on_hit("b")
-        assert policy.victim(set()) == "c"
-
-
-class TestClockSpecifics:
-    def test_second_chance(self):
-        policy = ClockPolicy(3)
-        for key in ("a", "b", "c"):
-            policy.on_add(key)
-        # All reference bits are set; the first sweep clears them and the
-        # second finds "a" (the hand started there).
-        assert policy.victim(set()) == "a"
-        policy.on_evict("a")
-        policy.on_add("d")
-        # "b" had its bit cleared by the sweep above and is next.
-        assert policy.victim(set()) == "b"

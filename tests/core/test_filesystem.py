@@ -245,10 +245,14 @@ def test_one_index_apply_path_surface():
                 if name != "self" and not name.startswith("_")]
 
     constructor = public(HFADFileSystem.__init__)
-    assert len(constructor) == 14
+    assert len(constructor) == 13
+    assert len(public(HFADFileSystem.mount)) == 9
     assert set(public(HFADFileSystem.mount)) - {"device"} <= set(constructor)
-    with pytest.raises(TypeError):
-        HFADFileSystem(lazy_indexing=True)
+    # ... nor the buffer pool's eviction policy (LRU) or the page geometry.
+    for retired in ({"lazy_indexing": True}, {"cache_policy": "lru"},
+                    {"page_blocks": 1}, {"max_keys": 32}):
+        with pytest.raises(TypeError):
+            HFADFileSystem(**retired)
 
 
 @pytest.mark.parametrize("on_device", [False, True])

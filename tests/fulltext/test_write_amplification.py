@@ -8,6 +8,12 @@ postings through cost a page per distinct term (~76 here); one tree entry
 per posting with per-term side records cost ~2.6 pages per term.  A page
 touch added to the create path — or a settle that stops batching — lands
 here, not in a benchmark.
+
+The bounds sit just above the floors measured with byte-filled 4 KB pages
+(seed 19): a create outside a settle wrote at most 9 pages and logged at most
+18 (bounds 11 and 21, ~20 % headroom), and the whole run logged one page per
+4.41 distinct terms (bound 4, ~10 %; it was 3.12 with 16 KB pages split at 32
+keys, where rare terms sat alone in a leaf).
 """
 
 import random
@@ -21,7 +27,7 @@ VOCABULARY = [f"t{i:04d}" for i in range(2000)]
 
 
 def test_a_create_writes_at_most_one_index_page_per_distinct_term():
-    # ... by a wide margin: a handful of pages per create, a third of a page
+    # ... by a wide margin: a handful of pages per create, a quarter of a page
     # per distinct term once the settles are counted in.
     rng = random.Random(19)
     fs = HFADFileSystem(btree_on_device=True, num_blocks=1 << 16)
@@ -45,10 +51,10 @@ def test_a_create_writes_at_most_one_index_page_per_distinct_term():
             continue
         distinct += terms
         if index.settles == settles:  # this create's commit tripped no settle
-            assert store.writes - writes <= 12, (number, terms, store.writes - writes)
-            assert pages_logged() - logged <= 24, (number, terms, pages_logged() - logged)
+            assert store.writes - writes <= 11, (number, terms, store.writes - writes)
+            assert pages_logged() - logged <= 21, (number, terms, pages_logged() - logged)
     assert index.settles >= 2
-    # Amortised over the settles the creates paid for: a third of a page per
+    # Amortised over the settles the creates paid for: a quarter of a page per
     # distinct term, not one.
-    assert (pages_logged() - logged_from) * 3 <= distinct, (pages_logged() - logged_from, distinct)
+    assert (pages_logged() - logged_from) * 4 <= distinct, (pages_logged() - logged_from, distinct)
     fs.close()

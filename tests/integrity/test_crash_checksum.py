@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.btree import PAGE_BYTES
 from repro.btree.node import LeafNode
 from repro.core import HFADFileSystem
 from repro.errors import CorruptionError
@@ -118,5 +119,6 @@ class TestFrameOverheadAccounting:
         device = CrashingBlockDevice(num_blocks=1 << 14, block_size=512)
         fs = HFADFileSystem(device=device, btree_on_device=True)
         store = fs.objects._master.store
-        assert store.page_bytes == store.raw_page_bytes - FRAME_OVERHEAD
+        assert store.page_bytes == PAGE_BYTES - FRAME_OVERHEAD
+        assert store.page_blocks * device.block_size == PAGE_BYTES
         fs.close()

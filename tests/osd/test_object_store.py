@@ -342,7 +342,7 @@ class TestCompaction:
 class TestDeviceBackedBtrees:
     def test_btree_on_device_roundtrip(self):
         device = BlockDevice(num_blocks=1 << 15)
-        store = ObjectStore(device=device, btree_on_device=True, max_keys=16)
+        store = ObjectStore(device=device, btree_on_device=True)
         oid = store.create()
         store.write(oid, 0, b"persisted through device-resident btrees")
         store.insert(oid, 9, b" and grown")

@@ -165,7 +165,7 @@ class TestCrashDuringTheSettle:
         # Re-deriving a term one of whose blocks reached the tree without
         # its statistics would miscount its df.  Ten terms in every one of
         # 80 documents: runs of two blocks and a statistics key, which a
-        # 7-key chunk would cut into if it were allowed to.
+        # 3-key chunk would cut into if it were allowed to.
         device, fs = make_fs()
         ingest(fs, 80, common=[f"every{i}" for i in range(10)])
         for image in settle_recording_images(device, fs)[::3]:

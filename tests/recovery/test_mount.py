@@ -22,6 +22,13 @@ def make_fs(device=None, **kwargs):
     return device, HFADFileSystem(device=device, **kwargs)
 
 
+def store_superblock_fields(image, fields):
+    """Write a CRC-valid superblock carrying an arbitrary field set."""
+    payload = json.dumps(fields, sort_keys=True).encode("utf-8")
+    image.write_block(0, struct.pack(">8sII", b"HFADSB01", len(payload),
+                                     zlib.crc32(payload)) + payload)
+
+
 def clone(device):
     """A reboot: only the device bytes survive."""
     image = BlockDevice(num_blocks=device.num_blocks, block_size=device.block_size)
@@ -148,7 +155,8 @@ class TestMountErrors:
             HFADFileSystem.mount(BlockDevice(num_blocks=1 << 12, block_size=512))
 
     @pytest.mark.parametrize(
-        "field", ["checksum_pages", "fulltext_root", "image_root", "fulltext_format"]
+        "field", ["page_blocks", "checksum_pages", "fulltext_root", "image_root",
+                  "fulltext_format"]
     )
     def test_refused_format_leaves_the_device_untouched(self, field):
         device, fs = make_fs()
@@ -172,11 +180,22 @@ class TestMountErrors:
             del fields["fulltext_format"]
         else:
             fields["fulltext_format"] = stamp
-        payload = json.dumps(fields, sort_keys=True).encode("utf-8")
-        image.write_block(0, struct.pack(">8sII", b"HFADSB01", len(payload),
-                                         zlib.crc32(payload)) + payload)
+        store_superblock_fields(image, fields)
         before = image.dump()
         with pytest.raises(RecoveryError, match="fulltext_format"):
+            HFADFileSystem.mount(image)
+        assert image.dump() == before
+
+    def test_refused_page_geometry_leaves_the_device_untouched(self):
+        # An image from before byte-filled 4 KB pages: 16 KB pages split by
+        # count, stamped page_blocks=4 and max_keys=32.
+        device, fs = make_fs()
+        fs.create(b"committed only in the journal", path="/j.txt")
+        image = clone(device)
+        fields = dict(asdict(Superblock.load(image)), page_blocks=4, max_keys=32)
+        store_superblock_fields(image, fields)
+        before = image.dump()
+        with pytest.raises(RecoveryError, match="max_keys"):
             HFADFileSystem.mount(image)
         assert image.dump() == before
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.btree import DevicePageStore
+from repro.btree import PAGE_BYTES, DevicePageStore
 from repro.btree.node import LeafNode
 from repro.cache import BufferPool
-from repro.errors import RecoveryError
+from repro.errors import BTreeError, RecoveryError
 from repro.recovery import RecoveryManager
 from repro.storage import BlockDevice, BuddyAllocator
 
@@ -21,7 +21,7 @@ def make_stack(cache_pages=8, journal_blocks=32, group_commit=1, **manager_kwarg
     allocator = BuddyAllocator(total_blocks=1 << 12, base=0)
     allocator.reserve(0, 1 + journal_blocks)
     store = DevicePageStore(
-        device, allocator, page_blocks=2, buffer_pool=pool,
+        device, allocator, buffer_pool=pool,
         recovery=manager, name="t",
     )
     return device, manager, pool, store
@@ -41,7 +41,7 @@ class TestWalRule:
         # The page is dirty in the pool; the only device writes so far are
         # journal writes (the group-commit sync).
         assert pool.dirty_pages == 1
-        assert device.read_blocks(page, 2) == bytes(1024)
+        assert device.read_blocks(page, store.page_blocks) == bytes(PAGE_BYTES)
 
     def test_page_stamped_with_record_lsn(self):
         _, manager, _, store = make_stack()
@@ -62,6 +62,24 @@ class TestWalRule:
         pool.flush_page(store._consumer, page)
         assert manager.journal.durable_lsn >= lsn
         assert manager.stats.wal_forced_syncs >= 1
+
+    def test_an_entry_larger_than_a_page_fails_at_write_and_logs_nothing(self):
+        _, manager, pool, store = make_stack()
+        page = store.allocate()
+        appended = manager.journal.bytes_appended
+        giant = LeafNode(keys=[b"small", b"giant-key"],
+                         values=[b"v", bytes(store.page_bytes)])
+        with manager.transaction():
+            with pytest.raises(BTreeError) as refused:
+                store.write(page, giant)
+        message = str(refused.value)
+        assert "b'giant-key'" in message
+        assert f"of {giant.entry_size(1)} bytes" in message
+        assert f"a page of {store.page_bytes} bytes" in message
+        assert "max_keys" not in message
+        assert manager.stats.pages_logged == 0
+        assert manager.journal.bytes_appended == appended
+        assert pool.dirty_pages == 0
 
     def test_autocommit_outside_transaction(self):
         _, manager, _, store = make_stack()
@@ -134,7 +152,7 @@ class TestCheckpoint:
         assert flushed == 1
         assert pool.dirty_pages == 0
         assert manager.journal.bytes_used == 0
-        assert device.read_blocks(page, 2) != bytes(1024)  # page reached home
+        assert device.read_blocks(page, store.page_blocks) != bytes(PAGE_BYTES)  # page reached home
 
     def test_checkpoint_refused_inside_transaction(self):
         _, manager, _, _store = make_stack()
@@ -161,13 +179,13 @@ class TestReplay:
             page = write_node(store, b"replayed")
         # Simulate losing RAM: home location never written, journal holds the
         # committed record.  A fresh manager over the same device replays it.
-        assert device.read_blocks(page, 2) == bytes(1024)
+        assert device.read_blocks(page, store.page_blocks) == bytes(PAGE_BYTES)
         fresh = RecoveryManager(device, journal_start=1, journal_blocks=32)
         replayed = fresh.replay()
         assert replayed == 1
         assert fresh.stats.replayed_pages >= 1
-        raw = device.read_blocks(page, 2)
-        assert raw != bytes(1024)
+        raw = device.read_blocks(page, store.page_blocks)
+        assert raw != bytes(PAGE_BYTES)
         # The replayed page is a valid frame around the committed node.
         from repro.btree.node import decode_node
         from repro.integrity import verify_frame
@@ -210,7 +228,7 @@ class TestFailureContainment:
         assert pool.dirty_pages == 0  # the garbage frame is gone
         # Nothing can push it home anymore; the device never sees it.
         pool.flush()
-        assert device.read_blocks(page, 2) == bytes(1024)
+        assert device.read_blocks(page, store.page_blocks) == bytes(PAGE_BYTES)
 
     def test_commit_marker_failure_poisons_instead_of_half_committing(self):
         from repro.errors import DeviceError

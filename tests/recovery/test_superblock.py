@@ -7,9 +7,13 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.btree import PAGE_BYTES
 from repro.errors import RecoveryError
 from repro.recovery import SUPERBLOCK_BLOCK, Superblock
 from repro.storage import BlockDevice
+
+
+BLOCK_SIZE = 512
 
 
 def make_superblock(**overrides):
@@ -19,8 +23,7 @@ def make_superblock(**overrides):
         data_region_start=64,
         master_root=4096,
         next_oid=17,
-        page_blocks=4,
-        max_keys=32,
+        page_blocks=PAGE_BYTES // BLOCK_SIZE,
         checkpoint_seq=3,
         fulltext_root=4100,
         image_root=4104,
@@ -41,13 +44,13 @@ class TestRoundTrip:
         assert Superblock.from_bytes(original.to_bytes()) == original
 
     def test_device_round_trip(self):
-        device = BlockDevice(num_blocks=128, block_size=512)
+        device = BlockDevice(num_blocks=128, block_size=BLOCK_SIZE)
         original = make_superblock(master_root=99)
         original.store(device)
         assert Superblock.load(device) == original
 
     def test_store_overwrites_previous(self):
-        device = BlockDevice(num_blocks=128, block_size=512)
+        device = BlockDevice(num_blocks=128, block_size=BLOCK_SIZE)
         make_superblock(checkpoint_seq=1).store(device)
         make_superblock(checkpoint_seq=2).store(device)
         assert Superblock.load(device).checkpoint_seq == 2
@@ -55,7 +58,7 @@ class TestRoundTrip:
 
 class TestCorruption:
     def test_blank_device_rejected(self):
-        device = BlockDevice(num_blocks=128, block_size=512)
+        device = BlockDevice(num_blocks=128, block_size=BLOCK_SIZE)
         with pytest.raises(RecoveryError, match="superblock"):
             Superblock.load(device)
 
@@ -77,7 +80,7 @@ class TestCorruption:
             Superblock.from_bytes(raw[: len(raw) - 4])
 
     def test_torn_write_on_device_detected(self):
-        device = BlockDevice(num_blocks=128, block_size=512)
+        device = BlockDevice(num_blocks=128, block_size=BLOCK_SIZE)
         make_superblock().store(device)
         raw = bytearray(device.read_block(SUPERBLOCK_BLOCK))
         raw[20] ^= 0x40
@@ -99,14 +102,30 @@ class TestFormatVersions:
             Superblock.from_bytes(encode_fields(fields))
 
     def test_current_format_is_mountable(self):
-        make_superblock().require_mountable()
+        make_superblock().require_mountable(BLOCK_SIZE)
 
     @pytest.mark.parametrize(
-        "field", ["checksum_pages", "fulltext_root", "image_root", "fulltext_format"]
+        "field", ["page_blocks", "checksum_pages", "fulltext_root", "image_root",
+                  "fulltext_format"]
     )
     def test_unserved_format_refused_naming_the_field(self, field):
         with pytest.raises(RecoveryError, match=field):
-            make_superblock(**{field: 0}).require_mountable()
+            make_superblock(**{field: 0}).require_mountable(BLOCK_SIZE)
+
+    def test_only_page_bytes_pages_are_mountable(self):
+        # The stamp counts blocks, so what it means depends on the device's.
+        one_block = make_superblock(page_blocks=1)
+        one_block.require_mountable(PAGE_BYTES)
+        with pytest.raises(RecoveryError, match="page_blocks=1 on 512-byte blocks"):
+            one_block.require_mountable(BLOCK_SIZE)
+        with pytest.raises(RecoveryError, match="16384-byte btree page"):
+            make_superblock(page_blocks=4).require_mountable(PAGE_BYTES)
+
+    def test_an_image_with_the_count_rule_stamp_is_a_recovery_error(self):
+        # What 16 KB count-split pages' code wrote: page_blocks=4, max_keys=32.
+        fields = dict(asdict(make_superblock()), page_blocks=4, max_keys=32)
+        with pytest.raises(RecoveryError, match="max_keys"):
+            Superblock.from_bytes(encode_fields(fields))
 
     def test_an_image_without_the_fulltext_stamp_is_a_recovery_error(self):
         # What the per-posting layout's code wrote: every field but the stamp.
@@ -118,9 +137,9 @@ class TestFormatVersions:
     def test_the_per_posting_fulltext_layout_is_refused(self):
         assert make_superblock().fulltext_format == 3
         with pytest.raises(RecoveryError, match="fulltext_format=1"):
-            make_superblock(fulltext_format=1).require_mountable()
+            make_superblock(fulltext_format=1).require_mountable(BLOCK_SIZE)
 
     def test_the_eager_posting_block_layout_is_refused(self):
         # Stamp 2 trees hold no backlog records, but one format is served.
         with pytest.raises(RecoveryError, match="fulltext_format=2"):
-            make_superblock(fulltext_format=2).require_mountable()
+            make_superblock(fulltext_format=2).require_mountable(BLOCK_SIZE)
