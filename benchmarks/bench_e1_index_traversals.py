@@ -70,11 +70,11 @@ def test_e1_traversal_counts(hfad_with_corpus, desktop_search):
             (
                 query,
                 ffs["hits"],
-                f"{ffs['index_traversals']:.1f}",
-                f"{ffs['directory_lookups']:.1f}",
-                f"{ffs['device_reads']:.1f}",
-                f"{hfad['index_traversals']:.1f}",
-                f"{hfad['device_reads']:.1f}",
+                round(ffs["index_traversals"], 1),
+                round(ffs["directory_lookups"], 1),
+                round(ffs["device_reads"], 1),
+                round(hfad["index_traversals"], 1),
+                round(hfad["device_reads"], 1),
             )
         )
         # The paper's claim: the layered stack needs at least four index

@@ -60,10 +60,10 @@ def test_e3_insert_truncate_cost_scaling():
         ratio = ffs_insert / max(1, hfad_insert)
         rows.append(
             (
-                f"{size // 1024} KiB",
+                size // 1024,
                 hfad_insert,
                 ffs_insert,
-                f"{ratio:.0f}x",
+                round(ratio),
                 hfad_truncate,
                 ffs_truncate,
             )
@@ -75,7 +75,7 @@ def test_e3_insert_truncate_cost_scaling():
         previous_ratio = ratio
     emit_table(
         "E3 — device blocks written for a mid-file insert/remove (hFAD vs POSIX rewrite)",
-        ["file size", "hFAD insert", "FFS insert", "ratio", "hFAD remove", "FFS remove"],
+        ["file size (KiB)", "hFAD insert", "FFS insert", "ratio (x)", "hFAD remove", "FFS remove"],
         rows,
     )
 

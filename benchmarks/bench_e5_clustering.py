@@ -80,9 +80,9 @@ def test_e5_clustering_hdd_vs_ssd():
         rows.append(
             (
                 model_name,
-                f"{by_layout:.3f}",
-                f"{by_person:.3f}",
-                f"{by_person / max(by_layout, 1e-9):.2f}x",
+                round(by_layout, 3),
+                round(by_person, 3),
+                round(by_person / max(by_layout, 1e-9), 2),
             )
         )
     hdd_layout, hdd_person = results["HDD"]
@@ -96,7 +96,7 @@ def test_e5_clustering_hdd_vs_ssd():
     assert ssd_penalty < hdd_penalty / 2
     emit_table(
         "E5 — per-file read cost (ms, simulated) by access pattern and device",
-        ["device", "layout-matching pattern", "evolved (by-person) pattern", "penalty"],
+        ["device", "layout-matching pattern", "evolved (by-person) pattern", "penalty (x)"],
         rows,
     )
 

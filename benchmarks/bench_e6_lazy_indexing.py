@@ -29,7 +29,7 @@ from repro.core import HFADFileSystem
 from repro.fulltext import persistent_index
 from repro.workloads import document_corpus
 
-from conftest import emit_table, record_metric, scaled
+from conftest import emit_table, scaled
 
 DOCUMENTS = document_corpus(count=150, seed=33)
 ARMS = {"eager": 1, "deferred": persistent_index.SETTLE_KEYS}
@@ -66,8 +66,6 @@ def test_e6_eager_vs_deferred_posting_application(monkeypatch):
     for arm, settle_keys in ARMS.items():
         monkeypatch.setattr(persistent_index, "SETTLE_KEYS", settle_keys)
         results[arm] = _ingest(DOCUMENTS)
-        for name, value in results[arm].items():
-            record_metric(f"{name}[{arm}]", value)
     eager, deferred = results["eager"], results["deferred"]
     # Deferring the postings never defers the document: every hit is there
     # when the last create returns, both ways.

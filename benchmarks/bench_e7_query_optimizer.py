@@ -72,14 +72,14 @@ def test_e7_planner_reduces_work(hfad_with_corpus):
                 len(planned_result),
                 naive_work,
                 planned_work,
-                f"{naive_work / max(1, planned_work):.2f}x",
+                round(naive_work / max(1, planned_work), 2),
             )
         )
     # For the widest conjunction the planner must show a real saving.
     assert rows[-1][2] > rows[-1][3]
     emit_table(
         "E7 — conjunctive query work: naive order vs selectivity-planned order",
-        ["conjunction", "results", "index probes (naive)", "index probes (planned)", "saving"],
+        ["conjunction", "results", "index probes (naive)", "index probes (planned)", "saving (x)"],
         rows,
     )
 

@@ -48,9 +48,9 @@ def test_e8_stat_cost_by_path_depth(hfad_with_corpus, ffs_with_corpus):
             (
                 depth,
                 len(paths),
-                f"{ffs_dir_lookups / len(paths):.1f}",
-                f"{ffs_reads / len(paths):.1f}",
-                f"{hfad_reads / len(paths):.1f}",
+                round(ffs_dir_lookups / len(paths), 1),
+                round(ffs_reads / len(paths), 1),
+                round(hfad_reads / len(paths), 1),
             )
         )
         # The hierarchical cost tracks path depth; hFAD's does not.

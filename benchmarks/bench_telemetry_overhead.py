@@ -25,7 +25,7 @@ import pytest
 
 from repro.core import HFADFileSystem
 
-from conftest import emit_table, record_metric, scaled
+from conftest import emit_table, scaled
 
 #: documents in each instance's corpus.  Smoke mode stays large enough that
 #: per-query index work dominates the fixed few-microsecond record cost —
@@ -117,10 +117,9 @@ def test_disabled_telemetry_overhead_under_bar(instances):
             f"{label}: telemetry-enabled loop {ratio:.3f}x the disabled one "
             f"(bar {MAX_RATIO})"
         )
-        record_metric(f"overhead_ratio[{label}]", round(ratio, 4))
         rows.append((label, QUERIES_PER_LOOP,
-                     f"{time_enabled * 1e3:.3f}", f"{time_disabled * 1e3:.3f}",
-                     f"{ratio:.3f}x"))
+                     round(time_enabled * 1e3, 3), round(time_disabled * 1e3, 3),
+                     round(ratio, 4)))
     emit_table(
         f"Telemetry overhead — enabled vs disabled ({CORPUS_SIZE} docs)",
         ("workload", "queries/loop", "on(ms)", "off(ms)", "ratio"),

@@ -7,8 +7,10 @@ EXPERIMENTS.md.  Two kinds of output are produced:
   experiment is about, and
 * a printed result table (rows of counters: index traversals, device reads,
   conflicts, ...) — the "same rows the paper would report" part.  Run with
-  ``-s`` to see the tables inline; a full run also records them in the
-  module's ``BENCH_<experiment>.json`` snapshot.
+  ``-s`` to see the tables inline; a full run also records every row, as
+  passed, under ``metrics[<table title>]`` of the module's
+  ``BENCH_<experiment>.json`` snapshot (:func:`emit_table` is the one way a
+  bench records a number).
 
 Smoke mode: setting ``BENCH_SMOKE=1`` shrinks corpora and repetition counts
 (:func:`scaled`) so CI can execute every benchmark end to end in seconds and
@@ -49,19 +51,9 @@ _CURRENT_STEM: list = [None]
 def _record_for(stem: str) -> dict:
     record = _BENCH_RECORDS.get(stem)
     if record is None:
-        record = {"experiment": stem, "smoke": SMOKE,
-                  "metrics": {}, "tables": [], "tests": {}}
+        record = {"experiment": stem, "smoke": SMOKE, "metrics": {}, "tests": {}}
         _BENCH_RECORDS[stem] = record
     return record
-
-
-def record_metric(name: str, value) -> None:
-    """Record one named number (or JSON-able structure) for the running
-    bench module's ``BENCH_<experiment>.json`` snapshot."""
-    stem = _CURRENT_STEM[0]
-    if stem is None:
-        return
-    _record_for(stem)["metrics"][name] = to_jsonable(value)
 
 
 def pytest_runtest_setup(item):
@@ -120,25 +112,28 @@ except ImportError:  # pragma: no cover
 
 
 def emit_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Format, print and record one experiment's result table."""
-    rows = [list(map(str, row)) for row in rows]
+    """Format, print and record one experiment's result table.
+
+    The snapshot gets each row as a ``{header: value}`` dict with the values
+    as passed (so pass numbers, not formatted strings); ``str()`` is for the
+    printed table only.
+    """
+    rows = [list(row) for row in rows]
+    stem = _CURRENT_STEM[0]
+    if stem is not None:
+        _record_for(stem)["metrics"][title] = to_jsonable(
+            [dict(zip(headers, row)) for row in rows])
+    cells = [list(map(str, row)) for row in rows]
     widths = [len(header) for header in headers]
-    for row in rows:
+    for row in cells:
         for index, cell in enumerate(row):
             widths[index] = max(widths[index], len(cell))
     lines = [title, "-" * len(title)]
     lines.append("  ".join(header.ljust(widths[index]) for index, header in enumerate(headers)))
-    for row in rows:
+    for row in cells:
         lines.append("  ".join(cell.ljust(widths[index]) for index, cell in enumerate(row)))
     text = "\n" + "\n".join(lines) + "\n"
     print(text)
-    stem = _CURRENT_STEM[0]
-    if stem is not None:
-        _record_for(stem)["tables"].append({
-            "title": title,
-            "headers": list(headers),
-            "rows": rows,
-        })
     return text
 
 
@@ -159,8 +154,7 @@ def hfad_with_corpus(corpus):
 
     The query-result cache is disabled here: these experiments measure index
     traversal and naming-operation cost, and a repeated `fs.find` would
-    otherwise time a cache probe after the first iteration.  E9 measures the
-    caching layer explicitly with its own instances.
+    otherwise time a cache probe after the first iteration.
     """
     fs = HFADFileSystem(num_blocks=1 << 17, query_cache_entries=0)
     oid_by_path = load_into_hfad(fs, corpus)

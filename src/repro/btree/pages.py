@@ -7,24 +7,20 @@ The tree itself only speaks in page ids.  Two backends are provided:
 * :class:`DevicePageStore` — each page is :data:`PAGE_BYTES` of blocks obtained
   from a :class:`~repro.storage.buddy.BuddyAllocator` on a
   :class:`~repro.storage.block_device.BlockDevice`.  Nodes are serialized via
-  :mod:`repro.btree.node` and every page read/write turns into device I/O, so
+  :mod:`repro.btree.node` and every page-in and write-back is device I/O, so
   experiments that count index traversals (E1) see real block traffic.
 
-Caching of device pages goes through the shared
-:class:`~repro.cache.buffer_pool.BufferPool` (``repro.cache``): pass an
-existing pool to share one global page budget across several stores (the OSD
-does this for its master and extent btrees), or let the store create a small
-private pool sized by ``cache_pages``.  Set ``cache_pages=0`` (and no pool)
-to measure the uncached path.  With ``write_back=True`` node writes are
-buffered dirty in the pool and only reach the device on eviction or
-:meth:`DevicePageStore.flush` — the classic write-behind buffer cache.
+Device pages live in a :class:`~repro.cache.buffer_pool.BufferPool`
+(``repro.cache``) the caller supplies; several stores may share one global
+page budget (the OSD does this for its master, extent and index btrees).
+Node writes are buffered dirty in the pool and reach the device on eviction
+or :meth:`DevicePageStore.flush` — the classic write-behind buffer cache.
 
 When a :class:`~repro.recovery.manager.RecoveryManager` is attached, every
-node write is logged to the WAL *before* it is buffered (or written
-through), pages are stamped with the record's LSN, and pages dirtied by an
-open transaction are pinned until it resolves (no-steal).  With a recovery
-manager present, ``write_back`` defaults to **on**: the buffered
-configuration is the fast one, and the WAL makes it safe.
+node write is logged to the WAL *before* it is buffered, pages are stamped
+with the record's LSN, and pages dirtied by an open transaction are pinned
+until it resolves (no-steal).  Without one the store is plain unlogged
+write-back.
 """
 
 from __future__ import annotations
@@ -121,14 +117,8 @@ class DevicePageStore(PageStore):
 
     :param device: shared block device.
     :param allocator: buddy allocator managing the region pages come from.
-    :param cache_pages: private buffer-pool capacity in pages when no shared
-        pool is given; ``0`` disables caching entirely.
-    :param buffer_pool: an existing :class:`~repro.cache.buffer_pool.BufferPool`
-        to share; overrides ``cache_pages``.
-    :param write_back: buffer node writes dirty in the pool instead of writing
-        through; dirty pages reach the device on eviction or :meth:`flush`.
-        Defaults to on when ``recovery`` is attached (WAL-protected), off
-        otherwise.
+    :param buffer_pool: the :class:`~repro.cache.buffer_pool.BufferPool` that
+        holds this store's pages, possibly shared with other stores.
     :param name: consumer name under which pool statistics are reported.
     :param recovery: optional :class:`~repro.recovery.manager.RecoveryManager`;
         when set, every node write is WAL-logged before it is buffered.
@@ -141,9 +131,7 @@ class DevicePageStore(PageStore):
         self,
         device: BlockDevice,
         allocator: BuddyAllocator,
-        cache_pages: int = 64,
-        buffer_pool: Optional[BufferPool] = None,
-        write_back: Optional[bool] = None,
+        buffer_pool: BufferPool,
         name: str = "btree",
         recovery=None,
         integrity=None,
@@ -161,36 +149,12 @@ class DevicePageStore(PageStore):
         #: CRC32 frame (:mod:`repro.integrity.checksum`), verified on
         #: page-in and stamped on every write, log record and write-back.
         self.page_bytes = PAGE_BYTES - FRAME_OVERHEAD
-        self.cache_pages = cache_pages
-        if buffer_pool is None and cache_pages:
-            buffer_pool = BufferPool(capacity=cache_pages)
         self.pool = buffer_pool
         self.recovery = recovery
-        if recovery is not None and buffer_pool is None:
-            raise ValueError(
-                "WAL logging requires a buffer pool: without one, page "
-                "writes go straight to home locations and no-steal cannot "
-                "keep uncommitted images off the device"
-            )
-        if write_back is None:
-            write_back = recovery is not None
-        if recovery is not None and not write_back:
-            raise ValueError(
-                "WAL logging requires write_back: a write-through store "
-                "would put uncommitted page images at home locations "
-                "mid-transaction"
-            )
-        self.write_back = write_back and self.pool is not None
-        self._consumer: Optional[PoolConsumer] = (
-            self.pool.register(name, writeback=self._write_page)
-            if self.pool is not None
-            else None
+        #: this store's slice of the pool; ``None`` only after :meth:`detach`.
+        self._consumer: Optional[PoolConsumer] = buffer_pool.register(
+            name, writeback=self._write_page
         )
-        if recovery is not None and self.pool is not None and self.pool.wal_hook is None:
-            # Private-pool configuration: enforce the WAL rule here too, and
-            # let no-steal pinning oversubscribe rather than dead-end.
-            self.pool.wal_hook = recovery.ensure_durable
-            self.pool.allow_pinned_overflow = True
         self.reads = 0
         self.writes = 0
 
@@ -201,14 +165,13 @@ class DevicePageStore(PageStore):
 
     def read(self, page_id: int):
         self.reads += 1
-        if self._consumer is not None:
-            cached = self._consumer.get(page_id)
-            if cached is not None:
-                # A resident node never re-verifies: it was verified on
-                # page-in (or produced by this session's own writes), and it
-                # is the scrubber's first repair source for a page whose
-                # *device* bytes have since rotted.
-                return cached
+        cached = self._consumer.get(page_id)
+        if cached is not None:
+            # A resident node never re-verifies: it was verified on page-in
+            # (or produced by this session's own writes), and it is the
+            # scrubber's first repair source for a page whose *device* bytes
+            # have since rotted.
+            return cached
         if self.integrity is not None and self.integrity.is_quarantined(page_id):
             # Fail fast: the device bytes are known-bad and unrepaired.
             self.integrity.stats.quarantined_reads += 1
@@ -232,12 +195,11 @@ class DevicePageStore(PageStore):
                 self.integrity.quarantine_page(page_id)
             raise
         node = decode_node(raw)
-        if self._consumer is not None:
-            self._consumer.put(page_id, node)
+        self._consumer.put(page_id, node)
         return node
 
     def write(self, page_id: int, node) -> None:
-        # Validate the encoded size up front even when the device write is
+        # Validate the encoded size up front although the device write is
         # deferred — an oversized node must fail at write(), not at eviction.
         encoded = node.encode()
         if len(encoded) > self.page_bytes:
@@ -261,22 +223,10 @@ class DevicePageStore(PageStore):
             # A fresh logged write supersedes any rotten on-device bytes:
             # reads now come from the pool and the WAL holds the new image.
             self.integrity.release_page(page_id)
-        if self.write_back and self._consumer is not None:
-            self._consumer.put(page_id, node, dirty=True, lsn=lsn)
-            if self.recovery is not None:
-                # No-steal: keep the uncommitted image out of home locations.
-                self.recovery.protect(self._consumer, page_id)
-            return
-        # Unreachable with a recovery manager (the constructor enforces
-        # pool + write_back); this is the plain write-through path.
-        self.device.write_blocks(
-            page_id, frame_page(encoded), nblocks=self.page_blocks
-        )
-        op = current_operation()
-        if op is not None:
-            op.pages_written += 1
-        if self._consumer is not None:
-            self._consumer.put(page_id, node, lsn=lsn)
+        self._consumer.put(page_id, node, dirty=True, lsn=lsn)
+        if self.recovery is not None:
+            # No-steal: keep the uncommitted image out of home locations.
+            self.recovery.protect(self._consumer, page_id)
 
     def free(self, page_id: int) -> None:
         if self.integrity is not None:
@@ -284,13 +234,11 @@ class DevicePageStore(PageStore):
             # next life as a data chunk or another tree's page.
             self.integrity.release_page(page_id)
         if self.recovery is not None:
-            if self._consumer is not None:
-                self.recovery.forget_page(self._consumer, page_id)
+            self.recovery.forget_page(self._consumer, page_id)
             # Revoke the page's logged history: its block may be re-used for
             # unlogged data, which a replay of stale images would corrupt.
             self.recovery.log_revoke(page_id)
-        if self._consumer is not None:
-            self._consumer.invalidate(page_id)
+        self._consumer.invalidate(page_id)
         if self.recovery is not None:
             # The block may be recycled for *unlogged* object data; hold it
             # until the freeing transaction's commit marker is durable, or a
@@ -314,6 +262,10 @@ class DevicePageStore(PageStore):
             self.integrity.release_page(page_id)
 
     # ------------------------------------------------------------ scrub hooks
+    #
+    # An interrupted scrub cycle keeps (store, page) pairs across operations,
+    # so these three may meet a store whose object was deleted (detached) in
+    # between: nothing of it is resident any more.
 
     def resident_node(self, page_id: int):
         """The pool-resident node for ``page_id`` without any cache
@@ -357,8 +309,6 @@ class DevicePageStore(PageStore):
 
     def flush(self) -> int:
         """Write back every dirty page this store holds; returns the count."""
-        if self._consumer is None:
-            return 0
         return self._consumer.flush()
 
     def drop_cache(self) -> None:
@@ -366,8 +316,7 @@ class DevicePageStore(PageStore):
 
         Dirty pages are written back first, so no updates are lost.
         """
-        if self._consumer is not None:
-            self._consumer.drop_all(write_back=True)
+        self._consumer.drop_all(write_back=True)
 
     def detach(self, write_back: bool = False, discard: bool = False) -> None:
         """Tear the store down: drop its pages and leave the pool.
@@ -390,15 +339,8 @@ class DevicePageStore(PageStore):
 
     @property
     def cache_hits(self) -> int:
-        return self._consumer.stats.hits if self._consumer is not None else 0
+        return self._consumer.stats.hits
 
     @property
     def cache_misses(self) -> int:
-        return self._consumer.stats.misses if self._consumer is not None else 0
-
-    @property
-    def _cache(self) -> Dict[int, object]:
-        """This store's resident pages (kept for diagnostics and old tests)."""
-        if self._consumer is None:
-            return {}
-        return self._consumer.cached_pages()
+        return self._consumer.stats.misses

@@ -6,8 +6,8 @@ package supplies that memory hierarchy between the btrees and the simulated
 block device:
 
 * :class:`~repro.cache.buffer_pool.BufferPool` — a shared, fixed-budget page
-  cache with LRU eviction (:mod:`repro.cache.policies`), pin/unpin
-  semantics, dirty-page write-back and per-consumer statistics.
+  cache with LRU eviction, pin/unpin semantics, dirty-page write-back and
+  per-consumer statistics.
   ``DevicePageStore`` (btree layer) and ``ObjectStore`` (OSD layer) are its
   main consumers.
 * :class:`~repro.cache.query_cache.QueryResultCache` — memoised boolean-query
@@ -16,13 +16,12 @@ block device:
   :class:`~repro.index.store.IndexStoreRegistry`.
 
 Knobs (also exposed on :class:`~repro.core.filesystem.HFADFileSystem`):
-``capacity`` — global page budget; ``cache_pages=0`` /
-``query_cache_entries=0`` disable a layer entirely so ablation benchmarks
-(E1, E7, E9) can measure the uncached path.
+``cache_pages`` — the pool's global page budget, at least 1 for an on-device
+engine; ``query_cache_entries=0`` disables result caching so benchmarks (E1,
+E7) can measure the index path itself.
 """
 
 from repro.cache.buffer_pool import BufferPool, CacheStats, PoolConsumer
-from repro.cache.policies import EvictionPolicy, LRUPolicy
 from repro.cache.query_cache import (
     QueryCacheStats,
     QueryResultCache,
@@ -35,8 +34,6 @@ __all__ = [
     "BufferPool",
     "CacheStats",
     "PoolConsumer",
-    "EvictionPolicy",
-    "LRUPolicy",
     "QueryResultCache",
     "RankedResultCache",
     "QueryCacheStats",

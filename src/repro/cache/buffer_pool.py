@@ -8,7 +8,7 @@ register with the pool and share one global budget of ``capacity`` pages.
 
 Semantics follow classic DB engines:
 
-* **Eviction** is least recently used (:mod:`repro.cache.policies`).
+* **Eviction** is least recently used.
 * **Pin/unpin** — a pinned page is never evicted; pins nest.  If every page
   is pinned when a victim is needed, :class:`~repro.errors.AllPagesPinnedError`
   is raised (the simulator's equivalent of a buffer-starvation deadlock).
@@ -24,15 +24,14 @@ Semantics follow classic DB engines:
   writebacks) so benchmarks can attribute traffic to layers.
 
 **Striping** — the pool's lock is sharded: frames hash across N independent
-stripes, each with its own mutex, eviction policy instance and share of the
+stripes, each with its own mutex, LRU order and share of the
 global budget, so concurrent clients touching different pages do not
 serialize on one lock.  Counters are kept per stripe and summed on read,
 which keeps per-consumer statistics *exact* (no cross-stripe races, no
 sampled approximations) — the attribution differential tests rely on that.
 Small pools (capacity < 64) default to a single stripe so the classic
 global-LRU eviction semantics the unit tests pin are preserved; large pools
-default to 8 stripes.  Pass ``stripes=1`` for a deliberately global lock
-(the ablation baseline in ``bench_e2_lock_contention.py``).
+default to 8 stripes.  Pass ``stripes=1`` for a deliberately global lock.
 
 Dropping dirty frames without write-back is an explicit, counted act:
 ``drop_all(write_back=False)`` and ``unregister`` refuse to discard dirty
@@ -47,11 +46,11 @@ what write-back means.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import AllPagesPinnedError, CacheError
-from repro.cache.policies import EvictionPolicy, LRUPolicy
 # Leaf-module import (stdlib-only) — safe from this low layer; the
 # ``repro.telemetry`` package __init__ would pull in the query machinery.
 from repro.opcontext import current_operation
@@ -133,7 +132,7 @@ class _Frame:
 
 
 class _Stripe:
-    """One lock shard: a mutex, a policy instance and a slice of the budget.
+    """One lock shard: a mutex, an LRU order and a slice of the budget.
 
     Each stripe also owns its slice of the counters (stripe totals, and a
     per-consumer :class:`CacheStats` list indexed by stripe on the consumer)
@@ -141,15 +140,16 @@ class _Stripe:
     aggregation happens at read time.
     """
 
-    __slots__ = ("index", "lock", "policy", "capacity", "frames", "pinned",
+    __slots__ = ("index", "lock", "order", "capacity", "frames", "pinned",
                  "stats", "pin_overflows")
 
     def __init__(self, index: int, capacity: int) -> None:
         self.index = index
         self.lock = threading.RLock()
-        self.policy: EvictionPolicy = LRUPolicy(capacity)
         self.capacity = capacity
         self.frames: Dict[_Key, _Frame] = {}
+        #: resident keys, least recently used first.
+        self.order: "OrderedDict[_Key, None]" = OrderedDict()
         # Keys with pins > 0, maintained incrementally: _make_room runs on
         # every miss once the stripe is full, so it must not rescan frames.
         self.pinned: set = set()
@@ -380,7 +380,7 @@ class BufferPool:
             stripe.stats.hits += 1
             if op is not None:
                 op.cache_hits += 1
-            stripe.policy.on_hit(key)
+            stripe.order.move_to_end(key)
             return frame.value
 
     def _put(self, consumer: PoolConsumer, page_id: Hashable, value,
@@ -394,11 +394,11 @@ class BufferPool:
                 frame.dirty = frame.dirty or dirty
                 if lsn is not None:
                     frame.lsn = lsn
-                stripe.policy.on_hit(key)
+                stripe.order.move_to_end(key)
                 return
             self._make_room(stripe)
             stripe.frames[key] = _Frame(value, dirty, lsn)
-            stripe.policy.on_add(key)
+            stripe.order[key] = None
             consumer._stripe_stats[stripe.index].insertions += 1
             stripe.stats.insertions += 1
 
@@ -425,7 +425,7 @@ class BufferPool:
         with stripe.lock:
             resident = stripe.frames.pop(key, None) is not None
             if resident:
-                stripe.policy.on_remove(key)
+                del stripe.order[key]
                 stripe.pinned.discard(key)
                 consumer._stripe_stats[stripe.index].invalidations += 1
                 stripe.stats.invalidations += 1
@@ -434,7 +434,9 @@ class BufferPool:
 
     def _make_room(self, stripe: _Stripe) -> None:
         while len(stripe.frames) >= stripe.capacity:
-            victim = stripe.policy.victim(stripe.pinned)
+            # The least recently used page no transaction has pinned.
+            victim = next(
+                (key for key in stripe.order if key not in stripe.pinned), None)
             if victim is None:
                 if self.allow_pinned_overflow:
                     stripe.pin_overflows += 1
@@ -450,7 +452,7 @@ class BufferPool:
         consumer = self._consumers[key[0]]
         if frame.dirty:
             self._write_back(stripe, consumer, key[1], frame)
-        stripe.policy.on_remove(key)
+        del stripe.order[key]
         consumer._stripe_stats[stripe.index].evictions += 1
         stripe.stats.evictions += 1
 
@@ -544,7 +546,7 @@ class BufferPool:
                         stripe.stats.discards += 1
                     del stripe.frames[key]
                     stripe.pinned.discard(key)
-                    stripe.policy.on_remove(key)
+                    del stripe.order[key]
                     consumer._stripe_stats[stripe.index].invalidations += 1
                     stripe.stats.invalidations += 1
 

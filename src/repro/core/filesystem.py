@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from repro.cache import BufferPool, QueryResultCache, RankedResultCache
 from repro.core.access import AccessInterface, ObjectHandle
 from repro.core.naming import NamingInterface, PairLike, as_pair
-from repro.core.query import Not, Query, QueryPlanner, TagTerm, parse_query
+from repro.core.query import Not, Query, TagTerm, parse_query
 from repro.core.transactions import NamespaceTransaction, TransactionManager
 from repro.errors import (
     CorruptionError,
@@ -79,6 +79,17 @@ _PATH_ENTRY = "p:"       # "p:/a/b"      → the object is linked at this path
 _ATTR_INDEXED = "hfad.ci"     # content-indexed flag
 
 
+def _require_pool_pages(cache_pages: int) -> None:
+    """The on-device engine keeps uncommitted dirty pages in the pool
+    (no-steal), so it cannot run without one."""
+    if cache_pages < 1:
+        raise ValueError(
+            f"cache_pages must be at least 1 with btree_on_device=True "
+            f"(got {cache_pages}): no-steal holds uncommitted dirty pages "
+            "in the buffer pool"
+        )
+
+
 def _query_tags(query: Query) -> Iterable[str]:
     """The tag of every term of a parsed boolean query."""
     if isinstance(query, TagTerm):
@@ -101,9 +112,9 @@ class HFADFileSystem:
         features live in their own on-device btrees, and every operation is
         crash-atomic; re-open such a device with :meth:`mount`.  In-memory
         trees (the default) are volatile by nature.
-    :param enable_planner: plan conjunctive queries by selectivity.
     :param cache_pages: global buffer-pool budget (in pages) shared by every
-        on-device btree; ``0`` disables page caching (ablation path).
+        on-device btree; at least 1 with ``btree_on_device`` (no-steal holds
+        uncommitted dirty pages in the pool), ignored without it.
     :param query_cache_entries: capacity of the query-result cache; ``0``
         disables result caching so every query re-evaluates the indexes.
     :param journal_blocks: size of the WAL region in device blocks (the
@@ -135,12 +146,6 @@ class HFADFileSystem:
         bytes and lock waits it caused — see :meth:`operations`), wraps the
         three system-wide mutexes in wait/hold-profiled
         :class:`~repro.telemetry.TimedLock`\\ s, and arms the slow-query log.
-    :param slow_query_ms: queries/rankings slower than this (milliseconds)
-        are captured — with their attribution record and an EXPLAIN ANALYZE
-        report — into the bounded slow-query log (:meth:`slow_queries`).
-        ``None`` disables the log's capture (it can be re-armed at runtime
-        with :meth:`set_slow_query_threshold`).  Ignored with
-        ``telemetry=False``.
     """
 
     def __init__(
@@ -149,7 +154,6 @@ class HFADFileSystem:
         num_blocks: int = 1 << 16,
         latency_model: Optional[LatencyModel] = None,
         btree_on_device: bool = False,
-        enable_planner: bool = True,
         cache_pages: int = 256,
         query_cache_entries: int = 256,
         journal_blocks: int = 511,
@@ -157,9 +161,10 @@ class HFADFileSystem:
         group_commit: int = 1,
         sync_interval_ms: Optional[float] = None,
         telemetry: bool = True,
-        slow_query_ms: Optional[float] = 100.0,
         _mounted: Optional[dict] = None,
     ) -> None:
+        if btree_on_device:
+            _require_pool_pages(cache_pages)
         if device is None:
             device = BlockDevice(num_blocks=num_blocks, latency_model=latency_model)
         self.device = device
@@ -168,15 +173,13 @@ class HFADFileSystem:
         #: :meth:`_register_telemetry`) plus the last-N query-trace ring.
         #: ``telemetry=False`` degrades every instrument to a shared no-op;
         #: ``stats()`` is identical either way because collectors still run.
-        self.telemetry = Telemetry(enabled=telemetry, slow_query_ms=slow_query_ms)
+        self.telemetry = Telemetry(enabled=telemetry)
         # The shared memory hierarchy between the btrees and the device.
         # Only on-device btrees consume pool pages, so an in-memory
         # configuration gets no pool (stats() then reports it as absent
         # rather than as an enabled-but-idle cache).
         self.buffer_pool = (
-            BufferPool(capacity=cache_pages)
-            if cache_pages and btree_on_device
-            else None
+            BufferPool(capacity=cache_pages) if btree_on_device else None
         )
         self.recovery: Optional[RecoveryManager] = None
         #: shared integrity state (checksum/retry counters, page quarantine)
@@ -200,7 +203,6 @@ class HFADFileSystem:
                 device,
                 self.recovery,
                 buffer_pool=self.buffer_pool,
-                cache_pages=cache_pages,
                 integrity=self.integrity,
             )
             # Re-attach the persistent index trees from their checkpointed
@@ -220,11 +222,6 @@ class HFADFileSystem:
             # the data allocator and write checkpoint zero.
             from repro.storage.buddy import BuddyAllocator, _next_power_of_two
 
-            if self.buffer_pool is None:
-                raise ValueError(
-                    "btree_on_device=True needs a buffer pool (cache_pages > "
-                    "0): no-steal holds uncommitted dirty pages in memory."
-                )
             data_region_start = 1 + journal_blocks
             reserved = _next_power_of_two(data_region_start)
             if reserved * 2 > device.num_blocks:
@@ -248,7 +245,6 @@ class HFADFileSystem:
                 allocator=allocator,
                 btree_on_device=True,
                 buffer_pool=self.buffer_pool,
-                cache_pages=cache_pages,
                 recovery=self.recovery,
                 integrity=self.integrity,
             )
@@ -317,7 +313,6 @@ class HFADFileSystem:
         )
         self.naming = NamingInterface(
             self.registry,
-            planner=QueryPlanner(enabled=enable_planner),
             query_cache=self.query_cache,
             ranked_cache=self.ranked_cache,
             telemetry=self.telemetry,
@@ -361,12 +356,10 @@ class HFADFileSystem:
         device: BlockDevice,
         cache_pages: int = 256,
         query_cache_entries: int = 256,
-        enable_planner: bool = True,
         checkpoint_threshold: float = 0.5,
         group_commit: int = 1,
         sync_interval_ms: Optional[float] = None,
         telemetry: bool = True,
-        slow_query_ms: Optional[float] = 100.0,
     ) -> "HFADFileSystem":
         """Re-open a device formatted with ``btree_on_device=True``.
 
@@ -382,6 +375,7 @@ class HFADFileSystem:
         visible; every operation that did not reach its commit marker has
         vanished whole.
         """
+        _require_pool_pages(cache_pages)
         superblock = Superblock.load(device)
         superblock.require_mountable(device.block_size)
         recovery = RecoveryManager.from_superblock(
@@ -396,9 +390,7 @@ class HFADFileSystem:
             btree_on_device=True,
             cache_pages=cache_pages,
             query_cache_entries=query_cache_entries,
-            enable_planner=enable_planner,
             telemetry=telemetry,
-            slow_query_ms=slow_query_ms,
             _mounted={"recovery": recovery},
         )
 
@@ -411,16 +403,9 @@ class HFADFileSystem:
         features are already attached from their persistent index trees —
         no object bytes are read.
         """
-        inventory = self.objects.take_mount_inventory()
-        if inventory is not None:
-            # The mount walk already materialized every master-tree entry;
-            # reuse it instead of issuing fresh cursors per object.
-            metadata_by_oid, names_by_oid = inventory
-        else:
-            metadata_by_oid = {
-                oid: self.objects.stat(oid) for oid in self.objects.list_objects()
-            }
-            names_by_oid = {oid: self.objects.names(oid) for oid in metadata_by_oid}
+        # The mount walk already materialized every master-tree entry; reuse
+        # it instead of issuing fresh cursors per object.
+        metadata_by_oid, names_by_oid = self.objects.take_mount_inventory()
         for oid in sorted(metadata_by_oid):
             for entry in names_by_oid.get(oid, ()):
                 if entry.startswith(_NAME_ENTRY):

@@ -77,9 +77,7 @@ class ObjectStore:
         split into several extents.
     :param buffer_pool: shared :class:`~repro.cache.BufferPool` for the master
         and per-object extent btrees when ``btree_on_device`` is set; a
-        private pool of ``cache_pages`` pages is created when omitted.
-    :param cache_pages: size of that private pool; ``0`` disables page
-        caching for the uncached ablation path.
+        private pool of the default size is created when omitted.
     :param recovery: optional :class:`~repro.recovery.manager.RecoveryManager`.
         When set, every public mutator runs as one WAL transaction (so a
         multi-page update — btree split, extent re-keying, create/delete —
@@ -95,7 +93,6 @@ class ObjectStore:
         max_extent_blocks: int = 1024,
         data_region_start: int = 0,
         buffer_pool: Optional[BufferPool] = None,
-        cache_pages: int = 256,
         recovery=None,
         integrity=None,
     ) -> None:
@@ -110,7 +107,6 @@ class ObjectStore:
             btree_on_device=btree_on_device,
             max_extent_blocks=max_extent_blocks,
             buffer_pool=buffer_pool,
-            cache_pages=cache_pages,
             recovery=recovery,
             integrity=integrity,
         )
@@ -124,7 +120,6 @@ class ObjectStore:
         btree_on_device: bool,
         max_extent_blocks: int,
         buffer_pool: Optional[BufferPool],
-        cache_pages: int,
         recovery,
         integrity=None,
     ) -> None:
@@ -142,10 +137,9 @@ class ObjectStore:
         self.btree_on_device = btree_on_device
         self.max_extent_blocks = max_extent_blocks
         self.stats = ObjectStoreStats()
-        if btree_on_device and buffer_pool is None and cache_pages:
-            buffer_pool = BufferPool(capacity=cache_pages)
+        if btree_on_device and buffer_pool is None:
+            buffer_pool = BufferPool()
         self.buffer_pool = buffer_pool
-        self.cache_pages = cache_pages
         self.recovery = recovery if btree_on_device else None
         #: shared integrity context (retrying reads, quarantine, counters).
         self.integrity = integrity if btree_on_device else None
@@ -165,7 +159,6 @@ class ObjectStore:
         device: BlockDevice,
         recovery,
         buffer_pool: Optional[BufferPool] = None,
-        cache_pages: int = 256,
         max_extent_blocks: int = 1024,
         integrity=None,
     ) -> "ObjectStore":
@@ -186,7 +179,6 @@ class ObjectStore:
             btree_on_device=True,
             max_extent_blocks=max_extent_blocks,
             buffer_pool=buffer_pool,
-            cache_pages=cache_pages,
             recovery=recovery,
             integrity=integrity,
         )
@@ -255,7 +247,7 @@ class ObjectStore:
         """Hand over (and clear) the metadata/name snapshot from the mount
         walk, or ``None`` when the store was not mounted.  The filesystem's
         naming rebuild consumes this instead of re-walking the master tree."""
-        inventory = getattr(self, "_mount_inventory", None)
+        inventory = self._mount_inventory
         self._mount_inventory = None
         return inventory
 
@@ -369,8 +361,7 @@ class ObjectStore:
         page_store = DevicePageStore(
             self.device,
             self.allocator,
-            cache_pages=self.cache_pages,
-            buffer_pool=self.buffer_pool,
+            self.buffer_pool,
             name=name,
             recovery=self.recovery,
             integrity=self.integrity,

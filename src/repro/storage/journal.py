@@ -20,19 +20,16 @@ redo log with ARIES-style log sequence numbers:
 * records are first buffered in memory; :meth:`sync` makes everything
   buffered so far durable in **one** device write (group commit: a single
   flush covers every transaction that committed since the previous flush);
-* ``recover``/``replay`` scan the journal, replay every *committed*
-  transaction in order and ignore any trailing uncommitted or torn tail;
+* ``replay`` scans the journal, replays every *committed* transaction in
+  order and ignores any trailing uncommitted or torn tail;
 * ``checkpoint`` truncates the journal once home locations are durable.
 
-Two client layers sit on top:
-
-* :class:`JournalTransaction` — the self-contained block-level transaction
-  (collect writes, commit applies them to home locations).  Used directly by
-  tests and by callers that want force-at-commit semantics.
-* :class:`repro.recovery.RecoveryManager` — the no-force/no-steal path: page
-  writes stay dirty in the buffer pool, the WAL rule is enforced at eviction
-  time, and replay happens at mount.  It drives the lower-level
-  :meth:`append` / :meth:`commit_txid` / :meth:`sync` API.
+The one client is :class:`repro.recovery.RecoveryManager` — the
+no-force/no-steal path: page writes stay dirty in the buffer pool, the WAL
+rule is enforced at eviction time, and replay happens at mount.  It drives
+:meth:`allocate_txid` / :meth:`append` / :meth:`commit_txid` / :meth:`sync`
+and, at mount, :meth:`replay`; the journal itself never writes a home
+location outside a replay.
 
 Record framing
 --------------
@@ -86,7 +83,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import JournalError, JournalFullError, TransactionError
+from repro.errors import JournalError, JournalFullError
 from repro.storage.block_device import BlockDevice
 from repro.opcontext import current_operation
 
@@ -189,61 +186,6 @@ class JournalRecord:
     rtype: int = TYPE_DATA
 
 
-class JournalTransaction:
-    """Handle for an open block-level journal transaction.
-
-    Collect writes with :meth:`log_write`, then :meth:`commit` (making them
-    durable and applying them to the device) or :meth:`abort` (dropping them).
-    Reads issued through :meth:`read_block` see the transaction's own
-    uncommitted writes, which the OSD relies on for read-modify-write
-    sequences inside one transaction.
-    """
-
-    def __init__(self, journal: "Journal", txid: int) -> None:
-        self._journal = journal
-        self.txid = txid
-        self._records: List[JournalRecord] = []
-        self._pending: dict = {}
-        self._state = "open"
-
-    def _require_open(self) -> None:
-        if self._state != "open":
-            raise TransactionError(f"transaction {self.txid} is {self._state}")
-
-    def log_write(self, block: int, data: bytes) -> None:
-        """Record that ``data`` should be written at ``block`` on commit."""
-        self._require_open()
-        if len(data) > self._journal.device.block_size:
-            raise TransactionError("journal records are at most one block")
-        self._records.append(JournalRecord(block=block, data=bytes(data)))
-        self._pending[block] = bytes(data)
-
-    def read_block(self, block: int) -> bytes:
-        """Read ``block``, observing this transaction's uncommitted writes."""
-        self._require_open()
-        if block in self._pending:
-            data = self._pending[block]
-            if len(data) < self._journal.device.block_size:
-                data = data + bytes(self._journal.device.block_size - len(data))
-            return data
-        return self._journal.device.read_block(block)
-
-    def commit(self) -> None:
-        """Make the transaction durable, then apply it to home locations."""
-        self._require_open()
-        self._journal._commit(self)
-        self._state = "committed"
-
-    def abort(self) -> None:
-        """Drop the transaction without writing anything."""
-        self._require_open()
-        self._state = "aborted"
-
-    @property
-    def records(self) -> Tuple[JournalRecord, ...]:
-        return tuple(self._records)
-
-
 class Journal:
     """Write-ahead journal living in a reserved region of the block device."""
 
@@ -272,7 +214,6 @@ class Journal:
         #: highest LSN assigned so far.
         self.last_lsn = 0
         self.commits = 0
-        self.aborts = 0
         self.syncs = 0
         self.records_appended = 0
         #: lifetime bytes appended, *monotonic* across checkpoints (unlike
@@ -303,14 +244,8 @@ class Journal:
         #: waiters; it must not call back into the journal.
         self.on_sync: Optional[Callable[[int], None]] = None
 
-    # -- transaction lifecycle ------------------------------------------------
-
-    def begin(self) -> JournalTransaction:
-        """Open a new block-level transaction."""
-        return JournalTransaction(self, self.allocate_txid())
-
     def allocate_txid(self) -> int:
-        """Hand out the next transaction id (shared with the recovery layer)."""
+        """Hand out the next transaction id."""
         with self._mutex:
             txid = self._next_txid
             self._next_txid += 1
@@ -341,7 +276,7 @@ class Journal:
                 "journal full: checkpoint before committing more transactions"
             )
 
-    # -- low-level append / sync (the recovery-manager API) -------------------
+    # -- append / sync (the recovery-manager API) -----------------------------
 
     def append(self, rtype: int, txid: int, block: int, payload: bytes) -> int:
         """Buffer one record; returns its LSN.  Not yet durable — see sync.
@@ -417,25 +352,6 @@ class Journal:
         if durable != before:
             self._notify_durable(durable)
         return max(pending, 0)
-
-    # -- block-level transaction commit ---------------------------------------
-
-    def _commit(self, txn: JournalTransaction) -> None:
-        if not txn.records:
-            # Empty transactions commit trivially with no journal traffic.
-            self.commits += 1
-            return
-        needed = sum(self._record_size(r.data) for r in txn.records)
-        needed += self._record_size(b"")  # the commit marker
-        self._require_capacity(needed)
-        for record in txn.records:
-            self.append(TYPE_DATA, txn.txid, record.block, record.data)
-        # Write-ahead: records + commit marker reach the journal region in one
-        # device write ...
-        self.commit_txid(txn.txid, sync=True)
-        # ... then home locations.
-        for record in txn.records:
-            self.device.write_block(record.block, record.data)
 
     def _write_log_region(self, offset: int, data: bytes) -> None:
         """Write ``data`` at byte ``offset`` of the journal region."""
@@ -583,14 +499,6 @@ class Journal:
         self._open_txids.clear()
         self.durable_lsn = self.last_lsn
         return committed
-
-    def recover(self) -> int:
-        """Replay every committed transaction found in the journal region.
-
-        Returns the number of transactions replayed.  Safe to call on a clean
-        journal (replays are idempotent physical redo writes).
-        """
-        return len(self.replay())
 
     # -- integrity helpers ----------------------------------------------------
 

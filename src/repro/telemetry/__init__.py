@@ -71,7 +71,6 @@ class Telemetry:
 
     def __init__(self, enabled: bool = True, trace_capacity: int = 64,
                  operation_capacity: int = 128,
-                 slow_query_ms: Optional[float] = 100.0,
                  slow_query_capacity: int = 32) -> None:
         self.enabled = enabled
         self.metrics = MetricsRegistry(enabled=enabled)
@@ -82,8 +81,7 @@ class Telemetry:
             AttributionLedger(capacity=operation_capacity) if enabled else None
         )
         self.slow_queries: Optional[SlowQueryLog] = (
-            SlowQueryLog(threshold_ms=slow_query_ms,
-                         capacity=slow_query_capacity) if enabled else None
+            SlowQueryLog(capacity=slow_query_capacity) if enabled else None
         )
         self.history: Optional[MetricsHistory] = (
             MetricsHistory(self.metrics) if enabled else None

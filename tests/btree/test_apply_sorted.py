@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.btree import BPlusTree, DevicePageStore
+from repro.cache import BufferPool
 from repro.errors import BTreeError
 from repro.storage import BlockDevice, BuddyAllocator
 
@@ -27,7 +28,7 @@ def count_limited():
 def byte_limited():
     device = BlockDevice(num_blocks=1 << 14, block_size=512)
     store = DevicePageStore(device, BuddyAllocator(total_blocks=1 << 14),
-                            cache_pages=16)
+                            BufferPool(capacity=16))
     return BPlusTree(store=store)
 
 

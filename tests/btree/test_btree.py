@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.btree import BPlusTree, DevicePageStore
+from repro.cache import BufferPool
 from repro.errors import BTreeError, KeyNotFoundError
 from repro.storage import BlockDevice, BuddyAllocator
 
@@ -241,22 +242,26 @@ class TestDevicePageStore:
     def make_device_tree(self, cache_pages=16):
         device = BlockDevice(num_blocks=1 << 14, block_size=512)
         allocator = BuddyAllocator(total_blocks=1 << 14)
-        store = DevicePageStore(device, allocator, cache_pages=cache_pages)
+        store = DevicePageStore(device, allocator, BufferPool(capacity=cache_pages))
         return BPlusTree(store=store), device, store
 
     def test_roundtrip_through_device(self):
-        tree, device, _store = self.make_device_tree()
+        tree, device, store = self.make_device_tree()
         for i in range(200):
             tree.put(key(i), value(i))
+        store.drop_cache()  # write-back, then a cold pool: lookups page in
         for i in range(200):
             assert tree.lookup(key(i)) == value(i)
         assert device.stats.writes > 0
+        assert device.stats.reads > 0
 
     def test_persistence_is_real_blocks(self):
-        tree, device, store = self.make_device_tree(cache_pages=0)
+        tree, device, store = self.make_device_tree()
         tree.put(b"durable", b"yes")
-        # Reading through a second store over the same device must see the data.
-        fresh_store = DevicePageStore(device, store.allocator, cache_pages=0)
+        store.flush()
+        # Reading through a second store (a cold pool) over the same device
+        # must see the data.
+        fresh_store = DevicePageStore(device, store.allocator, BufferPool(capacity=1))
         node = fresh_store.read(tree._root_id)
         assert b"durable" in node.keys
 
@@ -319,7 +324,7 @@ class TestByteOccupancy:
     def make_tree(self):
         device = BlockDevice(num_blocks=1 << 14, block_size=512)
         allocator = BuddyAllocator(total_blocks=1 << 14)
-        store = DevicePageStore(device, allocator, cache_pages=64)
+        store = DevicePageStore(device, allocator, BufferPool(capacity=64))
         return BPlusTree(store=store, max_keys=3), store
 
     def non_root_sizes(self, tree):
@@ -469,7 +474,7 @@ class TestByteBalancedSplits:
     def make_tree(self):
         device = BlockDevice(num_blocks=1 << 12, block_size=512)
         allocator = BuddyAllocator(total_blocks=1 << 12)
-        store = DevicePageStore(device, allocator, cache_pages=16)
+        store = DevicePageStore(device, allocator, BufferPool(capacity=16))
         return BPlusTree(store=store), store
 
     def test_split_isolates_a_fat_trailing_value(self):

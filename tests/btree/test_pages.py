@@ -4,6 +4,7 @@ import pytest
 
 from repro.btree import PAGE_BYTES, DevicePageStore, InMemoryPageStore
 from repro.btree.node import NO_PAGE, InnerNode, LeafNode, decode_node
+from repro.cache import BufferPool
 from repro.errors import BTreeError
 from repro.storage import BlockDevice, BuddyAllocator
 
@@ -75,12 +76,14 @@ class TestDevicePageStore:
     def make_store(self, cache_pages=8):
         device = BlockDevice(num_blocks=1 << 12, block_size=512)
         allocator = BuddyAllocator(total_blocks=1 << 12)
-        return DevicePageStore(device, allocator, cache_pages=cache_pages), device
+        pool = BufferPool(capacity=cache_pages)
+        return DevicePageStore(device, allocator, pool), device
 
     def test_roundtrip_through_device_blocks(self):
-        store, device = self.make_store(cache_pages=0)
+        store, device = self.make_store()
         page = store.allocate()
         store.write(page, LeafNode(keys=[b"disk"], values=[b"yes"]))
+        store.drop_cache()  # write-back, then a cold pool: a real page-in
         assert store.read(page).values == [b"yes"]
         assert device.stats.writes == 1
         assert device.stats.reads == 1
@@ -103,7 +106,7 @@ class TestDevicePageStore:
             page = store.allocate()
             store.write(page, LeafNode(keys=[bytes([index])], values=[b""]))
             pages.append(page)
-        assert len(store._cache) <= 2
+        assert len(store.pool) <= 2
 
     def test_oversized_node_rejected(self):
         store, _ = self.make_store()
@@ -116,6 +119,7 @@ class TestDevicePageStore:
         assert store.page_blocks * device.block_size == PAGE_BYTES
         page = store.allocate()
         store.write(page, LeafNode(keys=[b"k"], values=[b"v"]))
+        store.flush()
         assert device.stats.blocks_written == store.page_blocks
 
     def test_free_returns_blocks_to_allocator(self):
@@ -131,23 +135,18 @@ class TestDevicePageStore:
         device = BlockDevice(num_blocks=64, block_size=2 * PAGE_BYTES)
         allocator = BuddyAllocator(total_blocks=64)
         with pytest.raises(ValueError, match="whole number"):
-            DevicePageStore(device, allocator)
+            DevicePageStore(device, allocator, BufferPool(capacity=8))
 
 
 class TestSharedBufferPool:
     """DevicePageStore on an explicitly shared pool (the OSD configuration)."""
 
-    def make_shared(self, capacity=8, write_back=False):
-        from repro.cache import BufferPool
-
+    def make_shared(self, capacity=8):
         device = BlockDevice(num_blocks=1 << 12, block_size=512)
         allocator = BuddyAllocator(total_blocks=1 << 12)
         pool = BufferPool(capacity=capacity)
         stores = [
-            DevicePageStore(
-                device, allocator, buffer_pool=pool,
-                write_back=write_back, name=f"store{i}",
-            )
+            DevicePageStore(device, allocator, pool, name=f"store{i}")
             for i in range(2)
         ]
         return pool, stores, device
@@ -175,9 +174,7 @@ class TestWriteBack:
     def make_store(self, cache_pages=2):
         device = BlockDevice(num_blocks=1 << 12, block_size=512)
         allocator = BuddyAllocator(total_blocks=1 << 12)
-        store = DevicePageStore(
-            device, allocator, cache_pages=cache_pages, write_back=True
-        )
+        store = DevicePageStore(device, allocator, BufferPool(capacity=cache_pages))
         return store, device
 
     def test_write_back_defers_device_writes(self):
@@ -243,8 +240,8 @@ class TestWriteBack:
         store.drop_cache()
         for i in range(100):
             assert tree.lookup(b"%04d" % i) == b"v%d" % i
-        # The root is genuinely on the device: a cold, uncached store sees it.
-        fresh = DevicePageStore(device, store.allocator, cache_pages=0)
+        # The root is genuinely on the device: a store on a cold pool sees it.
+        fresh = DevicePageStore(device, store.allocator, BufferPool(capacity=1))
         assert fresh.read(tree._root_id) is not None
 
 
@@ -252,15 +249,10 @@ class TestDetachDiscard:
     """Tearing down a store must not silently lose buffered writes."""
 
     def make_write_back_store(self):
-        from repro.cache import BufferPool
-
         device = BlockDevice(num_blocks=1 << 12, block_size=512)
         allocator = BuddyAllocator(total_blocks=1 << 12)
         pool = BufferPool(capacity=8)
-        store = DevicePageStore(
-            device, allocator, buffer_pool=pool,
-            write_back=True, name="teardown",
-        )
+        store = DevicePageStore(device, allocator, pool, name="teardown")
         return pool, store, device
 
     def test_detach_refuses_to_drop_dirty_pages_silently(self):

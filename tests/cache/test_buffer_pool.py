@@ -205,7 +205,7 @@ class TestStats:
         # deleting the object must unregister it.
         from repro.osd.object_store import ObjectStore
 
-        store = ObjectStore(btree_on_device=True, cache_pages=16)
+        store = ObjectStore(btree_on_device=True, buffer_pool=BufferPool(capacity=16))
         baseline = len(store.buffer_pool.consumers)
         for _ in range(10):
             oid = store.create()
@@ -218,7 +218,7 @@ class TestStats:
         # allocator (per-key deletes only free pages on merges).
         from repro.osd.object_store import ObjectStore
 
-        store = ObjectStore(btree_on_device=True, cache_pages=16)
+        store = ObjectStore(btree_on_device=True, buffer_pool=BufferPool(capacity=16))
         oid = store.create()
         store.write(oid, 0, b"prime")
         store.delete(oid)

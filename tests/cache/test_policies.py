@@ -1,71 +1,59 @@
-"""The conformance suite an eviction policy must pass, and the pool over it.
+"""LRU eviction, driven through the pool.
 
-The suite checks *correctness* properties (victims are resident and unpinned,
-removed keys are forgotten, the pool stays bounded and never loses data), not
-retention quality.  The bare-policy tests are parametrized over the
-:class:`~repro.cache.EvictionPolicy` implementations — LRU is the only one.
+The suite checks *correctness* properties (the victim is the least recently
+used resident, unpinned page; freed pages are forgotten; the pool stays
+bounded and never loses data), not retention quality.  ``stripes=1`` keeps
+one global LRU order so the reference model below is exact.
 """
 
 import random
+from collections import OrderedDict
 
-import pytest
-
-from repro.cache import BufferPool, LRUPolicy
-
-
-@pytest.fixture(params=[LRUPolicy], ids=["lru"])
-def make_policy(request):
-    return request.param
-
-
-class TestPolicyInterface:
-    def test_capacity_must_be_positive(self, make_policy):
-        with pytest.raises(ValueError):
-            make_policy(0)
+from repro.cache import BufferPool
 
 
 class TestPolicyConformance:
-    """Drive the bare policy object with a random reference workload."""
+    """Drive a one-stripe pool against a reference LRU order."""
 
-    def test_victim_is_resident_and_unpinned(self, make_policy):
-        policy = make_policy(4)
-        resident = set()
+    def test_victim_is_resident_and_unpinned(self):
+        pool = BufferPool(capacity=4, stripes=1)
+        consumer = pool.register("lru")
+        order = OrderedDict()  # resident pages, least recently used first
         rng = random.Random(7)
+        evictions = 0
         for step in range(500):
-            key = rng.randrange(20)
-            if key in resident:
-                policy.on_hit(key)
-            else:
-                if len(resident) == 4:
-                    pinned = {rng.choice(sorted(resident))}
-                    victim = policy.victim(pinned)
-                    assert victim in resident
-                    assert victim not in pinned
-                    policy.on_remove(victim)
-                    resident.discard(victim)
-                policy.on_add(key)
-                resident.add(key)
+            page = rng.randrange(20)
+            if consumer.get(page) is not None:
+                order.move_to_end(page)
+                continue
+            assert page not in order
+            pinned = None
+            if len(order) == 4:
+                pinned = rng.choice(sorted(order))
+                consumer.pin(pinned)
+            consumer.put(page, step)
+            if pinned is not None:
+                consumer.unpin(pinned)
+                victim = next(key for key in order if key != pinned)
+                del order[victim]
+                evictions += 1
+            order[page] = None
+            assert set(consumer.cached_pages()) == set(order)
+        assert evictions == consumer.stats.evictions > 100
 
-    def test_all_pinned_yields_no_victim(self, make_policy):
-        policy = make_policy(3)
-        for key in ("a", "b", "c"):
-            policy.on_add(key)
-        assert policy.victim({"a", "b", "c"}) is None
-
-    def test_removed_key_is_never_chosen(self, make_policy):
-        policy = make_policy(3)
-        for key in ("a", "b", "c"):
-            policy.on_add(key)
-        policy.on_remove("a")
-        for _ in range(3):
-            victim = policy.victim(set())
-            assert victim in {"b", "c"}
-            policy.on_remove(victim)
-            policy.on_add(victim)
-
-    def test_empty_policy_has_no_victim(self, make_policy):
-        policy = make_policy(3)
-        assert policy.victim(set()) is None
+    def test_removed_key_is_never_chosen(self):
+        pool = BufferPool(capacity=3, stripes=1)
+        consumer = pool.register("lru")
+        for page in ("a", "b", "c"):
+            consumer.put(page, page)
+        consumer.invalidate("a")  # the page was freed: oldest, but gone
+        consumer.put("d", "d")    # fills the free frame, evicts nothing
+        assert consumer.stats.evictions == 0
+        for page in ("e", "f", "g"):
+            consumer.put(page, page)
+        # b, c and d left in LRU order; the forgotten key was never a victim.
+        assert set(consumer.cached_pages()) == {"e", "f", "g"}
+        assert consumer.stats.evictions == 3
 
 
 class TestPolicyConformanceThroughPool:

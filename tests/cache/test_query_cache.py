@@ -283,7 +283,7 @@ class TestThroughFileSystem:
     def test_escape_hatch_disables_cache(self):
         from repro import HFADFileSystem
 
-        with HFADFileSystem(query_cache_entries=0, cache_pages=0) as fs:
+        with HFADFileSystem(query_cache_entries=0) as fs:
             assert fs.query_cache is None
             assert fs.buffer_pool is None
             fs.create(b"", owner="margo")

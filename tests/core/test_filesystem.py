@@ -245,12 +245,14 @@ def test_one_index_apply_path_surface():
                 if name != "self" and not name.startswith("_")]
 
     constructor = public(HFADFileSystem.__init__)
-    assert len(constructor) == 13
-    assert len(public(HFADFileSystem.mount)) == 9
+    assert len(constructor) == 11
+    assert len(public(HFADFileSystem.mount)) == 7
     assert set(public(HFADFileSystem.mount)) - {"device"} <= set(constructor)
-    # ... nor the buffer pool's eviction policy (LRU) or the page geometry.
+    # ... nor the buffer pool's eviction policy (LRU), the page geometry, or
+    # the planner and slow-log switches nothing ever set.
     for retired in ({"lazy_indexing": True}, {"cache_policy": "lru"},
-                    {"page_blocks": 1}, {"max_keys": 32}):
+                    {"page_blocks": 1}, {"max_keys": 32},
+                    {"enable_planner": False}, {"slow_query_ms": 5.0}):
         with pytest.raises(TypeError):
             HFADFileSystem(**retired)
 

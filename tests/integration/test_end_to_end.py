@@ -5,6 +5,7 @@ import pytest
 from repro.core import HFADFileSystem
 from repro.errors import DeviceError
 from repro.storage import BlockDevice, FaultPlan, Journal
+from repro.storage.journal import TYPE_DATA
 from repro.workloads import load_into_hfad, mixed_corpus
 
 
@@ -92,6 +93,16 @@ class TestCrashRecoverySweep:
             device.write_block(block, payload)
         return device, journal
 
+    def _update(self, device, journal):
+        """Log the four new images, commit, then write them home — the
+        engine's order: WAL flush first, write-back after."""
+        txid = journal.allocate_txid()
+        for block, payload in zip(self.HOME_BLOCKS, self.NEW):
+            journal.append(TYPE_DATA, txid, block, payload)
+        journal.commit_txid(txid)
+        for block, payload in zip(self.HOME_BLOCKS, self.NEW):
+            device.write_block(block, payload)
+
     def _state(self, device):
         values = [bytes(device.read_block(block)[:5]) for block in self.HOME_BLOCKS]
         if all(value.startswith(b"new-") for value in values):
@@ -104,10 +115,7 @@ class TestCrashRecoverySweep:
         # First, find out how many writes a full commit performs.
         device, journal = self._prepare()
         writes_before = device.stats.writes
-        txn = journal.begin()
-        for block, payload in zip(self.HOME_BLOCKS, self.NEW):
-            txn.log_write(block, payload)
-        txn.commit()
+        self._update(device, journal)
         total_writes = device.stats.writes - writes_before
         assert self._state(device) == "new"
         assert total_writes >= 5  # journal append + 4 home blocks
@@ -116,17 +124,13 @@ class TestCrashRecoverySweep:
         for crash_after in range(total_writes):
             device, journal = self._prepare()
             device.fault_plan = FaultPlan(fail_after_writes=device.stats.writes + crash_after)
-            txn = journal.begin()
             try:
-                for block, payload in zip(self.HOME_BLOCKS, self.NEW):
-                    txn.log_write(block, payload)
-                txn.commit()
+                self._update(device, journal)
             except DeviceError:
                 pass
             device.fault_plan = None
             # Remount: a fresh journal instance scans and replays.
-            recovered = Journal(device, journal_start=0, journal_blocks=16)
-            recovered.recover()
+            Journal(device, journal_start=0, journal_blocks=16).replay()
             state = self._state(device)
             assert state in ("old", "new"), f"torn update after {crash_after} writes"
             outcomes.add(state)
@@ -136,18 +140,13 @@ class TestCrashRecoverySweep:
 
     def test_recovery_is_idempotent_after_crash(self):
         device, journal = self._prepare()
-        txn = journal.begin()
-        for block, payload in zip(self.HOME_BLOCKS, self.NEW):
-            txn.log_write(block, payload)
         device.fault_plan = FaultPlan(fail_after_writes=device.stats.writes + 2)
         with pytest.raises(DeviceError):
-            txn.commit()
+            self._update(device, journal)
         device.fault_plan = None
-        first = Journal(device, journal_start=0, journal_blocks=16)
-        first.recover()
+        Journal(device, journal_start=0, journal_blocks=16).replay()
         state_after_first = self._state(device)
-        second = Journal(device, journal_start=0, journal_blocks=16)
-        second.recover()
+        Journal(device, journal_start=0, journal_blocks=16).replay()
         assert self._state(device) == state_after_first
 
 

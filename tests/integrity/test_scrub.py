@@ -176,4 +176,9 @@ class TestLegacyDevices:
         mounted = HFADFileSystem.mount(device)
         assert mounted.stats()["integrity"]["checksum_pages"] == 1
         assert mounted.search_text("searchable") == oids
+        # The pool started cold: every page-in was a device read whose frame
+        # was verified, and a healthy device fails none.
+        integrity = mounted.stats()["integrity"]
+        assert integrity["checksum_verifications"] == mounted.buffer_pool.stats.misses > 0
+        assert integrity["checksum_failures"] == 0
         mounted.close()

@@ -310,6 +310,20 @@ class TestReviewRegressions:
         with pytest.raises(ValueError, match="buffer pool"):
             make_fs(cache_pages=0)
 
+    def test_a_mount_refused_for_its_pool_size_writes_nothing(self):
+        # A crash image with a journal tail to replay: the refusal must come
+        # before replay touches a home location.
+        device, fs = make_fs()
+        for number in range(5):
+            fs.create(b"crash image %d" % number, path=f"/c{number}")
+        image = clone(device)
+        before, writes = image.dump(), image.stats.writes
+        with pytest.raises(ValueError, match="cache_pages"):
+            HFADFileSystem.mount(image, cache_pages=0)
+        assert image.stats.writes == writes
+        assert image.dump() == before
+        assert HFADFileSystem.mount(image).list_objects() == fs.list_objects()
+
     def test_oversized_attributes_rejected_before_logging(self):
         from repro.errors import ObjectStoreError
 
@@ -356,6 +370,8 @@ class TestPageDeltas:
         assert kinds.count(TYPE_DELTA) > kinds.count(TYPE_DATA) > 0
         mounted = HFADFileSystem.mount(clone(device))
         assert mounted.recovery.stats.replayed_pages > 0
+        # Replay work is the tail: one transaction per uncheckpointed create.
+        assert mounted.stats()["recovery"]["replayed_transactions"] == len(oids)
         assert mounted.list_objects() == oids
         assert mounted.search_text("shared words") == oids
         assert mounted.find(("UDEF", "kept")) == oids

@@ -106,27 +106,40 @@ def test_the_content_read_tracker_counts_an_object_read():
     mounted.close()
 
 
-def test_persistent_mount_metadata_cost_independent_of_content_size():
-    """Doubling content bytes must not grow a persisted mount's reads.
+def mount_traffic(documents, repeats=1):
+    """Build ``documents`` twelve-word files (each repeated ``repeats`` times
+    over), close, and return the device-stats delta of mounting the image."""
+    device = BlockDevice(num_blocks=1 << 18)
+    fs = make_fs(device)
+    rng = random.Random(9)
+    for serial in range(documents):
+        words = " ".join(rng.choice(WORDS) for _ in range(12))
+        fs.create((words + " ").encode() * repeats, path=f"/c/{serial}.txt")
+    fs.close()
+    before = device.stats.snapshot()
+    HFADFileSystem.mount(device, query_cache_entries=0).close()
+    return device.stats.delta(before)
 
-    Two corpora with identical term structure but ~32x different content
-    volume (padding repeats the same words) mount with essentially the same
-    device read traffic: the index trees scale with distinct postings, not
-    with object bytes.
+
+def test_persistent_mount_metadata_cost_independent_of_content_size():
+    """Padding content must not grow a persisted mount's reads.
+
+    Three corpora with identical term structure but up to ~32x different
+    content volume (padding repeats the same words) mount with essentially
+    the same device read traffic: the index trees scale with distinct
+    postings, not with object bytes.
     """
-    reads = {}
-    for label, repeats in (("small", 1), ("large", 32)):
-        device = BlockDevice(num_blocks=1 << 18)
-        fs = make_fs(device)
-        rng = random.Random(9)
-        for serial in range(12):
-            words = " ".join(rng.choice(WORDS) for _ in range(12))
-            fs.create((words + " ") .encode() * repeats, path=f"/c/{serial}.txt")
-        fs.close()
-        before = device.stats.reads
-        mounted = HFADFileSystem.mount(device, query_cache_entries=0)
-        reads[label] = device.stats.reads - before
-        mounted.close()
+    small, padded, large = (mount_traffic(12, repeats) for repeats in (1, 4, 32))
     # Identical index shape: the mount read budget stays flat (the data
     # region holds 32x the bytes; allow slack for extent-tree geometry).
-    assert reads["large"] <= reads["small"] * 1.5, reads
+    assert large.reads <= small.reads * 1.5, (small, large)
+    # Padding every document 4x moves the mount by a handful of blocks (the
+    # longer posting rows: stored positions, larger tf), never by the padding.
+    assert abs(padded.blocks_read - small.blocks_read) <= 8, (small, padded)
+
+
+def test_persistent_mount_cost_per_document_does_not_grow_with_the_corpus():
+    # The mount reads index and metadata pages plus a fixed journal scan, so
+    # blocks read per document can only fall as the corpus grows.
+    few, many = mount_traffic(12), mount_traffic(36)
+    assert many.blocks_read / 36 <= few.blocks_read / 12, (few, many)

@@ -159,6 +159,45 @@ def test_mutation_acks_are_durability_promises(fs, client):
     assert oid in client.find("USER/promise")
 
 
+def test_batched_acks_share_journal_syncs(tmp_path):
+    """Four concurrent writers: with ``group_commit=8`` the write batcher
+    acknowledges the same durable writes with fewer journal syncs per ack
+    than sync-every-commit, which pays at least one each."""
+    writers, creates = 4, 10
+    syncs_per_ack = {}
+    for label, group_commit in (("every-commit", 1), ("batched", 8)):
+        fs = HFADFileSystem(
+            btree_on_device=True, journal_blocks=511, num_blocks=1 << 15,
+            query_cache_entries=0, group_commit=group_commit,
+        )
+        handle = serve_in_thread(
+            fs, ServeConfig(unix_path=str(tmp_path / f"{label}.sock"), max_workers=4))
+        acked = [0] * writers
+        barrier = threading.Barrier(writers)
+
+        def write(cid):
+            with Client(handle.address) as client:
+                barrier.wait(timeout=30)
+                for index in range(creates):
+                    client.create(f"writer {cid} document {index}".encode())
+                    acked[cid] += 1
+
+        try:
+            threads = [threading.Thread(target=write, args=(cid,))
+                       for cid in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert sum(acked) == writers * creates
+            syncs_per_ack[label] = fs.recovery.journal.syncs / sum(acked)
+        finally:
+            handle.stop()
+            fs.close()
+    assert syncs_per_ack["every-commit"] >= 1.0
+    assert syncs_per_ack["batched"] < syncs_per_ack["every-commit"], syncs_per_ack
+
+
 def test_per_session_attribution(fs, client):
     client.create(b"attributed doc", owner="ledger")
     client.search("attributed")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DeviceError, JournalError, JournalFullError, TransactionError
+from repro.errors import DeviceError, JournalError, JournalFullError
 from repro.storage import BlockDevice, FaultPlan, Journal
 from repro.storage.journal import TYPE_DATA
 
@@ -13,112 +13,91 @@ def make_journal(journal_blocks=16, num_blocks=256, block_size=512):
     return device, journal
 
 
-class TestTransactionLifecycle:
-    def test_commit_applies_writes_to_home_locations(self):
-        device, journal = make_journal()
-        txn = journal.begin()
-        txn.log_write(100, b"hello")
-        txn.commit()
-        assert device.read_block(100).startswith(b"hello")
+def commit(journal, *writes):
+    """One synced transaction of ``(block, data)`` page records — what the
+    recovery manager's commit does.  Home locations are not written: in the
+    engine that is the buffer pool's write-back, and after a crash replay's."""
+    txid = journal.allocate_txid()
+    for block, data in writes:
+        journal.append(TYPE_DATA, txid, block, data)
+    journal.commit_txid(txid)
+    return txid
 
+
+def recover(device):
+    """A reboot: a fresh journal replays the region; returns (journal, count)."""
+    fresh = Journal(device, journal_start=0, journal_blocks=16)
+    return fresh, len(fresh.replay())
+
+
+class TestTransactionLifecycle:
     def test_abort_writes_nothing(self):
+        # An abort is a transaction whose commit marker never comes: durable
+        # records, but no home write — not at append, sync or replay.
         device, journal = make_journal()
-        txn = journal.begin()
-        txn.log_write(100, b"hello")
-        txn.abort()
+        journal.append(TYPE_DATA, journal.allocate_txid(), 100, b"hello")
+        journal.sync()
+        assert journal.commits == 0
+        assert recover(device)[1] == 0
         assert device.read_block(100) == bytes(512)
 
-    def test_use_after_commit_rejected(self):
-        _, journal = make_journal()
-        txn = journal.begin()
-        txn.log_write(50, b"x")
-        txn.commit()
-        with pytest.raises(TransactionError):
-            txn.log_write(51, b"y")
-        with pytest.raises(TransactionError):
-            txn.commit()
-
-    def test_use_after_abort_rejected(self):
-        _, journal = make_journal()
-        txn = journal.begin()
-        txn.abort()
-        with pytest.raises(TransactionError):
-            txn.log_write(1, b"x")
-
     def test_empty_transaction_commits(self):
-        _, journal = make_journal()
-        txn = journal.begin()
-        txn.commit()
+        device, journal = make_journal()
+        txid = commit(journal)
         assert journal.commits == 1
+        assert Journal(device, 0, 16).scan() == [(txid, [])]
 
     def test_oversized_record_rejected(self):
-        _, journal = make_journal(block_size=512)
-        txn = journal.begin()
-        with pytest.raises(TransactionError):
-            txn.log_write(10, bytes(513))
+        # One record the whole region cannot hold: typed, and nothing buffered.
+        _, journal = make_journal(journal_blocks=2, block_size=512)
+        with pytest.raises(JournalFullError):
+            journal.append(TYPE_DATA, journal.allocate_txid(), 10, bytes(1024))
+        assert journal.bytes_used == 0
 
     def test_txids_are_unique_and_increasing(self):
         _, journal = make_journal()
-        ids = [journal.begin().txid for _ in range(5)]
+        ids = [journal.allocate_txid() for _ in range(5)]
         assert ids == sorted(ids)
         assert len(set(ids)) == 5
-
-    def test_transactional_read_sees_own_writes(self):
-        device, journal = make_journal()
-        device.write_block(30, b"old" + bytes(509))
-        txn = journal.begin()
-        assert txn.read_block(30).startswith(b"old")
-        txn.log_write(30, b"new")
-        assert txn.read_block(30).startswith(b"new")
-        assert device.read_block(30).startswith(b"old")  # not yet committed
-        txn.commit()
-        assert device.read_block(30).startswith(b"new")
 
 
 class TestRecovery:
     def test_recover_replays_committed_transactions(self):
         device, journal = make_journal()
-        txn = journal.begin()
-        txn.log_write(100, b"persist-me")
-        txn.commit()
-        # Simulate losing the home-location write: zero it behind the journal's back.
-        device.discard(100)
-        fresh_journal = Journal(device, journal_start=0, journal_blocks=16)
-        replayed = fresh_journal.recover()
+        commit(journal, (100, b"persist-me"))
+        # The home location was never written: the crash beat the write-back.
+        assert device.read_block(100) == bytes(512)
+        _, replayed = recover(device)
         assert replayed == 1
         assert device.read_block(100).startswith(b"persist-me")
 
     def test_uncommitted_tail_is_ignored(self):
         device, journal = make_journal()
-        committed = journal.begin()
-        committed.log_write(100, b"committed")
-        committed.commit()
-        # Forge an uncommitted record directly after the committed bytes.
-        partial = journal._encode_record(1, 99, 101, b"torn")
-        journal._write_log_region(journal.bytes_used, partial)
-        fresh = Journal(device, journal_start=0, journal_blocks=16)
-        assert fresh.recover() == 1
+        commit(journal, (100, b"committed"))
+        # A durable record whose transaction never got its commit marker.
+        journal.append(TYPE_DATA, journal.allocate_txid(), 101, b"torn")
+        journal.sync()
+        _, replayed = recover(device)
+        assert replayed == 1
+        assert device.read_block(100).startswith(b"committed")
         assert device.read_block(101) == bytes(512)
 
     def test_recovery_is_idempotent(self):
         device, journal = make_journal()
-        txn = journal.begin()
-        txn.log_write(99, b"abc")
-        txn.commit()
-        fresh = Journal(device, journal_start=0, journal_blocks=16)
-        fresh.recover()
-        fresh.recover()
+        commit(journal, (99, b"abc"))
+        fresh, _ = recover(device)
+        snapshot = device.dump()
+        assert len(fresh.replay()) == 1
+        assert device.dump() == snapshot
         assert device.read_block(99).startswith(b"abc")
 
     def test_checkpoint_clears_journal(self):
         device, journal = make_journal()
-        txn = journal.begin()
-        txn.log_write(100, b"x")
-        txn.commit()
+        commit(journal, (100, b"x"))
+        device.write_block(100, b"x")  # the write-back a checkpoint waits for
         journal.checkpoint()
         assert journal.bytes_used == 0
-        fresh = Journal(device, journal_start=0, journal_blocks=16)
-        assert fresh.recover() == 0
+        assert recover(device)[1] == 0
         # Home location remains intact; checkpoint only drops the log.
         assert device.read_block(100).startswith(b"x")
 
@@ -126,65 +105,50 @@ class TestRecovery:
         _, journal = make_journal(journal_blocks=2, block_size=512)
         with pytest.raises(JournalError):
             for i in range(100):
-                txn = journal.begin()
-                txn.log_write(200, bytes([i % 250]) * 400)
-                txn.commit()
+                commit(journal, (200, bytes([i % 250]) * 400))
 
     def test_one_transaction_larger_than_the_journal_is_a_typed_error(self):
         # A checkpoint cannot help a single transaction that outgrows the
-        # region: the error says so by type, on both append paths.
+        # region: the error says so by type.
         device, journal = make_journal(journal_blocks=2, block_size=512)
-        txn = journal.begin()
-        for block in range(100, 104):
-            txn.log_write(block, b"x" * 400)
-        with pytest.raises(JournalFullError):
-            txn.commit()
-        assert device.read_block(100) == bytes(512)  # nothing reached home
         txid = journal.allocate_txid()
         with pytest.raises(JournalFullError):
             for block in range(100, 104):
                 journal.append(TYPE_DATA, txid, block, bytes([block]) * 400)
         assert issubclass(JournalFullError, JournalError)
+        # Its records carry no commit marker, so a replay applies none of them.
+        journal.sync()
+        assert recover(device)[1] == 0
+        assert device.read_block(100) == bytes(512)
 
     def test_commit_order_preserved_on_replay(self):
         device, journal = make_journal()
-        first = journal.begin()
-        first.log_write(100, b"first")
-        first.commit()
-        second = journal.begin()
-        second.log_write(100, b"second")
-        second.commit()
-        device.discard(100)
-        fresh = Journal(device, journal_start=0, journal_blocks=16)
-        fresh.recover()
+        commit(journal, (100, b"first"))
+        commit(journal, (100, b"second"))
+        recover(device)
         assert device.read_block(100).startswith(b"second")
 
 
 class TestCrashInjection:
     def test_crash_during_home_write_recovers_from_journal(self):
         device, journal = make_journal()
-        # Journal append is the first write of a commit; let it succeed, then
-        # fail the home-location write that follows.
-        txn = journal.begin()
-        txn.log_write(150, b"durable")
+        # The log flush is the first write of a commit; let it succeed, then
+        # fail the home-location write-back that follows.
         device.fault_plan = FaultPlan(fail_after_writes=device.stats.writes + 1)
+        commit(journal, (150, b"durable"))
         with pytest.raises(DeviceError):
-            txn.commit()
+            device.write_block(150, b"durable")
         device.fault_plan = None
-        fresh = Journal(device, journal_start=0, journal_blocks=16)
-        assert fresh.recover() == 1
+        assert recover(device)[1] == 1
         assert device.read_block(150).startswith(b"durable")
 
     def test_crash_during_journal_write_loses_transaction_cleanly(self):
         device, journal = make_journal()
-        txn = journal.begin()
-        txn.log_write(150, b"lost")
         device.fault_plan = FaultPlan(fail_after_writes=0)
         with pytest.raises(DeviceError):
-            txn.commit()
+            commit(journal, (150, b"lost"))
         device.fault_plan = None
-        fresh = Journal(device, journal_start=0, journal_blocks=16)
-        assert fresh.recover() == 0
+        assert recover(device)[1] == 0
         assert device.read_block(150) == bytes(512)
 
 
@@ -193,16 +157,12 @@ class TestTornRecords:
 
     def _committed_journal(self):
         device, journal = make_journal()
-        txn = journal.begin()
-        txn.log_write(100, b"good record")
-        txn.commit()
+        commit(journal, (100, b"good record"))
         return device, journal
 
     def test_truncated_log_bytes_drop_the_tail_cleanly(self):
         device, journal = self._committed_journal()
-        second = journal.begin()
-        second.log_write(101, b"to be torn")
-        second.commit()
+        commit(journal, (101, b"to be torn"))
         # Tear the tail: zero the journal region from mid-second-transaction.
         cut = journal.bytes_used - 10
         raw = bytearray(device.read_blocks(0, 16))
@@ -241,55 +201,38 @@ class TestTornRecords:
 
 
 class TestCheckpointRecoverRoundTrips:
-    """checkpoint() and recover() compose in any order without data loss."""
+    """checkpoint() and replay() compose in any order without data loss."""
 
     def test_commit_checkpoint_commit_recover(self):
         device, journal = make_journal()
-        first = journal.begin()
-        first.log_write(100, b"first epoch")
-        first.commit()
+        commit(journal, (100, b"first epoch"))
         journal.checkpoint()
-        second = journal.begin()
-        second.log_write(101, b"second epoch")
-        second.commit()
-        device.discard(100)
-        device.discard(101)
-        fresh = Journal(device, journal_start=0, journal_blocks=16)
-        assert fresh.recover() == 1  # only the post-checkpoint transaction
+        commit(journal, (101, b"second epoch"))
+        assert recover(device)[1] == 1  # only the post-checkpoint transaction
         assert device.read_block(100) == bytes(512)  # checkpointed: not replayed
         assert device.read_block(101).startswith(b"second epoch")
 
     def test_recover_then_commit_then_recover(self):
         device, journal = make_journal()
-        txn = journal.begin()
-        txn.log_write(100, b"gen one")
-        txn.commit()
-        second_life = Journal(device, journal_start=0, journal_blocks=16)
-        assert second_life.recover() == 1
-        follow_up = second_life.begin()
-        follow_up.log_write(101, b"gen two")
-        follow_up.commit()
-        third_life = Journal(device, journal_start=0, journal_blocks=16)
-        assert third_life.recover() == 2
+        commit(journal, (100, b"gen one"))
+        second_life, replayed = recover(device)
+        assert replayed == 1
+        commit(second_life, (101, b"gen two"))
+        assert recover(device)[1] == 2
         assert device.read_block(100).startswith(b"gen one")
         assert device.read_block(101).startswith(b"gen two")
 
     def test_recover_advances_txid_and_lsn_generators(self):
         device, journal = make_journal()
         for _ in range(3):
-            txn = journal.begin()
-            txn.log_write(100, b"x")
-            txn.commit()
-        fresh = Journal(device, journal_start=0, journal_blocks=16)
-        fresh.recover()
-        assert fresh.begin().txid > 3
+            commit(journal, (100, b"x"))
+        fresh, _ = recover(device)
+        assert fresh.allocate_txid() > 3
         assert fresh.last_lsn >= journal.last_lsn
 
     def test_checkpoint_is_one_device_write(self):
         device, journal = make_journal()
-        txn = journal.begin()
-        txn.log_write(100, b"x")
-        txn.commit()
+        commit(journal, (100, b"x"))
         before = device.stats.writes
         journal.checkpoint()
         assert device.stats.writes == before + 1
@@ -297,16 +240,12 @@ class TestCheckpointRecoverRoundTrips:
 
 class TestLsnsAndGroupCommit:
     def test_lsns_are_monotonic_across_records(self):
-        from repro.storage.journal import TYPE_DATA
-
         _, journal = make_journal()
         lsns = [journal.append(TYPE_DATA, 1, 10 + i, b"p") for i in range(5)]
         assert lsns == sorted(lsns)
         assert len(set(lsns)) == 5
 
     def test_buffered_records_become_durable_on_sync(self):
-        from repro.storage.journal import TYPE_DATA
-
         device, journal = make_journal()
         lsn = journal.append(TYPE_DATA, 1, 10, b"payload")
         assert journal.durable_lsn < lsn
@@ -316,8 +255,6 @@ class TestLsnsAndGroupCommit:
         assert journal.bytes_unflushed == 0
 
     def test_group_commit_one_flush_covers_many_transactions(self):
-        from repro.storage.journal import TYPE_DATA
-
         device, journal = make_journal()
         for txid in (1, 2, 3):
             journal.append(TYPE_DATA, txid, 100 + txid, b"data")
