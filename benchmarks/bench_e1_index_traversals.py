@@ -6,7 +6,8 @@ many more."
 
 Baseline: a desktop-search engine over the hierarchical FFS (search index →
 pathname → namei over every component → inode block-pointer tree → data).
-hFAD: FULLTEXT index → object id → extent btree → data.
+hFAD: FULLTEXT index → object id → extent map (a key range of the master
+btree) → data.
 
 The benchmark resolves the same queries on both stacks and reports index
 traversals, directory lookups and device reads per hit.  Expected shape: the

@@ -59,12 +59,12 @@ def _trace_lifecycle():
     )
     step(
         "read 4 KiB by object id",
-        "access API -> extent btree -> device",
+        "access API -> extent map (master btree) -> device",
         lambda: fs.read(oid, 0, 4096),
     )
     step(
         "insert into the middle",
-        "access API -> extent btree (key shift, no copy)",
+        "access API -> extent map (key shift, no copy)",
         lambda: fs.insert(oid, 100, b"[inserted]"),
     )
     vfs.close(fd)

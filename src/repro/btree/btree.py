@@ -3,9 +3,9 @@
 This is the ordered key/value store the rest of hFAD builds on, standing in
 for Berkeley DB btrees (paper Section 3.4):
 
-* the OSD represents every object as one of these trees keyed by byte offset
-  with extent descriptors as values, using the NULL (empty) key for metadata;
-* the OID→metadata map and every string index store are also instances;
+* the OSD's master tree maps OIDs to metadata and holds every object's
+  extent map as a key range (offset → extent descriptor);
+* every string index store is also an instance;
 * the hierarchical FFS baseline reuses it for nothing — it has its own
   directories — which is exactly the point of the comparison.
 
@@ -401,9 +401,9 @@ class BPlusTree:
     def destroy(self) -> int:
         """Free every page of the tree back to its store; returns the count.
 
-        Used when a whole tree dies (object deletion): per-key deletes only
-        release pages on merges, so dropping a tree without this leaks all
-        its pages.  The tree is unusable afterwards.
+        For a whole tree that dies: per-key deletes only release pages on
+        merges, so dropping a tree without this leaks all its pages.  The
+        tree is unusable afterwards.
         """
         with self._lock:
             freed = self._destroy(self._root_id)
@@ -607,27 +607,38 @@ class BPlusTree:
         for _key, value in self.items():
             yield value
 
-    def _leaf_items_from(self, start: Optional[bytes]):
-        """Yield ``(key, value)`` pairs starting at the first key >= start."""
+    def _leaf_items_from(self, start: Optional[bytes], end: Optional[bytes] = None,
+                         prefix: Optional[bytes] = None):
+        """Yield ``(key, value)`` pairs starting at the first key >= start.
+
+        ``end`` / ``prefix`` are the range the caller stops at (it still
+        filters keys itself).  The descent's *fence* — the separator right of
+        the first leaf, below every key of every later leaf — says whether
+        that range can continue past the first leaf; when it cannot, the walk
+        ends there instead of reading the next leaf to find out.  A short
+        range never touches a neighbour's page, rotten or not.
+        """
         with self._lock:
-            if start is None:
-                page_id = self._root_id
-                node = self.store.read(page_id)
+            fence = None
+            node = self.store.read(self._root_id)
+            self.node_visits += 1
+            while not node.is_leaf:
+                index = 0 if start is None else bisect.bisect_right(node.keys, start)
+                if index < len(node.keys):
+                    fence = node.keys[index]
+                node = self.store.read(node.children[index])
                 self.node_visits += 1
-                while not node.is_leaf:
-                    page_id = node.children[0]
-                    node = self.store.read(page_id)
-                    self.node_visits += 1
-                leaf = node
-                index = 0
-            else:
-                _page_id, leaf = self._find_leaf(start)
-                index = bisect.bisect_left(leaf.keys, start)
+            leaf = node
+            index = 0 if start is None else bisect.bisect_left(leaf.keys, start)
+        last_leaf = fence is not None and (
+            (end is not None and fence >= end)
+            or (prefix is not None and fence > prefix and not fence.startswith(prefix))
+        )
         while True:
             while index < len(leaf.keys):
                 yield leaf.keys[index], leaf.values[index]
                 index += 1
-            if leaf.next_leaf == NO_PAGE:
+            if last_leaf or leaf.next_leaf == NO_PAGE:
                 return
             leaf = self.store.read(leaf.next_leaf)
             self.node_visits += 1

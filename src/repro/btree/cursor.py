@@ -49,7 +49,7 @@ class Cursor:
         return items
 
     def _forward_from(self, start: Optional[bytes]) -> Iterator[Tuple[bytes, bytes]]:
-        for key, value in self._tree._leaf_items_from(start):
+        for key, value in self._tree._leaf_items_from(start, self.end, self.prefix):
             if self.end is not None and key >= self.end:
                 return
             if self.prefix is not None and not key.startswith(self.prefix):

@@ -12,7 +12,7 @@ The tree itself only speaks in page ids.  Two backends are provided:
 
 Device pages live in a :class:`~repro.cache.buffer_pool.BufferPool`
 (``repro.cache``) the caller supplies; several stores may share one global
-page budget (the OSD does this for its master, extent and index btrees).
+page budget (the OSD does this for its master and index btrees).
 Node writes are buffered dirty in the pool and reach the device on eviction
 or :meth:`DevicePageStore.flush` — the classic write-behind buffer cache.
 
@@ -25,7 +25,7 @@ write-back.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cache.buffer_pool import BufferPool, PoolConsumer
 from repro.errors import BTreeError, CorruptionError
@@ -151,8 +151,8 @@ class DevicePageStore(PageStore):
         self.page_bytes = PAGE_BYTES - FRAME_OVERHEAD
         self.pool = buffer_pool
         self.recovery = recovery
-        #: this store's slice of the pool; ``None`` only after :meth:`detach`.
-        self._consumer: Optional[PoolConsumer] = buffer_pool.register(
+        #: this store's slice of the pool.
+        self._consumer: PoolConsumer = buffer_pool.register(
             name, writeback=self._write_page
         )
         self.reads = 0
@@ -262,16 +262,10 @@ class DevicePageStore(PageStore):
             self.integrity.release_page(page_id)
 
     # ------------------------------------------------------------ scrub hooks
-    #
-    # An interrupted scrub cycle keeps (store, page) pairs across operations,
-    # so these three may meet a store whose object was deleted (detached) in
-    # between: nothing of it is resident any more.
 
     def resident_node(self, page_id: int):
         """The pool-resident node for ``page_id`` without any cache
         side-effects, or ``None`` — the scrubber's repair-source probe."""
-        if self._consumer is None:
-            return None
         return self._consumer.peek(page_id)
 
     def page_is_dirty(self, page_id: int) -> bool:
@@ -282,8 +276,6 @@ class DevicePageStore(PageStore):
         scrubber skips verifying them rather than "repairing" ordinary
         not-yet-checkpointed state.
         """
-        if self._consumer is None:
-            return False
         return self._consumer.is_dirty(page_id)
 
     def rewrite_resident(self, page_id: int) -> bool:
@@ -295,8 +287,6 @@ class DevicePageStore(PageStore):
         re-encoded and written home directly.  Returns False when the page
         is not resident.
         """
-        if self._consumer is None:
-            return False
         if self.pool.flush_page(self._consumer, page_id):
             return True
         node = self._consumer.peek(page_id)
@@ -317,23 +307,6 @@ class DevicePageStore(PageStore):
         Dirty pages are written back first, so no updates are lost.
         """
         self._consumer.drop_all(write_back=True)
-
-    def detach(self, write_back: bool = False, discard: bool = False) -> None:
-        """Tear the store down: drop its pages and leave the pool.
-
-        Used when the owning tree dies (object deletion) so a long-lived
-        shared pool does not accumulate dead consumers.  Dropping dirty
-        pages silently was a data-loss footgun, so the choice is now
-        explicit: pass ``write_back=True`` if the pages must survive on the
-        device, or ``discard=True`` to assert they are dead (the
-        object-deletion path); with neither, lingering dirty pages raise
-        :class:`~repro.errors.CacheError` and the store stays attached.
-        """
-        if self._consumer is not None:
-            if write_back:
-                self._consumer.flush()
-            self.pool.unregister(self._consumer, discard=discard)
-            self._consumer = None
 
     # ---------------------------------------------------------- diagnostics
 

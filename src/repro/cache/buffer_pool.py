@@ -35,8 +35,7 @@ default to 8 stripes.  Pass ``stripes=1`` for a deliberately global lock.
 
 Dropping dirty frames without write-back is an explicit, counted act:
 ``drop_all(write_back=False)`` and ``unregister`` refuse to discard dirty
-data unless the caller passes ``discard=True`` (the dead-tree teardown path),
-and every discarded dirty frame shows up in ``stats.discards``.
+data unless the caller passes ``discard=True``, and every discarded dirty frame shows up in ``stats.discards``.
 
 The pool is deliberately value-agnostic: it maps ``(consumer, page_id)`` to
 arbitrary Python objects and never touches a device itself — consumers decide

@@ -633,7 +633,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--demo", action="store_true", help="pre-load the synthetic corpus")
     parser.add_argument(
         "--on-device", action="store_true",
-        help="persist index/extent btrees on the simulated device",
+        help="persist the master and index btrees on the simulated device",
     )
     parser.add_argument(
         "-c", "--command", action="append", default=[],

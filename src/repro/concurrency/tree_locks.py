@@ -1,7 +1,8 @@
 """Per-tree transaction queues and snapshot read views.
 
-The WAL engine's trees — the master/namespace tree (plus the extent trees
-it owns), the full-text posting tree and the image-feature tree — are
+The WAL engine's trees — the master/namespace tree (metadata, name entries
+and every object's extent map), the full-text posting tree and the
+image-feature tree — are
 independent failure domains in the journal: records carry transaction ids,
 replay groups by txid, and nothing in a fulltext transaction touches a
 master page.  This module turns that independence into concurrency: instead

@@ -105,7 +105,8 @@ class HFADFileSystem:
         created when omitted.
     :param num_blocks: size of the private device (ignored if ``device`` given).
     :param latency_model: latency model for the private device.
-    :param btree_on_device: persist index/extent btrees on the device too.
+    :param btree_on_device: persist the master and index btrees on the
+        device too.
         The device is formatted with a superblock and a write-ahead journal,
         btrees run write-back through the shared buffer pool, every page is
         CRC32-framed (``repro.integrity``), full-text postings and image
@@ -366,9 +367,9 @@ class HFADFileSystem:
         Recovery runs before any index is opened: the superblock is loaded
         and asked whether its format is one this code serves (a refusal
         leaves the device untouched), the journal's committed tail is
-        replayed onto home locations, and only then are the master tree,
-        the extent trees and the naming indexes rebuilt from the (now
-        consistent) device state.  Full-text postings and image features
+        replayed onto home locations, and only then are the master tree
+        (metadata, extent maps and name entries: one walk) and the naming
+        indexes rebuilt from the (now consistent) device state.  Full-text postings and image features
         re-attach from their persistent index trees (recorded in the
         superblock) without reading any object content — mounts cost
         O(metadata).  Every operation that completed before the crash is
@@ -561,7 +562,7 @@ class HFADFileSystem:
 
     def _scrub_sources(self) -> List[Tuple[object, int]]:
         """Live ``(page_store, root_id)`` walk roots for the scrubber:
-        the OSD's trees (master + every extent tree) plus the persistent
+        the OSD's master tree (extent maps included) plus the persistent
         index trees, re-evaluated at the start of each scrub cycle."""
         sources: List[Tuple[object, int]] = list(self.objects.scrub_sources())
         for tree in (self._fulltext_tree, self._image_tree):
@@ -608,8 +609,7 @@ class HFADFileSystem:
         """Integrity audit of the on-device structures.
 
         The OSD audits its own objects (:meth:`ObjectStore.check_consistency`:
-        extent maps, btree invariants, persisted extent roots, master tree,
-        allocator); this facade aggregates that with the structures only it
+        extent maps, master-tree invariants, allocator); this facade aggregates that with the structures only it
         knows about — the persistent index trees and the journal.  Returns a
         report dict with an ``errors`` list — empty on a healthy filesystem.
         """

@@ -1,8 +1,8 @@
 """The online scrubber: walk, verify, repair, quarantine.
 
 The first ROADMAP §5 maintenance task.  A scrub walks every reachable btree
-page (master tree, per-object extent trees, persistent full-text and image
-index trees), reads the raw device bytes through the retrying I/O wrapper
+page (the master tree with every object's extent map, the persistent
+full-text and image index trees), reads the raw device bytes through the retrying I/O wrapper
 and verifies each page's checksum frame.  A rotten page is repaired from the
 best available source, in order:
 

@@ -11,10 +11,11 @@ This package implements that layer:
 
 * :mod:`repro.osd.metadata` — per-object metadata (security attributes,
   access/modification times, size), the paper's Section 3.3.
-* :mod:`repro.osd.extent_map` — the per-object btree mapping logical byte
-  offsets to on-device extents, the representation described in Section 3.4
+* :mod:`repro.osd.extent_map` — each object's map from logical byte offsets
+  to on-device extents, the representation described in Section 3.4
   ("btree databases whose keys are file offsets and whose data items are the
-  disk addresses and lengths corresponding to those offsets").
+  disk addresses and lengths corresponding to those offsets"), kept as one
+  key range per object of the store's master btree.
 * :mod:`repro.osd.object_store` — the OSD itself: object create/delete,
   byte-level read/write, and the novel ``insert``/``remove_range`` calls that
   grow and shrink objects from the middle.

@@ -2,8 +2,10 @@
 
 This is the structure the paper describes in Section 3.4: each object is a
 btree "whose keys are file offsets and whose data items are the disk
-addresses and lengths corresponding to those offsets".  Because the map is
-keyed by offset:
+addresses and lengths corresponding to those offsets".  An object's map is
+a key range of a shared tree (the OSD's master tree) rather than a tree of
+its own, so an object with one extent costs one entry, not one page.
+Because the map is keyed by offset:
 
 * reads walk only the extents overlapping the requested range;
 * ``insert`` and ``remove_range`` (truncate-from-the-middle) become *key*
@@ -25,20 +27,9 @@ from repro.btree import BPlusTree
 from repro.errors import InvalidRangeError
 
 _KEY_PREFIX = b"D"
-
-#: public alias so the mount walk can recognize extent entries in raw
-#: leaf pages without re-iterating through an ExtentMap cursor.
-EXTENT_KEY_PREFIX = _KEY_PREFIX
+_KEY_END = b"E"
 _OFFSET = struct.Struct(">Q")
 _VALUE = struct.Struct(">QIIQ")  # block, nblocks, skip, length
-
-
-def _encode_key(offset: int) -> bytes:
-    return _KEY_PREFIX + _OFFSET.pack(offset)
-
-
-def _decode_key(key: bytes) -> int:
-    return _OFFSET.unpack(key[1:])[0]
 
 
 @dataclass(frozen=True)
@@ -83,20 +74,33 @@ class ObjectExtent:
 class ExtentMap:
     """Offset-keyed view over one object's extents, stored in a B+-tree.
 
-    The map shares its tree with the object's metadata (stored under the NULL
-    key by the object store); all extent keys carry a ``D`` prefix so the two
-    never collide.
+    Every key is ``prefix + b"D" + offset``: the tree may hold other entries
+    and other objects' maps, and ``prefix`` (the object's key prefix in the
+    shared tree) keeps each map's keys one contiguous run.
     """
 
-    def __init__(self, tree: BPlusTree) -> None:
+    def __init__(self, tree: BPlusTree, prefix: bytes = b"") -> None:
         self._tree = tree
+        self._prefix = prefix + _KEY_PREFIX
+        #: first key past every offset (``D`` + 1).
+        self._end = prefix + _KEY_END
+
+    def _encode_key(self, offset: int) -> bytes:
+        return self._prefix + _OFFSET.pack(offset)
 
     # ------------------------------------------------------------- queries
 
     def extents(self) -> Iterator[Tuple[int, ObjectExtent]]:
-        """All ``(logical_offset, extent)`` pairs in offset order."""
-        for key, value in self._tree.cursor(prefix=_KEY_PREFIX):
-            yield _decode_key(key), ObjectExtent.decode(value)
+        """All ``(logical_offset, extent)`` pairs in offset order.
+
+        The scan starts at offset zero's key, not at the bare prefix: when a
+        run begins a leaf, the separator in front of it is usually that key,
+        and a descent for the prefix (which sorts before it) would read the
+        neighbouring leaf first.
+        """
+        start = len(self._prefix)
+        for key, value in self._tree.cursor(start=self._encode_key(0), end=self._end):
+            yield _OFFSET.unpack_from(key, start)[0], ObjectExtent.decode(value)
 
     def extent_count(self) -> int:
         return sum(1 for _ in self.extents())
@@ -136,10 +140,10 @@ class ExtentMap:
             raise InvalidRangeError("offset must be non-negative")
         if extent.length == 0:
             return
-        self._tree.put(_encode_key(offset), extent.encode())
+        self._tree.put(self._encode_key(offset), extent.encode())
 
     def remove_extent(self, offset: int) -> None:
-        self._tree.delete(_encode_key(offset))
+        self._tree.delete(self._encode_key(offset))
 
     def punch(self, start: int, end: int) -> None:
         """Unmap ``[start, end)``, splitting boundary extents as needed.

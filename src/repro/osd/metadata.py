@@ -5,19 +5,19 @@ identifying the object's security attributes, its last access and modified
 times, and its size."  POSIX metadata (mode bits, owner) is stored here too,
 because Section 3.4 notes that POSIX metadata "can easily be stored ... as a
 unique key (or set of unique keys) for a file's btree" — we keep it in the
-same metadata record under the NULL key.
+same metadata record, the value of the object's OID key in the master btree.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass
 class ObjectMetadata:
-    """Metadata stored under the NULL key of every object's btree.
+    """Metadata stored under the object's OID key in the master btree.
 
     Times are simulated-logical timestamps (monotonically increasing integers
     handed out by the object store) rather than wall-clock values, so tests
@@ -33,11 +33,6 @@ class ObjectMetadata:
     accessed_at: int = 0
     #: free-form attributes (content type, application hints, ...).
     attributes: Dict[str, str] = field(default_factory=dict)
-    #: root page id of the object's extent btree when it lives on the device
-    #: (None for in-memory trees).  Persisting it in the master tree is what
-    #: makes the object reachable again after a re-mount: superblock →
-    #: master root → metadata → extent tree.
-    extent_root: Optional[int] = None
 
     def touch_modified(self, timestamp: int) -> None:
         """Record a content modification at logical time ``timestamp``."""
@@ -62,8 +57,6 @@ class ObjectMetadata:
             "accessed_at": self.accessed_at,
             "attributes": self.attributes,
         }
-        if self.extent_root is not None:
-            payload["extent_root"] = self.extent_root
         return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     @classmethod
@@ -79,7 +72,6 @@ class ObjectMetadata:
             modified_at=payload["modified_at"],
             accessed_at=payload["accessed_at"],
             attributes=dict(payload.get("attributes", {})),
-            extent_root=payload.get("extent_root"),
         )
 
     def copy(self) -> "ObjectMetadata":

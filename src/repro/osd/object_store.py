@@ -6,7 +6,8 @@ This is the hFAD OSD layer (paper Section 3.3/3.4):
 * a master btree maps OIDs to their metadata ("we also use BDB Btrees to map
   unique object IDs (OID) to the meta-data for an object");
 * each object's contents are described by an :class:`~repro.osd.extent_map.ExtentMap`
-  — a btree keyed by file offset whose values are device extents;
+  — a run of keys in that same master btree, keyed by file offset, whose
+  values are device extents (one tree per store, not one per object);
 * besides POSIX-style ``read``/``write``, objects support ``insert`` (grow
   from the middle) and ``remove_range`` (the paper's two-argument truncate),
   both implemented as extent-map key manipulation with no data copying.
@@ -31,17 +32,25 @@ from repro.errors import (
     NoSuchObjectError,
     ObjectStoreError,
 )
-from repro.osd.extent_map import EXTENT_KEY_PREFIX, ExtentMap, ObjectExtent
+from repro.osd.extent_map import ExtentMap, ObjectExtent
 from repro.osd.metadata import ObjectMetadata
 from repro.storage import BlockDevice, BuddyAllocator
 
 _OID = struct.Struct(">Q")
 
-# Durable per-object name entries live in the master tree as individual keys
-# (``\xffN | oid | name``), not inside the metadata record: a heavily-tagged
-# object would otherwise grow its metadata value past any page size.  The
-# prefix byte sorts after every 8-byte OID key, so metadata scans and name
-# scans never interleave.
+# The master tree holds three runs of keys, in this order:
+#
+# * ``oid`` (8 bytes) → the object's metadata record;
+# * ``\xffE | oid | D | offset`` → one extent of the object's map;
+# * ``\xffN | oid | name`` → one durable name entry (not inside the metadata
+#   record: a heavily-tagged object would otherwise grow its metadata value
+#   past any page size).
+#
+# ``\xff`` sorts after every 8-byte OID key, so a metadata scan ends there,
+# and extents get a run of their own instead of fattening metadata leaves
+# (label writes rewrite those).
+_OID_END = b"\xff"
+_EXTENT_PREFIX = b"\xffE"
 _NAME_PREFIX = b"\xffN"
 
 #: keys per node of the volatile (``btree_on_device=False``) trees, which have
@@ -69,15 +78,16 @@ class ObjectStore:
     :param device: block device for object data; a private device is created
         when omitted.
     :param allocator: buddy allocator over ``device``; created when omitted.
-    :param btree_on_device: persist the per-object extent btrees on the device
-        too (pages allocated from the same allocator).  Off by default so the
-        common configuration charges *data* I/O to the device and keeps index
-        pages in memory, mirroring a warmed metadata cache.
+    :param btree_on_device: persist the master btree (metadata, extent maps,
+        name entries) on the device too (pages allocated from the same
+        allocator).  Off by default so the common configuration charges
+        *data* I/O to the device and keeps index pages in memory, mirroring a
+        warmed metadata cache.
     :param max_extent_blocks: cap on a single extent's size; larger writes are
         split into several extents.
-    :param buffer_pool: shared :class:`~repro.cache.BufferPool` for the master
-        and per-object extent btrees when ``btree_on_device`` is set; a
-        private pool of the default size is created when omitted.
+    :param buffer_pool: shared :class:`~repro.cache.BufferPool` for the
+        master btree when ``btree_on_device`` is set; a private pool of the
+        default size is created when omitted.
     :param recovery: optional :class:`~repro.recovery.manager.RecoveryManager`.
         When set, every public mutator runs as one WAL transaction (so a
         multi-page update — btree split, extent re-keying, create/delete —
@@ -143,7 +153,7 @@ class ObjectStore:
         self.recovery = recovery if btree_on_device else None
         #: shared integrity context (retrying reads, quarantine, counters).
         self.integrity = integrity if btree_on_device else None
-        self._trees: Dict[int, BPlusTree] = {}
+        #: data chunk blocks per live object — one entry per live oid.
         self._chunks: Dict[int, Set[int]] = {}
         self._next_oid = 1
         self._clock = 0
@@ -166,11 +176,11 @@ class ObjectStore:
 
         ``recovery`` must already have replayed the journal: its ``state``
         holds the effective master root and next oid.  Everything else is
-        rediscovered by walking — each object's metadata names its extent
-        tree root, each extent names its data chunk — and the walk doubles
-        as fsck: allocator occupancy is rebuilt from reachable structures
-        only, so space held by uncommitted (never-replayed) allocations is
-        reclaimed for free.
+        rediscovered by one walk of the master tree — metadata records, name
+        entries and extents, each extent naming its data chunk — and the walk
+        doubles as fsck: allocator occupancy is rebuilt from reachable
+        structures only, so space held by uncommitted (never-replayed)
+        allocations is reclaimed for free.
         """
         state = recovery.state
         store = cls.__new__(cls)
@@ -185,10 +195,10 @@ class ObjectStore:
         store.allocator = BuddyAllocator(total_blocks=device.num_blocks, base=0)
         if state["data_region_start"]:
             store.allocator.reserve(0, state["data_region_start"])
-        # One walk per tree does triple duty: reserve every reachable page
-        # in the allocator, rebuild the element count (so BPlusTree skips
-        # its own counting walk), and surface the leaf entries (metadata
-        # records / extents) the rest of the mount needs.
+        # One walk of the one tree does triple duty: reserve every reachable
+        # page in the allocator, rebuild the element count (so BPlusTree
+        # skips its own counting walk), and surface the leaf entries
+        # (metadata records, extents, names) the rest of the mount needs.
         store._master = store._new_tree(
             "osd.master",
             root_id=state["master_root"],
@@ -204,42 +214,34 @@ class ObjectStore:
         # instead of being re-read with fresh cursors.
         metadata_by_oid: Dict[int, ObjectMetadata] = {}
         names_by_oid: Dict[int, List[str]] = {}
+        extents = []
         for key, raw in master_entries:
-            if key.startswith(_NAME_PREFIX):
+            if key < _OID_END:
+                oid = _OID.unpack(key)[0]
+                metadata = ObjectMetadata.from_bytes(raw)
+                metadata_by_oid[oid] = metadata
+                store._chunks[oid] = set()
+                store._clock = max(
+                    store._clock, metadata.created_at,
+                    metadata.modified_at, metadata.accessed_at,
+                )
+            elif key.startswith(_EXTENT_PREFIX):
+                extents.append((_OID.unpack_from(key, len(_EXTENT_PREFIX))[0], raw))
+            elif key.startswith(_NAME_PREFIX):
                 name_oid = _OID.unpack_from(key, len(_NAME_PREFIX))[0]
                 names_by_oid.setdefault(name_oid, []).append(
                     key[len(_NAME_PREFIX) + _OID.size:].decode("utf-8")
                 )
-                continue
-            if len(key) != _OID.size:
-                continue
-            oid = _OID.unpack(key)[0]
-            metadata = ObjectMetadata.from_bytes(raw)
-            metadata_by_oid[oid] = metadata
-            if metadata.extent_root is None:
-                raise ObjectStoreError(
-                    f"object {oid} has no persisted extent-tree root; "
-                    "the device was not formatted for mounting"
-                )
-            tree = store._new_tree(root_id=metadata.extent_root, count=0)
-            store._trees[oid] = tree
-            tree_count, tree_entries = store._reserve_tree_pages(tree, collect=True)
-            tree._count = tree_count
-            chunks: Set[int] = set()
-            for entry_key, entry_value in tree_entries:
-                if not entry_key.startswith(EXTENT_KEY_PREFIX):
-                    continue
-                extent = ObjectExtent.decode(entry_value)
-                if extent.block not in chunks:
-                    chunks.add(extent.block)
-                    store.allocator.reserve(extent.block, extent.nblocks)
-            store._chunks[oid] = chunks
-            store._clock = max(
-                store._clock, metadata.created_at,
-                metadata.modified_at, metadata.accessed_at,
-            )
-        store._next_oid = max(state["next_oid"], max(store._trees, default=0) + 1)
-        store._live_objects = len(store._trees)
+        # The walk is depth-first, not in key order: reserve data chunks once
+        # every live object is known.
+        for oid, raw in extents:
+            chunks = store._chunks.get(oid)
+            extent = ObjectExtent.decode(raw)
+            if chunks is not None and extent.block not in chunks:
+                chunks.add(extent.block)
+                store.allocator.reserve(extent.block, extent.nblocks)
+        store._next_oid = max(state["next_oid"], max(metadata_by_oid, default=0) + 1)
+        store._live_objects = len(metadata_by_oid)
         store._mount_inventory = (metadata_by_oid, names_by_oid)
         return store
 
@@ -297,22 +299,18 @@ class ObjectStore:
         return tree
 
     def scrub_sources(self) -> List:
-        """Current ``(page_store, root_id)`` pairs for every on-device tree
-        this store owns — the scrubber's walk roots.  The facade appends the
+        """Current ``(page_store, root_id)`` of the one on-device tree this
+        store owns — the scrubber's walk roots.  The facade appends the
         persistent index trees, which it owns."""
         if not self.btree_on_device:
             return []
-        sources = [(self._master.store, self._master.root_id)]
-        for tree in self._trees.values():
-            sources.append((tree.store, tree.root_id))
-        return sources
+        return [(self._master.store, self._master.root_id)]
 
     def check_consistency(self) -> Dict[str, object]:
         """The per-object half of fsck: audit the on-device OSD structures.
 
-        Walks every object's extent map and btree invariants, verifies the
-        persisted extent-tree roots match the live trees, and checks the
-        master tree and the allocator.  Returns ``{"objects", "extents",
+        Walks every object's extent map, and checks the master tree's
+        invariants and the allocator.  Returns ``{"objects", "extents",
         "errors"}`` — the filesystem facade aggregates this with its own
         journal and index-tree checks.  Never raises: fsck reports.
         """
@@ -329,15 +327,6 @@ class ObjectStore:
             try:
                 self.check_object(oid)
                 extents += self.extent_count(oid)
-                tree = self._trees.get(oid)
-                if tree is not None:
-                    tree.check_invariants()
-                    persisted = self.stat(oid).extent_root
-                    if persisted is not None and persisted != tree.root_id:
-                        errors.append(
-                            f"object {oid}: persisted extent root {persisted} "
-                            f"!= live root {tree.root_id}"
-                        )
             except Exception as error:  # noqa: BLE001 — fsck reports, never raises
                 errors.append(f"object {oid}: {error}")
         try:
@@ -352,7 +341,7 @@ class ObjectStore:
 
     # ------------------------------------------------------------ internals
 
-    def _new_tree(self, name: str = "osd.extent", **attach) -> BPlusTree:
+    def _new_tree(self, name: str, **attach) -> BPlusTree:
         """A btree over this store's kind of pages; ``attach`` is
         :class:`BPlusTree`'s ``root_id`` / ``count`` / ``on_root_change``."""
         if not self.btree_on_device:
@@ -432,12 +421,6 @@ class ObjectStore:
         return metadata
 
     def _save_metadata(self, oid: int, metadata: ObjectMetadata) -> None:
-        tree = self._trees.get(oid)
-        if tree is not None and isinstance(tree.store, DevicePageStore):
-            # The extent-tree root may have moved since the caller read this
-            # metadata copy (splits happen mid-operation); always persist the
-            # live root so a mount can re-attach the tree.
-            metadata.extent_root = tree.root_id
         # Every mutator loads metadata through _require, so the record being
         # saved already carries any pending access time: the lazy atime
         # piggybacks on the next real mutation.
@@ -445,10 +428,9 @@ class ObjectStore:
         self._master.put(self._metadata_key(oid), metadata.to_bytes())
 
     def _extent_map(self, oid: int) -> ExtentMap:
-        tree = self._trees.get(oid)
-        if tree is None:
+        if oid not in self._chunks:
             raise NoSuchObjectError(oid)
-        return ExtentMap(tree)
+        return ExtentMap(self._master, _EXTENT_PREFIX + _OID.pack(oid))
 
     # ------------------------------------------------------------ lifecycle
 
@@ -482,9 +464,6 @@ class ObjectStore:
                 accessed_at=now,
                 attributes=dict(attributes or {}),
             )
-            # The tree must exist before the metadata is saved so the save
-            # records its root page (the mount path follows that pointer).
-            self._trees[oid] = self._new_tree()
             self._chunks[oid] = set()
             self._save_metadata(oid, metadata)
             self._live_objects += 1
@@ -499,17 +478,9 @@ class ObjectStore:
         """Destroy the object and release every data chunk it owns."""
         self._require(oid)
         with self._txn():
-            for chunk_block in self._chunks.pop(oid, set()):
+            self._extent_map(oid).clear()
+            for chunk_block in self._chunks.pop(oid):
                 self._free_chunk(chunk_block)
-            tree = self._trees.pop(oid, None)
-            if tree is not None and isinstance(tree.store, DevicePageStore):
-                # Free the dead tree's device pages (per-key deletes only free
-                # on merges, so dropping the tree outright would leak them
-                # all), then release its slice of the shared buffer pool.
-                # Its dirty pages are explicitly discarded: a dead tree's
-                # pages are never read again.
-                tree.destroy()
-                tree.store.detach(discard=True)
             for name in self.names(oid):
                 self._master.delete(self._name_key(oid, name))
             self._master.delete(self._metadata_key(oid))
@@ -518,12 +489,12 @@ class ObjectStore:
             self.stats.objects_deleted += 1
 
     def list_objects(self) -> List[int]:
-        """All live OIDs in ascending order."""
-        return [
-            _OID.unpack(key)[0]
-            for key, _value in self._master.items()
-            if len(key) == _OID.size
-        ]
+        """All live OIDs in ascending order.
+
+        Scans the metadata run only: extent and name leaves are never read,
+        so rot in one of them cannot fail a listing (the degraded rescue and
+        fsck start here)."""
+        return [_OID.unpack(key)[0] for key, _value in self._master.cursor(end=_OID_END)]
 
     @property
     def object_count(self) -> int:
@@ -569,7 +540,7 @@ class ObjectStore:
 
     def _check_metadata_record(self, metadata: ObjectMetadata) -> None:
         """Reject a metadata record over :meth:`_entry_budget`.  The slack
-        covers timestamps/extent-root fields stamped later in the operation."""
+        covers the size and timestamps stamped later in the operation."""
         budget = self._entry_budget()
         if budget is not None and len(metadata.to_bytes()) + 256 > budget:
             raise ObjectStoreError(

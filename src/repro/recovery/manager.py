@@ -169,6 +169,7 @@ class RecoveryManager:
             "image_root": 0,
             "checksum_pages": 1,
             "fulltext_format": 3,
+            "osd_format": 2,
         }
         self.pool = None  # the shared BufferPool, once attached
         self.poisoned = False
@@ -853,6 +854,7 @@ class RecoveryManager:
             image_root=self.state.get("image_root", 0),
             checksum_pages=self.state["checksum_pages"],
             fulltext_format=self.state["fulltext_format"],
+            osd_format=self.state["osd_format"],
         ).store(self.device, self.superblock_block)
 
     # ------------------------------------------------------------ lifecycle
@@ -893,6 +895,7 @@ class RecoveryManager:
             image_root=superblock.image_root,
             checksum_pages=superblock.checksum_pages,
             fulltext_format=superblock.fulltext_format,
+            osd_format=superblock.osd_format,
         )
         return manager
 

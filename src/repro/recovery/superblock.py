@@ -8,11 +8,13 @@ The superblock is the fixed-location record that makes that possible:
   reserved metadata prefix data allocations must avoid);
 * the master-btree root page and the next object id — the two pieces of
   logical state that cannot be rediscovered by walking (everything else is
-  reachable from the master tree: per-object extent-tree roots live in each
-  object's metadata record, data chunks in its extent map);
+  reachable from the master tree: metadata records, name entries and every
+  object's extent map are key ranges of it, data chunks named by extents);
 * the page geometry stamp (``page_blocks``): a btree page is
   :data:`~repro.btree.pages.PAGE_BYTES` whatever the device's block size,
-  and an image stamped with any other page size is refused.
+  and an image stamped with any other page size is refused;
+* the layout stamps of the trees' contents (``osd_format``,
+  ``fulltext_format``), each refused when it is not the one layout served.
 
 This module is also the one place that knows which on-device formats are
 mountable: :meth:`Superblock.from_bytes` rejects a field set it does not
@@ -73,6 +75,11 @@ class Superblock:
     #: (``P`` / ``R`` records; :mod:`repro.fulltext.persistent_index`) — the
     #: only layout; any other value is refused at mount.
     fulltext_format: int = 3
+    #: master tree layout stamp: ``2`` keeps every object's extents in the
+    #: master tree (``\xffE | oid | D | offset`` keys;
+    #: :mod:`repro.osd.object_store`), not in an extent tree per object —
+    #: the only layout; any other value is refused at mount.
+    osd_format: int = 2
 
     # -- serialization --------------------------------------------------------
 
@@ -130,6 +137,12 @@ class Superblock:
                 f"unsupported on-device format: superblock fulltext_format="
                 f"{self.fulltext_format}, but only posting-block full-text "
                 "trees with a posting backlog (fulltext_format=3) are mountable"
+            )
+        if self.osd_format != 2:
+            raise RecoveryError(
+                f"unsupported on-device format: superblock osd_format="
+                f"{self.osd_format}, but only extent maps kept in the master "
+                "tree (osd_format=2) are mountable"
             )
         for name in ("fulltext_root", "image_root"):
             if not getattr(self, name):

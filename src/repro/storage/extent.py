@@ -2,7 +2,8 @@
 
 hFAD allocates objects into *variable sized extents* (paper Section 3.4): a
 contiguous run of device blocks described by a start address and a length.
-The OSD's per-object btree maps logical byte offsets to these extents.
+Each object's extent map (a key range of the OSD's master btree) maps
+logical byte offsets to these extents.
 """
 
 from __future__ import annotations

@@ -244,41 +244,3 @@ class TestWriteBack:
         fresh = DevicePageStore(device, store.allocator, BufferPool(capacity=1))
         assert fresh.read(tree._root_id) is not None
 
-
-class TestDetachDiscard:
-    """Tearing down a store must not silently lose buffered writes."""
-
-    def make_write_back_store(self):
-        device = BlockDevice(num_blocks=1 << 12, block_size=512)
-        allocator = BuddyAllocator(total_blocks=1 << 12)
-        pool = BufferPool(capacity=8)
-        store = DevicePageStore(device, allocator, pool, name="teardown")
-        return pool, store, device
-
-    def test_detach_refuses_to_drop_dirty_pages_silently(self):
-        import pytest
-        from repro.errors import CacheError
-
-        pool, store, device = self.make_write_back_store()
-        page = store.allocate()
-        store.write(page, LeafNode(keys=[b"k"], values=[b"v"]))
-        with pytest.raises(CacheError, match="discard=True"):
-            store.detach()
-        # The refused detach left the store attached and the page intact.
-        assert store.read(page).keys == [b"k"]
-
-    def test_detach_with_discard_drops_and_counts(self):
-        pool, store, device = self.make_write_back_store()
-        page = store.allocate()
-        store.write(page, LeafNode(keys=[b"k"], values=[b"v"]))
-        store.detach(discard=True)
-        assert device.stats.writes == 0  # the dirty page never hit the device
-        assert pool.stats.discards == 1
-
-    def test_detach_with_write_back_persists_first(self):
-        pool, store, device = self.make_write_back_store()
-        page = store.allocate()
-        store.write(page, LeafNode(keys=[b"k"], values=[b"v"]))
-        store.detach(write_back=True)
-        assert device.stats.writes == 1
-        assert pool.stats.discards == 0

@@ -201,8 +201,8 @@ class TestStats:
         assert "test" not in pool.consumers
 
     def test_osd_delete_churn_does_not_leak_consumers(self):
-        # Regression: every on-device extent tree registers a pool consumer;
-        # deleting the object must unregister it.
+        # Regression: object churn must not grow the pool's consumer list
+        # (objects once had a tree, and a consumer, each).
         from repro.osd.object_store import ObjectStore
 
         store = ObjectStore(btree_on_device=True, buffer_pool=BufferPool(capacity=16))
@@ -214,8 +214,8 @@ class TestStats:
         assert len(store.buffer_pool.consumers) == baseline
 
     def test_osd_delete_churn_does_not_leak_device_blocks(self):
-        # Regression: a dead extent tree's pages must go back to the buddy
-        # allocator (per-key deletes only free pages on merges).
+        # Regression: a dead object's chunks and the master-tree pages its
+        # extents grew must go back to the buddy allocator.
         from repro.osd.object_store import ObjectStore
 
         store = ObjectStore(btree_on_device=True, buffer_pool=BufferPool(capacity=16))

@@ -184,20 +184,23 @@ def test_single_stripe_keeps_global_lru_order():
     assert consumer.get("a") == "a"
 
 
+# 400 objects: the working set (master + full-text pages) must outgrow the
+# 64-page pool — the smallest that stripes — or no stripe ever has to choose.
 _FIXED_OP_LIST = """
 import json
 from repro.core import HFADFileSystem
 fs = HFADFileSystem(num_blocks=1 << 15, btree_on_device=True, cache_pages=64)
 oids = [fs.create(f"document {i} about topic{i % 7} and word{i % 13}".encode(),
                   owner=f"user{i % 5}", annotations=[f"label{i % 11}"])
-        for i in range(120)]
+        for i in range(400)]
 for i in range(300):
     fs.read(oids[(i * 37) % len(oids)])
     fs.find(("UDEF", f"label{i % 11}"))
     fs.search_text(f"topic{i % 7}")
 pool = fs.stats()["buffer_pool"]
-assert pool["stripes"] > 1 and pool["totals"]["evictions"] > 0
-print(json.dumps([pool["totals"], pool["consumers"]], sort_keys=True))
+totals = pool["totals"]
+assert pool["stripes"] > 1 and totals["evictions"] > 0 and totals["misses"] > 0
+print(json.dumps([totals, pool["consumers"]], sort_keys=True))
 """
 
 

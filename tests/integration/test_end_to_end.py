@@ -153,21 +153,24 @@ class TestCrashRecoverySweep:
 class TestDevicePersistenceIntegration:
     """Objects written through device-resident btrees survive a 'remount'."""
 
-    def test_extent_maps_written_to_device_are_rereadable(self):
+    def test_extent_maps_written_to_device_are_rereadable(self, extent_leaf):
         device = BlockDevice(num_blocks=1 << 15)
         fs = HFADFileSystem(device=device, btree_on_device=True)
         oid = fs.create(b"persisted payload " * 100, path="/data.bin", index_content=False)
         fs.insert(oid, 10, b"[mark]")
         expected = fs.read(oid)
-        root_page = fs.objects._trees[oid]._root_id
+        leaf_page, _oids = extent_leaf(fs, oid)
+        page_blocks = fs.objects._master.store.page_blocks
         fs.close()
-        # The extent map's pages are real device blocks: the root page's raw
-        # device contents must carry a valid checksum frame whose payload
-        # decodes to a valid btree node.
+        # The extent map's leaf is a real device page: its raw device
+        # contents must carry a valid checksum frame whose payload decodes to
+        # a leaf holding the object's three extents (insert split one).
         from repro.btree.node import decode_node
         from repro.integrity import verify_frame
 
-        raw = device.read_blocks(root_page, 4)
+        raw = device.read_blocks(leaf_page, page_blocks)
         node = decode_node(verify_frame(raw))
-        assert node is not None
+        prefix = b"\xffE" + oid.to_bytes(8, "big")
+        assert node.is_leaf
+        assert sum(key.startswith(prefix) for key in node.keys) == 3
         assert expected.startswith(b"persisted [mark]payload"[:9])

@@ -97,30 +97,53 @@ class TestDegradedSearch:
         fs.close()
 
 
+def quarantined_extent_leaf_fs(extent_leaf, count=150):
+    """A filesystem with its full-text root and the master-tree leaf holding
+    a mid-corpus object's extents both quarantined beyond repair; returns
+    ``(fs, oids, victims)``, victims being every oid with extents there."""
+    device = BlockDevice(num_blocks=1 << 15)
+    fs = HFADFileSystem(device=device, btree_on_device=True)
+    oids = [
+        fs.create(content=f"partial corpus item {i}".encode(), path=f"/p/{i}.txt")
+        for i in range(count)
+    ]
+    fs.checkpoint()  # journal truncated: no WAL repair source
+    leaf, victims = extent_leaf(fs, oids[count // 2])
+    # Tens of objects' extents share one 4 KB leaf: the corpus spans several.
+    assert 0 < len(victims) < count // 2
+    for tree in (fs._fulltext_tree, fs.objects._master):
+        tree.store._consumer.drop_all(write_back=True)  # no cached copy
+    device.flip_bit(fs._fulltext_tree.root_id, 40)
+    device.flip_bit(leaf, 40)
+    assert fs.scrub().quarantined == 2
+    return fs, oids, victims
+
+
 class TestPartialResults:
-    def test_unreadable_object_content_flags_partial(self):
-        device = BlockDevice(num_blocks=1 << 14)
-        fs = HFADFileSystem(device=device, btree_on_device=True)
-        oids = [
-            fs.create(
-                content=f"partial corpus item {i}".encode(),
-                path=f"/p/{i}.txt",
-            )
-            for i in range(8)
-        ]
-        fs.checkpoint()
-        # Quarantine the posting tree AND one object's extent tree: the
-        # rescan can no longer read that object's bytes.
-        for tree in (fs._fulltext_tree, fs.objects._trees[oids[0]]):
-            tree.store._consumer.drop_all(write_back=True)
-            device.flip_bit(tree.root_id, 40)
-        report = fs.scrub()
-        assert report.quarantined == 2
+    def test_unreadable_object_content_flags_partial(self, extent_leaf):
+        fs, oids, victims = quarantined_extent_leaf_fs(extent_leaf)
         result = fs.search_text("corpus")
-        assert result == oids[1:]  # correct-if-complete: victim missing
+        # Correct-if-complete: exactly the objects whose extents shared the
+        # leaf are missing — a neighbouring run never reads into it.
+        assert result == [oid for oid in oids if oid not in victims]
         stats = fs.stats()["integrity"]
         assert stats["degraded_queries"] >= 1
         assert stats["partial_results"] >= 1
+        fs.close()
+
+    def test_a_rotten_extent_leaf_leaves_the_object_listing_whole(self, extent_leaf):
+        # The listing scans the metadata run only, so the degraded rescue
+        # (and fsck) still enumerate every object past a rotten extent leaf.
+        fs, oids, victims = quarantined_extent_leaf_fs(extent_leaf)
+        assert fs.list_objects() == oids
+        for oid in victims:
+            with pytest.raises(CorruptionError):
+                fs.read(oid)
+        before = fs.stats()["integrity"]
+        assert fs.search_text("item") == [oid for oid in oids if oid not in victims]
+        after = fs.stats()["integrity"]
+        assert after["degraded_queries"] == before["degraded_queries"] + 1
+        assert after["partial_results"] == before["partial_results"] + 1
         fs.close()
 
 

@@ -178,7 +178,7 @@ class TestIntegrityContextReads:
 
 
 class TestFilesystemRetryPath:
-    def test_page_in_retries_through_transient_faults(self):
+    def test_page_in_retries_through_transient_faults(self, extent_leaf):
         from repro.core import HFADFileSystem
 
         dev = BlockDevice(num_blocks=1 << 14)
@@ -186,11 +186,11 @@ class TestFilesystemRetryPath:
         fs.integrity.sleep = lambda _s: None  # no real sleeping in tests
         oid = fs.create(b"transient fault survivor", path="/t.txt")
         fs.checkpoint()
-        root = fs.objects._trees[oid].root_id
-        # Evict so the next read must hit the device, then make that read
-        # transiently fail twice.
-        fs.objects._trees[oid].store._consumer.drop_all(write_back=True)
-        dev.fault_plan = FaultPlan(transient_read_faults={root: 2})
+        leaf, _oids = extent_leaf(fs, oid)
+        # Evict so the next read must hit the device, then make that read of
+        # the object's extent leaf transiently fail twice.
+        fs.objects._master.store._consumer.drop_all(write_back=True)
+        dev.fault_plan = FaultPlan(transient_read_faults={leaf: 2})
         assert fs.read(oid) == b"transient fault survivor"
         stats = fs.stats()["integrity"]
         assert stats["transient_recovered"] >= 1

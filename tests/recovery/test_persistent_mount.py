@@ -106,40 +106,87 @@ def test_the_content_read_tracker_counts_an_object_read():
     mounted.close()
 
 
+class ReadLog(BlockDevice):
+    """Records the first block of every whole-block read while ``log`` is a
+    list (btree pages, the superblock and the journal are read this way)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = None
+
+    def read_blocks(self, block, nblocks):
+        if self.log is not None:
+            self.log.append(block)
+        return super().read_blocks(block, nblocks)
+
+
+def tree_pages(tree):
+    """Every page id of ``tree``, by walking it."""
+    pages, stack = set(), [tree.root_id]
+    while stack:
+        page_id = stack.pop()
+        pages.add(page_id)
+        node = tree.store.read(page_id)
+        if not node.is_leaf:
+            stack.extend(node.children)
+    return pages
+
+
 def mount_traffic(documents, repeats=1):
     """Build ``documents`` twelve-word files (each repeated ``repeats`` times
-    over), close, and return the device-stats delta of mounting the image."""
-    device = BlockDevice(num_blocks=1 << 18)
+    over), close, and mount the image.  Returns the mount's device-stats
+    delta and its reads per tree: ``{"master", "fulltext", "image"}`` count
+    reads of that tree's pages, ``"metadata_region"`` reads below the data
+    region (superblock and journal), ``"elsewhere"`` every other read."""
+    device = ReadLog(num_blocks=1 << 18)
     fs = make_fs(device)
     rng = random.Random(9)
     for serial in range(documents):
         words = " ".join(rng.choice(WORDS) for _ in range(12))
         fs.create((words + " ").encode() * repeats, path=f"/c/{serial}.txt")
     fs.close()
-    before = device.stats.snapshot()
-    HFADFileSystem.mount(device, query_cache_entries=0).close()
-    return device.stats.delta(before)
+    before, device.log = device.stats.snapshot(), []
+    mounted = HFADFileSystem.mount(device, query_cache_entries=0)
+    log, device.log = device.log, None
+    delta = device.stats.delta(before)
+    trees = {"master": mounted.objects._master, "fulltext": mounted._fulltext_tree,
+             "image": mounted._image_tree}
+    owner = {page: name for name, tree in trees.items() for page in tree_pages(tree)}
+    region_end = mounted.recovery.state["data_region_start"]
+    reads = dict.fromkeys([*trees, "metadata_region", "elsewhere"], 0)
+    for block in log:
+        reads[owner.get(block, "metadata_region" if block < region_end else "elsewhere")] += 1
+    mounted.close()
+    return delta, reads
 
 
 def test_persistent_mount_metadata_cost_independent_of_content_size():
-    """Padding content must not grow a persisted mount's reads.
+    """Padding content must not grow a persisted mount's metadata reads.
 
     Three corpora with identical term structure but up to ~32x different
-    content volume (padding repeats the same words) mount with essentially
-    the same device read traffic: the index trees scale with distinct
-    postings, not with object bytes.
+    content volume (padding repeats the same words): the mount reads the
+    same master-tree pages for all three — metadata, extent maps and names
+    are one shared tree that does not grow with object bytes — and every
+    extra read is a full-text page (longer position rows: stored positions,
+    larger tf).  No read lands outside the three trees, the superblock and
+    the journal: a mount reads no per-object page.
     """
-    small, padded, large = (mount_traffic(12, repeats) for repeats in (1, 4, 32))
-    # Identical index shape: the mount read budget stays flat (the data
-    # region holds 32x the bytes; allow slack for extent-tree geometry).
-    assert large.reads <= small.reads * 1.5, (small, large)
-    # Padding every document 4x moves the mount by a handful of blocks (the
-    # longer posting rows: stored positions, larger tf), never by the padding.
+    (small, small_reads), (padded, padded_reads), (large, large_reads) = (
+        mount_traffic(12, repeats) for repeats in (1, 4, 32)
+    )
+    for traffic, reads in ((padded, padded_reads), (large, large_reads)):
+        assert reads["master"] == small_reads["master"], (small_reads, reads)
+        assert traffic.reads - small.reads == (
+            reads["fulltext"] - small_reads["fulltext"]), (small_reads, reads)
+        assert reads["elsewhere"] == 0, reads
+    assert large_reads["fulltext"] > small_reads["fulltext"]  # the gate can see growth
+    # Padding every document 4x moves the mount by a handful of blocks, never
+    # by the padding.
     assert abs(padded.blocks_read - small.blocks_read) <= 8, (small, padded)
 
 
 def test_persistent_mount_cost_per_document_does_not_grow_with_the_corpus():
     # The mount reads index and metadata pages plus a fixed journal scan, so
     # blocks read per document can only fall as the corpus grows.
-    few, many = mount_traffic(12), mount_traffic(36)
+    (few, _), (many, _) = mount_traffic(12), mount_traffic(36)
     assert many.blocks_read / 36 <= few.blocks_read / 12, (few, many)

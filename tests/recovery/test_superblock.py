@@ -106,7 +106,7 @@ class TestFormatVersions:
 
     @pytest.mark.parametrize(
         "field", ["page_blocks", "checksum_pages", "fulltext_root", "image_root",
-                  "fulltext_format"]
+                  "fulltext_format", "osd_format"]
     )
     def test_unserved_format_refused_naming_the_field(self, field):
         with pytest.raises(RecoveryError, match=field):
@@ -143,3 +143,28 @@ class TestFormatVersions:
         # Stamp 2 trees hold no backlog records, but one format is served.
         with pytest.raises(RecoveryError, match="fulltext_format=2"):
             make_superblock(fulltext_format=2).require_mountable(BLOCK_SIZE)
+
+    def test_an_image_with_an_extent_tree_per_object_is_refused_untouched(self):
+        # What the tree-per-object layout's code wrote: metadata records
+        # carrying ``extent_root`` and a superblock without ``osd_format``.
+        # Mounted, it would read every object as zeros (no ``\xffE`` keys);
+        # it must be refused before replay writes its journal tail home.
+        from repro.core import HFADFileSystem
+
+        device = BlockDevice(num_blocks=1 << 14)
+        fs = HFADFileSystem(device=device, btree_on_device=True)
+        oids = [fs.create(b"object %d" % number, path=f"/o{number}") for number in range(5)]
+        master = fs.objects._master
+        with fs.recovery.transaction():  # committed, never written home
+            for oid in oids:
+                key = oid.to_bytes(8, "big")
+                record = dict(json.loads(master.get(key)), extent_root=master.root_id)
+                master.put(key, json.dumps(record, sort_keys=True).encode())
+        fields = asdict(Superblock.load(device))
+        del fields["osd_format"]
+        device.write_block(SUPERBLOCK_BLOCK, encode_fields(fields))
+        before, writes = device.dump(), device.stats.writes
+        with pytest.raises(RecoveryError, match="osd_format"):
+            HFADFileSystem.mount(device)
+        assert device.stats.writes == writes
+        assert device.dump() == before
