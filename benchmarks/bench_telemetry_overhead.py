@@ -3,22 +3,27 @@
 The PR-6 acceptance bar: with ``telemetry=False`` every instrument is a
 shared no-op and the tracer is gone, so instrumented builds must run the
 hot query paths within ~5% of each other whichever way the switch points.
-(The enabled path's per-query cost is two ``perf_counter`` calls, one
-histogram observe and one ring-buffer append — a few microseconds — which
-multi-term queries over a few thousand documents amortize far below the
-bar.)
+(The enabled path's per-query cost is an attribution scope, a histogram
+observe and a trace-ring append: about 7 µs, measured against ~190 µs per
+boolean ``limit=10`` query on a shared 2-core x86 box.  That box's median
+ratios are 1.03–1.05 for the boolean loop and 1.02–1.05 for the ranked
+one, so the bar has little headroom.)
 
 Two instances with identical corpora run the same loops:
 
 * an E10-style boolean-conjunction loop (``fs.query(..., limit=10)``), and
 * an E13-style WAND ranked loop (``fs.rank(..., limit=10)``).
 
-Each measurement is the min over several repetitions of a whole loop;
-timing noise gets up to ``ATTEMPTS`` chances before the assertion fails.
+The gate is the median of ``PAIRS`` interleaved enabled/disabled pair
+ratios: each pair times the two instances alternately, so machine-load
+drift hits both sides of a ratio alike, and the median discards the pairs a
+noisy neighbour landed on one side of.  One lucky pair cannot pass the gate
+and one unlucky pair cannot fail it.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -32,11 +37,11 @@ from conftest import emit_table, scaled
 #: a tiny corpus would measure the constant, not the overhead.
 CORPUS_SIZE = scaled(2500, 1200)
 #: queries per timed loop.
-QUERIES_PER_LOOP = scaled(60, 20)
-#: repetitions per measurement (min is taken).
-REPEATS = scaled(7, 4)
-#: measurement attempts before the overhead assertion gives up.
-ATTEMPTS = 3
+QUERIES_PER_LOOP = scaled(60, 40)
+#: interleaved enabled/disabled pairs per workload (the median ratio gates).
+PAIRS = 15
+#: timed runs per side of a pair (its best is the pair's time for that side).
+RUNS_PER_PAIR = 3
 #: acceptance bar: enabled/disabled wall-time ratio per workload.
 MAX_RATIO = 1.05
 
@@ -77,22 +82,25 @@ def _ranked_loop(fs: HFADFileSystem) -> None:
         fs.rank(RANK_QUERY, limit=10)
 
 
-def _interleaved_best(loop, enabled, disabled):
-    """Best loop time for each instance, alternating between them.
+def _pairs(loop, enabled, disabled):
+    """``PAIRS`` interleaved ``(enabled, disabled)`` loop times.
 
-    Interleaving means machine-load drift (CPU frequency, a noisy
-    neighbour) hits both instances alike instead of biasing whichever ran
-    second; the min-of-repeats then compares best-case against best-case.
+    Each side of a pair is its best of ``RUNS_PER_PAIR`` runs, taken
+    alternately with the other side's, so a pause that lands on one run
+    does not become that pair's ratio.
     """
-    best_on = best_off = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        loop(enabled)
-        best_on = min(best_on, time.perf_counter() - start)
-        start = time.perf_counter()
-        loop(disabled)
-        best_off = min(best_off, time.perf_counter() - start)
-    return best_on, best_off
+    pairs = []
+    for _ in range(PAIRS):
+        best_on = best_off = float("inf")
+        for _ in range(RUNS_PER_PAIR):
+            start = time.perf_counter()
+            loop(enabled)
+            best_on = min(best_on, time.perf_counter() - start)
+            start = time.perf_counter()
+            loop(disabled)
+            best_off = min(best_off, time.perf_counter() - start)
+        pairs.append((best_on, best_off))
+    return pairs
 
 
 def test_disabled_telemetry_overhead_under_bar(instances):
@@ -104,25 +112,23 @@ def test_disabled_telemetry_overhead_under_bar(instances):
     rows = []
     for label, loop in (("boolean limit=10", _boolean_loop),
                         ("ranked limit=10", _ranked_loop)):
-        ratio = float("inf")
-        for _attempt in range(ATTEMPTS):
-            loop(enabled)  # warm both instances before timing
-            loop(disabled)
-            time_enabled, time_disabled = _interleaved_best(
-                loop, enabled, disabled)
-            ratio = min(ratio, time_enabled / time_disabled)
-            if ratio < MAX_RATIO:
-                break
+        loop(enabled)  # warm both instances before timing
+        loop(disabled)
+        pairs = _pairs(loop, enabled, disabled)
+        ratios = [time_on / time_off for time_on, time_off in pairs]
+        ratio = statistics.median(ratios)
         assert ratio < MAX_RATIO, (
             f"{label}: telemetry-enabled loop {ratio:.3f}x the disabled one "
-            f"(bar {MAX_RATIO})"
+            f"(median of {PAIRS} pairs {sorted(round(r, 3) for r in ratios)}, "
+            f"bar {MAX_RATIO})"
         )
         rows.append((label, QUERIES_PER_LOOP,
-                     round(time_enabled * 1e3, 3), round(time_disabled * 1e3, 3),
+                     round(statistics.median(on for on, _ in pairs) * 1e3, 3),
+                     round(statistics.median(off for _, off in pairs) * 1e3, 3),
                      round(ratio, 4)))
     emit_table(
         f"Telemetry overhead — enabled vs disabled ({CORPUS_SIZE} docs)",
-        ("workload", "queries/loop", "on(ms)", "off(ms)", "ratio"),
+        ("workload", "queries/loop", "on(ms)", "off(ms)", "median ratio"),
         rows,
     )
 

@@ -31,7 +31,7 @@ a prefix.  A truncated top-k result is stored under a separate
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -106,8 +106,6 @@ class QueryCacheStats:
     #: results stored under limit-qualified keys.
     admitted_full: int = 0
     admitted_limited: int = 0
-    #: stores an admission policy declined (see QueryResultCache.store).
-    policy_rejects: int = 0
 
     @property
     def hit_ratio(self) -> float:
@@ -124,7 +122,6 @@ class QueryCacheStats:
             "racy_skips": self.racy_skips,
             "admitted_full": self.admitted_full,
             "admitted_limited": self.admitted_limited,
-            "policy_rejects": self.policy_rejects,
             "hit_ratio": round(self.hit_ratio, 4),
         }
 
@@ -136,20 +133,12 @@ class QueryResultCache:
     :param capacity: maximum number of cached result sets (LRU-bounded).
     """
 
-    def __init__(self, registry, capacity: int = 256,
-                 admission_policy=None, admission_log: int = 32) -> None:
+    def __init__(self, registry, capacity: int = 256) -> None:
         if capacity < 1:
             raise CacheError("query cache capacity must be at least 1 entry")
         self.registry = registry
         self.capacity = capacity
         self.stats = QueryCacheStats()
-        #: optional ``fn(key, result, limited) -> bool`` consulted before a
-        #: store; returning False rejects admission (counted in
-        #: ``policy_rejects``).  Groundwork for cost-aware admission.
-        self.admission_policy = admission_policy
-        #: ring of recent admission decisions, newest last:
-        #: ``(key, rows, "full"|"limited"|"rejected"|"racy")``.
-        self.admissions: "deque[Tuple[str, int, str]]" = deque(maxlen=admission_log)
         #: key -> (result tuple, {tag: generation at store time})
         self._entries: "OrderedDict[str, Tuple[Tuple[int, ...], Dict[str, int]]]" = OrderedDict()
         self._lock = threading.Lock()
@@ -204,10 +193,9 @@ class QueryResultCache:
         already be stale and is not cached.
 
         ``limited`` marks a truncated top-k result (stored under a
-        limit-qualified key by the naming layer); it only affects the
-        admission bookkeeping, never correctness.  Every decision — admit
-        full, admit limited, policy reject, racy skip — is appended to
-        :attr:`admissions` for the telemetry layer to surface.
+        limit-qualified key by the naming layer); it only picks which
+        admission counter (``admitted_full`` / ``admitted_limited``) counts
+        the store, never correctness.
         """
         if key is None:
             key = canonical_key(query)
@@ -217,14 +205,7 @@ class QueryResultCache:
             for tag, generation in snapshot.items():
                 if self.registry.generation(tag) != generation:
                     self.stats.racy_skips += 1
-                    self.admissions.append((key, len(result), "racy"))
                     return
-        if self.admission_policy is not None and not self.admission_policy(
-            key, result, limited
-        ):
-            self.stats.policy_rejects += 1
-            self.admissions.append((key, len(result), "rejected"))
-            return
         with self._lock:
             self._entries[key] = (tuple(result), snapshot)
             self._entries.move_to_end(key)
@@ -233,9 +214,6 @@ class QueryResultCache:
                 self.stats.admitted_limited += 1
             else:
                 self.stats.admitted_full += 1
-            self.admissions.append(
-                (key, len(result), "limited" if limited else "full")
-            )
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1

@@ -10,19 +10,20 @@ object, once it has been located." (Section 3.1)
   and ``write`` plus the new ``insert`` and two-argument ``truncate``.
 * :mod:`repro.core.query` — boolean queries over tags (AND/OR/NOT) and the
   selectivity-based planner (the paper's third open question).
-* :mod:`repro.core.transactions` — undo-log transactions over naming
-  operations (the OSD's data-path durability lives in
-  :mod:`repro.storage.journal`).
 * :mod:`repro.core.filesystem` — :class:`HFADFileSystem`, the facade that
   wires the OSD, the index stores and both interface families together; this
   is the class examples and the POSIX veneer build on.
+
+The paper leaves transactionality open ("the OSD may be transactional, but
+this is an implementation decision").  Here it has one owner,
+:class:`~repro.recovery.RecoveryManager`: every facade operation is one WAL
+transaction, and ``with fs.begin(): ...`` makes a group of them one.
 """
 
 from repro.core.access import AccessInterface, ObjectHandle
 from repro.core.filesystem import HFADFileSystem
 from repro.core.naming import NamingInterface
 from repro.core.query import And, Not, Or, Query, QueryPlanner, TagTerm, parse_query
-from repro.core.transactions import NamespaceTransaction, TransactionManager
 
 __all__ = [
     "HFADFileSystem",
@@ -36,6 +37,4 @@ __all__ = [
     "Not",
     "QueryPlanner",
     "parse_query",
-    "NamespaceTransaction",
-    "TransactionManager",
 ]

@@ -26,7 +26,6 @@ from repro.cache import BufferPool, QueryResultCache, RankedResultCache
 from repro.core.access import AccessInterface, ObjectHandle
 from repro.core.naming import NamingInterface, PairLike, as_pair
 from repro.core.query import Not, Query, TagTerm, parse_query
-from repro.core.transactions import NamespaceTransaction, TransactionManager
 from repro.errors import (
     CorruptionError,
     DeviceError,
@@ -123,9 +122,8 @@ class HFADFileSystem:
         two and reserved out of the data allocator).  Must fit the largest
         single transaction: indexing one document logs a btree page image
         per distinct term, so size the journal up for workloads that ingest
-        huge, vocabulary-rich documents.
-    :param checkpoint_threshold: journal-fill fraction triggering automatic
-        checkpoints.
+        huge, vocabulary-rich documents.  An automatic checkpoint fires when
+        the journal is half full.
     :param group_commit: commits batched per journal sync (``1`` = sync
         every commit; larger values trade a bounded loss window for
         throughput — see ``repro.recovery``).
@@ -141,7 +139,7 @@ class HFADFileSystem:
         ``stats()`` grows a ``"telemetry"`` key.  ``False`` swaps every
         instrument for a shared no-op and drops the tracer — the hot paths
         then pay only ``is not None`` checks — while ``stats()`` keeps its
-        full legacy shape (collectors run regardless).  Enabling telemetry
+        full shape (it reads the layers directly).  Enabling telemetry
         also turns on per-operation resource attribution (every ``create``
         / ``query`` / ``rank`` / ... accounts the pages, cache traffic, WAL
         bytes and lock waits it caused — see :meth:`operations`), wraps the
@@ -158,7 +156,6 @@ class HFADFileSystem:
         cache_pages: int = 256,
         query_cache_entries: int = 256,
         journal_blocks: int = 511,
-        checkpoint_threshold: float = 0.5,
         group_commit: int = 1,
         sync_interval_ms: Optional[float] = None,
         telemetry: bool = True,
@@ -169,11 +166,10 @@ class HFADFileSystem:
         if device is None:
             device = BlockDevice(num_blocks=num_blocks, latency_model=latency_model)
         self.device = device
-        #: the observability subsystem: a metrics registry every layer's
-        #: stats migrate onto (via pull collectors — see
-        #: :meth:`_register_telemetry`) plus the last-N query-trace ring.
+        #: the observability subsystem: a metrics registry of native
+        #: instruments plus the last-N query-trace ring.
         #: ``telemetry=False`` degrades every instrument to a shared no-op;
-        #: ``stats()`` is identical either way because collectors still run.
+        #: ``stats()`` reads the layers directly, so it is identical either way.
         self.telemetry = Telemetry(enabled=telemetry)
         # The shared memory hierarchy between the btrees and the device.
         # Only on-device btrees consume pool pages, so an in-memory
@@ -234,7 +230,6 @@ class HFADFileSystem:
                 device,
                 journal_start=1,
                 journal_blocks=journal_blocks,
-                checkpoint_threshold=checkpoint_threshold,
                 group_commit=group_commit,
                 sync_interval_ms=sync_interval_ms,
             )
@@ -319,7 +314,6 @@ class HFADFileSystem:
             telemetry=self.telemetry,
         )
         self.access = AccessInterface(self.objects)
-        self.transactions = TransactionManager(recovery=self.recovery)
         if self.recovery is not None and self.telemetry.enabled:
             self.recovery.commit_batch_sizes = self.telemetry.metrics.histogram(
                 "wal.group_commit.batch_size",
@@ -357,7 +351,6 @@ class HFADFileSystem:
         device: BlockDevice,
         cache_pages: int = 256,
         query_cache_entries: int = 256,
-        checkpoint_threshold: float = 0.5,
         group_commit: int = 1,
         sync_interval_ms: Optional[float] = None,
         telemetry: bool = True,
@@ -381,7 +374,6 @@ class HFADFileSystem:
         superblock.require_mountable(device.block_size)
         recovery = RecoveryManager.from_superblock(
             device, superblock,
-            checkpoint_threshold=checkpoint_threshold,
             group_commit=group_commit,
             sync_interval_ms=sync_interval_ms,
         )
@@ -679,7 +671,6 @@ class HFADFileSystem:
         annotations: Iterable[str] = (),
         attributes: Optional[Dict[str, str]] = None,
         index_content: bool = True,
-        txn: Optional[NamespaceTransaction] = None,
     ) -> int:
         """Create an object, store ``content`` and give it its initial names.
 
@@ -708,8 +699,6 @@ class HFADFileSystem:
         )
         with self._operation("create", path or ""), self._durable():
             oid = self.objects.create(owner=owner, attributes=attributes)
-            if txn is not None:
-                txn.record_undo(lambda: self._undo_create(oid))
             if content:
                 self.objects.write(oid, 0, content)
             self._add_name(oid, TagValue(TAG_USER, owner))
@@ -781,20 +770,29 @@ class HFADFileSystem:
                 self.objects.remove_name(displaced, f"{_PATH_ENTRY}{path}")
             self.objects.put_name(oid, f"{_PATH_ENTRY}{path}")
 
-    def _undo_create(self, oid: int) -> None:
-        if self.objects.exists(oid):
-            self.delete(oid)
+    def _check_usable(self) -> None:
+        """A poisoned engine answers nothing: after a transaction aborted
+        past its first logged record, the in-memory trees, indexes and pool
+        no longer match the committed state, and only a remount does."""
+        if self.recovery is not None:
+            self.recovery.check_usable()
+
+    def _require_object(self, oid: int) -> None:
+        """The existence probe an operation runs before its durable bracket."""
+        self._check_usable()
+        if not self.objects.exists(oid):
+            raise NoSuchObjectError(oid)
 
     def delete(self, oid: int) -> None:
         """Destroy the object and scrub every name pointing at it."""
-        if not self.objects.exists(oid):
-            raise NoSuchObjectError(oid)
+        self._require_object(oid)
         with self._operation("delete", f"oid={oid}"), self._durable():
             self.naming.remove_all_names(oid)
             self._content_indexed.discard(oid)
             self.objects.delete(oid)
 
     def exists(self, oid: int) -> bool:
+        self._check_usable()
         return self.objects.exists(oid)
 
     @property
@@ -802,6 +800,7 @@ class HFADFileSystem:
         return self.objects.object_count
 
     def list_objects(self) -> List[int]:
+        self._check_usable()
         return self.objects.list_objects()
 
     # ------------------------------------------------------------------
@@ -838,12 +837,15 @@ class HFADFileSystem:
             return removed
 
     def open(self, oid: int) -> ObjectHandle:
+        self._check_usable()
         return self.access.open(oid)
 
     def stat(self, oid: int) -> ObjectMetadata:
+        self._check_usable()
         return self.access.stat(oid)
 
     def size(self, oid: int) -> int:
+        self._check_usable()
         return self.access.size(oid)
 
     def set_attributes(self, oid: int, **attributes: str) -> None:
@@ -855,8 +857,7 @@ class HFADFileSystem:
 
     def enable_content_indexing(self, oid: int) -> None:
         """Start tracking (and immediately index) the object's content."""
-        if not self.objects.exists(oid):
-            raise NoSuchObjectError(oid)
+        self._require_object(oid)
         with self._durable():
             self._content_indexed.add(oid)
             self._persist_attr(oid, _ATTR_INDEXED, "1")
@@ -864,8 +865,7 @@ class HFADFileSystem:
 
     def disable_content_indexing(self, oid: int) -> None:
         """Stop tracking the object's content and drop it from the index."""
-        if not self.objects.exists(oid):
-            raise NoSuchObjectError(oid)
+        self._require_object(oid)
         with self._durable():
             self._content_indexed.discard(oid)
             self._unpersist_attr(oid, _ATTR_INDEXED)
@@ -875,39 +875,22 @@ class HFADFileSystem:
     # naming interfaces
     # ------------------------------------------------------------------
 
-    def tag(
-        self,
-        oid: int,
-        tag: str,
-        value: str,
-        txn: Optional[NamespaceTransaction] = None,
-    ) -> None:
+    def tag(self, oid: int, tag: str, value: str) -> None:
         """Add one tag/value name to an object."""
-        if not self.objects.exists(oid):
-            raise NoSuchObjectError(oid)
+        self._require_object(oid)
         pair = TagValue(tag, value)
         self._check_name_sizes(f"{_NAME_ENTRY}{pair.tag}/{pair.value}")
         with self._durable():
             self._add_name(oid, pair)
-        if txn is not None:
-            txn.record_undo(lambda: self.untag(oid, pair.tag, pair.value))
 
-    def untag(
-        self,
-        oid: int,
-        tag: str,
-        value: str,
-        txn: Optional[NamespaceTransaction] = None,
-    ) -> bool:
+    def untag(self, oid: int, tag: str, value: str) -> bool:
         """Remove one tag/value name; returns True if it existed."""
         pair = TagValue(tag, value)
         with self._durable():
-            removed = self._remove_name(oid, pair)
-        if removed and txn is not None:
-            txn.record_undo(lambda: self.tag(oid, pair.tag, pair.value))
-        return removed
+            return self._remove_name(oid, pair)
 
     def names_for(self, oid: int) -> List[TagValue]:
+        self._check_usable()
         return self.naming.names_for(oid)
 
     def find(self, *pairs: PairLike, limit: Optional[int] = None) -> List[int]:
@@ -1068,8 +1051,7 @@ class HFADFileSystem:
 
     def link_path(self, path: str, oid: int) -> None:
         """Give an object (another) POSIX path name."""
-        if not self.objects.exists(oid):
-            raise NoSuchObjectError(oid)
+        self._require_object(oid)
         path = normalize_path(path)
         self._check_name_sizes(f"{_PATH_ENTRY}{path}")
         with self._durable():
@@ -1138,17 +1120,18 @@ class HFADFileSystem:
 
     def lookup_path(self, path: str) -> Optional[int]:
         """Resolve a POSIX path to an object id (None if unbound)."""
+        self._check_usable()
         return self.path_index.resolve(path)
 
     def paths_for(self, oid: int) -> List[str]:
+        self._check_usable()
         return self.path_index.paths_for(oid)
 
     # Image features (the "arbitrary index type" example).
 
     def index_image(self, oid: int, histogram: Sequence[float]) -> str:
         """Index an object's colour histogram; returns its dominant colour."""
-        if not self.objects.exists(oid):
-            raise NoSuchObjectError(oid)
+        self._require_object(oid)
         with self._durable():
             colour = self.image_index.index_histogram(oid, histogram)
             self.registry.touch(TAG_IMAGE)
@@ -1158,9 +1141,27 @@ class HFADFileSystem:
     # transactions / maintenance
     # ------------------------------------------------------------------
 
-    def begin(self) -> NamespaceTransaction:
-        """Start a namespace transaction (atomic group of naming operations)."""
-        return self.transactions.begin()
+    def begin(self):
+        """``with fs.begin(): ...`` — a group of operations as one
+        crash-atomic WAL transaction.
+
+        Every operation inside joins the group's transaction (nesting is
+        flat), and the group commits with one commit marker when the block
+        exits normally.  The group holds every tree exclusively, so the
+        operations in it may write and read any index in any order.  The
+        abort rule is the recovery manager's: an exception before anything
+        was logged is a clean no-op; after that the engine is poisoned, every
+        later call raises :class:`~repro.errors.RecoveryError`, and a remount
+        replays the committed prefix, in which the group is absent as a
+        whole.  The group must fit the journal (see ``journal_blocks``).
+        Volatile trees have no log to make a group atomic with, so this
+        raises there.
+        """
+        if self.recovery is None:
+            raise RecoveryError(
+                "begin requires on-device btrees (btree_on_device=True)"
+            )
+        return self.recovery.transaction(trees=("master", "fulltext", "image"))
 
     def close(self) -> None:
         """Checkpoint (clean unmount).
@@ -1185,26 +1186,6 @@ class HFADFileSystem:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    #: ``stats()`` keys, in the legacy order; each is a registry collector.
-    _STAT_KEYS = (
-        "device",
-        "objects",
-        "naming",
-        "registry",
-        "planner",
-        "keyvalue_entries_scanned",
-        "fulltext_term_lookups",
-        "fulltext_postings_scanned",
-        "ranked",
-        "object_count",
-        "buffer_pool",
-        "query_cache",
-        "ranked_cache",
-        "persistent_index",
-        "recovery",
-        "integrity",
-    )
 
     def _integrity_snapshot(self) -> Optional[Dict[str, int]]:
         if self.integrity is None:
@@ -1239,45 +1220,9 @@ class HFADFileSystem:
         }
 
     def _register_telemetry(self) -> None:
-        """Migrate every layer's stats onto the metrics registry.
-
-        Each legacy ``stats()`` key becomes a pull collector: the hot paths
-        keep bumping their own slots/dataclass counters and the registry
-        reads them only when a snapshot is asked for — migrating costs the
-        hot paths nothing, and collectors work even with telemetry disabled
-        (which is what keeps ``stats()`` shape-identical either way).
-        Callback gauges expose the posting backlog as live values.
-        """
+        """Callback gauges over live state: quarantine size, health, and
+        the posting backlog."""
         metrics = self.telemetry.metrics
-        for name, fn in (
-            ("device", lambda: self.device.stats.snapshot()),
-            ("objects", lambda: self.objects.stats),
-            ("naming", lambda: self.naming.stats),
-            ("registry", lambda: self.registry.stats),
-            ("planner", lambda: self.naming.planner.snapshot()),
-            ("keyvalue_entries_scanned", self._keyvalue_entries_scanned),
-            ("fulltext_term_lookups",
-             lambda: self.fulltext_index.index.term_lookups),
-            ("fulltext_postings_scanned",
-             lambda: self.fulltext_index.index.postings_scanned),
-            ("ranked", lambda: self.fulltext_index.ranked_stats.snapshot()),
-            ("object_count", lambda: self.object_count),
-            ("buffer_pool",
-             lambda: (self.buffer_pool.snapshot()
-                      if self.buffer_pool is not None else None)),
-            ("query_cache",
-             lambda: (self.query_cache.snapshot()
-                      if self.query_cache is not None else None)),
-            ("ranked_cache",
-             lambda: (self.ranked_cache.snapshot()
-                      if self.ranked_cache is not None else None)),
-            ("persistent_index", self._persistent_index_snapshot),
-            ("recovery",
-             lambda: (self.recovery.snapshot() if self.recovery is not None
-                      else {"mode": "volatile"})),
-            ("integrity", self._integrity_snapshot),
-        ):
-            metrics.register_collector(name, fn)
         if self.integrity is not None:
             quarantine = self.integrity.quarantine
             metrics.gauge("integrity.quarantined",
@@ -1297,17 +1242,36 @@ class HFADFileSystem:
     def stats(self) -> Dict[str, object]:
         """A snapshot of work counters across every layer (for benchmarks).
 
-        Assembled from the metrics registry's collectors — same keys, same
-        shapes as always; with telemetry enabled a ``"telemetry"`` key is
-        appended with the native instruments (latency histograms, WAL batch
-        sizes, backlog gauges).
+        Each layer is read directly, in this order, whether telemetry is on
+        or off (an absent layer reports ``None``); with telemetry enabled a
+        ``"telemetry"`` key is appended with the native instruments (latency
+        histograms, WAL batch sizes, backlog gauges).
         """
-        metrics = self.telemetry.metrics
+        index = self.fulltext_index.index
         snapshot: Dict[str, object] = {
-            name: metrics.collect(name) for name in self._STAT_KEYS
+            "device": self.device.stats.snapshot(),
+            "objects": self.objects.stats,
+            "naming": self.naming.stats,
+            "registry": self.registry.stats,
+            "planner": self.naming.planner.snapshot(),
+            "keyvalue_entries_scanned": self._keyvalue_entries_scanned(),
+            "fulltext_term_lookups": index.term_lookups,
+            "fulltext_postings_scanned": index.postings_scanned,
+            "ranked": self.fulltext_index.ranked_stats.snapshot(),
+            "object_count": self.object_count,
+            "buffer_pool": (self.buffer_pool.snapshot()
+                            if self.buffer_pool is not None else None),
+            "query_cache": (self.query_cache.snapshot()
+                            if self.query_cache is not None else None),
+            "ranked_cache": (self.ranked_cache.snapshot()
+                             if self.ranked_cache is not None else None),
+            "persistent_index": self._persistent_index_snapshot(),
+            "recovery": (self.recovery.snapshot() if self.recovery is not None
+                         else {"mode": "volatile"}),
+            "integrity": self._integrity_snapshot(),
         }
         if self.telemetry.enabled:
-            snapshot["telemetry"] = metrics.snapshot(include_collected=False)
+            snapshot["telemetry"] = self.telemetry.metrics.snapshot()
             snapshot["telemetry"]["attribution"] = (
                 self.telemetry.attribution.snapshot()
             )

@@ -65,10 +65,6 @@ class JournalFullError(JournalError):
     can hold (see README "Durability" for what bounds a transaction)."""
 
 
-class TransactionError(StorageError):
-    """A transaction was used after commit/abort or nested illegally."""
-
-
 class RecoveryError(StorageError):
     """Crash-recovery failed or the filesystem needs recovery to proceed.
 

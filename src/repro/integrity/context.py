@@ -4,10 +4,9 @@ One :class:`IntegrityContext` is shared by every page store of a filesystem
 instance.  It owns:
 
 * the :class:`IntegrityStats` counter block surfaced through
-  ``fs.stats()["integrity"]`` — plain attribute increments on the hot paths
-  (the same NULL-cost discipline the telemetry registry uses: collectors pull
-  these counters only when a snapshot is asked for, so ``telemetry=False``
-  pays nothing extra);
+  ``fs.stats()["integrity"]`` — plain attribute increments on the hot paths,
+  read only when a snapshot is asked for, so ``telemetry=False`` pays
+  nothing extra;
 * the **quarantine** — page ids whose device bytes failed verification and
   could not (yet) be repaired.  Reads of a quarantined page fail fast with
   :class:`~repro.errors.CorruptionError` instead of re-reading and

@@ -1,10 +1,11 @@
 """The recovery manager: one durability path for pool, journal and trees.
 
-This is the ARIES-lite heart of ``repro.recovery``.  It unifies three
-previously independent pieces — the :class:`~repro.storage.journal.Journal`
-(redo log), the :class:`~repro.cache.buffer_pool.BufferPool` (dirty
-write-back) and the namespace/OSD transaction boundaries — into a single
-write-ahead-logging discipline:
+This is the ARIES-lite heart of ``repro.recovery``, and the one owner of
+transactions in the system.  It unifies three previously independent pieces
+— the :class:`~repro.storage.journal.Journal` (redo log), the
+:class:`~repro.cache.buffer_pool.BufferPool` (dirty write-back) and the
+transaction boundaries of every facade operation and ``fs.begin()`` group —
+into a single write-ahead-logging discipline:
 
 * **Redo-only WAL with LSNs.**  Every page mutation of an on-device btree is
   logged as a physical page record before the page is even buffered (the
@@ -31,14 +32,14 @@ write-ahead-logging discipline:
   home location (idempotent physical redo) and folds committed ``META``
   records into the superblock state — all before any index is opened.
 
-Abort semantics are deliberately asymmetric, mirroring journaling
-filesystems: *namespace* aborts are handled above this layer by applying
-undo operations and then committing the net effect, while a WAL transaction
-that aborts after logging page mutations poisons the manager (ext4's
-"abort the journal and remount" behaviour) — redo-only logging cannot roll
-the in-memory tree state back, so the only safe continuation is a remount
-that replays the committed prefix.  Transactions that abort *before* logging
-anything (input validation failures) are clean no-ops.
+There is one abort rule, for a single operation and a ``fs.begin()`` group
+alike.  A transaction that aborts *before* logging anything (an input
+validation failure) is a clean no-op.  One that aborts after logging
+poisons the manager, ext4's "abort the journal and remount" behaviour:
+redo-only logging cannot roll the in-memory state back, so every later
+transaction, read view and checkpoint raises :class:`RecoveryError`, and a
+remount replays the committed prefix, in which the aborted transaction is
+absent as a whole.
 """
 
 from __future__ import annotations
@@ -234,7 +235,8 @@ class RecoveryManager:
             pool.wal_hook = self.ensure_durable
             pool.allow_pinned_overflow = True
 
-    def _check_usable(self) -> None:
+    def check_usable(self) -> None:
+        """Raise :class:`RecoveryError` once the manager is poisoned."""
         if self.poisoned:
             raise RecoveryError(
                 "durability layer aborted mid-transaction; the in-memory "
@@ -258,7 +260,7 @@ class RecoveryManager:
         """
         txn = self._txn
         if txn.depth > 0:
-            self._check_usable()
+            self.check_usable()
             self._acquire_trees(txn, trees)
             txn.depth += 1
             return txn.depth
@@ -271,7 +273,7 @@ class RecoveryManager:
         self._enter_gate()
         try:
             self._acquire_trees(txn, trees)
-            self._check_usable()
+            self.check_usable()
         except BaseException:
             self._finish_outermost(txn)
             raise
@@ -430,8 +432,10 @@ class RecoveryManager:
         Queries hold these for their whole execution: readers overlap
         readers, writers to *other* trees proceed, and a writer to a viewed
         tree queues — so every answer reflects one stable generation of
-        each viewed tree (snapshot-stable reads).
+        each viewed tree (snapshot-stable reads).  A poisoned manager
+        refuses: its trees may hold an aborted transaction's effects.
         """
+        self.check_usable()
         return self.tree_locks.read_view(trees)
 
     def _release_pins(self, txn: _TxnLocal) -> None:
@@ -463,10 +467,10 @@ class RecoveryManager:
         """
         txn = self._txn
         if txn.depth > 0:
-            self._check_usable()
+            self.check_usable()
             txn.records += 1
             return self.journal.append(rtype, txn.txid, block, payload)
-        self._check_usable()
+        self.check_usable()
         self._reserve_log_space(len(payload))
         # Autocommits register as micro-transactions in the checkpoint gate:
         # a record appended between a checkpoint's sync and its truncate
@@ -779,7 +783,7 @@ class RecoveryManager:
 
     def _checkpoint_quiesced(self) -> int:
         """The checkpoint body; caller holds the quiescence gate."""
-        self._check_usable()
+        self.check_usable()
         flushed = self.pool.flush() if self.pool is not None else 0
         self.journal.sync()  # buffered group-commit markers become durable
         self._run_durable_actions()
@@ -874,7 +878,6 @@ class RecoveryManager:
 
     @classmethod
     def from_superblock(cls, device: BlockDevice, superblock: Superblock,
-                        checkpoint_threshold: float = 0.5,
                         group_commit: int = 1,
                         sync_interval_ms: Optional[float] = None) -> "RecoveryManager":
         """Build a manager over an existing format (mount path)."""
@@ -882,7 +885,6 @@ class RecoveryManager:
             device,
             journal_start=superblock.journal_start,
             journal_blocks=superblock.journal_blocks,
-            checkpoint_threshold=checkpoint_threshold,
             group_commit=group_commit,
             sync_interval_ms=sync_interval_ms,
         )

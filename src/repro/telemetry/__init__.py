@@ -2,9 +2,8 @@
 
 Four layers (see the README's "Observability" section):
 
-* a **metrics registry** (:mod:`repro.telemetry.registry`) unifying the
-  system's scattered counters behind one namespace of native instruments
-  and pull collectors;
+* a **metrics registry** (:mod:`repro.telemetry.registry`): one namespace
+  of native instruments (counters, gauges, latency histograms);
 * **span-based query tracing** (:mod:`repro.telemetry.tracing` /
   :mod:`repro.telemetry.explain`) threaded through the cursor pipeline and
   surfaced as ``fs.explain`` / ``fs.explain_analyze`` / ``fs.trace``;
@@ -63,8 +62,8 @@ from repro.telemetry.tracing import (
 class Telemetry:
     """The observability bundle a filesystem instance owns.
 
-    ``enabled=False`` keeps only the (disabled) registry — collectors still
-    work, so ``fs.stats()`` keeps its shape — and drops the tracer, the
+    ``enabled=False`` keeps only the (disabled) registry — ``fs.stats()``
+    reads the layers directly, so it keeps its shape — and drops the tracer, the
     attribution ledger, the slow-query log and the history sampler, leaving
     the hot paths with nothing but ``is not None`` checks.
     """

@@ -330,9 +330,8 @@ def _subtract_histograms(new: Dict[str, object],
 class MetricsHistory:
     """A sliding window of registry snapshots with windowed deltas.
 
-    ``sample()`` appends one ``registry.snapshot(include_collected=False)``
-    (native instruments only — collectors are nested legacy shapes and are
-    already visible through ``fs.stats()``); ``window()`` compares the two
+    ``sample()`` appends one ``registry.snapshot()`` (the native
+    instruments); ``window()`` compares the two
     most recent samples and reports counter deltas/rates, per-window
     histogram count deltas with quantile estimates, and current gauges.
     """
@@ -347,7 +346,7 @@ class MetricsHistory:
         self._lock = threading.Lock()
 
     def sample(self) -> None:
-        snap = self._registry.snapshot(include_collected=False)
+        snap = self._registry.snapshot()
         with self._lock:
             self._samples.append((self._clock(), snap))
 

@@ -14,9 +14,8 @@ that tree into interchange formats:
   recognised structurally and emitted as real Prometheus histograms with
   cumulative ``_bucket{le="..."}`` series.  Every scalar sample gets a
   ``# TYPE`` line: samples under a registry snapshot's ``counters`` /
-  ``gauges`` sections are typed accordingly, everything else (legacy
-  collector output — point-in-time stat structs) conservatively as
-  ``gauge``.  Pass the registry itself to also emit ``# HELP`` lines from
+  ``gauges`` sections are typed accordingly, everything else (the layers'
+  point-in-time stat structs) conservatively as ``gauge``.  Pass the registry itself to also emit ``# HELP`` lines from
   instrument descriptions.
 """
 

@@ -1,25 +1,16 @@
 """The unified metrics registry: counters, gauges and log2 histograms.
 
-Before this module every layer kept its own ad-hoc counters — ``ScanCounter``
-in the cursor pipeline, ``RankStats`` in the WAND merge, dataclasses in the
-naming layer, dicts out of ``snapshot()`` methods — with no single place to
-enumerate, export or compare them.  The registry gives the system one metric
-namespace with two kinds of members:
-
-* **native instruments** (:class:`Counter`, :class:`Gauge`,
-  :class:`Histogram`) created through the registry for *new* measurements —
-  query latency distributions, WAL group-commit batch sizes, cache admission
-  decisions;
-* **collectors** — zero-cost pull adapters over the *existing* stat structs.
-  A collector is a callable evaluated only at snapshot/export time, so
-  migrating a hot-path counter onto the registry costs the hot path nothing:
-  the posting-scan loop keeps bumping its ``__slots__`` integer and the
-  registry reads it when asked.
+The registry holds the system's *native instruments* (:class:`Counter`,
+:class:`Gauge`, :class:`Histogram`): query latency distributions, WAL
+group-commit batch sizes, lock wait/hold times, and callback gauges computed
+at read time.  The layers' own work counters (``ScanCounter`` in the cursor
+pipeline, ``RankStats`` in the WAND merge, dataclasses in the naming layer)
+stay where the hot paths bump them; ``fs.stats()`` reads them directly and
+appends this registry's snapshot under ``"telemetry"``.
 
 Disabled mode (``MetricsRegistry(enabled=False)``) hands out shared null
 instruments whose mutators are no-ops, so instrumented call sites keep
-working with near-zero overhead; collectors still register and collect, which
-is what keeps ``fs.stats()`` identical whether telemetry is on or off.
+working with near-zero overhead.
 
 Histograms bucket by powers of two (the exponent of the observed value), so
 a histogram never holds more than ~:data:`Histogram.MAX_BUCKETS` buckets
@@ -221,14 +212,12 @@ NULL_HISTOGRAM = _NullHistogram()
 
 
 class MetricsRegistry:
-    """One namespace of instruments and collectors (see module docstring).
+    """One namespace of instruments (see module docstring).
 
     Instrument factories are idempotent: asking twice for the same name
     returns the same object (and asking for the same name as a different
     instrument kind raises).  A disabled registry returns the shared null
-    instruments — call sites need no enabled-checks of their own — but keeps
-    accepting and evaluating collectors, because snapshot assembly
-    (``fs.stats()``) must not depend on telemetry being on.
+    instruments — call sites need no enabled-checks of their own.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -237,7 +226,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._collectors: Dict[str, Callable[[], object]] = {}
 
     # ---------------------------------------------------------- instruments
 
@@ -274,29 +262,6 @@ class MetricsRegistry:
         return self._get(self._histograms, (self._counters, self._gauges),
                          name, lambda: Histogram(name, help))
 
-    # ----------------------------------------------------------- collectors
-
-    def register_collector(self, name: str, fn: Callable[[], object]) -> None:
-        """Register a pull adapter over an existing stat source.
-
-        Re-registering a name replaces the previous collector: the facade
-        re-wires collectors over components it rebuilds (e.g. at mount).
-        Collectors work even on a disabled registry — they cost nothing
-        until collected.
-        """
-        with self._lock:
-            self._collectors[name] = fn
-
-    def collect(self, name: str):
-        """Evaluate one collector (raises ``KeyError`` if unregistered)."""
-        with self._lock:
-            fn = self._collectors[name]
-        return fn()
-
-    def collector_names(self) -> List[str]:
-        with self._lock:
-            return list(self._collectors)
-
     # ------------------------------------------------------------- snapshot
 
     def describe(self) -> Dict[str, Tuple[str, str]]:
@@ -312,18 +277,14 @@ class MetricsRegistry:
                 out[name] = ("histogram", hist.help)
             return out
 
-    def snapshot(self, include_collected: bool = True) -> Dict[str, object]:
+    def snapshot(self) -> Dict[str, object]:
         """Every metric's current value, grouped by instrument kind."""
         with self._lock:
             counters = list(self._counters.items())
             gauges = list(self._gauges.items())
             histograms = list(self._histograms.items())
-            collectors = list(self._collectors.items()) if include_collected else []
-        out: Dict[str, object] = {
+        return {
             "counters": {name: counter.snapshot() for name, counter in counters},
             "gauges": {name: gauge.snapshot() for name, gauge in gauges},
             "histograms": {name: hist.snapshot() for name, hist in histograms},
         }
-        if include_collected:
-            out["collected"] = {name: fn() for name, fn in collectors}
-        return out

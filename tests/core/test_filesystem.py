@@ -7,6 +7,7 @@ from repro.core import HFADFileSystem
 from repro.errors import NoSuchObjectError
 from repro.index import TAG_FULLTEXT, TAG_UDEF, TAG_USER, TagValue
 from repro.query import bm25_idf, bm25_scorer
+from repro.storage import BlockDevice
 
 
 @pytest.fixture
@@ -170,28 +171,14 @@ class TestNamingThroughFacade:
 
 
 class TestTransactionsThroughFacade:
-    def test_abort_rolls_back_tags(self, fs):
-        oid = fs.create(b"")
-        txn = fs.begin()
-        fs.tag(oid, "UDEF", "tentative", txn=txn)
-        fs.untag(oid, "USER", "root", txn=txn)
-        txn.abort()
-        assert fs.find(("UDEF", "tentative")) == []
-        assert fs.find(("USER", "root")) == [oid]
-
-    def test_abort_rolls_back_creation(self, fs):
-        txn = fs.begin()
-        oid = fs.create(b"temp", path="/t", txn=txn)
-        txn.abort()
-        assert not fs.exists(oid)
-        assert fs.lookup_path("/t") is None
-
-    def test_commit_keeps_everything(self, fs):
-        with fs.begin() as txn:
-            oid = fs.create(b"durable", txn=txn)
-            fs.tag(oid, "UDEF", "kept", txn=txn)
-        assert fs.exists(oid)
-        assert fs.find(("UDEF", "kept")) == [oid]
+    def test_commit_keeps_everything(self):
+        with HFADFileSystem(btree_on_device=True, num_blocks=1 << 14) as fs:
+            with fs.begin():
+                oid = fs.create(b"durable", path="/d")
+                fs.tag(oid, "UDEF", "kept")
+            assert fs.exists(oid)
+            assert fs.find(("UDEF", "kept")) == [oid]
+            assert fs.lookup_path("/d") == oid
 
 
 class TestStats:
@@ -204,6 +191,17 @@ class TestStats:
         assert stats["objects"].bytes_read > 0
         assert stats["naming"].naming_operations == 1
         assert stats["device"].writes >= 1
+
+    def test_stats_keys_are_the_same_whatever_the_telemetry_switch(self):
+        layers = ["device", "objects", "naming", "registry", "planner",
+                  "keyvalue_entries_scanned", "fulltext_term_lookups",
+                  "fulltext_postings_scanned", "ranked", "object_count",
+                  "buffer_pool", "query_cache", "ranked_cache",
+                  "persistent_index", "recovery", "integrity"]
+        with HFADFileSystem(telemetry=False) as off:
+            assert list(off.stats()) == layers
+        with HFADFileSystem() as on:
+            assert list(on.stats()) == layers + ["telemetry"]
 
     def test_empty_result_caches_still_report_snapshots(self, fs):
         # An empty cache is falsy (it has a length); "is it configured" must
@@ -245,16 +243,28 @@ def test_one_index_apply_path_surface():
                 if name != "self" and not name.startswith("_")]
 
     constructor = public(HFADFileSystem.__init__)
-    assert len(constructor) == 11
-    assert len(public(HFADFileSystem.mount)) == 7
+    assert len(constructor) == 10
+    assert len(public(HFADFileSystem.mount)) == 6
     assert set(public(HFADFileSystem.mount)) - {"device"} <= set(constructor)
-    # ... nor the buffer pool's eviction policy (LRU), the page geometry, or
-    # the planner and slow-log switches nothing ever set.
+    # ... nor the buffer pool's eviction policy (LRU), the page geometry,
+    # the planner and slow-log switches nothing ever set, or the checkpoint
+    # fill fraction (the recovery manager keeps it).
     for retired in ({"lazy_indexing": True}, {"cache_policy": "lru"},
                     {"page_blocks": 1}, {"max_keys": 32},
-                    {"enable_planner": False}, {"slow_query_ms": 5.0}):
+                    {"enable_planner": False}, {"slow_query_ms": 5.0},
+                    {"checkpoint_threshold": 0.5}):
         with pytest.raises(TypeError):
             HFADFileSystem(**retired)
+    with pytest.raises(TypeError):
+        HFADFileSystem.mount(BlockDevice(num_blocks=1 << 12), checkpoint_threshold=0.5)
+    # One transaction owner: a group is ``with fs.begin():``, and no
+    # operation takes a transaction object.
+    with HFADFileSystem() as fs:
+        for operation, args in ((fs.create, (b"x",)),
+                                (fs.tag, (1, "UDEF", "v")),
+                                (fs.untag, (1, "UDEF", "v"))):
+            with pytest.raises(TypeError):
+                operation(*args, txn=None)
 
 
 @pytest.mark.parametrize("on_device", [False, True])

@@ -1,8 +1,8 @@
-"""Tests for the naming and access interfaces and namespace transactions."""
+"""Tests for the naming and access interfaces."""
 
 import pytest
 
-from repro.core import AccessInterface, NamingInterface, TransactionManager
+from repro.core import AccessInterface, NamingInterface
 from repro.core.naming import as_pair
 from repro.core.query import TagTerm
 from repro.errors import (
@@ -10,7 +10,6 @@ from repro.errors import (
     NamingError,
     NoMatchError,
     ObjectStoreError,
-    TransactionError,
 )
 from repro.index import (
     FullTextIndexStore,
@@ -195,50 +194,3 @@ class TestObjectHandle:
         with handle as h:
             assert h.read(1) == b"a"
         assert handle.closed
-
-
-class TestNamespaceTransactions:
-    def test_commit_keeps_changes(self):
-        naming = make_naming()
-        manager = TransactionManager()
-        txn = manager.begin()
-        naming.add_name(1, "UDEF/keep")
-        txn.record_undo(lambda: naming.remove_name(1, "UDEF/keep"))
-        txn.commit()
-        assert naming.resolve("UDEF/keep") == [1]
-        assert manager.stats.committed == 1
-
-    def test_abort_reverts_in_reverse_order(self):
-        log = []
-        manager = TransactionManager()
-        txn = manager.begin()
-        txn.record_undo(lambda: log.append("first"))
-        txn.record_undo(lambda: log.append("second"))
-        txn.abort()
-        assert log == ["second", "first"]
-        assert manager.stats.undo_actions_run == 2
-
-    def test_use_after_finish_rejected(self):
-        manager = TransactionManager()
-        txn = manager.begin()
-        txn.commit()
-        with pytest.raises(TransactionError):
-            txn.record_undo(lambda: None)
-        with pytest.raises(TransactionError):
-            txn.abort()
-
-    def test_context_manager_commits_or_aborts(self):
-        manager = TransactionManager()
-        log = []
-        with manager.begin() as txn:
-            txn.record_undo(lambda: log.append("undone"))
-        assert log == []
-        with pytest.raises(RuntimeError):
-            with manager.begin() as txn:
-                txn.record_undo(lambda: log.append("undone"))
-                raise RuntimeError("boom")
-        assert log == ["undone"]
-
-    def test_txids_increase(self):
-        manager = TransactionManager()
-        assert manager.begin().txid < manager.begin().txid

@@ -124,14 +124,14 @@ class TestCleanRemount:
         assert "UDEF/temporary" not in {str(p) for p in mounted.names_for(oid)}
 
 
-class TestNamespaceTransactions:
+class TestBeginGroups:
     def test_aborted_group_leaves_no_trace_after_remount(self):
         device, fs = make_fs()
         oid = fs.create(b"stable object")
         with pytest.raises(RuntimeError):
-            with fs.begin() as txn:
-                fs.tag(oid, "UDEF", "doomed-a", txn=txn)
-                fs.tag(oid, "UDEF", "doomed-b", txn=txn)
+            with fs.begin():
+                fs.tag(oid, "UDEF", "doomed-a")
+                fs.tag(oid, "UDEF", "doomed-b")
                 raise RuntimeError("changed my mind")
         mounted = HFADFileSystem.mount(clone(device))
         names = {str(pair) for pair in mounted.names_for(oid)}
@@ -141,12 +141,54 @@ class TestNamespaceTransactions:
     def test_committed_group_survives_whole(self):
         device, fs = make_fs()
         oid = fs.create(b"stable object")
-        with fs.begin() as txn:
-            fs.tag(oid, "UDEF", "kept-a", txn=txn)
-            fs.tag(oid, "UDEF", "kept-b", txn=txn)
+        with fs.begin():
+            fs.tag(oid, "UDEF", "kept-a")
+            fs.tag(oid, "UDEF", "kept-b")
         mounted = HFADFileSystem.mount(clone(device))
         names = {str(pair) for pair in mounted.names_for(oid)}
         assert {"UDEF/kept-a", "UDEF/kept-b"} <= names
+
+    def test_aborted_group_poisons_every_answer_until_remount(self):
+        # Abort after logging is fail-stop: the in-memory trees, indexes and
+        # pool hold the group's effects, so the engine answers nothing —
+        # not a stale or half-rolled-back answer — until a remount replays
+        # the committed prefix, in which the group is absent as a whole.
+        device, fs = make_fs()
+        oid = fs.create(b"original words", path="/p", annotations=["keep"])
+        with pytest.raises(RuntimeError):
+            with fs.begin():
+                fs.tag(oid, "UDEF", "keep")  # re-tags a name it already has
+                fs.tag(oid, "UDEF", "new")
+                fs.unlink_path("/p")
+                fs.write(oid, 0, b"replaced")
+                raise RuntimeError("changed my mind after logging")
+        assert fs.recovery.poisoned
+        for answer in (lambda: fs.find(("UDEF", "new")),
+                       lambda: fs.query("UDEF/keep"),
+                       lambda: fs.search_text("original"),
+                       lambda: fs.rank("original"),
+                       lambda: fs.read(oid),
+                       lambda: fs.open(oid),
+                       lambda: fs.stat(oid),
+                       lambda: fs.size(oid),
+                       lambda: fs.exists(oid),
+                       lambda: fs.list_objects(),
+                       lambda: fs.names_for(oid),
+                       lambda: fs.paths_for(oid),
+                       lambda: fs.lookup_path("/p"),
+                       lambda: fs.tag(oid, "UDEF", "more"),
+                       lambda: fs.write(oid, 0, b"more")):
+            with pytest.raises(RecoveryError):
+                answer()
+        assert fs.health()["status"] == "fail"
+        mounted = HFADFileSystem.mount(clone(device))
+        assert mounted.read(oid) == b"original words"
+        assert mounted.lookup_path("/p") == oid
+        assert mounted.find(("UDEF", "keep")) == [oid]
+        assert mounted.find(("UDEF", "new")) == []
+        assert mounted.search_text("original") == [oid]
+        assert mounted.search_text("replaced") == []
+        assert mounted.fsck()["clean"]
 
 
 class TestMountErrors:

@@ -1,12 +1,11 @@
-"""Randomized crash-injection torture: no committed op lost, no aborted op leaked.
+"""Randomized crash-injection torture: no committed op lost, no torn op leaked.
 
 The contract under test is the one the recovery subsystem exists for:
 
 * every operation that **returned** before the crash (its commit marker is
   durable — ``group_commit=1``) is fully visible after re-mount;
-* every operation that did not complete — including whole namespace
-  transaction groups — has vanished *atomically* (no half-applied state);
-* explicitly aborted namespace groups never resurface;
+* every operation that did not complete — including whole ``fs.begin()``
+  groups — has vanished *atomically* (no half-applied state);
 * the re-mounted filesystem passes fsck and answers queries consistently.
 
 The harness replays one deterministic workload per seed, first uncrashed (to
@@ -66,7 +65,6 @@ class Model:
     def __init__(self):
         self.objects = {}      # oid -> {"content", "tags", "paths"}
         self.deleted = set()   # oids whose delete completed
-        self.forbidden = set() # (oid, "TAG/value") from aborted groups
         self.pending = {}      # the op in flight when the crash hit
 
     def touch(self, kind, *oids):
@@ -137,20 +135,11 @@ def run_workload(fs, rng, model):
             oid = rng.choice(live)
             txn_serial += 1
             pair = (f"grp{txn_serial}a", f"grp{txn_serial}b")
-            abort = rng.random() < 0.5
             model.touch("txn", oid)
-            try:
-                with fs.begin() as txn:
-                    fs.tag(oid, "UDEF", pair[0], txn=txn)
-                    fs.tag(oid, "UDEF", pair[1], txn=txn)
-                    if abort:
-                        raise _Rollback
-            except _Rollback:
-                pass
-            if abort:
-                model.forbidden.update({(oid, f"UDEF/{p}") for p in pair})
-            else:
-                model.objects[oid]["tags"].update({f"UDEF/{p}" for p in pair})
+            with fs.begin():
+                fs.tag(oid, "UDEF", pair[0])
+                fs.tag(oid, "UDEF", pair[1])
+            model.objects[oid]["tags"].update({f"UDEF/{p}" for p in pair})
         elif roll < 0.86:
             oid = rng.choice(live)
             counter += 1
@@ -168,10 +157,6 @@ def run_workload(fs, rng, model):
             model.touch("checkpoint")
             fs.checkpoint()
         model.settle()
-
-
-class _Rollback(Exception):
-    """Sentinel used to abort a namespace transaction group."""
 
 
 def verify(fs, model):
@@ -209,20 +194,13 @@ def verify(fs, model):
             continue
         assert oid not in live, f"deleted object {oid} resurrected"
 
-    for oid, name in model.forbidden:
-        if oid not in live or oid in pending_oids:
-            continue
-        names = {str(pair) for pair in fs.names_for(oid)}
-        assert name not in names, f"aborted name {name} leaked onto {oid}"
-
-    # In-flight namespace groups must be all-or-nothing.
+    # In-flight groups must be all-or-nothing.
     if pending_kind == "txn":
         for oid in pending_oids & live:
             names = {str(pair) for pair in fs.names_for(oid)}
             group = sorted(
                 name for name in names
                 if name.startswith("UDEF/grp") and name not in model.objects.get(oid, {}).get("tags", set())
-                and (oid, name) not in model.forbidden
             )
             suffixes = {name[-1] for name in group}
             assert suffixes in (set(), {"a", "b"}), (

@@ -123,30 +123,16 @@ class TestRegistry:
         assert NULL_GAUGE.value == 0
         assert NULL_HISTOGRAM.count == 0
 
-    def test_collectors_work_even_when_disabled(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.register_collector("layer", lambda: {"ops": 42})
-        assert registry.collect("layer") == {"ops": 42}
-        assert "layer" in registry.collector_names()
-
-    def test_collector_reregistration_replaces(self):
-        registry = MetricsRegistry()
-        registry.register_collector("k", lambda: 1)
-        registry.register_collector("k", lambda: 2)
-        assert registry.collect("k") == 2
-
     def test_snapshot_groups_by_kind(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
         registry.gauge("g").set(1.5)
         registry.histogram("h").observe(2)
-        registry.register_collector("stats", lambda: {"x": 1})
         snap = registry.snapshot()
+        assert set(snap) == {"counters", "gauges", "histograms"}
         assert snap["counters"] == {"c": 3}
         assert snap["gauges"] == {"g": 1.5}
         assert snap["histograms"]["h"]["count"] == 1
-        assert snap["collected"] == {"stats": {"x": 1}}
-        assert "collected" not in registry.snapshot(include_collected=False)
 
     def test_concurrent_observations_are_not_lost(self):
         registry = MetricsRegistry()
