@@ -1,22 +1,13 @@
-"""A1 (ablation) — where should the index btrees live?
+"""A1 (ablation) — what the buffer pool buys the on-device btrees.
 
-DESIGN.md calls out the object/extent-btree representation for ablation.  The
-OSD can keep its btrees in memory (a warmed metadata cache: the default) or
-persist every page through the buddy allocator onto the device
-(``btree_on_device=True``), where a buffer pool of configurable size absorbs
-repeated reads.
-
-This benchmark writes and reads back a batch of objects under both
-configurations and reports device I/O and time.  Expected shape: device-
-resident btrees multiply write traffic by the page writes (the durability
-cost the paper's OSD would actually pay), and the page cache wins back most
-of the read-side cost — which is why the default configuration models a
-warmed cache.
+Every btree page lives on the device, allocated through the buddy allocator
+and cached by a buffer pool of configurable size.  This benchmark reports
+device reads for repeated btree lookups against the pool size, and times an
+ingest of small objects.  The in-memory configuration it used to compare
+against is retired; its last table is in README "Retired configurations".
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.btree import BPlusTree, DevicePageStore
 from repro.cache import BufferPool
@@ -25,41 +16,7 @@ from repro.storage import BlockDevice, BuddyAllocator
 
 from conftest import emit_table, scaled
 
-OBJECTS = scaled(150, 30)
 PAYLOAD = b"object payload " * 64  # ~1 KiB
-
-
-def _run_configuration(btree_on_device: bool):
-    fs = HFADFileSystem(num_blocks=1 << 17, btree_on_device=btree_on_device)
-    oids = []
-    for index in range(OBJECTS):
-        oids.append(fs.create(PAYLOAD + str(index).encode(), index_content=False))
-    write_stats = fs.device.stats.snapshot()
-    for oid in oids:
-        fs.read(oid)
-    read_delta = fs.device.stats.delta(write_stats)
-    fs.close()
-    return write_stats.writes, write_stats.blocks_written, read_delta.reads
-
-
-def test_a1_in_memory_vs_device_resident_btrees():
-    rows = []
-    results = {}
-    for label, on_device in [("in-memory btrees (default)", False), ("device-resident btrees", True)]:
-        writes, blocks_written, reads = _run_configuration(on_device)
-        results[label] = (writes, blocks_written, reads)
-        rows.append((label, writes, blocks_written, reads))
-    memory_writes = results["in-memory btrees (default)"][0]
-    device_writes = results["device-resident btrees"][0]
-    # Persisting every index page costs real extra write traffic.  The WAL
-    # batches it into log appends plus write-backs at close: measured 2.05x
-    # the write requests (5.7x the blocks) at 150 objects, so gate at 1.5x.
-    assert device_writes > memory_writes * 1.5
-    emit_table(
-        f"A1 — ingest+read of {OBJECTS} objects: where the index btrees live",
-        ["configuration", "device writes", "blocks written", "device reads (read-back)"],
-        rows,
-    )
 
 
 def test_a1_page_cache_absorbs_reads():
@@ -87,10 +44,9 @@ def test_a1_page_cache_absorbs_reads():
     )
 
 
-@pytest.mark.parametrize("on_device", [False, True], ids=["memory-btrees", "device-btrees"])
-def test_a1_ingest_latency(benchmark, on_device):
+def test_a1_ingest_latency(benchmark):
     def ingest():
-        fs = HFADFileSystem(num_blocks=1 << 16, btree_on_device=on_device)
+        fs = HFADFileSystem(num_blocks=1 << 16)
         for index in range(40):
             fs.create(PAYLOAD + str(index).encode(), index_content=False)
         fs.close()

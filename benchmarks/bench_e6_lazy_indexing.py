@@ -36,7 +36,7 @@ ARMS = {"eager": 1, "deferred": persistent_index.SETTLE_KEYS}
 
 
 def _ingest(documents):
-    fs = HFADFileSystem(num_blocks=1 << 17, btree_on_device=True)
+    fs = HFADFileSystem(num_blocks=1 << 17)
     wal_before = fs.stats()["recovery"]["journal_bytes_appended"]
     device_before = fs.device.stats.snapshot()
     started = time.perf_counter()

@@ -41,7 +41,7 @@ class BPlusTree:
     *bytes* count: a node splits when its encoding outgrows the page,
     underflows below a quarter page, lends to a sibling only while it stays
     at least a quarter page itself, and merges with one when the pair fits
-    a page.  Over a store without a page size (volatile trees, unit tests)
+    a page.  Over a store without a page size (standalone indexes, unit tests)
     only *keys* count: ``max_keys`` and ``min_keys``.  Either way a donor
     lends while it does not underflow, so while no entry is over half a
     page a repair always succeeds: what cannot merge can lend.

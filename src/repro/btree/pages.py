@@ -3,7 +3,8 @@
 The tree itself only speaks in page ids.  Two backends are provided:
 
 * :class:`InMemoryPageStore` — nodes kept as Python objects; used for
-  volatile indexes and for fast unit testing of tree logic.
+  standalone indexes (the degraded-mode rescue, the FFS baseline's desktop
+  search) and for fast unit testing of tree logic.
 * :class:`DevicePageStore` — each page is :data:`PAGE_BYTES` of blocks obtained
   from a :class:`~repro.storage.buddy.BuddyAllocator` on a
   :class:`~repro.storage.block_device.BlockDevice`.  Nodes are serialized via

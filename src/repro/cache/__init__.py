@@ -16,8 +16,8 @@ block device:
   :class:`~repro.index.store.IndexStoreRegistry`.
 
 Knobs (also exposed on :class:`~repro.core.filesystem.HFADFileSystem`):
-``cache_pages`` — the pool's global page budget, at least 1 for an on-device
-engine; ``query_cache_entries=0`` disables result caching so benchmarks (E1,
+``cache_pages`` — the pool's global page budget, at least 1 (no-steal keeps
+uncommitted pages there); ``query_cache_entries=0`` disables result caching so benchmarks (E1,
 E7) can measure the index path itself.
 """
 

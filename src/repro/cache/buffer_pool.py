@@ -313,9 +313,10 @@ class BufferPool:
     def instrument_locks(self, wrap: Callable[[int, object], object]) -> None:
         """Replace each stripe lock with ``wrap(index, lock)``.
 
-        The facade uses this to install :class:`TimedLock` wrappers that
-        share one wait/hold histogram pair across all stripes, so the lock
-        profile still reads as a single logical "buffer_pool" lock.
+        A profiling hook, not installed by default: e.g. ``TimedLock``
+        wrappers sharing one wait/hold histogram pair, so the profile reads
+        as a single logical "buffer_pool" lock.  Every page access pays for
+        the wrapper.
         """
         for stripe in self._stripes:
             stripe.lock = wrap(stripe.index, stripe.lock)

@@ -27,7 +27,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.core import HFADFileSystem
-from repro.errors import RecoveryError, ReproError
+from repro.errors import ReproError
 from repro.posix import PosixVFS
 from repro.semantic import RefinementSession, VirtualDirectoryTree
 
@@ -340,10 +340,7 @@ class HFADShell:
         """Run an online integrity scrub (``--limit N`` verifies at most N
         pages and parks the walk for the next call to resume)."""
         limit, args = self._parse_limit(args, "scrub [--limit N]")
-        try:
-            report = self.fs.scrub(limit=limit)
-        except RecoveryError as error:
-            raise ShellError(f"scrub unavailable: {error}")
+        report = self.fs.scrub(limit=limit)
         lines = [
             f"pages scanned: {report.pages_scanned} "
             f"(clean {report.pages_clean}, dirty-skipped {report.skipped_dirty})",
@@ -364,8 +361,6 @@ class HFADShell:
     def cmd_recover(self, args: List[str]) -> str:
         """Report the durability layer's state (journal, LSNs, checkpoints)."""
         info = self.fs.stats()["recovery"]
-        if info.get("mode") != "wal":
-            return f"durability mode: {info.get('mode')} (no write-ahead log)"
         return (
             f"durability mode: wal (group commit {info['group_commit']})\n"
             f"lsn {info['last_lsn']} (durable {info['durable_lsn']}), "
@@ -438,16 +433,14 @@ class HFADShell:
                 f"query cache: {cache['hits']} hit(s), {cache['misses']} "
                 f"miss(es), hit ratio {cache['hit_ratio']}"
             )
-        if stats["buffer_pool"] is not None:
-            lines.append(f"buffer pool: {stats['buffer_pool']}")
-        if stats["persistent_index"] is not None:
-            index = stats["persistent_index"]
-            lines.append(
-                f"fulltext backlog: {index['fulltext_backlog_docs']} document(s), "
-                f"{index['fulltext_backlog_keys']} key(s) unsettled; "
-                f"{index['fulltext_settles']} settle(s)"
-            )
-        lines.append(f"recovery: {stats['recovery'].get('mode')}")
+        index = stats["persistent_index"]
+        lines += [
+            f"buffer pool: {stats['buffer_pool']}",
+            f"fulltext backlog: {index['fulltext_backlog_docs']} document(s), "
+            f"{index['fulltext_backlog_keys']} key(s) unsettled; "
+            f"{index['fulltext_settles']} settle(s)",
+            f"recovery: {stats['recovery']['mode']}",
+        ]
         return "\n".join(lines)
 
     def cmd_trace(self, args: List[str]) -> str:
@@ -611,9 +604,9 @@ class HFADShell:
 # ---------------------------------------------------------------------------
 
 
-def build_shell(demo: bool = False, on_device: bool = False) -> HFADShell:
+def build_shell(demo: bool = False) -> HFADShell:
     """Create a shell, optionally pre-loaded with the synthetic corpus."""
-    fs = HFADFileSystem(num_blocks=1 << 17, btree_on_device=on_device)
+    fs = HFADFileSystem(num_blocks=1 << 17)
     if demo:
         from repro.workloads import load_into_hfad, mixed_corpus
 
@@ -632,15 +625,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="hfad", description="Interactive hFAD shell")
     parser.add_argument("--demo", action="store_true", help="pre-load the synthetic corpus")
     parser.add_argument(
-        "--on-device", action="store_true",
-        help="persist the master and index btrees on the simulated device",
-    )
-    parser.add_argument(
         "-c", "--command", action="append", default=[],
         help="run this command and exit (repeatable)",
     )
     options = parser.parse_args(argv)
-    shell = build_shell(demo=options.demo, on_device=options.on_device)
+    shell = build_shell(demo=options.demo)
     try:
         if options.command:
             for line in options.command:

@@ -38,12 +38,12 @@ from repro.index.path_index import normalize_path
 from repro.index import (
     TAG_APP,
     TAG_FULLTEXT,
+    TAG_ID,
     TAG_IMAGE,
     TAG_POSIX,
     TAG_UDEF,
     TAG_USER,
     FullTextIndexStore,
-    ImageIndexStore,
     IndexStoreRegistry,
     KeyValueIndexStore,
     PersistentImageIndexStore,
@@ -75,18 +75,29 @@ _HEALTH_LEVELS = {"ok": 0, "warn": 1, "fail": 2}
 # re-attach them.
 _NAME_ENTRY = "n:"       # "n:TAG/value" → the object carries this name
 _PATH_ENTRY = "p:"       # "p:/a/b"      → the object is linked at this path
+_RESERVED_ATTR = "hfad."      # attribute keys only the engine writes
 _ATTR_INDEXED = "hfad.ci"     # content-indexed flag
 
 
 def _require_pool_pages(cache_pages: int) -> None:
-    """The on-device engine keeps uncommitted dirty pages in the pool
-    (no-steal), so it cannot run without one."""
+    """The engine keeps uncommitted dirty pages in the pool (no-steal), so
+    it cannot run without one."""
     if cache_pages < 1:
         raise ValueError(
-            f"cache_pages must be at least 1 with btree_on_device=True "
-            f"(got {cache_pages}): no-steal holds uncommitted dirty pages "
-            "in the buffer pool"
+            f"cache_pages must be at least 1 (got {cache_pages}): no-steal "
+            "holds uncommitted dirty pages in the buffer pool"
         )
+
+
+def _reject_reserved_attributes(attributes: Iterable[str]) -> None:
+    """Callers may not set the engine's own ``hfad.`` attributes: the
+    content-indexed flag, for one, decides what a mount re-tracks."""
+    for key in attributes:
+        if key.startswith(_RESERVED_ATTR):
+            raise ValueError(
+                f"attribute {key!r}: keys starting with {_RESERVED_ATTR!r} "
+                "are reserved for the engine"
+            )
 
 
 def _query_tags(query: Query) -> Iterable[str]:
@@ -100,21 +111,20 @@ def _query_tags(query: Query) -> Iterable[str]:
 class HFADFileSystem:
     """A tagged, search-based file system (the paper's hFAD).
 
+    Constructing one formats the device (mkfs): a superblock and a
+    write-ahead journal, then the master, full-text and image btrees, which
+    run write-back through the shared buffer pool with every page
+    CRC32-framed (``repro.integrity``).  Every operation is crash-atomic;
+    re-open the device with :meth:`mount`.  There is no other engine; the
+    legacy keyword that once selected one accepts only ``True``.
+
     :param device: block device to build on; a private in-memory device is
         created when omitted.
     :param num_blocks: size of the private device (ignored if ``device`` given).
     :param latency_model: latency model for the private device.
-    :param btree_on_device: persist the master and index btrees on the
-        device too.
-        The device is formatted with a superblock and a write-ahead journal,
-        btrees run write-back through the shared buffer pool, every page is
-        CRC32-framed (``repro.integrity``), full-text postings and image
-        features live in their own on-device btrees, and every operation is
-        crash-atomic; re-open such a device with :meth:`mount`.  In-memory
-        trees (the default) are volatile by nature.
     :param cache_pages: global buffer-pool budget (in pages) shared by every
-        on-device btree; at least 1 with ``btree_on_device`` (no-steal holds
-        uncommitted dirty pages in the pool), ignored without it.
+        btree; at least 1 (no-steal holds uncommitted dirty pages in the
+        pool).
     :param query_cache_entries: capacity of the query-result cache; ``0``
         disables result caching so every query re-evaluates the indexes.
     :param journal_blocks: size of the WAL region in device blocks (the
@@ -142,9 +152,9 @@ class HFADFileSystem:
         full shape (it reads the layers directly).  Enabling telemetry
         also turns on per-operation resource attribution (every ``create``
         / ``query`` / ``rank`` / ... accounts the pages, cache traffic, WAL
-        bytes and lock waits it caused — see :meth:`operations`), wraps the
-        three system-wide mutexes in wait/hold-profiled
-        :class:`~repro.telemetry.TimedLock`\\ s, and arms the slow-query log.
+        bytes and lock waits it caused — see :meth:`operations`), profiles
+        the journal mutex and the tree transaction queues (see
+        :meth:`_install_timed_locks`), and arms the slow-query log.
     """
 
     def __init__(
@@ -152,7 +162,7 @@ class HFADFileSystem:
         device: Optional[BlockDevice] = None,
         num_blocks: int = 1 << 16,
         latency_model: Optional[LatencyModel] = None,
-        btree_on_device: bool = False,
+        btree_on_device: bool = True,
         cache_pages: int = 256,
         query_cache_entries: int = 256,
         journal_blocks: int = 511,
@@ -161,8 +171,10 @@ class HFADFileSystem:
         telemetry: bool = True,
         _mounted: Optional[dict] = None,
     ) -> None:
-        if btree_on_device:
-            _require_pool_pages(cache_pages)
+        if not btree_on_device:
+            raise ValueError("btree_on_device=False named the volatile in-memory "
+                             "engine, which no longer exists")
+        _require_pool_pages(cache_pages)
         if device is None:
             device = BlockDevice(num_blocks=num_blocks, latency_model=latency_model)
         self.device = device
@@ -171,30 +183,16 @@ class HFADFileSystem:
         #: ``telemetry=False`` degrades every instrument to a shared no-op;
         #: ``stats()`` reads the layers directly, so it is identical either way.
         self.telemetry = Telemetry(enabled=telemetry)
-        # The shared memory hierarchy between the btrees and the device.
-        # Only on-device btrees consume pool pages, so an in-memory
-        # configuration gets no pool (stats() then reports it as absent
-        # rather than as an enabled-but-idle cache).
-        self.buffer_pool = (
-            BufferPool(capacity=cache_pages) if btree_on_device else None
-        )
-        self.recovery: Optional[RecoveryManager] = None
+        #: the shared memory hierarchy between the btrees and the device.
+        self.buffer_pool = BufferPool(capacity=cache_pages)
         #: shared integrity state (checksum/retry counters, page quarantine)
-        #: for every on-device page store; None for in-memory trees, which
-        #: have no device bytes to rot.
-        self.integrity: Optional[IntegrityContext] = (
-            IntegrityContext() if btree_on_device else None
-        )
+        #: for every page store.
+        self.integrity = IntegrityContext()
         self._scrubber: Optional[Scrubber] = None
-        #: on-device btrees backing the persistent full-text / image indexes
-        #: (None = volatile: the full-text engine makes its own in-memory
-        #: tree, the image store keeps dicts).
-        self._fulltext_tree = None
-        self._image_tree = None
         if _mounted is not None:
             # mount(): the recovery manager has already replayed the journal;
             # re-open the object store from the recovered on-device state.
-            self.recovery = _mounted["recovery"]
+            self.recovery: RecoveryManager = _mounted["recovery"]
             self.recovery.attach_pool(self.buffer_pool)
             self.objects = ObjectStore.mount(
                 device,
@@ -202,21 +200,10 @@ class HFADFileSystem:
                 buffer_pool=self.buffer_pool,
                 integrity=self.integrity,
             )
-            # Re-attach the persistent index trees from their checkpointed
-            # (and replay-updated) roots.
-            self._fulltext_tree = self.objects.open_index_tree(
-                "index.fulltext",
-                root_id=self.recovery.state["fulltext_root"],
-                on_root_change=self._fulltext_root_moved,
-            )
-            self._image_tree = self.objects.open_index_tree(
-                "index.image",
-                root_id=self.recovery.state["image_root"],
-                on_root_change=self._image_root_moved,
-            )
-        elif btree_on_device:
+            roots = self.recovery.state
+        else:
             # mkfs: reserve the metadata prefix (superblock + journal) out of
-            # the data allocator and write checkpoint zero.
+            # the data allocator; checkpoint zero is written below.
             from repro.storage.buddy import BuddyAllocator, _next_power_of_two
 
             data_region_start = 1 + journal_blocks
@@ -239,19 +226,25 @@ class HFADFileSystem:
             self.objects = ObjectStore(
                 device=device,
                 allocator=allocator,
-                btree_on_device=True,
                 buffer_pool=self.buffer_pool,
                 recovery=self.recovery,
                 integrity=self.integrity,
             )
-            # mkfs: the index trees are created alongside the master tree
-            # so checkpoint zero already records their roots.
-            self._fulltext_tree = self.objects.open_index_tree(
-                "index.fulltext", on_root_change=self._fulltext_root_moved
-            )
-            self._image_tree = self.objects.open_index_tree(
-                "index.image", on_root_change=self._image_root_moved
-            )
+            roots = {}
+        # The btrees backing the full-text and image indexes: re-attached
+        # from their checkpointed (and replay-updated) roots at mount,
+        # created alongside the master tree at mkfs.
+        self._fulltext_tree = self.objects.open_index_tree(
+            "index.fulltext",
+            root_id=roots.get("fulltext_root"),
+            on_root_change=self._fulltext_root_moved,
+        )
+        self._image_tree = self.objects.open_index_tree(
+            "index.image",
+            root_id=roots.get("image_root"),
+            on_root_change=self._image_root_moved,
+        )
+        if _mounted is None:
             self.recovery.initialize(
                 master_root=self.objects._master.root_id,
                 next_oid=self.objects._next_oid,
@@ -259,30 +252,23 @@ class HFADFileSystem:
                 fulltext_root=self._fulltext_tree.root_id,
                 image_root=self._image_tree.root_id,
             )
-        else:
-            self.objects = ObjectStore(device=device)
         # Index stores (Figure 1: the extensible collection of indices).
-        # On a device, the FULLTEXT store's engine and the image store write
-        # through to on-device btrees whose pages ride the same buffer pool
-        # and WAL as everything else; off it, the same engine runs over an
-        # in-memory tree with no WAL.
+        # The FULLTEXT store's engine and the image store write through to
+        # their btrees, whose pages ride the same buffer pool and WAL as
+        # everything else.
         self.keyvalue_index = KeyValueIndexStore()
         self.path_index = PosixPathIndexStore()
         self.fulltext_index = FullTextIndexStore(
             index=PersistentInvertedIndex(self._fulltext_tree, recovery=self.recovery),
         )
-        if btree_on_device:
-            self.image_index = PersistentImageIndexStore(
-                self._image_tree,
-                recovery=self.recovery,
-                load=(_mounted is not None),
-            )
-        else:
-            self.image_index = ImageIndexStore()
-        if self.recovery is not None:
-            # The posting backlog's threshold settle: after a commit, never
-            # inside the transaction that crossed the line.
-            self.recovery.after_commit = self._settle_if_due
+        self.image_index = PersistentImageIndexStore(
+            self._image_tree,
+            recovery=self.recovery,
+            load=(_mounted is not None),
+        )
+        # The posting backlog's threshold settle: after a commit, never
+        # inside the transaction that crossed the line.
+        self.recovery.after_commit = self._settle_if_due
         self.registry = IndexStoreRegistry()
         self.registry.register(self.keyvalue_index)
         self.registry.register(self.path_index)
@@ -314,7 +300,7 @@ class HFADFileSystem:
             telemetry=self.telemetry,
         )
         self.access = AccessInterface(self.objects)
-        if self.recovery is not None and self.telemetry.enabled:
+        if self.telemetry.enabled:
             self.recovery.commit_batch_sizes = self.telemetry.metrics.histogram(
                 "wal.group_commit.batch_size",
                 "commit markers covered by each journal sync",
@@ -323,8 +309,6 @@ class HFADFileSystem:
         self._register_telemetry()
         #: objects whose full-text index entry tracks their content.
         self._content_indexed: set = set()
-        #: index stores registered on the fly for tags met during a mount.
-        self._adhoc_stores: Dict[str, KeyValueIndexStore] = {}
         if _mounted is not None:
             # A crash leaves a posting backlog (the engine re-derived its
             # overlay from it); finish it before the first request.
@@ -355,7 +339,7 @@ class HFADFileSystem:
         sync_interval_ms: Optional[float] = None,
         telemetry: bool = True,
     ) -> "HFADFileSystem":
-        """Re-open a device formatted with ``btree_on_device=True``.
+        """Re-open a device an :class:`HFADFileSystem` formatted.
 
         Recovery runs before any index is opened: the superblock is loaded
         and asked whether its format is one this code serves (a refusal
@@ -380,7 +364,6 @@ class HFADFileSystem:
         recovery.replay()
         return cls(
             device=device,
-            btree_on_device=True,
             cache_pages=cache_pages,
             query_cache_entries=query_cache_entries,
             telemetry=telemetry,
@@ -416,11 +399,8 @@ class HFADFileSystem:
 
     def _ensure_tag_registered(self, tag: str) -> None:
         """Serve ad-hoc tags met during a mount with on-the-fly kv stores."""
-        if self.registry.supports(tag) or tag in self._adhoc_stores:
-            return
-        store = KeyValueIndexStore(tags=[tag])
-        self._adhoc_stores[tag] = store
-        self.registry.register(store, tags=[tag])
+        if not self.registry.supports(tag):
+            self.registry.register(KeyValueIndexStore(tags=[tag]), tags=[tag])
 
     def _durable(self):
         """One WAL transaction bracketing a whole filesystem operation.
@@ -429,8 +409,6 @@ class HFADFileSystem:
         (create = allocate + write + name) must be atomic as a unit; nesting
         is flat, so this outer bracket subsumes the inner ones.
         """
-        if self.recovery is None:
-            return nullcontext()
         return self.recovery.transaction()
 
     def _read_view(self, *trees: str):
@@ -441,11 +419,8 @@ class HFADFileSystem:
         queues — so the answer reflects exactly one generation of every
         viewed tree (no torn cross-tree reads, no mid-scan mutation).
         Re-entrant with the calling thread's own open transaction, so a
-        writer may query its own uncommitted view.  Without a WAL engine
-        this is a no-op (the in-memory configuration stays single-writer).
+        writer may query its own uncommitted view.
         """
-        if self.recovery is None:
-            return nullcontext()
         return self.recovery.read_view(trees)
 
     def read_view(self, *trees: str):
@@ -499,55 +474,44 @@ class HFADFileSystem:
     def _install_timed_locks(self) -> None:
         """Instrument the system-wide locks for contention profiling.
 
-        Every buffer-pool *stripe* lock becomes a :class:`TimedLock`
-        delegating to the original RLock — same re-entrancy, same lock
-        ordering (``ensure_durable``'s deliberate no-txn-lock path is
-        untouched).  All stripes carry the same ``"buffer_pool"`` name, so
-        the registry hands them one shared wait/hold histogram pair and the
-        lock profile still reads as a single logical lock while contention
-        is split N ways (the sharded-vs-global ablation compares exactly
-        these histograms).  The journal mutex is wrapped the same way, and
-        the per-tree transaction queues report their waits through the
-        lock manager's observer hook into ``lock.wal.txn.<tree>.wait_us``
-        histograms — with the wait still charged to the blocked operation's
-        attribution record.  The uncontended path is a single non-blocking
-        acquire, so this stays out of the overhead budget; with telemetry
-        off nothing is wrapped.
+        The journal mutex becomes a :class:`TimedLock` delegating to the
+        original RLock — same re-entrancy, same lock ordering — and the
+        per-tree transaction queues report their waits through the lock
+        manager's observer hook into ``lock.wal.txn.<tree>.wait_us``
+        histograms, with the wait still charged to the blocked operation's
+        attribution record.  The buffer-pool stripe locks stay bare: they
+        are taken on every page access, and a wrapper's ~3 µs there cost a
+        page-bound query ~28 % (``BufferPool.instrument_locks`` installs one
+        on demand).  With telemetry off nothing is wrapped.
         """
         if not self.telemetry.enabled:
             return
         metrics = self.telemetry.metrics
-        if self.buffer_pool is not None:
-            self.buffer_pool.instrument_locks(
-                lambda index, lock: TimedLock("buffer_pool", metrics, inner=lock))
-        if self.recovery is not None:
-            self.recovery.journal._mutex = TimedLock(
-                "wal.journal", metrics, inner=self.recovery.journal._mutex)
-            hists: Dict[str, object] = {}
+        self.recovery.journal._mutex = TimedLock(
+            "wal.journal", metrics, inner=self.recovery.journal._mutex)
+        hists: Dict[str, object] = {}
 
-            def tree_wait_observer(resource: str, mode: str,
-                                   waited_us: float) -> None:
-                hist = hists.get(resource)
-                if hist is None:
-                    # Racing threads may both build one; the registry
-                    # returns the same instrument for the same name.
-                    hist = hists[resource] = metrics.histogram(
-                        f"lock.wal.txn.{resource}.wait_us",
-                        f"microseconds spent queued on the {resource} tree "
-                        "transaction lock (contended acquisitions only)")
-                hist.observe(waited_us)
-                op = current_operation()
-                if op is not None:
-                    op.add_lock_wait(f"wal.txn.{resource}", waited_us)
+        def tree_wait_observer(resource: str, mode: str,
+                               waited_us: float) -> None:
+            hist = hists.get(resource)
+            if hist is None:
+                # Racing threads may both build one; the registry returns
+                # the same instrument for the same name.
+                hist = hists[resource] = metrics.histogram(
+                    f"lock.wal.txn.{resource}.wait_us",
+                    f"microseconds spent queued on the {resource} tree "
+                    "transaction lock (contended acquisitions only)")
+            hist.observe(waited_us)
+            op = current_operation()
+            if op is not None:
+                op.add_lock_wait(f"wal.txn.{resource}", waited_us)
 
-            self.recovery.tree_locks.manager.wait_observer = tree_wait_observer
+        self.recovery.tree_locks.manager.wait_observer = tree_wait_observer
 
     def checkpoint(self) -> int:
         """Force a checkpoint: flush dirty pages, truncate the journal,
         persist the superblock.  Returns the number of pages flushed."""
         with self._operation("checkpoint"):
-            if self.recovery is None:
-                return 0
             self._settle()
             self.objects.flush_access_times()
             return self.recovery.checkpoint()
@@ -556,11 +520,9 @@ class HFADFileSystem:
         """Live ``(page_store, root_id)`` walk roots for the scrubber:
         the OSD's master tree (extent maps included) plus the persistent
         index trees, re-evaluated at the start of each scrub cycle."""
-        sources: List[Tuple[object, int]] = list(self.objects.scrub_sources())
-        for tree in (self._fulltext_tree, self._image_tree):
-            if tree is not None:
-                sources.append((tree.store, tree.root_id))
-        return sources
+        return self.objects.scrub_sources() + [
+            (tree.store, tree.root_id)
+            for tree in (self._fulltext_tree, self._image_tree)]
 
     def scrub(self, limit: Optional[int] = None) -> ScrubReport:
         """Online integrity scrub: verify every reachable btree page's
@@ -572,10 +534,6 @@ class HFADFileSystem:
         cycle finished).  Runs against the live filesystem — repairs are
         idempotent rewrites of committed state, so no lock-out is needed.
         """
-        if self.integrity is None:
-            raise RecoveryError(
-                "scrub requires on-device btrees (btree_on_device=True)"
-            )
         if self._scrubber is None:
             self._scrubber = Scrubber(
                 self.device,
@@ -611,8 +569,6 @@ class HFADFileSystem:
             ("fulltext index", self._fulltext_tree, "fulltext_root"),
             ("image index", self._image_tree, "image_root"),
         ):
-            if tree is None:
-                continue
             try:
                 tree.check_invariants()
                 persisted = self.recovery.state.get(root_key, 0)
@@ -623,37 +579,35 @@ class HFADFileSystem:
                     )
             except Exception as error:  # noqa: BLE001 — fsck reports, never raises
                 errors.append(f"{label}: {error}")
-        if self.recovery is not None:
-            journal = self.recovery.journal
-            try:
-                report["journal_committed_transactions"] = len(journal.scan())
-                report["journal_bytes_used"] = journal.bytes_used
-            except Exception as error:  # noqa: BLE001
-                errors.append(f"journal: {error}")
-            # The fsck blind spots the integrity work closed: the superblock
-            # and the journal header region are themselves checked bytes.
-            try:
-                Superblock.load(self.device)
-            except (RecoveryError, DeviceError) as error:
-                errors.append(f"superblock: {error}")
-            try:
-                region = journal.verify_device_region()
-                report["journal_region"] = region
-                if not region["matches_memory"]:
-                    errors.append(
-                        "journal: device bytes diverge from the flushed log "
-                        f"at offset {region['first_divergence']}"
-                    )
-            except Exception as error:  # noqa: BLE001
-                errors.append(f"journal region: {error}")
-        if self.integrity is not None:
-            quarantined = sorted(self.integrity.quarantine)
-            report["quarantined_pages"] = quarantined
-            if quarantined:
+        journal = self.recovery.journal
+        try:
+            report["journal_committed_transactions"] = len(journal.scan())
+            report["journal_bytes_used"] = journal.bytes_used
+        except Exception as error:  # noqa: BLE001
+            errors.append(f"journal: {error}")
+        # The fsck blind spots the integrity work closed: the superblock and
+        # the journal header region are themselves checked bytes.
+        try:
+            Superblock.load(self.device)
+        except (RecoveryError, DeviceError) as error:
+            errors.append(f"superblock: {error}")
+        try:
+            region = journal.verify_device_region()
+            report["journal_region"] = region
+            if not region["matches_memory"]:
                 errors.append(
-                    f"integrity: {len(quarantined)} page(s) quarantined "
-                    f"pending repair: {quarantined}"
+                    "journal: device bytes diverge from the flushed log "
+                    f"at offset {region['first_divergence']}"
                 )
+        except Exception as error:  # noqa: BLE001
+            errors.append(f"journal region: {error}")
+        quarantined = sorted(self.integrity.quarantine)
+        report["quarantined_pages"] = quarantined
+        if quarantined:
+            errors.append(
+                f"integrity: {len(quarantined)} page(s) quarantined "
+                f"pending repair: {quarantined}"
+            )
         report["clean"] = not errors
         return report
 
@@ -690,6 +644,7 @@ class HFADFileSystem:
             self.registry.store_for(pair.tag)
         if path is not None:
             path = normalize_path(path)
+        _reject_reserved_attributes(attributes or ())
         self._check_name_sizes(
             *(f"{_NAME_ENTRY}{p.tag}/{p.value}" for p in pairs),
             *(f"{_NAME_ENTRY}{TAG_UDEF}/{a}" for a in annotations),
@@ -715,7 +670,7 @@ class HFADFileSystem:
                 # writes through the access interfaces keep its index entry
                 # current.
                 self._content_indexed.add(oid)
-                self._persist_attr(oid, _ATTR_INDEXED, "1")
+                self.objects.set_attributes(oid, **{_ATTR_INDEXED: "1"})
                 if content:
                     self.fulltext_index.index_content(oid, content)
             return oid
@@ -724,32 +679,20 @@ class HFADFileSystem:
     #
     # In-memory index mutations are paired with a persisted master-tree name
     # entry (or a bounded metadata attribute) so the name survives a re-mount;
-    # the write rides the enclosing WAL transaction.  Without a recovery
-    # manager nothing is persisted — in-memory trees are volatile by design.
+    # the write rides the enclosing WAL transaction.
 
     def _check_name_sizes(self, *entries: str) -> None:
-        """Pre-flight size validation for durable name entries (no-op
-        without a recovery manager — nothing is persisted then)."""
-        if self.recovery is not None:
-            for entry in entries:
-                self.objects.check_name(entry)
-
-    def _persist_attr(self, oid: int, key: str, value: str) -> None:
-        if self.recovery is not None:
-            self.objects.set_attributes(oid, **{key: value})
-
-    def _unpersist_attr(self, oid: int, key: str) -> None:
-        if self.recovery is not None and self.objects.exists(oid):
-            self.objects.remove_attributes(oid, key)
+        """Pre-flight size validation for durable name entries."""
+        for entry in entries:
+            self.objects.check_name(entry)
 
     def _add_name(self, oid: int, pair: TagValue) -> None:
         self.naming.add_name(oid, pair)
-        if self.recovery is not None:
-            self.objects.put_name(oid, f"{_NAME_ENTRY}{pair.tag}/{pair.value}")
+        self.objects.put_name(oid, f"{_NAME_ENTRY}{pair.tag}/{pair.value}")
 
     def _remove_name(self, oid: int, pair: TagValue) -> bool:
         removed = self.naming.remove_name(oid, pair)
-        if removed and self.recovery is not None and self.objects.exists(oid):
+        if removed and self.objects.exists(oid):
             self.objects.remove_name(oid, f"{_NAME_ENTRY}{pair.tag}/{pair.value}")
         return removed
 
@@ -761,21 +704,19 @@ class HFADFileSystem:
         displaced = self.path_index.resolve(path)
         self.path_index.link(path, oid)
         self.registry.touch(TAG_POSIX)
-        if self.recovery is not None:
-            if (displaced is not None and displaced != oid
-                    and self.objects.exists(displaced)):
-                # Rebinding over an existing name: the displaced object's
-                # persisted entry must die too, or it resurrects at mount
-                # (and, sorting first by oid, could even win the path back).
-                self.objects.remove_name(displaced, f"{_PATH_ENTRY}{path}")
-            self.objects.put_name(oid, f"{_PATH_ENTRY}{path}")
+        if (displaced is not None and displaced != oid
+                and self.objects.exists(displaced)):
+            # Rebinding over an existing name: the displaced object's
+            # persisted entry must die too, or it resurrects at mount (and,
+            # sorting first by oid, could even win the path back).
+            self.objects.remove_name(displaced, f"{_PATH_ENTRY}{path}")
+        self.objects.put_name(oid, f"{_PATH_ENTRY}{path}")
 
     def _check_usable(self) -> None:
         """A poisoned engine answers nothing: after a transaction aborted
         past its first logged record, the in-memory trees, indexes and pool
         no longer match the committed state, and only a remount does."""
-        if self.recovery is not None:
-            self.recovery.check_usable()
+        self.recovery.check_usable()
 
     def _require_object(self, oid: int) -> None:
         """The existence probe an operation runs before its durable bracket."""
@@ -841,14 +782,19 @@ class HFADFileSystem:
         return self.access.open(oid)
 
     def stat(self, oid: int) -> ObjectMetadata:
+        """The object's metadata, without the engine's own ``hfad.`` keys."""
         self._check_usable()
-        return self.access.stat(oid)
+        metadata = self.access.stat(oid)
+        metadata.attributes = {key: value for key, value in metadata.attributes.items()
+                               if not key.startswith(_RESERVED_ATTR)}
+        return metadata
 
     def size(self, oid: int) -> int:
         self._check_usable()
         return self.access.size(oid)
 
     def set_attributes(self, oid: int, **attributes: str) -> None:
+        _reject_reserved_attributes(attributes)
         self.objects.set_attributes(oid, **attributes)
 
     def _reindex_if_tracked(self, oid: int) -> None:
@@ -860,7 +806,7 @@ class HFADFileSystem:
         self._require_object(oid)
         with self._durable():
             self._content_indexed.add(oid)
-            self._persist_attr(oid, _ATTR_INDEXED, "1")
+            self.objects.set_attributes(oid, **{_ATTR_INDEXED: "1"})
             self.fulltext_index.index_content(oid, self.objects.read(oid))
 
     def disable_content_indexing(self, oid: int) -> None:
@@ -868,7 +814,7 @@ class HFADFileSystem:
         self._require_object(oid)
         with self._durable():
             self._content_indexed.discard(oid)
-            self._unpersist_attr(oid, _ATTR_INDEXED)
+            self.objects.remove_attributes(oid, _ATTR_INDEXED)
             self.fulltext_index.drop_content(oid)
 
     # ------------------------------------------------------------------
@@ -904,8 +850,6 @@ class HFADFileSystem:
             try:
                 return self.naming.resolve(list(pairs), limit=limit)
             except CorruptionError:
-                if self.integrity is None:
-                    raise
                 return self._degraded(
                     lambda naming: naming.resolve(list(pairs), limit=limit)
                 )
@@ -917,8 +861,6 @@ class HFADFileSystem:
             try:
                 return self.naming.resolve_one(list(pairs))
             except CorruptionError:
-                if self.integrity is None:
-                    raise
                 return self._degraded(
                     lambda naming: naming.resolve_one(list(pairs))
                 )
@@ -937,8 +879,6 @@ class HFADFileSystem:
                 try:
                     result = self.naming.query(query, limit=limit)
                 except CorruptionError:
-                    if self.integrity is None:
-                        raise
                     result = self._degraded(
                         lambda naming: naming.query(query, limit=limit)
                     )
@@ -970,8 +910,6 @@ class HFADFileSystem:
             try:
                 result = self.naming.rank(text, limit=limit)
             except CorruptionError:
-                if self.integrity is None:
-                    raise
                 result = self._degraded(
                     lambda naming: naming.rank(text, limit=limit))
         self._maybe_slow("rank", text, time.perf_counter() - started, op)
@@ -1032,13 +970,13 @@ class HFADFileSystem:
                         rescue.insert(pair.tag, pair.value, oid)
         except (CorruptionError, NoSuchObjectError):
             partial = True
+        # The live routing, every store a caller registered included, with
+        # only the FULLTEXT store swapped for the rescue index.
         registry = IndexStoreRegistry()
-        registry.register(self.keyvalue_index)
-        registry.register(self.path_index)
-        registry.register(rescue)
-        registry.register(self.image_index)
-        for tag, store in self._adhoc_stores.items():
-            registry.register(store, tags=[tag])
+        for tag in sorted(self.registry.registered_tags - {TAG_ID}):
+            store = self.registry.store_for(tag)
+            registry.register(rescue if store is self.fulltext_index else store,
+                              tags=[tag])
         naming = NamingInterface(
             registry,
             planner=self.naming.planner,
@@ -1090,8 +1028,6 @@ class HFADFileSystem:
 
         def persist_move(bound_path: str, target: str, oid: int,
                          displaced: Optional[int]) -> None:
-            if self.recovery is None:
-                return
             if self.objects.exists(oid):
                 self.objects.remove_name(oid, f"{_PATH_ENTRY}{bound_path}")
                 self.objects.put_name(oid, f"{_PATH_ENTRY}{target}")
@@ -1114,7 +1050,7 @@ class HFADFileSystem:
             oid = self.path_index.unlink(path)
             if oid is not None:
                 self.registry.touch(TAG_POSIX)
-                if self.recovery is not None and self.objects.exists(oid):
+                if self.objects.exists(oid):
                     self.objects.remove_name(oid, f"{_PATH_ENTRY}{path}")
             return oid
 
@@ -1154,13 +1090,7 @@ class HFADFileSystem:
         later call raises :class:`~repro.errors.RecoveryError`, and a remount
         replays the committed prefix, in which the group is absent as a
         whole.  The group must fit the journal (see ``journal_blocks``).
-        Volatile trees have no log to make a group atomic with, so this
-        raises there.
         """
-        if self.recovery is None:
-            raise RecoveryError(
-                "begin requires on-device btrees (btree_on_device=True)"
-            )
         return self.recovery.transaction(trees=("master", "fulltext", "image"))
 
     def close(self) -> None:
@@ -1170,12 +1100,11 @@ class HFADFileSystem:
         manager must not turn teardown into a crash — recovery at the next
         mount handles those states by design.
         """
-        if self.recovery is not None:
-            self.recovery.stop_flusher()
-            try:
-                self.checkpoint()
-            except (DeviceError, RecoveryError):
-                pass
+        self.recovery.stop_flusher()
+        try:
+            self.checkpoint()
+        except (DeviceError, RecoveryError):
+            pass
 
     def __enter__(self) -> "HFADFileSystem":
         return self
@@ -1187,17 +1116,13 @@ class HFADFileSystem:
     # introspection
     # ------------------------------------------------------------------
 
-    def _integrity_snapshot(self) -> Optional[Dict[str, int]]:
-        if self.integrity is None:
-            return None
+    def _integrity_snapshot(self) -> Dict[str, int]:
         snapshot = self.integrity.stats.snapshot()
         snapshot["quarantined_pages"] = len(self.integrity.quarantine)
         snapshot["checksum_pages"] = self.recovery.state["checksum_pages"]
         return snapshot
 
-    def _persistent_index_snapshot(self) -> Optional[Dict[str, object]]:
-        if self._fulltext_tree is None:
-            return None
+    def _persistent_index_snapshot(self) -> Dict[str, object]:
         # Counting documents reads the posting tree; with quarantined pages
         # that read fails — a stats snapshot must degrade, not raise.
         try:
@@ -1223,11 +1148,10 @@ class HFADFileSystem:
         """Callback gauges over live state: quarantine size, health, and
         the posting backlog."""
         metrics = self.telemetry.metrics
-        if self.integrity is not None:
-            quarantine = self.integrity.quarantine
-            metrics.gauge("integrity.quarantined",
-                          "pages quarantined pending repair",
-                          fn=lambda: len(quarantine))
+        quarantine = self.integrity.quarantine
+        metrics.gauge("integrity.quarantined",
+                      "pages quarantined pending repair",
+                      fn=lambda: len(quarantine))
         metrics.gauge("health.status",
                       "aggregate health: 0=ok 1=warn 2=fail (worst check wins)",
                       fn=lambda: float(_HEALTH_LEVELS[self.health()["status"]]))
@@ -1243,7 +1167,7 @@ class HFADFileSystem:
         """A snapshot of work counters across every layer (for benchmarks).
 
         Each layer is read directly, in this order, whether telemetry is on
-        or off (an absent layer reports ``None``); with telemetry enabled a
+        or off (a disabled result cache reports ``None``); with telemetry enabled a
         ``"telemetry"`` key is appended with the native instruments (latency
         histograms, WAL batch sizes, backlog gauges).
         """
@@ -1259,15 +1183,13 @@ class HFADFileSystem:
             "fulltext_postings_scanned": index.postings_scanned,
             "ranked": self.fulltext_index.ranked_stats.snapshot(),
             "object_count": self.object_count,
-            "buffer_pool": (self.buffer_pool.snapshot()
-                            if self.buffer_pool is not None else None),
+            "buffer_pool": self.buffer_pool.snapshot(),
             "query_cache": (self.query_cache.snapshot()
                             if self.query_cache is not None else None),
             "ranked_cache": (self.ranked_cache.snapshot()
                              if self.ranked_cache is not None else None),
             "persistent_index": self._persistent_index_snapshot(),
-            "recovery": (self.recovery.snapshot() if self.recovery is not None
-                         else {"mode": "volatile"}),
+            "recovery": self.recovery.snapshot(),
             "integrity": self._integrity_snapshot(),
         }
         if self.telemetry.enabled:
@@ -1426,50 +1348,48 @@ class HFADFileSystem:
         def check(name: str, status: str, detail: str) -> None:
             checks[name] = {"status": status, "detail": detail}
 
-        if self.integrity is not None:
-            stats = self.integrity.stats
-            quarantined = len(self.integrity.quarantine)
-            check("quarantine",
-                  "fail" if quarantined else "ok",
-                  f"{quarantined} page(s) quarantined pending repair")
-            if stats.retry_exhausted:
-                check("device_retries", "fail",
-                      f"{stats.retry_exhausted} read(s) exhausted the retry "
-                      f"budget ({stats.transient_errors} transient errors)")
-            elif stats.transient_errors:
-                check("device_retries", "warn",
-                      f"{stats.transient_errors} transient device error(s), "
-                      f"all recovered within the retry budget")
-            else:
-                check("device_retries", "ok", "no transient device errors")
-            if stats.partial_results:
-                check("degraded_queries", "fail",
-                      f"{stats.partial_results} degraded quer(ies) returned "
-                      f"partial results")
-            elif stats.degraded_queries:
-                check("degraded_queries", "warn",
-                      f"{stats.degraded_queries} quer(ies) served via the "
-                      f"degraded rescan fallback")
-            else:
-                check("degraded_queries", "ok", "no degraded queries")
-        if self.recovery is not None:
-            journal = self.recovery.journal
-            occupancy = (journal.bytes_used / journal.capacity_bytes
-                         if journal.capacity_bytes else 0.0)
-            if self.recovery.poisoned:
-                check("wal", "fail",
-                      "recovery manager poisoned — remount required")
-            elif occupancy >= 0.9:
-                check("wal", "fail",
-                      f"journal {occupancy:.0%} full — checkpoints are not "
-                      f"keeping up")
-            elif occupancy >= self.recovery.checkpoint_threshold:
-                check("wal", "warn",
-                      f"journal {occupancy:.0%} full (past the "
-                      f"{self.recovery.checkpoint_threshold:.0%} "
-                      f"checkpoint threshold)")
-            else:
-                check("wal", "ok", f"journal {occupancy:.0%} full")
+        stats = self.integrity.stats
+        quarantined = len(self.integrity.quarantine)
+        check("quarantine",
+              "fail" if quarantined else "ok",
+              f"{quarantined} page(s) quarantined pending repair")
+        if stats.retry_exhausted:
+            check("device_retries", "fail",
+                  f"{stats.retry_exhausted} read(s) exhausted the retry "
+                  f"budget ({stats.transient_errors} transient errors)")
+        elif stats.transient_errors:
+            check("device_retries", "warn",
+                  f"{stats.transient_errors} transient device error(s), "
+                  f"all recovered within the retry budget")
+        else:
+            check("device_retries", "ok", "no transient device errors")
+        if stats.partial_results:
+            check("degraded_queries", "fail",
+                  f"{stats.partial_results} degraded quer(ies) returned "
+                  f"partial results")
+        elif stats.degraded_queries:
+            check("degraded_queries", "warn",
+                  f"{stats.degraded_queries} quer(ies) served via the "
+                  f"degraded rescan fallback")
+        else:
+            check("degraded_queries", "ok", "no degraded queries")
+        journal = self.recovery.journal
+        occupancy = (journal.bytes_used / journal.capacity_bytes
+                     if journal.capacity_bytes else 0.0)
+        if self.recovery.poisoned:
+            check("wal", "fail",
+                  "recovery manager poisoned — remount required")
+        elif occupancy >= 0.9:
+            check("wal", "fail",
+                  f"journal {occupancy:.0%} full — checkpoints are not "
+                  f"keeping up")
+        elif occupancy >= self.recovery.checkpoint_threshold:
+            check("wal", "warn",
+                  f"journal {occupancy:.0%} full (past the "
+                  f"{self.recovery.checkpoint_threshold:.0%} "
+                  f"checkpoint threshold)")
+        else:
+            check("wal", "ok", f"journal {occupancy:.0%} full")
         worst = max((c["status"] for c in checks.values()),
-                    key=_HEALTH_LEVELS.__getitem__, default="ok")
+                    key=_HEALTH_LEVELS.__getitem__)
         return {"status": worst, "checks": checks}

@@ -641,10 +641,10 @@ class PersistentInvertedIndex:
         return not self._settling and len(self._view.edits) >= SETTLE_KEYS
 
     def _settle_if_due(self) -> None:
-        """The threshold trigger, called here only by a volatile engine: with
-        a WAL the facade runs the same test from the recovery manager's
-        ``after_commit`` hook — after the commit that crossed the line, never
-        inside its transaction."""
+        """The threshold trigger, called here only by a standalone index (no
+        recovery manager): with a WAL the facade runs the same test from the
+        recovery manager's ``after_commit`` hook — after the commit that
+        crossed the line, never inside its transaction."""
         if self.settle_due:
             self.settle()
 

@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from repro.btree import BPlusTree, DevicePageStore, InMemoryPageStore
+from repro.btree import BPlusTree, DevicePageStore
 from repro.cache import BufferPool
 from repro.errors import (
     InvalidRangeError,
@@ -53,10 +53,6 @@ _OID_END = b"\xff"
 _EXTENT_PREFIX = b"\xffE"
 _NAME_PREFIX = b"\xffN"
 
-#: keys per node of the volatile (``btree_on_device=False``) trees, which have
-#: no page to fill; on a device a node's bytes decide.
-_VOLATILE_MAX_KEYS = 32
-
 
 @dataclass
 class ObjectStoreStats:
@@ -75,31 +71,29 @@ class ObjectStoreStats:
 class ObjectStore:
     """The OSD: create, read, write, insert into and truncate objects.
 
+    The master btree (metadata, extent maps, name entries) lives on the
+    device too, its pages allocated from the same allocator as the data.
+
     :param device: block device for object data; a private device is created
         when omitted.
     :param allocator: buddy allocator over ``device``; created when omitted.
-    :param btree_on_device: persist the master btree (metadata, extent maps,
-        name entries) on the device too (pages allocated from the same
-        allocator).  Off by default so the common configuration charges
-        *data* I/O to the device and keeps index pages in memory, mirroring a
-        warmed metadata cache.
     :param max_extent_blocks: cap on a single extent's size; larger writes are
         split into several extents.
     :param buffer_pool: shared :class:`~repro.cache.BufferPool` for the
-        master btree when ``btree_on_device`` is set; a private pool of the
-        default size is created when omitted.
+        master btree; a private pool of the default size is created when
+        omitted.
     :param recovery: optional :class:`~repro.recovery.manager.RecoveryManager`.
         When set, every public mutator runs as one WAL transaction (so a
         multi-page update — btree split, extent re-keying, create/delete —
         is atomic across a crash), btree page writes are logged, and the
-        store is re-mountable via :meth:`mount`.
+        store is re-mountable via :meth:`mount`.  Without one (unit tests)
+        the store is not crash-safe.
     """
 
     def __init__(
         self,
         device: Optional[BlockDevice] = None,
         allocator: Optional[BuddyAllocator] = None,
-        btree_on_device: bool = False,
         max_extent_blocks: int = 1024,
         data_region_start: int = 0,
         buffer_pool: Optional[BufferPool] = None,
@@ -114,7 +108,6 @@ class ObjectStore:
             )
         self._init_shared_state(
             device,
-            btree_on_device=btree_on_device,
             max_extent_blocks=max_extent_blocks,
             buffer_pool=buffer_pool,
             recovery=recovery,
@@ -127,7 +120,6 @@ class ObjectStore:
         self,
         device: BlockDevice,
         *,
-        btree_on_device: bool,
         max_extent_blocks: int,
         buffer_pool: Optional[BufferPool],
         recovery,
@@ -144,15 +136,12 @@ class ObjectStore:
         if max_extent_blocks <= 0:
             raise ValueError("max_extent_blocks must be positive")
         self.device = device
-        self.btree_on_device = btree_on_device
         self.max_extent_blocks = max_extent_blocks
         self.stats = ObjectStoreStats()
-        if btree_on_device and buffer_pool is None:
-            buffer_pool = BufferPool()
-        self.buffer_pool = buffer_pool
-        self.recovery = recovery if btree_on_device else None
+        self.buffer_pool = buffer_pool if buffer_pool is not None else BufferPool()
+        self.recovery = recovery
         #: shared integrity context (retrying reads, quarantine, counters).
-        self.integrity = integrity if btree_on_device else None
+        self.integrity = integrity
         #: data chunk blocks per live object — one entry per live oid.
         self._chunks: Dict[int, Set[int]] = {}
         self._next_oid = 1
@@ -186,7 +175,6 @@ class ObjectStore:
         store = cls.__new__(cls)
         store._init_shared_state(
             device,
-            btree_on_device=True,
             max_extent_blocks=max_extent_blocks,
             buffer_pool=buffer_pool,
             recovery=recovery,
@@ -288,8 +276,6 @@ class ObjectStore:
         rebuilt from reachable structures only — and the element count is
         taken from the same walk instead of a second counting pass.
         """
-        if not self.btree_on_device:
-            raise ObjectStoreError("index trees require btree_on_device=True")
         if root_id is None:
             return self._new_tree(name, on_root_change=on_root_change)
         tree = self._new_tree(name, root_id=root_id, count=0,
@@ -302,8 +288,6 @@ class ObjectStore:
         """Current ``(page_store, root_id)`` of the one on-device tree this
         store owns — the scrubber's walk roots.  The facade appends the
         persistent index trees, which it owns."""
-        if not self.btree_on_device:
-            return []
         return [(self._master.store, self._master.root_id)]
 
     def check_consistency(self) -> Dict[str, object]:
@@ -342,11 +326,8 @@ class ObjectStore:
     # ------------------------------------------------------------ internals
 
     def _new_tree(self, name: str, **attach) -> BPlusTree:
-        """A btree over this store's kind of pages; ``attach`` is
-        :class:`BPlusTree`'s ``root_id`` / ``count`` / ``on_root_change``."""
-        if not self.btree_on_device:
-            return BPlusTree(store=InMemoryPageStore(),
-                             max_keys=_VOLATILE_MAX_KEYS, **attach)
+        """A btree over device pages from this store's allocator; ``attach``
+        is :class:`BPlusTree`'s ``root_id`` / ``count`` / ``on_root_change``."""
         page_store = DevicePageStore(
             self.device,
             self.allocator,
@@ -523,9 +504,8 @@ class ObjectStore:
             except KeyNotFoundError:
                 return False
 
-    def _entry_budget(self) -> Optional[int]:
-        """Bytes one master-tree entry may take: half a page (``None`` for
-        volatile trees, which have no page).
+    def _entry_budget(self) -> int:
+        """Bytes one master-tree entry may take: half a page.
 
         Half, not a whole one: a node that outgrows its page splits in two,
         and two halves that both fit exist only while no entry — and no
@@ -535,14 +515,13 @@ class ObjectStore:
         the enclosing WAL transaction logged pages, poisoning the
         filesystem, so callers validate before mutating anything.
         """
-        page_bytes = getattr(self._master.store, "page_bytes", None)
-        return None if page_bytes is None else page_bytes // 2
+        return self._master.store.page_bytes // 2
 
     def _check_metadata_record(self, metadata: ObjectMetadata) -> None:
         """Reject a metadata record over :meth:`_entry_budget`.  The slack
         covers the size and timestamps stamped later in the operation."""
         budget = self._entry_budget()
-        if budget is not None and len(metadata.to_bytes()) + 256 > budget:
+        if len(metadata.to_bytes()) + 256 > budget:
             raise ObjectStoreError(
                 f"metadata record of {len(metadata.to_bytes())} bytes cannot "
                 f"fit half a btree page ({budget} bytes; trim the attributes)"
@@ -552,7 +531,7 @@ class ObjectStore:
         """Reject a name entry over :meth:`_entry_budget`."""
         budget = self._entry_budget()
         key_len = len(_NAME_PREFIX) + _OID.size + len(name.encode("utf-8"))
-        if budget is not None and key_len + 64 > budget:
+        if key_len + 64 > budget:
             raise ObjectStoreError(
                 f"name entry of {key_len} bytes cannot fit half a btree page "
                 f"({budget} bytes)"
@@ -697,14 +676,11 @@ class ObjectStore:
             )
             result[overlap_start - offset:overlap_end - offset] = chunk
         metadata.touch_accessed(self._tick())
-        if self.recovery is None:
-            self._save_metadata(oid, metadata)
-        else:
-            # relatime: persisting an access time costs a logged page write
-            # plus a journal sync per read, so it rides the next real
-            # mutation instead (stat() sees it immediately via _require;
-            # a crash loses at most recent access times, never data).
-            self._pending_atime[oid] = metadata.accessed_at
+        # relatime: persisting an access time costs a logged page write plus
+        # a journal sync per read, so it rides the next real mutation
+        # instead (stat() sees it immediately via _require; a crash loses at
+        # most recent access times, never data).
+        self._pending_atime[oid] = metadata.accessed_at
         self.stats.bytes_read += length
         return bytes(result)
 

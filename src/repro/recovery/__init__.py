@@ -3,8 +3,8 @@
 The hFAD design keeps *all* naming state — tag indices, postings, object
 metadata — in B+-trees on the object store, so a crash that tears those
 trees corrupts the entire namespace, not just one directory.  This package
-is the durability layer that makes the write-back configuration (the fast
-one) also the safe one:
+is the durability layer under every filesystem: it makes write-back btrees
+(the fast design) also the safe one:
 
 * :class:`~repro.recovery.manager.RecoveryManager` — ARIES-lite redo-only
   write-ahead logging with LSNs, no-force/no-steal buffer management, group
@@ -21,9 +21,9 @@ one) also the safe one:
   write) after the Nth write, then hands the surviving stable-storage image
   to a re-mount for audit.
 
-Entry points: ``HFADFileSystem(btree_on_device=True)`` formats a device with
-this layer; ``HFADFileSystem.mount(device)`` re-opens one, replaying the
-committed journal tail before any index is touched.
+Entry points: ``HFADFileSystem()`` formats a device with this layer;
+``HFADFileSystem.mount(device)`` re-opens one, replaying the committed
+journal tail before any index is touched.
 """
 
 from repro.recovery.crash import CrashError, CrashingBlockDevice

@@ -96,7 +96,7 @@ class Superblock:
         if magic != _MAGIC:
             raise RecoveryError(
                 "no hFAD superblock on this device (was it ever formatted "
-                "with btree_on_device=True?)"
+                "by an HFADFileSystem?)"
             )
         payload = raw[_PREFIX.size:_PREFIX.size + length]
         if len(payload) < length or (zlib.crc32(payload) & 0xFFFFFFFF) != crc:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 class WriteBatcher:
@@ -48,12 +48,10 @@ class WriteBatcher:
             "forced_flushes": 0,
             "ack_timeouts": 0,
         }
-        if recovery is not None:
-            recovery.add_durable_listener(self._on_durable)
+        recovery.add_durable_listener(self._on_durable)
 
     def close(self) -> None:
-        if self.recovery is not None:
-            self.recovery.remove_durable_listener(self._on_durable)
+        self.recovery.remove_durable_listener(self._on_durable)
         with self._lock:
             waiters, self._waiters = self._waiters, []
         for _lsn, _seq, future in waiters:
@@ -81,17 +79,10 @@ class WriteBatcher:
 
     # -- the awaitable ack ----------------------------------------------------
 
-    async def wait_durable(self, lsn: Optional[int]) -> bool:
-        """Await durability of everything up to ``lsn``; True on success.
-
-        ``None`` (no recovery manager / in-memory trees) acks immediately:
-        there is nothing durable to promise.
-        """
+    async def wait_durable(self, lsn: int) -> bool:
+        """Await durability of everything up to ``lsn``; True on success."""
         recovery = self.recovery
-        if recovery is None or lsn is None or lsn <= 0:
-            self.stats["acks_immediate"] += 1
-            return True
-        if recovery.journal.durable_lsn >= lsn:
+        if lsn <= 0 or recovery.journal.durable_lsn >= lsn:
             self.stats["acks_immediate"] += 1
             return True
         future = self.loop.create_future()

@@ -291,7 +291,7 @@ class Server:
                 out = fn()
             # Upper bound on this write's commit-marker LSN: captured after
             # the call returns, before handing back to the event loop.
-            lsn = recovery.journal.last_lsn if recovery is not None else None
+            lsn = recovery.journal.last_lsn
             return out, lsn
         started = perf_counter()
         result, lsn = await self.loop.run_in_executor(self.executor, work)

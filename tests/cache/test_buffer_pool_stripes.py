@@ -189,7 +189,7 @@ def test_single_stripe_keeps_global_lru_order():
 _FIXED_OP_LIST = """
 import json
 from repro.core import HFADFileSystem
-fs = HFADFileSystem(num_blocks=1 << 15, btree_on_device=True, cache_pages=64)
+fs = HFADFileSystem(num_blocks=1 << 15, cache_pages=64)
 oids = [fs.create(f"document {i} about topic{i % 7} and word{i % 13}".encode(),
                   owner=f"user{i % 5}", annotations=[f"label{i % 11}"])
         for i in range(400)]

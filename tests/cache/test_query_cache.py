@@ -257,7 +257,6 @@ class TestThroughFileSystem:
 
         with HFADFileSystem(query_cache_entries=0) as fs:
             assert fs.query_cache is None
-            assert fs.buffer_pool is None
             fs.create(b"", owner="margo")
             before = fs.registry.stats.lookups
             fs.query("USER/margo")

@@ -17,7 +17,7 @@ from repro.errors import CacheError
 
 @pytest.fixture()
 def fs():
-    fs = HFADFileSystem(btree_on_device=False)
+    fs = HFADFileSystem()
     fs.create(b"beach vacation photos from the island", owner="a")
     fs.create(b"beach umbrella receipt", owner="b")
     fs.create(b"quarterly report nothing relevant", owner="c")
@@ -77,7 +77,7 @@ def test_snapshot_and_stats_surface(fs):
 def test_capacity_eviction_and_validation():
     with pytest.raises(CacheError):
         RankedResultCache(registry=None, tag="FULLTEXT", capacity=0)
-    fs = HFADFileSystem(btree_on_device=False, query_cache_entries=2)
+    fs = HFADFileSystem(query_cache_entries=2)
     try:
         fs.create(b"alpha beta gamma delta", owner="a")
         assert fs.ranked_cache is not None
@@ -89,7 +89,7 @@ def test_capacity_eviction_and_validation():
 
 
 def test_disabled_with_query_cache():
-    fs = HFADFileSystem(btree_on_device=False, query_cache_entries=0)
+    fs = HFADFileSystem(query_cache_entries=0)
     try:
         fs.create(b"alpha beta", owner="a")
         assert fs.ranked_cache is None

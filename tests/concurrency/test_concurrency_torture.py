@@ -44,7 +44,7 @@ WORDS = (
 
 def build_fs(device):
     return HFADFileSystem(
-        device=device, btree_on_device=True,
+        device=device,
         journal_blocks=511, cache_pages=48, query_cache_entries=0,
     )
 
@@ -198,7 +198,7 @@ DOCS_PER_CLIENT = 10
 
 def build_served_fs(device):
     return HFADFileSystem(
-        device=device, btree_on_device=True,
+        device=device,
         journal_blocks=511, cache_pages=48, query_cache_entries=0,
         group_commit=4, sync_interval_ms=15.0,
     )

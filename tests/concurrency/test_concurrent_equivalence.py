@@ -45,7 +45,7 @@ QUERY_THREADS = 2
 
 def make_fs(**overrides):
     options = dict(
-        num_blocks=1 << 16, btree_on_device=True,
+        num_blocks=1 << 16,
         query_cache_entries=0,
     )
     options.update(overrides)

@@ -12,7 +12,7 @@ from repro.fulltext import persistent_index
 
 @pytest.fixture()
 def fs():
-    with HFADFileSystem(btree_on_device=True, num_blocks=1 << 15) as fs:
+    with HFADFileSystem(num_blocks=1 << 15) as fs:
         yield fs
 
 
@@ -92,7 +92,7 @@ class TestSettleUnderWriters:
         # waiting for the gate while holding a lock writers queue on would
         # wedge here.
         monkeypatch.setattr(persistent_index, "SETTLE_KEYS", 16)
-        fs = HFADFileSystem(btree_on_device=True, num_blocks=1 << 15, journal_blocks=63)
+        fs = HFADFileSystem(num_blocks=1 << 15, journal_blocks=63)
         created, errors = {}, []
 
         def worker(number):

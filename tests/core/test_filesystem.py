@@ -86,6 +86,22 @@ class TestAccessThroughFacade:
         assert metadata.owner == "margo"
         assert metadata.attributes == {"type": "note", "project": "hfad"}
 
+    def test_engine_attributes_are_reserved(self, fs):
+        # ``hfad.ci`` decides what a mount re-tracks: callers may neither
+        # see it nor set it, and a refusal logs nothing.
+        oid = fs.create(b"x")
+        journal = fs.recovery.journal
+        for attempt in (lambda: fs.set_attributes(oid, **{"hfad.ci": "1"}),
+                        lambda: fs.create(b"y", attributes={"hfad.ci": "0"})):
+            logged = journal.bytes_appended
+            with pytest.raises(ValueError, match="reserved"):
+                attempt()
+            assert journal.bytes_appended == logged
+        assert not fs.recovery.poisoned
+        assert fs.list_objects() == [oid]
+        assert fs.stat(oid).attributes == {}
+        assert fs.objects.stat(oid).attributes == {"hfad.ci": "1"}
+
 
 class TestNamingThroughFacade:
     def test_find_conjunction(self, fs):
@@ -172,7 +188,7 @@ class TestNamingThroughFacade:
 
 class TestTransactionsThroughFacade:
     def test_commit_keeps_everything(self):
-        with HFADFileSystem(btree_on_device=True, num_blocks=1 << 14) as fs:
+        with HFADFileSystem(num_blocks=1 << 14) as fs:
             with fs.begin():
                 oid = fs.create(b"durable", path="/d")
                 fs.tag(oid, "UDEF", "kept")
@@ -214,15 +230,14 @@ class TestStats:
 
 
 def test_one_fulltext_engine(fs):
-    """Volatility is a property of the page store, not of the index class."""
-    on_device = HFADFileSystem(btree_on_device=True, num_blocks=1 << 14)
-    assert type(fs.fulltext_index.index) is type(on_device.fulltext_index.index)
+    """Volatility is a property of the page store, not of the index class:
+    the standalone index over in-memory pages is the engine's own class."""
+    assert type(fs.fulltext_index.index) is repro.fulltext.PersistentInvertedIndex
     assert not {"InvertedIndex", "PostingList", "Posting"} & set(dir(repro.fulltext))
-    on_device.close()
 
 
 def test_constructor_surface():
-    """On-device means one engine: the mode-selecting knobs are gone."""
+    """One engine: the mode-selecting knobs are gone."""
     import inspect
 
     parameters = inspect.signature(HFADFileSystem.__init__).parameters
@@ -231,6 +246,11 @@ def test_constructor_surface():
         assert name not in parameters
         with pytest.raises(TypeError):
             HFADFileSystem(**{name: value})
+    # The one legacy keyword only ever names the WAL engine.
+    with pytest.raises(ValueError, match="volatile"):
+        HFADFileSystem(btree_on_device=False)
+    with HFADFileSystem(btree_on_device=True) as fs:
+        assert fs.stats()["recovery"]["mode"] == "wal"
 
 
 def test_one_index_apply_path_surface():
@@ -267,9 +287,14 @@ def test_one_index_apply_path_surface():
                 operation(*args, txn=None)
 
 
-@pytest.mark.parametrize("on_device", [False, True])
-def test_content_indexing_toggles_refuse_an_unknown_object(on_device):
-    with HFADFileSystem(btree_on_device=on_device, num_blocks=1 << 14) as fs:
+@pytest.mark.parametrize("remounted", [False, True])
+def test_content_indexing_toggles_refuse_an_unknown_object(remounted):
+    fs = HFADFileSystem(num_blocks=1 << 14)
+    if remounted:
+        fs.create(b"tracked before the remount")
+        fs.close()
+        fs = HFADFileSystem.mount(fs.device)
+    with fs:
         for toggle in (fs.enable_content_indexing, fs.disable_content_indexing):
             with pytest.raises(NoSuchObjectError):
                 toggle(999)

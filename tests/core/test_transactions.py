@@ -3,19 +3,15 @@
 import pytest
 
 from repro.core import HFADFileSystem
-from repro.errors import RecoveryError
 from repro.storage import BlockDevice
 
 
 class TestWalBracket:
-    """On a device, a group is one WAL transaction."""
+    """A group is one WAL transaction."""
 
     def make_fs(self):
         device = BlockDevice(num_blocks=1 << 14, block_size=512)
-        return HFADFileSystem(
-            device=device, btree_on_device=True,
-            journal_blocks=127, cache_pages=64,
-        )
+        return HFADFileSystem(device=device, journal_blocks=127, cache_pages=64)
 
     def test_group_commits_as_one_wal_transaction(self):
         fs = self.make_fs()
@@ -49,11 +45,3 @@ class TestWalBracket:
         assert not fs.recovery.poisoned
         fs.tag(oid, "UDEF", "still-works")
         assert fs.find(("UDEF", "still-works")) == [oid]
-
-
-def test_volatile_mode_refuses_a_group():
-    # In-memory trees have no log to make a group atomic with: refuse
-    # instead of silently giving no atomicity.
-    with HFADFileSystem() as fs:
-        with pytest.raises(RecoveryError, match="btree_on_device"):
-            fs.begin()

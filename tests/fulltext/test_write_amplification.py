@@ -41,7 +41,7 @@ def test_a_create_writes_at_most_one_index_page_per_distinct_term():
     # ... by a wide margin: a handful of pages per create, a quarter of a page
     # per distinct term once the settles are counted in.
     rng = random.Random(19)
-    fs = HFADFileSystem(btree_on_device=True, num_blocks=1 << 16)
+    fs = HFADFileSystem(num_blocks=1 << 16)
     index = fs.fulltext_index.index
     store = index.tree.store
 
@@ -75,7 +75,7 @@ def _metadata_heavy_blocks_written(group_commit):
     """Creates, tags, appends and deletes over the tiny vocabulary; returns
     the device blocks written, the closing settle included."""
     rng = random.Random(11)
-    fs = HFADFileSystem(btree_on_device=True, num_blocks=1 << 16, cache_pages=128,
+    fs = HFADFileSystem(num_blocks=1 << 16, cache_pages=128,
                         query_cache_entries=0, group_commit=group_commit)
     before = fs.device.stats.snapshot()
     oids = []

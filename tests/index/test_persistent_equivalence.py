@@ -1,11 +1,10 @@
-"""Randomized equivalence: persisted index == in-memory index, across remounts.
+"""Randomized equivalence: a remounted engine == the never-remounted one.
 
 The persisted-index contract is *transparency*: the same workload run
-against a WAL device with persistent index trees and against a plain
-in-memory filesystem must produce identical ``query``/``search_text``/
-``rank_text`` answers — before an unmount, after a re-mount, and after
-continuing the workload on the re-mounted instance.  Exercised with
-unlink/rename churn.
+against two engines, one of which is unmounted and re-mounted midway, must
+produce identical ``query``/``search_text``/``rank_text`` answers — before
+the unmount, after the re-mount, and after continuing the workload on the
+re-mounted instance.  Exercised with unlink/rename churn.
 """
 
 import random
@@ -85,7 +84,7 @@ def apply_ops(fs, ops, oid_by_serial):
 
 
 def assert_equivalent(reference, candidate):
-    """Reference (in-memory) and candidate must answer identically."""
+    """Reference (never remounted) and candidate must answer identically."""
     assert candidate.list_objects() == reference.list_objects()
     for word in WORDS:
         assert candidate.search_text(word) == reference.search_text(word), word
@@ -108,11 +107,7 @@ def assert_equivalent(reference, candidate):
 
 def build_pair():
     device = BlockDevice(num_blocks=1 << 16)
-    persistent = HFADFileSystem(
-        device=device,
-        btree_on_device=True,
-        query_cache_entries=0,
-    )
+    persistent = HFADFileSystem(device=device, query_cache_entries=0)
     reference = HFADFileSystem(query_cache_entries=0)
     return device, persistent, reference
 
@@ -134,7 +129,7 @@ def test_persistent_equals_in_memory_across_remount(seed):
     assert_equivalent(reference, mounted)
 
     # Continue the workload on the re-mounted instance: the persisted trees
-    # must keep absorbing mutations exactly like the in-memory index.
+    # must keep absorbing mutations exactly like the never-remounted engine.
     more = make_ops(seed + 1, steps=30, start_step=STEPS)
     apply_ops(mounted, more, oids_p)
     apply_ops(reference, more, oids_r)

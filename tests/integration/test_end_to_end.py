@@ -155,7 +155,7 @@ class TestDevicePersistenceIntegration:
 
     def test_extent_maps_written_to_device_are_rereadable(self, extent_leaf):
         device = BlockDevice(num_blocks=1 << 15)
-        fs = HFADFileSystem(device=device, btree_on_device=True)
+        fs = HFADFileSystem(device=device)
         oid = fs.create(b"persisted payload " * 100, path="/data.bin", index_content=False)
         fs.insert(oid, 10, b"[mark]")
         expected = fs.read(oid)

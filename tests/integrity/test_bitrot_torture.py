@@ -46,7 +46,7 @@ def build_image(seed):
     """One deterministic pristine image; returns (blocks, expected, oids)."""
     rng = random.Random(seed)
     device = BlockDevice(num_blocks=1 << 14)
-    fs = HFADFileSystem(device=device, btree_on_device=True,
+    fs = HFADFileSystem(device=device,
                         query_cache_entries=0)
     oids = []
     for i in range(22):

@@ -66,7 +66,7 @@ class TestCrashTornPages:
         # nothing left to repair.
         for crash_at in range(0, 12, 3):
             device = CrashingBlockDevice(num_blocks=1 << 14, block_size=512)
-            fs = HFADFileSystem(device=device, btree_on_device=True,
+            fs = HFADFileSystem(device=device,
                                 journal_blocks=511, query_cache_entries=0)
             oids = self._workload(fs)
             device.plan_crash(crash_at, torn_rng=random.Random(crash_at))
@@ -93,7 +93,7 @@ class TestCrashTornPages:
         # scrub, and queries never return wrong answers.
         for crash_at in range(2, 26, 4):
             device = CrashingBlockDevice(num_blocks=1 << 14, block_size=512)
-            fs = HFADFileSystem(device=device, btree_on_device=True,
+            fs = HFADFileSystem(device=device,
                                 journal_blocks=511, query_cache_entries=0)
             device.plan_crash(crash_at, torn_rng=random.Random(crash_at * 7))
             oids = []
@@ -117,7 +117,7 @@ class TestCrashTornPages:
 class TestFrameOverheadAccounting:
     def test_page_capacity_shrinks_by_frame_overhead(self):
         device = CrashingBlockDevice(num_blocks=1 << 14, block_size=512)
-        fs = HFADFileSystem(device=device, btree_on_device=True)
+        fs = HFADFileSystem(device=device)
         store = fs.objects._master.store
         assert store.page_bytes == PAGE_BYTES - FRAME_OVERHEAD
         assert store.page_blocks * device.block_size == PAGE_BYTES

@@ -11,13 +11,16 @@ import pytest
 
 from repro.core import HFADFileSystem
 from repro.errors import CorruptionError
+from repro.index import KeyValueIndexStore
 from repro.storage import BlockDevice
 
 
-def quarantined_fulltext_fs(count=15):
-    """A filesystem whose full-text tree root is quarantined beyond repair."""
+def quarantined_fulltext_fs(count=15, setup=lambda fs: None, **kwargs):
+    """A filesystem whose full-text tree root is quarantined beyond repair;
+    ``setup`` runs on the fresh filesystem before it is populated."""
     device = BlockDevice(num_blocks=1 << 14)
-    fs = HFADFileSystem(device=device, btree_on_device=True)
+    fs = HFADFileSystem(device=device, **kwargs)
+    setup(fs)
     oids = [
         fs.create(
             content=f"shared corpus words plus unique{i} token".encode(),
@@ -59,6 +62,18 @@ class TestDegradedSearch:
         assert fs.stats()["integrity"]["degraded_queries"] >= 1
         fs.close()
 
+    def test_caller_registered_stores_survive_degradation(self):
+        # The rescue stack keeps the live routing: a store registered on
+        # ``fs.registry`` still answers its tag beside the rescue index.
+        _device, fs, oids = quarantined_fulltext_fs(
+            count=10, query_cache_entries=0,
+            setup=lambda fs: fs.registry.register(KeyValueIndexStore(tags=["PROJ"])))
+        for oid in oids[1::2]:
+            fs.tag(oid, "PROJ", "hfad")
+        assert fs.query("FULLTEXT/corpus AND PROJ/hfad") == [2, 4, 6, 8, 10]
+        assert fs.stats()["integrity"]["degraded_queries"] >= 1
+        fs.close()
+
     def test_rescue_stack_runs_the_same_engine(self):
         _device, fs, _oids = quarantined_fulltext_fs()
         rescue = fs._rescue_naming()[0].registry.store_for("FULLTEXT")
@@ -75,7 +90,7 @@ class TestDegradedSearch:
         fs.close()
 
         device2 = BlockDevice(num_blocks=1 << 14)
-        fs2 = HFADFileSystem(device=device2, btree_on_device=True)
+        fs2 = HFADFileSystem(device=device2)
         oid = fs2.create(b"plain content", path="/kw.txt")
         fs2.tag(oid, "FULLTEXT", "handpicked")
         fs2.checkpoint()
@@ -102,7 +117,7 @@ def quarantined_extent_leaf_fs(extent_leaf, count=150):
     a mid-corpus object's extents both quarantined beyond repair; returns
     ``(fs, oids, victims)``, victims being every oid with extents there."""
     device = BlockDevice(num_blocks=1 << 15)
-    fs = HFADFileSystem(device=device, btree_on_device=True)
+    fs = HFADFileSystem(device=device)
     oids = [
         fs.create(content=f"partial corpus item {i}".encode(), path=f"/p/{i}.txt")
         for i in range(count)
@@ -150,7 +165,7 @@ class TestPartialResults:
 class TestSurfacedCorruption:
     def test_master_tree_damage_is_never_silent(self):
         device = BlockDevice(num_blocks=1 << 14)
-        fs = HFADFileSystem(device=device, btree_on_device=True)
+        fs = HFADFileSystem(device=device)
         oids = [
             fs.create(content=f"master damage probe {i}".encode(),
                       path=f"/m/{i}.txt")

@@ -182,7 +182,7 @@ class TestFilesystemRetryPath:
         from repro.core import HFADFileSystem
 
         dev = BlockDevice(num_blocks=1 << 14)
-        fs = HFADFileSystem(device=dev, btree_on_device=True)
+        fs = HFADFileSystem(device=dev)
         fs.integrity.sleep = lambda _s: None  # no real sleeping in tests
         oid = fs.create(b"transient fault survivor", path="/t.txt")
         fs.checkpoint()

@@ -10,7 +10,7 @@ from repro.storage import BlockDevice
 
 def make_fs():
     device = BlockDevice(num_blocks=1 << 14)
-    fs = HFADFileSystem(device=device, btree_on_device=True)
+    fs = HFADFileSystem(device=device)
     fs.create(b"fsck probe content", path="/probe.txt")
     fs.checkpoint()
     return device, fs

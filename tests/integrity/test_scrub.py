@@ -3,13 +3,13 @@
 import pytest
 
 from repro.core import HFADFileSystem
-from repro.errors import CorruptionError, RecoveryError
+from repro.errors import CorruptionError
 from repro.storage import BlockDevice
 
 
 def make_fs(num_blocks=1 << 14, **kwargs):
     device = BlockDevice(num_blocks=num_blocks)
-    fs = HFADFileSystem(device=device, btree_on_device=True, **kwargs)
+    fs = HFADFileSystem(device=device, **kwargs)
     return device, fs
 
 
@@ -43,12 +43,6 @@ class TestCleanScrub:
         report = fs.scrub()  # no checkpoint: most pages still dirty
         assert report.skipped_dirty > 0
         assert report.repaired == 0 and report.quarantined == 0
-        fs.close()
-
-    def test_scrub_requires_on_device_trees(self):
-        fs = HFADFileSystem()  # in-memory
-        with pytest.raises(RecoveryError):
-            fs.scrub()
         fs.close()
 
 

@@ -40,7 +40,7 @@ def page_ids(tree):
 
 def test_trees_are_byte_filled_page_bytes_pages():
     rng = random.Random(23)
-    fs = HFADFileSystem(btree_on_device=True, num_blocks=1 << 16)
+    fs = HFADFileSystem(num_blocks=1 << 16)
     allocator, device = fs.objects.allocator, fs.device
     held_by_mkfs = allocator.allocated_blocks
     for number in range(DOCUMENTS):

@@ -20,7 +20,7 @@ from repro.query.cursors import materialize
 
 @pytest.fixture()
 def fs():
-    fs = HFADFileSystem(btree_on_device=False, query_cache_entries=0)
+    fs = HFADFileSystem(query_cache_entries=0)
     for index in range(40):
         owner = "margo" if index % 20 == 0 else f"user{index}"
         annotations = ["vacation"] if index % 2 else ["beach"]

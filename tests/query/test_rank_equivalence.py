@@ -161,7 +161,7 @@ def test_fs_rank_equivalence_across_remount_and_churn(seed):
     rng = random.Random(seed * 31)
     device = BlockDevice(num_blocks=1 << 16)
     fs = HFADFileSystem(
-        device=device, btree_on_device=True, query_cache_entries=0
+        device=device, query_cache_entries=0
     )
     oids, serial = [], 0
     serial = fs_ops(rng, fs, oids, serial)

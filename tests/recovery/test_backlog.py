@@ -25,7 +25,7 @@ def make_fs(**kwargs):
     device = BlockDevice(num_blocks=1 << 14, block_size=512)
     kwargs.setdefault("journal_blocks", 127)
     kwargs.setdefault("cache_pages", 64)
-    return device, HFADFileSystem(device=device, btree_on_device=True, **kwargs)
+    return device, HFADFileSystem(device=device, **kwargs)
 
 
 def clone(device):
@@ -177,7 +177,7 @@ class TestJournalSizing:
     def test_a_view_larger_than_the_journal_settles_on_a_64_block_journal(self, monkeypatch):
         monkeypatch.setattr(persistent_index, "SETTLE_KEYS", sys.maxsize)
         device = BlockDevice(num_blocks=1 << 15)
-        fs = HFADFileSystem(device=device, btree_on_device=True, journal_blocks=64)
+        fs = HFADFileSystem(device=device, journal_blocks=64)
         rng = random.Random(5)
         corpus = {}
         for number in range(150):

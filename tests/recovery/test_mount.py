@@ -16,7 +16,6 @@ from repro.storage import BlockDevice
 def make_fs(device=None, **kwargs):
     if device is None:
         device = BlockDevice(num_blocks=1 << 14, block_size=512)
-    kwargs.setdefault("btree_on_device", True)
     kwargs.setdefault("journal_blocks", 127)
     kwargs.setdefault("cache_pages", 64)
     return device, HFADFileSystem(device=device, **kwargs)
@@ -245,15 +244,11 @@ class TestMountErrors:
         with pytest.raises(ValueError):
             HFADFileSystem(
                 device=BlockDevice(num_blocks=64, block_size=512),
-                btree_on_device=True, journal_blocks=255,
+                journal_blocks=255,
             )
 
 
 class TestDurabilityModes:
-    def test_volatile_mode_reported_for_in_memory_trees(self):
-        fs = HFADFileSystem(btree_on_device=False)
-        assert fs.stats()["recovery"] == {"mode": "volatile"}
-
     def test_wal_stats_present(self):
         _, fs = make_fs()
         fs.create(b"counted")
@@ -270,7 +265,7 @@ class TestGroupCommitReuse:
         # resurrected A must still read back its own bytes.
         device = BlockDevice(num_blocks=1 << 14, block_size=512)
         fs = HFADFileSystem(
-            device=device, btree_on_device=True,
+            device=device,
             journal_blocks=127, cache_pages=64, group_commit=8,
         )
         a = fs.create(b"A" * 4096, path="/a.bin", index_content=False)
@@ -423,7 +418,7 @@ class TestPageDeltas:
         # perfbench's "known engine issue" 1: close() logs one page per
         # distinct object read since the last checkpoint in ONE transaction;
         # as full page images that was ~2 MB against a 2 MB journal.
-        fs = HFADFileSystem(num_blocks=1 << 18, btree_on_device=True)
+        fs = HFADFileSystem(num_blocks=1 << 18)
         oids = [fs.create(b"x") for _ in range(1000)]
         fs.checkpoint()
         for oid in oids:

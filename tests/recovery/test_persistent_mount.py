@@ -67,7 +67,6 @@ def snapshot_answers(fs):
 def make_fs(device):
     return HFADFileSystem(
         device=device,
-        btree_on_device=True,
         query_cache_entries=0,
     )
 

@@ -152,7 +152,7 @@ class TestFormatVersions:
         from repro.core import HFADFileSystem
 
         device = BlockDevice(num_blocks=1 << 14)
-        fs = HFADFileSystem(device=device, btree_on_device=True)
+        fs = HFADFileSystem(device=device)
         oids = [fs.create(b"object %d" % number, path=f"/o{number}") for number in range(5)]
         master = fs.objects._master
         with fs.recovery.transaction():  # committed, never written home

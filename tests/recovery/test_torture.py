@@ -44,7 +44,6 @@ def build_fs(device):
     # sized up from the pre-persistent 127 blocks.
     return HFADFileSystem(
         device=device,
-        btree_on_device=True,
         journal_blocks=511,
         cache_pages=48,
         query_cache_entries=0,
@@ -257,7 +256,7 @@ def verify(fs, model):
             f"postings outlived their objects: {sorted(indexed - live)}"
         )
         for oid in live:
-            flagged = fs.stat(oid).attributes.get("hfad.ci") == "1"
+            flagged = fs.objects.stat(oid).attributes.get("hfad.ci") == "1"
             if flagged and engine.analyzer.analyze_with_positions(fs.read(oid)):
                 assert oid in indexed, f"flagged object {oid} has no document record"
             if oid in indexed:

@@ -20,7 +20,7 @@ from repro.serve.session import MAX_PENDING_RESULTS, Session
 @pytest.fixture()
 def fs():
     fs = HFADFileSystem(
-        btree_on_device=True, journal_blocks=511,
+        journal_blocks=511,
         num_blocks=1 << 14, group_commit=4, sync_interval_ms=5.0,
     )
     yield fs
@@ -167,7 +167,7 @@ def test_batched_acks_share_journal_syncs(tmp_path):
     syncs_per_ack = {}
     for label, group_commit in (("every-commit", 1), ("batched", 8)):
         fs = HFADFileSystem(
-            btree_on_device=True, journal_blocks=511, num_blocks=1 << 15,
+            journal_blocks=511, num_blocks=1 << 15,
             query_cache_entries=0, group_commit=group_commit,
         )
         handle = serve_in_thread(

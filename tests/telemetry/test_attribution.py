@@ -5,7 +5,7 @@ The centerpiece is the *differential* suite: for every user-facing
 operation the attribution record must equal the deltas of the component
 counters (buffer pool hits/misses, journal bytes/syncs) across exactly
 that operation — proving the contextvar scope covers the whole operation
-and nothing outside it, in both WAL and in-memory configurations.
+and nothing outside it.
 """
 
 import threading
@@ -27,25 +27,18 @@ from repro.telemetry.tracing import QueryTracer
 
 @pytest.fixture()
 def wal_fs():
-    with HFADFileSystem(num_blocks=1 << 16, btree_on_device=True,
-                        query_cache_entries=0) as fs:
-        yield fs
-
-
-@pytest.fixture()
-def mem_fs():
-    with HFADFileSystem(query_cache_entries=0) as fs:
+    with HFADFileSystem(num_blocks=1 << 16, query_cache_entries=0) as fs:
         yield fs
 
 
 def _component_counters(fs):
     pool = fs.buffer_pool
-    journal = fs.recovery.journal if fs.recovery is not None else None
+    journal = fs.recovery.journal
     return {
-        "cache_hits": pool.stats.hits if pool is not None else 0,
-        "cache_misses": pool.stats.misses if pool is not None else 0,
-        "wal_bytes": journal.bytes_appended if journal is not None else 0,
-        "wal_syncs": journal.syncs if journal is not None else 0,
+        "cache_hits": pool.stats.hits,
+        "cache_misses": pool.stats.misses,
+        "wal_bytes": journal.bytes_appended,
+        "wal_syncs": journal.syncs,
     }
 
 
@@ -139,19 +132,6 @@ class TestDifferentialExactness:
         wal_fs.checkpoint()  # its settle is absorbed into the checkpoint's record
         assert wal_fs.operations(1)[0]["kind"] == "checkpoint"
         assert wal_fs.stats()["persistent_index"]["fulltext_backlog_docs"] == 0
-
-    def test_in_memory_operations_report_no_device_or_wal_traffic(self, mem_fs):
-        op, deltas = _run_attributed(
-            mem_fs, lambda: mem_fs.create(content=b"alpha beta", owner="kim"))
-        assert op["kind"] == "create"
-        assert deltas == {"cache_hits": 0, "cache_misses": 0,
-                          "wal_bytes": 0, "wal_syncs": 0}
-        for key in ("pages_read", "pages_written", "cache_hits",
-                    "cache_misses", "wal_bytes", "wal_records", "wal_syncs"):
-            assert op[key] == 0, (key, op)
-        mem_fs.rank("alpha", limit=5)
-        rank = mem_fs.operations(1)[0]
-        assert rank["kind"] == "rank" and rank["wal_bytes"] == 0
 
     def test_ledger_totals_equal_sum_of_operation_records(self, wal_fs):
         for index in range(8):
@@ -294,14 +274,14 @@ class TestSlowQueryLog:
         with pytest.raises(ValueError):
             SlowQueryLog(capacity=0)
 
-    def test_fs_captures_slow_queries_with_reports(self, mem_fs):
+    def test_fs_captures_slow_queries_with_reports(self, wal_fs):
         for index in range(10):
-            mem_fs.create(content=b"alpha beta gamma",
+            wal_fs.create(content=b"alpha beta gamma",
                           owner="margo" if index % 2 else "keith")
-        mem_fs.set_slow_query_threshold(0.0)   # everything is "slow" now
-        mem_fs.query("USER/margo AND FULLTEXT/alpha")
-        mem_fs.rank("alpha beta", limit=5)
-        entries = mem_fs.slow_queries()
+        wal_fs.set_slow_query_threshold(0.0)   # everything is "slow" now
+        wal_fs.query("USER/margo AND FULLTEXT/alpha")
+        wal_fs.rank("alpha beta", limit=5)
+        entries = wal_fs.slow_queries()
         by_kind = {entry["kind"]: entry for entry in entries}
         boolean = by_kind["query"]
         assert boolean["report_reexecuted"] is True
@@ -311,9 +291,9 @@ class TestSlowQueryLog:
         ranked = by_kind["rank"]
         assert ranked["report"]["kind"] == "ranked"   # the slow run's own span
         assert "report_reexecuted" not in ranked
-        mem_fs.set_slow_query_threshold(None)
-        mem_fs.query("USER/margo")
-        assert len(mem_fs.slow_queries()) == len(entries)   # capture disarmed
+        wal_fs.set_slow_query_threshold(None)
+        wal_fs.query("USER/margo")
+        assert len(wal_fs.slow_queries()) == len(entries)   # capture disarmed
 
 
 class TestMetricsHistory:

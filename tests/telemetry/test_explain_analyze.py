@@ -60,7 +60,7 @@ def memory_fs():
 def wal_fs():
     with _load(
         HFADFileSystem(
-            num_blocks=1 << 16, btree_on_device=True,
+            num_blocks=1 << 16,
             query_cache_entries=0,
         )
     ) as fs:

@@ -50,12 +50,12 @@ class TestPrometheus:
         assert "hfad_objects_objects_created 20" in text
         assert "hfad_naming_queries" in text
         assert "hfad_keyvalue_entries_scanned" in text
-        # Booleans become 0/1 samples, strings are dropped entirely:
-        # the volatile fs's recovery collector returns {"mode": "volatile"},
-        # which must not surface as a (non-numeric) sample.
+        # Booleans become 0/1 samples, strings are dropped entirely: the
+        # recovery layer's {"mode": "wal"} must not surface as a
+        # (non-numeric) sample.
         assert 'device' in text
         assert "hfad_recovery_mode" not in text
-        assert "volatile" not in text
+        assert "hfad_recovery_last_lsn" in text
 
     def test_histograms_emit_cumulative_buckets(self, fs):
         text = prometheus_text(fs.stats())

@@ -188,17 +188,13 @@ class TestObservabilityCommands:
             shell.execute("stats --format yaml")
 
     def test_stats_prints_the_posting_backlog_of_a_device_backed_engine(self, shell):
-        from repro.core.filesystem import HFADFileSystem
-
-        assert "fulltext backlog" not in shell.execute("stats")  # volatile: no device
-        durable = HFADShell(HFADFileSystem(btree_on_device=True, num_blocks=1 << 14))
-        durable.execute("put /a.txt alpha beta")
+        shell.execute("put /a.txt alpha beta")
         assert ("fulltext backlog: 1 document(s), 4 key(s) unsettled; 0 settle(s)"
-                in durable.execute("stats"))
-        durable.fs.checkpoint()
+                in shell.execute("stats"))
+        shell.fs.checkpoint()
         assert ("fulltext backlog: 0 document(s), 0 key(s) unsettled; 1 settle(s)"
-                in durable.execute("stats"))
-        durable.fs.close()
+                in shell.execute("stats"))
+        assert "recovery: wal" in shell.execute("stats")
 
     def test_trace_lists_recent_queries(self, shell):
         assert shell.execute("trace") == "(no traces)"
@@ -272,15 +268,8 @@ class TestWorkloadObservatoryCommands:
         finally:
             shell.close()
 
-    def test_health_renders_worst_wins_report(self):
-        from repro.core.filesystem import HFADFileSystem
-
-        # On a device: a volatile filesystem has no component to check.
-        shell = HFADShell(HFADFileSystem(btree_on_device=True, num_blocks=1 << 14))
-        try:
-            lines = shell.execute("health").splitlines()
-        finally:
-            shell.close()
+    def test_health_renders_worst_wins_report(self, shell):
+        lines = shell.execute("health").splitlines()
         assert lines[0] == "status: OK"
         assert any(line.startswith("  [OK  ] wal:") for line in lines[1:])
         # Every check line carries an upper-cased status tag and a detail.
@@ -308,12 +297,8 @@ class TestDurabilityCommands:
         assert "objects checked: " in report
         assert "clean" in report
 
-    def test_recover_reports_mode_without_wal(self, shell):
-        # The default shell keeps its btrees in memory: no journal exists.
-        assert "volatile" in shell.execute("recover")
-
     def test_recover_and_checkpoint_on_wal_shell(self):
-        shell = build_shell(on_device=True)
+        shell = build_shell()
         try:
             shell.execute("put /durable.txt write ahead logged")
             report = shell.execute("recover")
@@ -326,9 +311,9 @@ class TestDurabilityCommands:
             shell.close()
 
     def test_main_accepts_durability_flags(self, capsys):
-        code = main([
-            "--on-device",
-            "-c", "put /d.txt flagged", "-c", "recover",
-        ])
+        code = main(["-c", "put /d.txt flagged", "-c", "recover"])
         assert code == 0
         assert "durability mode: wal" in capsys.readouterr().out
+        # One engine: the flag that used to select it is gone.
+        with pytest.raises(SystemExit):
+            main(["--on-device", "-c", "recover"])
