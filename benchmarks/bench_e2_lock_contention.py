@@ -12,7 +12,7 @@ synchronizes on nothing; when the data really is shared both systems contend,
 so the difference disappears — showing the hotspot is an artifact of the
 namespace, not of the workload.
 
-The real-thread lock profile, the buffer-pool stripe ablation and the
+The real-thread lock profile, the buffer-pool lock-split ablation and the
 closed-loop throughput curves this file used to carry are frozen in README
 "Retired configurations"; perfbench's ``serve_closed`` / ``serve_open``
 workloads and ``concurrency.lock_wait_us_per_op`` measure the served engine.

@@ -479,10 +479,9 @@ class HFADFileSystem:
         per-tree transaction queues report their waits through the lock
         manager's observer hook into ``lock.wal.txn.<tree>.wait_us``
         histograms, with the wait still charged to the blocked operation's
-        attribution record.  The buffer-pool stripe locks stay bare: they
-        are taken on every page access, and a wrapper's ~3 µs there cost a
-        page-bound query ~28 % (``BufferPool.instrument_locks`` installs one
-        on demand).  With telemetry off nothing is wrapped.
+        attribution record.  The buffer-pool lock stays bare: it is taken
+        on every page access, and a wrapper's ~3 µs there cost a page-bound
+        query ~28 %.  With telemetry off nothing is wrapped.
         """
         if not self.telemetry.enabled:
             return
@@ -914,10 +913,6 @@ class HFADFileSystem:
                     lambda naming: naming.rank(text, limit=limit))
         self._maybe_slow("rank", text, time.perf_counter() - started, op)
         return result
-
-    def rank_text(self, text: str, limit: Optional[int] = 10):
-        """Alias of :meth:`rank` (the historical spelling)."""
-        return self.rank(text, limit=limit)
 
     # -- graceful degradation (quarantined / corrupt index pages) -------------
 

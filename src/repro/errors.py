@@ -112,10 +112,6 @@ class CacheError(ReproError):
     """Base class for buffer-pool / query-cache failures."""
 
 
-class AllPagesPinnedError(CacheError):
-    """The buffer pool needed a victim but every resident page is pinned."""
-
-
 # ---------------------------------------------------------------------------
 # OSD / objects
 # ---------------------------------------------------------------------------

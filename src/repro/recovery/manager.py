@@ -225,15 +225,13 @@ class RecoveryManager:
     def attach_pool(self, pool) -> None:
         """Install the WAL hook on the shared buffer pool.
 
-        Also allows pinned overflow: no-steal pins every page an open
-        transaction dirties, and a transaction touching more pages than the
-        pool's budget must oversubscribe temporarily rather than dead-end in
-        ``AllPagesPinnedError`` mid-mutation.
+        No-steal pins every page an open transaction dirties; a transaction
+        touching more pages than the pool's budget oversubscribes it until
+        commit (counted in ``pool.pin_overflows``).
         """
         self.pool = pool
         if pool is not None:
             pool.wal_hook = self.ensure_durable
-            pool.allow_pinned_overflow = True
 
     def check_usable(self) -> None:
         """Raise :class:`RecoveryError` once the manager is poisoned."""

@@ -73,7 +73,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
              else f"{handle.address[0]}:{handle.address[1]}")
     print(f"hfad serving on {where} "
           f"(group_commit={options.group_commit}, "
-          f"sync_interval_ms={fs.recovery.sync_interval_ms if fs.recovery else 0}, "
+          f"sync_interval_ms={fs.recovery.sync_interval_ms}, "
           f"workers={options.workers})")
     try:
         handle.thread.join()

@@ -1,10 +1,13 @@
 """Direct tests for the shared BufferPool: budget, pins, dirty write-back,
 multi-consumer sharing and statistics."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.cache import BufferPool
-from repro.errors import AllPagesPinnedError, CacheError
+from repro.errors import CacheError
 
 
 def make_pool(capacity=4):
@@ -99,14 +102,21 @@ class TestPinning:
             consumer.put(page, page)
         assert consumer.get(1) == "pinned"
 
-    def test_all_pinned_raises(self):
+    def test_all_pinned_overflows_and_counts(self):
         pool, consumer, _ = make_pool(capacity=2)
         consumer.put(1, "a")
         consumer.put(2, "b")
         consumer.pin(1)
         consumer.pin(2)
-        with pytest.raises(AllPagesPinnedError):
-            consumer.put(3, "c")
+        consumer.put(3, "c")  # no victim: admitted past the budget
+        assert len(pool) == 3
+        assert pool.pin_overflows == 1
+        assert pool.snapshot()["pin_overflows"] == 1
+        consumer.unpin(1)
+        consumer.put(4, "d")  # drains back to the budget around pinned 2
+        assert len(pool) == 2
+        assert consumer.cached_pages() == {2: "b", 4: "d"}
+        assert pool.pin_overflows == 1
 
     def test_unpin_reenables_eviction(self):
         pool, consumer, _ = make_pool(capacity=2)
@@ -228,6 +238,32 @@ class TestStats:
             store.write(oid, 0, b"payload" * 64)
             store.delete(oid)
         assert store.allocator.free_blocks == baseline
+
+    def test_snapshot_is_safe_beside_page_traffic(self):
+        # A served ``stats`` request reads the pool on one executor thread
+        # while page traffic on another resizes the frame table.
+        pool = BufferPool(capacity=256)
+        consumer = pool.register("hot", writeback=lambda page_id, value: None)
+        stop = threading.Event()
+
+        def churn():
+            key = 0
+            while not stop.is_set():
+                consumer.put(key, key, dirty=True)
+                key += 1
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=churn)
+        writer.start()
+        try:
+            for _ in range(2000):
+                pool.snapshot()
+        finally:
+            stop.set()
+            writer.join(timeout=30)
+            sys.setswitchinterval(previous)
+        assert not writer.is_alive()
 
     def test_per_consumer_attribution(self):
         pool, consumer, _ = make_pool(capacity=8)

@@ -2,8 +2,8 @@
 
 The suite checks *correctness* properties (the victim is the least recently
 used resident, unpinned page; freed pages are forgotten; the pool stays
-bounded and never loses data), not retention quality.  ``stripes=1`` keeps
-one global LRU order so the reference model below is exact.
+bounded and never loses data), not retention quality.  The pool keeps one
+global LRU order, so the reference model below is exact.
 """
 
 import random
@@ -13,10 +13,10 @@ from repro.cache import BufferPool
 
 
 class TestPolicyConformance:
-    """Drive a one-stripe pool against a reference LRU order."""
+    """Drive a pool against a reference LRU order."""
 
     def test_victim_is_resident_and_unpinned(self):
-        pool = BufferPool(capacity=4, stripes=1)
+        pool = BufferPool(capacity=4)
         consumer = pool.register("lru")
         order = OrderedDict()  # resident pages, least recently used first
         rng = random.Random(7)
@@ -42,7 +42,7 @@ class TestPolicyConformance:
         assert evictions == consumer.stats.evictions > 100
 
     def test_removed_key_is_never_chosen(self):
-        pool = BufferPool(capacity=3, stripes=1)
+        pool = BufferPool(capacity=3)
         consumer = pool.register("lru")
         for page in ("a", "b", "c"):
             consumer.put(page, page)

@@ -1,4 +1,6 @@
-"""The sharded buffer pool: stripe layout, exact stats, thread safety."""
+"""The buffer pool under threads and across processes: exact counters,
+write-back routing, invariants under mixed page traffic, pins under
+eviction pressure, and counters that do not depend on the hash seed."""
 
 import json
 import os
@@ -7,67 +9,11 @@ import sys
 import threading
 
 from repro.cache import BufferPool
-from repro.cache.buffer_pool import _auto_stripes
-
-
-class TestStripeLayout:
-    def test_small_pools_default_to_one_stripe(self):
-        # Tiny pools keep exact global eviction order (the LRU tests'
-        # semantics); striping only kicks in when capacity can spare it.
-        assert _auto_stripes(4) == 1
-        assert _auto_stripes(63) == 1
-        assert BufferPool(capacity=16).snapshot()["stripes"] == 1
-
-    def test_large_pools_stripe_automatically(self):
-        assert _auto_stripes(64) >= 2
-        assert _auto_stripes(256) == 8
-        assert BufferPool(capacity=256).snapshot()["stripes"] == 8
-
-    def test_explicit_stripes_and_capacity_split(self):
-        pool = BufferPool(capacity=10, stripes=4)
-        capacities = [stripe.capacity for stripe in pool._stripes]
-        assert sum(capacities) == 10
-        assert max(capacities) - min(capacities) <= 1  # remainder spread
-
-    def test_stripes_never_exceed_capacity(self):
-        pool = BufferPool(capacity=2, stripes=8)
-        assert pool.snapshot()["stripes"] == 2
-
-    def test_total_resident_respects_capacity(self):
-        pool = BufferPool(capacity=12, stripes=4)
-        consumer = pool.register("a")
-        for key in range(100):
-            consumer.put(key, key)
-        assert len(pool) <= 12
-
-    def test_instrument_locks_wraps_every_stripe(self):
-        pool = BufferPool(capacity=256, stripes=8)
-        seen = []
-
-        class Wrapper:
-            def __init__(self, index, inner):
-                self.index, self.inner = index, inner
-
-            def __enter__(self):
-                return self.inner.__enter__()
-
-            def __exit__(self, *exc):
-                return self.inner.__exit__(*exc)
-
-        def wrap(index, lock):
-            seen.append(index)
-            return Wrapper(index, lock)
-
-        pool.instrument_locks(wrap)
-        assert seen == list(range(8))
-        consumer = pool.register("a")
-        consumer.put(1, "x")
-        assert consumer.get(1) == "x"
 
 
 class TestExactStats:
-    def test_per_consumer_stats_aggregate_across_stripes(self):
-        pool = BufferPool(capacity=64, stripes=4)
+    def test_per_consumer_stats_sum_to_pool_totals(self):
+        pool = BufferPool(capacity=64)
         consumer = pool.register("a")
         for key in range(40):
             consumer.put(key, key)
@@ -80,7 +26,7 @@ class TestExactStats:
         assert pool.stats.insertions == 40
 
     def test_stats_exact_under_concurrent_consumers(self):
-        pool = BufferPool(capacity=128, stripes=8)
+        pool = BufferPool(capacity=128)
         consumers = [pool.register(f"c{n}") for n in range(4)]
         rounds = 300
         barrier = threading.Barrier(len(consumers))
@@ -98,16 +44,15 @@ class TestExactStats:
         for thread in threads:
             thread.join()
         for consumer in consumers:
-            # own-key traffic only: each consumer's counters are exact,
-            # not merely approximately summed across stripes.
+            # own-key traffic only: each consumer's counters are exact.
             assert consumer.stats.insertions == rounds
         total = pool.stats
         assert total.insertions == rounds * len(consumers)
         assert total.hits + total.misses == rounds * len(consumers)
 
-    def test_dirty_write_back_travels_to_the_right_consumer(self):
+    def test_write_back_reaches_the_owning_consumer(self):
         written = []
-        pool = BufferPool(capacity=4, stripes=2)
+        pool = BufferPool(capacity=4)
         consumer = pool.register(
             "a", writeback=lambda page_id, value: written.append(page_id))
         for key in range(8):
@@ -118,8 +63,15 @@ class TestExactStats:
 
 
 class TestConcurrentPageOps:
+    def test_total_resident_respects_capacity(self):
+        pool = BufferPool(capacity=12)
+        consumer = pool.register("a")
+        for key in range(100):
+            consumer.put(key, key)
+        assert len(pool) <= 12
+
     def test_parallel_mixed_ops_keep_invariants(self):
-        pool = BufferPool(capacity=64, stripes=8)
+        pool = BufferPool(capacity=64)
         consumer = pool.register("shared",
                                  writeback=lambda page_id, value: None)
         errors = []
@@ -145,12 +97,10 @@ class TestConcurrentPageOps:
             thread.join()
         assert not errors, errors
         assert len(pool) <= 64
-        snapshot = pool.snapshot()
-        assert snapshot["stripes"] == 8
-        assert snapshot["resident"] == len(pool)
+        assert pool.snapshot()["resident"] == len(pool)
 
-    def test_pinned_pages_survive_concurrent_eviction_pressure(self):
-        pool = BufferPool(capacity=16, stripes=4)
+    def test_pins_survive_concurrent_eviction(self):
+        pool = BufferPool(capacity=16)
         consumer = pool.register("a")
         consumer.put("keep", "payload")
         consumer.pin("keep")
@@ -171,10 +121,8 @@ class TestConcurrentPageOps:
         consumer.unpin("keep")
 
 
-def test_single_stripe_keeps_global_lru_order():
-    # stripes=1 is the exact PR 8 baseline: one policy instance, global
-    # recency order — the ablation's control arm.
-    pool = BufferPool(capacity=3, stripes=1)
+def test_eviction_follows_global_lru_order():
+    pool = BufferPool(capacity=3)
     consumer = pool.register("a")
     for key in "abc":
         consumer.put(key, key)
@@ -185,7 +133,7 @@ def test_single_stripe_keeps_global_lru_order():
 
 
 # 400 objects: the working set (master + full-text pages) must outgrow the
-# 64-page pool — the smallest that stripes — or no stripe ever has to choose.
+# 64-page pool, or eviction never has to choose a victim.
 _FIXED_OP_LIST = """
 import json
 from repro.core import HFADFileSystem
@@ -199,16 +147,15 @@ for i in range(300):
     fs.search_text(f"topic{i % 7}")
 pool = fs.stats()["buffer_pool"]
 totals = pool["totals"]
-assert pool["stripes"] > 1 and totals["evictions"] > 0 and totals["misses"] > 0
+assert totals["evictions"] > 0 and totals["misses"] > 0
 print(json.dumps([totals, pool["consumers"]], sort_keys=True))
 """
 
 
-class TestStripeChoiceIsProcessIndependent:
+class TestHashSeed:
     def test_pool_counters_do_not_depend_on_the_hash_seed(self):
-        # The stripe a page lands in decides which pages compete for one LRU
-        # list; derived from a str hash it changed with PYTHONHASHSEED, and
-        # so did misses and evictions for one and the same op list.
+        # Which pages compete for the LRU list decides misses and evictions;
+        # nothing in the pool may derive that from a per-process str hash.
         def run(seed):
             env = {**os.environ, "PYTHONHASHSEED": seed,
                    "PYTHONPATH": os.pathsep.join(sys.path)}

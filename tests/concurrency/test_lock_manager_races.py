@@ -1,7 +1,7 @@
 """Race audit: LockManager and TimedLock under real thread interleavings.
 
 These tests pin the properties the per-tree transaction queues and the
-striped buffer pool rely on: write preference (no writer starvation),
+timed journal mutex rely on: write preference (no writer starvation),
 deadline-based timeouts that survive wakeup storms, bounded wait-table
 eviction that never drops live state, and observer/histogram accounting
 that stays exact when many threads contend at once.
@@ -215,14 +215,14 @@ class TestTimedLockThreads:
         assert lock.contended <= total
 
     def test_shared_histograms_merge_across_instances(self):
-        # All buffer-pool stripes share one histogram pair via registry
+        # Same-named timed locks share one histogram pair via registry
         # idempotency: same name → same Histogram object.
         registry = MetricsRegistry()
-        stripe_locks = [TimedLock("pool", registry) for _ in range(4)]
-        for stripe_lock in stripe_locks:
-            with stripe_lock:
+        locks = [TimedLock("pool", registry) for _ in range(4)]
+        for lock in locks:
+            with lock:
                 pass
         snapshot = registry.snapshot()["histograms"]
         assert snapshot["lock.pool.hold_us"]["count"] == 4
-        first = stripe_locks[0]
-        assert all(lock.hold_us is first.hold_us for lock in stripe_locks)
+        first = locks[0]
+        assert all(lock.hold_us is first.hold_us for lock in locks)

@@ -147,7 +147,7 @@ class TestNamingThroughFacade:
         assert fs.search_text("grand") == [a, b]
         assert fs.search_text("grand canyon") == [b]
         assert fs.search_text("") == []
-        hits = fs.rank_text("grand canyon")
+        hits = fs.rank("grand canyon")
         assert hits[0].doc_id == b
 
     def test_phrase_search_consults_the_first_64_positions(self, fs):

@@ -2,7 +2,7 @@
 
 The persisted-index contract is *transparency*: the same workload run
 against two engines, one of which is unmounted and re-mounted midway, must
-produce identical ``query``/``search_text``/``rank_text`` answers — before
+produce identical ``query``/``search_text``/``rank`` answers — before
 the unmount, after the re-mount, and after continuing the workload on the
 re-mounted instance.  Exercised with unlink/rename churn.
 """
@@ -88,7 +88,7 @@ def assert_equivalent(reference, candidate):
     assert candidate.list_objects() == reference.list_objects()
     for word in WORDS:
         assert candidate.search_text(word) == reference.search_text(word), word
-        assert candidate.rank_text(word, limit=None) == reference.rank_text(word, limit=None), word
+        assert candidate.rank(word, limit=None) == reference.rank(word, limit=None), word
     for first, second in zip(WORDS, WORDS[1:]):
         assert candidate.search_text(f"{first} {second}") == reference.search_text(
             f"{first} {second}"

@@ -57,7 +57,7 @@ def snapshot_answers(fs):
     return {
         "objects": fs.list_objects(),
         "search": {word: fs.search_text(word) for word in WORDS},
-        "rank": {word: fs.rank_text(word, limit=None) for word in WORDS[:8]},
+        "rank": {word: fs.rank(word, limit=None) for word in WORDS[:8]},
         "pairs": fs.search_text(f"{WORDS[0]} {WORDS[1]}"),
         "image": {c: fs.query(f"IMAGE/color:{c}")
                   for c in ("red", "green", "blue", "gray")},

@@ -226,7 +226,7 @@ def verify(fs, model):
                 f"committed content of object {oid} not searchable after remount"
             )
             if not ranked_probe_done:
-                hits = {hit.doc_id for hit in fs.rank_text(words[0], limit=None)}
+                hits = {hit.doc_id for hit in fs.rank(words[0], limit=None)}
                 assert oid in hits, (
                     f"object {oid} missing from BM25 results for {words[0]!r}"
                 )
