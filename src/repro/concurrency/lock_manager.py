@@ -11,8 +11,8 @@ simulated (deterministic) counterpart lives in ``repro.hierarchical.locking``.
 Locks are **not** re-entrant and there is no owner tracking: a thread that
 re-acquires a resource it already holds deadlocks against its own queued
 writer.  Callers that need re-entrancy layer it on top with thread-local
-held-sets (:class:`repro.concurrency.tree_locks.TreeLockTable` does exactly
-that for the WAL's per-tree transaction queues).
+state — the recovery manager counts each thread's holds on the engine lock
+beside its transaction depth.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from repro.cache import BufferPool, QueryResultCache, RankedResultCache
 from repro.core.access import AccessInterface, ObjectHandle
 from repro.core.naming import NamingInterface, PairLike, as_pair
-from repro.core.query import Not, Query, TagTerm, parse_query
+from repro.core.query import Query, parse_query
 from repro.errors import (
     CorruptionError,
     DeviceError,
@@ -54,6 +54,7 @@ from repro.opcontext import current_operation, detached
 from repro.osd.metadata import ObjectMetadata
 from repro.osd.object_store import ObjectStore
 from repro.recovery import RecoveryManager, Superblock
+from repro.recovery.manager import CHECKPOINT_THRESHOLD
 from repro.storage import BlockDevice
 from repro.storage.latency import LatencyModel
 from repro.telemetry import (
@@ -100,14 +101,6 @@ def _reject_reserved_attributes(attributes: Iterable[str]) -> None:
             )
 
 
-def _query_tags(query: Query) -> Iterable[str]:
-    """The tag of every term of a parsed boolean query."""
-    if isinstance(query, TagTerm):
-        return [query.tag]
-    children = [query.child] if isinstance(query, Not) else query.children
-    return [tag for child in children for tag in _query_tags(child)]
-
-
 class HFADFileSystem:
     """A tagged, search-based file system (the paper's hFAD).
 
@@ -130,10 +123,9 @@ class HFADFileSystem:
     :param journal_blocks: size of the WAL region in device blocks (the
         metadata prefix ``superblock + journal`` is rounded up to a power of
         two and reserved out of the data allocator).  Must fit the largest
-        single transaction: indexing one document logs a btree page image
-        per distinct term, so size the journal up for workloads that ingest
-        huge, vocabulary-rich documents.  An automatic checkpoint fires when
-        the journal is half full.
+        single transaction — about one record per leaf it touches, as
+        README "Sizing the journal" spells out.  An automatic checkpoint
+        fires when the journal is half full.
     :param group_commit: commits batched per journal sync (``1`` = sync
         every commit; larger values trade a bounded loss window for
         throughput — see ``repro.recovery``).
@@ -153,7 +145,7 @@ class HFADFileSystem:
         also turns on per-operation resource attribution (every ``create``
         / ``query`` / ``rank`` / ... accounts the pages, cache traffic, WAL
         bytes and lock waits it caused — see :meth:`operations`), profiles
-        the journal mutex and the tree transaction queues (see
+        the journal mutex and the engine lock (see
         :meth:`_install_timed_locks`), and arms the slow-query log.
     """
 
@@ -223,6 +215,9 @@ class HFADFileSystem:
             self.recovery.attach_pool(self.buffer_pool)
             allocator = BuddyAllocator(total_blocks=device.num_blocks, base=0)
             allocator.reserve(0, data_region_start)
+            # The three trees' first pages are one transaction, committed
+            # below once the index trees exist.
+            self.recovery.begin()
             self.objects = ObjectStore(
                 device=device,
                 allocator=allocator,
@@ -245,6 +240,7 @@ class HFADFileSystem:
             on_root_change=self._image_root_moved,
         )
         if _mounted is None:
+            self.recovery.commit()
             self.recovery.initialize(
                 master_root=self.objects._master.root_id,
                 next_oid=self.objects._next_oid,
@@ -411,37 +407,19 @@ class HFADFileSystem:
         """
         return self.recovery.transaction()
 
-    def _read_view(self, *trees: str):
-        """Shared per-tree latches for one snapshot-stable read.
+    def read_view(self):
+        """The engine lock, shared: one snapshot-stable read.
 
-        Held for the whole execution of a query: readers overlap readers
-        and writers to *other* trees, while a writer to a viewed tree
-        queues — so the answer reflects exactly one generation of every
-        viewed tree (no torn cross-tree reads, no mid-scan mutation).
+        Every read holds one for its whole execution: readers overlap
+        readers and a writer queues, so the answer reflects exactly one
+        committed generation of every tree (no torn cross-tree reads, no
+        mid-scan mutation).  ``with fs.read_view(): ...`` groups several
+        reads into one view — e.g. a count and a listing that must agree.
         Re-entrant with the calling thread's own open transaction, so a
-        writer may query its own uncommitted view.
+        writer may query its own uncommitted state; a mutation inside a
+        view raises :class:`~repro.errors.RecoveryError`.
         """
-        return self.recovery.read_view(trees)
-
-    def read_view(self, *trees: str):
-        """Public snapshot grouping: several queries, one consistent view.
-
-        ``with fs.read_view(): ...`` holds shared latches on every tree
-        (or just the named ones) so a batch of queries/reads observes a
-        single generation — e.g. a count and a listing that must agree.
-        """
-        if not trees:
-            trees = ("master", "fulltext", "image")
-        return self._read_view(*trees)
-
-    def _view_of(self, tags: Iterable[str]):
-        """The read view a lookup of ``tags`` needs: ``master`` always, an
-        index tree only when a term routes to it — a tag-only ``find`` must
-        not queue behind full-text writers (or a backlog settle)."""
-        tags = set(tags)
-        return self._read_view("master", *(
-            tree for tag, tree in ((TAG_FULLTEXT, "fulltext"), (TAG_IMAGE, "image"))
-            if tag in tags))
+        return self.recovery.read_view()
 
     def _settle(self) -> int:
         """Settle the posting backlog as a ledger operation (a checkpoint's
@@ -476,36 +454,31 @@ class HFADFileSystem:
 
         The journal mutex becomes a :class:`TimedLock` delegating to the
         original RLock — same re-entrancy, same lock ordering — and the
-        per-tree transaction queues report their waits through the lock
-        manager's observer hook into ``lock.wal.txn.<tree>.wait_us``
-        histograms, with the wait still charged to the blocked operation's
-        attribution record.  The buffer-pool lock stays bare: it is taken
-        on every page access, and a wrapper's ~3 µs there cost a page-bound
-        query ~28 %.  With telemetry off nothing is wrapped.
+        engine lock reports its waits through the lock manager's observer
+        hook into the ``lock.engine.wait_us`` histogram, with the wait still
+        charged to the blocked operation's attribution record.  The
+        buffer-pool lock stays bare: it is taken on every page access, and
+        a wrapper's ~3 µs there cost a page-bound query ~28 %.  With
+        telemetry off nothing is wrapped.
         """
         if not self.telemetry.enabled:
             return
         metrics = self.telemetry.metrics
         self.recovery.journal._mutex = TimedLock(
             "wal.journal", metrics, inner=self.recovery.journal._mutex)
-        hists: Dict[str, object] = {}
+        waits = metrics.histogram(
+            "lock.engine.wait_us",
+            "microseconds spent queued on the engine lock "
+            "(contended acquisitions only)")
 
-        def tree_wait_observer(resource: str, mode: str,
-                               waited_us: float) -> None:
-            hist = hists.get(resource)
-            if hist is None:
-                # Racing threads may both build one; the registry returns
-                # the same instrument for the same name.
-                hist = hists[resource] = metrics.histogram(
-                    f"lock.wal.txn.{resource}.wait_us",
-                    f"microseconds spent queued on the {resource} tree "
-                    "transaction lock (contended acquisitions only)")
-            hist.observe(waited_us)
+        def engine_wait_observer(resource: str, mode: str,
+                                 waited_us: float) -> None:
+            waits.observe(waited_us)
             op = current_operation()
             if op is not None:
-                op.add_lock_wait(f"wal.txn.{resource}", waited_us)
+                op.add_lock_wait("engine", waited_us)
 
-        self.recovery.tree_locks.manager.wait_observer = tree_wait_observer
+        self.recovery.lock_manager.wait_observer = engine_wait_observer
 
     def checkpoint(self) -> int:
         """Force a checkpoint: flush dirty pages, truncate the journal,
@@ -732,23 +705,23 @@ class HFADFileSystem:
             self.objects.delete(oid)
 
     def exists(self, oid: int) -> bool:
-        self._check_usable()
-        return self.objects.exists(oid)
+        with self.read_view():
+            return self.objects.exists(oid)
 
     @property
     def object_count(self) -> int:
         return self.objects.object_count
 
     def list_objects(self) -> List[int]:
-        self._check_usable()
-        return self.objects.list_objects()
+        with self.read_view():
+            return self.objects.list_objects()
 
     # ------------------------------------------------------------------
     # access interfaces (read / write / insert / truncate)
     # ------------------------------------------------------------------
 
     def read(self, oid: int, offset: int = 0, length: Optional[int] = None) -> bytes:
-        with self._operation("read", f"oid={oid}"), self._read_view("master"):
+        with self._operation("read", f"oid={oid}"), self.read_view():
             return self.access.read(oid, offset, length)
 
     def write(self, oid: int, offset: int, data: bytes) -> int:
@@ -782,15 +755,15 @@ class HFADFileSystem:
 
     def stat(self, oid: int) -> ObjectMetadata:
         """The object's metadata, without the engine's own ``hfad.`` keys."""
-        self._check_usable()
-        metadata = self.access.stat(oid)
+        with self.read_view():
+            metadata = self.access.stat(oid)
         metadata.attributes = {key: value for key, value in metadata.attributes.items()
                                if not key.startswith(_RESERVED_ATTR)}
         return metadata
 
     def size(self, oid: int) -> int:
-        self._check_usable()
-        return self.access.size(oid)
+        with self.read_view():
+            return self.access.size(oid)
 
     def set_attributes(self, oid: int, **attributes: str) -> None:
         _reject_reserved_attributes(attributes)
@@ -835,8 +808,8 @@ class HFADFileSystem:
             return self._remove_name(oid, pair)
 
     def names_for(self, oid: int) -> List[TagValue]:
-        self._check_usable()
-        return self.naming.names_for(oid)
+        with self.read_view():
+            return self.naming.names_for(oid)
 
     def find(self, *pairs: PairLike, limit: Optional[int] = None) -> List[int]:
         """Conjunctive naming operation over tag/value pairs.
@@ -845,7 +818,7 @@ class HFADFileSystem:
         out of the index merge and stops — top-k early exit.
         """
         with self._operation("find", " ".join(str(as_pair(p)) for p in pairs)), \
-                self._view_of(as_pair(p).tag for p in pairs):
+                self.read_view():
             try:
                 return self.naming.resolve(list(pairs), limit=limit)
             except CorruptionError:
@@ -856,7 +829,7 @@ class HFADFileSystem:
     def find_one(self, *pairs: PairLike) -> int:
         """Like :meth:`find` but returns one match (raises if none)."""
         with self._operation("find", " ".join(str(as_pair(p)) for p in pairs)), \
-                self._view_of(as_pair(p).tag for p in pairs):
+                self.read_view():
             try:
                 return self.naming.resolve_one(list(pairs))
             except CorruptionError:
@@ -871,16 +844,15 @@ class HFADFileSystem:
         """
         text = str(query)
         started = time.perf_counter()
-        with self._operation("query", text) as op:
+        with self._operation("query", text) as op, self.read_view():
             if isinstance(query, str):
                 query = parse_query(query)
-            with self._view_of(_query_tags(query)):
-                try:
-                    result = self.naming.query(query, limit=limit)
-                except CorruptionError:
-                    result = self._degraded(
-                        lambda naming: naming.query(query, limit=limit)
-                    )
+            try:
+                result = self.naming.query(query, limit=limit)
+            except CorruptionError:
+                result = self._degraded(
+                    lambda naming: naming.query(query, limit=limit)
+                )
         self._maybe_slow("query", text, time.perf_counter() - started, op,
                          limit=limit)
         return result
@@ -904,8 +876,7 @@ class HFADFileSystem:
         ranks every matching document.
         """
         started = time.perf_counter()
-        with self._operation("rank", text) as op, \
-                self._read_view("master", "fulltext"):
+        with self._operation("rank", text) as op, self.read_view():
             try:
                 result = self.naming.rank(text, limit=limit)
             except CorruptionError:
@@ -1051,12 +1022,12 @@ class HFADFileSystem:
 
     def lookup_path(self, path: str) -> Optional[int]:
         """Resolve a POSIX path to an object id (None if unbound)."""
-        self._check_usable()
-        return self.path_index.resolve(path)
+        with self.read_view():
+            return self.path_index.resolve(path)
 
     def paths_for(self, oid: int) -> List[str]:
-        self._check_usable()
-        return self.path_index.paths_for(oid)
+        with self.read_view():
+            return self.path_index.paths_for(oid)
 
     # Image features (the "arbitrary index type" example).
 
@@ -1078,15 +1049,15 @@ class HFADFileSystem:
 
         Every operation inside joins the group's transaction (nesting is
         flat), and the group commits with one commit marker when the block
-        exits normally.  The group holds every tree exclusively, so the
-        operations in it may write and read any index in any order.  The
+        exits normally.  The group holds the engine lock exclusively
+        throughout, so no other thread's read sees it half done.  The
         abort rule is the recovery manager's: an exception before anything
         was logged is a clean no-op; after that the engine is poisoned, every
         later call raises :class:`~repro.errors.RecoveryError`, and a remount
         replays the committed prefix, in which the group is absent as a
         whole.  The group must fit the journal (see ``journal_blocks``).
         """
-        return self.recovery.transaction(trees=("master", "fulltext", "image"))
+        return self.recovery.transaction()
 
     def close(self) -> None:
         """Checkpoint (clean unmount).
@@ -1378,11 +1349,10 @@ class HFADFileSystem:
             check("wal", "fail",
                   f"journal {occupancy:.0%} full — checkpoints are not "
                   f"keeping up")
-        elif occupancy >= self.recovery.checkpoint_threshold:
+        elif occupancy >= CHECKPOINT_THRESHOLD:
             check("wal", "warn",
                   f"journal {occupancy:.0%} full (past the "
-                  f"{self.recovery.checkpoint_threshold:.0%} "
-                  f"checkpoint threshold)")
+                  f"{CHECKPOINT_THRESHOLD:.0%} checkpoint threshold)")
         else:
             check("wal", "ok", f"journal {occupancy:.0%} full")
         worst = max((c["status"] for c in checks.values()),

@@ -96,6 +96,7 @@ from repro.query.scored import (
     bm25_scorer,
     bm25_upper_bound,
 )
+from repro.recovery.manager import CHECKPOINT_THRESHOLD
 
 _OID = struct.Struct(">Q")
 _SEP = b"\x00"
@@ -443,12 +444,7 @@ class PersistentInvertedIndex:
             yield
             self._settle_if_due()  # no commit to hook: the threshold is checked here
             return
-        # Declares the fulltext tree scope: a settle's transaction queues
-        # only against other fulltext writers and readers.  A filesystem
-        # operation indexing content *escalates* its open master
-        # transaction with the fulltext lock here (master < fulltext is
-        # the sanctioned order).
-        with self._recovery.transaction(trees=("fulltext",)):
+        with self._recovery.transaction():
             yield
 
     # ---------------------------------------------------------------- keys
@@ -657,9 +653,8 @@ class PersistentInvertedIndex:
         """
         limit = sys.maxsize
         if self._recovery is not None:
-            journal, threshold = self._recovery.journal, self._recovery.checkpoint_threshold
-            limit = max(1, int(journal.capacity_bytes * (1 - threshold))
-                        // (2 * self._tree.node_byte_limit))
+            room = self._recovery.journal.capacity_bytes * (1 - CHECKPOINT_THRESHOLD)
+            limit = max(1, int(room) // (2 * self._tree.node_byte_limit))
         start = 0
         while start < len(pairs):
             end = min(start + limit, len(pairs))

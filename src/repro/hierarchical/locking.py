@@ -16,8 +16,8 @@ two modes:
 * **real threads** (`path_lock` context manager): genuine reader/writer locks
   for integration tests that want actual blocking.
 
-Its counterpart for hFAD is :class:`repro.concurrency.lock_manager.LockManager`
-used per index/object — no shared ancestors, hence no hotspot.
+Its flat counterpart, :class:`FlatLockManager`, locks each object on its
+own — no shared ancestors, hence no hotspot.
 """
 
 from __future__ import annotations

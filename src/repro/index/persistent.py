@@ -69,9 +69,7 @@ class PersistentImageIndexStore(ImageIndexStore):
     def _txn(self):
         if self._recovery is None:
             return nullcontext()
-        # Image-feature writes queue on their own tree (master < fulltext
-        # < image is the global acquisition order — see TreeLockTable).
-        return self._recovery.transaction(trees=("image",))
+        return self._recovery.transaction()
 
     # ---------------------------------------------------------------- keys
 

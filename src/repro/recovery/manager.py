@@ -24,22 +24,30 @@ into a single write-ahead-logging discipline:
 * **WAL rule at the choke point.**  The pool's ``wal_hook`` calls
   :meth:`ensure_durable` before any dirty frame is written back, so even
   group-committed (buffered) records are flushed before their page.
-* **Fuzzy checkpoints.**  When the journal passes ``checkpoint_threshold``
-  of its capacity (checked between transactions), every dirty page is
-  flushed, the journal is truncated and a fresh superblock is written.
+* **Fuzzy checkpoints.**  When the journal passes
+  :data:`CHECKPOINT_THRESHOLD` of its capacity (checked between
+  transactions), every dirty page is flushed, the journal is truncated and
+  a fresh superblock is written.
 * **Mount-time replay.**  :meth:`replay` scans the journal tail, rebuilds
   each committed page from its logged image and deltas, writes it to its
   home location (idempotent physical redo) and folds committed ``META``
   records into the superblock state — all before any index is opened.
 
-There is one abort rule, for a single operation and a ``fs.begin()`` group
-alike.  A transaction that aborts *before* logging anything (an input
-validation failure) is a clean no-op.  One that aborts after logging
-poisons the manager, ext4's "abort the journal and remount" behaviour:
-redo-only logging cannot roll the in-memory state back, so every later
-transaction, read view and checkpoint raises :class:`RecoveryError`, and a
-remount replays the committed prefix, in which the aborted transaction is
-absent as a whole.
+Every record belongs to a transaction: logging outside one raises
+:class:`RecoveryError`.  There is one abort rule, for a single operation
+and a ``fs.begin()`` group alike.  A transaction that aborts *before*
+logging anything (an input validation failure) is a clean no-op.  One that
+aborts after logging poisons the manager, ext4's "abort the journal and
+remount" behaviour: redo-only logging cannot roll the in-memory state back,
+so every later transaction, read view and checkpoint raises
+:class:`RecoveryError`, and a remount replays the committed prefix, in
+which the aborted transaction is absent as a whole.
+
+One reader/writer lock covers the whole engine: a transaction holds it
+exclusively, a read view (:meth:`read_view`) shared.  Both are re-entrant
+per thread — a read view inside the thread's own transaction re-enters its
+hold — and a transaction opened inside a read view is refused, since two
+threads upgrading shared holds would deadlock.
 """
 
 from __future__ import annotations
@@ -47,33 +55,36 @@ from __future__ import annotations
 import json
 import threading
 from contextlib import contextmanager
-from time import monotonic
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.btree.pages import PAGE_BYTES
 from repro.errors import CacheError, RecoveryError
-from repro.concurrency.tree_locks import TreeLockTable, _rank
+from repro.concurrency.lock_manager import LockManager, LockMode
 from repro.storage.block_device import BlockDevice
 from repro.storage.journal import (
-    RECORD_OVERHEAD,
     TYPE_DATA,
     TYPE_META,
     TYPE_REVOKE,
     Journal,
 )
-from repro.recovery.superblock import SUPERBLOCK_BLOCK, Superblock
+from repro.recovery.superblock import Superblock
 
 #: default idle-flush period when ``group_commit > 1`` and the caller did
 #: not pick one: short enough that a lone writer's commit window is
 #: imperceptible, long enough that a busy batch still fills before it fires.
 DEFAULT_SYNC_INTERVAL_MS = 10.0
 
+#: journal-fill fraction past which the next transaction checkpoints first.
+CHECKPOINT_THRESHOLD = 0.5
+
+#: the engine lock's one resource in the manager's :class:`LockManager`.
+_ENGINE = "engine"
+
 
 class _TxnLocal(threading.local):
-    """Per-thread transaction state: each thread runs its own (flat-nested)
-    WAL transaction, and cross-thread serialization happens per *tree*
-    through the :class:`TreeLockTable`, not through shared counters."""
+    """Per-thread state: the thread's own (flat-nested) WAL transaction and
+    its hold on the engine lock."""
 
     def __init__(self) -> None:
         self.depth = 0
@@ -81,8 +92,11 @@ class _TxnLocal(threading.local):
         self.records = 0
         self.pins: Set[Tuple[object, object]] = set()
         self.on_commit: List = []
-        #: trees this transaction acquired (in rank order), released on end.
-        self.trees: List[str] = []
+        #: the mode this thread holds the engine lock in (None: not held)
+        #: and its re-entry depth: the transaction counts once, each read
+        #: view once.
+        self.lock_mode: Optional[str] = None
+        self.lock_depth = 0
 
 
 @dataclass
@@ -91,8 +105,6 @@ class RecoveryStats:
 
     transactions_committed: int = 0
     transactions_aborted: int = 0
-    #: page writes logged outside any transaction (self-committing).
-    autocommits: int = 0
     pages_logged: int = 0
     meta_records_logged: int = 0
     revokes_logged: int = 0
@@ -116,8 +128,6 @@ class RecoveryManager:
     :param device: the shared block device.
     :param journal_start: first block of the journal region.
     :param journal_blocks: size of the journal region in blocks.
-    :param checkpoint_threshold: journal-fill fraction that triggers an
-        automatic checkpoint between transactions.
     :param group_commit: number of commits batched per journal sync.  ``1``
         (the default) syncs on every commit — an operation that returned is
         durable.  Larger values trade a bounded window of recent commits for
@@ -129,7 +139,6 @@ class RecoveryManager:
         and disables the flusher otherwise; ``0`` disables it explicitly
         (a tail batch then waits for the next writer, ``ensure_durable``,
         checkpoint or unmount — the pre-fix behaviour).
-    :param superblock_block: device block holding the superblock.
     """
 
     def __init__(
@@ -137,13 +146,9 @@ class RecoveryManager:
         device: BlockDevice,
         journal_start: int = 1,
         journal_blocks: int = 255,
-        checkpoint_threshold: float = 0.5,
         group_commit: int = 1,
         sync_interval_ms: Optional[float] = None,
-        superblock_block: int = SUPERBLOCK_BLOCK,
     ) -> None:
-        if not 0.0 < checkpoint_threshold <= 1.0:
-            raise ValueError("checkpoint_threshold must be in (0, 1]")
         if group_commit < 1:
             raise ValueError("group_commit must be at least 1")
         if sync_interval_ms is None:
@@ -152,10 +157,8 @@ class RecoveryManager:
             raise ValueError("sync_interval_ms must be non-negative")
         self.device = device
         self.journal = Journal(device, journal_start, journal_blocks)
-        self.checkpoint_threshold = checkpoint_threshold
         self.group_commit = group_commit
         self.sync_interval_ms = float(sync_interval_ms)
-        self.superblock_block = superblock_block
         #: logical superblock state; META records merge into this dict and a
         #: checkpoint persists it.
         self.state: Dict[str, int] = {
@@ -184,17 +187,14 @@ class RecoveryManager:
         #: number of commit markers each journal sync covered; installed by
         #: the filesystem facade when telemetry is enabled.
         self.commit_batch_sizes = None
-        # Per-tree transaction queues: a transaction on ``fulltext`` alone
-        # (a posting-backlog settle's) overlaps read views of ``master``,
-        # while two transactions on the *same* tree still serialize.  Journal
-        # appends from overlapping transactions interleave safely — records
-        # carry txids and replay groups by txid.  Readers take shared tree
-        # locks through the same table (snapshot read views).
-        self.tree_locks = TreeLockTable()
+        #: the engine lock: transactions take ``_ENGINE`` exclusively, read
+        #: views shared.  Write-preferring, so a queued writer bars new
+        #: readers; the facade observes its waits (``wait_observer``).
+        self.lock_manager = LockManager(max_tracked_resources=1)
         # Checkpoint quiescence gate: checkpoints flush the pool and
-        # truncate the journal, so they wait for zero open transactions
-        # (autocommitting records register as micro-transactions) and bar
-        # new ones while pending.
+        # truncate the journal, so they wait for zero open transactions and
+        # bar new ones while pending.  Read views pass: a checkpoint
+        # rewrites committed state only.
         self._gate = threading.Condition()
         self._active_txns = 0
         self._checkpoint_pending = False
@@ -208,15 +208,16 @@ class RecoveryManager:
         # Superblock state dict + stats counters (cheap, leaf-level).
         self._state_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        # Durability notification: the journal's on_sync hook wakes
-        # wait_durable() callers and fires registered listeners whenever
-        # durable_lsn advances (commit sync, idle flush, eviction sync,
-        # checkpoint).  The serving layer's write batcher acks through this.
-        self._durable_cond = threading.Condition()
+        # Durability notification: the journal's on_sync hook fires
+        # registered listeners whenever durable_lsn advances (commit sync,
+        # idle flush, eviction sync, checkpoint).  The serving layer's write
+        # batcher acks through this.
+        self._listeners_lock = threading.Lock()
         self._durable_listeners: List = []
         self.journal.on_sync = self._durability_advanced
         # The idle flusher: started lazily by the first commit that leaves
-        # an unsynced tail (never during mkfs/replay), stopped at unmount.
+        # an unsynced tail (mkfs's own, under group commit; never replay),
+        # stopped at unmount.
         self._flusher: Optional[threading.Thread] = None
         self._flusher_stop = threading.Event()
 
@@ -243,25 +244,26 @@ class RecoveryManager:
 
     # ------------------------------------------------------------ transactions
 
-    def begin(self, trees: Tuple[str, ...] = ("master",)) -> int:
+    def begin(self) -> int:
         """Open (or nest into) a WAL transaction; returns the nesting depth.
 
         Nesting is flat: inner begin/commit pairs join the outermost
         transaction, and only the outermost commit writes the commit marker.
-        ``trees`` declares which trees the transaction mutates — the
-        exclusive per-tree locks are what serialize it against other
-        threads, so two transactions on disjoint trees overlap.  A nested
-        begin may *escalate* to additional trees (a create indexing its
-        content inside its namespace operation), which must follow the
-        global rank order — the table raises on violations, so a deadlock
-        is impossible by construction.
+        The outermost begin takes the engine lock exclusively, which is what
+        serializes the transaction against other threads' transactions and
+        read views.  Refused inside the thread's own read view.
         """
         txn = self._txn
         if txn.depth > 0:
             self.check_usable()
-            self._acquire_trees(txn, trees)
             txn.depth += 1
             return txn.depth
+        if txn.lock_mode == LockMode.SHARED:
+            raise RecoveryError(
+                "cannot open a transaction inside a read view: two threads "
+                "upgrading their shared holds would deadlock — open the "
+                "transaction first and read inside it"
+            )
         # Under sustained concurrent load there is rarely a quiesced moment
         # for the opportunistic maybe_checkpoint() to seize, so the journal
         # would fill until the hard capacity error.  Entering writers pay
@@ -270,7 +272,7 @@ class RecoveryManager:
         self._checkpoint_if_needed()
         self._enter_gate()
         try:
-            self._acquire_trees(txn, trees)
+            self._hold(LockMode.EXCLUSIVE)
             self.check_usable()
         except BaseException:
             self._finish_outermost(txn)
@@ -291,19 +293,26 @@ class RecoveryManager:
                 self._gate.wait()
             self._active_txns += 1
 
-    def _acquire_trees(self, txn: _TxnLocal, trees) -> None:
-        # Every acquire (fresh or re-entrant bump) is recorded and paired
-        # with exactly one release in _finish_outermost — the held-counts
-        # in the lock table must balance or the tree stays locked forever.
-        for tree in sorted(set(trees), key=_rank):
-            self.tree_locks.acquire_exclusive(tree)
-            txn.trees.append(tree)
+    def _hold(self, mode: str) -> None:
+        """Take the engine lock in ``mode``, or re-enter this thread's hold."""
+        txn = self._txn
+        if txn.lock_depth == 0:
+            self.lock_manager.acquire(_ENGINE, mode)
+            txn.lock_mode = mode
+        txn.lock_depth += 1
+
+    def _release(self) -> None:
+        """Drop one of this thread's holds; the last one frees the lock."""
+        txn = self._txn
+        txn.lock_depth -= 1
+        if txn.lock_depth == 0:
+            self.lock_manager.release(_ENGINE, txn.lock_mode)
+            txn.lock_mode = None
 
     def _finish_outermost(self, txn: _TxnLocal) -> None:
-        """Release the transaction's tree locks and leave the gate."""
-        trees, txn.trees = txn.trees, []
-        for tree in reversed(trees):
-            self.tree_locks.release_exclusive(tree)
+        """Release the transaction's engine lock and leave the gate."""
+        if txn.lock_mode == LockMode.EXCLUSIVE:
+            self._release()
         with self._gate:
             self._active_txns -= 1
             self._gate.notify_all()
@@ -413,9 +422,9 @@ class RecoveryManager:
         txn.txid = None
 
     @contextmanager
-    def transaction(self, trees: Tuple[str, ...] = ("master",)):
+    def transaction(self):
         """``with recovery.transaction(): ...`` — commit on success."""
-        self.begin(trees)
+        self.begin()
         try:
             yield self
         except BaseException:
@@ -424,17 +433,23 @@ class RecoveryManager:
         else:
             self.commit()
 
-    def read_view(self, trees: Tuple[str, ...] = ("master",)):
-        """Shared tree locks for one consistent read (see ``TreeLockTable``).
+    @contextmanager
+    def read_view(self):
+        """The engine lock, shared, for one consistent read.
 
-        Queries hold these for their whole execution: readers overlap
-        readers, writers to *other* trees proceed, and a writer to a viewed
-        tree queues — so every answer reflects one stable generation of
-        each viewed tree (snapshot-stable reads).  A poisoned manager
+        Queries hold it for their whole execution: readers overlap readers
+        and a writer queues, so every answer reflects one committed
+        generation of every tree (snapshot-stable reads).  Inside the
+        thread's own transaction the view re-enters its exclusive hold, so
+        a writer may read its uncommitted state.  A poisoned manager
         refuses: its trees may hold an aborted transaction's effects.
         """
         self.check_usable()
-        return self.tree_locks.read_view(trees)
+        self._hold(LockMode.SHARED)
+        try:
+            yield self
+        finally:
+            self._release()
 
     def _release_pins(self, txn: _TxnLocal) -> None:
         for consumer, page_id in txn.pins:
@@ -453,39 +468,19 @@ class RecoveryManager:
     # ------------------------------------------------------------ logging
 
     def _log_record(self, rtype: int, block: int, payload: bytes) -> int:
-        """Append one record; returns its LSN.
-
-        Inside a transaction the record joins it; outside, it forms a
-        self-committing transaction that is immediately durable (the
-        uncached/write-through path).  Records from overlapping transactions
-        interleave in the journal — safely, because every record carries its
-        txid and replay groups by txid; what cannot happen is two
-        transactions on the *same* tree interleaving, which the per-tree
-        locks exclude.
-        """
+        """Append one record to the calling thread's transaction; returns
+        its LSN.  Outside a transaction this raises :class:`RecoveryError`:
+        a record no commit marker covers would be lost to the next
+        checkpoint's truncation while its page sat only in the pool."""
         txn = self._txn
-        if txn.depth > 0:
-            self.check_usable()
-            txn.records += 1
-            return self.journal.append(rtype, txn.txid, block, payload)
+        if txn.depth == 0:
+            raise RecoveryError(
+                "logging outside a transaction: bracket the mutation in "
+                "recovery.transaction()"
+            )
         self.check_usable()
-        self._reserve_log_space(len(payload))
-        # Autocommits register as micro-transactions in the checkpoint gate:
-        # a record appended between a checkpoint's sync and its truncate
-        # would otherwise be lost while its page is still only in the pool.
-        self._enter_gate()
-        try:
-            txid = self.journal.allocate_txid()
-            lsn = self.journal.append(rtype, txid, block, payload)
-            self.journal.commit_txid(txid, sync=True)
-        finally:
-            with self._gate:
-                self._active_txns -= 1
-                self._gate.notify_all()
-        with self._stats_lock:
-            self.stats.autocommits += 1
-        self.maybe_checkpoint()
-        return lsn
+        txn.records += 1
+        return self.journal.append(rtype, txn.txid, block, payload)
 
     def log_page(self, block: int, payload: bytes) -> int:
         """Log a physical page image; returns the record's LSN.
@@ -494,9 +489,10 @@ class RecoveryManager:
         delta against the block's previous one; either way it counts as one
         logged page.
         """
+        lsn = self._log_record(TYPE_DATA, block, payload)
         with self._stats_lock:
             self.stats.pages_logged += 1
-        return self._log_record(TYPE_DATA, block, payload)
+        return lsn
 
     def log_meta(self, updates: Dict[str, int]) -> int:
         """Log a logical superblock update (master root, next oid, ...).
@@ -505,11 +501,12 @@ class RecoveryManager:
         re-applied from the log on mount-time replay.
         """
         payload = json.dumps(updates, sort_keys=True).encode("utf-8")
+        lsn = self._log_record(TYPE_META, 0, payload)
         with self._state_lock:
             self.state.update(updates)
         with self._stats_lock:
             self.stats.meta_records_logged += 1
-        return self._log_record(TYPE_META, 0, payload)
+        return lsn
 
     def log_revoke(self, block: int) -> int:
         """Log that ``block`` was freed: replay must skip its older records.
@@ -518,23 +515,10 @@ class RecoveryManager:
         *unlogged* object data would be clobbered by replaying the stale
         page image (the ext3 revoke-record problem).
         """
+        lsn = self._log_record(TYPE_REVOKE, block, b"")
         with self._stats_lock:
             self.stats.revokes_logged += 1
-        return self._log_record(TYPE_REVOKE, block, b"")
-
-    def _reserve_log_space(self, payload_len: int) -> None:
-        """Checkpoint early if the next record wouldn't fit the journal.
-
-        Only possible between transactions; inside one we rely on the
-        between-transaction threshold checkpointing having kept headroom
-        (``Journal`` still raises ``JournalError`` as the hard backstop).
-        """
-        if self._txn.depth > 0 or self.pool is None:
-            return
-        # Headroom for this record's header plus its commit marker.
-        needed = payload_len + 2 * RECORD_OVERHEAD
-        if self.journal.bytes_used + needed > self.journal.capacity_bytes:
-            self.checkpoint()
+        return lsn
 
     def protect(self, consumer, page_id) -> None:
         """No-steal: pin a page dirtied by the open transaction until it ends."""
@@ -557,23 +541,12 @@ class RecoveryManager:
         Used to defer irreversible in-memory effects — freeing data chunks
         and btree pages, whose storage may be re-used for unlogged bytes —
         past the point where the responsible transaction can still vanish in
-        a crash.  Inside a transaction that is its commit's group sync;
-        outside, everything logged so far is already durable (autocommits
-        sync) unless group commit left a tail, in which case the action
-        waits for the next sync.
+        a crash: the calling thread's transaction's commit sync.  An abort
+        drops the action; outside a transaction this raises.
         """
-        if self._txn.depth > 0:
-            self._txn.on_commit.append(action)
-            return
-        run_now = False
-        with self._commit_lock:
-            if self.journal.last_lsn <= self.journal.durable_lsn:
-                run_now = True
-            else:
-                self._deferred_until_durable.append(
-                    (self.journal.last_lsn, action))
-        if run_now:
-            action()
+        if self._txn.depth == 0:
+            raise RecoveryError("on_durable outside a transaction")
+        self._txn.on_commit.append(action)
 
     def _run_durable_actions(self) -> None:
         """Fire deferred actions whose covering marker has reached the device."""
@@ -606,14 +579,13 @@ class RecoveryManager:
     # ------------------------------------------------------------ durability
 
     def _durability_advanced(self, durable: int) -> None:
-        """Journal ``on_sync`` hook: wake waiters, fire listeners.
+        """Journal ``on_sync`` hook: fire the durable listeners.
 
         Runs on whichever thread performed the sync, possibly while that
         thread still holds the journal mutex (re-entrant sync from
         ``commit_txid``) — so listeners must be non-blocking.
         """
-        with self._durable_cond:
-            self._durable_cond.notify_all()
+        with self._listeners_lock:
             listeners = list(self._durable_listeners)
         for listener in listeners:
             try:
@@ -624,46 +596,22 @@ class RecoveryManager:
     def add_durable_listener(self, listener) -> None:
         """Register ``listener(durable_lsn)``, called on every durability
         advance.  Must be non-blocking (see :meth:`_durability_advanced`)."""
-        with self._durable_cond:
+        with self._listeners_lock:
             self._durable_listeners.append(listener)
 
     def remove_durable_listener(self, listener) -> None:
-        with self._durable_cond:
+        with self._listeners_lock:
             try:
                 self._durable_listeners.remove(listener)
             except ValueError:
                 pass
 
-    def wait_durable(self, lsn: Optional[int], timeout: Optional[float] = None) -> bool:
-        """Block until ``durable_lsn >= lsn``; True on success.
-
-        Returns False on timeout or if the manager poisons while waiting.
-        With the idle flusher armed the wait is bounded by
-        ``sync_interval_ms``; callers that disabled it should pass a
-        timeout and force :meth:`flush_commits` themselves.
-        """
-        if lsn is None or lsn <= self.journal.durable_lsn:
-            return True
-        deadline = None if timeout is None else monotonic() + timeout
-        with self._durable_cond:
-            while self.journal.durable_lsn < lsn:
-                if self.poisoned:
-                    return False
-                if deadline is None:
-                    self._durable_cond.wait(0.5)
-                else:
-                    remaining = deadline - monotonic()
-                    if remaining <= 0:
-                        return False
-                    self._durable_cond.wait(min(remaining, 0.5))
-        return True
-
     def flush_commits(self) -> bool:
         """Sync a buffered commit tail now; True if a sync was issued.
 
         The group-commit idle flush: covers commit markers waiting out a
-        partial batch and out-of-transaction deferred frees waiting on "the
-        next sync".  Safe from any thread — serialized with committing
+        partial batch, and the deferred frees of their transactions.  Safe
+        from any thread — serialized with committing
         threads by the commit lock, and syncing records of a still-open
         transaction early is harmless (replay ignores unmarked records).
         """
@@ -737,10 +685,10 @@ class RecoveryManager:
         rewrites page images the flush already made home (idempotent).
 
         Concurrency: a checkpoint *quiesces* the engine — it raises if the
-        calling thread has an open transaction, bars new transactions, and
-        waits for every other thread's transaction (and in-flight
-        autocommit) to resolve before flushing and truncating.  Read views
-        are not excluded: repairs and flushes rewrite committed state only.
+        calling thread has an open transaction or read view, bars new
+        transactions, and waits for every other thread's transaction to
+        resolve before flushing and truncating.  Read views are not
+        excluded: repairs and flushes rewrite committed state only.
         """
         with self.quiesced():
             return self._checkpoint_quiesced()
@@ -749,17 +697,22 @@ class RecoveryManager:
     def quiesced(self):
         """Hold the checkpoint gate: bar other threads' transactions for the block.
 
-        Entering waits — holding no lock — for every open transaction and
-        in-flight autocommit to resolve; until the block exits only the
-        calling thread may transact, and checkpoint between its
-        transactions.  A multi-transaction maintenance pass (the index
-        backlog's settle) needs both: writers must not see it half done,
-        and it may outgrow the journal.  The gate, not a tree lock: waiting
-        for a checkpoint while holding a lock open transactions queue on
-        would deadlock.  Re-entrant per thread.
+        Entering waits — holding no lock — for every open transaction to
+        resolve; until the block exits only the calling thread may
+        transact, and checkpoint between its transactions.  A
+        multi-transaction maintenance pass (the index backlog's settle)
+        needs both: writers must not see it half done, and it may outgrow
+        the journal.  The gate, not the engine lock: waiting for a
+        checkpoint while holding a lock open transactions queue on would
+        deadlock — which is why the calling thread may hold neither a
+        transaction nor a read view.  Re-entrant per thread.
         """
-        if self._txn.depth > 0:
-            raise RecoveryError("cannot checkpoint inside an open transaction")
+        if self._txn.lock_depth > 0:
+            raise RecoveryError(
+                "cannot checkpoint inside an open transaction or read view: "
+                "a writer queued on the engine lock would never let it "
+                "quiesce"
+            )
         me = threading.get_ident()
         if self._gate_owner == me:
             yield
@@ -806,7 +759,7 @@ class RecoveryManager:
         """
         if self._txn.depth > 0 or self.poisoned:
             return False
-        if self.journal.bytes_used < self.checkpoint_threshold * self.journal.capacity_bytes:
+        if self.journal.bytes_used < CHECKPOINT_THRESHOLD * self.journal.capacity_bytes:
             return False
         with self._gate:
             if self._checkpoint_pending or self._active_txns > 0:
@@ -826,13 +779,13 @@ class RecoveryManager:
         """Blocking threshold checkpoint for threads about to transact.
 
         Unlike :meth:`maybe_checkpoint` this *waits* for quiescence — the
-        caller must hold no tree locks and not be inside a transaction.
-        Whoever arrives first pays; threads that waited out a concurrent
-        checkpoint re-check the fill and skip.
+        caller must hold neither a transaction nor a read view.  Whoever
+        arrives first pays; threads that waited out a concurrent checkpoint
+        re-check the fill and skip.
         """
         if self.poisoned or self._txn.depth > 0:
             return False
-        threshold = self.checkpoint_threshold * self.journal.capacity_bytes
+        threshold = CHECKPOINT_THRESHOLD * self.journal.capacity_bytes
         if self.journal.bytes_used < threshold:
             return False
         with self.quiesced():
@@ -857,7 +810,7 @@ class RecoveryManager:
             checksum_pages=self.state["checksum_pages"],
             fulltext_format=self.state["fulltext_format"],
             osd_format=self.state["osd_format"],
-        ).store(self.device, self.superblock_block)
+        ).store(self.device)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -938,7 +891,6 @@ class RecoveryManager:
             "journal_syncs": journal.syncs,
             "transactions_committed": self.stats.transactions_committed,
             "transactions_aborted": self.stats.transactions_aborted,
-            "autocommits": self.stats.autocommits,
             "pages_logged": self.stats.pages_logged,
             "meta_records_logged": self.stats.meta_records_logged,
             "revokes_logged": self.stats.revokes_logged,

@@ -9,7 +9,7 @@ One :class:`Server` multiplexes many connections over one engine:
   arrives and answers out of order as engine calls complete; the ``id``
   field re-associates responses.
 * **A bounded worker pool** — blocking engine calls run on a
-  ``ThreadPoolExecutor`` behind the per-tree lock queues; the event loop
+  ``ThreadPoolExecutor`` behind the engine lock; the event loop
   never blocks on the device.
 * **Group-commit alignment** — mutations are acknowledged through the
   :class:`~repro.serve.batcher.WriteBatcher`: the ack waits for the WAL to
@@ -59,8 +59,6 @@ class ServeConfig:
     slow_ms: Optional[float] = None
     #: ceiling on one ack wait before the batcher forces a flush.
     ack_timeout_s: float = 1.0
-    #: shed mutations while health reports ``fail``.
-    shed_unhealthy: bool = True
     #: seconds one cached health verdict is trusted.
     health_poll_s: float = 0.25
     #: default page size for query/find/search results; ``None`` = no paging.
@@ -277,7 +275,7 @@ class Server:
 
     async def _run_mutation(self, session: Session, kind: str, fn):
         """One mutating engine call; the return is ack-after-durable."""
-        if self.config.shed_unhealthy and self._health_verdict() == "fail":
+        if self._health_verdict() == "fail":
             self.counters["sheds_unhealthy"] += 1
             raise RequestError("engine unhealthy: mutation shed",
                                code="unhealthy")

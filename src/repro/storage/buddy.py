@@ -75,10 +75,12 @@ class BuddyAllocator:
         self.frees = 0
         self.splits = 0
         self.coalesces = 0
-        # Overlapping WAL transactions (per-tree queueing) allocate and
-        # free concurrently; the free lists are one shared structure, so
-        # every mutation takes this leaf-level mutex (re-entrant: the
-        # extent path allocates inside its own locked scope).
+        # Deferred frees run once their commit is durable — on the idle
+        # flusher or a committing thread, outside any transaction — while
+        # another thread's transaction allocates; the free lists are one
+        # shared structure, so every mutation takes this leaf-level mutex
+        # (re-entrant: the extent path allocates inside its own locked
+        # scope).
         self._mutex = threading.RLock()
 
     # -- queries -------------------------------------------------------------

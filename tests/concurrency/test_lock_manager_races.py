@@ -1,7 +1,7 @@
 """Race audit: LockManager and TimedLock under real thread interleavings.
 
-These tests pin the properties the per-tree transaction queues and the
-timed journal mutex rely on: write preference (no writer starvation),
+These tests pin the properties the engine lock and the timed journal
+mutex rely on: write preference (no writer starvation),
 deadline-based timeouts that survive wakeup storms, bounded wait-table
 eviction that never drops live state, and observer/histogram accounting
 that stays exact when many threads contend at once.

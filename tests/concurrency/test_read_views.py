@@ -1,88 +1,110 @@
-"""Facade read views latch only the trees a lookup routes to; a backlog
+"""Read views under concurrent writers: every public read holds one, a
+checkpoint inside one is refused rather than deadlocking, and a backlog
 settle excludes writers at the checkpoint gate, never by a lock they queue on.
 """
 
+import sys
 import threading
-
-import pytest
+import time
 
 from repro.core import HFADFileSystem
+from repro.errors import RecoveryError
 from repro.fulltext import persistent_index
 
 
-@pytest.fixture()
-def fs():
-    with HFADFileSystem(num_blocks=1 << 15) as fs:
-        yield fs
+class TestPublicReadsHoldAView:
+    def test_name_and_path_reads_are_never_torn_by_writers(self):
+        # A writer keeps adding names and paths to objects whose index keys
+        # sort just before the target's, so the index leaves holding the
+        # target's entries shift and split under an unlatched reader: it
+        # would see an entry twice, or not at all.
+        fs = HFADFileSystem(num_blocks=1 << 15)
+        oids = [fs.create(b"", owner="u", path=f"/o/{i}", index_content=False)
+                for i in range(40)]
+        target = oids[-1]
 
+        def answer():
+            return (fs.names_for(target), fs.paths_for(target),
+                    fs.lookup_path("/o/39"), fs.exists(target), fs.size(target))
 
-def in_thread(fn):
-    """Run ``fn`` on a thread; returns ``(thread, results)``."""
-    results = []
-    thread = threading.Thread(target=lambda: results.append(fn()), daemon=True)
-    thread.start()
-    return thread, results
-
-
-class TestReadViewsFollowTheTerms:
-    def hold_fulltext(self, fs):
-        """Another thread's full-text write transaction, open until released."""
-        held, release = threading.Event(), threading.Event()
-
-        def writer():
-            with fs.recovery.transaction(trees=("fulltext",)):
-                held.set()
-                release.wait(10.0)
-
-        thread = threading.Thread(target=writer, daemon=True)
-        thread.start()
-        assert held.wait(2.0)
-        return thread, release
-
-    def test_a_tag_only_find_does_not_queue_behind_a_fulltext_writer(self, fs):
-        oid = fs.create(b"needle in the text", tags=[("UDEF", "p7")], owner="margo")
-        writer, release = self.hold_fulltext(fs)
-        try:
-            for lookup in (lambda: fs.find("UDEF/p7"),
-                           lambda: fs.find_one("UDEF/p7", "USER/margo"),
-                           lambda: fs.query("UDEF/p7 AND NOT USER/keith")):
-                thread, results = in_thread(lookup)
-                thread.join(2.0)
-                assert not thread.is_alive(), "a tag-only lookup latched the fulltext tree"
-                assert results in ([[oid]], [oid])
-            searches = [in_thread(lambda: fs.search_text("needle")),
-                        in_thread(lambda: fs.query("UDEF/p7 AND FULLTEXT/needle"))]
-            for thread, results in searches:
-                thread.join(0.2)
-                assert thread.is_alive() and not results, "a full-text read overlapped a writer"
-        finally:
-            release.set()
-        writer.join(2.0)
-        for thread, results in searches:
-            thread.join(2.0)
-            assert results == [[oid]]
-
-    def test_an_image_term_latches_the_image_tree(self, fs):
-        oid = fs.create(b"a picture", owner="margo")
-        fs.index_image(oid, [0.9, 0.1, 0, 0, 0, 0, 0, 0])
-        held, release = threading.Event(), threading.Event()
+        expected = answer()
+        stop = threading.Event()
+        wrong, errors = [], []
 
         def writer():
-            with fs.recovery.transaction(trees=("image",)):
-                held.set()
-                release.wait(10.0)
+            step = 0
+            while not stop.is_set():
+                oid = oids[step % 39]
+                fs.tag(oid, "UDEF", f"label-{step:06d}")
+                fs.link_path(f"/o/{step % 39}/{step:06d}", oid)
+                step += 1
 
-        threading.Thread(target=writer, daemon=True).start()
-        assert held.wait(2.0)
+        def reader():
+            while not stop.is_set():
+                got = answer()
+                if got != expected:
+                    wrong.append(got)
+                    stop.set()
+
+        def guarded(loop):
+            try:
+                loop()
+            except Exception as error:  # noqa: BLE001 — reported by the main thread
+                errors.append(error)
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            assert fs.search_text("picture") == [oid]  # fulltext and master only
-            thread, results = in_thread(lambda: fs.find("IMAGE/color:red"))
-            thread.join(0.2)
-            assert thread.is_alive() and not results
+            threads = [threading.Thread(target=guarded, args=(loop,), daemon=True)
+                       for loop in (writer, reader)]
+            for thread in threads:
+                thread.start()
+            stop.wait(3.0)
+            stop.set()
+            for thread in threads:
+                thread.join(10.0)
         finally:
-            release.set()
-        thread.join(2.0)
-        assert results == [[oid]]
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert wrong == [], f"a read saw a torn index: {wrong[0]}"
+        fs.close()
+
+
+class TestCheckpointInsideAView:
+    def test_a_checkpoint_inside_a_read_view_raises_instead_of_deadlocking(self):
+        # The writer enters the checkpoint gate and queues on the engine
+        # lock the viewer holds; a checkpoint that then waited for the
+        # writer to leave the gate would wait forever.
+        fs = HFADFileSystem(num_blocks=1 << 15)
+        oid = fs.create(b"some text", owner="margo")
+        outcome = {}
+
+        def viewer():
+            try:
+                with fs.read_view():
+                    time.sleep(0.3)
+                    fs.checkpoint()
+            except RecoveryError as error:
+                outcome["viewer"] = error
+
+        def tagger():
+            time.sleep(0.1)
+            fs.tag(oid, "UDEF", "late")
+            outcome["tagger"] = "tagged"
+
+        threads = [threading.Thread(target=fn, daemon=True) for fn in (viewer, tagger)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(5.0)
+            assert not thread.is_alive(), "checkpoint and writer deadlocked"
+        assert isinstance(outcome.get("viewer"), RecoveryError)
+        assert outcome.get("tagger") == "tagged"
+        assert fs.find("UDEF/late") == [oid]
+        fs.checkpoint()  # outside the view it runs
+        fs.close()
 
 
 class TestSettleUnderWriters:

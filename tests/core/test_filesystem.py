@@ -268,7 +268,7 @@ def test_one_index_apply_path_surface():
     assert set(public(HFADFileSystem.mount)) - {"device"} <= set(constructor)
     # ... nor the buffer pool's eviction policy (LRU), the page geometry,
     # the planner and slow-log switches nothing ever set, or the checkpoint
-    # fill fraction (the recovery manager keeps it).
+    # fill fraction (a recovery-manager constant).
     for retired in ({"lazy_indexing": True}, {"cache_policy": "lru"},
                     {"page_blocks": 1}, {"max_keys": 32},
                     {"enable_planner": False}, {"slow_query_ms": 5.0},

@@ -12,6 +12,8 @@ with an idle flusher; these tests pin both halves:
   a crash/remount, without waiting for another writer.
 """
 
+import threading
+
 import pytest
 
 from repro.core import HFADFileSystem
@@ -29,6 +31,20 @@ def build_fs(device, sync_interval_ms):
 
 def make_device():
     return CrashingBlockDevice(num_blocks=1 << 14, block_size=512)
+
+
+def durable_past(recovery, lsn):
+    """An event a durable listener sets once the log is durable through ``lsn``."""
+    reached = threading.Event()
+
+    def listener(durable):
+        if durable >= lsn:
+            reached.set()
+
+    recovery.add_durable_listener(listener)
+    if recovery.journal.durable_lsn >= lsn:
+        reached.set()
+    return reached
 
 
 def test_lone_commit_stranded_without_flusher():
@@ -59,14 +75,14 @@ def test_idle_flush_makes_lone_commit_durable():
     oid = fs.create(b"precious lone write", owner="solo", path="/solo/doc.txt")
     journal = fs.recovery.journal
     # No other writer ever shows up; the idle flusher must cover the tail.
-    assert fs.recovery.wait_durable(journal.last_lsn, timeout=10.0), (
+    assert durable_past(fs.recovery, journal.last_lsn).wait(10.0), (
         "idle flusher did not sync the lone commit within its interval")
+    fs.recovery.stop_flusher()  # joins the flusher, so its count is final
     assert fs.recovery.stats.idle_flushes >= 1
     mounted = HFADFileSystem.mount(device.surviving_image())
     assert oid in mounted.find(("USER", "solo"))
     assert mounted.read(oid) == b"precious lone write"
     mounted.close()
-    fs.recovery.stop_flusher()
 
 
 def test_default_interval_auto_enabled_with_group_commit():
@@ -89,18 +105,19 @@ def test_negative_interval_rejected():
                        sync_interval_ms=-1.0)
 
 
-def test_flush_commits_manual_and_wait_durable():
+def test_flush_commits_manual_and_durable_listener():
     device = make_device()
     fs = build_fs(device, sync_interval_ms=0.0)  # no flusher: manual control
     fs.create(b"first", owner="manual")
     journal = fs.recovery.journal
     target = journal.last_lsn
     assert journal.durable_lsn < target
-    assert not fs.recovery.wait_durable(target, timeout=0.05), (
-        "wait_durable returned before anything synced the tail")
+    reached = durable_past(fs.recovery, target)
+    assert not reached.wait(0.05), (
+        "the listener heard of durability before anything synced the tail")
     assert fs.recovery.flush_commits() is True
     assert journal.durable_lsn >= target
-    assert fs.recovery.wait_durable(target, timeout=0.0)
+    assert reached.is_set()
     # Idempotent: nothing left to flush.
     assert fs.recovery.flush_commits() is False
     fs.close()

@@ -10,11 +10,11 @@ from repro.recovery import RecoveryManager
 from repro.storage import BlockDevice, BuddyAllocator
 
 
-def make_stack(cache_pages=8, journal_blocks=32, group_commit=1, **manager_kwargs):
+def make_stack(cache_pages=8, journal_blocks=32, group_commit=1):
     device = BlockDevice(num_blocks=1 << 12, block_size=512)
     manager = RecoveryManager(
         device, journal_start=1, journal_blocks=journal_blocks,
-        group_commit=group_commit, **manager_kwargs,
+        group_commit=group_commit,
     )
     pool = BufferPool(capacity=cache_pages)
     manager.attach_pool(pool)
@@ -81,11 +81,18 @@ class TestWalRule:
         assert manager.journal.bytes_appended == appended
         assert pool.dirty_pages == 0
 
-    def test_autocommit_outside_transaction(self):
+    def test_logging_outside_a_transaction_raises(self):
         _, manager, _, store = make_stack()
-        write_node(store)
-        assert manager.stats.autocommits >= 1
-        assert manager.journal.bytes_unflushed == 0  # immediately durable
+        appended = manager.journal.bytes_appended
+        for log in (lambda: write_node(store),
+                    lambda: manager.log_meta({"next_oid": 9}),
+                    lambda: manager.log_revoke(store.allocate()),
+                    lambda: manager.on_durable(lambda: None)):
+            with pytest.raises(RecoveryError, match="outside a transaction"):
+                log()
+        assert manager.journal.bytes_appended == appended
+        assert manager.state["next_oid"] == 1
+        assert manager.stats.pages_logged == manager.stats.meta_records_logged == 0
 
 
 class TestNoSteal:
@@ -162,9 +169,7 @@ class TestCheckpoint:
         manager.commit()
 
     def test_journal_fill_triggers_auto_checkpoint(self):
-        _, manager, _, store = make_stack(
-            journal_blocks=8, checkpoint_threshold=0.3
-        )
+        _, manager, _, store = make_stack(journal_blocks=8)
         for i in range(12):
             with manager.transaction():
                 write_node(store, b"key-%04d" % i * 8)
