@@ -51,11 +51,7 @@ class BPlusTree:
         holds before it splits; ``min_keys`` (underflow threshold) is
         ``max_keys // 2``.
     :param root_id: attach to an *existing* tree rooted at this page instead
-        of creating a fresh one (the crash-recovery mount path).  The element
-        count is rebuilt by one leaf-chain walk unless ``count`` is supplied.
-    :param count: known element count when attaching via ``root_id`` —
-        callers that already walk the tree (the mount reservation pass) use
-        it to skip the redundant counting walk.
+        of creating a fresh one (the crash-recovery mount path).
     :param on_root_change: callback invoked with the new root page id
         whenever the root moves (root split or root collapse); the recovery
         layer uses it to journal the master-tree root.
@@ -63,7 +59,6 @@ class BPlusTree:
 
     def __init__(self, store: Optional[PageStore] = None, max_keys: int = 64,
                  root_id: Optional[int] = None,
-                 count: Optional[int] = None,
                  on_root_change=None) -> None:
         if max_keys < 3:
             raise ValueError("max_keys must be at least 3")
@@ -72,7 +67,6 @@ class BPlusTree:
         self.min_keys = max_keys // 2
         self.node_byte_limit: Optional[int] = getattr(self.store, "page_bytes", None)
         self._lock = threading.RLock()
-        self._count = 0
         #: nodes visited by lookups/cursors; the index-traversal experiments
         #: (E1) read this to report "how many index hops did that search cost".
         self.node_visits = 0
@@ -83,10 +77,6 @@ class BPlusTree:
             self.store.write(self._root_id, root)
         else:
             self._root_id = root_id
-            self._count = (
-                count if count is not None
-                else sum(1 for _ in self._leaf_items_from(None))
-            )
 
     @property
     def root_id(self) -> int:
@@ -117,7 +107,8 @@ class BPlusTree:
     # ------------------------------------------------------------------ basic
 
     def __len__(self) -> int:
-        return self._count
+        """Walks the leaf chain: for tests and fsck, not for hot paths."""
+        return sum(1 for _ in self._leaf_items_from(None))
 
     def __contains__(self, key: bytes) -> bool:
         # Values are always ``bytes``, so one lookup settles it.
@@ -239,7 +230,6 @@ class BPlusTree:
             leaf.keys.insert(index, key)
             leaf.values.insert(index, value)
             leaf.nbytes += LEAF_ENTRY_OVERHEAD + len(key) + len(value)
-            self._count += 1
         if not self._overfull(leaf):
             self.store.write(page_id, leaf)
             return None
@@ -361,10 +351,6 @@ class BPlusTree:
                                       and self._underflowing(leaf))
                     if not structural:
                         dirty = True
-                        if new is None:
-                            self._count -= 1
-                        elif not present:
-                            self._count += 1
                         continue
                     leaf.nbytes -= grown  # put the leaf back as it was
                     if new is None:
@@ -437,7 +423,6 @@ class BPlusTree:
             node.nbytes -= node.entry_size(index)
             node.keys.pop(index)
             node.values.pop(index)
-            self._count -= 1
             self.store.write(page_id, node)
             return
         index = bisect.bisect_right(node.keys, key)
@@ -665,7 +650,7 @@ class BPlusTree:
 
         Checked: key ordering within and across nodes, uniform leaf depth,
         child counts on inner nodes, the leaf chain visiting every key in
-        order, the element count, and occupancy (root exempt).  By count, a
+        order, and occupancy (root exempt).  By count, a
         node holds at least ``min_keys``.  By bytes, a node's running size
         is its encoded size and fits the page, and a node under a quarter
         page is one that neither sibling could merge with — which entries
@@ -720,6 +705,5 @@ class BPlusTree:
         walk(self._root_id, 1, None, None)
         assert len(set(leaf_depths)) == 1, "leaves at different depths"
         assert keys_by_walk == sorted(keys_by_walk), "global key order violated"
-        assert len(keys_by_walk) == self._count, "count does not match contents"
         chain = [key for key, _ in self._leaf_items_from(None)]
         assert chain == keys_by_walk, "leaf chain disagrees with tree walk"

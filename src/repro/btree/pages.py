@@ -26,6 +26,7 @@ write-back.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 
 from repro.cache.buffer_pool import BufferPool, PoolConsumer
@@ -244,7 +245,8 @@ class DevicePageStore(PageStore):
             # The block may be recycled for *unlogged* object data; hold it
             # until the freeing transaction's commit marker is durable, or a
             # crash could resurrect a tree whose page bytes were overwritten.
-            self.recovery.on_durable(lambda: self.allocator.free(page_id))
+            # A partial, not a lambda: fsck reads which block is pending.
+            self.recovery.on_durable(partial(self.allocator.free, page_id))
         else:
             self.allocator.free(page_id)
 

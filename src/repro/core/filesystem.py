@@ -488,14 +488,6 @@ class HFADFileSystem:
             self.objects.flush_access_times()
             return self.recovery.checkpoint()
 
-    def _scrub_sources(self) -> List[Tuple[object, int]]:
-        """Live ``(page_store, root_id)`` walk roots for the scrubber:
-        the OSD's master tree (extent maps included) plus the persistent
-        index trees, re-evaluated at the start of each scrub cycle."""
-        return self.objects.scrub_sources() + [
-            (tree.store, tree.root_id)
-            for tree in (self._fulltext_tree, self._image_tree)]
-
     def scrub(self, limit: Optional[int] = None) -> ScrubReport:
         """Online integrity scrub: verify every reachable btree page's
         checksum frame, repair rot from the buffer pool or the WAL tail,
@@ -510,7 +502,7 @@ class HFADFileSystem:
             self._scrubber = Scrubber(
                 self.device,
                 self.integrity,
-                self._scrub_sources,
+                self.objects.scrub_sources,
                 journal=self.recovery.journal,
             )
         started = time.perf_counter()

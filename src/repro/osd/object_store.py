@@ -22,6 +22,7 @@ from __future__ import annotations
 import struct
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Set
 
 from repro.btree import BPlusTree, DevicePageStore
@@ -149,6 +150,8 @@ class ObjectStore:
         self._live_objects = 0
         self._pending_atime: Dict[int, int] = {}
         self._mount_inventory = None
+        #: the persistent index trees opened through :meth:`open_index_tree`.
+        self._index_trees: List[BPlusTree] = []
 
     # ------------------------------------------------------------ mounting
 
@@ -166,10 +169,12 @@ class ObjectStore:
         ``recovery`` must already have replayed the journal: its ``state``
         holds the effective master root and next oid.  Everything else is
         rediscovered by one walk of the master tree — metadata records, name
-        entries and extents, each extent naming its data chunk — and the walk
-        doubles as fsck: allocator occupancy is rebuilt from reachable
-        structures only, so space held by uncommitted (never-replayed)
-        allocations is reclaimed for free.
+        entries and extents, each extent naming its data chunk — and
+        allocator occupancy is rebuilt from reachable structures only, so
+        space held by uncommitted (never-replayed) allocations is reclaimed
+        for free.  The index trees attached later (:meth:`open_index_tree`)
+        reserve their leaves without reading them; :meth:`check_consistency`
+        is the full walk that cross-checks the result.
         """
         state = recovery.state
         store = cls.__new__(cls)
@@ -183,26 +188,20 @@ class ObjectStore:
         store.allocator = BuddyAllocator(total_blocks=device.num_blocks, base=0)
         if state["data_region_start"]:
             store.allocator.reserve(0, state["data_region_start"])
-        # One walk of the one tree does triple duty: reserve every reachable
-        # page in the allocator, rebuild the element count (so BPlusTree
-        # skips its own counting walk), and surface the leaf entries
-        # (metadata records, extents, names) the rest of the mount needs.
+        # One walk of the one tree does double duty: reserve every reachable
+        # page in the allocator, and surface the leaf entries (metadata
+        # records, extents, names) the rest of the mount needs.
         store._master = store._new_tree(
             "osd.master",
             root_id=state["master_root"],
-            count=0,
             on_root_change=store._master_root_moved,
         )
-        master_count, master_entries = store._reserve_tree_pages(
-            store._master, collect=True
-        )
-        store._master._count = master_count
+        master_entries = store._reserve_tree_pages(store._master, store.allocator)
         # The same walk feeds the naming rebuild: metadata records and name
         # entries are handed to the filesystem layer via the mount inventory
         # instead of being re-read with fresh cursors.
         metadata_by_oid: Dict[int, ObjectMetadata] = {}
         names_by_oid: Dict[int, List[str]] = {}
-        extents = []
         for key, raw in master_entries:
             if key < _OID_END:
                 oid = _OID.unpack(key)[0]
@@ -213,8 +212,6 @@ class ObjectStore:
                     store._clock, metadata.created_at,
                     metadata.modified_at, metadata.accessed_at,
                 )
-            elif key.startswith(_EXTENT_PREFIX):
-                extents.append((_OID.unpack_from(key, len(_EXTENT_PREFIX))[0], raw))
             elif key.startswith(_NAME_PREFIX):
                 name_oid = _OID.unpack_from(key, len(_NAME_PREFIX))[0]
                 names_by_oid.setdefault(name_oid, []).append(
@@ -222,12 +219,7 @@ class ObjectStore:
                 )
         # The walk is depth-first, not in key order: reserve data chunks once
         # every live object is known.
-        for oid, raw in extents:
-            chunks = store._chunks.get(oid)
-            extent = ObjectExtent.decode(raw)
-            if chunks is not None and extent.block not in chunks:
-                chunks.add(extent.block)
-                store.allocator.reserve(extent.block, extent.nblocks)
+        store._reserve_chunks(master_entries, store.allocator, store._chunks)
         store._next_oid = max(state["next_oid"], max(metadata_by_oid, default=0) + 1)
         store._live_objects = len(metadata_by_oid)
         store._mount_inventory = (metadata_by_oid, names_by_oid)
@@ -241,28 +233,44 @@ class ObjectStore:
         self._mount_inventory = None
         return inventory
 
-    def _reserve_tree_pages(self, tree: BPlusTree, collect: bool = False):
-        """Re-reserve every reachable page of ``tree`` in the allocator.
+    @staticmethod
+    def _reserve_tree_pages(tree: BPlusTree, allocator: BuddyAllocator,
+                            read_leaves: bool = True) -> List:
+        """Reserve every reachable page of ``tree`` in ``allocator``.
 
-        Returns ``(leaf_entry_count, entries)`` where ``entries`` is the
-        list of leaf ``(key, value)`` pairs when ``collect`` is set (the
-        mount path folds its metadata/extent scans into this same walk).
+        Returns the leaf ``(key, value)`` pairs read.  Without
+        ``read_leaves`` no leaf is read but one: a B+-tree's leaves all sit
+        at one depth, so one leftmost descent finds it, and each leaf is
+        reserved from its parent's child list.
         """
         page_store = tree.store
-        count = 0
+        leaf_depth = None if read_leaves else tree.depth()
         entries: List = []
-        stack = [tree.root_id]
+        stack = [(tree.root_id, 1)]
         while stack:
-            page_id = stack.pop()
-            self.allocator.reserve(page_id, page_store.page_blocks)
+            page_id, depth = stack.pop()
+            allocator.reserve(page_id, page_store.page_blocks)
+            if depth == leaf_depth:
+                continue
             node = page_store.read(page_id)
             if node.is_leaf:
-                count += len(node.keys)
-                if collect:
-                    entries.extend(zip(node.keys, node.values))
+                entries.extend(zip(node.keys, node.values))
             else:
-                stack.extend(node.children)
-        return count, entries
+                stack.extend((child, depth + 1) for child in node.children)
+        return entries
+
+    def _reserve_chunks(self, master_entries: List, allocator: BuddyAllocator,
+                        chunks: Dict[int, Set[int]]) -> None:
+        """Reserve the data chunk of every extent in ``master_entries`` whose
+        object is a key of ``chunks``, recording it there."""
+        for key, raw in master_entries:
+            if not key.startswith(_EXTENT_PREFIX):
+                continue
+            owned = chunks.get(_OID.unpack_from(key, len(_EXTENT_PREFIX))[0])
+            extent = ObjectExtent.decode(raw)
+            if owned is not None and extent.block not in owned:
+                owned.add(extent.block)
+                allocator.reserve(extent.block, extent.nblocks)
 
     def open_index_tree(self, name: str, root_id: Optional[int] = None,
                         on_root_change=None) -> BPlusTree:
@@ -271,30 +279,28 @@ class ObjectStore:
         The tree shares this store's device, allocator, buffer pool and
         recovery manager, so its page writes are cached and WAL-logged
         exactly like the master tree's.  With ``root_id`` the tree is
-        re-attached to an existing root (the mount path): its reachable
-        pages are re-reserved in the allocator — which the mount walk
-        rebuilt from reachable structures only — and the element count is
-        taken from the same walk instead of a second counting pass.
+        re-attached to an existing root (the mount path): its pages are
+        re-reserved in the allocator — which the mount walk rebuilt from
+        reachable structures only — by reading its inner nodes and one
+        leaf, never the rest of its leaves.
         """
-        if root_id is None:
-            return self._new_tree(name, on_root_change=on_root_change)
-        tree = self._new_tree(name, root_id=root_id, count=0,
-                              on_root_change=on_root_change)
-        count, _entries = self._reserve_tree_pages(tree)
-        tree._count = count
+        tree = self._new_tree(name, root_id=root_id, on_root_change=on_root_change)
+        if root_id is not None:
+            self._reserve_tree_pages(tree, self.allocator, read_leaves=False)
+        self._index_trees.append(tree)
         return tree
 
     def scrub_sources(self) -> List:
-        """Current ``(page_store, root_id)`` of the one on-device tree this
-        store owns — the scrubber's walk roots.  The facade appends the
-        persistent index trees, which it owns."""
-        return [(self._master.store, self._master.root_id)]
+        """Current ``(page_store, root_id)`` of every on-device tree this
+        store holds — the scrubber's walk roots."""
+        return [(tree.store, tree.root_id) for tree in (self._master, *self._index_trees)]
 
     def check_consistency(self) -> Dict[str, object]:
         """The per-object half of fsck: audit the on-device OSD structures.
 
-        Walks every object's extent map, and checks the master tree's
-        invariants and the allocator.  Returns ``{"objects", "extents",
+        Walks every object's extent map, checks the master tree's invariants
+        and the allocator, and cross-checks allocator occupancy
+        (:meth:`_check_occupancy`).  Returns ``{"objects", "extents",
         "errors"}`` — the filesystem facade aggregates this with its own
         journal and index-tree checks.  Never raises: fsck reports.
         """
@@ -321,13 +327,45 @@ class ObjectStore:
             self.allocator.check_invariants()
         except Exception as error:  # noqa: BLE001
             errors.append(f"allocator: {error}")
+        self._check_occupancy(errors)
         return {"objects": objects, "extents": extents, "errors": errors}
+
+    def _check_occupancy(self, errors: List[str]) -> None:
+        """Rebuild occupancy from every reachable page and chunk — leaves
+        included — into a fresh allocator, and compare it with the live one.
+
+        A reachable page or chunk the live allocator does not hold at its
+        order is an error; a live allocation nothing reaches, and no
+        deferred free is waiting to release, is a leak.
+        """
+        live = self.allocator
+        reachable = BuddyAllocator(live.total_blocks, base=live.base)
+        try:
+            if self.recovery is not None and self.recovery.state.get("data_region_start"):
+                reachable.reserve(0, self.recovery.state["data_region_start"])
+            master_entries = self._reserve_tree_pages(self._master, reachable)
+            for tree in self._index_trees:
+                self._reserve_tree_pages(tree, reachable)
+            self._reserve_chunks(master_entries, reachable,
+                                 {oid: set() for oid in self._chunks})
+        except Exception as error:  # noqa: BLE001 — fsck reports, never raises
+            errors.append(f"occupancy walk: {error}")
+            return
+        deferred = self.recovery.deferred_actions() if self.recovery is not None else []
+        pending = {action.args[0] for action in deferred
+                   if getattr(action, "func", None) == live.free}
+        have, want = live.live_allocations(), reachable.live_allocations()
+        errors.extend(f"allocator: reachable block {block} is not allocated at order {order}"
+                      for block, order in sorted(want.items()) if have.get(block) != order)
+        errors.extend(f"allocator: leak: block {block} (order {order}) is allocated "
+                      "but unreachable" for block, order in sorted(have.items())
+                      if want.get(block) != order and block not in pending)
 
     # ------------------------------------------------------------ internals
 
     def _new_tree(self, name: str, **attach) -> BPlusTree:
         """A btree over device pages from this store's allocator; ``attach``
-        is :class:`BPlusTree`'s ``root_id`` / ``count`` / ``on_root_change``."""
+        is :class:`BPlusTree`'s ``root_id`` / ``on_root_change``."""
         page_store = DevicePageStore(
             self.device,
             self.allocator,
@@ -361,7 +399,7 @@ class ObjectStore:
         window.
         """
         if self.recovery is not None:
-            self.recovery.on_durable(lambda: self.allocator.free(block))
+            self.recovery.on_durable(partial(self.allocator.free, block))
         else:
             self.allocator.free(block)
 

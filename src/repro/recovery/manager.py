@@ -548,6 +548,11 @@ class RecoveryManager:
             raise RecoveryError("on_durable outside a transaction")
         self._txn.on_commit.append(action)
 
+    def deferred_actions(self) -> List:
+        """Actions committed but waiting for a durable marker (fsck's view)."""
+        with self._commit_lock:
+            return [action for _lsn, action in self._deferred_until_durable]
+
     def _run_durable_actions(self) -> None:
         """Fire deferred actions whose covering marker has reached the device."""
         with self._commit_lock:

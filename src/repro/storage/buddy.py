@@ -103,6 +103,11 @@ class BuddyAllocator:
         """Return the order of the allocation starting at ``block``, if any."""
         return self._allocated.get(block - self.base)
 
+    def live_allocations(self) -> Dict[int, int]:
+        """First block -> order of every live allocation (fsck compares these)."""
+        with self._mutex:
+            return {self.base + offset: order for offset, order in self._allocated.items()}
+
     def fragmentation(self) -> float:
         """Fraction of free space not available as the single largest chunk.
 

@@ -24,6 +24,13 @@ redo log with ARIES-style log sequence numbers:
   order and ignores any trailing uncommitted or torn tail;
 * ``checkpoint`` truncates the journal once home locations are durable.
 
+Journal I/O is proportional to use.  A scan reads the region in runs of
+1, 2, 4, ... blocks up to the end of the log (one block when truncated).  A
+*high-water mark* bounds the region's possibly non-zero bytes: the whole
+region at construction and after a replay, raised by every sync; a
+checkpoint zeroes the blocks below it and drops it to zero.  Bytes past the
+mark are zero, so a torn truncation still leaves a zeroed *prefix*.
+
 The one client is :class:`repro.recovery.RecoveryManager` — the
 no-force/no-steal path: page writes stay dirty in the buffer pool, the WAL
 rule is enforced at eviction time, and replay happens at mount.  It drives
@@ -209,6 +216,8 @@ class Journal:
         # become durable at the next sync (group commit).
         self._log = bytearray()
         self._flushed = 0
+        # The high-water mark (module docstring): unknown until a checkpoint.
+        self._dirty_bytes = self.capacity_bytes
         #: highest LSN whose record is durable on the device.
         self.durable_lsn = 0
         #: highest LSN assigned so far.
@@ -341,6 +350,8 @@ class Journal:
             before = self.durable_lsn
             pending = len(self._log) - self._flushed
             if pending > 0:
+                # Raised before the write: a failed one may leave bytes behind.
+                self._dirty_bytes = max(self._dirty_bytes, len(self._log))
                 self._write_log_region(self._flushed, bytes(self._log[self._flushed:]))
                 self._flushed = len(self._log)
                 self.syncs += 1
@@ -362,28 +373,29 @@ class Journal:
 
     # -- recovery -------------------------------------------------------------
 
-    def _read_log_bytes(self) -> bytes:
-        return self.device.read_blocks(self.journal_start, self.journal_blocks)
-
     @staticmethod
     def _parse(raw: bytes, only_block: Optional[int] = None
-               ) -> Tuple[List[Tuple[int, List[JournalRecord]]], int, int]:
+               ) -> Tuple[List[Tuple[int, List[JournalRecord]]], int, int, bool]:
         """Group the well-formed records of ``raw`` by committed transaction.
 
-        Returns ``(committed, max_txid, max_lsn)``; see :meth:`scan_detailed`.
-        ``only_block`` keeps just the records of one block (the scrubber's
-        question).
+        Returns ``(committed, max_txid, max_lsn, ran_out)``; see
+        :meth:`scan_detailed`.  ``ran_out`` says the parse stopped at the end
+        of ``raw`` rather than at a bad or zeroed record: more bytes might
+        continue the log.  ``only_block`` keeps just the records of one
+        block (the scrubber's question).
         """
         position = 0
         open_txns: dict = {}
         committed: List[Tuple[int, List[JournalRecord]]] = []
         max_txid = 0
         max_lsn = 0
+        ran_out = True
         while position + _RECORD_HEADER.size <= len(raw):
             magic, rtype, txid, lsn, block, length, crc = _RECORD_HEADER.unpack_from(
                 raw, position
             )
             if magic != _MAGIC or rtype not in _KNOWN_TYPES:
+                ran_out = False
                 break
             payload_start = position + _RECORD_HEADER.size
             payload_end = payload_start + length
@@ -392,6 +404,7 @@ class Journal:
             payload = raw[payload_start:payload_end]
             header = raw[position:position + _CRC_OFFSET] + b"\x00\x00\x00\x00"
             if zlib.crc32(payload, zlib.crc32(header)) != crc:
+                ran_out = False
                 break  # torn or bit-flipped record
             max_txid = max(max_txid, txid)
             max_lsn = max(max_lsn, lsn)
@@ -402,7 +415,7 @@ class Journal:
                     JournalRecord(block=block, data=payload, lsn=lsn, rtype=rtype)
                 )
             position = payload_end
-        return committed, max_txid, max_lsn
+        return committed, max_txid, max_lsn, ran_out
 
     def scan_detailed(self) -> Tuple[List[Tuple[int, List[JournalRecord]]], int, int]:
         """Parse the on-device journal.
@@ -415,9 +428,20 @@ class Journal:
 
         Parsing stops cleanly at the first torn, corrupt or zeroed record —
         the journal tail left by a crash.  Transactions without a commit
-        marker are discarded.
+        marker are discarded.  The region is read in runs of 1, 2, 4, ...
+        blocks, each block once, until a run holds that stopping point.
         """
-        return self._parse(self._read_log_bytes())
+        block_size = self.device.block_size
+        raw = bytearray()
+        run = 1
+        while True:
+            read = len(raw) // block_size
+            run = min(run, self.journal_blocks - read)
+            raw += self.device.read_blocks(self.journal_start + read, run)
+            committed, max_txid, max_lsn, ran_out = self._parse(raw)
+            if not ran_out or len(raw) == self.capacity_bytes:
+                return committed, max_txid, max_lsn
+            run *= 2
 
     def scan(self) -> List[Tuple[int, List[JournalRecord]]]:
         """Parse the on-device journal, returning committed transactions."""
@@ -495,6 +519,9 @@ class Journal:
                 )
             self._log += self._encode_record(TYPE_COMMIT, txid, 0, b"", lsn=0)
         self._flushed = len(self._log)
+        # Past the scan's stopping point the region may hold a torn
+        # truncation's leftovers: the next checkpoint zeroes all of it.
+        self._dirty_bytes = self.capacity_bytes
         self._bases.clear()
         self._open_txids.clear()
         self.durable_lsn = self.last_lsn
@@ -517,7 +544,7 @@ class Journal:
         """
         with self._mutex:
             raw = bytes(self._log[:self._flushed])
-        committed, _max_txid, _max_lsn = self._parse(raw, only_block=block)
+        committed, _max_txid, _max_lsn, _ran_out = self._parse(raw, only_block=block)
         images, _revoked = self._fold_pages(committed)
         return images.get(block)
 
@@ -541,7 +568,8 @@ class Journal:
         if not expected:
             return report
         try:
-            on_device = self._read_log_bytes()[:len(expected)]
+            nblocks = -(-len(expected) // self.device.block_size)
+            on_device = self.device.read_blocks(self.journal_start, nblocks)[:len(expected)]
         except Exception as error:  # noqa: BLE001 — fsck reports, never raises
             report["matches_memory"] = False
             report["first_divergence"] = f"unreadable: {error}"
@@ -558,14 +586,19 @@ class Journal:
     def checkpoint(self) -> None:
         """Truncate the journal: home locations are assumed durable.
 
-        The whole region is zeroed in one device write so a crash can tear
-        it only into a zeroed *prefix* — which scan reads as an empty log,
-        never as a resurrected stale record.  (Callers persist their
-        checkpoint state *before* truncating; see RecoveryManager.)
+        The blocks below the high-water mark are zeroed in one device write
+        (none when the mark is zero); the rest of the region is zero
+        already.  So a crash can tear the truncation only into a zeroed
+        *prefix* — which scan reads as an empty log, never as a resurrected
+        stale record.  (Callers persist their checkpoint state *before*
+        truncating; see RecoveryManager.)
         """
         with self._mutex:
             before = self.durable_lsn
-            self.device.write_blocks(self.journal_start, b"", nblocks=self.journal_blocks)
+            dirty_blocks = -(-self._dirty_bytes // self.device.block_size)
+            if dirty_blocks:
+                self.device.write_blocks(self.journal_start, b"", nblocks=dirty_blocks)
+            self._dirty_bytes = 0
             self._log = bytearray()
             self._flushed = 0
             self._bases.clear()

@@ -72,7 +72,7 @@ def clone_device(blocks):
 def reachable_pages(fs):
     """pid -> page_blocks for every reachable btree page, via raw reads."""
     pages = {}
-    for store, root in fs._scrub_sources():
+    for store, root in fs.objects.scrub_sources():
         stack = [root]
         while stack:
             pid = stack.pop()

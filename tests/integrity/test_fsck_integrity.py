@@ -74,3 +74,74 @@ class TestQuarantineReporting:
         assert report["quarantined_pages"] == [tree.root_id]
         assert any("quarantined" in error for error in report["errors"])
         fs.close()
+
+
+class TestAllocatorCrossCheck:
+    """fsck rebuilds occupancy from every reachable page and chunk and
+    compares it with the live allocator."""
+
+    def test_a_healthy_filesystem_has_no_occupancy_errors(self):
+        # Group commit leaves the delete's marker buffered: its chunk is
+        # unreachable but still allocated, waiting on a deferred free.
+        fs = HFADFileSystem(device=BlockDevice(num_blocks=1 << 14), group_commit=64)
+        for serial in range(30):
+            fs.create(f"occupancy probe {serial}".encode(), path=f"/o/{serial}.txt")
+        fs.delete(fs.lookup_path("/o/3.txt"))
+        assert fs.recovery.deferred_actions()
+        report = fs.fsck()
+        assert report["clean"], report["errors"]
+        fs.close()
+
+    def test_a_freed_reachable_page_and_a_leaked_block_are_both_named(self):
+        _device, fs = make_fs()
+        allocator = fs.objects.allocator
+        leaked = allocator.allocate(1)
+        page = fs._fulltext_tree.root_id
+        allocator.free(page)  # behind the tree's back: still reachable
+        errors = fs.fsck()["errors"]
+        assert any(f"reachable block {page} is not allocated" in e for e in errors), errors
+        assert any(f"leak: block {leaked} " in e for e in errors), errors
+        fs.close()
+
+
+def journal_blocks_read(device, journal, call):
+    """Journal-region blocks ``call()`` reads from ``device``; returns
+    ``(blocks, call's result)``."""
+    reads = []
+    read_blocks = device.read_blocks
+
+    def logged(block, nblocks):
+        reads.append((block, nblocks))
+        return read_blocks(block, nblocks)
+
+    device.read_blocks = logged
+    try:
+        result = call()
+    finally:
+        del device.read_blocks
+    start, end = journal.journal_start, journal.journal_start + journal.journal_blocks
+    blocks = sum(max(0, min(block + n, end) - max(block, start)) for block, n in reads)
+    return blocks, result
+
+
+class TestJournalReads:
+    """fsck reads the journal in proportion to what it holds, not the region."""
+
+    def test_fsck_of_a_checkpointed_filesystem_reads_at_most_two_journal_blocks(self):
+        device, fs = make_fs()
+        blocks, report = journal_blocks_read(device, fs.recovery.journal, fs.fsck)
+        assert report["clean"], report["errors"]
+        assert 1 <= blocks <= 2
+        fs.close()
+
+    def test_fsck_reads_the_flushed_tail_not_the_region(self):
+        device, fs = make_fs()
+        fs.create(b"a transaction in the journal tail", path="/t.txt")
+        journal = fs.recovery.journal
+        used = -(-journal.bytes_used // device.block_size)
+        blocks, report = journal_blocks_read(device, journal, fs.fsck)
+        assert report["clean"], report["errors"]
+        # The scan's growing runs read at most 2 * used + 1 blocks, the
+        # comparison with the in-memory log exactly ``used``.
+        assert used < blocks <= 3 * used + 1 < journal.journal_blocks
+        fs.close()

@@ -106,8 +106,9 @@ def test_the_content_read_tracker_counts_an_object_read():
 
 
 class ReadLog(BlockDevice):
-    """Records the first block of every whole-block read while ``log`` is a
-    list (btree pages, the superblock and the journal are read this way)."""
+    """Records ``(first block, blocks)`` of every whole-block read while
+    ``log`` is a list (btree pages, the superblock and the journal are read
+    this way)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -115,17 +116,18 @@ class ReadLog(BlockDevice):
 
     def read_blocks(self, block, nblocks):
         if self.log is not None:
-            self.log.append(block)
+            self.log.append((block, nblocks))
         return super().read_blocks(block, nblocks)
 
 
-def tree_pages(tree):
-    """Every page id of ``tree``, by walking it."""
+def tree_pages(tree, leaves=True):
+    """Every page id of ``tree`` (only inner ones without ``leaves``)."""
     pages, stack = set(), [tree.root_id]
     while stack:
         page_id = stack.pop()
-        pages.add(page_id)
         node = tree.store.read(page_id)
+        if leaves or not node.is_leaf:
+            pages.add(page_id)
         if not node.is_leaf:
             stack.extend(node.children)
     return pages
@@ -133,10 +135,13 @@ def tree_pages(tree):
 
 def mount_traffic(documents, repeats=1):
     """Build ``documents`` twelve-word files (each repeated ``repeats`` times
-    over), close, and mount the image.  Returns the mount's device-stats
-    delta and its reads per tree: ``{"master", "fulltext", "image"}`` count
-    reads of that tree's pages, ``"metadata_region"`` reads below the data
-    region (superblock and journal), ``"elsewhere"`` every other read."""
+    over), close, and mount the image.
+
+    Returns the mount's device-stats delta, its blocks read per tree —
+    ``{"master", "fulltext", "image"}`` count reads of that tree's pages,
+    ``"metadata_region"`` reads below the data region (superblock and
+    journal), ``"elsewhere"`` every other read — and per tree
+    ``(inner pages, leaf pages)`` of the mounted image."""
     device = ReadLog(num_blocks=1 << 18)
     fs = make_fs(device)
     rng = random.Random(9)
@@ -151,12 +156,30 @@ def mount_traffic(documents, repeats=1):
     trees = {"master": mounted.objects._master, "fulltext": mounted._fulltext_tree,
              "image": mounted._image_tree}
     owner = {page: name for name, tree in trees.items() for page in tree_pages(tree)}
+    shape = {}
+    for name, tree in trees.items():
+        inner = len(tree_pages(tree, leaves=False))
+        shape[name] = (inner, len(tree_pages(tree)) - inner)
     region_end = mounted.recovery.state["data_region_start"]
     reads = dict.fromkeys([*trees, "metadata_region", "elsewhere"], 0)
-    for block in log:
-        reads[owner.get(block, "metadata_region" if block < region_end else "elsewhere")] += 1
+    for block, nblocks in log:
+        where = "metadata_region" if block < region_end else "elsewhere"
+        reads[owner.get(block, where)] += nblocks
     mounted.close()
-    return delta, reads
+    return delta, reads, shape
+
+
+def assert_index_trees_read_by_reference(reads, shape):
+    """A mount reads every inner page of an index tree and almost no leaf.
+
+    The leaves read are the leftmost one (the descent that finds the leaf
+    depth) and, in the full-text tree, the leaves holding the start of the
+    (empty) backlog ranges.  The image tree is one leaf here: no document
+    indexes an image.
+    """
+    inner, _leaves = shape["fulltext"]
+    assert inner + 1 <= reads["fulltext"] <= inner + 3, (reads, shape)
+    assert shape["image"] == (0, 1) and reads["image"] == 1, (reads, shape)
 
 
 def test_persistent_mount_metadata_cost_independent_of_content_size():
@@ -165,27 +188,49 @@ def test_persistent_mount_metadata_cost_independent_of_content_size():
     Three corpora with identical term structure but up to ~32x different
     content volume (padding repeats the same words): the mount reads the
     same master-tree pages for all three — metadata, extent maps and names
-    are one shared tree that does not grow with object bytes — and every
-    extra read is a full-text page (longer position rows: stored positions,
-    larger tf).  No read lands outside the three trees, the superblock and
-    the journal: a mount reads no per-object page.
+    are one shared tree that does not grow with object bytes.  The padded
+    full-text tree has more leaves (longer position rows), and the mount
+    reads none of them beyond the leaf probes: index leaves are reserved
+    from their parents' child lists.  No read lands outside the three
+    trees, the superblock and the journal: a mount reads no per-object
+    page, and after a clean close the journal costs one block.
     """
-    (small, small_reads), (padded, padded_reads), (large, large_reads) = (
+    (small, small_reads, small_shape), *padded_runs = (
         mount_traffic(12, repeats) for repeats in (1, 4, 32)
     )
-    for traffic, reads in ((padded, padded_reads), (large, large_reads)):
+    for traffic, reads, shape in [(small, small_reads, small_shape), *padded_runs]:
         assert reads["master"] == small_reads["master"], (small_reads, reads)
-        assert traffic.reads - small.reads == (
-            reads["fulltext"] - small_reads["fulltext"]), (small_reads, reads)
+        assert_index_trees_read_by_reference(reads, shape)
+        assert reads["metadata_region"] <= 2, reads
         assert reads["elsewhere"] == 0, reads
-    assert large_reads["fulltext"] > small_reads["fulltext"]  # the gate can see growth
-    # Padding every document 4x moves the mount by a handful of blocks, never
-    # by the padding.
-    assert abs(padded.blocks_read - small.blocks_read) <= 8, (small, padded)
+        assert traffic.blocks_read == sum(reads.values()), (traffic, reads)
+    _traffic, _reads, large_shape = padded_runs[-1]
+    # The gate can see growth: the padded tree is bigger than the mount's reads.
+    assert large_shape["fulltext"][1] > small_shape["fulltext"][1] + 3
 
 
 def test_persistent_mount_cost_per_document_does_not_grow_with_the_corpus():
-    # The mount reads index and metadata pages plus a fixed journal scan, so
-    # blocks read per document can only fall as the corpus grows.
-    (few, _), (many, _) = mount_traffic(12), mount_traffic(36)
+    # The mount reads metadata pages and index inner pages plus a fixed
+    # journal scan, so blocks read per document can only fall as the corpus
+    # grows.
+    (few, _, _), (many, _, _) = mount_traffic(12), mount_traffic(36)
     assert many.blocks_read / 36 <= few.blocks_read / 12, (few, many)
+
+
+def test_mount_reads_grow_only_with_the_master_tree():
+    """The mount's slope: from 0 to 1,000 objects only the master tree's
+    share of the blocks read grows.  The superblock and the journal tail
+    stay at one block each after a clean close, and each index tree costs
+    its inner pages plus a probe or two, never its leaves."""
+    runs = [mount_traffic(objects) for objects in (0, 300, 1000)]
+    for _traffic, reads, shape in runs:
+        assert reads["metadata_region"] <= 2, reads
+        assert reads["elsewhere"] == 0, reads
+        assert_index_trees_read_by_reference(reads, shape)
+        assert reads["master"] == sum(shape["master"]), (reads, shape)
+    (_, empty, _), (_, mid, _), (_, large, large_shape) = runs
+    assert empty["master"] < mid["master"] < large["master"]
+    # At 1,000 objects the posting tree holds over a hundred leaves, and
+    # the mount reads a handful of its pages.
+    assert large_shape["fulltext"][1] > 100
+    assert large["fulltext"] < 10

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DeviceError, JournalError, JournalFullError
+from repro.recovery.crash import CrashError, CrashingBlockDevice
 from repro.storage import BlockDevice, FaultPlan, Journal
 from repro.storage.journal import TYPE_DATA
 
@@ -236,6 +237,109 @@ class TestCheckpointRecoverRoundTrips:
         before = device.stats.writes
         journal.checkpoint()
         assert device.stats.writes == before + 1
+
+
+class _TearAfterOneBlock:
+    """A torn-write source for CrashingBlockDevice: one block survives."""
+
+    def randrange(self, start, stop):
+        return 1
+
+
+def session(journal, first_block, transactions):
+    """``transactions`` synced commits of one same-sized page record each."""
+    for i in range(transactions):
+        commit(journal, (first_block + i, bytes([i + 1]) * 300))
+
+
+class TestHighWaterMark:
+    """A checkpoint zeroes only the blocks a session wrote, and a scan reads
+    only the blocks up to the end of the log."""
+
+    def test_checkpoint_zeroes_only_the_blocks_below_the_mark(self):
+        device, journal = make_journal()
+        journal.checkpoint()  # the first truncation zeroes the whole region
+        session(journal, 100, 2)  # 716 bytes: two 512-byte blocks
+        before = device.stats.blocks_written
+        journal.checkpoint()
+        assert device.stats.blocks_written - before == 2
+        writes = device.stats.writes
+        journal.checkpoint()  # nothing written since: nothing to zero
+        assert device.stats.writes == writes
+        assert device.read_blocks(0, 16) == bytes(16 * 512)
+
+    def test_scan_of_a_truncated_journal_reads_one_block(self):
+        device, journal = make_journal()
+        session(journal, 100, 3)
+        journal.checkpoint()
+        before = device.stats.blocks_read
+        assert Journal(device, 0, 16).scan() == []
+        assert device.stats.blocks_read - before == 1
+
+    def test_scan_reads_growing_runs_up_to_the_end_of_the_log(self):
+        device, journal = make_journal()
+        session(journal, 100, 6)  # 2,148 bytes: blocks 0-4
+        before = device.stats.snapshot()
+        assert len(Journal(device, 0, 16).scan()) == 6
+        delta = device.stats.delta(before)
+        # Runs of 1, 2 and 4 blocks: the third holds the zeroed tail.
+        assert (delta.reads, delta.blocks_read) == (3, 7)
+
+    def test_long_session_then_short_session_then_crash(self):
+        # Same-sized records: the short session ends exactly where the long
+        # one's second record began, so a record the checkpoint failed to
+        # zero would parse cleanly and replay as a stale transaction.
+        device, journal = make_journal()
+        session(journal, 100, 12)
+        for i in range(12):
+            # The write-back, then newer unlogged bytes a stale replay of
+            # the long session would clobber.
+            device.write_block(100 + i, b"newer")
+        journal.checkpoint()
+        session(journal, 200, 1)
+        fresh, replayed = recover(device)  # the crash: no clean close
+        assert replayed == 1
+        assert device.read_block(200).startswith(bytes([1]) * 300)
+        assert [r.block for _txid, records in fresh.scan() for r in records] == [200]
+        for i in range(12):
+            assert device.read_block(100 + i).startswith(b"newer")
+
+    def test_torn_truncation_reads_as_an_empty_log(self):
+        device = CrashingBlockDevice(num_blocks=256, block_size=512)
+        journal = Journal(device, journal_start=0, journal_blocks=16)
+        journal.checkpoint()
+        session(journal, 100, 12)  # 4,296 bytes: blocks 0-8
+        for i in range(12):
+            device.write_block(100 + i, bytes([i + 1]) * 300)
+        device.plan_crash(after_writes=0, torn_rng=_TearAfterOneBlock())
+        with pytest.raises(CrashError):
+            journal.checkpoint()
+        assert device.torn_blocks == 1
+        image = device.surviving_image()
+        assert image.read_block(0) == bytes(512)  # the torn prefix
+        assert image.read_block(1) != bytes(512)  # stale records behind it
+        fresh = Journal(image, journal_start=0, journal_blocks=16)
+        assert fresh.replay() == []
+        # The checkpointed state: every home location as written back.
+        for i in range(12):
+            assert image.read_block(100 + i).startswith(bytes([i + 1]) * 300)
+        # Replay cannot know how far the stale bytes reach: the next
+        # checkpoint zeroes the whole region.
+        before = image.stats.blocks_written
+        fresh.checkpoint()
+        assert image.stats.blocks_written - before == 16
+        assert image.read_blocks(0, 16) == bytes(16 * 512)
+
+    def test_a_replay_forgets_the_mark(self):
+        # Whatever the region held when a replay ran is unknown afterwards:
+        # the next checkpoint zeroes all of it, not just what this session
+        # wrote.
+        device, journal = make_journal()
+        journal.checkpoint()
+        device.write_block(9, b"bytes a torn truncation left behind")
+        journal.replay()
+        journal.checkpoint()
+        assert device.read_blocks(0, 16) == bytes(16 * 512)
 
 
 class TestLsnsAndGroupCommit:
