@@ -44,9 +44,9 @@ from repro.index import (
     TAG_UDEF,
     TAG_USER,
     FullTextIndexStore,
+    ImageIndexStore,
     IndexStoreRegistry,
     KeyValueIndexStore,
-    PersistentImageIndexStore,
     PosixPathIndexStore,
     TagValue,
 )
@@ -73,7 +73,8 @@ _HEALTH_LEVELS = {"ok": 0, "warn": 1, "fail": 2}
 # persisted as *individual master-tree entries* (``ObjectStore.put_name``) so
 # a heavily-tagged object never grows an unbounded metadata record.  Full-text
 # postings and image features live in their own on-device btrees and mounts
-# re-attach them.
+# re-attach them.  Whether an object's content is indexed is its metadata
+# record's ``hfad.ci`` attribute, read where it is needed.
 _NAME_ENTRY = "n:"       # "n:TAG/value" → the object carries this name
 _PATH_ENTRY = "p:"       # "p:/a/b"      → the object is linked at this path
 _RESERVED_ATTR = "hfad."      # attribute keys only the engine writes
@@ -92,7 +93,7 @@ def _require_pool_pages(cache_pages: int) -> None:
 
 def _reject_reserved_attributes(attributes: Iterable[str]) -> None:
     """Callers may not set the engine's own ``hfad.`` attributes: the
-    content-indexed flag, for one, decides what a mount re-tracks."""
+    content-indexed flag, for one, decides which writes re-index."""
     for key in attributes:
         if key.startswith(_RESERVED_ATTR):
             raise ValueError(
@@ -249,19 +250,15 @@ class HFADFileSystem:
                 image_root=self._image_tree.root_id,
             )
         # Index stores (Figure 1: the extensible collection of indices).
-        # The FULLTEXT store's engine and the image store write through to
+        # The FULLTEXT store's engine and the image store read and write
         # their btrees, whose pages ride the same buffer pool and WAL as
-        # everything else.
+        # everything else; a mount loads neither.
         self.keyvalue_index = KeyValueIndexStore()
         self.path_index = PosixPathIndexStore()
         self.fulltext_index = FullTextIndexStore(
             index=PersistentInvertedIndex(self._fulltext_tree, recovery=self.recovery),
         )
-        self.image_index = PersistentImageIndexStore(
-            self._image_tree,
-            recovery=self.recovery,
-            load=(_mounted is not None),
-        )
+        self.image_index = ImageIndexStore(self._image_tree, recovery=self.recovery)
         # The posting backlog's threshold settle: after a commit, never
         # inside the transaction that crossed the line.
         self.recovery.after_commit = self._settle_if_due
@@ -303,8 +300,6 @@ class HFADFileSystem:
             )
         self._install_timed_locks()
         self._register_telemetry()
-        #: objects whose full-text index entry tracks their content.
-        self._content_indexed: set = set()
         if _mounted is not None:
             # A crash leaves a posting backlog (the engine re-derived its
             # overlay from it); finish it before the first request.
@@ -369,11 +364,10 @@ class HFADFileSystem:
     def _rebuild_naming(self) -> None:
         """Mount-time re-indexing: derive naming state from object metadata.
 
-        Manual names and POSIX paths are persisted per entry in each
-        object's metadata record (which lives in the master btree and is
-        therefore covered by the WAL).  Full-text postings and image
-        features are already attached from their persistent index trees —
-        no object bytes are read.
+        Manual names and POSIX paths are persisted as master-tree name
+        entries (covered by the WAL).  Full-text postings and image features
+        are read from their persistent index trees where queries need them —
+        no object bytes and no index leaves are read here.
         """
         # The mount walk already materialized every master-tree entry; reuse
         # it instead of issuing fresh cursors per object.
@@ -388,8 +382,6 @@ class HFADFileSystem:
                     self.naming.add_name(oid, pair)
                 elif entry.startswith(_PATH_ENTRY):
                     self.path_index.link(entry[len(_PATH_ENTRY):], oid)
-            if metadata_by_oid[oid].attributes.get(_ATTR_INDEXED) == "1":
-                self._content_indexed.add(oid)
         for tag in (TAG_POSIX, TAG_FULLTEXT, TAG_IMAGE):
             self.registry.touch(tag)
 
@@ -630,10 +622,9 @@ class HFADFileSystem:
             if path is not None:
                 self._link_path(path, oid)
             if index_content:
-                # Track the object even when it starts empty so that later
+                # Flag the object even when it starts empty so that later
                 # writes through the access interfaces keep its index entry
                 # current.
-                self._content_indexed.add(oid)
                 self.objects.set_attributes(oid, **{_ATTR_INDEXED: "1"})
                 if content:
                     self.fulltext_index.index_content(oid, content)
@@ -693,7 +684,6 @@ class HFADFileSystem:
         self._require_object(oid)
         with self._operation("delete", f"oid={oid}"), self._durable():
             self.naming.remove_all_names(oid)
-            self._content_indexed.discard(oid)
             self.objects.delete(oid)
 
     def exists(self, oid: int) -> bool:
@@ -762,14 +752,13 @@ class HFADFileSystem:
         self.objects.set_attributes(oid, **attributes)
 
     def _reindex_if_tracked(self, oid: int) -> None:
-        if oid in self._content_indexed:
+        if self.objects.stat(oid).attributes.get(_ATTR_INDEXED) == "1":
             self.fulltext_index.index_content(oid, self.objects.read(oid))
 
     def enable_content_indexing(self, oid: int) -> None:
         """Start tracking (and immediately index) the object's content."""
         self._require_object(oid)
         with self._durable():
-            self._content_indexed.add(oid)
             self.objects.set_attributes(oid, **{_ATTR_INDEXED: "1"})
             self.fulltext_index.index_content(oid, self.objects.read(oid))
 
@@ -777,7 +766,6 @@ class HFADFileSystem:
         """Stop tracking the object's content and drop it from the index."""
         self._require_object(oid)
         with self._durable():
-            self._content_indexed.discard(oid)
             self.objects.remove_attributes(oid, _ATTR_INDEXED)
             self.fulltext_index.drop_content(oid)
 
@@ -882,15 +870,16 @@ class HFADFileSystem:
     def _degraded(self, run: Callable[[NamingInterface], object]):
         """Re-run a query that hit corrupt index bytes against a rescue stack.
 
-        The FULLTEXT tree is the only store that reads on-device pages at
-        query time (paths, key/value names and image features serve from
-        in-memory mirrors), so the fallback rebuilds an *ephemeral in-memory*
+        Two stores read on-device pages at query time: FULLTEXT and IMAGE
+        (paths and key/value names serve from in-memory indexes).  Postings
+        are derived state, so the fallback rebuilds an *ephemeral in-memory*
         inverted index from the ground truth the paper's design guarantees we
         still have — the objects' own bytes — and answers from that instead
         of raising mid-cursor.  Answers are correct-if-complete: objects
         whose content is itself unreadable are skipped and the query is
         accounted as partial in ``stats()["integrity"]``.  Damage the rescan
-        cannot route around (a corrupt master tree) propagates as
+        cannot route around (a corrupt master tree, or an image-tree page:
+        histograms come from callers, not content) propagates as
         :class:`~repro.errors.CorruptionError` — surfaced, never silent.
         """
         stats = self.integrity.stats
@@ -907,19 +896,23 @@ class HFADFileSystem:
         rescue = FullTextIndexStore(
             index=PersistentInvertedIndex(analyzer=self.fulltext_index.index.analyzer)
         )
-        for oid in sorted(self._content_indexed):
+        try:
+            live = self.objects.list_objects()
+        except CorruptionError:
+            live, partial = [], True
+        for oid in live:
             try:
-                content = self.objects.read(oid)
+                if self.objects.stat(oid).attributes.get(_ATTR_INDEXED) == "1":
+                    content = self.objects.read(oid)
+                    if content:
+                        rescue.index_content(oid, content)
             except (CorruptionError, NoSuchObjectError):
                 partial = True
-                continue
-            if content:
-                rescue.index_content(oid, content)
         # Manual FULLTEXT keywords are persisted as master-tree name entries,
         # not object content; fold them in so keyword-named objects stay
         # findable while the posting tree is out of service.
         try:
-            for oid in self.objects.list_objects():
+            for oid in live:
                 for entry in self.objects.names(oid):
                     if not entry.startswith(_NAME_ENTRY):
                         continue

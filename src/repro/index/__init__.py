@@ -21,7 +21,8 @@ of indices facilitating multiple naming modes and types of search."
   inverted index.
 * :mod:`repro.index.image_index` — an example of an "arbitrary index type"
   (Section 3.2 mentions indices on images): indexes colour-histogram feature
-  vectors and answers dominant-colour and similarity queries.
+  vectors in one B+-tree and answers dominant-colour and similarity
+  queries from it.
 """
 
 from repro.index.tags import (
@@ -40,7 +41,6 @@ from repro.index.keyvalue_index import KeyValueIndexStore, PrefixOidCursor
 from repro.index.path_index import PosixPathIndexStore
 from repro.index.fulltext_index import FullTextIndexStore
 from repro.index.image_index import ImageIndexStore
-from repro.index.persistent import PersistentImageIndexStore
 
 __all__ = [
     "TAG_POSIX",
@@ -59,5 +59,4 @@ __all__ = [
     "PosixPathIndexStore",
     "FullTextIndexStore",
     "ImageIndexStore",
-    "PersistentImageIndexStore",
 ]

@@ -15,19 +15,38 @@ are not available, so the workload generators synthesize feature vectors with
 the same statistical shape (see ``repro.workloads.photos``).  The index code
 path — register, insert, route IMAGE lookups, conjoin with other tags — is
 identical either way, which is what the reproduction needs.
+
+The features live in one B+-tree, and the tree is their only copy: every
+lookup reads it, so a mount loads nothing.  In the filesystem that tree is
+on the device (its pages ride the buffer pool and the WAL like every other
+tree's); standalone it runs over in-memory pages.  Key layout::
+
+    H \\x00 oid(8)               -> 8 float64 histogram buckets (normalized)
+    C \\x00 color \\x00 oid(8)    -> b""   (colour membership)
+
+Colour keys end in the big-endian oid, so a colour's run is its sorted
+answer.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+import struct
+from contextlib import nullcontext
+from typing import Iterator, List, Optional, Sequence, Tuple
 
+from repro.btree import BPlusTree
 from repro.errors import IndexStoreError
 from repro.index.store import IndexStore
 from repro.index.tags import TAG_IMAGE, TagValue
 
 #: the eight colour buckets a histogram is defined over.
 COLOR_NAMES = ("red", "orange", "yellow", "green", "cyan", "blue", "purple", "gray")
+
+_OID = struct.Struct(">Q")
+_HIST = struct.Struct(">8d")
+_HIST_PREFIX = b"H\x00"
+_COLOR_PREFIX = b"C\x00"
 
 
 def _validate_histogram(histogram: Sequence[float]) -> Tuple[float, ...]:
@@ -54,8 +73,21 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     return dot / (norm_a * norm_b)
 
 
+def _color_of(value: str) -> Optional[str]:
+    """The colour a ``color:<name>`` value names, or None."""
+    kind, _, detail = str(value).partition(":")
+    return detail if kind == "color" and detail in COLOR_NAMES else None
+
+
 class ImageIndexStore(IndexStore):
     """Colour-histogram index serving the IMAGE tag.
+
+    :param tree: the backing tree; a standalone store over in-memory pages
+        when omitted.
+    :param recovery: optional recovery manager; each mutation brackets
+        itself in one of its transactions, joining the enclosing filesystem
+        operation's.
+    :param similarity_threshold: the cosine score ``similar:`` requires.
 
     Similarity lookups must score every histogram before they know their
     result set, so this store cannot stream; it serves the cursor protocol
@@ -64,50 +96,80 @@ class ImageIndexStore(IndexStore):
 
     name = "image"
 
-    def __init__(self, similarity_threshold: float = 0.90) -> None:
+    def __init__(self, tree: Optional[BPlusTree] = None, recovery=None,
+                 similarity_threshold: float = 0.90) -> None:
         if not 0.0 < similarity_threshold <= 1.0:
             raise IndexStoreError("similarity_threshold must be in (0, 1]")
         self.similarity_threshold = similarity_threshold
-        self._histograms: Dict[int, Tuple[float, ...]] = {}
-        self._by_color: Dict[str, set] = {name: set() for name in COLOR_NAMES}
+        self.tree = tree if tree is not None else BPlusTree()
+        self._recovery = recovery
 
     def tags(self) -> Sequence[str]:
         return (TAG_IMAGE,)
+
+    def _txn(self):
+        if self._recovery is None:
+            return nullcontext()
+        return self._recovery.transaction()
+
+    # ---------------------------------------------------------------- keys
+
+    def _hist_key(self, oid: int) -> bytes:
+        return _HIST_PREFIX + _OID.pack(oid)
+
+    def _color_prefix(self, color: str) -> bytes:
+        return _COLOR_PREFIX + color.encode("utf-8") + b"\x00"
+
+    def _color_key(self, color: str, oid: int) -> bytes:
+        return self._color_prefix(color) + _OID.pack(oid)
+
+    def _histograms(self) -> Iterator[Tuple[int, Tuple[float, ...]]]:
+        for key, value in self.tree.cursor(prefix=_HIST_PREFIX):
+            yield _OID.unpack_from(key, len(_HIST_PREFIX))[0], _HIST.unpack(value)
+
+    def _members(self, color: str) -> List[int]:
+        prefix = self._color_prefix(color)
+        return [_OID.unpack_from(key, len(prefix))[0]
+                for key, _value in self.tree.cursor(prefix=prefix)]
+
+    def _colors_of(self, oid: int) -> List[str]:
+        return [color for color in COLOR_NAMES if self._color_key(color, oid) in self.tree]
 
     # ----------------------------------------------------- feature intake
 
     def index_histogram(self, oid: int, histogram: Sequence[float]) -> str:
         """Index an object's colour histogram; returns its dominant colour."""
         normalized = _validate_histogram(histogram)
-        self.drop_features(oid)
-        self._histograms[oid] = normalized
         dominant = COLOR_NAMES[max(range(len(normalized)), key=normalized.__getitem__)]
-        self._by_color[dominant].add(oid)
+        with self._txn():
+            self.drop_features(oid)
+            self.tree.put(self._hist_key(oid), _HIST.pack(*normalized))
+            self.tree.put(self._color_key(dominant, oid), b"")
         return dominant
 
     def drop_features(self, oid: int) -> bool:
         """Remove an object's features; returns True if it was indexed."""
-        if oid not in self._histograms:
-            return False
-        del self._histograms[oid]
-        for members in self._by_color.values():
-            members.discard(oid)
+        if self._hist_key(oid) not in self.tree:
+            return False  # no transaction for an absent oid
+        with self._txn():
+            for color in self._colors_of(oid):
+                self.tree.delete(self._color_key(color, oid))
+            self.tree.delete(self._hist_key(oid))
         return True
 
     def dominant_color(self, oid: int) -> Optional[str]:
-        for color, members in self._by_color.items():
-            if oid in members:
-                return color
-        return None
+        colors = self._colors_of(oid)
+        return colors[0] if colors else None
 
     def similar_to(self, oid: int, limit: Optional[int] = None) -> List[Tuple[int, float]]:
         """Objects ranked by similarity to ``oid`` (excluding itself)."""
-        reference = self._histograms.get(oid)
-        if reference is None:
+        raw = self.tree.get(self._hist_key(oid))
+        if raw is None:
             return []
+        reference = _HIST.unpack(raw)
         scored = [
             (other, cosine_similarity(reference, histogram))
-            for other, histogram in self._histograms.items()
+            for other, histogram in self._histograms()
             if other != oid
         ]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -118,32 +180,31 @@ class ImageIndexStore(IndexStore):
     def insert(self, tag: str, value: str, oid: int) -> None:
         # Values of the form "color:red" assert a dominant colour directly
         # (e.g. from an external tagger); histograms use index_histogram.
-        kind, _, detail = str(value).partition(":")
-        if kind != "color" or detail not in COLOR_NAMES:
+        color = _color_of(value)
+        if color is None:
             raise IndexStoreError(
                 f"IMAGE insert values must be 'color:<name>', got {value!r}"
             )
-        self._by_color[detail].add(oid)
-        self._histograms.setdefault(
-            oid,
-            tuple(1.0 if name == detail else 0.0 for name in COLOR_NAMES),
-        )
+        with self._txn():
+            self.tree.put(self._color_key(color, oid), b"")
+            if self._hist_key(oid) not in self.tree:
+                self.tree.put(self._hist_key(oid), _HIST.pack(
+                    *(1.0 if name == color else 0.0 for name in COLOR_NAMES)))
 
     def remove(self, tag: str, value: str, oid: int) -> bool:
-        kind, _, detail = str(value).partition(":")
-        if kind != "color" or detail not in COLOR_NAMES:
+        color = _color_of(value)
+        if color is None or self._color_key(color, oid) not in self.tree:
             return False
-        if oid in self._by_color[detail]:
-            self._by_color[detail].discard(oid)
-            return True
-        return False
+        with self._txn():
+            self.tree.delete(self._color_key(color, oid))
+        return True
 
     def lookup(self, tag: str, value: str) -> List[int]:
         kind, _, detail = str(value).partition(":")
         if kind == "color":
             if detail not in COLOR_NAMES:
                 raise IndexStoreError(f"unknown colour {detail!r}")
-            return sorted(self._by_color[detail])
+            return self._members(detail)
         if kind == "similar":
             try:
                 reference_oid = int(detail)
@@ -168,11 +229,12 @@ class ImageIndexStore(IndexStore):
     # -------------------------------------------------------------- extras
 
     def cardinality(self, tag: str, value: str) -> int:
-        kind, _, detail = str(value).partition(":")
-        if kind == "color" and detail in COLOR_NAMES:
-            return len(self._by_color[detail])
-        return len(self._histograms)
+        color = _color_of(value)
+        if color is not None:
+            return len(self._members(color))
+        return self.indexed_count
 
     @property
     def indexed_count(self) -> int:
-        return len(self._histograms)
+        """Objects with a histogram: one scan of the ``H`` run."""
+        return sum(1 for _ in self.tree.cursor(prefix=_HIST_PREFIX))

@@ -145,17 +145,18 @@ class ExtentMap:
     def remove_extent(self, offset: int) -> None:
         self._tree.delete(self._encode_key(offset))
 
-    def punch(self, start: int, end: int) -> None:
+    def punch(self, start: int, end: int) -> List[int]:
         """Unmap ``[start, end)``, splitting boundary extents as needed.
 
-        Data blocks are not freed here — the object store reclaims space when
-        the object is deleted or compacted (documented trade-off; see
-        ``ObjectStore.compact``).
+        Returns the device blocks of the extents it removed whole.  Data
+        blocks are not freed here: another extent of the map may still name
+        the same chunk (see ``ObjectStore._free_chunks``).
         """
         if start < 0 or end < start:
             raise InvalidRangeError(f"bad range [{start}, {end})")
+        removed: List[int] = []
         if start == end:
-            return
+            return removed
         for offset, extent in self.extents_in_range(start, end):
             extent_end = offset + extent.length
             self.remove_extent(offset)
@@ -165,6 +166,9 @@ class ExtentMap:
             if extent_end > end:
                 # Keep the tail portion [end, extent_end).
                 self.insert_extent(end, extent.slice(end - offset, extent_end - end))
+            if offset >= start and extent_end <= end:
+                removed.append(extent.block)
+        return removed
 
     def split_at(self, offset: int) -> None:
         """Ensure no extent spans ``offset`` (splitting one if necessary)."""

@@ -23,7 +23,7 @@ import struct
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from repro.btree import BPlusTree, DevicePageStore
 from repro.cache import BufferPool
@@ -143,8 +143,6 @@ class ObjectStore:
         self.recovery = recovery
         #: shared integrity context (retrying reads, quarantine, counters).
         self.integrity = integrity
-        #: data chunk blocks per live object — one entry per live oid.
-        self._chunks: Dict[int, Set[int]] = {}
         self._next_oid = 1
         self._clock = 0
         self._live_objects = 0
@@ -207,7 +205,6 @@ class ObjectStore:
                 oid = _OID.unpack(key)[0]
                 metadata = ObjectMetadata.from_bytes(raw)
                 metadata_by_oid[oid] = metadata
-                store._chunks[oid] = set()
                 store._clock = max(
                     store._clock, metadata.created_at,
                     metadata.modified_at, metadata.accessed_at,
@@ -217,9 +214,7 @@ class ObjectStore:
                 names_by_oid.setdefault(name_oid, []).append(
                     key[len(_NAME_PREFIX) + _OID.size:].decode("utf-8")
                 )
-        # The walk is depth-first, not in key order: reserve data chunks once
-        # every live object is known.
-        store._reserve_chunks(master_entries, store.allocator, store._chunks)
+        store._reserve_chunks(master_entries, store.allocator)
         store._next_oid = max(state["next_oid"], max(metadata_by_oid, default=0) + 1)
         store._live_objects = len(metadata_by_oid)
         store._mount_inventory = (metadata_by_oid, names_by_oid)
@@ -259,18 +254,17 @@ class ObjectStore:
                 stack.extend((child, depth + 1) for child in node.children)
         return entries
 
-    def _reserve_chunks(self, master_entries: List, allocator: BuddyAllocator,
-                        chunks: Dict[int, Set[int]]) -> None:
-        """Reserve the data chunk of every extent in ``master_entries`` whose
-        object is a key of ``chunks``, recording it there."""
+    @staticmethod
+    def _reserve_chunks(master_entries: List, allocator: BuddyAllocator) -> None:
+        """Reserve the data chunk every extent in ``master_entries`` names
+        (several extents of one object may share a chunk)."""
+        reserved = set()
         for key, raw in master_entries:
-            if not key.startswith(_EXTENT_PREFIX):
-                continue
-            owned = chunks.get(_OID.unpack_from(key, len(_EXTENT_PREFIX))[0])
-            extent = ObjectExtent.decode(raw)
-            if owned is not None and extent.block not in owned:
-                owned.add(extent.block)
-                allocator.reserve(extent.block, extent.nblocks)
+            if key.startswith(_EXTENT_PREFIX):
+                extent = ObjectExtent.decode(raw)
+                if extent.block not in reserved:
+                    reserved.add(extent.block)
+                    allocator.reserve(extent.block, extent.nblocks)
 
     def open_index_tree(self, name: str, root_id: Optional[int] = None,
                         on_root_change=None) -> BPlusTree:
@@ -346,8 +340,7 @@ class ObjectStore:
             master_entries = self._reserve_tree_pages(self._master, reachable)
             for tree in self._index_trees:
                 self._reserve_tree_pages(tree, reachable)
-            self._reserve_chunks(master_entries, reachable,
-                                 {oid: set() for oid in self._chunks})
+            self._reserve_chunks(master_entries, reachable)
         except Exception as error:  # noqa: BLE001 — fsck reports, never raises
             errors.append(f"occupancy walk: {error}")
             return
@@ -387,6 +380,15 @@ class ObjectStore:
         # logically so a mount can find the tree again.
         if self.recovery is not None:
             self.recovery.log_meta({"master_root": root})
+
+    def _free_chunks(self, extent_map: ExtentMap, blocks: Iterable[int]) -> None:
+        """Free each chunk of ``blocks`` that no extent of ``extent_map``
+        still names: the map is the only record of what an object owns."""
+        orphans = set(blocks)
+        if orphans:
+            orphans.difference_update(extent.block for _offset, extent in extent_map.extents())
+        for block in sorted(orphans):
+            self._free_chunk(block)
 
     def _free_chunk(self, block: int) -> None:
         """Free a data chunk — deferred until the freeing commit is durable.
@@ -447,8 +449,7 @@ class ObjectStore:
         self._master.put(self._metadata_key(oid), metadata.to_bytes())
 
     def _extent_map(self, oid: int) -> ExtentMap:
-        if oid not in self._chunks:
-            raise NoSuchObjectError(oid)
+        """The object's map; callers have checked that ``oid`` is live."""
         return ExtentMap(self._master, _EXTENT_PREFIX + _OID.pack(oid))
 
     # ------------------------------------------------------------ lifecycle
@@ -483,7 +484,6 @@ class ObjectStore:
                 accessed_at=now,
                 attributes=dict(attributes or {}),
             )
-            self._chunks[oid] = set()
             self._save_metadata(oid, metadata)
             self._live_objects += 1
             self.stats.objects_created += 1
@@ -497,8 +497,7 @@ class ObjectStore:
         """Destroy the object and release every data chunk it owns."""
         self._require(oid)
         with self._txn():
-            self._extent_map(oid).clear()
-            for chunk_block in self._chunks.pop(oid):
+            for chunk_block in sorted({extent.block for extent in self._extent_map(oid).clear()}):
                 self._free_chunk(chunk_block)
             for name in self.names(oid):
                 self._master.delete(self._name_key(oid, name))
@@ -641,7 +640,7 @@ class ObjectStore:
 
     # ------------------------------------------------------------ data path
 
-    def _store_data(self, oid: int, extent_map: ExtentMap, offset: int, data: bytes) -> None:
+    def _store_data(self, extent_map: ExtentMap, offset: int, data: bytes) -> None:
         """Allocate extents for ``data`` and map them at ``offset``."""
         block_size = self.device.block_size
         max_bytes = self.max_extent_blocks * block_size
@@ -655,7 +654,6 @@ class ObjectStore:
                 offset + position,
                 ObjectExtent(block=chunk_block, nblocks=chunk_blocks, skip=0, length=len(chunk)),
             )
-            self._chunks[oid].add(chunk_block)
             self.stats.extents_written += 1
             position += len(chunk)
 
@@ -673,8 +671,8 @@ class ObjectStore:
             return 0
         with self._txn():
             extent_map = self._extent_map(oid)
-            extent_map.punch(offset, offset + len(data))
-            self._store_data(oid, extent_map, offset, data)
+            self._free_chunks(extent_map, extent_map.punch(offset, offset + len(data)))
+            self._store_data(extent_map, offset, data)
             metadata.size = max(metadata.size, offset + len(data))
             metadata.touch_modified(self._tick())
             self._save_metadata(oid, metadata)
@@ -740,7 +738,7 @@ class ObjectStore:
             extent_map = self._extent_map(oid)
             extent_map.split_at(offset)
             self.stats.extents_shifted += extent_map.shift(offset, len(data))
-            self._store_data(oid, extent_map, offset, data)
+            self._store_data(extent_map, offset, data)
             metadata.size += len(data)
             metadata.touch_modified(self._tick())
             self._save_metadata(oid, metadata)
@@ -764,7 +762,7 @@ class ObjectStore:
             extent_map = self._extent_map(oid)
             extent_map.split_at(offset)
             extent_map.split_at(end)
-            extent_map.punch(offset, end)
+            self._free_chunks(extent_map, extent_map.punch(offset, end))
             self.stats.extents_shifted += extent_map.shift(end, -(end - offset))
             removed = end - offset
             metadata.size -= removed
@@ -793,24 +791,23 @@ class ObjectStore:
     def compact(self, oid: int) -> int:
         """Rewrite the object into fresh contiguous extents.
 
-        Punched ranges and power-of-two rounding slack accumulate over time
-        (space is only reclaimed wholesale); compaction rewrites the live
-        bytes and frees every old chunk.  Returns the number of blocks freed.
+        A chunk is freed when no extent names it any more, but one that a
+        write or ``remove_range`` only partly unmapped keeps its unmapped
+        bytes, as every chunk keeps its power-of-two rounding slack;
+        compaction rewrites the live bytes and frees every old chunk.
+        Returns the number of blocks freed.
         """
         metadata = self._require(oid)
         contents = self.read(oid, 0, metadata.size)
         with self._txn():
             extent_map = self._extent_map(oid)
-            extent_map.clear()
-            old_chunks = self._chunks[oid]
             freed = 0
-            for chunk_block in old_chunks:
+            for chunk_block in sorted({extent.block for extent in extent_map.clear()}):
                 order = self.allocator.allocation_order(chunk_block)
                 freed += (1 << order) if order is not None else 0
                 self._free_chunk(chunk_block)
-            self._chunks[oid] = set()
             if contents:
-                self._store_data(oid, extent_map, 0, contents)
+                self._store_data(extent_map, 0, contents)
             metadata = self._require(oid)
             metadata.size = len(contents)
             metadata.touch_modified(self._tick())

@@ -298,7 +298,7 @@ def test_content_indexing_toggles_refuse_an_unknown_object(remounted):
         for toggle in (fs.enable_content_indexing, fs.disable_content_indexing):
             with pytest.raises(NoSuchObjectError):
                 toggle(999)
-        assert 999 not in fs._content_indexed
+        assert not fs.exists(999)
         # Refused before the durable bracket: the filesystem stays usable.
         oid = fs.create(b"still works")
         assert fs.search_text("works") == [oid]

@@ -15,8 +15,7 @@ import pytest
 from repro.btree import BPlusTree
 from repro.fulltext import Analyzer, PersistentInvertedIndex, SearchHit, persistent_index
 from repro.fulltext.persistent_index import BLOCK_SPAN, DOC_CHUNK_BYTES, MAX_STORED_POSITIONS
-from repro.index.image_index import ImageIndexStore
-from repro.index.persistent import PersistentImageIndexStore
+from repro.index.image_index import COLOR_NAMES, ImageIndexStore, cosine_similarity
 from repro.query import IntersectCursor, bm25_idf, bm25_scorer
 
 WORDS = (
@@ -402,53 +401,51 @@ class TestPostingBlockLayout:
 
 
 class TestPersistentImageStore:
-    def make_store(self, tree=None, load=False):
-        return PersistentImageIndexStore(tree if tree is not None else BPlusTree(max_keys=8),
-                                         load=load)
+    """The tree is the image index's only copy: a second store over the same
+    tree (the mount path) answers what the first one does, loading nothing."""
 
     def test_roundtrip_through_tree(self):
         tree = BPlusTree(max_keys=8)
-        store = self.make_store(tree)
+        store = ImageIndexStore(tree)
         assert store.index_histogram(1, [0.9, 0.1, 0, 0, 0, 0, 0, 0]) == "red"
         assert store.index_histogram(2, [0, 0, 0, 0.8, 0, 0, 0, 0.2]) == "green"
         store.insert("IMAGE", "color:blue", 3)
-        # A fresh store over the same tree (the mount path) serves the same
-        # answers without any re-derivation.
-        reloaded = self.make_store(tree, load=True)
+        reloaded = ImageIndexStore(tree)
         assert reloaded.lookup("IMAGE", "color:red") == [1]
         assert reloaded.lookup("IMAGE", "color:green") == [2]
         assert reloaded.lookup("IMAGE", "color:blue") == [3]
         assert reloaded.dominant_color(1) == "red"
         assert reloaded.similar_to(1) == store.similar_to(1)
-        assert reloaded.persisted_count() == 3
+        assert reloaded.indexed_count == 3
 
     def test_mutations_scrub_tree_records(self):
         tree = BPlusTree(max_keys=8)
-        store = self.make_store(tree)
+        store = ImageIndexStore(tree)
         store.index_histogram(1, [0.9, 0.1, 0, 0, 0, 0, 0, 0])
         store.index_histogram(1, [0, 0.9, 0.1, 0, 0, 0, 0, 0])  # re-index moves colour
-        reloaded = self.make_store(tree, load=True)
-        assert reloaded.lookup("IMAGE", "color:red") == []
-        assert reloaded.lookup("IMAGE", "color:orange") == [1]
+        assert store.lookup("IMAGE", "color:red") == []
+        assert store.lookup("IMAGE", "color:orange") == [1]
         assert store.remove_object(1) == 1
-        assert store.persisted_count() == 0
-        assert self.make_store(tree, load=True).lookup("IMAGE", "color:orange") == []
+        assert len(tree) == 0
 
-    def test_behaviour_matches_in_memory_store(self):
+    def test_behaviour_matches_a_dict_model(self):
         rng = random.Random(11)
-        memory = ImageIndexStore()
-        persistent = self.make_store()
+        store = ImageIndexStore(BPlusTree(max_keys=8))
+        model = {}  # oid -> normalized histogram
         for oid in range(1, 25):
             histogram = [rng.random() for _ in range(8)]
-            assert memory.index_histogram(oid, histogram) == persistent.index_histogram(
-                oid, histogram
-            )
-        for oid in (3, 9, 17):
-            assert memory.drop_features(oid) == persistent.drop_features(oid)
-        for color in ("red", "green", "blue", "gray"):
-            assert memory.lookup("IMAGE", f"color:{color}") == persistent.lookup(
-                "IMAGE", f"color:{color}"
-            )
-        # Same histograms, same cosine code path: exactly equal scores.
-        assert memory.similar_to(1) == persistent.similar_to(1)
-        assert memory.indexed_count == persistent.indexed_count
+            total = sum(histogram)
+            model[oid] = tuple(value / total for value in histogram)
+            dominant = COLOR_NAMES[max(range(8), key=model[oid].__getitem__)]
+            assert store.index_histogram(oid, histogram) == dominant
+        for oid in (3, 9, 17, 404):
+            assert store.drop_features(oid) == (model.pop(oid, None) is not None)
+        for color in COLOR_NAMES:
+            assert store.lookup("IMAGE", f"color:{color}") == sorted(
+                oid for oid, histogram in model.items()
+                if COLOR_NAMES[max(range(8), key=histogram.__getitem__)] == color)
+        scores = sorted(((oid, cosine_similarity(model[1], histogram))
+                         for oid, histogram in model.items() if oid != 1),
+                        key=lambda pair: (-pair[1], pair[0]))
+        assert store.similar_to(1) == scores
+        assert store.indexed_count == len(model)

@@ -92,6 +92,19 @@ class TestAllocatorCrossCheck:
         assert report["clean"], report["errors"]
         fs.close()
 
+    def test_an_overwrite_and_a_truncate_leak_no_chunk(self):
+        # The extent map is the only record of an object's chunks: a chunk
+        # no extent names any more is freed, not held until the delete.
+        _device, fs = make_fs()
+        rewritten = fs.create(b"x" * 5000)
+        fs.write(rewritten, 0, b"y" * 5000)
+        emptied = fs.create(b"z" * 100)
+        fs.truncate(emptied, 0, 100)
+        report = fs.fsck()
+        assert report["clean"], report["errors"]
+        assert fs.read(rewritten) == b"y" * 5000 and fs.read(emptied) == b""
+        fs.close()
+
     def test_a_freed_reachable_page_and_a_leaked_block_are_both_named(self):
         _device, fs = make_fs()
         allocator = fs.objects.allocator

@@ -339,6 +339,32 @@ class TestCompaction:
         assert store.stats.objects_created == 1
 
 
+class TestChunkReclamation:
+    """A chunk is freed when the last extent naming it goes."""
+
+    def test_an_overwritten_chunk_is_freed(self):
+        store = make_store()
+        oid = store.create()
+        store.write(oid, 0, b"A" * 5000)
+        used = store.allocator.allocated_blocks
+        store.write(oid, 0, b"B" * 5000)
+        assert store.allocator.allocated_blocks == used
+        assert store.read(oid) == b"B" * 5000
+
+    def test_a_chunk_a_split_extent_still_names_is_kept(self):
+        store = make_store()
+        oid = store.create()
+        data = b"0123456789" * 800
+        store.write(oid, 0, data)
+        used = store.allocator.allocated_blocks
+        store.remove_range(oid, 1000, 1000)  # head and tail share the chunk
+        store.write(oid, 0, b"x" * 500)  # unmaps part of the head only
+        assert store.allocator.allocated_blocks == used + 1
+        assert store.read(oid) == b"x" * 500 + data[500:1000] + data[2000:]
+        store.remove_range(oid, 0, store.size(oid))
+        assert store.check_consistency()["errors"] == []
+
+
 class TestDeviceBackedBtrees:
     def test_btree_on_device_roundtrip(self):
         device = BlockDevice(num_blocks=1 << 15)
@@ -397,3 +423,5 @@ class TestObjectStoreProperties:
             assert store.size(oid) == len(model)
         assert store.read(oid) == bytes(model)
         store.check_object(oid)
+        # Every chunk an extent names is allocated, and nothing else is.
+        assert store.check_consistency()["errors"] == []

@@ -133,9 +133,10 @@ def tree_pages(tree, leaves=True):
     return pages
 
 
-def mount_traffic(documents, repeats=1):
+def mount_traffic(documents, repeats=1, images=False):
     """Build ``documents`` twelve-word files (each repeated ``repeats`` times
-    over), close, and mount the image.
+    over, each with a colour histogram when ``images``), close, and mount
+    the image.
 
     Returns the mount's device-stats delta, its blocks read per tree —
     ``{"master", "fulltext", "image"}`` count reads of that tree's pages,
@@ -147,7 +148,9 @@ def mount_traffic(documents, repeats=1):
     rng = random.Random(9)
     for serial in range(documents):
         words = " ".join(rng.choice(WORDS) for _ in range(12))
-        fs.create((words + " ").encode() * repeats, path=f"/c/{serial}.txt")
+        oid = fs.create((words + " ").encode() * repeats, path=f"/c/{serial}.txt")
+        if images:
+            fs.index_image(oid, [rng.random() + 0.01 for _ in range(8)])
     fs.close()
     before, device.log = device.stats.snapshot(), []
     mounted = HFADFileSystem.mount(device, query_cache_entries=0)
@@ -174,12 +177,12 @@ def assert_index_trees_read_by_reference(reads, shape):
 
     The leaves read are the leftmost one (the descent that finds the leaf
     depth) and, in the full-text tree, the leaves holding the start of the
-    (empty) backlog ranges.  The image tree is one leaf here: no document
-    indexes an image.
+    (empty) backlog ranges.  The image index loads nothing: its tree costs
+    its inner pages and that one probe.
     """
     inner, _leaves = shape["fulltext"]
     assert inner + 1 <= reads["fulltext"] <= inner + 3, (reads, shape)
-    assert shape["image"] == (0, 1) and reads["image"] == 1, (reads, shape)
+    assert reads["image"] == shape["image"][0] + 1, (reads, shape)
 
 
 def test_persistent_mount_metadata_cost_independent_of_content_size():
@@ -234,3 +237,12 @@ def test_mount_reads_grow_only_with_the_master_tree():
     # the mount reads a handful of its pages.
     assert large_shape["fulltext"][1] > 100
     assert large["fulltext"] < 10
+
+
+def test_a_mount_reads_no_image_leaf_but_the_probe():
+    """The image tree is the image index's only copy, read by queries: a
+    mount reserves its leaves by reference like the posting tree's."""
+    _traffic, reads, shape = mount_traffic(300, images=True)
+    assert shape["image"][1] > 3, shape
+    assert_index_trees_read_by_reference(reads, shape)
+    assert reads["elsewhere"] == 0, reads
