@@ -11,9 +11,10 @@ equivalent ordered key/value store:
   first/last access.
 * :class:`~repro.btree.pages.InMemoryPageStore` and
   :class:`~repro.btree.pages.DevicePageStore` — page backends; the device
-  store persists nodes, one :data:`~repro.btree.pages.PAGE_BYTES` page each,
-  through the buddy allocator onto the shared block device so benchmarks
-  can charge btree traversals as real device I/O.
+  store persists nodes, one
+  :data:`~repro.storage.block_device.PAGE_BYTES` page each, through the
+  buddy allocator onto the shared block device so benchmarks can charge
+  btree traversals as real device I/O.
 * :class:`~repro.btree.cursor.Cursor` — ordered iteration with prefix and
   range filters, the building block for directory-style listings and string
   indexes.

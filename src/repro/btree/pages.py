@@ -32,15 +32,10 @@ from typing import Dict
 from repro.cache.buffer_pool import BufferPool, PoolConsumer
 from repro.errors import BTreeError, CorruptionError
 from repro.integrity.checksum import FRAME_OVERHEAD, frame_page, verify_frame
-from repro.storage.block_device import BlockDevice
+from repro.storage.block_device import PAGE_BYTES, BlockDevice
 from repro.storage.buddy import BuddyAllocator
 from repro.btree.node import decode_node
 from repro.opcontext import current_operation
-
-#: the one on-device page size: every btree page of every tree is this many
-#: bytes of whole blocks (1 block on the default device, 8 on a 512-byte one).
-#: The superblock stamps the block count and a mount refuses any other.
-PAGE_BYTES = 4096
 
 
 class PageStore:
@@ -163,7 +158,11 @@ class DevicePageStore(PageStore):
     # Page ids are the absolute device block address of the page's first block.
 
     def allocate(self) -> int:
-        return self.allocator.allocate(self.page_blocks)
+        page_id = self.allocator.allocate(self.page_blocks)
+        if self.recovery is not None:
+            # The home holds a previous owner's bytes: no base for a delta.
+            self.recovery.journal.mark_allocated(page_id)
+        return page_id
 
     def read(self, page_id: int):
         self.reads += 1

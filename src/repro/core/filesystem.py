@@ -186,6 +186,10 @@ class HFADFileSystem:
             # mount(): the recovery manager has already replayed the journal;
             # re-open the object store from the recovered on-device state.
             self.recovery: RecoveryManager = _mounted["recovery"]
+            # Pages replay could not rebuild hold torn or rotten bytes: every
+            # read of them fails fast until a logged rewrite or a repair.
+            for page_id in self.recovery.journal.last_replay_unresolved:
+                self.integrity.quarantine_page(page_id)
             self.recovery.attach_pool(self.buffer_pool)
             self.objects = ObjectStore.mount(
                 device,

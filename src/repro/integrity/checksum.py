@@ -10,7 +10,9 @@ stored node — or a torn multi-block write that mixes old and new page halves
 — fails verification instead of decoding into a plausible-but-wrong node.
 The frame travels *inside* the WAL too: ``log_page`` records framed bytes,
 so mount-time replay rewrites exactly what a healthy write-back would have,
-and the scrubber can repair a rotten home location straight from the log.
+and the scrubber can repair a rotten home location straight from the log
+when the log holds the page's image (not a delta against that home).  The
+journal verifies a home's frame too before it takes a delta against it.
 
 The superblock's ``checksum_pages`` field is the format's version stamp:
 ``1`` is this frame, and a device stamped otherwise is refused at mount.

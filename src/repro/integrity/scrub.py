@@ -15,6 +15,8 @@ best available source, in order:
    durable committed (and non-revoked) framed image logged for the block —
    its full image plus any deltas, by the same fold as replay; rewriting
    it home is exactly the idempotent redo that mount-time replay performs.
+   A chain that starts from the page's home (a first-touch home delta)
+   cannot rebuild a home that has rotten, so it is no source for it.
 3. Neither source: the page is **quarantined**.  Subsequent page-ins fail
    fast with :class:`~repro.errors.CorruptionError` and the query layer
    degrades (full-text falls back to an object-content rescan) instead of

@@ -10,7 +10,10 @@ testable:
   raises — a dead disk answers nothing.
 * With a ``torn_rng`` the fatal write may first apply a random *prefix* of
   its blocks, modelling a multi-sector write torn by power loss (the case
-  the journal's per-record CRC exists for).
+  the journal's per-record CRC exists for).  With ``tear="bytes"`` it
+  applies a random *byte* prefix that ends inside one block — the device
+  breaking the block-atomic write the journal's home deltas assume, which
+  recovery must surface, never turn into a silently wrong page.
 * :meth:`surviving_image` clones the blocks that made it to "stable storage"
   onto a fresh, healthy device — what the machine finds after reboot — so a
   torture test can re-mount and audit it.
@@ -37,26 +40,40 @@ class CrashingBlockDevice(BlockDevice):
 
     :param torn_rng: when set, the fatal write applies a random prefix of its
         blocks before dying (torn multi-block write); without it the fatal
-        write applies nothing (clean power cut between sectors).
+        write applies nothing (clean power cut between sectors).  See
+        :meth:`plan_crash` for the byte-granular tear.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._crash_countdown: Optional[int] = None
         self._torn_rng: Optional[random.Random] = None
+        self._tear = "blocks"
         self.dead = False
         #: blocks of the fatal write that reached the platter (diagnostics).
         self.torn_blocks = 0
+        #: the block a byte tear cut inside, if the fatal write tore one.
+        self.torn_block: Optional[int] = None
 
     # -- arming ---------------------------------------------------------------
 
     def plan_crash(self, after_writes: int,
-                   torn_rng: Optional[random.Random] = None) -> None:
-        """Die on the ``after_writes``-th write request from now (0 = next)."""
+                   torn_rng: Optional[random.Random] = None,
+                   tear: str = "blocks") -> None:
+        """Die on the ``after_writes``-th write request from now (0 = next).
+
+        With a ``torn_rng``, ``tear`` says how the fatal write tears:
+        ``"blocks"`` lands a prefix of its blocks (none of a one-block
+        write), ``"bytes"`` a prefix of its bytes that ends inside one block,
+        the rest of which keeps its old bytes.
+        """
         if after_writes < 0:
             raise ValueError("after_writes must be non-negative")
+        if tear not in ("blocks", "bytes"):
+            raise ValueError(f"unknown tear {tear!r}")
         self._crash_countdown = after_writes
         self._torn_rng = torn_rng
+        self._tear = tear
 
     def disarm(self) -> None:
         """Cancel a planned crash (the device stays alive)."""
@@ -83,7 +100,18 @@ class CrashingBlockDevice(BlockDevice):
         self._crash_countdown = None
         if nblocks is None:
             nblocks = max(1, (len(data) + self.block_size - 1) // self.block_size)
-        if self._torn_rng is not None and nblocks > 1:
+        if self._torn_rng is not None and self._tear == "bytes":
+            # Tear inside a block: whole blocks, then part of the next one.
+            survived = self._torn_rng.randrange(0, nblocks)
+            cut = self._torn_rng.randrange(1, self.block_size)
+            padded = bytes(data).ljust(nblocks * self.block_size, b"\0")
+            at = survived * self.block_size
+            old = self._blocks.get(block + survived, self._zero)
+            super().write_blocks(block, padded[:at + cut] + old[cut:],
+                                 nblocks=survived + 1)
+            self.torn_blocks = survived
+            self.torn_block = block + survived
+        elif self._torn_rng is not None and nblocks > 1:
             # Tear the request: a prefix of its blocks reaches the platter.
             survived = self._torn_rng.randrange(0, nblocks)
             if survived:

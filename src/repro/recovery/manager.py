@@ -9,8 +9,9 @@ into a single write-ahead-logging discipline:
 
 * **Redo-only WAL with LSNs.**  Every page mutation of an on-device btree is
   logged as a physical page record before the page is even buffered (the
-  journal keeps it as a full ``DATA`` image on first touch after a
-  checkpoint and as a byte-splice ``DELTA`` afterwards); logical state
+  journal keeps it as a byte-splice ``HOME_DELTA`` against the page's home
+  block on first touch after a checkpoint — a full ``DATA`` image when the
+  home holds no base — and as a ``DELTA`` afterwards); logical state
   that cannot be rediscovered by walking (the master-tree root, the next
   object id) is logged as ``META`` records.  Records get monotonically
   increasing LSNs and pages are stamped with the LSN of their latest
@@ -29,9 +30,10 @@ into a single write-ahead-logging discipline:
   transactions), every dirty page is flushed, the journal is truncated and
   a fresh superblock is written.
 * **Mount-time replay.**  :meth:`replay` scans the journal tail, rebuilds
-  each committed page from its logged image and deltas, writes it to its
-  home location (idempotent physical redo) and folds committed ``META``
-  records into the superblock state — all before any index is opened.
+  each committed page from its logged image or its home and the deltas,
+  writes it to its home location (idempotent physical redo) and folds
+  committed ``META`` records into the superblock state — all before any
+  index is opened.
 
 Every record belongs to a transaction: logging outside one raises
 :class:`RecoveryError`.  There is one abort rule, for a single operation
@@ -113,6 +115,9 @@ class RecoveryStats:
     auto_checkpoints: int = 0
     replayed_transactions: int = 0
     replayed_pages: int = 0
+    #: pages replay left unwritten because their home failed its frame and
+    #: matched no image of their chain (the mount quarantines them).
+    unresolved_pages: int = 0
     wal_forced_syncs: int = 0
     #: journal syncs issued by the interval flusher for a commit tail that
     #: never filled its group-commit batch (the stranded-commit fix).
@@ -861,11 +866,14 @@ class RecoveryManager:
         """Mount-time recovery: replay the committed journal tail.
 
         Every page with committed records is rebuilt from them and written
-        to its home location once (idempotent: replay never reads the home
-        location); committed ``META`` records are folded into the
-        superblock state.  Returns the number of transactions replayed.
-        The caller should checkpoint once the namespace is rebuilt, clearing
-        the replayed tail.
+        to its home location once (idempotent); a chain that starts with a
+        home delta is folded from the home, read once, and a home that
+        matches none of its images is never written — it is left in
+        ``journal.last_replay_unresolved`` for the mount to quarantine.
+        Committed ``META`` records are folded into the superblock state.
+        Returns the number of transactions replayed.  The caller should
+        checkpoint once the namespace is rebuilt, clearing the replayed
+        tail.
         """
         committed = self.journal.replay()
         for _txid, records in committed:
@@ -873,6 +881,7 @@ class RecoveryManager:
                 if record.rtype == TYPE_META:
                     self.state.update(json.loads(record.data.decode("utf-8")))
         self.stats.replayed_pages += self.journal.last_replay_applied
+        self.stats.unresolved_pages += len(self.journal.last_replay_unresolved)
         self.stats.replayed_transactions += len(committed)
         return len(committed)
 
@@ -903,6 +912,7 @@ class RecoveryManager:
             "auto_checkpoints": self.stats.auto_checkpoints,
             "replayed_transactions": self.stats.replayed_transactions,
             "replayed_pages": self.stats.replayed_pages,
+            "unresolved_pages": self.stats.unresolved_pages,
             "wal_forced_syncs": self.stats.wal_forced_syncs,
             "checkpoint_seq": self.state.get("checkpoint_seq", 0),
             "checksum_pages": self.state["checksum_pages"],

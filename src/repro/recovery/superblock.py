@@ -11,8 +11,8 @@ The superblock is the fixed-location record that makes that possible:
   reachable from the master tree: metadata records, name entries and every
   object's extent map are key ranges of it, data chunks named by extents);
 * the page geometry stamp (``page_blocks``): a btree page is
-  :data:`~repro.btree.pages.PAGE_BYTES` whatever the device's block size,
-  and an image stamped with any other page size is refused;
+  :data:`~repro.storage.block_device.PAGE_BYTES` whatever the device's
+  block size, and an image stamped with any other page size is refused;
 * the layout stamps of the trees' contents (``osd_format``,
   ``fulltext_format``), each refused when it is not the one layout served.
 

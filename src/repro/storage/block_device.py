@@ -26,6 +26,12 @@ from repro.storage.latency import LatencyModel, NullLatencyModel
 
 DEFAULT_BLOCK_SIZE = 4096
 
+#: the one on-device page size: every btree page of every tree is this many
+#: bytes of whole blocks (1 block on the default device, 8 on a 512-byte one).
+#: The superblock stamps the block count and a mount refuses any other; the
+#: journal logs first touches as home deltas only where a page is one block.
+PAGE_BYTES = 4096
+
 
 @dataclass
 class DeviceStats:

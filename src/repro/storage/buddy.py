@@ -264,16 +264,18 @@ class BuddyAllocator:
 
         Checks that (a) free chunks never overlap each other or allocations,
         (b) every block is either free or allocated exactly once, and
-        (c) chunk offsets are aligned to their order.
+        (c) chunk offsets are aligned to their order.  The walk holds the
+        mutex: a deferred free may run on another thread meanwhile.
         """
         covered: List[Tuple[int, int, str]] = []
-        for order, chunks in self._free_lists.items():
-            for offset in chunks:
-                assert offset % (1 << order) == 0, "misaligned free chunk"
-                covered.append((offset, 1 << order, "free"))
-        for offset, order in self._allocated.items():
-            assert offset % (1 << order) == 0, "misaligned allocation"
-            covered.append((offset, 1 << order, "alloc"))
+        with self._mutex:
+            for order, chunks in self._free_lists.items():
+                for offset in chunks:
+                    assert offset % (1 << order) == 0, "misaligned free chunk"
+                    covered.append((offset, 1 << order, "free"))
+            for offset, order in self._allocated.items():
+                assert offset % (1 << order) == 0, "misaligned allocation"
+                covered.append((offset, 1 << order, "alloc"))
         covered.sort()
         position = 0
         for offset, size, _kind in covered:

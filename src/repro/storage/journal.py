@@ -44,13 +44,14 @@ Record framing
 followed by ``length`` payload bytes; the CRC covers the header (CRC field
 zeroed) and the payload.  Record types:
 
-========  ==============================================================
-``DATA``    full page image: write ``payload`` at device ``block``
-``DELTA``   byte splice against the block's previous logged image (below)
-``META``    logical superblock update (JSON), interpreted by recovery
-``REVOKE``  ``block`` was freed: older page records for it are dead
-``COMMIT``  every earlier record of ``txid`` is committed
-========  ==============================================================
+============  ==========================================================
+``DATA``        full page image: write ``payload`` at device ``block``
+``DELTA``       byte splice against the block's previous logged image (below)
+``HOME_DELTA``  byte splice against the block's home bytes (below)
+``META``        logical superblock update (JSON), interpreted by recovery
+``REVOKE``      ``block`` was freed: older page records for it are dead
+``COMMIT``      every earlier record of ``txid`` is committed
+============  ==========================================================
 
 Page deltas
 -----------
@@ -68,18 +69,42 @@ new image carried verbatim: page formats keep their always-changing fields
 there (the checksum frame's length and CRC, the node's entry count), and
 they would otherwise cut the common prefix to nothing.  ``crc32(new)``
 covers the whole reconstructed image, so a splice against the wrong base is
-*surfaced* as a :class:`~repro.errors.JournalError` and never written.
+*surfaced* as a :class:`~repro.errors.JournalError` and never written.  A
+delta is only taken against an image logged by the same transaction or by
+one whose commit marker is already in the log, so a base can never be
+discarded as uncommitted while its delta survives.
 
-**First-touch rule.**  The first record for a block after a checkpoint
-(journal truncation), after a ``REVOKE`` of that block, or after
-:meth:`Journal.replay` is always a full ``DATA`` image.  That is the
-torn-write guarantee: replay rebuilds every logged page from records alone
-— full image, then committed deltas in LSN order — and never reads the home
-location, which a crash may have left half-written.  A delta is also only
-taken against an image logged by the same transaction or by one whose
-commit marker is already in the log, so a base can never be discarded as
-uncommitted while its delta survives.  Journals written before deltas
-existed hold only ``DATA`` records and replay unchanged.
+**First touch.**  The first record for a page the log holds no image of —
+after a checkpoint (journal truncation), a ``REVOKE`` or a replay — is a
+``HOME_DELTA``: ``crc32(base)`` followed by a ``DELTA`` payload against the
+page's *home* bytes, trimmed to their checksum frame
+(:mod:`repro.integrity.checksum`).  That rests on one device assumption: a
+page is one block and the device writes a block whole (PostgreSQL's
+``full_page_writes = off`` rests on the same one).  Then the home holds one
+whole image — right after a checkpoint, exactly the page's pre-image — and
+a crash can never leave it half of one and half of another.  The first
+record is still a full ``DATA`` image when the home holds no base:
+
+* its bytes fail the checksum frame (rot, or a block never written);
+* the block was allocated (:meth:`Journal.mark_allocated`) or revoked since
+  the log last truncated or replayed — its home holds a previous owner's
+  bytes;
+* the device's blocks are smaller than a page
+  (:data:`~repro.storage.block_device.PAGE_BYTES`), so a crash can tear a
+  page write between blocks.
+
+Replay reads the home once for each block whose surviving records start
+with a ``HOME_DELTA`` and no later full image, and compares its CRC with the
+chain's: equal to the base, every record applies; equal to some record's
+``crc32(new)``, the pool had already written that image back, and replay
+continues after it.  A home that matches neither is never written.  When
+its frame fails — a torn or rotten write, which every later read detects —
+the block is reported in :attr:`Journal.last_replay_unresolved` and the
+mount quarantines the page; a valid frame the chain does not know (a lost
+write) raises a :class:`~repro.errors.JournalError` naming the block.
+Journals written before home deltas existed hold no ``HOME_DELTA`` records
+and replay byte-identically; those written before deltas existed hold only
+``DATA`` records and replay unchanged.
 """
 
 from __future__ import annotations
@@ -90,8 +115,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import JournalError, JournalFullError
-from repro.storage.block_device import BlockDevice
+from repro.errors import CorruptionError, DeviceError, JournalError, JournalFullError
+from repro.integrity.checksum import FRAME_OVERHEAD, verify_frame
+from repro.storage.block_device import PAGE_BYTES, BlockDevice
 from repro.opcontext import current_operation
 
 # Record framing:  MAGIC | type | txid | lsn | block | length | crc32
@@ -118,12 +144,18 @@ TYPE_REVOKE = 4
 #: a byte splice against the block's previous logged image; chosen by
 #: :meth:`Journal.append` in place of ``TYPE_DATA``, never passed in.
 TYPE_DELTA = 5
+#: ``crc32(base)`` and then a ``DELTA`` payload against the block's home
+#: bytes: the first record of a page the log holds no image of (module
+#: docstring, "First touch"); chosen by :meth:`Journal.append`, never passed in.
+TYPE_HOME_DELTA = 6
 
-_KNOWN_TYPES = (TYPE_DATA, TYPE_COMMIT, TYPE_META, TYPE_REVOKE, TYPE_DELTA)
-_PAGE_TYPES = (TYPE_DATA, TYPE_DELTA, TYPE_REVOKE)
+_KNOWN_TYPES = (TYPE_DATA, TYPE_COMMIT, TYPE_META, TYPE_REVOKE, TYPE_DELTA,
+                TYPE_HOME_DELTA)
+_PAGE_TYPES = (TYPE_DATA, TYPE_DELTA, TYPE_HOME_DELTA, TYPE_REVOKE)
 
 # Delta payload:  head_len | prefix | suffix | crc32(new image)  + head + middle
 _DELTA_HEADER = struct.Struct(">BIII")
+# Home-delta payload:  crc32(base) (a ``_CRC``) + a delta payload
 
 #: leading bytes of a page image a delta carries verbatim instead of
 #: diffing: the checksum frame (12 bytes: magic, length, CRC) plus the node
@@ -176,15 +208,52 @@ def apply_delta(delta: bytes, old: bytes) -> bytes:
     return new
 
 
+def _framed(raw: bytes) -> Optional[bytes]:
+    """``raw`` trimmed to its checksum frame, or None when it holds none."""
+    try:
+        payload = verify_frame(raw)
+    except CorruptionError:
+        return None
+    return raw[:FRAME_OVERHEAD + len(payload)]
+
+
+def _new_crc(record: "JournalRecord") -> int:
+    """The CRC of the image a delta or home-delta record rebuilds."""
+    at = _CRC.size if record.rtype == TYPE_HOME_DELTA else 0
+    if len(record.data) < at + _DELTA_HEADER.size:
+        raise JournalError(f"page delta at LSN {record.lsn} shorter than its header")
+    return _DELTA_HEADER.unpack_from(record.data, at)[3]
+
+
+def _resolve_home(chain: List["JournalRecord"], home: Optional[bytes]) -> Optional[int]:
+    """Where a chain that starts with a home delta resumes over ``home``.
+
+    Returns how many of the chain's records the home already reflects: 0
+    when it is the chain's base, ``k`` when it is the image record ``k - 1``
+    rebuilt (the pool wrote that image back), the latest such position when
+    an image repeats.  None when ``home`` is no image of the chain.
+    """
+    if home is None:
+        return None
+    crc = zlib.crc32(home)
+    for done in range(len(chain), 0, -1):
+        if _new_crc(chain[done - 1]) == crc:
+            return done
+    if _CRC.unpack_from(chain[0].data, 0)[0] == crc:
+        return 0
+    return None
+
+
 @dataclass(frozen=True)
 class JournalRecord:
     """A single log record.
 
     ``TYPE_DATA`` records are physical redo: ``data`` must be written at
     device ``block``.  ``TYPE_DELTA`` records hold a splice against the
-    block's previous image (see :func:`apply_delta`).  ``TYPE_META`` records
-    carry logical state (JSON payloads interpreted by the recovery
-    manager); ``block`` is unused.
+    block's previous image (see :func:`apply_delta`), ``TYPE_HOME_DELTA``
+    records the base's CRC and a splice against the block's home bytes.
+    ``TYPE_META`` records carry logical state (JSON payloads interpreted by
+    the recovery manager); ``block`` is unused.
     """
 
     block: int
@@ -209,6 +278,10 @@ class Journal:
         self.device = device
         self.journal_start = journal_start
         self.journal_blocks = journal_blocks
+        #: first-touch records are home deltas only where a page is one
+        #: block, which the device writes whole; on a device of smaller
+        #: blocks a page write can tear between blocks, so they stay images.
+        self.home_deltas = device.block_size == PAGE_BYTES
         self._next_txid = 1
         self._next_lsn = 1
         # The in-memory append buffer mirrors the on-device journal contents
@@ -236,12 +309,17 @@ class Journal:
         self.last_replay_applied = 0
         #: page records the last replay skipped as revoked.
         self.last_replay_revoked = 0
+        #: blocks the last replay left unwritten: their chain starts with a
+        #: home delta and their home fails its checksum frame.
+        self.last_replay_unresolved: List[int] = []
         # Delta bases: block -> (txid, image) of the newest page image logged
         # since the journal last truncated, and the txids that have records
         # but no commit marker yet (their images are bases only for
-        # themselves).  Both are cleared wherever the log truncates.
+        # themselves).  Blocks allocated or revoked since then have no home
+        # base.  All three are cleared wherever the log truncates or replays.
         self._bases: Dict[int, Tuple[int, bytes]] = {}
         self._open_txids: Set[int] = set()
+        self._reused: Set[int] = set()
         # Serializes append/sync/truncate across threads: the recovery
         # manager's transaction lock orders *transactions*, but the buffer
         # pool's eviction path may force a sync from any thread (the WAL
@@ -287,25 +365,53 @@ class Journal:
 
     # -- append / sync (the recovery-manager API) -----------------------------
 
+    def mark_allocated(self, block: int) -> None:
+        """``block`` was just allocated as a page: until the log next
+        truncates or replays, its first record is a full image, because its
+        home holds a previous owner's bytes."""
+        with self._mutex:
+            self._reused.add(block)
+
+    def _home_image(self, block: int) -> Optional[bytes]:
+        """The framed image at ``block``'s home, read for a first touch, or
+        None when the home may not serve as a base (module docstring)."""
+        if not self.home_deltas or block in self._reused:
+            return None
+        try:
+            return _framed(self.device.read_blocks(block, 1))
+        except DeviceError:
+            return None  # an unreadable home costs a full image, not the write
+
     def append(self, rtype: int, txid: int, block: int, payload: bytes) -> int:
         """Buffer one record; returns its LSN.  Not yet durable — see sync.
 
         A ``TYPE_DATA`` page image is logged as a ``TYPE_DELTA`` against the
-        block's previous logged image when that is smaller (module
-        docstring, "Page deltas"); callers never pass ``TYPE_DELTA``.
+        block's previous logged image, or on first touch as a
+        ``TYPE_HOME_DELTA`` against its home bytes, when that is smaller
+        (module docstring, "Page deltas"); callers pass neither.
         """
-        if rtype not in _KNOWN_TYPES or rtype == TYPE_DELTA:
+        if rtype not in _KNOWN_TYPES or rtype in (TYPE_DELTA, TYPE_HOME_DELTA):
             raise JournalError(f"record type {rtype} cannot be appended")
         payload = image = bytes(payload)
+        home = None
+        if rtype == TYPE_DATA and block not in self._bases:
+            # First touch: read the home before taking the mutex, which the
+            # pool's forced syncs and the flusher wait on.  Appends are
+            # serialized by the engine lock, and a page with no base is
+            # clean, so nothing writes its home meanwhile.
+            home = self._home_image(block)
         with self._mutex:
             if rtype == TYPE_DATA:
                 base_txid, base = self._bases.get(block, (0, None))
-                if base is not None and (
-                    base_txid == txid or base_txid not in self._open_txids
-                ):
-                    delta = encode_delta(base, image)
+                if base is not None:
+                    if base_txid == txid or base_txid not in self._open_txids:
+                        delta = encode_delta(base, image)
+                        if len(delta) < len(image):
+                            rtype, payload = TYPE_DELTA, delta
+                elif home is not None:
+                    delta = _CRC.pack(zlib.crc32(home)) + encode_delta(home, image)
                     if len(delta) < len(image):
-                        rtype, payload = TYPE_DELTA, delta
+                        rtype, payload = TYPE_HOME_DELTA, delta
             size = self._record_size(payload)
             self._require_capacity(size)
             lsn = self._take_lsn()
@@ -316,7 +422,8 @@ class Journal:
                 self._open_txids.add(txid)
             if rtype == TYPE_REVOKE:
                 self._bases.pop(block, None)
-            elif rtype in (TYPE_DATA, TYPE_DELTA):
+                self._reused.add(block)
+            elif rtype in (TYPE_DATA, TYPE_DELTA, TYPE_HOME_DELTA):
                 self._bases[block] = (txid, image)
             self.records_appended += 1
             self.bytes_appended += size
@@ -448,15 +555,18 @@ class Journal:
         committed, _max_txid, _max_lsn = self.scan_detailed()
         return committed
 
-    @staticmethod
-    def _fold_pages(committed: List[Tuple[int, List[JournalRecord]]]
-                    ) -> Tuple[Dict[int, bytes], int]:
+    def _fold_pages(self, committed: List[Tuple[int, List[JournalRecord]]]
+                    ) -> Tuple[Dict[int, bytes], int, Dict[int, Optional[bytes]]]:
         """Rebuild the newest image of every block the committed log covers.
 
-        The one fold replay and :meth:`latest_page_image` share: page
-        records in LSN order, a ``DATA`` record replacing the block's image
-        and a ``DELTA`` splicing into it.  Returns ``(images, revoked)``
-        where ``revoked`` counts the page records skipped.
+        The one fold replay and :meth:`latest_page_image` share: each
+        block's page records in LSN order, a ``DATA`` record replacing the
+        block's image and a delta splicing into it.  A chain with no full
+        image starts from the block's home, read once (module docstring,
+        "First touch").  Returns ``(images, revoked, unresolved)``:
+        ``revoked`` counts the page records skipped, ``unresolved`` maps
+        each block whose home matched no image of its chain to those home
+        bytes trimmed to their frame (None when the frame fails).
 
         Revoke handling (the ext3 lesson): a committed ``TYPE_REVOKE`` record
         says the block was freed at that LSN — any *older* page record for
@@ -470,41 +580,79 @@ class Journal:
         for record in pages:
             if record.rtype == TYPE_REVOKE:
                 revoked[record.block] = max(revoked.get(record.block, 0), record.lsn)
-        images: Dict[int, bytes] = {}
+        chains: Dict[int, List[JournalRecord]] = {}
         skipped = 0
         for record in sorted(pages, key=lambda r: r.lsn):
             if record.rtype == TYPE_REVOKE:
                 continue
             if record.lsn <= revoked.get(record.block, 0):
                 skipped += 1
-            elif record.rtype == TYPE_DATA:
-                images[record.block] = record.data
-            elif record.block not in images:
+            else:
+                chains.setdefault(record.block, []).append(record)
+        images: Dict[int, bytes] = {}
+        unresolved: Dict[int, Optional[bytes]] = {}
+        for block, chain in chains.items():
+            full = [at for at, record in enumerate(chain) if record.rtype == TYPE_DATA]
+            if full:
+                done, image = full[-1] + 1, chain[full[-1]].data
+            elif chain[0].rtype != TYPE_HOME_DELTA:
                 raise JournalError(
-                    f"page delta at LSN {record.lsn} for block {record.block} "
+                    f"page delta at LSN {chain[0].lsn} for block {block} "
                     "has no base image in the journal"
                 )
             else:
-                images[record.block] = apply_delta(record.data, images[record.block])
-        return images, skipped
+                image = _framed(self.device.read_blocks(block, 1))
+                done = _resolve_home(chain, image)
+                if done is None:
+                    unresolved[block] = image
+                    continue
+            for record in chain[done:]:
+                image = self._splice(record, image)
+            images[block] = image
+        return images, skipped, unresolved
+
+    @staticmethod
+    def _splice(record: JournalRecord, image: bytes) -> bytes:
+        """Apply one delta or home-delta record to the block's image."""
+        if record.rtype == TYPE_DELTA:
+            return apply_delta(record.data, image)
+        # A home delta past a chain's start: the log was replayed and
+        # extended, and the home it was taken against is the image so far.
+        if _CRC.unpack_from(record.data, 0)[0] != zlib.crc32(image):
+            raise JournalError(
+                f"home delta at LSN {record.lsn} for block {record.block} "
+                "was taken against another image"
+            )
+        return apply_delta(record.data[_CRC.size:], image)
 
     def replay(self) -> List[Tuple[int, List[JournalRecord]]]:
         """Replay committed physical records and resynchronize counters.
 
         Every block with committed page records is rebuilt from them
         (:meth:`_fold_pages`) and written to its home location once —
-        idempotent physical redo that never reads the home location; meta
+        idempotent physical redo, which reads a home only for a chain that
+        starts with a home delta.  A block whose home matches no image of
+        its chain is not written: listed in :attr:`last_replay_unresolved`
+        when its home fails its frame, a :class:`~repro.errors.JournalError`
+        naming it otherwise, raised before any block is written.  Meta
         records are returned untouched for the recovery manager to
         interpret.  The in-memory append buffer is rebuilt so new commits go
         after the replayed tail, the txid/LSN generators are advanced past
         everything seen in the log, and the delta bases are dropped: the
-        next record for any block is a full image again.
+        next record for any block starts from its home again.
         """
         committed, max_txid, max_lsn = self.scan_detailed()
-        images, self.last_replay_revoked = self._fold_pages(committed)
+        images, self.last_replay_revoked, unresolved = self._fold_pages(committed)
+        stale = sorted(block for block, home in unresolved.items() if home is not None)
+        if stale:
+            raise JournalError(
+                f"home of block {stale[0]} holds a valid page the log's chain "
+                "for it never logged (a lost write): replay would build on it"
+            )
         for block, image in images.items():
             self.device.write_blocks(block, image)
         self.last_replay_applied = len(images)
+        self.last_replay_unresolved = sorted(unresolved)
         self.replayed_transactions += len(committed)
         self._next_txid = max(self._next_txid, max_txid + 1)
         self._next_lsn = max(self._next_lsn, max_lsn + 1)
@@ -524,6 +672,7 @@ class Journal:
         self._dirty_bytes = self.capacity_bytes
         self._bases.clear()
         self._open_txids.clear()
+        self._reused.clear()
         self.durable_lsn = self.last_lsn
         return committed
 
@@ -539,13 +688,17 @@ class Journal:
         consulted — rewriting a home location from a buffered (not yet
         durable) record would break the WAL rule — and only transactions
         whose commit marker is durable count.  The image is rebuilt by the
-        same fold as replay (full image, then deltas; a committed revoke
-        kills every older record).
+        same fold as replay (full image or home, then deltas; a committed
+        revoke kills every older record), so a chain that starts from a home
+        which has since rotted yields None, never a wrong image.
         """
         with self._mutex:
             raw = bytes(self._log[:self._flushed])
         committed, _max_txid, _max_lsn, _ran_out = self._parse(raw, only_block=block)
-        images, _revoked = self._fold_pages(committed)
+        try:
+            images, _revoked, _unresolved = self._fold_pages(committed)
+        except DeviceError:
+            return None  # the home an image would be folded from is unreadable
         return images.get(block)
 
     def verify_device_region(self) -> dict:
@@ -603,6 +756,7 @@ class Journal:
             self._flushed = 0
             self._bases.clear()
             self._open_txids.clear()
+            self._reused.clear()
             self.durable_lsn = self.last_lsn
             durable = self.durable_lsn
             self.checkpoints += 1

@@ -30,6 +30,7 @@ from repro.core import HFADFileSystem
 from repro.errors import CorruptionError
 from repro.integrity import FRAME_MAGIC, FRAME_OVERHEAD, verify_frame
 from repro.storage import BlockDevice
+from repro.storage.journal import TYPE_HOME_DELTA
 
 SEEDS = [int(s) for s in os.environ.get("BITROT_SEEDS", "1,2").split(",")]
 FLIPS_PER_SEED = int(os.environ.get("BITROT_FLIPS", "110"))
@@ -229,3 +230,55 @@ def test_bitrot_torture(seed):
     assert outcomes["remount_checked"] > 0
     assert (outcomes["degraded"] + outcomes["partial"] + outcomes["surfaced"]
             + outcomes["identical"]) == FLIPS_PER_SEED
+
+
+def home_delta_page(fs):
+    """A page whose logged chain starts from its home: (store, pid)."""
+    logged = [record.block for _txid, records in fs.recovery.journal.scan()
+              for record in records if record.rtype == TYPE_HOME_DELTA]
+    stores = {}
+    for store, root in fs.objects.scrub_sources():
+        stack = [root]
+        while stack:
+            pid = stack.pop()
+            stores[pid] = store
+            node = store.read(pid)
+            if not node.is_leaf:
+                stack.extend(node.children)
+    return next((stores[pid], pid) for pid in logged if pid in stores)
+
+
+def rot(device, pid):
+    """Flip one bit inside the page's checksum frame."""
+    offset = framed_length(device, pid, 1) // 2
+    device.flip_bit(pid, offset * 8)
+
+
+@pytest.mark.parametrize("resident", [True, False], ids=["pool", "no-pool"])
+def test_rot_under_a_home_delta(resident):
+    # The WAL holds no image of a page first touched after a checkpoint,
+    # only a delta against its home: once that home rots, the log cannot
+    # rebuild it, and the scrub repairs from the pool or surfaces the page.
+    blocks, expected, oids = build_image(1)
+    device = clone_device(blocks)
+    fs = HFADFileSystem.mount(device, query_cache_entries=0)
+    fs.integrity.sleep = lambda _s: None
+    fs.append(oids[3], b" zzfiller")
+    fs.buffer_pool.flush()  # the chain's last image is home, and clean
+    store, pid = home_delta_page(fs)
+    if not resident:
+        for each, _root in fs.objects.scrub_sources():
+            each.drop_cache()
+    image = fs.recovery.journal.latest_page_image(pid)
+    assert image is not None and verify_frame(image)
+    rot(device, pid)
+    assert fs.recovery.journal.latest_page_image(pid) is None
+    scrub = fs.scrub()
+    assert scrub.repaired_from_wal == 0
+    if resident:
+        assert scrub.repaired_from_cache == 1 and scrub.quarantined == 0
+        assert device.read_blocks(pid, 1)[:len(image)] == image
+    else:
+        assert scrub.quarantined == 1 and pid in fs.integrity.quarantine
+    wrong, _surfaced = run_battery(fs, expected)
+    assert not wrong

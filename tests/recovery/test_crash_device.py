@@ -76,6 +76,45 @@ class TestTornWrites:
         pytest.fail("no torn write produced in 50 seeds")
 
 
+    def test_byte_tear_cuts_inside_one_block(self):
+        old = b"".join(bytes([0xA0 + i]) * 512 for i in range(4))
+        new = b"".join(bytes([i + 1]) * 512 for i in range(4))
+        cuts = set()
+        for seed in range(20):
+            device = make_device()
+            device.write_blocks(8, old, nblocks=4)
+            device.plan_crash(0, torn_rng=random.Random(seed), tear="bytes")
+            with pytest.raises(CrashError):
+                device.write_blocks(8, new, nblocks=4)
+            survived = device.surviving_image().read_blocks(8, 4)
+            torn = device.torn_block - 8
+            assert torn == device.torn_blocks
+            # Whole new blocks, then one block cut between new and old
+            # bytes, then the old blocks untouched.
+            cut = next(i for i in range(512)
+                       if survived[torn * 512 + i] != new[torn * 512 + i])
+            assert 0 < cut < 512
+            assert survived[:torn * 512 + cut] == new[:torn * 512 + cut]
+            assert survived[torn * 512 + cut:] == old[torn * 512 + cut:]
+            cuts.add((torn, cut))
+        assert len(cuts) > 10
+
+    def test_byte_tear_of_a_one_block_write(self):
+        device = make_device()
+        device.write_block(3, b"o" * 512)
+        device.plan_crash(0, torn_rng=random.Random(7), tear="bytes")
+        with pytest.raises(CrashError):
+            device.write_block(3, b"n" * 512)
+        assert device.torn_block == 3
+        survived = device.surviving_image().read_block(3)
+        assert survived.strip(b"n").strip(b"o") == b""
+        assert survived.startswith(b"n") and survived.endswith(b"o")
+
+    def test_unknown_tear_is_refused(self):
+        with pytest.raises(ValueError):
+            make_device().plan_crash(0, torn_rng=random.Random(1), tear="sectors")
+
+
 class TestImaging:
     def test_surviving_image_is_independent_and_healthy(self):
         device = make_device()

@@ -392,27 +392,91 @@ class TestReviewRegressions:
 
 
 class TestPageDeltas:
-    def test_an_unclosed_image_mounts_through_delta_replay(self):
-        from repro.storage.journal import TYPE_DATA, TYPE_DELTA
+    @staticmethod
+    def mount_unclosed_image(block_size):
+        """Checkpoint, write a tail, mount the unclosed image and audit it;
+        returns the record types the tail logged."""
+        from repro.storage.journal import TYPE_DATA, TYPE_HOME_DELTA
 
-        device, fs = make_fs()
+        # The same journal and device bytes whatever the block size.
+        device, fs = make_fs(BlockDevice(num_blocks=(1 << 25) // block_size,
+                                         block_size=block_size),
+                             journal_blocks=(1 << 19) // block_size)
+        def create(i):
+            return fs.create(f"note {i} on shared words".encode(), path=f"/n/{i}",
+                             annotations=["kept"])
+        oids = [create(i) for i in range(40)]  # enough to split the root leaves
+        fs.checkpoint()
         # Few enough creates that the journal never reaches its checkpoint
         # threshold: the scan below must see all of them, not a fresh tail.
-        oids = [fs.create(f"note {i} on shared words".encode(), path=f"/n/{i}",
-                          annotations=["kept"]) for i in range(12)]
+        oids += [create(i) for i in range(40, 52)]
         assert fs.recovery.stats.auto_checkpoints == 0
         kinds = [record.rtype for _txid, records in fs.recovery.journal.scan()
                  for record in records]
-        # Pages touched again after their first logged image are deltas.
-        assert kinds.count(TYPE_DELTA) > kinds.count(TYPE_DATA) > 0
         mounted = HFADFileSystem.mount(clone(device))
         assert mounted.recovery.stats.replayed_pages > 0
+        # Every replayed page's chain starts with a first touch.
+        assert mounted.recovery.stats.replayed_pages <= (
+            kinds.count(TYPE_DATA) + kinds.count(TYPE_HOME_DELTA))
+        assert mounted.stats()["recovery"]["unresolved_pages"] == 0
         # Replay work is the tail: one transaction per uncheckpointed create.
-        assert mounted.stats()["recovery"]["replayed_transactions"] == len(oids)
+        assert mounted.stats()["recovery"]["replayed_transactions"] == 12
         assert mounted.list_objects() == oids
         assert mounted.search_text("shared words") == oids
         assert mounted.find(("UDEF", "kept")) == oids
         assert mounted.fsck()["clean"]
+        return kinds
+
+    def test_an_unclosed_image_mounts_through_delta_replay(self):
+        from repro.storage.journal import TYPE_DATA, TYPE_DELTA, TYPE_HOME_DELTA
+
+        # 512-byte blocks: a page is eight blocks, which a crash can tear
+        # apart, so its first record after a checkpoint is a full image.
+        kinds = self.mount_unclosed_image(512)
+        assert kinds.count(TYPE_DELTA) > kinds.count(TYPE_DATA) > 0
+        assert kinds.count(TYPE_HOME_DELTA) == 0
+
+    def test_an_unclosed_image_mounts_through_home_delta_replay(self):
+        from repro.storage.journal import TYPE_DATA, TYPE_DELTA, TYPE_HOME_DELTA
+
+        # 4 KB blocks: a page is one block, so its first record after a
+        # checkpoint is a delta against its home; pages touched again deltas.
+        kinds = self.mount_unclosed_image(4096)
+        assert kinds.count(TYPE_HOME_DELTA) > kinds.count(TYPE_DATA)
+        assert kinds.count(TYPE_DELTA) > kinds.count(TYPE_HOME_DELTA)
+
+    def test_a_torn_home_under_a_home_delta_is_quarantined_at_mount(self):
+        from repro.errors import CorruptionError
+        from repro.storage.journal import TYPE_HOME_DELTA
+
+        device, fs = make_fs(BlockDevice(num_blocks=1 << 13))
+        oids = [fs.create(f"note {i} on shared words".encode(), path=f"/n/{i}")
+                for i in range(40)]
+        fs.checkpoint()
+        fs.create(b"one more note on shared words", path="/n/last")
+        fs._settle()  # an empty backlog: the mount reads no full-text leaf
+        fs.buffer_pool.flush()  # the chains' newest images are home
+        first_touched = {record.block for _txid, records in fs.recovery.journal.scan()
+                         for record in records if record.rtype == TYPE_HOME_DELTA}
+        # The full-text tree's last leaf holds posting rows (``T`` keys),
+        # which sort past every range a mount reads (the backlog's).
+        tree = fs._fulltext_tree
+        torn, node = tree.root_id, tree.store.read(tree.root_id)
+        while not node.is_leaf:
+            torn = node.children[-1]
+            node = tree.store.read(torn)
+        assert torn in first_touched
+        image = clone(device)
+        # The write-back was cut inside the block: a new prefix, an old tail.
+        home = image.read_block(torn)
+        image.write_block(torn, home[:100] + bytes(len(home) - 100))
+        mounted = HFADFileSystem.mount(image)
+        assert mounted.integrity.quarantine == {torn}
+        assert mounted.stats()["recovery"]["unresolved_pages"] == 1
+        assert image.read_block(torn)[100:] == bytes(len(home) - 100)  # never written
+        assert mounted.list_objects() == sorted(oids + [mounted.lookup_path("/n/last")])
+        with pytest.raises(CorruptionError, match=f"page {torn}"):
+            mounted.fulltext_index.index.rank_exhaustive("shared", limit=None)
 
     def test_access_time_flush_of_a_thousand_reads_fits_the_journal(self):
         # perfbench's "known engine issue" 1: close() logs one page per

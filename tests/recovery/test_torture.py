@@ -12,17 +12,33 @@ The harness replays one deterministic workload per seed, first uncrashed (to
 learn how many device writes it issues), then once per sampled crash point:
 the device dies on the Nth write — half the time tearing the fatal
 multi-block write — the surviving image is re-mounted, and the model state
-is audited.  Across the default seed set this exercises 200+ distinct crash
-points; override with ``TORTURE_SEEDS`` / ``TORTURE_POINTS``.
+is audited.  A quarter of the points run a second time with the fatal write
+torn *inside* one block.  Across the default seed set this exercises 200+
+distinct crash points on 512-byte blocks, where a page spans eight blocks
+and its first record after a checkpoint is a full image, and as many on
+4 KB blocks, where a page is one block and its first record a delta
+against its home; override with ``TORTURE_SEEDS`` / ``TORTURE_POINTS``.
+
+On 512-byte blocks replay rewrites every logged page whole, so a tear
+inside a block must pass the full audit too; only a torn superblock may
+refuse the mount, by its own CRC.  On 4 KB blocks a tear inside a block
+breaks the block-atomic write home deltas assume.  There it must end with
+the audit passing or with the damage *surfaced*: the torn page quarantined
+at mount while every answer that does not fail is still the model's, or a
+mount refusing with an error naming it.  Never silently wrong.
 """
 
 import os
 import random
+import re
 
 import pytest
 
 from repro.core import HFADFileSystem
+from repro.errors import CorruptionError, JournalError, RecoveryError
 from repro.recovery import CrashError, CrashingBlockDevice
+from repro.recovery.superblock import SUPERBLOCK_BLOCK
+from repro.storage.block_device import PAGE_BYTES
 
 SEEDS = [int(s) for s in os.environ.get("TORTURE_SEEDS", "1,2,3,4").split(",")]
 POINTS_PER_SEED = int(os.environ.get("TORTURE_POINTS", "55"))
@@ -50,8 +66,8 @@ def build_fs(device):
     )
 
 
-def make_device():
-    return CrashingBlockDevice(num_blocks=1 << 14, block_size=512)
+def make_device(block_size=512):
+    return CrashingBlockDevice(num_blocks=1 << 14, block_size=block_size)
 
 
 def make_content(rng, min_words=3, max_words=40):
@@ -283,9 +299,9 @@ def verify(fs, model):
     assert not scrub.errors, f"post-mount scrub errors: {scrub.errors}"
 
 
-def measure_workload_writes(seed):
+def measure_workload_writes(seed, block_size=512):
     """Run the seed's workload uncrashed; returns its device-write count."""
-    device = make_device()
+    device = make_device(block_size)
     fs = build_fs(device)
     before = device.stats.writes
     model = Model()
@@ -302,13 +318,85 @@ def verify_clean_run(fs, model):
         assert fs.read(oid) == state["content"]
 
 
-def torture_once(seed, crash_after, torn):
-    device = make_device()
+def degraded_answers(fs, model):
+    """Audit a filesystem with a quarantined page against the model.
+
+    Every probe ``verify`` makes either answers as the model says or raises
+    :class:`CorruptionError`; a search may also return a result flagged
+    partial that names no object it should not.  Returns the wrong answers.
+    """
+    pending_oids = model.pending.get("oids", set())
+    wrong = []
+
+    def probe(name, call, ok):
+        partial_before = fs.integrity.stats.partial_results
+        try:
+            got = call()
+        except CorruptionError:
+            return None
+        if not ok(got, fs.integrity.stats.partial_results > partial_before):
+            wrong.append((name, got))
+        return got
+
+    live = probe("list_objects", fs.list_objects, lambda got, _partial: True)
+    if live is not None:
+        live = set(live)
+        extras = live - set(model.objects) - pending_oids
+        if len(extras) > (1 if model.pending.get("kind") == "create" else 0):
+            wrong.append(("unexplained objects", sorted(extras)))
+        for oid in model.deleted - pending_oids:
+            if oid in live:
+                wrong.append(("resurrected", oid))
+    for oid, state in model.objects.items():
+        if oid in pending_oids:
+            continue
+        if live is not None and oid not in live:
+            wrong.append(("lost", oid))
+        probe(f"read {oid}", lambda: fs.read(oid),
+              lambda got, _partial: got == state["content"])
+        probe(f"names {oid}", lambda: {str(pair) for pair in fs.names_for(oid)},
+              lambda got, _partial: state["tags"] <= got)
+        for path in state["paths"]:
+            probe(f"path {path}", lambda: fs.lookup_path(path),
+                  lambda got, _partial: got == oid)
+        words = state["content"].decode().split()
+        if words:
+            probe(f"search {words[0]!r} for {oid}", lambda: fs.search_text(words[0]),
+                  lambda got, partial: oid in got or partial)
+    expected = set(model.objects) - pending_oids
+    probe("query USER/root", lambda: set(fs.query("USER/root")),
+          lambda got, _partial: expected <= got and (
+              live is None or got <= live | pending_oids))
+    return wrong
+
+
+def verify_surfaced(device, mounted, model):
+    """A tear inside a block that recovery could not undo: the torn page
+    is quarantined, fsck and the scrub report it, and nothing answers
+    other than the model says."""
+    assert mounted.integrity.quarantine == {device.torn_block}, (
+        f"quarantined {sorted(mounted.integrity.quarantine)}, "
+        f"but the tear cut block {device.torn_block}"
+    )
+    assert mounted.stats()["recovery"]["unresolved_pages"] == 1
+    wrong = degraded_answers(mounted, model)
+    assert not wrong, (
+        f"silently wrong answers beside quarantined page {device.torn_block}: "
+        f"{wrong[:3]}"
+    )
+    assert not mounted.fsck()["clean"]
+    scrub = mounted.scrub()
+    assert f"page {device.torn_block}: unrepairable, quarantined" in scrub.errors
+
+
+def torture_once(seed, crash_after, tear, block_size=512):
+    device = make_device(block_size)
     fs = build_fs(device)
     model = Model()
     device.plan_crash(
         crash_after,
-        torn_rng=random.Random(crash_after * 31 + seed) if torn else None,
+        torn_rng=random.Random(crash_after * 31 + seed) if tear else None,
+        tear=tear or "blocks",
     )
     try:
         run_workload(fs, random.Random(seed), model)
@@ -317,21 +405,50 @@ def torture_once(seed, crash_after, torn):
     else:
         device.disarm()
         return False  # the sampled point fell past the workload's writes
-    mounted = HFADFileSystem.mount(device.surviving_image())
-    verify(mounted, model)
+    # Only home deltas, on one-block pages, may leave a torn page unhealed.
+    surfaces_pages = tear == "bytes" and block_size == PAGE_BYTES
+    try:
+        mounted = HFADFileSystem.mount(device.surviving_image())
+    except (CorruptionError, JournalError, RecoveryError) as error:
+        # Refused loudly: only a tear inside a block may cost a mount, and
+        # the refusal names what the tear cut.
+        assert device.torn_block is not None, f"mount failed: {error}"
+        if device.torn_block == SUPERBLOCK_BLOCK:
+            assert "superblock" in str(error), error
+        else:
+            assert surfaces_pages, f"mount failed: {error}"
+            assert re.search(rf"(page|block) {device.torn_block}\b", str(error)), error
+        return True
+    if mounted.integrity.quarantine and surfaces_pages:
+        verify_surfaced(device, mounted, model)
+    else:
+        verify(mounted, model)
     return True
+
+
+def torture_seed(seed, block_size):
+    total_writes = measure_workload_writes(seed, block_size)
+    assert total_writes > POINTS_PER_SEED, "workload too small to sample"
+    rng = random.Random(seed * 7919)
+    points = sorted(rng.sample(range(total_writes), min(POINTS_PER_SEED, total_writes)))
+    # Half the points tear the fatal write between blocks; every other
+    # point of the rest runs again, torn inside a block.
+    runs = [(point, "blocks" if index % 2 == 0 else None)
+            for index, point in enumerate(points)]
+    runs += [(point, "bytes") for point in points[1::4]]
+    crashed = sum(torture_once(seed, point, tear, block_size) for point, tear in runs)
+    # Every sampled point lies inside the workload's write window, so every
+    # run must actually crash (and therefore actually audit a recovery).
+    assert crashed == len(runs)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_torture_crash_points(seed):
-    total_writes = measure_workload_writes(seed)
-    assert total_writes > POINTS_PER_SEED, "workload too small to sample"
-    rng = random.Random(seed * 7919)
-    points = sorted(rng.sample(range(total_writes), min(POINTS_PER_SEED, total_writes)))
-    crashed = sum(
-        torture_once(seed, point, torn=(index % 2 == 0))
-        for index, point in enumerate(points)
-    )
-    # Every sampled point lies inside the workload's write window, so every
-    # run must actually crash (and therefore actually audit a recovery).
-    assert crashed == len(points)
+    torture_seed(seed, block_size=512)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_torture_crash_points_one_block_pages(seed):
+    # A page is one 4 KB block: first touches log home deltas, and replay
+    # folds them from homes the crash may have caught mid-write-back.
+    torture_seed(seed, block_size=PAGE_BYTES)

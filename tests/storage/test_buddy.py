@@ -1,5 +1,9 @@
 """Unit and property-based tests for the buddy allocator."""
 
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,3 +190,40 @@ class TestBuddyProperties:
             covered = set(range(block, block + chunk))
             assert not (covered & occupied)
             occupied |= covered
+
+
+class TestConcurrentInvariantCheck:
+    def test_check_invariants_is_atomic_against_allocate_and_free(self):
+        # fsck walks the free lists while the idle flusher's deferred frees
+        # (and a writer's allocations) mutate them: the walk must see one
+        # state, never a half-split chunk or a set resized under it.
+        alloc = BuddyAllocator(total_blocks=1 << 12)
+        stop = threading.Event()
+        errors = []
+
+        def churn(seed):
+            rng = random.Random(seed)
+            live = []
+            try:
+                while not stop.is_set():
+                    if live and (len(live) > 64 or rng.random() < 0.5):
+                        alloc.free(live.pop(rng.randrange(len(live))))
+                    else:
+                        live.append(alloc.allocate(rng.choice((1, 1, 2, 4, 8))))
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        workers = [threading.Thread(target=churn, args=(seed,)) for seed in (1, 2)]
+        try:
+            for worker in workers:
+                worker.start()
+            for _ in range(300):
+                alloc.check_invariants()
+        finally:
+            stop.set()
+            for worker in workers:
+                worker.join()
+            sys.setswitchinterval(previous)
+        assert not errors

@@ -1,6 +1,9 @@
 """Page deltas in the journal: the splice codec, when a record becomes a
 delta, and the one fold replay and the scrubber's repair source share."""
 
+import struct
+import zlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from repro.storage.journal import (
     TYPE_COMMIT,
     TYPE_DATA,
     TYPE_DELTA,
+    TYPE_HOME_DELTA,
     TYPE_META,
     TYPE_REVOKE,
     apply_delta,
@@ -379,3 +383,224 @@ class TestLatestPageImage:
         assert journal.latest_page_image(OTHER) == first
         journal.checkpoint()
         assert journal.latest_page_image(OTHER) is None
+
+
+# ---------------------------------------------------------------- home deltas
+
+PAGE = 4096  # one page is one block: the device writes it whole
+
+
+def page_versions(count):
+    """``count`` successive page-sized framed images of one page."""
+    return versions(count, start=110)
+
+
+def make_page_journal():
+    device = BlockDevice(num_blocks=256)
+    return device, Journal(device, journal_start=0, journal_blocks=JOURNAL_BLOCKS)
+
+
+def home_delta(base, new):
+    """A hand-encoded ``HOME_DELTA`` payload: ``crc32(base)`` and a splice."""
+    return struct.pack(">I", zlib.crc32(base)) + encode_delta(base, new)
+
+
+def write_log(journal, *transactions):
+    """Hand-encode committed transactions of ``(rtype, block, payload)``."""
+    raw, lsn = b"", 0
+    for txid, records in enumerate(transactions, start=1):
+        for rtype, block, payload in records:
+            lsn += 1
+            raw += journal._encode_record(rtype, txid, block, payload, lsn=lsn)
+        lsn += 1
+        raw += journal._encode_record(TYPE_COMMIT, txid, 0, b"", lsn=lsn)
+    journal._write_log_region(0, raw)
+
+
+class TestHomeDeltas:
+    def test_images_are_page_sized(self):
+        images = page_versions(4)
+        assert all(PAGE // 2 < len(image) <= PAGE for image in images)
+
+    def test_first_touch_is_a_delta_against_the_home(self):
+        device, journal = make_page_journal()
+        images = page_versions(3)
+        device.write_block(BLOCK, images[0])  # a checkpoint left it home
+        commit(journal, (BLOCK, images[1]))
+        commit(journal, (BLOCK, images[2]))
+        assert logged_types(journal) == [TYPE_HOME_DELTA, TYPE_DELTA]
+        assert journal.bytes_appended < len(images[1])
+
+    def test_a_fresh_allocation_starts_with_a_full_image(self):
+        device, journal = make_page_journal()
+        images = page_versions(2)
+        device.write_block(BLOCK, images[0])  # a previous owner's valid page
+        journal.mark_allocated(BLOCK)
+        commit(journal, (BLOCK, images[1]))
+        assert logged_types(journal) == [TYPE_DATA]
+        journal.checkpoint()  # the mark lasts until the log truncates
+        device.write_block(BLOCK, images[1])
+        commit(journal, (BLOCK, images[0]))
+        assert logged_types(journal) == [TYPE_HOME_DELTA]
+
+    def test_a_revoked_then_reused_block_starts_with_a_full_image(self):
+        device, journal = make_page_journal()
+        images = page_versions(3)
+        device.write_block(BLOCK, images[0])
+        commit(journal, (BLOCK, images[1]))
+        txid = journal.allocate_txid()
+        journal.append(TYPE_REVOKE, txid, BLOCK, b"")
+        journal.commit_txid(txid)
+        commit(journal, (BLOCK, images[2]))
+        assert logged_types(journal) == [TYPE_HOME_DELTA, TYPE_REVOKE, TYPE_DATA]
+        device.write_block(BLOCK, b"unlogged object data")
+        reopen(device).replay()
+        assert home(device, BLOCK, len(images[2])) == images[2]
+
+    def test_a_rotten_home_at_first_touch_starts_with_a_full_image(self):
+        device, journal = make_page_journal()
+        images = page_versions(2)
+        device.write_block(BLOCK, images[0])
+        device.flip_bit(BLOCK, 8 * 100)
+        commit(journal, (BLOCK, images[1]))
+        assert logged_types(journal) == [TYPE_DATA]
+
+    def test_a_page_of_several_blocks_starts_with_a_full_image(self):
+        # On 512-byte blocks a page write can tear between them: no home base.
+        device, journal = make_journal()
+        images = page_versions(2)
+        device.write_blocks(BLOCK, images[0])
+        read, read_blocks = [], device.read_blocks
+        device.read_blocks = lambda block, n: read.append(block) or read_blocks(block, n)
+        commit(journal, (BLOCK, images[1]))
+        assert BLOCK not in read  # the home is not even read
+        assert logged_types(journal) == [TYPE_DATA]
+
+
+class TestHomeFold:
+    def chain(self, journal, images):
+        """A committed chain from ``images[0]`` (the home base) to the last."""
+        records = [(TYPE_HOME_DELTA, BLOCK, home_delta(images[0], images[1]))]
+        records += [(TYPE_DELTA, BLOCK, encode_delta(old, new))
+                    for old, new in zip(images[1:], images[2:])]
+        write_log(journal, *[[record] for record in records])
+
+    def test_home_equals_the_base(self):
+        device, journal = make_page_journal()
+        images = page_versions(5)
+        device.write_block(BLOCK, images[0])
+        self.chain(journal, images)
+        fresh = reopen(device)
+        assert len(fresh.replay()) == 4
+        assert home(device, BLOCK, len(images[-1])) == images[-1]
+        assert fresh.last_replay_applied == 1 and fresh.last_replay_unresolved == []
+
+    def test_home_equals_an_intermediate_image(self):
+        # The pool wrote images[2] back before the crash: replay continues
+        # after the record that built it (applying from the base would fail
+        # the splice against the wrong image).
+        device, journal = make_page_journal()
+        images = page_versions(5)
+        device.write_block(BLOCK, images[2])
+        self.chain(journal, images)
+        reopen(device).replay()
+        assert home(device, BLOCK, len(images[-1])) == images[-1]
+
+    def test_home_equals_the_final_image(self):
+        device, journal = make_page_journal()
+        images = page_versions(4)
+        device.write_block(BLOCK, images[-1])
+        self.chain(journal, images)
+        reopen(device).replay()
+        assert home(device, BLOCK, len(images[-1])) == images[-1]
+
+    def test_a_torn_home_matches_nothing_and_is_not_written(self):
+        device, journal = make_page_journal()
+        images = page_versions(4)
+        torn = images[3][:1000] + images[1][1000:]
+        device.write_block(BLOCK, torn)
+        device.write_block(OTHER, images[0])
+        write_log(journal, *[[record] for record in [
+            (TYPE_HOME_DELTA, BLOCK, home_delta(images[0], images[1])),
+            (TYPE_DELTA, BLOCK, encode_delta(images[1], images[2])),
+            (TYPE_HOME_DELTA, OTHER, home_delta(images[0], images[3])),
+        ]])
+        fresh = reopen(device)
+        fresh.replay()
+        assert fresh.last_replay_unresolved == [BLOCK]
+        assert device.read_block(BLOCK) == torn.ljust(PAGE, b"\0")
+        assert home(device, OTHER, len(images[3])) == images[3]  # the rest replays
+        assert fresh.latest_page_image(BLOCK) is None
+
+    def test_a_valid_home_the_chain_never_logged_is_an_error(self):
+        # A lost write: the home holds a page, but not one of the chain's.
+        device, journal = make_page_journal()
+        images, stranger = page_versions(4), versions(1, start=90)[0]
+        device.write_block(BLOCK, stranger)
+        device.write_block(OTHER, images[0])
+        write_log(journal, [
+            (TYPE_HOME_DELTA, OTHER, home_delta(images[0], images[2])),
+            (TYPE_HOME_DELTA, BLOCK, home_delta(images[0], images[1])),
+        ])
+        with pytest.raises(JournalError, match=f"block {BLOCK}"):
+            reopen(device).replay()
+        assert home(device, BLOCK, len(stranger)) == stranger  # nothing written
+        assert home(device, OTHER, len(images[0])) == images[0]
+
+    def test_a_full_image_later_in_the_chain_needs_no_home(self):
+        device, journal = make_page_journal()
+        images = page_versions(4)
+        device.write_block(BLOCK, b"torn beyond recognition")
+        write_log(journal, [
+            (TYPE_HOME_DELTA, BLOCK, home_delta(images[0], images[1])),
+            (TYPE_DATA, BLOCK, images[2]),
+            (TYPE_DELTA, BLOCK, encode_delta(images[2], images[3])),
+        ])
+        fresh = reopen(device)
+        fresh.replay()
+        assert home(device, BLOCK, len(images[3])) == images[3]
+        assert fresh.last_replay_unresolved == []
+
+    def test_commits_after_a_replay_extend_the_chain(self):
+        # Replay drops the bases, so the next touch deltas against the home
+        # it just wrote; a second replay folds both home deltas in turn.
+        device, journal = make_page_journal()
+        images = page_versions(5)
+        device.write_block(BLOCK, images[0])
+        for image in images[1:3]:
+            commit(journal, (BLOCK, image))
+        fresh = reopen(device)
+        fresh.replay()
+        for image in images[3:]:
+            commit(fresh, (BLOCK, image))
+        assert logged_types(fresh) == [
+            TYPE_HOME_DELTA, TYPE_DELTA, TYPE_HOME_DELTA, TYPE_DELTA]
+        # Whichever image of the chain the crash left home, the fold ends
+        # at the newest one.
+        for left_home in images:
+            device.write_block(BLOCK, left_home)
+            reopen(device).replay()
+            assert home(device, BLOCK, len(images[-1])) == images[-1]
+
+    def test_a_home_delta_past_the_start_must_fit_the_image_so_far(self):
+        device, journal = make_page_journal()
+        images = page_versions(4)
+        write_log(journal, [
+            (TYPE_DATA, BLOCK, images[0]),
+            (TYPE_HOME_DELTA, BLOCK, home_delta(images[2], images[3])),
+        ])
+        with pytest.raises(JournalError, match="another image"):
+            reopen(device).replay()
+        assert device.read_block(BLOCK) == bytes(PAGE)
+
+    def test_the_repair_source_folds_from_the_home(self):
+        device, journal = make_page_journal()
+        images = page_versions(3)
+        device.write_block(BLOCK, images[0])
+        commit(journal, (BLOCK, images[1]))
+        commit(journal, (BLOCK, images[2]))
+        assert journal.latest_page_image(BLOCK) == images[2]
+        device.write_block(BLOCK, images[1])  # written back: still foldable
+        assert journal.latest_page_image(BLOCK) == images[2]
+        device.flip_bit(BLOCK, 8 * 200)  # rot under the chain: no image at all
+        assert journal.latest_page_image(BLOCK) is None
