@@ -48,9 +48,6 @@ class HFADShell:
         self.vfs = PosixVFS(self.fs)
         self.session = RefinementSession(self.fs)
         self.queries = VirtualDirectoryTree(self.fs)
-        # Tags the user invents on the fly (e.g. "tag /p.jpg PLACE beach") get
-        # routed to one shared key/value store, registered per new tag.
-        self._adhoc_store = None
         self._commands: Dict[str, Callable[[List[str]], str]] = {
             "help": self.cmd_help,
             "put": self.cmd_put,
@@ -242,19 +239,9 @@ class HFADShell:
     # commands: naming
     # ------------------------------------------------------------------
 
-    def _ensure_tag_supported(self, tag: str) -> None:
-        if self.fs.registry.supports(tag):
-            return
-        from repro.index.keyvalue_index import KeyValueIndexStore
-
-        if self._adhoc_store is None:
-            self._adhoc_store = KeyValueIndexStore(tags=[tag])
-        self.fs.registry.register(self._adhoc_store, tags=[tag])
-
     def cmd_tag(self, args: List[str]) -> str:
         self._require(args, 3, "tag TARGET TAG VALUE")
         oid = self._resolve_target(args[0])
-        self._ensure_tag_supported(args[1])
         self.fs.tag(oid, args[1], " ".join(args[2:]))
         return ""
 

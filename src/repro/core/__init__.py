@@ -6,8 +6,9 @@ object, once it has been located." (Section 3.1)
 
 * :mod:`repro.core.naming` — the naming interfaces: vectors of tag/value
   pairs resolved as conjunctions, with every result being a set of object ids.
-* :mod:`repro.core.access` — the access interfaces: POSIX-compatible ``read``
-  and ``write`` plus the new ``insert`` and two-argument ``truncate``.
+* :mod:`repro.core.access` — a file-like handle over the access interfaces
+  (the facade's POSIX-compatible ``read`` and ``write`` plus the new
+  ``insert`` and two-argument ``truncate``).
 * :mod:`repro.core.query` — boolean queries over tags (AND/OR/NOT) and the
   selectivity-based planner (the paper's third open question).
 * :mod:`repro.core.filesystem` — :class:`HFADFileSystem`, the facade that
@@ -20,7 +21,7 @@ this is an implementation decision").  Here it has one owner,
 transaction, and ``with fs.begin(): ...`` makes a group of them one.
 """
 
-from repro.core.access import AccessInterface, ObjectHandle
+from repro.core.access import ObjectHandle
 from repro.core.filesystem import HFADFileSystem
 from repro.core.naming import NamingInterface
 from repro.core.query import And, Not, Or, Query, QueryPlanner, TagTerm, parse_query
@@ -28,7 +29,6 @@ from repro.core.query import And, Not, Or, Query, QueryPlanner, TagTerm, parse_q
 __all__ = [
     "HFADFileSystem",
     "NamingInterface",
-    "AccessInterface",
     "ObjectHandle",
     "Query",
     "TagTerm",

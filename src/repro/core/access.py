@@ -1,71 +1,22 @@
-"""The hFAD access interfaces.
+"""A file-like handle over the hFAD access interfaces.
 
 "The access interfaces support reading and writing as standard filesystems
 do, but due to our implementation we can easily also support insertion and
-removal operations ... The read and write calls are compatible with POSIX ...
-The insert call takes arguments identical to the write call ... While the
-POSIX truncate takes a single off_t ... hFAD takes two off_t's, an offset and
-length, indicating exactly which bytes to remove from the file."
-(Section 3.1.2)
-
-:class:`AccessInterface` exposes those four calls (plus append/stat) against
-an :class:`~repro.osd.object_store.ObjectStore`, and :class:`ObjectHandle`
-wraps them in a file-like object with a cursor for applications that prefer
-``read()/write()/seek()`` ergonomics.
+removal operations" (Section 3.1.2).  Those calls are
+:class:`~repro.core.filesystem.HFADFileSystem`'s ``read`` / ``write`` /
+``insert`` / ``truncate``; :class:`ObjectHandle` wraps them in a file-like
+object with a cursor for applications that prefer ``read()/write()/seek()``
+ergonomics.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import InvalidRangeError, ObjectStoreError
-from repro.osd.metadata import ObjectMetadata
-from repro.osd.object_store import ObjectStore
 
-
-class AccessInterface:
-    """Byte-level access to located objects, by object id."""
-
-    def __init__(self, object_store: ObjectStore) -> None:
-        self.objects = object_store
-
-    # POSIX-compatible calls ---------------------------------------------------
-
-    def read(self, oid: int, offset: int = 0, length: Optional[int] = None) -> bytes:
-        """POSIX-style pread."""
-        return self.objects.read(oid, offset, length)
-
-    def write(self, oid: int, offset: int, data: bytes) -> int:
-        """POSIX-style pwrite (overwrites; extends at the end)."""
-        return self.objects.write(oid, offset, data)
-
-    def append(self, oid: int, data: bytes) -> int:
-        """Append; returns the offset the data landed at."""
-        return self.objects.append(oid, data)
-
-    # hFAD extensions ----------------------------------------------------------
-
-    def insert(self, oid: int, offset: int, data: bytes) -> int:
-        """Insert bytes at ``offset``, growing the object (same args as write)."""
-        return self.objects.insert(oid, offset, data)
-
-    def truncate(self, oid: int, offset: int, length: int) -> int:
-        """The two-``off_t`` truncate: remove ``length`` bytes at ``offset``."""
-        return self.objects.remove_range(oid, offset, length)
-
-    # metadata -----------------------------------------------------------------
-
-    def stat(self, oid: int) -> ObjectMetadata:
-        return self.objects.stat(oid)
-
-    def size(self, oid: int) -> int:
-        return self.objects.size(oid)
-
-    def open(self, oid: int) -> "ObjectHandle":
-        """Return a file-like handle positioned at offset zero."""
-        if not self.objects.exists(oid):
-            raise ObjectStoreError(f"object {oid} does not exist")
-        return ObjectHandle(self, oid)
+if TYPE_CHECKING:
+    from repro.core.filesystem import HFADFileSystem
 
 
 class ObjectHandle:
@@ -73,11 +24,12 @@ class ObjectHandle:
 
     The handle keeps a position; ``read``/``write``/``insert`` advance it.
     It exists for application convenience — the underlying interfaces are
-    stateless and offset-addressed, as the paper specifies.
+    stateless and offset-addressed, as the paper specifies — and every call
+    goes through the facade, so writes re-index like any other.
     """
 
-    def __init__(self, access: AccessInterface, oid: int) -> None:
-        self._access = access
+    def __init__(self, fs: "HFADFileSystem", oid: int) -> None:
+        self._fs = fs
         self.oid = oid
         self.position = 0
         self.closed = False
@@ -96,7 +48,7 @@ class ObjectHandle:
         elif whence == 1:
             new_position = self.position + offset
         elif whence == 2:
-            new_position = self._access.size(self.oid) + offset
+            new_position = self._fs.size(self.oid) + offset
         else:
             raise InvalidRangeError(f"bad whence {whence}")
         if new_position < 0:
@@ -111,30 +63,30 @@ class ObjectHandle:
 
     def read(self, length: Optional[int] = None) -> bytes:
         self._require_open()
-        data = self._access.read(self.oid, self.position, length)
+        data = self._fs.read(self.oid, self.position, length)
         self.position += len(data)
         return data
 
     def write(self, data: bytes) -> int:
         self._require_open()
-        written = self._access.write(self.oid, self.position, data)
+        written = self._fs.write(self.oid, self.position, data)
         self.position += written
         return written
 
     def insert(self, data: bytes) -> int:
         self._require_open()
-        inserted = self._access.insert(self.oid, self.position, data)
+        inserted = self._fs.insert(self.oid, self.position, data)
         self.position += inserted
         return inserted
 
     def truncate_range(self, length: int) -> int:
         """Remove ``length`` bytes starting at the current position."""
         self._require_open()
-        return self._access.truncate(self.oid, self.position, length)
+        return self._fs.truncate(self.oid, self.position, length)
 
     def size(self) -> int:
         self._require_open()
-        return self._access.size(self.oid)
+        return self._fs.size(self.oid)
 
     # -- lifecycle ------------------------------------------------------------
 

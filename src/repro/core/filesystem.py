@@ -23,12 +23,13 @@ from contextlib import nullcontext
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import BufferPool, QueryResultCache, RankedResultCache
-from repro.core.access import AccessInterface, ObjectHandle
+from repro.core.access import ObjectHandle
 from repro.core.naming import NamingInterface, PairLike, as_pair
 from repro.core.query import Query, parse_query
 from repro.errors import (
     CorruptionError,
     DeviceError,
+    IndexStoreError,
     NoSuchObjectError,
     RecoveryError,
 )
@@ -69,14 +70,12 @@ from repro.telemetry import (
 #: health-check severities, worst-wins (the gauge exports the number).
 _HEALTH_LEVELS = {"ok": 0, "warn": 1, "fail": 2}
 
-# Durable-naming key/attribute vocabulary.  Manual names and POSIX paths are
-# persisted as *individual master-tree entries* (``ObjectStore.put_name``) so
-# a heavily-tagged object never grows an unbounded metadata record.  Full-text
-# postings and image features live in their own on-device btrees and mounts
-# re-attach them.  Whether an object's content is indexed is its metadata
-# record's ``hfad.ci`` attribute, read where it is needed.
-_NAME_ENTRY = "n:"       # "n:TAG/value" → the object carries this name
-_PATH_ENTRY = "p:"       # "p:/a/b"      → the object is linked at this path
+# Every name, a POSIX path included, is persisted as one master-tree entry
+# spelled ``TAG/value`` (``ObjectStore.put_name``; a path is ``POSIX//a/b``),
+# so a heavily-tagged object never grows an unbounded metadata record.
+# Full-text postings and image features live in their own on-device btrees
+# and mounts re-attach them.  Whether an object's content is indexed is its
+# metadata record's ``hfad.ci`` attribute, read where it is needed.
 _RESERVED_ATTR = "hfad."      # attribute keys only the engine writes
 _ATTR_INDEXED = "hfad.ci"     # content-indexed flag
 
@@ -266,7 +265,8 @@ class HFADFileSystem:
         # The posting backlog's threshold settle: after a commit, never
         # inside the transaction that crossed the line.
         self.recovery.after_commit = self._settle_if_due
-        self.registry = IndexStoreRegistry()
+        # The key/value store also serves every tag no other store claims.
+        self.registry = IndexStoreRegistry(fallback=self.keyvalue_index)
         self.registry.register(self.keyvalue_index)
         self.registry.register(self.path_index)
         self.registry.register(self.fulltext_index)
@@ -296,7 +296,6 @@ class HFADFileSystem:
             ranked_cache=self.ranked_cache,
             telemetry=self.telemetry,
         )
-        self.access = AccessInterface(self.objects)
         if self.telemetry.enabled:
             self.recovery.commit_batch_sizes = self.telemetry.metrics.histogram(
                 "wal.group_commit.batch_size",
@@ -368,8 +367,9 @@ class HFADFileSystem:
     def _rebuild_naming(self) -> None:
         """Mount-time re-indexing: derive naming state from object metadata.
 
-        Manual names and POSIX paths are persisted as master-tree name
-        entries (covered by the WAL).  Full-text postings and image features
+        Every name, POSIX paths included, is persisted as a master-tree name
+        entry (covered by the WAL) and re-added through the registry, which
+        routes it exactly as the write did.  Full-text postings and image features
         are read from their persistent index trees where queries need them —
         no object bytes and no index leaves are read here.
         """
@@ -378,21 +378,10 @@ class HFADFileSystem:
         metadata_by_oid, names_by_oid = self.objects.take_mount_inventory()
         for oid in sorted(metadata_by_oid):
             for entry in names_by_oid.get(oid, ()):
-                if entry.startswith(_NAME_ENTRY):
-                    pair = TagValue.parse(entry[len(_NAME_ENTRY):])
-                    if pair.tag in (TAG_FULLTEXT, TAG_IMAGE):
-                        continue  # already in the on-device index trees
-                    self._ensure_tag_registered(pair.tag)
+                pair = TagValue.parse(entry)
+                if pair.tag not in (TAG_FULLTEXT, TAG_IMAGE):
+                    # (those two are already in the on-device index trees)
                     self.naming.add_name(oid, pair)
-                elif entry.startswith(_PATH_ENTRY):
-                    self.path_index.link(entry[len(_PATH_ENTRY):], oid)
-        for tag in (TAG_POSIX, TAG_FULLTEXT, TAG_IMAGE):
-            self.registry.touch(tag)
-
-    def _ensure_tag_registered(self, tag: str) -> None:
-        """Serve ad-hoc tags met during a mount with on-the-fly kv stores."""
-        if not self.registry.supports(tag):
-            self.registry.register(KeyValueIndexStore(tags=[tag]), tags=[tag])
 
     def _durable(self):
         """One WAL transaction bracketing a whole filesystem operation.
@@ -593,38 +582,20 @@ class HFADFileSystem:
         (UDEF/...), an optional POSIX path, and — when ``index_content`` is
         true — the object's full text.
         """
-        # Validate naming inputs *before* the durable bracket: with WAL
-        # durability, failing after pages were logged poisons the filesystem
-        # (redo-only logging cannot roll the mutation back), and a typo'd
-        # tag or path must not cost a remount.
-        pairs = [as_pair(pair) for pair in tags]
-        for pair in pairs:
-            # store_for matches insert-time routing exactly (it also rejects
-            # the registry-internal ID fast-path tag, which supports() allows).
-            self.registry.store_for(pair.tag)
-        if path is not None:
-            path = normalize_path(path)
+        names = self._check_names([
+            TagValue(TAG_USER, owner),
+            *([] if application is None else [TagValue(TAG_APP, application)]),
+            *(TagValue(TAG_UDEF, annotation) for annotation in annotations),
+            *tags,
+            *([] if path is None else [TagValue(TAG_POSIX, path)]),
+        ])
         _reject_reserved_attributes(attributes or ())
-        self._check_name_sizes(
-            *(f"{_NAME_ENTRY}{p.tag}/{p.value}" for p in pairs),
-            *(f"{_NAME_ENTRY}{TAG_UDEF}/{a}" for a in annotations),
-            f"{_NAME_ENTRY}{TAG_USER}/{owner}",
-            *([] if application is None else [f"{_NAME_ENTRY}{TAG_APP}/{application}"]),
-            *([] if path is None else [f"{_PATH_ENTRY}{path}"]),
-        )
         with self._operation("create", path or ""), self._durable():
             oid = self.objects.create(owner=owner, attributes=attributes)
             if content:
                 self.objects.write(oid, 0, content)
-            self._add_name(oid, TagValue(TAG_USER, owner))
-            if application is not None:
-                self._add_name(oid, TagValue(TAG_APP, application))
-            for annotation in annotations:
-                self._add_name(oid, TagValue(TAG_UDEF, annotation))
-            for pair in pairs:
+            for pair in names:
                 self._add_name(oid, pair)
-            if path is not None:
-                self._link_path(path, oid)
             if index_content:
                 # Flag the object even when it starts empty so that later
                 # writes through the access interfaces keep its index entry
@@ -634,42 +605,57 @@ class HFADFileSystem:
                     self.fulltext_index.index_content(oid, content)
             return oid
 
-    # -- durable naming helpers -----------------------------------------------
+    # -- the one name path ----------------------------------------------------
     #
-    # In-memory index mutations are paired with a persisted master-tree name
-    # entry (or a bounded metadata attribute) so the name survives a re-mount;
-    # the write rides the enclosing WAL transaction.
+    # Every name is one tag/value pair, a POSIX path too ("simply one name
+    # among many possible names", Section 3.1.1).  _add_name / _remove_name
+    # are the only code that adds or removes one: the registry indexes it
+    # (bumping the tag's generation) and one ``TAG/value`` master-tree entry,
+    # riding the enclosing WAL transaction, makes it survive a re-mount.
 
-    def _check_name_sizes(self, *entries: str) -> None:
-        """Pre-flight size validation for durable name entries."""
-        for entry in entries:
-            self.objects.check_name(entry)
+    @staticmethod
+    def _canonical(pair: PairLike) -> TagValue:
+        """The spelling a name is indexed and stored under: a POSIX value is
+        its normalized path, so every API finds the same entry."""
+        pair = as_pair(pair)
+        if pair.tag == TAG_POSIX:
+            return TagValue(TAG_POSIX, normalize_path(pair.value))
+        return pair
+
+    def _check_names(self, pairs: Iterable[PairLike]) -> List[TagValue]:
+        """Validate names and return them canonical.
+
+        Runs before anything is logged: with redo-only logging a failure
+        after the first logged page poisons the engine, and a typo'd name
+        must not cost a remount.
+        """
+        checked = []
+        for pair in map(self._canonical, pairs):
+            if "/" in pair.tag or "\x00" in pair.tag or "\x00" in pair.value:
+                raise IndexStoreError(
+                    f"name {str(pair)!r}: a tag may not contain '/', nor a "
+                    "tag or value a NUL byte")
+            self.registry.store_for(pair.tag)  # refuses the ID fast-path tag
+            self.objects.check_name(str(pair))
+            checked.append(pair)
+        return checked
 
     def _add_name(self, oid: int, pair: TagValue) -> None:
+        if pair.tag == TAG_POSIX:
+            # A path names one object: the displaced one's entry dies too,
+            # or the mount would hand it the path back.
+            displaced = self.path_index.resolve(pair.value)
+            if (displaced is not None and displaced != oid
+                    and self.objects.exists(displaced)):
+                self.objects.remove_name(displaced, str(pair))
         self.naming.add_name(oid, pair)
-        self.objects.put_name(oid, f"{_NAME_ENTRY}{pair.tag}/{pair.value}")
+        self.objects.put_name(oid, str(pair))
 
     def _remove_name(self, oid: int, pair: TagValue) -> bool:
         removed = self.naming.remove_name(oid, pair)
         if removed and self.objects.exists(oid):
-            self.objects.remove_name(oid, f"{_NAME_ENTRY}{pair.tag}/{pair.value}")
+            self.objects.remove_name(oid, str(pair))
         return removed
-
-    def _link_path(self, path: str, oid: int) -> None:
-        # Persist the *normalized* spelling: the path index normalizes on
-        # link, and a later unlink (given the normalized form) must find and
-        # remove the same entry or the name would resurrect at mount.
-        path = normalize_path(path)
-        displaced = self.path_index.resolve(path)
-        self.path_index.link(path, oid)
-        self.registry.touch(TAG_POSIX)
-        if (displaced is not None and displaced != oid
-                and self.objects.exists(displaced)):
-            # Rebinding over an existing name: the displaced object's
-            # persisted entry must die too, or it resurrects at mount (and,
-            # sorting first by oid, could even win the path back).
-            self.objects.remove_name(displaced, f"{_PATH_ENTRY}{path}")
-        self.objects.put_name(oid, f"{_PATH_ENTRY}{path}")
 
     def _check_usable(self) -> None:
         """A poisoned engine answers nothing: after a transaction aborted
@@ -706,50 +692,68 @@ class HFADFileSystem:
     # access interfaces (read / write / insert / truncate)
     # ------------------------------------------------------------------
 
+    # "The read and write calls are compatible with POSIX ... The insert
+    # call takes arguments identical to the write call ... hFAD takes two
+    # off_t's, an offset and length, indicating exactly which bytes to remove
+    # from the file." (Section 3.1.2)  Every byte mutation re-indexes the
+    # object's content inside its own transaction.
+
     def read(self, oid: int, offset: int = 0, length: Optional[int] = None) -> bytes:
+        """POSIX-style pread."""
         with self._operation("read", f"oid={oid}"), self.read_view():
-            return self.access.read(oid, offset, length)
+            return self.objects.read(oid, offset, length)
 
     def write(self, oid: int, offset: int, data: bytes) -> int:
+        """POSIX-style pwrite (overwrites; extends at the end)."""
         with self._operation("write", f"oid={oid}"), self._durable():
-            written = self.access.write(oid, offset, data)
+            written = self.objects.write(oid, offset, data)
             self._reindex_if_tracked(oid)
             return written
 
     def append(self, oid: int, data: bytes) -> int:
+        """Append; returns the offset the data landed at."""
         with self._operation("append", f"oid={oid}"), self._durable():
-            offset = self.access.append(oid, data)
+            offset = self.objects.append(oid, data)
             self._reindex_if_tracked(oid)
             return offset
 
     def insert(self, oid: int, offset: int, data: bytes) -> int:
+        """Insert bytes at ``offset``, growing the object (same args as write)."""
         with self._operation("insert", f"oid={oid}"), self._durable():
-            inserted = self.access.insert(oid, offset, data)
+            inserted = self.objects.insert(oid, offset, data)
             self._reindex_if_tracked(oid)
             return inserted
 
     def truncate(self, oid: int, offset: int, length: int) -> int:
         """The hFAD two-argument truncate (remove ``length`` bytes at ``offset``)."""
         with self._operation("truncate", f"oid={oid}"), self._durable():
-            removed = self.access.truncate(oid, offset, length)
+            removed = self.objects.remove_range(oid, offset, length)
             self._reindex_if_tracked(oid)
             return removed
 
+    def resize(self, oid: int, size: int) -> None:
+        """POSIX truncate-to-length: shrink, or sparsely grow, to ``size``."""
+        with self._operation("truncate", f"oid={oid}"), self._durable():
+            self.objects.truncate(oid, size)
+            self._reindex_if_tracked(oid)
+
     def open(self, oid: int) -> ObjectHandle:
-        self._check_usable()
-        return self.access.open(oid)
+        """A file-like handle positioned at offset zero; its calls are this
+        facade's."""
+        self._require_object(oid)
+        return ObjectHandle(self, oid)
 
     def stat(self, oid: int) -> ObjectMetadata:
         """The object's metadata, without the engine's own ``hfad.`` keys."""
         with self.read_view():
-            metadata = self.access.stat(oid)
+            metadata = self.objects.stat(oid)
         metadata.attributes = {key: value for key, value in metadata.attributes.items()
                                if not key.startswith(_RESERVED_ATTR)}
         return metadata
 
     def size(self, oid: int) -> int:
         with self.read_view():
-            return self.access.size(oid)
+            return self.objects.size(oid)
 
     def set_attributes(self, oid: int, **attributes: str) -> None:
         _reject_reserved_attributes(attributes)
@@ -778,16 +782,19 @@ class HFADFileSystem:
     # ------------------------------------------------------------------
 
     def tag(self, oid: int, tag: str, value: str) -> None:
-        """Add one tag/value name to an object."""
+        """Add one tag/value name to an object.
+
+        Any tag works: one no index store claims is served by the key/value
+        store.
+        """
         self._require_object(oid)
-        pair = TagValue(tag, value)
-        self._check_name_sizes(f"{_NAME_ENTRY}{pair.tag}/{pair.value}")
+        (pair,) = self._check_names([TagValue(tag, value)])
         with self._durable():
             self._add_name(oid, pair)
 
     def untag(self, oid: int, tag: str, value: str) -> bool:
         """Remove one tag/value name; returns True if it existed."""
-        pair = TagValue(tag, value)
+        pair = self._canonical(TagValue(tag, value))
         with self._durable():
             return self._remove_name(oid, pair)
 
@@ -918,16 +925,15 @@ class HFADFileSystem:
         try:
             for oid in live:
                 for entry in self.objects.names(oid):
-                    if not entry.startswith(_NAME_ENTRY):
-                        continue
-                    pair = TagValue.parse(entry[len(_NAME_ENTRY):])
+                    pair = TagValue.parse(entry)
                     if pair.tag == TAG_FULLTEXT:
                         rescue.insert(pair.tag, pair.value, oid)
         except (CorruptionError, NoSuchObjectError):
             partial = True
-        # The live routing, every store a caller registered included, with
-        # only the FULLTEXT store swapped for the rescue index.
-        registry = IndexStoreRegistry()
+        # The live routing, every store a caller registered and the
+        # fallback included, with only the FULLTEXT store swapped for the
+        # rescue index.
+        registry = IndexStoreRegistry(fallback=self.keyvalue_index)
         for tag in sorted(self.registry.registered_tags - {TAG_ID}):
             store = self.registry.store_for(tag)
             registry.register(rescue if store is self.fulltext_index else store,
@@ -940,15 +946,12 @@ class HFADFileSystem:
         )
         return naming, partial
 
-    # POSIX-path conveniences (the veneer in repro.posix builds on these).
+    # POSIX-path conveniences (the veneer in repro.posix builds on these):
+    # the tag API on the POSIX tag.
 
     def link_path(self, path: str, oid: int) -> None:
         """Give an object (another) POSIX path name."""
-        self._require_object(oid)
-        path = normalize_path(path)
-        self._check_name_sizes(f"{_PATH_ENTRY}{path}")
-        with self._durable():
-            self._link_path(path, oid)
+        self.tag(oid, TAG_POSIX, path)
 
     def rename_path(self, old_path: str, new_path: str) -> Optional[int]:
         """Move one path binding atomically; returns the object it names.
@@ -957,56 +960,39 @@ class HFADFileSystem:
         separate durable operations would let a crash between them strand
         the object with neither name.
         """
-        old_path = normalize_path(old_path)
-        new_path = normalize_path(new_path)
-        self._check_name_sizes(f"{_PATH_ENTRY}{new_path}")
+        old = self._canonical(TagValue(TAG_POSIX, old_path))
+        (new,) = self._check_names([TagValue(TAG_POSIX, new_path)])
         with self._durable():
-            oid = self.unlink_path(old_path)
+            oid = self.path_index.resolve(old.value)
             if oid is not None:
-                self._link_path(new_path, oid)
+                self._remove_name(oid, old)
+                self._add_name(oid, new)
             return oid
 
     def rename_path_subtree(self, old_path: str, new_path: str) -> int:
         """Rebind every path under ``old_path`` below ``new_path``.
 
         The POSIX veneer's directory rename; one atomic (and durable) name
-        operation — the persisted path entries move with the in-memory
-        index, so the rename survives a re-mount.  Returns the number of
-        bindings moved.
+        operation.  Returns the number of bindings moved.
         """
-        old_path = normalize_path(old_path)
-        new_path = normalize_path(new_path)
-        self._check_name_sizes(
-            *(f"{_PATH_ENTRY}{new_path}{bound[len(old_path):]}"
-              for bound, _oid in self.path_index.list_subtree(old_path))
-        )
-
-        def persist_move(bound_path: str, target: str, oid: int,
-                         displaced: Optional[int]) -> None:
-            if self.objects.exists(oid):
-                self.objects.remove_name(oid, f"{_PATH_ENTRY}{bound_path}")
-                self.objects.put_name(oid, f"{_PATH_ENTRY}{target}")
-            if (displaced is not None and displaced != oid
-                    and self.objects.exists(displaced)):
-                self.objects.remove_name(displaced, f"{_PATH_ENTRY}{target}")
-
         with self._durable():
-            moved = self.path_index.rename_subtree(
-                old_path, new_path, on_move=persist_move
-            )
-            if moved:
-                self.registry.touch(TAG_POSIX)
-            return moved
+            # Listed and checked inside the bracket, so no writer can bind
+            # a path in between, but before anything is logged.
+            moves = self.path_index.subtree_moves(old_path, new_path)
+            targets = self._check_names(
+                TagValue(TAG_POSIX, target) for _path, target, _oid in moves)
+            for (path, _target, oid), target in zip(moves, targets):
+                self._remove_name(oid, TagValue(TAG_POSIX, path))
+                self._add_name(oid, target)
+            return len(moves)
 
     def unlink_path(self, path: str) -> Optional[int]:
         """Remove a POSIX path name; returns the object it named."""
-        path = normalize_path(path)
+        pair = self._canonical(TagValue(TAG_POSIX, path))
         with self._durable():
-            oid = self.path_index.unlink(path)
+            oid = self.path_index.resolve(pair.value)
             if oid is not None:
-                self.registry.touch(TAG_POSIX)
-                if self.objects.exists(oid):
-                    self.objects.remove_name(oid, f"{_PATH_ENTRY}{path}")
+                self._remove_name(oid, pair)
             return oid
 
     def lookup_path(self, path: str) -> Optional[int]:
@@ -1160,9 +1146,9 @@ class HFADFileSystem:
 
     def _keyvalue_entries_scanned(self) -> int:
         """Entries scanned across *every* keyvalue store — the primary one
-        plus any ad-hoc per-tag stores registered later (tags met during a
-        mount, user-invented tags), so the analyze differential holds for
-        those leaves too."""
+        (which also serves every unclaimed tag) plus any a caller
+        registered, so the analyze differential holds for those leaves
+        too."""
         total = self.keyvalue_index.scan_stats.scanned
         for store in self.registry.stores:
             if (isinstance(store, KeyValueIndexStore)
@@ -1181,7 +1167,8 @@ class HFADFileSystem:
     def explain(self, query: Union[str, Query]) -> ExplainReport:
         """Compile ``query`` (planner and all) and report the operator tree
         with per-node cardinality estimates — without running it."""
-        return explain_query(query, self.registry, planner=self.naming.planner)
+        with self.read_view():
+            return explain_query(query, self.registry, planner=self.naming.planner)
 
     def explain_analyze(
         self, query: Union[str, Query], limit: Optional[int] = None
@@ -1195,13 +1182,14 @@ class HFADFileSystem:
         execution.  Available regardless of the ``telemetry`` switch (the
         tracing cost is paid only by this call).
         """
-        report = explain_analyze_query(
-            query,
-            self.registry,
-            planner=self.naming.planner,
-            limit=limit,
-            counters=self._analyze_counters(),
-        )
+        with self.read_view():
+            report = explain_analyze_query(
+                query,
+                self.registry,
+                planner=self.naming.planner,
+                limit=limit,
+                counters=self._analyze_counters(),
+            )
         tracer = self.telemetry.tracer
         if tracer is not None:
             tracer.record("explain_analyze", str(report.query), report.elapsed,

@@ -1,8 +1,8 @@
 """Key/value index store for simple attribute tags.
 
 "A key/value store suffices for simple attributes" (Section 3.2).  This store
-serves USER, UDEF, APP and any other attribute-style tag: each ``(tag,
-value)`` pair maps to a set of object ids.  Entries live in a B+-tree so the
+serves USER, UDEF, APP and, as the registry's fallback, every tag no other
+store claims: each ``(tag, value)`` pair maps to a set of object ids.  Entries live in a B+-tree so the
 store can be backed by the device like every other index, and so lookups are
 prefix scans rather than hash probes (giving us ``values_for`` and
 ``enumerate_values`` for free).
@@ -197,6 +197,11 @@ class KeyValueIndexStore(IndexStore):
             value_bytes = remainder[:-(_OID.size + 1)]
             values.add(value_bytes.decode("utf-8"))
         return sorted(values)
+
+    def holds(self, tag: str) -> bool:
+        """Whether any object is named under ``tag`` here."""
+        prefix = _FORWARD + _SEP + _encode_text(normalize_tag(tag)) + _SEP
+        return next(iter(self._tree.cursor(prefix=prefix)), None) is not None
 
     def cardinality(self, tag: str, value: str) -> int:
         """Number of objects named by ``(tag, value)`` — used by the planner.

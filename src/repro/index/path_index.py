@@ -179,34 +179,30 @@ class PosixPathIndexStore(IndexStore):
             results.append((bound_path, _OID.unpack(value)[0]))
         return results
 
-    def rename_subtree(self, old_path: str, new_path: str, on_move=None) -> int:
+    def subtree_moves(self, old_path: str, new_path: str) -> List[Tuple[str, str, int]]:
+        """The ``(path, new path, oid)`` rebindings that renaming directory
+        ``old_path`` to ``new_path`` makes, in :meth:`list_subtree` order."""
+        old_path = normalize_path(old_path)
+        new_path = normalize_path(new_path)
+        if old_path == new_path:
+            return []
+        if new_path.startswith(old_path + "/"):
+            raise IndexStoreError("cannot rename a directory beneath itself")
+        return [(path, new_path + path[len(old_path):], oid)
+                for path, oid in self.list_subtree(old_path)]
+
+    def rename_subtree(self, old_path: str, new_path: str) -> int:
         """Rebind every path under ``old_path`` below ``new_path``.
 
         Returns the number of bindings moved.  This is the operation a POSIX
         ``rename`` of a populated directory turns into; in hFAD it is pure
         index manipulation — no object data moves.
-
-        ``on_move(old_bound_path, new_bound_path, oid, displaced_oid)`` is
-        invoked after each rebinding (``displaced_oid`` is the object that
-        previously held the destination path, if any); the durable-naming
-        layer uses it to move persisted path entries in the same walk.
         """
-        old_path = normalize_path(old_path)
-        new_path = normalize_path(new_path)
-        if old_path == new_path:
-            return 0
-        if new_path.startswith(old_path + "/"):
-            raise IndexStoreError("cannot rename a directory beneath itself")
-        moved = 0
-        for bound_path, oid in self.list_subtree(old_path):
-            target = new_path + bound_path[len(old_path):]
-            displaced = self.resolve(target)
-            self.unlink(bound_path)
+        moves = self.subtree_moves(old_path, new_path)
+        for path, target, oid in moves:
+            self.remove(TAG_POSIX, path, oid)
             self.link(target, oid)
-            if on_move is not None:
-                on_move(bound_path, target, oid, displaced)
-            moved += 1
-        return moved
+        return len(moves)
 
     @property
     def path_count(self) -> int:

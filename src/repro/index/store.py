@@ -4,19 +4,25 @@ The registry answers the paper's first open question — "Should hFAD support
 arbitrary types of indexing through, for example, a plug-in model?" — with a
 concrete mechanism: any object implementing :class:`IndexStore` can be
 registered for one or more tags, and naming operations are routed to the
-store owning each tag.  The ID fast path (Table 1) is handled by the registry
-itself: an ``ID`` lookup never consults an index at all.
+store owning each tag.  A tag no store claims goes to the registry's
+*fallback* store — "a key/value store suffices for simple attributes"
+(Section 3.2) — so an application may invent a tag without registering
+anything.  The ID fast path (Table 1) is handled by the registry itself: an
+``ID`` lookup never consults an index at all.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import DuplicateIndexError, IndexStoreError, UnknownTagError
 from repro.index.tags import TAG_ID, TagValue, normalize_tag
 from repro.query.cursors import DocIdCursor, ListCursor
+
+if TYPE_CHECKING:
+    from repro.index.keyvalue_index import KeyValueIndexStore
 
 
 class IndexStore:
@@ -82,12 +88,16 @@ class IndexStoreRegistry:
     """The "extensible collection of indices" of Figure 1.
 
     Stores are registered per tag; at most one store owns a tag.  Lookups for
-    the ``ID`` tag short-circuit (the FastPath row of Table 1).
+    the ``ID`` tag short-circuit (the FastPath row of Table 1).  ``fallback``
+    (a :class:`~repro.index.keyvalue_index.KeyValueIndexStore`) serves every
+    tag no store claims; without one such a tag raises
+    :class:`UnknownTagError`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, fallback: Optional[KeyValueIndexStore] = None) -> None:
         self._by_tag: Dict[str, IndexStore] = {}
-        self._stores: List[IndexStore] = []
+        self._stores: List[IndexStore] = [] if fallback is None else [fallback]
+        self._fallback = fallback
         self.stats = RegistryStats()
         # Per-tag mutation generations, consumed by the query-result cache
         # (repro.cache.query_cache): every mutation that can change a tag's
@@ -112,6 +122,13 @@ class IndexStoreRegistry:
                 raise DuplicateIndexError(
                     f"tag {tag} already served by {self._by_tag[tag].name!r}"
                 )
+            if (store is not self._fallback and self._fallback is not None
+                    and self._fallback.holds(tag)):
+                # Re-routing would strand the names the fallback holds.
+                raise DuplicateIndexError(
+                    f"tag {tag} already names objects in "
+                    f"{self._fallback.name!r}"
+                )
         for tag in tag_list:
             self._by_tag[tag] = store
         if store not in self._stores:
@@ -121,17 +138,24 @@ class IndexStoreRegistry:
         """Remove ``store`` and every tag routed to it."""
         self._by_tag = {tag: s for tag, s in self._by_tag.items() if s is not store}
         self._stores = [s for s in self._stores if s is not store]
+        if store is self._fallback:
+            self._fallback = None
 
     def store_for(self, tag: str) -> IndexStore:
-        """The store serving ``tag``; raises :class:`UnknownTagError`."""
-        store = self._by_tag.get(normalize_tag(tag))
+        """The store serving ``tag`` (the fallback for an unclaimed one);
+        raises :class:`UnknownTagError` for ``ID`` and, without a fallback,
+        for an unclaimed tag."""
+        tag = normalize_tag(tag)
+        store = self._by_tag.get(tag)
         if store is None:
-            raise UnknownTagError(f"no index store registered for tag {tag!r}")
+            if tag == TAG_ID or self._fallback is None:
+                raise UnknownTagError(f"no index store registered for tag {tag!r}")
+            return self._fallback
         return store
 
     def supports(self, tag: str) -> bool:
         tag = normalize_tag(tag)
-        return tag == TAG_ID or tag in self._by_tag
+        return tag == TAG_ID or tag in self._by_tag or self._fallback is not None
 
     @property
     def stores(self) -> List[IndexStore]:
@@ -182,11 +206,15 @@ class IndexStoreRegistry:
         """Remove ``oid`` from every registered store (object deletion)."""
         removed = 0
         for store in self._stores:
+            # The store does not say which of its tags named the object, so
+            # every tag it serves may have changed — for the fallback, every
+            # tag it names the object by.
+            tags = self._tags_of(store)
+            if store is self._fallback:
+                tags += [pair.tag for pair in store.values_for(oid)]
             dropped = store.remove_object(oid)
             if dropped:
-                # The store does not say which of its tags named the object,
-                # so every tag it serves may have changed.
-                for tag in self._tags_of(store):
+                for tag in set(tags):
                     self.touch(tag)
             removed += dropped
         return removed

@@ -43,9 +43,10 @@ _OID = struct.Struct(">Q")
 #
 # * ``oid`` (8 bytes) → the object's metadata record;
 # * ``\xffE | oid | D | offset`` → one extent of the object's map;
-# * ``\xffN | oid | name`` → one durable name entry (not inside the metadata
-#   record: a heavily-tagged object would otherwise grow its metadata value
-#   past any page size).
+# * ``\xffN | oid | name`` → one durable name entry, spelled ``TAG/value``
+#   (a path is ``POSIX//a/b``; not inside the metadata record: a
+#   heavily-tagged object would otherwise grow its metadata value past any
+#   page size).
 #
 # ``\xff`` sorts after every 8-byte OID key, so a metadata scan ends there,
 # and extents get a run of their own instead of fattening metadata leaves

@@ -244,13 +244,13 @@ class PosixVFS:
         descriptor = self._descriptor(fd)
         if not descriptor.writable:
             raise InvalidArgument(f"fd {fd} is read-only")
-        self.fs.objects.truncate(descriptor.oid, length)
+        self.fs.resize(descriptor.oid, length)
 
     def truncate(self, path: str, length: int) -> None:
         oid = self._resolve(path)
         if self._is_directory(oid):
             raise IsADirectory(path)
-        self.fs.objects.truncate(oid, length)
+        self.fs.resize(oid, length)
 
     def fstat(self, fd: int) -> StatResult:
         return self._stat_oid(self._descriptor(fd).oid)

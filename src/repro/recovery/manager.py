@@ -178,7 +178,7 @@ class RecoveryManager:
             "image_root": 0,
             "checksum_pages": 1,
             "fulltext_format": 3,
-            "osd_format": 2,
+            "osd_format": 3,
         }
         self.pool = None  # the shared BufferPool, once attached
         self.poisoned = False

@@ -75,11 +75,13 @@ class Superblock:
     #: (``P`` / ``R`` records; :mod:`repro.fulltext.persistent_index`) — the
     #: only layout; any other value is refused at mount.
     fulltext_format: int = 3
-    #: master tree layout stamp: ``2`` keeps every object's extents in the
+    #: master tree layout stamp: ``3`` keeps every object's extents in the
     #: master tree (``\xffE | oid | D | offset`` keys;
-    #: :mod:`repro.osd.object_store`), not in an extent tree per object —
-    #: the only layout; any other value is refused at mount.
-    osd_format: int = 2
+    #: :mod:`repro.osd.object_store`), not in an extent tree per object,
+    #: and every name in one encoding, ``TAG/value`` under ``\xffN | oid``
+    #: (a path is ``POSIX//a/b``) — the only layout; any other value is
+    #: refused at mount.
+    osd_format: int = 3
 
     # -- serialization --------------------------------------------------------
 
@@ -138,11 +140,12 @@ class Superblock:
                 f"{self.fulltext_format}, but only posting-block full-text "
                 "trees with a posting backlog (fulltext_format=3) are mountable"
             )
-        if self.osd_format != 2:
+        if self.osd_format != 3:
             raise RecoveryError(
                 f"unsupported on-device format: superblock osd_format="
                 f"{self.osd_format}, but only extent maps kept in the master "
-                "tree (osd_format=2) are mountable"
+                "tree with names spelled TAG/value (osd_format=3) are "
+                "mountable"
             )
         for name in ("fulltext_root", "image_root"):
             if not getattr(self, name):

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.errors import DeviceError, OutOfSpaceError, TransientDeviceError
+from repro.errors import DeviceError, TransientDeviceError
 from repro.storage.latency import LatencyModel, NullLatencyModel
 
 DEFAULT_BLOCK_SIZE = 4096
@@ -331,12 +331,3 @@ class BlockDevice:
             if len(data) != self.block_size:
                 raise DeviceError("snapshot block has wrong size")
         self._blocks = dict(blocks)
-
-
-def require_capacity(device: BlockDevice, blocks_needed: int) -> None:
-    """Raise :class:`OutOfSpaceError` unless the device has that many blocks."""
-    if blocks_needed > device.num_blocks:
-        raise OutOfSpaceError(
-            f"device of {device.num_blocks} blocks cannot satisfy "
-            f"{blocks_needed} blocks"
-        )

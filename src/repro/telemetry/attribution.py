@@ -52,6 +52,7 @@ from repro.opcontext import (  # noqa: F401 — re-exported public API
     OperationContext,
     current_operation,
 )
+from repro.telemetry.exporters import _bucket_bound
 
 
 class AttributionLedger:
@@ -267,11 +268,6 @@ class SlowQueryLog:
 # ---------------------------------------------------------------------------
 # windowed history (the ``top`` data source)
 # ---------------------------------------------------------------------------
-
-
-def _bucket_bound(label: str) -> float:
-    # labels are "le_<bound:g>" (see Histogram.snapshot)
-    return float(label[3:]) if label.startswith("le_") else float("inf")
 
 
 def histogram_quantiles(snapshot: Dict[str, object],

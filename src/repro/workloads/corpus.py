@@ -175,13 +175,6 @@ def load_into_hfad(
 ) -> Dict[str, int]:
     """Create every corpus item in hFAD; returns path → object id."""
     oid_by_path: Dict[str, int] = {}
-    # Attribute tags need a store; register one covering the corpus tags once.
-    corpus_tags = sorted({tag for item in files for tag, _value in item.tags})
-    unsupported = [tag for tag in corpus_tags if not fs.registry.supports(tag)]
-    if unsupported:
-        from repro.index.keyvalue_index import KeyValueIndexStore
-
-        fs.registry.register(KeyValueIndexStore(tags=unsupported))
     for item in files:
         oid = fs.create(
             item.content,

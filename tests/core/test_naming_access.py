@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AccessInterface, NamingInterface
+from repro.core import HFADFileSystem, NamingInterface
 from repro.core.naming import as_pair
 from repro.core.query import TagTerm
 from repro.errors import (
@@ -18,7 +18,6 @@ from repro.index import (
     PosixPathIndexStore,
     TagValue,
 )
-from repro.osd import ObjectStore
 
 
 def make_naming():
@@ -104,12 +103,15 @@ class TestNamingInterface:
 
 
 class TestAccessInterface:
+    """The access interfaces are the facade's offset-addressed calls."""
+
     def make_access(self):
-        return AccessInterface(ObjectStore())
+        return HFADFileSystem(num_blocks=1 << 12, journal_blocks=63,
+                              cache_pages=16)
 
     def test_posix_compatible_calls(self):
         access = self.make_access()
-        oid = access.objects.create()
+        oid = access.create()
         access.write(oid, 0, b"hello world")
         assert access.read(oid) == b"hello world"
         assert access.read(oid, 6, 5) == b"world"
@@ -118,7 +120,7 @@ class TestAccessInterface:
 
     def test_hfad_extensions(self):
         access = self.make_access()
-        oid = access.objects.create()
+        oid = access.create()
         access.write(oid, 0, b"hello world")
         access.insert(oid, 5, b" there")
         assert access.read(oid) == b"hello there world"
@@ -127,7 +129,7 @@ class TestAccessInterface:
 
     def test_append(self):
         access = self.make_access()
-        oid = access.objects.create()
+        oid = access.create()
         assert access.append(oid, b"one") == 0
         assert access.append(oid, b"-two") == 3
 
@@ -139,11 +141,9 @@ class TestAccessInterface:
 
 class TestObjectHandle:
     def make_handle(self, content=b""):
-        access = AccessInterface(ObjectStore())
-        oid = access.objects.create()
-        if content:
-            access.write(oid, 0, content)
-        return access.open(oid)
+        fs = HFADFileSystem(num_blocks=1 << 12, journal_blocks=63,
+                            cache_pages=16)
+        return fs.open(fs.create(content))
 
     def test_sequential_read_write(self):
         handle = self.make_handle()
@@ -188,6 +188,16 @@ class TestObjectHandle:
             handle.read()
         with pytest.raises(ObjectStoreError):
             handle.write(b"x")
+
+    def test_handle_writes_are_reindexed(self):
+        handle = self.make_handle(b"alpha bravo")
+        fs = handle._fs
+        handle.seek(0, 2)
+        handle.write(b" zebra")
+        assert fs.search_text("zebra") == [handle.oid]
+        handle.seek(0)
+        handle.truncate_range(6)
+        assert fs.search_text("alpha") == []
 
     def test_context_manager(self):
         handle = self.make_handle(b"abc")

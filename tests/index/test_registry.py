@@ -35,11 +35,41 @@ class TestRegistration:
         assert registry.store_for(TAG_FULLTEXT).name == "fulltext"
 
     def test_unknown_tag_raises(self):
+        # Without a fallback store an unclaimed tag has nowhere to go.
         registry = make_registry()
         with pytest.raises(UnknownTagError):
             registry.store_for("SOUND")
         with pytest.raises(UnknownTagError):
             registry.lookup("SOUND", "whale song")
+
+    def test_unclaimed_tag_goes_to_the_fallback(self):
+        kv = KeyValueIndexStore()
+        registry = IndexStoreRegistry(fallback=kv)
+        registry.register(kv)
+        assert registry.store_for("SOUND") is kv
+        assert registry.supports("SOUND")
+        before = registry.generation("SOUND")
+        registry.insert("SOUND", "whale song", 7)
+        assert registry.generation("SOUND") == before + 1
+        assert registry.lookup("SOUND", "whale song") == [7]
+        assert TagValue("SOUND", "whale song") in registry.names_for(7)
+        # Deleting the object bumps the unclaimed tag's generation too.
+        registry.remove_object(7)
+        assert registry.generation("SOUND") == before + 2
+        assert registry.lookup("SOUND", "whale song") == []
+        # The fallback never takes the registry's own ID tag.
+        with pytest.raises(UnknownTagError):
+            registry.store_for(TAG_ID)
+
+    def test_claiming_a_tag_the_fallback_holds_names_for_is_refused(self):
+        kv = KeyValueIndexStore()
+        registry = IndexStoreRegistry(fallback=kv)
+        registry.register(kv)
+        registry.register(KeyValueIndexStore(tags=["EMPTY"]))  # holds nothing
+        registry.insert("SOUND", "whale song", 7)
+        with pytest.raises(DuplicateIndexError):
+            registry.register(KeyValueIndexStore(tags=["SOUND"]))
+        assert registry.store_for("SOUND") is kv
 
     def test_duplicate_tag_rejected(self):
         registry = make_registry()

@@ -74,6 +74,16 @@ class TestDegradedSearch:
         assert fs.stats()["integrity"]["degraded_queries"] >= 1
         fs.close()
 
+    def test_unclaimed_tags_survive_degradation(self):
+        # A tag no store claims is the key/value store's in the rescue
+        # stack too.
+        _device, fs, oids = quarantined_fulltext_fs(count=6, query_cache_entries=0)
+        for oid in oids[::2]:
+            fs.tag(oid, "PLACE", "beach")
+        assert fs.query("FULLTEXT/corpus AND PLACE/beach") == oids[::2]
+        assert fs.stats()["integrity"]["degraded_queries"] >= 1
+        fs.close()
+
     def test_rescue_stack_runs_the_same_engine(self):
         _device, fs, _oids = quarantined_fulltext_fs()
         rescue = fs._rescue_naming()[0].registry.store_for("FULLTEXT")

@@ -117,6 +117,17 @@ class TestOpenCloseReadWrite:
         with pytest.raises(IsADirectory):
             vfs.truncate("/d", 0)
 
+    def test_truncation_reindexes_the_content(self, vfs):
+        vfs.write_file("/words.txt", b"alpha bravo charlie")
+        oid = vfs.fs.lookup_path("/words.txt")
+        fd = vfs.open("/words.txt", O_RDWR)
+        vfs.ftruncate(fd, 5)
+        vfs.close(fd)
+        assert vfs.fs.search_text("charlie") == []
+        assert vfs.fs.search_text("alpha") == [oid]
+        vfs.truncate("/words.txt", 2)
+        assert vfs.fs.search_text("alpha") == []
+
 
 class TestDirectories:
     def test_mkdir_and_readdir(self, vfs):

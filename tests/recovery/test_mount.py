@@ -281,12 +281,14 @@ class TestGroupCommitReuse:
 
 class TestReviewRegressions:
     def test_invalid_create_inputs_do_not_poison_the_filesystem(self):
-        from repro.errors import ReproError, UnknownTagError
+        from repro.errors import IndexStoreError, ReproError
 
         device, fs = make_fs()
         survivor = fs.create(b"already here")
-        with pytest.raises(UnknownTagError):
-            fs.create(b"x", tags=[("NOSUCHTAG", "v")])
+        # A NUL byte cannot be indexed: it must be refused before the create
+        # logs anything, or the engine is poisoned until a remount.
+        with pytest.raises(IndexStoreError):
+            fs.create(b"x", tags=[("UDEF", "a\x00b")])
         with pytest.raises(ReproError):
             fs.create(b"x", path="")
         assert not fs.recovery.poisoned

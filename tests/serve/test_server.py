@@ -151,6 +151,14 @@ def test_unknown_op_and_bad_requests(client):
     assert client.ping()["pong"] is True
 
 
+def test_a_bad_name_is_an_error_reply_not_a_poisoned_engine(fs, client):
+    with pytest.raises(RequestError):
+        client.create(b"x", tags=["UDEF/a\x00b"])
+    assert not fs.recovery.poisoned
+    oid = client.create(b"next write")
+    assert client.read(oid) == b"next write"
+
+
 def test_mutation_acks_are_durability_promises(fs, client):
     oid = client.create(b"acked means durable", owner="promise")
     journal = fs.recovery.journal
