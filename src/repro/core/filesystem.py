@@ -105,9 +105,9 @@ class HFADFileSystem:
     """A tagged, search-based file system (the paper's hFAD).
 
     Constructing one formats the device (mkfs): a superblock and a
-    write-ahead journal, then the master, full-text and image btrees, which
-    run write-back through the shared buffer pool with every page
-    CRC32-framed (``repro.integrity``).  Every operation is crash-atomic;
+    write-ahead journal, then the master, content, full-text and image
+    btrees, which run write-back through the shared buffer pool with every
+    page CRC32-framed (``repro.integrity``).  Every operation is crash-atomic;
     re-open the device with :meth:`mount`.  There is no other engine; the
     legacy keyword that once selected one accepts only ``True``.
 
@@ -219,7 +219,7 @@ class HFADFileSystem:
             self.recovery.attach_pool(self.buffer_pool)
             allocator = BuddyAllocator(total_blocks=device.num_blocks, base=0)
             allocator.reserve(0, data_region_start)
-            # The three trees' first pages are one transaction, committed
+            # The four trees' first pages are one transaction, committed
             # below once the index trees exist.
             self.recovery.begin()
             self.objects = ObjectStore(
@@ -251,6 +251,7 @@ class HFADFileSystem:
                 data_region_start=data_region_start,
                 fulltext_root=self._fulltext_tree.root_id,
                 image_root=self._image_tree.root_id,
+                content_root=self.objects._content.root_id,
             )
         # Index stores (Figure 1: the extensible collection of indices).
         # The FULLTEXT store's engine and the image store read and write
@@ -476,7 +477,9 @@ class HFADFileSystem:
     def scrub(self, limit: Optional[int] = None) -> ScrubReport:
         """Online integrity scrub: verify every reachable btree page's
         checksum frame, repair rot from the buffer pool or the WAL tail,
-        quarantine what neither source can heal.
+        quarantine what neither source can heal; a finished cycle then
+        checks every data chunk against its CRC and quarantines the ones
+        that fail (chunks have no second copy).
 
         ``limit=N`` verifies at most ``N`` pages and parks the walk; the
         next call resumes it (``ScrubReport.complete`` reports whether the
@@ -493,6 +496,12 @@ class HFADFileSystem:
         started = time.perf_counter()
         with self._operation("scrub", f"limit={limit}"):
             report = self._scrubber.scrub(limit=limit)
+            if report.complete:
+                # Data chunks are outside every page frame: each carries
+                # its own CRC, checked once per finished cycle.
+                report.chunks_scanned, chunk_errors = self.objects.scrub_chunks()
+                report.chunks_corrupt = len(chunk_errors)
+                report.errors.extend(chunk_errors)
         tracer = self.telemetry.tracer
         if tracer is not None:
             tracer.record(
@@ -517,6 +526,7 @@ class HFADFileSystem:
         for label, tree, root_key in (
             ("fulltext index", self._fulltext_tree, "fulltext_root"),
             ("image index", self._image_tree, "image_root"),
+            ("content tree", self.objects._content, "content_root"),
         ):
             try:
                 tree.check_invariants()

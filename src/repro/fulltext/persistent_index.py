@@ -661,7 +661,10 @@ class PersistentInvertedIndex:
             while end < len(pairs) and (_settle_group(pairs[end][0])
                                         == _settle_group(pairs[end - 1][0])):
                 end += 1
-            with self._txn():
+            # Nobody waits on a settle: its commit markers ride the next
+            # sync, and a crash before it re-derives the lost part.
+            with (self._recovery.transaction(sync=False) if self._recovery is not None
+                  else nullcontext()):
                 self._tree.apply_sorted([(key, lambda _old, value=value: value)
                                          for key, value in pairs[start:end]])
             start = end

@@ -7,8 +7,9 @@ instance.  It owns:
   ``fs.stats()["integrity"]`` — plain attribute increments on the hot paths,
   read only when a snapshot is asked for, so ``telemetry=False`` pays
   nothing extra;
-* the **quarantine** — page ids whose device bytes failed verification and
-  could not (yet) be repaired.  Reads of a quarantined page fail fast with
+* the **quarantine** — page ids (and data chunks' first blocks) whose
+  device bytes failed verification and could not (yet) be repaired.  Reads
+  of a quarantined page fail fast with
   :class:`~repro.errors.CorruptionError` instead of re-reading and
   re-verifying damaged bytes; the scrubber releases a page once a repair
   verifies.  Cached (in-pool) copies keep serving — they are the last good
@@ -44,8 +45,12 @@ class IntegrityStats:
     transient_recovered: int = 0
     #: reads that exhausted the retry budget.
     retry_exhausted: int = 0
-    #: reads rejected because the page was quarantined.
+    #: reads rejected because the page (or data chunk) was quarantined.
     quarantined_reads: int = 0
+    #: data chunks checked against their CRC (whole-chunk reads and scrubs).
+    chunk_verifications: int = 0
+    #: data chunks that failed their CRC (each is quarantined).
+    chunk_crc_failures: int = 0
     # -- scrubber -----------------------------------------------------------
     scrub_runs: int = 0
     scrub_pages_scanned: int = 0
@@ -69,6 +74,8 @@ class IntegrityStats:
             "transient_recovered": self.transient_recovered,
             "retry_exhausted": self.retry_exhausted,
             "quarantined_reads": self.quarantined_reads,
+            "chunk_verifications": self.chunk_verifications,
+            "chunk_crc_failures": self.chunk_crc_failures,
             "scrub_runs": self.scrub_runs,
             "scrub_pages_scanned": self.scrub_pages_scanned,
             "scrub_pages_repaired_cache": self.scrub_pages_repaired_cache,

@@ -1,10 +1,12 @@
 """The online scrubber: walk, verify, repair, quarantine.
 
 The first ROADMAP §5 maintenance task.  A scrub walks every reachable btree
-page (the master tree with every object's extent map, the persistent
-full-text and image index trees), reads the raw device bytes through the retrying I/O wrapper
-and verifies each page's checksum frame.  A rotten page is repaired from the
-best available source, in order:
+page (the master tree with every object's extent map, the content tree
+with small objects' bytes, the persistent full-text and image index trees),
+reads the raw device bytes through the retrying I/O wrapper and verifies
+each page's checksum frame.  (Data chunks are not pages: the filesystem
+checks their CRCs once a cycle finishes, ``ObjectStore.scrub_chunks``.)  A
+rotten page is repaired from the best available source, in order:
 
 1. **The buffer pool.**  A resident copy of the page is the last good image
    by construction (page-in verified it, or it was produced by this
@@ -62,6 +64,10 @@ class ScrubReport:
     errors: List[str] = field(default_factory=list)
     #: False when an interruptible scrub parked its walk mid-cycle.
     complete: bool = True
+    #: data chunks checked against their CRC at the end of a cycle, and
+    #: those that failed it (quarantined: no second copy to repair from).
+    chunks_scanned: int = 0
+    chunks_corrupt: int = 0
 
     @property
     def repaired(self) -> int:
@@ -78,6 +84,8 @@ class ScrubReport:
         self.unreachable_subtrees += other.unreachable_subtrees
         self.errors.extend(other.errors)
         self.complete = other.complete
+        self.chunks_scanned += other.chunks_scanned
+        self.chunks_corrupt += other.chunks_corrupt
 
 
 class Scrubber:

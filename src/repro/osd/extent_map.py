@@ -1,11 +1,15 @@
-"""The per-object extent map: logical byte offset → on-device extent.
+"""The per-object extent map: logical byte offset → stored extent.
 
 This is the structure the paper describes in Section 3.4: each object is a
 btree "whose keys are file offsets and whose data items are the disk
 addresses and lengths corresponding to those offsets".  An object's map is
 a key range of a shared tree (the OSD's master tree) rather than a tree of
 its own, so an object with one extent costs one entry, not one page.
-Because the map is keyed by offset:
+Nothing in that map requires a value to be a device address: an extent
+names either a *chunk* of device blocks (written once, unlogged, with the
+CRC32 of its bytes as written) or an *entry* of the OSD's content tree (a
+small write's bytes, in CRC-framed, WAL-logged tree pages; the btrfs inline
+extent).  Because the map is keyed by offset:
 
 * reads walk only the extents overlapping the requested range;
 * ``insert`` and ``remove_range`` (truncate-from-the-middle) become *key*
@@ -13,14 +17,15 @@ Because the map is keyed by offset:
   copying of object data, which is exactly the "little implementation effort"
   claim the E3 experiment quantifies.
 
-Extents may begin mid-block (``skip`` bytes into their first block) so that
-splitting an extent at an arbitrary byte never copies data.
+Extents may begin mid-chunk or mid-entry (``skip`` bytes in) so that
+splitting an extent at an arbitrary byte never copies data; a slice keeps
+the chunk's CRC, which covers the whole chunk.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, List, Tuple
 
 from repro.btree import BPlusTree
@@ -29,46 +34,81 @@ from repro.errors import InvalidRangeError
 _KEY_PREFIX = b"D"
 _KEY_END = b"E"
 _OFFSET = struct.Struct(">Q")
-_VALUE = struct.Struct(">QIIQ")  # block, nblocks, skip, length
+#: an extent value's first byte says what it names.
+_CHUNK_TAG = b"B"
+_ENTRY_TAG = b"T"
+_CHUNK = struct.Struct(">QIIQII")  # block, nblocks, skip, length, size, crc
+_ENTRY = struct.Struct(">QII")     # content key, skip, length
 
 
 @dataclass(frozen=True)
 class ObjectExtent:
-    """A run of object bytes stored contiguously on the device.
+    """A run of object bytes stored contiguously: in a chunk or an entry.
 
-    The extent's data occupies device bytes
-    ``[block * block_size + skip, block * block_size + skip + length)``.
+    A chunk extent's bytes are device bytes
+    ``[block * block_size + skip, block * block_size + skip + length)`` of a
+    chunk of ``nblocks`` blocks, written once with ``size`` bytes whose
+    CRC32 is ``crc``.  An entry extent (``in_tree``, built by :meth:`entry`)
+    is bytes ``[skip, skip + length)`` of the content-tree entry keyed by
+    ``block``; it has no blocks, size or CRC of its own (the tree's page
+    frames check it).
     """
 
     block: int
     nblocks: int
     skip: int
     length: int
+    size: int = 0
+    crc: int = 0
+    in_tree: bool = False
 
     def __post_init__(self) -> None:
-        if self.block < 0 or self.nblocks <= 0:
+        if self.block < 0 or (self.nblocks != 0 if self.in_tree else self.nblocks <= 0):
             raise InvalidRangeError("extent block/nblocks invalid")
         if self.skip < 0 or self.length < 0:
             raise InvalidRangeError("extent skip/length must be non-negative")
 
+    @classmethod
+    def entry(cls, key: int, length: int) -> "ObjectExtent":
+        """The whole content-tree entry ``key`` of ``length`` bytes."""
+        return cls(block=key, nblocks=0, skip=0, length=length, in_tree=True)
+
+    @property
+    def source(self) -> tuple:
+        """What the extent's bytes live in: extents with equal sources share
+        one chunk or one entry, which is freed when the last of them goes."""
+        return self.in_tree, self.block
+
+    @property
+    def whole_chunk(self) -> bool:
+        """A chunk extent naming every byte its chunk was written with."""
+        return not self.in_tree and self.skip == 0 and self.length == self.size
+
+    @staticmethod
+    def names_entry(data: bytes) -> bool:
+        """Whether an encoded value names a content-tree entry (no decode)."""
+        return data[:1] == _ENTRY_TAG
+
     def encode(self) -> bytes:
-        return _VALUE.pack(self.block, self.nblocks, self.skip, self.length)
+        if self.in_tree:
+            return _ENTRY_TAG + _ENTRY.pack(self.block, self.skip, self.length)
+        return _CHUNK_TAG + _CHUNK.pack(self.block, self.nblocks, self.skip,
+                                        self.length, self.size, self.crc)
 
     @classmethod
     def decode(cls, data: bytes) -> "ObjectExtent":
-        block, nblocks, skip, length = _VALUE.unpack(data)
-        return cls(block=block, nblocks=nblocks, skip=skip, length=length)
+        if data[:1] == _ENTRY_TAG:
+            key, skip, length = _ENTRY.unpack_from(data, 1)
+            return cls(block=key, nblocks=0, skip=skip, length=length, in_tree=True)
+        block, nblocks, skip, length, size, crc = _CHUNK.unpack_from(data, 1)
+        return cls(block=block, nblocks=nblocks, skip=skip, length=length,
+                   size=size, crc=crc)
 
     def slice(self, start: int, length: int) -> "ObjectExtent":
         """Return the sub-extent covering ``[start, start+length)`` of this one."""
         if start < 0 or length < 0 or start + length > self.length:
             raise InvalidRangeError("slice outside extent")
-        return ObjectExtent(
-            block=self.block,
-            nblocks=self.nblocks,
-            skip=self.skip + start,
-            length=length,
-        )
+        return replace(self, skip=self.skip + start, length=length)
 
 
 class ExtentMap:
@@ -145,16 +185,16 @@ class ExtentMap:
     def remove_extent(self, offset: int) -> None:
         self._tree.delete(self._encode_key(offset))
 
-    def punch(self, start: int, end: int) -> List[int]:
+    def punch(self, start: int, end: int) -> List[ObjectExtent]:
         """Unmap ``[start, end)``, splitting boundary extents as needed.
 
-        Returns the device blocks of the extents it removed whole.  Data
-        blocks are not freed here: another extent of the map may still name
-        the same chunk (see ``ObjectStore._free_chunks``).
+        Returns the extents it removed whole.  Their chunks and entries are
+        not freed here: another extent of the map may still name the same
+        one (see ``ObjectStore._free_unnamed``).
         """
         if start < 0 or end < start:
             raise InvalidRangeError(f"bad range [{start}, {end})")
-        removed: List[int] = []
+        removed: List[ObjectExtent] = []
         if start == end:
             return removed
         for offset, extent in self.extents_in_range(start, end):
@@ -167,7 +207,7 @@ class ExtentMap:
                 # Keep the tail portion [end, extent_end).
                 self.insert_extent(end, extent.slice(end - offset, extent_end - end))
             if offset >= start and extent_end <= end:
-                removed.append(extent.block)
+                removed.append(extent)
         return removed
 
     def split_at(self, offset: int) -> None:

@@ -7,27 +7,36 @@ This is the hFAD OSD layer (paper Section 3.3/3.4):
   unique object IDs (OID) to the meta-data for an object");
 * each object's contents are described by an :class:`~repro.osd.extent_map.ExtentMap`
   — a run of keys in that same master btree, keyed by file offset, whose
-  values are device extents (one tree per store, not one per object);
+  values name where the bytes live (one tree per store, not one per object);
+* a write of at most a quarter page lives in the **content tree**, a second
+  on-device btree keyed by a serial: its bytes get the page frames, WAL
+  records, crash atomicity and scrub repairs every tree page gets, and share
+  pages with other small writes instead of taking a 4 KB block each (the
+  btrfs inline extent);
 * besides POSIX-style ``read``/``write``, objects support ``insert`` (grow
   from the middle) and ``remove_range`` (the paper's two-argument truncate),
   both implemented as extent-map key manipulation with no data copying.
 
-Data blocks come from a buddy allocator over the shared block device, so every
-byte of object data is backed by simulated device blocks and shows up in the
-device's I/O accounting.
+Larger writes get *chunks*: block-aligned runs from a buddy allocator over
+the shared block device, written once outside the WAL, each extent carrying
+the CRC32 of its chunk as written.  A read that covers a whole chunk, and
+every scrub pass, verify it; a chunk that fails is quarantined and its bytes
+are never returned.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.btree import BPlusTree, DevicePageStore
 from repro.cache import BufferPool
 from repro.errors import (
+    CorruptionError,
     InvalidRangeError,
     KeyNotFoundError,
     NoSuchObjectError,
@@ -117,6 +126,7 @@ class ObjectStore:
         )
         self.allocator = allocator
         self._master = self._new_tree("osd.master", on_root_change=self._master_root_moved)
+        self._open_content_tree(None)
 
     def _init_shared_state(
         self,
@@ -166,14 +176,15 @@ class ObjectStore:
         """Re-open a store from its recovered on-device state.
 
         ``recovery`` must already have replayed the journal: its ``state``
-        holds the effective master root and next oid.  Everything else is
+        holds the effective tree roots and next oid.  Everything else is
         rediscovered by one walk of the master tree — metadata records, name
-        entries and extents, each extent naming its data chunk — and
-        allocator occupancy is rebuilt from reachable structures only, so
-        space held by uncommitted (never-replayed) allocations is reclaimed
-        for free.  The index trees attached later (:meth:`open_index_tree`)
-        reserve their leaves without reading them; :meth:`check_consistency`
-        is the full walk that cross-checks the result.
+        entries and extents, each naming a data chunk or a content-tree
+        entry — and allocator occupancy is rebuilt from reachable structures
+        only, so space held by uncommitted (never-replayed) allocations is
+        reclaimed for free.  The content tree and the index trees attached
+        later (:meth:`open_index_tree`) reserve their leaves without reading
+        them; :meth:`check_consistency` is the full walk that cross-checks
+        the result.
         """
         state = recovery.state
         store = cls.__new__(cls)
@@ -216,6 +227,7 @@ class ObjectStore:
                     key[len(_NAME_PREFIX) + _OID.size:].decode("utf-8")
                 )
         store._reserve_chunks(master_entries, store.allocator)
+        store._open_content_tree(state["content_root"])
         store._next_oid = max(state["next_oid"], max(metadata_by_oid, default=0) + 1)
         store._live_objects = len(metadata_by_oid)
         store._mount_inventory = (metadata_by_oid, names_by_oid)
@@ -258,10 +270,11 @@ class ObjectStore:
     @staticmethod
     def _reserve_chunks(master_entries: List, allocator: BuddyAllocator) -> None:
         """Reserve the data chunk every extent in ``master_entries`` names
-        (several extents of one object may share a chunk)."""
+        (several extents of one object may share a chunk); an extent naming
+        a content-tree entry is skipped undecoded."""
         reserved = set()
         for key, raw in master_entries:
-            if key.startswith(_EXTENT_PREFIX):
+            if key.startswith(_EXTENT_PREFIX) and not ObjectExtent.names_entry(raw):
                 extent = ObjectExtent.decode(raw)
                 if extent.block not in reserved:
                     reserved.add(extent.block)
@@ -269,7 +282,8 @@ class ObjectStore:
 
     def open_index_tree(self, name: str, root_id: Optional[int] = None,
                         on_root_change=None) -> BPlusTree:
-        """Open an auxiliary on-device btree (the persistent index trees).
+        """Open an auxiliary on-device btree (the content tree, the
+        persistent index trees).
 
         The tree shares this store's device, allocator, buffer pool and
         recovery manager, so its page writes are cached and WAL-logged
@@ -284,6 +298,15 @@ class ObjectStore:
             self._reserve_tree_pages(tree, self.allocator, read_leaves=False)
         self._index_trees.append(tree)
         return tree
+
+    def _open_content_tree(self, root_id: Optional[int]) -> None:
+        """Create (mkfs) or re-attach (mount) the content tree, whose leaves
+        hold the bytes of every write of at most :attr:`inline_limit`."""
+        self._content = self.open_index_tree(
+            "osd.content", root_id=root_id, on_root_change=self._content_root_moved)
+        #: the largest write stored in the content tree: a quarter page, so
+        #: an entry stays far under the half-page entry budget.
+        self.inline_limit = self._content.store.page_bytes // 4
 
     def scrub_sources(self) -> List:
         """Current ``(page_store, root_id)`` of every on-device tree this
@@ -302,6 +325,7 @@ class ObjectStore:
         errors: List[str] = []
         objects = 0
         extents = 0
+        named = set()
         try:
             live = self.list_objects()
         except Exception as error:  # noqa: BLE001 — fsck reports, never raises
@@ -311,9 +335,13 @@ class ObjectStore:
             objects += 1
             try:
                 self.check_object(oid)
-                extents += self.extent_count(oid)
+                for _offset, extent in self._extent_map(oid).extents():
+                    extents += 1
+                    if extent.in_tree:
+                        named.add(extent.block)
             except Exception as error:  # noqa: BLE001 — fsck reports, never raises
                 errors.append(f"object {oid}: {error}")
+        self._check_content_entries(named, errors)
         try:
             self._master.check_invariants()
         except Exception as error:  # noqa: BLE001
@@ -324,6 +352,20 @@ class ObjectStore:
             errors.append(f"allocator: {error}")
         self._check_occupancy(errors)
         return {"objects": objects, "extents": extents, "errors": errors}
+
+    def _check_content_entries(self, named: set, errors: List[str]) -> None:
+        """Every content-tree entry is named by an extent, and every named
+        entry exists: an unnamed one is a leak, like an unreachable block."""
+        try:
+            self._content.check_invariants()
+            stored = {_OID.unpack(key)[0] for key, _value in self._content.cursor()}
+        except Exception as error:  # noqa: BLE001 — fsck reports, never raises
+            errors.append(f"content tree: {error}")
+            return
+        errors.extend(f"content tree: leak: entry {key} is named by no extent"
+                      for key in sorted(stored - named))
+        errors.extend(f"content tree: entry {key} is named but missing"
+                      for key in sorted(named - stored))
 
     def _check_occupancy(self, errors: List[str]) -> None:
         """Rebuild occupancy from every reachable page and chunk — leaves
@@ -382,14 +424,28 @@ class ObjectStore:
         if self.recovery is not None:
             self.recovery.log_meta({"master_root": root})
 
-    def _free_chunks(self, extent_map: ExtentMap, blocks: Iterable[int]) -> None:
-        """Free each chunk of ``blocks`` that no extent of ``extent_map``
-        still names: the map is the only record of what an object owns."""
-        orphans = set(blocks)
+    def _content_root_moved(self, root: int) -> None:
+        if self.recovery is not None:
+            self.recovery.log_meta({"content_root": root})
+
+    def _free_unnamed(self, extent_map: ExtentMap, removed: Iterable[ObjectExtent]) -> int:
+        """Free each chunk or entry of the ``removed`` extents that no extent
+        of ``extent_map`` still names: the map is the only record of what an
+        object owns.  Returns the number of chunk blocks freed."""
+        orphans = {extent.source: extent for extent in removed}
         if orphans:
-            orphans.difference_update(extent.block for _offset, extent in extent_map.extents())
-        for block in sorted(orphans):
-            self._free_chunk(block)
+            for _offset, extent in extent_map.extents():
+                orphans.pop(extent.source, None)
+        freed = 0
+        for (in_tree, block), extent in sorted(orphans.items()):
+            if in_tree:
+                # Logged like every tree write: the entry goes in the
+                # transaction that unnamed it, with nothing to defer.
+                self._content.delete(_OID.pack(block))
+            else:
+                freed += extent.nblocks
+                self._free_chunk(block)
+        return freed
 
     def _free_chunk(self, block: int) -> None:
         """Free a data chunk — deferred until the freeing commit is durable.
@@ -401,6 +457,9 @@ class ObjectStore:
         durable (which group commit may delay past commit()) closes that
         window.
         """
+        if self.integrity is not None:
+            # A quarantined chunk's damage goes with it.
+            self.integrity.release_page(block)
         if self.recovery is not None:
             self.recovery.on_durable(partial(self.allocator.free, block))
         else:
@@ -498,8 +557,8 @@ class ObjectStore:
         """Destroy the object and release every data chunk it owns."""
         self._require(oid)
         with self._txn():
-            for chunk_block in sorted({extent.block for extent in self._extent_map(oid).clear()}):
-                self._free_chunk(chunk_block)
+            extent_map = self._extent_map(oid)
+            self._free_unnamed(extent_map, extent_map.clear())
             for name in self.names(oid):
                 self._master.delete(self._name_key(oid, name))
             self._master.delete(self._metadata_key(oid))
@@ -642,7 +701,17 @@ class ObjectStore:
     # ------------------------------------------------------------ data path
 
     def _store_data(self, extent_map: ExtentMap, offset: int, data: bytes) -> None:
-        """Allocate extents for ``data`` and map them at ``offset``."""
+        """Store ``data`` and map it at ``offset``: one content-tree entry up
+        to :attr:`inline_limit` bytes, else chunks of device blocks."""
+        if len(data) <= self.inline_limit:
+            try:
+                key = _OID.unpack(self._content.last()[0])[0] + 1
+            except KeyNotFoundError:
+                key = 1
+            self._content.put(_OID.pack(key), data)
+            extent_map.insert_extent(offset, ObjectExtent.entry(key, len(data)))
+            self.stats.extents_written += 1
+            return
         block_size = self.device.block_size
         max_bytes = self.max_extent_blocks * block_size
         position = 0
@@ -653,10 +722,71 @@ class ObjectStore:
             self.device.write_blocks(chunk_block, chunk, nblocks=blocks_needed)
             extent_map.insert_extent(
                 offset + position,
-                ObjectExtent(block=chunk_block, nblocks=chunk_blocks, skip=0, length=len(chunk)),
+                ObjectExtent(block=chunk_block, nblocks=chunk_blocks, skip=0,
+                             length=len(chunk), size=len(chunk), crc=zlib.crc32(chunk)),
             )
             self.stats.extents_written += 1
             position += len(chunk)
+
+    def _extent_bytes(self, oid: int, extent: ObjectExtent, start: int, length: int) -> bytes:
+        """Bytes ``[start, start + length)`` of ``extent``.  A read of a
+        whole chunk checks its CRC; a chunk that fails it is quarantined
+        and raises :class:`CorruptionError`, never returning the bytes."""
+        if extent.in_tree:
+            value = self._content.get(_OID.pack(extent.block))
+            if value is None:
+                raise CorruptionError(
+                    f"object {oid}: content entry {extent.block} is missing")
+            begin = extent.skip + start
+            return value[begin:begin + length]
+        if self.integrity is not None and self.integrity.is_quarantined(extent.block):
+            self.integrity.stats.quarantined_reads += 1
+            raise CorruptionError(f"object {oid}: chunk at block {extent.block} is quarantined")
+        raw = self.device.read_bytes(extent.block, extent.skip + start, length)
+        if extent.whole_chunk and length == extent.length:
+            self._verify_chunk(oid, extent, raw)
+        return raw
+
+    def _verify_chunk(self, oid: int, extent: ObjectExtent, raw: bytes) -> None:
+        """Check ``raw``, all ``extent.size`` bytes of the extent's chunk,
+        against its CRC; on a mismatch the chunk is quarantined and
+        :class:`CorruptionError` raised."""
+        if self.integrity is not None:
+            self.integrity.stats.chunk_verifications += 1
+        if zlib.crc32(raw) == extent.crc:
+            return
+        if self.integrity is not None:
+            self.integrity.stats.chunk_crc_failures += 1
+            self.integrity.quarantine_page(extent.block)
+        raise CorruptionError(
+            f"object {oid}: chunk at block {extent.block} fails its CRC "
+            f"(crc32 {zlib.crc32(raw):08x}, written {extent.crc:08x})")
+
+    def scrub_chunks(self) -> Tuple[int, List[str]]:
+        """Verify every chunk's CRC (one scrub pass); returns ``(chunks
+        checked, errors)``.  A chunk that fails is quarantined: reads of it
+        raise until the extents naming it go.  Content-tree entries are
+        checked with their pages by the page scrub."""
+        chunks: Dict[int, Tuple[int, ObjectExtent]] = {}
+        errors: List[str] = []
+        try:
+            for key, raw in self._master.cursor(prefix=_EXTENT_PREFIX):
+                if not ObjectExtent.names_entry(raw):
+                    extent = ObjectExtent.decode(raw)
+                    oid = _OID.unpack_from(key, len(_EXTENT_PREFIX))[0]
+                    chunks.setdefault(extent.block, (oid, extent))
+        except CorruptionError as error:
+            # A quarantined extent leaf: check the chunks found before it.
+            errors.append(f"chunk scan stopped: {error}")
+        for oid, extent in chunks.values():
+            if self.integrity is not None and self.integrity.is_quarantined(extent.block):
+                errors.append(f"object {oid}: chunk at block {extent.block} is quarantined")
+                continue
+            try:
+                self._verify_chunk(oid, extent, self.device.read_bytes(extent.block, 0, extent.size))
+            except CorruptionError as error:
+                errors.append(str(error))
+        return len(chunks), errors
 
     def write(self, oid: int, offset: int, data: bytes) -> int:
         """Overwrite ``len(data)`` bytes at ``offset`` (extending if needed).
@@ -672,7 +802,7 @@ class ObjectStore:
             return 0
         with self._txn():
             extent_map = self._extent_map(oid)
-            self._free_chunks(extent_map, extent_map.punch(offset, offset + len(data)))
+            self._free_unnamed(extent_map, extent_map.punch(offset, offset + len(data)))
             self._store_data(extent_map, offset, data)
             metadata.size = max(metadata.size, offset + len(data))
             metadata.touch_modified(self._tick())
@@ -707,11 +837,8 @@ class ObjectStore:
             overlap_end = min(offset + length, extent_offset + extent.length)
             if overlap_end <= overlap_start:
                 continue
-            within_extent = overlap_start - extent_offset
-            chunk = self.device.read_bytes(
-                extent.block, extent.skip + within_extent, overlap_end - overlap_start
-            )
-            result[overlap_start - offset:overlap_end - offset] = chunk
+            result[overlap_start - offset:overlap_end - offset] = self._extent_bytes(
+                oid, extent, overlap_start - extent_offset, overlap_end - overlap_start)
         metadata.touch_accessed(self._tick())
         # relatime: persisting an access time costs a logged page write plus
         # a journal sync per read, so it rides the next real mutation
@@ -763,7 +890,7 @@ class ObjectStore:
             extent_map = self._extent_map(oid)
             extent_map.split_at(offset)
             extent_map.split_at(end)
-            self._free_chunks(extent_map, extent_map.punch(offset, end))
+            self._free_unnamed(extent_map, extent_map.punch(offset, end))
             self.stats.extents_shifted += extent_map.shift(end, -(end - offset))
             removed = end - offset
             metadata.size -= removed
@@ -802,11 +929,7 @@ class ObjectStore:
         contents = self.read(oid, 0, metadata.size)
         with self._txn():
             extent_map = self._extent_map(oid)
-            freed = 0
-            for chunk_block in sorted({extent.block for extent in extent_map.clear()}):
-                order = self.allocator.allocation_order(chunk_block)
-                freed += (1 << order) if order is not None else 0
-                self._free_chunk(chunk_block)
+            freed = self._free_unnamed(extent_map, extent_map.clear())
             if contents:
                 self._store_data(extent_map, 0, contents)
             metadata = self._require(oid)

@@ -176,9 +176,10 @@ class RecoveryManager:
             "checkpoint_seq": 0,
             "fulltext_root": 0,
             "image_root": 0,
+            "content_root": 0,
             "checksum_pages": 1,
             "fulltext_format": 3,
-            "osd_format": 3,
+            "osd_format": 4,
         }
         self.pool = None  # the shared BufferPool, once attached
         self.poisoned = False
@@ -322,8 +323,16 @@ class RecoveryManager:
             self._active_txns -= 1
             self._gate.notify_all()
 
-    def commit(self) -> None:
-        """Close one nesting level; the outermost close commits the group."""
+    def commit(self, sync: bool = True) -> None:
+        """Close one nesting level; the outermost close commits the group.
+
+        ``sync=False`` is the path for maintenance transactions nobody
+        waits on (the posting backlog's settle): the commit marker is
+        appended but not synced, and does not count towards a group-commit
+        batch.  The next sync — a foreground commit's, the WAL rule's
+        before a write-back, a checkpoint's — covers it; a crash before
+        that loses the transaction whole, and its frees wait for that sync.
+        """
         txn = self._txn
         if txn.depth <= 0:
             raise RecoveryError("commit without a matching begin")
@@ -334,7 +343,7 @@ class RecoveryManager:
             marker_lsn = None
             if txn.records:
                 with self._commit_lock:
-                    sync_now = self._unsynced_commits + 1 >= self.group_commit
+                    sync_now = sync and self._unsynced_commits + 1 >= self.group_commit
                     try:
                         marker_lsn = self.journal.commit_txid(txn.txid, sync=sync_now)
                     except BaseException:
@@ -352,7 +361,7 @@ class RecoveryManager:
                             # sync covered (the group-commit amortization).
                             self.commit_batch_sizes.observe(self._unsynced_commits + 1)
                         self._unsynced_commits = 0
-                    else:
+                    elif sync:
                         self._unsynced_commits += 1
                         # The marker is buffered; arm the idle flusher so it
                         # cannot sit stranded past sync_interval_ms.
@@ -427,8 +436,9 @@ class RecoveryManager:
         txn.txid = None
 
     @contextmanager
-    def transaction(self):
-        """``with recovery.transaction(): ...`` — commit on success."""
+    def transaction(self, sync: bool = True):
+        """``with recovery.transaction(): ...`` — commit on success
+        (``sync``: see :meth:`commit`)."""
         self.begin()
         try:
             yield self
@@ -436,7 +446,7 @@ class RecoveryManager:
             self.abort()
             raise
         else:
-            self.commit()
+            self.commit(sync=sync)
 
     @contextmanager
     def read_view(self):
@@ -817,6 +827,7 @@ class RecoveryManager:
             checkpoint_seq=self.state["checkpoint_seq"],
             fulltext_root=self.state.get("fulltext_root", 0),
             image_root=self.state.get("image_root", 0),
+            content_root=self.state.get("content_root", 0),
             checksum_pages=self.state["checksum_pages"],
             fulltext_format=self.state["fulltext_format"],
             osd_format=self.state["osd_format"],
@@ -826,7 +837,8 @@ class RecoveryManager:
 
     def initialize(self, master_root: int, next_oid: int,
                    data_region_start: int,
-                   fulltext_root: int = 0, image_root: int = 0) -> None:
+                   fulltext_root: int = 0, image_root: int = 0,
+                   content_root: int = 0) -> None:
         """mkfs: record the freshly created roots and write checkpoint zero."""
         self.state.update(
             master_root=master_root,
@@ -834,6 +846,7 @@ class RecoveryManager:
             data_region_start=data_region_start,
             fulltext_root=fulltext_root,
             image_root=image_root,
+            content_root=content_root,
         )
         self.checkpoint()
 
@@ -856,6 +869,7 @@ class RecoveryManager:
             checkpoint_seq=superblock.checkpoint_seq,
             fulltext_root=superblock.fulltext_root,
             image_root=superblock.image_root,
+            content_root=superblock.content_root,
             checksum_pages=superblock.checksum_pages,
             fulltext_format=superblock.fulltext_format,
             osd_format=superblock.osd_format,

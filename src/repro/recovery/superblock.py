@@ -9,7 +9,8 @@ The superblock is the fixed-location record that makes that possible:
 * the master-btree root page and the next object id — the two pieces of
   logical state that cannot be rediscovered by walking (everything else is
   reachable from the master tree: metadata records, name entries and every
-  object's extent map are key ranges of it, data chunks named by extents);
+  object's extent map are key ranges of it, data chunks and content-tree
+  entries named by extents) — and the roots of the other trees;
 * the page geometry stamp (``page_blocks``): a btree page is
   :data:`~repro.storage.block_device.PAGE_BYTES` whatever the device's
   block size, and an image stamped with any other page size is refused;
@@ -62,10 +63,12 @@ class Superblock:
     page_blocks: int
     #: monotonically increasing checkpoint counter (diagnostics).
     checkpoint_seq: int = 0
-    #: root pages of the persistent full-text / image index btrees; ``0``
-    #: means the device carries none and is refused at mount.
+    #: root pages of the persistent full-text / image index btrees and of
+    #: the OSD's content tree; ``0`` means the device carries none and is
+    #: refused at mount.
     fulltext_root: int = 0
     image_root: int = 0
+    content_root: int = 0
     #: page-format version stamp: ``1`` means every btree page is wrapped
     #: in a CRC32 checksum frame (:mod:`repro.integrity.checksum`) — the
     #: only page format; any other value is refused at mount.
@@ -75,13 +78,14 @@ class Superblock:
     #: (``P`` / ``R`` records; :mod:`repro.fulltext.persistent_index`) — the
     #: only layout; any other value is refused at mount.
     fulltext_format: int = 3
-    #: master tree layout stamp: ``3`` keeps every object's extents in the
+    #: master tree layout stamp: ``4`` keeps every object's extents in the
     #: master tree (``\xffE | oid | D | offset`` keys;
     #: :mod:`repro.osd.object_store`), not in an extent tree per object,
-    #: and every name in one encoding, ``TAG/value`` under ``\xffN | oid``
-    #: (a path is ``POSIX//a/b``) — the only layout; any other value is
-    #: refused at mount.
-    osd_format: int = 3
+    #: each value tagged as a CRC-carrying chunk or a content-tree entry
+    #: (:mod:`repro.osd.extent_map`), and every name in one encoding,
+    #: ``TAG/value`` under ``\xffN | oid`` (a path is ``POSIX//a/b``) — the
+    #: only layout; any other value is refused at mount.
+    osd_format: int = 4
 
     # -- serialization --------------------------------------------------------
 
@@ -107,8 +111,10 @@ class Superblock:
         expected = {f.name for f in fields(cls)}
         found = set(stored) if isinstance(stored, dict) else set()
         if found != expected:
+            stamp = stored.get("osd_format") if isinstance(stored, dict) else None
             raise RecoveryError(
-                "superblock written by another format version: "
+                f"superblock written by another format version (osd_format="
+                f"{stamp}): "
                 f"unknown fields {sorted(found - expected)}, "
                 f"missing fields {sorted(expected - found)}"
             )
@@ -140,14 +146,14 @@ class Superblock:
                 f"{self.fulltext_format}, but only posting-block full-text "
                 "trees with a posting backlog (fulltext_format=3) are mountable"
             )
-        if self.osd_format != 3:
+        if self.osd_format != 4:
             raise RecoveryError(
                 f"unsupported on-device format: superblock osd_format="
                 f"{self.osd_format}, but only extent maps kept in the master "
-                "tree with names spelled TAG/value (osd_format=3) are "
-                "mountable"
+                "tree, naming CRC-carrying chunks or content-tree entries, "
+                "with names spelled TAG/value (osd_format=4) are mountable"
             )
-        for name in ("fulltext_root", "image_root"):
+        for name in ("fulltext_root", "image_root", "content_root"):
             if not getattr(self, name):
                 raise RecoveryError(
                     f"unsupported on-device format: superblock {name}=0, but "

@@ -193,7 +193,7 @@ SERVE_SEEDS = [int(s) for s in
 SERVE_POINTS_PER_SEED = int(os.environ.get("SERVING_TORTURE_POINTS", "3"))
 
 SERVE_CLIENTS = 4
-DOCS_PER_CLIENT = 10
+DOCS_PER_CLIENT = 20
 
 
 def build_served_fs(device):

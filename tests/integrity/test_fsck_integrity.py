@@ -82,10 +82,12 @@ class TestAllocatorCrossCheck:
 
     def test_a_healthy_filesystem_has_no_occupancy_errors(self):
         # Group commit leaves the delete's marker buffered: its chunk is
-        # unreachable but still allocated, waiting on a deferred free.
+        # unreachable but still allocated, waiting on a deferred free.  The
+        # content is over the inline limit, so each object has a chunk.
         fs = HFADFileSystem(device=BlockDevice(num_blocks=1 << 14), group_commit=64)
+        pad = b"." * (fs.objects.inline_limit + 1)
         for serial in range(30):
-            fs.create(f"occupancy probe {serial}".encode(), path=f"/o/{serial}.txt")
+            fs.create(f"occupancy probe {serial}".encode() + pad, path=f"/o/{serial}.txt")
         fs.delete(fs.lookup_path("/o/3.txt"))
         assert fs.recovery.deferred_actions()
         report = fs.fsck()

@@ -33,6 +33,29 @@ class TestObjectExtent:
         with pytest.raises(InvalidRangeError):
             extent.slice(90, 20)
 
+    def test_a_chunk_value_carries_its_size_and_crc(self):
+        extent = ObjectExtent(block=17, nblocks=4, skip=0, length=9000, size=9000, crc=0xDEADBEEF)
+        assert ObjectExtent.decode(extent.encode()) == extent
+        assert not ObjectExtent.names_entry(extent.encode())
+        assert extent.whole_chunk
+        sub = extent.slice(100, 50)
+        assert (sub.crc, sub.size, sub.whole_chunk) == (0xDEADBEEF, 9000, False)
+
+    def test_an_entry_value_round_trips_and_is_recognised_undecoded(self):
+        entry = ObjectExtent.entry(42, 300)
+        assert ObjectExtent.decode(entry.encode()) == entry
+        assert ObjectExtent.names_entry(entry.encode())
+        sub = entry.slice(100, 50)
+        assert (sub.in_tree, sub.block, sub.skip, sub.length) == (True, 42, 100, 50)
+        assert sub.source == entry.source != ObjectExtent(42, 1, 0, 300).source
+        assert not entry.whole_chunk
+
+    def test_an_entry_has_no_blocks(self):
+        with pytest.raises(InvalidRangeError):
+            ObjectExtent(block=42, nblocks=1, skip=0, length=1, in_tree=True)
+        with pytest.raises(InvalidRangeError):
+            ObjectExtent(block=-1, nblocks=0, skip=0, length=1, in_tree=True)
+
 
 class TestExtentMapBasics:
     def test_insert_and_enumerate(self):

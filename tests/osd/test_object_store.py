@@ -149,7 +149,8 @@ class TestReadWrite:
         device = BlockDevice(num_blocks=1 << 14)
         store = ObjectStore(device=device)
         oid = store.create()
-        store.write(oid, 0, b"find-me-on-disk")
+        # Over the inline limit: a chunk, written straight to the device.
+        store.write(oid, 0, b"find-me-on-disk" + b"." * store.inline_limit)
         assert device.stats.writes > 0
         found = any(
             b"find-me-on-disk" in device.read_block(block)
@@ -357,10 +358,13 @@ class TestChunkReclamation:
         data = b"0123456789" * 800
         store.write(oid, 0, data)
         used = store.allocator.allocated_blocks
-        store.remove_range(oid, 1000, 1000)  # head and tail share the chunk
-        store.write(oid, 0, b"x" * 500)  # unmaps part of the head only
+        store.remove_range(oid, 2000, 1000)  # head and tail share the chunk
+        # Unmaps part of the head only; over the inline limit, so the new
+        # bytes take a chunk of their own.
+        overwrite = b"x" * (store.inline_limit + 1)
+        store.write(oid, 0, overwrite)
         assert store.allocator.allocated_blocks == used + 1
-        assert store.read(oid) == b"x" * 500 + data[500:1000] + data[2000:]
+        assert store.read(oid) == overwrite + data[len(overwrite):2000] + data[3000:]
         store.remove_range(oid, 0, store.size(oid))
         assert store.check_consistency()["errors"] == []
 

@@ -173,6 +173,35 @@ class TestCrashDuringTheSettle:
             assert engine.bound_violations() == []
 
 
+class TestASettleCommitsWithoutASync:
+    def test_a_crash_before_the_next_sync_loses_no_answer(self):
+        # A pool that holds the whole settle and a journal it does not fill
+        # past the checkpoint threshold: no write-back or checkpoint syncs.
+        device, fs = make_fs(cache_pages=1024, journal_blocks=1023)
+        corpus = ingest(fs, 30)
+        journal = fs.recovery.journal
+        syncs = journal.syncs
+        images = settle_recording_images(device, fs)
+        assert len(images) > 1
+        assert journal.syncs == syncs  # no commit of the settle synced
+        assert journal.durable_lsn < journal.last_lsn  # its markers wait
+        # A crash at any commit of the settle, or after its last one, before
+        # anything syncs: the settle is lost whole and re-derived.
+        for image in (images[0], images[len(images) // 2], clone(device)):
+            mounted = HFADFileSystem.mount(image)
+            assert mounted.stats()["persistent_index"]["fulltext_settles"] == 1
+            assert_serves(mounted, corpus)
+            assert mounted.fsck()["clean"]
+        # The next foreground commit's sync covers the settle's markers.
+        fs.tag(sorted(corpus)[0], "UDEF", "after-the-settle")
+        assert journal.durable_lsn == journal.last_lsn
+        mounted = HFADFileSystem.mount(clone(device))
+        assert mounted.stats()["persistent_index"]["fulltext_settles"] == 0
+        assert tree_keys(mounted, b"P\x00") == [] == tree_keys(mounted, b"R\x00")
+        assert_serves(mounted, corpus)
+        assert mounted.find(("UDEF", "after-the-settle")) == [sorted(corpus)[0]]
+
+
 class TestJournalSizing:
     def test_a_view_larger_than_the_journal_settles_on_a_64_block_journal(self, monkeypatch):
         monkeypatch.setattr(persistent_index, "SETTLE_KEYS", sys.maxsize)

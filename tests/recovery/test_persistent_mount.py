@@ -22,11 +22,14 @@ NUM_DOCS = 40
 
 
 class ContentReadTracker(BlockDevice):
-    """Counts byte-granularity reads — the object-content read path.
+    """Counts reads of object content, on both of its read paths.
 
-    Every object-content read goes through :meth:`read_bytes` (extent data
-    is addressed by byte range within a chunk); all metadata — superblock,
-    journal, btree pages — is read with whole-block requests.  So a nonzero
+    A chunk's bytes are read through :meth:`read_bytes` (extent data is
+    addressed by byte range within a chunk); all metadata — superblock,
+    journal, btree pages — is read with whole-block requests.  A small
+    object's bytes live in a content-tree leaf, a whole-block page read:
+    :meth:`watch_content_tree` names those leaves, all but the leftmost,
+    which a mount reads as its one leaf-depth probe.  So a nonzero
     ``content_reads`` during a mount means object bytes were re-read.
     """
 
@@ -34,11 +37,24 @@ class ContentReadTracker(BlockDevice):
         super().__init__(*args, **kwargs)
         self.content_reads = 0
         self.tracking = False
+        self.content_leaves = set()
+
+    def watch_content_tree(self, fs):
+        tree = fs.objects._content
+        probe = tree.root_id
+        while not tree.store.read(probe).is_leaf:
+            probe = tree.store.read(probe).children[0]
+        self.content_leaves = tree_pages(tree) - tree_pages(tree, leaves=False) - {probe}
 
     def read_bytes(self, block, offset, length):
         if self.tracking:
             self.content_reads += 1
         return super().read_bytes(block, offset, length)
+
+    def read_blocks(self, block, nblocks):
+        if self.tracking and block in self.content_leaves:
+            self.content_reads += 1
+        return super().read_blocks(block, nblocks)
 
 
 def build_corpus(fs, rng):
@@ -76,6 +92,8 @@ def test_persistent_mount_reads_no_object_content():
     fs = make_fs(device)
     build_corpus(fs, random.Random(5))
     expected = snapshot_answers(fs)
+    device.watch_content_tree(fs)
+    assert device.content_leaves, "the corpus fills one content-tree leaf only"
     fs.close()
 
     device.tracking = True
@@ -93,15 +111,24 @@ def test_persistent_mount_reads_no_object_content():
 
 
 def test_the_content_read_tracker_counts_an_object_read():
-    """The zero above means something: one ``read`` of one object counts."""
+    """The zero above means something: one ``read`` of one object counts,
+    whether its bytes are a chunk or a content-tree entry."""
     device = ContentReadTracker(num_blocks=1 << 16)
     fs = make_fs(device)
-    oid = fs.create(b"anchor beacon copper", path="/ok.txt")
+    large = b"anchor beacon copper " * 60  # over the inline limit: a chunk
+    chunked = fs.create(large, path="/large.txt")
+    small = [fs.create(b"anchor beacon copper %d " % serial * 12, path=f"/s{serial}.txt")
+             for serial in range(24)]
+    device.watch_content_tree(fs)
+    assert device.content_leaves
     fs.close()
     mounted = HFADFileSystem.mount(device, query_cache_entries=0)
     device.tracking = True
-    assert mounted.read(oid) == b"anchor beacon copper"
-    assert device.content_reads > 0
+    assert mounted.read(chunked) == large
+    assert device.content_reads == 1
+    # The last entry sits in the rightmost leaf, which is not the probe.
+    assert mounted.read(small[-1]) == b"anchor beacon copper 23 " * 12
+    assert device.content_reads == 2
     mounted.close()
 
 
@@ -139,7 +166,8 @@ def mount_traffic(documents, repeats=1, images=False):
     the image.
 
     Returns the mount's device-stats delta, its blocks read per tree —
-    ``{"master", "fulltext", "image"}`` count reads of that tree's pages,
+    ``{"master", "fulltext", "image", "content"}`` count reads of that
+    tree's pages,
     ``"metadata_region"`` reads below the data region (superblock and
     journal), ``"elsewhere"`` every other read — and per tree
     ``(inner pages, leaf pages)`` of the mounted image."""
@@ -157,7 +185,7 @@ def mount_traffic(documents, repeats=1, images=False):
     log, device.log = device.log, None
     delta = device.stats.delta(before)
     trees = {"master": mounted.objects._master, "fulltext": mounted._fulltext_tree,
-             "image": mounted._image_tree}
+             "image": mounted._image_tree, "content": mounted.objects._content}
     owner = {page: name for name, tree in trees.items() for page in tree_pages(tree)}
     shape = {}
     for name, tree in trees.items():
@@ -177,12 +205,13 @@ def assert_index_trees_read_by_reference(reads, shape):
 
     The leaves read are the leftmost one (the descent that finds the leaf
     depth) and, in the full-text tree, the leaves holding the start of the
-    (empty) backlog ranges.  The image index loads nothing: its tree costs
-    its inner pages and that one probe.
+    (empty) backlog ranges.  The image index and the content tree load
+    nothing: each costs its inner pages and that one probe.
     """
     inner, _leaves = shape["fulltext"]
     assert inner + 1 <= reads["fulltext"] <= inner + 3, (reads, shape)
     assert reads["image"] == shape["image"][0] + 1, (reads, shape)
+    assert reads["content"] == shape["content"][0] + 1, (reads, shape)
 
 
 def test_persistent_mount_metadata_cost_independent_of_content_size():
@@ -194,7 +223,8 @@ def test_persistent_mount_metadata_cost_independent_of_content_size():
     are one shared tree that does not grow with object bytes.  The padded
     full-text tree has more leaves (longer position rows), and the mount
     reads none of them beyond the leaf probes: index leaves are reserved
-    from their parents' child lists.  No read lands outside the three
+    from their parents' child lists, and so are the content tree's, which
+    hold the unpadded corpora's bytes.  No read lands outside the four
     trees, the superblock and the journal: a mount reads no per-object
     page, and after a clean close the journal costs one block.
     """

@@ -27,6 +27,7 @@ def make_superblock(**overrides):
         checkpoint_seq=3,
         fulltext_root=4100,
         image_root=4104,
+        content_root=4108,
     )
     fields.update(overrides)
     return Superblock(**fields)
@@ -106,7 +107,7 @@ class TestFormatVersions:
 
     @pytest.mark.parametrize(
         "field", ["page_blocks", "checksum_pages", "fulltext_root", "image_root",
-                  "fulltext_format", "osd_format"]
+                  "content_root", "fulltext_format", "osd_format"]
     )
     def test_unserved_format_refused_naming_the_field(self, field):
         with pytest.raises(RecoveryError, match=field):
@@ -165,6 +166,33 @@ class TestFormatVersions:
         device.write_block(SUPERBLOCK_BLOCK, encode_fields(fields))
         before, writes = device.dump(), device.stats.writes
         with pytest.raises(RecoveryError, match="osd_format"):
+            HFADFileSystem.mount(device)
+        assert device.stats.writes == writes
+        assert device.dump() == before
+
+    def test_the_chunk_per_write_layout_is_refused(self):
+        # Stamp 3 extents name untagged, unchecksummed chunks.
+        assert make_superblock().osd_format == 4
+        with pytest.raises(RecoveryError, match="osd_format=3"):
+            make_superblock(osd_format=3).require_mountable(BLOCK_SIZE)
+
+    def test_a_format_3_image_is_refused_untouched(self):
+        # What the chunk-per-write layout's code wrote: ``osd_format`` 3 and
+        # no ``content_root``, with a committed journal tail not yet home.
+        # It must be refused, naming the stamp, before replay writes a block.
+        from repro.core import HFADFileSystem
+
+        device = BlockDevice(num_blocks=1 << 14)
+        fs = HFADFileSystem(device=device)
+        for number in range(5):
+            fs.create(b"object %d" % number, path=f"/o{number}")
+        fields = asdict(Superblock.load(device))
+        del fields["content_root"]
+        fields["osd_format"] = 3
+        device.write_block(SUPERBLOCK_BLOCK, encode_fields(fields))
+        assert fs.recovery.journal.scan(), "the tail would be replayed"
+        before, writes = device.dump(), device.stats.writes
+        with pytest.raises(RecoveryError, match="osd_format=3"):
             HFADFileSystem.mount(device)
         assert device.stats.writes == writes
         assert device.dump() == before

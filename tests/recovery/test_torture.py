@@ -42,7 +42,7 @@ from repro.storage.block_device import PAGE_BYTES
 
 SEEDS = [int(s) for s in os.environ.get("TORTURE_SEEDS", "1,2,3,4").split(",")]
 POINTS_PER_SEED = int(os.environ.get("TORTURE_POINTS", "55"))
-NUM_OPS = 48
+NUM_OPS = 56
 #: audit full-text search (and a BM25 spot check) after every re-mount —
 #: committed content must stay searchable through the persisted index.
 AUDIT_SEARCH = os.environ.get("TORTURE_SEARCH", "1") not in ("", "0")
