@@ -19,7 +19,7 @@ from conftest import emit_table
 def _table1_rows(fs, oid_by_path):
     some_path = next(iter(oid_by_path))
     rows = [
-        ("POSIX (pathname)", TAG_POSIX, some_path, "posix-path"),
+        ("POSIX (pathname)", TAG_POSIX, some_path, "keyvalue"),
         ("Search (term)", TAG_FULLTEXT, "budget", "fulltext"),
         ("Manual (logname)", TAG_USER, "margo", "keyvalue"),
         ("Manual (annotation)", TAG_UDEF, "beach", "keyvalue"),

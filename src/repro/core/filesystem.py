@@ -48,7 +48,6 @@ from repro.index import (
     ImageIndexStore,
     IndexStoreRegistry,
     KeyValueIndexStore,
-    PosixPathIndexStore,
     TagValue,
 )
 from repro.opcontext import current_operation, detached
@@ -256,9 +255,10 @@ class HFADFileSystem:
         # Index stores (Figure 1: the extensible collection of indices).
         # The FULLTEXT store's engine and the image store read and write
         # their btrees, whose pages ride the same buffer pool and WAL as
-        # everything else; a mount loads neither.
-        self.keyvalue_index = KeyValueIndexStore()
-        self.path_index = PosixPathIndexStore()
+        # everything else; a mount loads neither.  The key/value store
+        # claims POSIX, so paths live where the path API reads them.
+        self.keyvalue_index = KeyValueIndexStore(
+            tags=(*KeyValueIndexStore.DEFAULT_TAGS, TAG_POSIX))
         self.fulltext_index = FullTextIndexStore(
             index=PersistentInvertedIndex(self._fulltext_tree, recovery=self.recovery),
         )
@@ -269,7 +269,6 @@ class HFADFileSystem:
         # The key/value store also serves every tag no other store claims.
         self.registry = IndexStoreRegistry(fallback=self.keyvalue_index)
         self.registry.register(self.keyvalue_index)
-        self.registry.register(self.path_index)
         self.registry.register(self.fulltext_index)
         self.registry.register(self.image_index)
         # Content indexing mutates the inverted index outside the registry;
@@ -340,11 +339,12 @@ class HFADFileSystem:
         and asked whether its format is one this code serves (a refusal
         leaves the device untouched), the journal's committed tail is
         replayed onto home locations, and only then are the master tree
-        (metadata, extent maps and name entries: one walk) and the naming
-        indexes rebuilt from the (now consistent) device state.  Full-text postings and image features
-        re-attach from their persistent index trees (recorded in the
-        superblock) without reading any object content — mounts cost
-        O(metadata).  Every operation that completed before the crash is
+        (metadata, extent maps and name entries: one walk) and the one
+        naming index, the key/value store holding tags and paths alike,
+        rebuilt from the (now consistent) device state.  Full-text postings
+        and image features re-attach from their persistent index trees
+        (recorded in the superblock) without reading any object content —
+        mounts cost O(metadata).  Every operation that completed before the crash is
         visible; every operation that did not reach its commit marker has
         vanished whole.
         """
@@ -652,12 +652,11 @@ class HFADFileSystem:
 
     def _add_name(self, oid: int, pair: TagValue) -> None:
         if pair.tag == TAG_POSIX:
-            # A path names one object: the displaced one's entry dies too,
-            # or the mount would hand it the path back.
-            displaced = self.path_index.resolve(pair.value)
-            if (displaced is not None and displaced != oid
-                    and self.objects.exists(displaced)):
-                self.objects.remove_name(displaced, str(pair))
+            # A path names one object: the displaced holder loses it, index
+            # entry and durable entry both, or the mount would hand it back.
+            displaced = self._path_holder(pair.value)
+            if displaced is not None and displaced != oid:
+                self._remove_name(displaced, pair)
         self.naming.add_name(oid, pair)
         self.objects.put_name(oid, str(pair))
 
@@ -775,17 +774,19 @@ class HFADFileSystem:
 
     def enable_content_indexing(self, oid: int) -> None:
         """Start tracking (and immediately index) the object's content."""
-        self._require_object(oid)
-        with self._durable():
-            self.objects.set_attributes(oid, **{_ATTR_INDEXED: "1"})
-            self.fulltext_index.index_content(oid, self.objects.read(oid))
+        with self._operation("enable_content_indexing", f"oid={oid}"):
+            self._require_object(oid)
+            with self._durable():
+                self.objects.set_attributes(oid, **{_ATTR_INDEXED: "1"})
+                self.fulltext_index.index_content(oid, self.objects.read(oid))
 
     def disable_content_indexing(self, oid: int) -> None:
         """Stop tracking the object's content and drop it from the index."""
-        self._require_object(oid)
-        with self._durable():
-            self.objects.remove_attributes(oid, _ATTR_INDEXED)
-            self.fulltext_index.drop_content(oid)
+        with self._operation("disable_content_indexing", f"oid={oid}"):
+            self._require_object(oid)
+            with self._durable():
+                self.objects.remove_attributes(oid, _ATTR_INDEXED)
+                self.fulltext_index.drop_content(oid)
 
     # ------------------------------------------------------------------
     # naming interfaces
@@ -797,15 +798,16 @@ class HFADFileSystem:
         Any tag works: one no index store claims is served by the key/value
         store.
         """
-        self._require_object(oid)
-        (pair,) = self._check_names([TagValue(tag, value)])
-        with self._durable():
-            self._add_name(oid, pair)
+        with self._operation("tag", f"oid={oid} {tag}/{value}"):
+            self._require_object(oid)
+            (pair,) = self._check_names([TagValue(tag, value)])
+            with self._durable():
+                self._add_name(oid, pair)
 
     def untag(self, oid: int, tag: str, value: str) -> bool:
         """Remove one tag/value name; returns True if it existed."""
         pair = self._canonical(TagValue(tag, value))
-        with self._durable():
+        with self._operation("untag", f"oid={oid} {pair}"), self._durable():
             return self._remove_name(oid, pair)
 
     def names_for(self, oid: int) -> List[TagValue]:
@@ -892,11 +894,11 @@ class HFADFileSystem:
         """Re-run a query that hit corrupt index bytes against a rescue stack.
 
         Two stores read on-device pages at query time: FULLTEXT and IMAGE
-        (paths and key/value names serve from in-memory indexes).  Postings
-        are derived state, so the fallback rebuilds an *ephemeral in-memory*
-        inverted index from the ground truth the paper's design guarantees we
-        still have — the objects' own bytes — and answers from that instead
-        of raising mid-cursor.  Answers are correct-if-complete: objects
+        (key/value names, paths included, serve from an in-memory index).
+        Postings are derived state, so the fallback rebuilds an *ephemeral
+        in-memory* inverted index from the ground truth the paper's design
+        guarantees we still have — the objects' own bytes — and answers from
+        that instead of raising mid-cursor.  Answers are correct-if-complete: objects
         whose content is itself unreadable are skipped and the query is
         accounted as partial in ``stats()["integrity"]``.  Damage the rescan
         cannot route around (a corrupt master tree, or an image-tree page:
@@ -957,7 +959,8 @@ class HFADFileSystem:
         return naming, partial
 
     # POSIX-path conveniences (the veneer in repro.posix builds on these):
-    # the tag API on the POSIX tag.
+    # the tag API on the POSIX tag, and reads of the key/value store's
+    # POSIX values under a read view.
 
     def link_path(self, path: str, oid: int) -> None:
         """Give an object (another) POSIX path name."""
@@ -972,8 +975,9 @@ class HFADFileSystem:
         """
         old = self._canonical(TagValue(TAG_POSIX, old_path))
         (new,) = self._check_names([TagValue(TAG_POSIX, new_path)])
-        with self._durable():
-            oid = self.path_index.resolve(old.value)
+        with self._operation("rename_path", f"{old.value} {new.value}"), \
+                self._durable():
+            oid = self._path_holder(old.value)
             if oid is not None:
                 self._remove_name(oid, old)
                 self._add_name(oid, new)
@@ -985,13 +989,20 @@ class HFADFileSystem:
         The POSIX veneer's directory rename; one atomic (and durable) name
         operation.  Returns the number of bindings moved.
         """
-        with self._durable():
+        old, new = normalize_path(old_path), normalize_path(new_path)
+        with self._operation("rename_path_subtree", f"{old} {new}"), \
+                self._durable():
+            if old == new:
+                return 0
+            if new.startswith(old.rstrip("/") + "/"):
+                raise IndexStoreError(
+                    f"cannot rename {old} beneath itself ({new})")
             # Listed and checked inside the bracket, so no writer can bind
             # a path in between, but before anything is logged.
-            moves = self.path_index.subtree_moves(old_path, new_path)
+            moves = self.list_subtree(old)
             targets = self._check_names(
-                TagValue(TAG_POSIX, target) for _path, target, _oid in moves)
-            for (path, _target, oid), target in zip(moves, targets):
+                TagValue(TAG_POSIX, new + path[len(old):]) for path, _oid in moves)
+            for (path, oid), target in zip(moves, targets):
                 self._remove_name(oid, TagValue(TAG_POSIX, path))
                 self._add_name(oid, target)
             return len(moves)
@@ -999,30 +1010,58 @@ class HFADFileSystem:
     def unlink_path(self, path: str) -> Optional[int]:
         """Remove a POSIX path name; returns the object it named."""
         pair = self._canonical(TagValue(TAG_POSIX, path))
-        with self._durable():
-            oid = self.path_index.resolve(pair.value)
+        with self._operation("unlink_path", pair.value), self._durable():
+            oid = self._path_holder(pair.value)
             if oid is not None:
                 self._remove_name(oid, pair)
             return oid
 
+    def _path_holder(self, path: str) -> Optional[int]:
+        """The object a normalized ``path`` names, or None.  Bookkeeping as
+        much as a read, so it charges no query scan counter."""
+        for bound, oid in self.keyvalue_index.scan(TAG_POSIX, path):
+            # A path sorts before every longer one it prefixes.
+            return oid if bound == path else None
+        return None
+
     def lookup_path(self, path: str) -> Optional[int]:
         """Resolve a POSIX path to an object id (None if unbound)."""
         with self.read_view():
-            return self.path_index.resolve(path)
+            return self._path_holder(normalize_path(path))
 
     def paths_for(self, oid: int) -> List[str]:
+        """Every path naming ``oid``, sorted."""
         with self.read_view():
-            return self.path_index.paths_for(oid)
+            return [pair.value for pair in self.keyvalue_index.values_for(oid)
+                    if pair.tag == TAG_POSIX]
+
+    def list_subtree(self, path: str) -> List[Tuple[str, int]]:
+        """Every ``(path, oid)`` bound at or below ``path``, sorted."""
+        path = normalize_path(path)
+        below = path.rstrip("/") + "/"
+        with self.read_view():
+            return [(bound, oid)
+                    for bound, oid in self.keyvalue_index.scan(TAG_POSIX, path)
+                    if bound == path or bound.startswith(below)]
+
+    def list_directory(self, path: str) -> List[str]:
+        """The immediate children (names, not paths) of directory ``path``:
+        the next component of every path bound below it, sorted."""
+        below = normalize_path(path).rstrip("/") + "/"
+        return sorted({bound[len(below):].split("/", 1)[0]
+                       for bound, _oid in self.list_subtree(path)
+                       if len(bound) > len(below)})
 
     # Image features (the "arbitrary index type" example).
 
     def index_image(self, oid: int, histogram: Sequence[float]) -> str:
         """Index an object's colour histogram; returns its dominant colour."""
-        self._require_object(oid)
-        with self._durable():
-            colour = self.image_index.index_histogram(oid, histogram)
-            self.registry.touch(TAG_IMAGE)
-            return colour
+        with self._operation("index_image", f"oid={oid}"):
+            self._require_object(oid)
+            with self._durable():
+                colour = self.image_index.index_histogram(oid, histogram)
+                self.registry.touch(TAG_IMAGE)
+                return colour
 
     # ------------------------------------------------------------------
     # transactions / maintenance

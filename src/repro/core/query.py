@@ -33,8 +33,9 @@ from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
+from repro.index.path_index import normalize_path
 from repro.index.store import IndexStoreRegistry
-from repro.index.tags import TAG_ID, TagValue, normalize_tag
+from repro.index.tags import TAG_ID, TAG_POSIX, TagValue, normalize_tag
 from repro.query.cursors import (
     DifferenceCursor,
     DocIdCursor,
@@ -112,7 +113,10 @@ class TagTerm(Query):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tag", normalize_tag(self.tag))
-        object.__setattr__(self, "value", str(self.value))
+        # A path is stored in its normal form, so it is looked up in it.
+        value = str(self.value)
+        object.__setattr__(self, "value", normalize_path(value)
+                           if self.tag == TAG_POSIX else value)
 
     @classmethod
     def from_pair(cls, pair: TagValue) -> "TagTerm":

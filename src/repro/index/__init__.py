@@ -12,11 +12,11 @@ of indices facilitating multiple naming modes and types of search."
   the registry *is* the plug-in model the paper's first open question asks
   about.
 * :mod:`repro.index.keyvalue_index` — a btree-backed store for simple
-  attribute tags (USER, UDEF, APP, and anything applications invent).
-* :mod:`repro.index.path_index` — the POSIX path index: full pathname →
-  object, plus the directory-listing and rename-subtree operations the POSIX
-  veneer needs; an object may carry many paths ("a data item may have many
-  names, all equally useful").
+  attribute tags (USER, UDEF, APP, and anything applications invent) and,
+  in the facade, POSIX paths: a path is one more value, and a directory
+  listing a prefix scan over the POSIX values.
+* :mod:`repro.index.path_index` — path normalisation helpers; an object may
+  carry many paths ("a data item may have many names, all equally useful").
 * :mod:`repro.index.fulltext_index` — the FULLTEXT store wrapping the
   inverted index.
 * :mod:`repro.index.image_index` — an example of an "arbitrary index type"
@@ -38,7 +38,6 @@ from repro.index.tags import (
 )
 from repro.index.store import IndexStore, IndexStoreRegistry
 from repro.index.keyvalue_index import KeyValueIndexStore, PrefixOidCursor
-from repro.index.path_index import PosixPathIndexStore
 from repro.index.fulltext_index import FullTextIndexStore
 from repro.index.image_index import ImageIndexStore
 
@@ -56,7 +55,6 @@ __all__ = [
     "IndexStoreRegistry",
     "KeyValueIndexStore",
     "PrefixOidCursor",
-    "PosixPathIndexStore",
     "FullTextIndexStore",
     "ImageIndexStore",
 ]

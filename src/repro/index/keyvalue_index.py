@@ -1,11 +1,12 @@
 """Key/value index store for simple attribute tags.
 
 "A key/value store suffices for simple attributes" (Section 3.2).  This store
-serves USER, UDEF, APP and, as the registry's fallback, every tag no other
-store claims: each ``(tag, value)`` pair maps to a set of object ids.  Entries live in a B+-tree so the
+serves USER, UDEF, APP, in the facade POSIX paths too ("simply one name
+among many", Section 3.1.1), and, as the registry's fallback, every tag no
+other store claims: each ``(tag, value)`` pair maps to a set of object ids.  Entries live in a B+-tree so the
 store can be backed by the device like every other index, and so lookups are
-prefix scans rather than hash probes (giving us ``values_for`` and
-``enumerate_values`` for free).
+prefix scans rather than hash probes (giving us ``values_for``, ``scan``
+and ``enumerate_values`` for free).
 
 Key layout::
 
@@ -19,7 +20,7 @@ matters because every object deletion must scrub its names from every index.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.btree import BPlusTree, PageStore
 from repro.errors import IndexStoreError
@@ -184,24 +185,29 @@ class KeyValueIndexStore(IndexStore):
 
     # ------------------------------------------------------------ extras
 
+    def scan(self, tag: str, value_prefix: str = "") -> Iterator[Tuple[str, int]]:
+        """Stream ``(value, oid)`` for every value under ``tag`` that starts
+        with ``value_prefix``, in key order: by value, a value before every
+        longer one it prefixes, then by oid.
+
+        Charges no scan counter: listings and bookkeeping are not query work.
+        """
+        prefix = _FORWARD + _SEP + _encode_text(normalize_tag(tag)) + _SEP
+        for key, _ in self._tree.cursor(prefix=prefix + _encode_text(value_prefix)):
+            # The remainder is "<value> \x00 <oid:8 bytes>"; the oid may itself
+            # contain NUL bytes, so cut a fixed-width suffix instead of
+            # splitting on the separator.
+            remainder = key[len(prefix):]
+            yield (remainder[:-(_OID.size + 1)].decode("utf-8"),
+                   _OID.unpack(remainder[-_OID.size:])[0])
+
     def enumerate_values(self, tag: str) -> List[str]:
         """Every distinct value stored under ``tag`` (sorted)."""
-        tag = normalize_tag(tag)
-        prefix = _FORWARD + _SEP + _encode_text(tag) + _SEP
-        values = set()
-        for key, _ in self._tree.cursor(prefix=prefix):
-            remainder = key[len(prefix):]
-            # remainder is "<value> \x00 <oid:8 bytes>"; the oid may itself
-            # contain NUL bytes, so strip a fixed-width suffix instead of
-            # splitting on the separator.
-            value_bytes = remainder[:-(_OID.size + 1)]
-            values.add(value_bytes.decode("utf-8"))
-        return sorted(values)
+        return sorted({value for value, _oid in self.scan(tag)})
 
     def holds(self, tag: str) -> bool:
         """Whether any object is named under ``tag`` here."""
-        prefix = _FORWARD + _SEP + _encode_text(normalize_tag(tag)) + _SEP
-        return next(iter(self._tree.cursor(prefix=prefix)), None) is not None
+        return next(self.scan(tag), None) is not None
 
     def cardinality(self, tag: str, value: str) -> int:
         """Number of objects named by ``(tag, value)`` — used by the planner.

@@ -175,9 +175,9 @@ class IndexStoreRegistry:
         """Record that ``tag``'s lookups may have changed.
 
         Called automatically by :meth:`insert`/:meth:`remove`/
-        :meth:`remove_object`; callers that mutate a store directly (e.g. the
-        path index's rename, or content indexing feeding the FULLTEXT index)
-        must call this themselves so query caches stay precise.
+        :meth:`remove_object`; callers that mutate a store directly (e.g.
+        content indexing feeding the FULLTEXT index) must call this
+        themselves so query caches stay precise.
         """
         tag = normalize_tag(tag)
         with self._generation_lock:

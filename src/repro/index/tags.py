@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-#: POSIX pathnames, served by the path index (and the POSIX veneer).
+#: POSIX pathnames, served by the key/value store (and the POSIX veneer).
 TAG_POSIX = "POSIX"
 #: Full-text search terms, served by the inverted index.
 TAG_FULLTEXT = "FULLTEXT"

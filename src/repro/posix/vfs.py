@@ -290,7 +290,7 @@ class PosixVFS:
             return
         if existing is not None and existing != oid:
             if self._is_directory(existing):
-                if self.fs.path_index.list_directory(new):
+                if self.fs.list_directory(new):
                     raise DirectoryNotEmpty(new)
                 self.fs.unlink_path(new)
                 self.fs.delete(existing)
@@ -336,7 +336,7 @@ class PosixVFS:
             raise NotADirectory(path)
         if path == "/":
             raise InvalidArgument("cannot remove the root directory")
-        if self.fs.path_index.list_directory(path):
+        if self.fs.list_directory(path):
             raise DirectoryNotEmpty(path)
         self.fs.unlink_path(path)
         self.fs.delete(oid)
@@ -347,7 +347,7 @@ class PosixVFS:
         if not self._is_directory(oid):
             raise NotADirectory(path)
         entries: List[DirEntry] = []
-        for name in self.fs.path_index.list_directory(path):
+        for name in self.fs.list_directory(path):
             child_path = path.rstrip("/") + "/" + name
             child_oid = self.fs.lookup_path(child_path)
             if child_oid is None:
@@ -414,7 +414,7 @@ class PosixVFS:
 
     def walk(self, path: str = "/") -> List[str]:
         """Every bound path under ``path`` (depth-first by key order)."""
-        return [bound for bound, _oid in self.fs.path_index.list_subtree(path)]
+        return [bound for bound, _oid in self.fs.list_subtree(path)]
 
     @property
     def open_descriptors(self) -> int:

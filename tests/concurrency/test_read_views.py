@@ -25,7 +25,8 @@ class TestPublicReadsHoldAView:
 
         def answer():
             return (fs.names_for(target), fs.paths_for(target),
-                    fs.lookup_path("/o/39"), fs.exists(target), fs.size(target),
+                    fs.lookup_path("/o/39"), fs.list_directory("/o"),
+                    fs.exists(target), fs.size(target),
                     fs.explain_analyze("USER/u").results)
 
         expected = answer()

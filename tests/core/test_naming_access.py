@@ -12,18 +12,18 @@ from repro.errors import (
     ObjectStoreError,
 )
 from repro.index import (
+    TAG_POSIX,
     FullTextIndexStore,
     IndexStoreRegistry,
     KeyValueIndexStore,
-    PosixPathIndexStore,
     TagValue,
 )
 
 
 def make_naming():
     registry = IndexStoreRegistry()
-    registry.register(KeyValueIndexStore())
-    registry.register(PosixPathIndexStore())
+    # The facade's routing: the key/value store serves POSIX paths too.
+    registry.register(KeyValueIndexStore(tags=(*KeyValueIndexStore.DEFAULT_TAGS, TAG_POSIX)))
     registry.register(FullTextIndexStore())
     return NamingInterface(registry)
 

@@ -6,9 +6,9 @@ a name must persist the same entry the index holds.  Each row below mixes
 ``create(path=, tags=)``, ``tag``, ``untag``, ``link_path``, ``unlink_path``,
 ``rename_path`` and ``rename_path_subtree`` over attribute tags, unclaimed
 tags, POSIX names set by ``tag()`` and by the path API, and denormalised
-paths; then ``lookup_path``, ``paths_for``, ``names_for`` and ``find`` must
-answer as before, both after a crash (journal replay) and after a clean
-close.
+paths; then ``lookup_path``, ``paths_for``, ``list_directory``,
+``list_subtree``, ``names_for`` and ``find`` must answer as before, both
+after a crash (journal replay) and after a clean close.
 """
 
 from dataclasses import replace
@@ -103,6 +103,7 @@ PROBE_PATHS = [
     "/y", "/z/w", "z/./w", "/q", "/r", "/s", "/t", "/x", "/p/q", "/l",
     "/m/n", "m//n/", "/d/1", "/d/2", "/d/sub/3", "/e/1", "/e/2", "/e/sub/3",
 ]
+PROBE_DIRECTORIES = ["/", "/d", "/e", "e/sub/", "/m", "/z", "/nowhere"]
 
 
 def make_fs():
@@ -148,6 +149,8 @@ def answers(fs, oids, pairs):
     return {
         "lookup_path": {path: fs.lookup_path(path) for path in PROBE_PATHS},
         "paths_for": {name: fs.paths_for(oid) for name, oid in oids.items()},
+        "list_directory": {path: fs.list_directory(path) for path in PROBE_DIRECTORIES},
+        "list_subtree": {path: fs.list_subtree(path) for path in PROBE_DIRECTORIES},
         "names_for": {name: [str(pair) for pair in fs.names_for(oid)]
                       for name, oid in oids.items()},
         "find": {pair: fs.find(pair) for pair in pairs},

@@ -5,18 +5,18 @@ import pytest
 from repro.core.query import And, Not, Or, QueryPlanner, TagTerm, parse_query
 from repro.errors import QueryError
 from repro.index import (
+    TAG_POSIX,
     FullTextIndexStore,
     IndexStoreRegistry,
     KeyValueIndexStore,
-    PosixPathIndexStore,
     TagValue,
 )
 
 
 def make_registry():
     registry = IndexStoreRegistry()
-    registry.register(KeyValueIndexStore())
-    registry.register(PosixPathIndexStore())
+    # The facade's routing: the key/value store serves POSIX paths too.
+    registry.register(KeyValueIndexStore(tags=(*KeyValueIndexStore.DEFAULT_TAGS, TAG_POSIX)))
     registry.register(FullTextIndexStore())
     # users
     registry.insert("USER", "margo", 1)

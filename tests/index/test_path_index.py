@@ -1,12 +1,18 @@
-"""Tests for the POSIX path index store."""
+"""Tests for POSIX paths: the path helpers, and paths as POSIX values of
+the facade's one key/value index."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import HFADFileSystem
 from repro.errors import IndexStoreError
-from repro.index import TAG_POSIX, PosixPathIndexStore, TagValue
+from repro.index import TAG_POSIX, TagValue
 from repro.index.path_index import basename_of, normalize_path, parent_of
+
+
+def make_fs():
+    return HFADFileSystem(num_blocks=1 << 12, journal_blocks=127, cache_pages=32)
 
 
 class TestPathHelpers:
@@ -39,88 +45,113 @@ class TestPathHelpers:
 
 class TestPathIndex:
     def test_link_resolve_unlink(self):
-        index = PosixPathIndexStore()
-        index.link("/home/margo/report.doc", 10)
-        assert index.resolve("/home/margo/report.doc") == 10
-        assert index.exists("/home/margo/report.doc")
-        assert index.unlink("/home/margo/report.doc") == 10
-        assert index.resolve("/home/margo/report.doc") is None
-        assert index.unlink("/home/margo/report.doc") is None
+        fs = make_fs()
+        oid = fs.create(b"")
+        fs.link_path("/home/margo/report.doc", oid)
+        assert fs.lookup_path("/home/margo/report.doc") == oid
+        assert fs.lookup_path("home//margo/./report.doc") == oid
+        assert fs.unlink_path("/home/margo/report.doc") == oid
+        assert fs.lookup_path("/home/margo/report.doc") is None
+        assert fs.unlink_path("/home/margo/report.doc") is None
+        assert fs.objects.names(oid) == ["USER/root"]
 
     def test_multiple_names_for_one_object(self):
-        index = PosixPathIndexStore()
-        index.link("/photos/2009/beach.jpg", 5)
-        index.link("/albums/summer/beach.jpg", 5)
-        assert sorted(index.paths_for(5)) == [
+        fs = make_fs()
+        oid = fs.create(b"")
+        fs.link_path("/photos/2009/beach.jpg", oid)
+        fs.link_path("/albums/summer/beach.jpg", oid)
+        assert fs.paths_for(oid) == [
             "/albums/summer/beach.jpg",
             "/photos/2009/beach.jpg",
         ]
-        assert index.values_for(5) == [
+        assert [pair for pair in fs.names_for(oid) if pair.tag == TAG_POSIX] == [
             TagValue(TAG_POSIX, "/albums/summer/beach.jpg"),
             TagValue(TAG_POSIX, "/photos/2009/beach.jpg"),
         ]
 
     def test_rebinding_a_path_replaces_owner(self):
-        index = PosixPathIndexStore()
-        index.link("/tmp/file", 1)
-        index.link("/tmp/file", 2)
-        assert index.resolve("/tmp/file") == 2
-        assert index.paths_for(1) == []
+        fs = make_fs()
+        first, second = fs.create(b""), fs.create(b"")
+        fs.link_path("/tmp/file", first)
+        fs.link_path("/tmp/file", second)
+        assert fs.lookup_path("/tmp/file") == second
+        assert fs.paths_for(first) == []
+        # The displaced holder's durable entry went with its index entry.
+        assert "POSIX//tmp/file" not in fs.objects.names(first)
+        assert fs.find((TAG_POSIX, "/tmp/file")) == [second]
 
     def test_index_store_interface(self):
-        index = PosixPathIndexStore()
-        index.insert(TAG_POSIX, "/a/b", 3)
-        assert index.lookup(TAG_POSIX, "/a/b") == [3]
-        assert index.lookup(TAG_POSIX, "/missing") == []
-        assert index.remove(TAG_POSIX, "/a/b", 3)
-        assert not index.remove(TAG_POSIX, "/a/b", 3)
+        fs = make_fs()
+        oid = fs.create(b"")
+        fs.tag(oid, TAG_POSIX, "/a/b")
+        assert fs.registry.store_for(TAG_POSIX) is fs.keyvalue_index
+        assert fs.keyvalue_index.lookup(TAG_POSIX, "/a/b") == [oid]
+        assert fs.find((TAG_POSIX, "/a/b")) == [oid]
+        assert fs.find((TAG_POSIX, "a//b/")) == [oid]
+        assert fs.find((TAG_POSIX, "/missing")) == []
+        assert fs.untag(oid, TAG_POSIX, "/a/b")
+        assert not fs.untag(oid, TAG_POSIX, "/a/b")
 
     def test_remove_object(self):
-        index = PosixPathIndexStore()
-        index.link("/one", 1)
-        index.link("/two", 1)
-        index.link("/other", 2)
-        assert index.remove_object(1) == 2
-        assert index.path_count == 1
+        fs = make_fs()
+        first, second = fs.create(b""), fs.create(b"")
+        fs.link_path("/one", first)
+        fs.link_path("/two", first)
+        fs.link_path("/other", second)
+        fs.delete(first)
+        assert fs.list_subtree("/") == [("/other", second)]
 
     def test_list_directory(self):
-        index = PosixPathIndexStore()
-        index.link("/home/margo/mail/inbox", 1)
-        index.link("/home/margo/mail/sent", 2)
-        index.link("/home/margo/report.doc", 3)
-        index.link("/home/nick/thesis.tex", 4)
-        assert index.list_directory("/home/margo") == ["mail", "report.doc"]
-        assert index.list_directory("/home") == ["margo", "nick"]
-        assert index.list_directory("/") == ["home"]
-        assert index.list_directory("/empty") == []
+        fs = make_fs()
+        oids = [fs.create(b"") for _ in range(4)]
+        fs.link_path("/home/margo/mail/inbox", oids[0])
+        fs.link_path("/home/margo/mail/sent", oids[1])
+        fs.link_path("/home/margo/report.doc", oids[2])
+        fs.link_path("/home/nick/thesis.tex", oids[3])
+        assert fs.list_directory("/home/margo") == ["mail", "report.doc"]
+        assert fs.list_directory("/home") == ["margo", "nick"]
+        assert fs.list_directory("/") == ["home"]
+        assert fs.list_directory("/empty") == []
 
     def test_list_subtree(self):
-        index = PosixPathIndexStore()
-        index.link("/a", 1)
-        index.link("/a/b", 2)
-        index.link("/a/b/c", 3)
-        index.link("/ax", 4)
-        subtree = index.list_subtree("/a")
-        assert subtree == [("/a", 1), ("/a/b", 2), ("/a/b/c", 3)]
+        fs = make_fs()
+        oids = [fs.create(b"") for _ in range(5)]
+        fs.link_path("/", oids[0])
+        fs.link_path("/a", oids[1])
+        fs.link_path("/a/b", oids[2])
+        fs.link_path("/a/b/c", oids[3])
+        fs.link_path("/ax", oids[4])
+        assert fs.list_subtree("/a") == [
+            ("/a", oids[1]), ("/a/b", oids[2]), ("/a/b/c", oids[3])]
+        # The root is listed once, as itself.
+        assert [path for path, _oid in fs.list_subtree("/")] == [
+            "/", "/a", "/a/b", "/a/b/c", "/ax"]
 
     def test_rename_subtree(self):
-        index = PosixPathIndexStore()
-        index.link("/projects/hfad/paper.tex", 1)
-        index.link("/projects/hfad/figures/arch.pdf", 2)
-        index.link("/projects/other/notes.txt", 3)
-        moved = index.rename_subtree("/projects/hfad", "/archive/hfad-2009")
+        fs = make_fs()
+        oids = [fs.create(b"") for _ in range(3)]
+        fs.link_path("/projects/hfad/paper.tex", oids[0])
+        fs.link_path("/projects/hfad/figures/arch.pdf", oids[1])
+        fs.link_path("/projects/other/notes.txt", oids[2])
+        moved = fs.rename_path_subtree("/projects/hfad", "/archive/hfad-2009")
         assert moved == 2
-        assert index.resolve("/archive/hfad-2009/paper.tex") == 1
-        assert index.resolve("/archive/hfad-2009/figures/arch.pdf") == 2
-        assert index.resolve("/projects/hfad/paper.tex") is None
-        assert index.resolve("/projects/other/notes.txt") == 3
+        assert fs.lookup_path("/archive/hfad-2009/paper.tex") == oids[0]
+        assert fs.lookup_path("/archive/hfad-2009/figures/arch.pdf") == oids[1]
+        assert fs.lookup_path("/projects/hfad/paper.tex") is None
+        assert fs.lookup_path("/projects/other/notes.txt") == oids[2]
+        assert fs.paths_for(oids[0]) == ["/archive/hfad-2009/paper.tex"]
 
     def test_rename_into_self_rejected(self):
-        index = PosixPathIndexStore()
-        index.link("/a/b", 1)
+        fs = make_fs()
+        oid = fs.create(b"")
+        fs.link_path("/a/b", oid)
         with pytest.raises(IndexStoreError):
-            index.rename_subtree("/a", "/a/b/c")
-        assert index.rename_subtree("/a", "/a") == 0
+            fs.rename_path_subtree("/a", "/a/b/c")
+        with pytest.raises(IndexStoreError):
+            fs.rename_path_subtree("/", "/x")
+        assert not fs.recovery.poisoned
+        assert fs.rename_path_subtree("/a", "/a") == 0
+        assert fs.lookup_path("/a/b") == oid
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -134,10 +165,16 @@ class TestPathIndex:
         )
     )
     def test_matches_dict_model(self, bindings):
-        index = PosixPathIndexStore()
-        for path, oid in bindings.items():
-            index.link(path, oid)
-        normalized = {normalize_path(p): oid for p, oid in bindings.items()}
+        fs = make_fs()
+        oids = {}
+        for path, name in bindings.items():
+            if name not in oids:
+                oids[name] = fs.create(b"")
+            fs.link_path(path, oids[name])
+        normalized = {normalize_path(p): oids[name] for p, name in bindings.items()}
         for path, oid in normalized.items():
-            assert index.resolve(path) == oid
-        assert index.path_count == len(normalized)
+            assert fs.lookup_path(path) == oid
+        assert fs.list_subtree("/") == sorted(normalized.items())
+        for oid in oids.values():
+            assert fs.paths_for(oid) == sorted(
+                path for path, holder in normalized.items() if holder == oid)

@@ -14,15 +14,14 @@ from repro.index import (
     IndexStore,
     IndexStoreRegistry,
     KeyValueIndexStore,
-    PosixPathIndexStore,
     TagValue,
 )
 
 
 def make_registry():
     registry = IndexStoreRegistry()
-    registry.register(KeyValueIndexStore())
-    registry.register(PosixPathIndexStore())
+    # The facade's routing: the key/value store serves POSIX paths too.
+    registry.register(KeyValueIndexStore(tags=(*KeyValueIndexStore.DEFAULT_TAGS, TAG_POSIX)))
     registry.register(FullTextIndexStore())
     return registry
 
@@ -31,7 +30,7 @@ class TestRegistration:
     def test_register_and_route(self):
         registry = make_registry()
         assert registry.store_for(TAG_USER).name == "keyvalue"
-        assert registry.store_for(TAG_POSIX).name == "posix-path"
+        assert registry.store_for(TAG_POSIX) is registry.store_for(TAG_USER)
         assert registry.store_for(TAG_FULLTEXT).name == "fulltext"
 
     def test_unknown_tag_raises(self):

@@ -12,7 +12,6 @@ import pytest
 from repro.index.fulltext_index import FullTextIndexStore
 from repro.index.image_index import ImageIndexStore
 from repro.index.keyvalue_index import KeyValueIndexStore
-from repro.index.path_index import PosixPathIndexStore
 from repro.index.store import IndexStoreRegistry
 
 OIDS = [2, 3, 5, 8, 13, 21, 34, 55]
@@ -51,9 +50,11 @@ def make_image():
 
 
 def make_path():
-    store = PosixPathIndexStore()
-    store.link("/photos/beach.jpg", 7)
-    store.link("/photos/other.jpg", 9)
+    # Paths are POSIX values of the key/value store.
+    store = KeyValueIndexStore(tags=["POSIX"])
+    store.insert("POSIX", "/photos/beach.jpg", 7)
+    store.insert("POSIX", "/photos/beach.jpg/below", 8)  # a longer path must not leak
+    store.insert("POSIX", "/photos/other.jpg", 9)
     return store, "POSIX", "/photos/beach.jpg", [7]
 
 

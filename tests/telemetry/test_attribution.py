@@ -52,6 +52,35 @@ def _run_attributed(fs, fn):
     return op, deltas
 
 
+#: every name mutation and index-maintenance call, and the kind of the
+#: record it leaves (``link_path`` is the tag API on the POSIX tag).
+NAME_MUTATIONS = {
+    "tag": (lambda fs, oid: fs.tag(oid, "UDEF", "beach"), "tag"),
+    "untag": (lambda fs, oid: fs.untag(oid, "USER", "margo"), "untag"),
+    "link_path": (lambda fs, oid: fs.link_path("/d/y", oid), "tag"),
+    "rename_path": (lambda fs, oid: fs.rename_path("/d/x", "/d/z"), "rename_path"),
+    "rename_path_subtree": (lambda fs, oid: fs.rename_path_subtree("/d", "/e"),
+                            "rename_path_subtree"),
+    "unlink_path": (lambda fs, oid: fs.unlink_path("/d/x"), "unlink_path"),
+    "index_image": (lambda fs, oid: fs.index_image(oid, [1, 0, 0, 0, 0, 0, 0, 0]),
+                    "index_image"),
+    "enable_content_indexing": (lambda fs, oid: fs.enable_content_indexing(oid),
+                                "enable_content_indexing"),
+    "disable_content_indexing": (lambda fs, oid: fs.disable_content_indexing(oid),
+                                 "disable_content_indexing"),
+}
+
+
+@pytest.mark.parametrize("call,kind", NAME_MUTATIONS.values(), ids=NAME_MUTATIONS.keys())
+def test_every_name_mutation_leaves_its_own_record(wal_fs, call, kind):
+    oid = wal_fs.create(content=b"alpha beta", owner="margo", path="/d/x")
+    op, deltas = _run_attributed(wal_fs, lambda: call(wal_fs, oid))
+    assert op["kind"] == kind
+    for key in ("cache_hits", "cache_misses", "wal_bytes", "wal_syncs"):
+        assert op[key] == deltas[key], (key, op, deltas)
+    assert op["wal_bytes"] > 0  # the call wrote, and its record says so
+
+
 class TestDifferentialExactness:
     """Per-operation totals == component counter deltas, single-threaded."""
 
