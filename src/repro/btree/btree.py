@@ -15,6 +15,7 @@ Keys and values are ``bytes``.  Iteration is in lexicographic key order.
 from __future__ import annotations
 
 import bisect
+import operator
 import threading
 from typing import Iterator, List, Optional, Tuple
 
@@ -31,6 +32,17 @@ from repro.btree.node import (
 from repro.btree.pages import InMemoryPageStore, PageStore
 
 _MISSING = object()
+
+
+def _even_cuts(total: int, parts: int):
+    """``(start, end)`` of ``parts`` consecutive runs over ``total`` items,
+    their lengths differing by at most one."""
+    size, extra = divmod(total, parts)
+    start = 0
+    for part in range(parts):
+        end = start + size + (part < extra)
+        yield start, end
+        start = end
 
 
 class BPlusTree:
@@ -366,6 +378,62 @@ class BPlusTree:
                     self.delete(key)
                 elif structural:
                     self.put(key, new)
+
+    # -------------------------------------------------------------- bulk load
+
+    def bulk_load(self, items) -> None:
+        """Fill an empty tree from ``(key, value)`` pairs, keys strictly
+        increasing, bottom up: one ``store.write`` per node.
+
+        Leaves are sized evenly under ``max_keys``, so every non-root node
+        holds at least ``min_keys``; the leaf chain is linked as they are
+        cut, and each inner level is cut the same way from the first key of
+        every child below it.  The empty root is freed and the new root
+        installed.  Only a count-limited tree can be built this way: a store
+        with a page size splits by bytes, and its trees take
+        :meth:`apply_sorted`.
+        """
+        if self.node_byte_limit is not None:
+            raise BTreeError("bulk_load builds count-limited trees only")
+        keys: List[bytes] = []
+        values: List[bytes] = []
+        for key, value in items:
+            keys.append(key)
+            values.append(value)
+        if not {*map(type, keys), *map(type, values)} <= {bytes}:
+            raise BTreeError("bulk_load takes bytes keys and values")
+        if not all(map(operator.lt, keys, keys[1:])):
+            raise BTreeError("bulk_load needs strictly increasing keys")
+        with self._lock:
+            root = self.store.read(self._root_id)
+            if not root.is_leaf or root.keys:
+                raise BTreeError("bulk_load needs an empty tree")
+            if not keys:
+                return
+            # (first key, page id) of each node of the level just built.
+            level = []
+            ids = [self.store.allocate() for _ in range(-(-len(keys) // self.max_keys))]
+            for index, (start, end) in enumerate(_even_cuts(len(keys), len(ids))):
+                next_leaf = ids[index + 1] if index + 1 < len(ids) else NO_PAGE
+                self.store.write(ids[index], LeafNode(keys=keys[start:end],
+                                                      values=values[start:end],
+                                                      next_leaf=next_leaf))
+                level.append((keys[start], ids[index]))
+            while len(level) > 1:
+                # An inner node of n keys has n + 1 children.
+                count = -(-len(level) // (self.max_keys + 1))
+                above = []
+                for start, end in _even_cuts(len(level), count):
+                    children = level[start:end]
+                    page_id = self.store.allocate()
+                    self.store.write(page_id, InnerNode(
+                        keys=[first for first, _id in children[1:]],
+                        children=[child_id for _first, child_id in children]))
+                    above.append((children[0][0], page_id))
+                level = above
+            old_root_id = self._root_id
+            self._move_root(level[0][1])
+            self.store.free(old_root_id)
 
     # ---------------------------------------------------------------- delete
 

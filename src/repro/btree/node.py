@@ -71,7 +71,8 @@ class LeafNode:
 
     def encoded_size(self) -> int:
         """Exact byte length :meth:`encode` would produce, summed afresh."""
-        return NODE_OVERHEAD + sum(map(self.entry_size, range(len(self.keys))))
+        return (NODE_OVERHEAD + LEAF_ENTRY_OVERHEAD * len(self.keys)
+                + sum(map(len, self.keys)) + sum(map(len, self.values)))
 
     def entry_size(self, index: int) -> int:
         """Encoded bytes entry ``index`` contributes."""

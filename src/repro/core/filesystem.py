@@ -36,6 +36,7 @@ from repro.errors import (
 from repro.fulltext.persistent_index import PersistentInvertedIndex
 from repro.integrity import IntegrityContext, Scrubber, ScrubReport
 from repro.index.path_index import normalize_path
+from repro.index.tags import normalize_tag
 from repro.index import (
     TAG_APP,
     TAG_FULLTEXT,
@@ -338,10 +339,11 @@ class HFADFileSystem:
         Recovery runs before any index is opened: the superblock is loaded
         and asked whether its format is one this code serves (a refusal
         leaves the device untouched), the journal's committed tail is
-        replayed onto home locations, and only then are the master tree
-        (metadata, extent maps and name entries: one walk) and the one
+        replayed onto home locations, and only then is the master tree
+        walked once (metadata, extent maps and name entries) and the one
         naming index, the key/value store holding tags and paths alike,
-        rebuilt from the (now consistent) device state.  Full-text postings
+        built from the name entries that walk read, in one sorted
+        bottom-up pass (see :meth:`_rebuild_naming`).  Full-text postings
         and image features re-attach from their persistent index trees
         (recorded in the superblock) without reading any object content —
         mounts cost O(metadata).  Every operation that completed before the crash is
@@ -366,23 +368,38 @@ class HFADFileSystem:
         )
 
     def _rebuild_naming(self) -> None:
-        """Mount-time re-indexing: derive naming state from object metadata.
+        """Mount-time re-indexing: load the name index from the name entries.
 
         Every name, POSIX paths included, is persisted as a master-tree name
-        entry (covered by the WAL) and re-added through the registry, which
-        routes it exactly as the write did.  Full-text postings and image features
-        are read from their persistent index trees where queries need them —
-        no object bytes and no index leaves are read here.
+        entry (covered by the WAL), and every tag but ``FULLTEXT`` and
+        ``IMAGE`` (whose answers live in their on-device index trees) routes
+        to the key/value store.  So the mount resolves each distinct tag
+        once, refuses one routed anywhere else, and builds that store's
+        tree in one sorted bottom-up pass over the entries the mount walk
+        already read, rather than one insert per name.  No object bytes and
+        no index leaves are read here.
         """
-        # The mount walk already materialized every master-tree entry; reuse
-        # it instead of issuing fresh cursors per object.
-        metadata_by_oid, names_by_oid = self.objects.take_mount_inventory()
-        for oid in sorted(metadata_by_oid):
-            for entry in names_by_oid.get(oid, ()):
-                pair = TagValue.parse(entry)
-                if pair.tag not in (TAG_FULLTEXT, TAG_IMAGE):
-                    # (those two are already in the on-device index trees)
-                    self.naming.add_name(oid, pair)
+        by_tag: Dict[bytes, List[Tuple[bytes, int]]] = {}
+        for oid, name in self.objects.take_mount_inventory():
+            tag, _slash, value = name.partition(b"/")
+            by_tag.setdefault(tag, []).append((value, oid))
+        loaded: Dict[str, List[Tuple[bytes, int]]] = {}
+        for raw, entries in by_tag.items():
+            tag = normalize_tag(raw.decode("utf-8"))
+            if tag in (TAG_FULLTEXT, TAG_IMAGE):
+                continue
+            store = self.registry.store_for(tag)
+            if store is not self.keyvalue_index:
+                raise RecoveryError(
+                    f"names under tag {tag!r} route to the {store.name!r} "
+                    "store, which a mount cannot rebuild")
+            loaded.setdefault(tag, []).extend(entries)
+        count = self.keyvalue_index.load(
+            {tag.encode("utf-8"): entries for tag, entries in loaded.items()})
+        self.naming.stats.names_added += count
+        self.registry.stats.inserts += count
+        for tag in loaded:
+            self.registry.touch(tag)
 
     def _durable(self):
         """One WAL transaction bracketing a whole filesystem operation.

@@ -15,12 +15,17 @@ Key layout::
 
 The reverse entries make ``remove_object`` and ``values_for`` cheap, which
 matters because every object deletion must scrub its names from every index.
+``_entry_keys`` is the one encoder of that layout: ``insert`` and ``remove``
+use it one name at a time, and ``load`` — how a mount fills the facade's
+store — for every name at once, sorting the keys and building the tree
+bottom up (``BPlusTree.bulk_load``) instead of inserting them one by one.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.btree import BPlusTree, PageStore
 from repro.errors import IndexStoreError
@@ -40,6 +45,13 @@ def _encode_text(text: str) -> bytes:
     if _SEP in encoded:
         raise IndexStoreError("tag/value strings may not contain NUL bytes")
     return encoded
+
+
+def _entry_keys(tag: bytes, value: bytes, oid: int) -> Tuple[bytes, bytes]:
+    """The forward and the reverse key of one ``(tag, value, oid)`` entry."""
+    packed = _OID.pack(oid)
+    return (b"%s\0%s\0%s\0%s" % (_FORWARD, tag, value, packed),
+            b"%s\0%s\0%s\0%s" % (_REVERSE, packed, tag, value))
 
 
 class PrefixOidCursor(DocIdCursor):
@@ -117,14 +129,8 @@ class KeyValueIndexStore(IndexStore):
 
     # -------------------------------------------------------------- keys
 
-    def _forward_key(self, tag: str, value: str, oid: int) -> bytes:
-        return _FORWARD + _SEP + _encode_text(tag) + _SEP + _encode_text(value) + _SEP + _OID.pack(oid)
-
     def _forward_prefix(self, tag: str, value: str) -> bytes:
         return _FORWARD + _SEP + _encode_text(tag) + _SEP + _encode_text(value) + _SEP
-
-    def _reverse_key(self, oid: int, tag: str, value: str) -> bytes:
-        return _REVERSE + _SEP + _OID.pack(oid) + _SEP + _encode_text(tag) + _SEP + _encode_text(value)
 
     def _reverse_prefix(self, oid: int) -> bytes:
         return _REVERSE + _SEP + _OID.pack(oid) + _SEP
@@ -132,18 +138,38 @@ class KeyValueIndexStore(IndexStore):
     # --------------------------------------------------------- interface
 
     def insert(self, tag: str, value: str, oid: int) -> None:
-        tag = normalize_tag(tag)
-        self._tree.put(self._forward_key(tag, value, oid), b"")
-        self._tree.put(self._reverse_key(oid, tag, value), b"")
+        forward, reverse = _entry_keys(
+            _encode_text(normalize_tag(tag)), _encode_text(value), oid)
+        self._tree.put(forward, b"")
+        self._tree.put(reverse, b"")
 
     def remove(self, tag: str, value: str, oid: int) -> bool:
-        tag = normalize_tag(tag)
-        forward = self._forward_key(tag, value, oid)
+        forward, reverse = _entry_keys(
+            _encode_text(normalize_tag(tag)), _encode_text(value), oid)
         if self._tree.get(forward) is None:
             return False
         self._tree.delete(forward)
-        self._tree.delete(self._reverse_key(oid, tag, value))
+        self._tree.delete(reverse)
         return True
+
+    def load(self, names: Mapping[bytes, Sequence[Tuple[bytes, int]]]) -> int:
+        """Fill an empty store from ``{tag: [(value, oid), ...]}``, tags
+        canonical and every string UTF-8 bytes, in one bottom-up build of
+        the tree rather than one insert per name; returns how many loaded.
+
+        Every entry's keys are built, sorted once and handed to
+        :meth:`~repro.btree.BPlusTree.bulk_load`, which refuses a non-empty
+        store and a repeated name.
+        """
+        keys: List[bytes] = []
+        for tag, entries in names.items():
+            if _SEP in tag or _SEP in b"".join(value for value, _oid in entries):
+                raise IndexStoreError("tag/value strings may not contain NUL bytes")
+            for value, oid in entries:
+                keys += _entry_keys(tag, value, oid)
+        keys.sort()
+        self._tree.bulk_load(zip(keys, repeat(b"")))
+        return len(keys) // 2
 
     def lookup(self, tag: str, value: str) -> List[int]:
         tag = normalize_tag(tag)

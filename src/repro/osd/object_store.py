@@ -31,7 +31,7 @@ import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.btree import BPlusTree, DevicePageStore
 from repro.cache import BufferPool
@@ -207,36 +207,37 @@ class ObjectStore:
             on_root_change=store._master_root_moved,
         )
         master_entries = store._reserve_tree_pages(store._master, store.allocator)
-        # The same walk feeds the naming rebuild: metadata records and name
-        # entries are handed to the filesystem layer via the mount inventory
-        # instead of being re-read with fresh cursors.
-        metadata_by_oid: Dict[int, ObjectMetadata] = {}
-        names_by_oid: Dict[int, List[str]] = {}
+        # The same walk feeds the naming rebuild: name entries are handed
+        # to the filesystem layer via the mount inventory instead of being
+        # re-read with fresh cursors.
+        live: Set[int] = set()
+        names: List[Tuple[int, bytes]] = []
+        name_start = len(_NAME_PREFIX) + _OID.size
         for key, raw in master_entries:
             if key < _OID_END:
-                oid = _OID.unpack(key)[0]
+                live.add(_OID.unpack(key)[0])
                 metadata = ObjectMetadata.from_bytes(raw)
-                metadata_by_oid[oid] = metadata
                 store._clock = max(
                     store._clock, metadata.created_at,
                     metadata.modified_at, metadata.accessed_at,
                 )
             elif key.startswith(_NAME_PREFIX):
-                name_oid = _OID.unpack_from(key, len(_NAME_PREFIX))[0]
-                names_by_oid.setdefault(name_oid, []).append(
-                    key[len(_NAME_PREFIX) + _OID.size:].decode("utf-8")
-                )
+                names.append((_OID.unpack_from(key, len(_NAME_PREFIX))[0],
+                              key[name_start:]))
         store._reserve_chunks(master_entries, store.allocator)
         store._open_content_tree(state["content_root"])
-        store._next_oid = max(state["next_oid"], max(metadata_by_oid, default=0) + 1)
-        store._live_objects = len(metadata_by_oid)
-        store._mount_inventory = (metadata_by_oid, names_by_oid)
+        store._next_oid = max(state["next_oid"], max(live, default=0) + 1)
+        store._live_objects = len(live)
+        # A name entry left without its object's record names nothing.
+        store._mount_inventory = [(oid, name) for oid, name in names if oid in live]
         return store
 
     def take_mount_inventory(self):
-        """Hand over (and clear) the metadata/name snapshot from the mount
-        walk, or ``None`` when the store was not mounted.  The filesystem's
-        naming rebuild consumes this instead of re-walking the master tree."""
+        """Hand over (and clear) the name entries the mount walk read, or
+        ``None`` when the store was not mounted: each live object's names
+        as ``(oid, b"TAG/value")``, the bytes as stored (not decoded), in no
+        particular order.  The filesystem's naming rebuild consumes this
+        instead of re-walking the master tree."""
         inventory = self._mount_inventory
         self._mount_inventory = None
         return inventory

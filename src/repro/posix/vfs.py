@@ -343,21 +343,25 @@ class PosixVFS:
 
     def readdir(self, path: str) -> List[DirEntry]:
         path = normalize_path(path)
-        oid = self._resolve(path)
-        if not self._is_directory(oid):
-            raise NotADirectory(path)
         entries: List[DirEntry] = []
-        for name in self.fs.list_directory(path):
-            child_path = path.rstrip("/") + "/" + name
-            child_oid = self.fs.lookup_path(child_path)
-            if child_oid is None:
-                # An intermediate component with no object of its own (created
-                # by binding a deeper path directly); report it as a directory.
-                entries.append(DirEntry(name=name, oid=-1, is_directory=True))
-            else:
-                entries.append(
-                    DirEntry(name=name, oid=child_oid, is_directory=self._is_directory(child_oid))
-                )
+        # One read view for the listing and every child's lookup: a child
+        # unlinked in between would otherwise read as an intermediate
+        # directory, or vanish under its stat.
+        with self.fs.read_view():
+            oid = self._resolve(path)
+            if not self._is_directory(oid):
+                raise NotADirectory(path)
+            for name in self.fs.list_directory(path):
+                child_path = path.rstrip("/") + "/" + name
+                child_oid = self.fs.lookup_path(child_path)
+                if child_oid is None:
+                    # An intermediate component with no object of its own
+                    # (created by binding a deeper path directly); report it
+                    # as a directory.
+                    entries.append(DirEntry(name=name, oid=-1, is_directory=True))
+                else:
+                    entries.append(DirEntry(name=name, oid=child_oid,
+                                            is_directory=self._is_directory(child_oid)))
         return entries
 
     # ------------------------------------------------------------------

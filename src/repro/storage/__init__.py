@@ -10,15 +10,12 @@ substrate in simulation:
   rotation, SSD, null) so benchmarks can reason about *where* time goes.
 * :mod:`repro.storage.buddy` — the power-of-two buddy allocator cited from
   Knuth [9].
-* :mod:`repro.storage.extent` — variable-length extent descriptors used by
-  the OSD object representation.
 * :mod:`repro.storage.journal` — a write-ahead journal giving the OSD its
   (optional, per Section 3.3) transactional behaviour.
 """
 
 from repro.storage.block_device import BlockDevice, DeviceStats, FaultPlan
 from repro.storage.buddy import BuddyAllocator
-from repro.storage.extent import Extent
 from repro.storage.journal import Journal, JournalRecord
 from repro.storage.latency import (
     HDDLatencyModel,
@@ -32,7 +29,6 @@ __all__ = [
     "DeviceStats",
     "FaultPlan",
     "BuddyAllocator",
-    "Extent",
     "Journal",
     "JournalRecord",
     "LatencyModel",

@@ -10,6 +10,7 @@ import time
 from repro.core import HFADFileSystem
 from repro.errors import RecoveryError
 from repro.fulltext import persistent_index
+from repro.posix import PosixVFS
 
 
 class TestPublicReadsHoldAView:
@@ -72,6 +73,61 @@ class TestPublicReadsHoldAView:
         assert errors == []
         assert wrong == [], f"a read saw a torn index: {wrong[0]}"
         fs.close()
+
+
+class TestReaddirUnderUnlinks:
+    def test_a_listing_never_shows_an_unlinked_child_half_gone(self):
+        # readdir lists the directory, then looks every child up and stats
+        # it.  A writer unlinks and re-creates children meanwhile: a child
+        # gone between the listing and its lookup must not come back as an
+        # intermediate directory (oid -1), nor fail its stat.
+        vfs = PosixVFS()
+        vfs.mkdir("/d")
+        names = [f"f{i:02d}" for i in range(20)]
+        for name in names:
+            vfs.write_file(f"/d/{name}", name.encode())
+        stop = threading.Event()
+        wrong, errors = [], []
+
+        def writer():
+            step = 0
+            while not stop.is_set():
+                path = f"/d/{names[step % len(names)]}"
+                vfs.unlink(path)
+                vfs.write_file(path, b"again")
+                step += 1
+
+        def reader():
+            while not stop.is_set():
+                entries = vfs.readdir("/d")
+                if any(entry.oid == -1 or entry.is_directory for entry in entries):
+                    wrong.append(entries)
+                    stop.set()
+
+        def guarded(loop):
+            try:
+                loop()
+            except Exception as error:  # noqa: BLE001 — reported by the main thread
+                errors.append(error)
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=guarded, args=(loop,), daemon=True)
+                       for loop in (writer, reader)]
+            for thread in threads:
+                thread.start()
+            stop.wait(3.0)
+            stop.set()
+            for thread in threads:
+                thread.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert wrong == [], f"readdir saw a child half unlinked: {wrong[0]}"
+        vfs.fs.close()
 
 
 class TestCheckpointInsideAView:

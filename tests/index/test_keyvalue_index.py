@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import IndexStoreError
+from repro.errors import BTreeError, IndexStoreError
 from repro.index import TAG_APP, TAG_UDEF, TAG_USER, KeyValueIndexStore, TagValue
 
 
@@ -102,3 +102,28 @@ class TestKeyValueIndex:
             model.setdefault((tag, value), set()).add(oid)
         for (tag, value), oids in model.items():
             assert store.lookup(tag, value) == sorted(oids)
+
+
+class TestLoad:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sets(st.tuples(st.sampled_from(["USER", "PL", "PL-", "PLACE"]),
+                             st.text(alphabet="ab/é", max_size=3),
+                             st.integers(0, 1 << 40)), max_size=80))
+    def test_load_holds_what_inserts_give(self, entries):
+        inserted, loaded = KeyValueIndexStore(), KeyValueIndexStore()
+        grouped = {}
+        for tag, value, oid in entries:
+            inserted.insert(tag, value, oid)
+            grouped.setdefault(tag.encode(), []).append((value.encode(), oid))
+        assert loaded.load(grouped) == len(entries)
+        assert list(loaded._tree.items()) == list(inserted._tree.items())
+        loaded._tree.check_invariants()
+
+    def test_load_refuses_nul_bytes_and_a_non_empty_store(self):
+        with pytest.raises(IndexStoreError):
+            KeyValueIndexStore().load({b"UDEF": [(b"bad\x00value", 1)]})
+        store = KeyValueIndexStore()
+        store.insert(TAG_UDEF, "x", 1)
+        with pytest.raises(BTreeError):
+            store.load({b"UDEF": [(b"y", 2)]})
+        assert store.values_for(1) == [TagValue(TAG_UDEF, "x")]
