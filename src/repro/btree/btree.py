@@ -138,23 +138,28 @@ class BPlusTree:
 
     # ---------------------------------------------------------------- lookups
 
-    def _find_leaf(self, key: bytes) -> Tuple[int, LeafNode]:
-        """Descend to the leaf that would hold ``key``."""
-        page_id = self._root_id
+    def _find_leaf(self, key: bytes) -> Tuple[int, LeafNode, Optional[bytes]]:
+        """Descend to the leaf that would hold ``key``; also returns the
+        leaf's exclusive upper bound (the separator right of it on the way
+        down, None for the rightmost leaf): every key from ``key`` up to it
+        lives in this leaf."""
+        page_id, upper = self._root_id, None
         node = self.store.read(page_id)
         self.node_visits += 1
         while not node.is_leaf:
             index = bisect.bisect_right(node.keys, key)
+            if index < len(node.keys):
+                upper = node.keys[index]
             page_id = node.children[index]
             node = self.store.read(page_id)
             self.node_visits += 1
-        return page_id, node
+        return page_id, node, upper
 
     def lookup(self, key: bytes) -> bytes:
         """Return the value for ``key`` or raise :class:`KeyNotFoundError`."""
         key = self._check_key(key)
         with self._lock:
-            _page_id, leaf = self._find_leaf(key)
+            _page_id, leaf, _upper = self._find_leaf(key)
             index = bisect.bisect_left(leaf.keys, key)
             if index < len(leaf.keys) and leaf.keys[index] == key:
                 return leaf.values[index]
@@ -166,6 +171,25 @@ class BPlusTree:
             return self.lookup(key)
         except KeyNotFoundError:
             return default
+
+    def get_many(self, keys) -> List[Optional[bytes]]:
+        """The values of ``keys`` (strictly increasing), None for an absent
+        one.  One descent serves every key below the leaf's upper bound;
+        only a key past it descends again."""
+        values: List[Optional[bytes]] = []
+        with self._lock:
+            leaf = upper = previous = None
+            for key in keys:
+                key = self._check_key(key)
+                if previous is not None and key <= previous:
+                    raise BTreeError("get_many needs strictly increasing keys")
+                if leaf is None or (upper is not None and key >= upper):
+                    _page_id, leaf, upper = self._find_leaf(key)
+                index = bisect.bisect_left(leaf.keys, key)
+                found = index < len(leaf.keys) and leaf.keys[index] == key
+                values.append(leaf.values[index] if found else None)
+                previous = key
+        return values
 
     def first(self) -> Tuple[bytes, bytes]:
         """Return the smallest ``(key, value)`` pair."""
@@ -323,16 +347,8 @@ class BPlusTree:
         done = 0
         with self._lock:
             while done < len(updates):
-                page_id, node, upper = self._root_id, self.store.read(self._root_id), None
-                self.node_visits += 1
-                while not node.is_leaf:  # _find_leaf, remembering the bound
-                    index = bisect.bisect_right(node.keys, updates[done][0])
-                    if index < len(node.keys):
-                        upper = node.keys[index]
-                    page_id = node.children[index]
-                    node = self.store.read(page_id)
-                    self.node_visits += 1
-                leaf, keys, values = node, node.keys, node.values
+                page_id, leaf, upper = self._find_leaf(updates[done][0])
+                keys, values = leaf.keys, leaf.values
                 dirty = structural = False
                 while done < len(updates) and not structural:
                     key, fn = updates[done]

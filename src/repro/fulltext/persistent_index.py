@@ -260,6 +260,16 @@ class _TermView:
     def get(self, key: bytes) -> Optional[bytes]:
         return self.edits[key] if key in self.edits else self.tree.get(key)
 
+    def get_many(self, keys: List[bytes]) -> List[Optional[bytes]]:
+        """``get`` of each of ``keys`` (increasing): those the edits miss in
+        one :meth:`BPlusTree.get_many`."""
+        edits = self.edits
+        try:
+            return [edits[key] for key in keys]  # all edited: no tree read
+        except KeyError:
+            found = iter(self.tree.get_many([key for key in keys if key not in edits]))
+            return [edits[key] if key in edits else next(found) for key in keys]
+
     def put(self, key: bytes, value: Optional[bytes], prefix: Optional[bytes] = None) -> None:
         """Record ``key``'s final value; ``prefix`` files a block key under its term."""
         if prefix is not None and key not in self.edits:
@@ -534,21 +544,20 @@ class PersistentInvertedIndex:
         """
         view, prefix = self._view, self._posting_prefix(term)
         key = prefix + _OID.pack(doc_id >> BLOCK_SHIFT)
-        raw = view.get(key)
+        stats_key = prefix[:-1] + _TERM_STATS_END  # the key right after the term's blocks
+        raw, raw_stats = view.get_many([key, stats_key])
         block, present = _edit_block(raw, doc_id, tf)
         if block != raw:
             view.put(key, block, prefix)
-        key = prefix[:-1] + _TERM_STATS_END
-        raw = view.get(key)
-        df, max_tf, min_len = _DF_RECORD.unpack(raw) if raw else (0, 0, 0)
+        df, max_tf, min_len = _DF_RECORD.unpack(raw_stats) if raw_stats else (0, 0, 0)
         df += (tf > 0) - present
         if tf:
             max_tf = max(max_tf, tf)
             min_len = length if min_len == 0 else min(min_len, length)
         # The bounds stay (conservative) until the last posting goes.
         stats = _DF_RECORD.pack(df, max_tf, min_len) if df else None
-        if stats != raw:
-            view.put(key, stats)
+        if stats != raw_stats:
+            view.put(stats_key, stats)
 
     def _load_backlog(self) -> None:
         """Re-derive the overlay a crash lost: the ``R`` range, then the ``P``

@@ -74,6 +74,25 @@ delta is only taken against an image logged by the same transaction or by
 one whose commit marker is already in the log, so a base can never be
 discarded as uncommitted while its delta survives.
 
+**Run lists.**  One splice carries everything from the first changed byte
+to the last, so a leaf that took several scattered edits (a settle batch
+adds a row to many terms of one leaf) would log nearly all of itself.  A
+middle longer than :data:`RUN_SEARCH_ABOVE` bytes is therefore searched for
+runs it shares with the base, and when those make it strictly smaller it
+travels as a run list, flagged by the top bit of ``head_len``::
+
+    middle = run*
+    run    = lit_len:u16 | copy_from:u16 | copy_len:u16 | literal
+           -> literal + old[copy_from : copy_from + copy_len]
+
+``copy_from`` is an absolute offset into the base (a page is at most 65,535
+bytes).  The search anchors a :data:`RUN_PROBE`-byte piece of the middle,
+taken at 1/2, 1/4 or 3/4 of it, in the base, extends the match both ways and
+searches the two sides the same way.  A short middle is never searched, so
+its delta is the single splice every earlier journal holds, and those
+journals replay unchanged.  A run that reaches past the base or the payload
+is a :class:`~repro.errors.JournalError`, like a splice that does not fit.
+
 **First touch.**  The first record for a page the log holds no image of —
 after a checkpoint (journal truncation), a ``REVOKE`` or a replay — is a
 ``HOME_DELTA``: ``crc32(base)`` followed by a ``DELTA`` payload against the
@@ -162,45 +181,150 @@ _DELTA_HEADER = struct.Struct(">BIII")
 #: header (5 bytes: type, entry count) change on almost every write.
 DELTA_HEAD = 17
 
+#: a delta's middle longer than this many bytes is searched for runs it
+#: shares with the base (module docstring, "Run lists"); shorter ones stay raw.
+RUN_SEARCH_ABOVE = 96
+#: bytes of a long middle looked up in the base to anchor a shared run.
+RUN_PROBE = 24
+# A run:  lit_len | copy_from | copy_len  (big-endian u16s), then the literal.
+_RUN = struct.Struct(">HHH")
+# Set in ``head_len`` when the middle is a run list; DELTA_HEAD is below it.
+_RUNS_FLAG = 0x80
+# Bytes :func:`_agree` narrows a difference down to before it XORs them.
+_XOR_WINDOW = 256
+assert PAGE_BYTES <= 0xFFFF, "a run's offsets and lengths are u16"
 
-def _shared_run(a: bytes, b: bytes, byteorder: str) -> int:
-    """Bytes two equal-length strings share at their start (``"big"``) or at
-    their end (``"little"``): the XOR of the two as integers has its highest
-    set bit in the first byte that differs."""
-    diff = int.from_bytes(a, byteorder) ^ int.from_bytes(b, byteorder)
-    return len(a) - (diff.bit_length() + 7) // 8
+
+def _agree(a: bytes, at_a: int, b: bytes, at_b: int, room: int, forward: bool) -> int:
+    """How many bytes, at most ``room``, ``a`` and ``b`` agree on going
+    forward from ``a[at_a]`` and ``b[at_b]``, or backward from just before.
+
+    One memcmp settles a whole side shared (a pure insert or removal);
+    otherwise halving memcmps narrow the first difference to a small
+    window, and the XOR of its two pieces as integers has its highest set
+    bit in the byte that differs.  Offsets ``agreed`` / ``differs`` count
+    away from ``at`` in the walk's direction.
+    """
+    if forward:
+        if a[at_a:at_a + room] == b[at_b:at_b + room]:
+            return room
+    elif a[at_a - room:at_a] == b[at_b - room:at_b]:
+        return room
+    agreed, differs = 0, room
+    while differs - agreed > _XOR_WINDOW:
+        middle = (agreed + differs) // 2
+        if forward:
+            same = a[at_a + agreed:at_a + middle] == b[at_b + agreed:at_b + middle]
+        else:
+            same = a[at_a - middle:at_a - agreed] == b[at_b - middle:at_b - agreed]
+        agreed, differs = (middle, differs) if same else (agreed, middle)
+    if forward:
+        x, y = a[at_a + agreed:at_a + differs], b[at_b + agreed:at_b + differs]
+    else:
+        x, y = a[at_a - differs:at_a - agreed], b[at_b - differs:at_b - agreed]
+    order = "big" if forward else "little"
+    diff = int.from_bytes(x, order) ^ int.from_bytes(y, order)
+    return differs - (diff.bit_length() + 7) // 8
+
+
+def _copies(old: bytes, new: bytes, o0: int, o1: int, n0: int, n1: int,
+            out: List[Tuple[int, int, int]]) -> None:
+    """Append ``(at, source, length)`` for runs of ``new[n0:n1]`` that
+    ``old[o0:o1]`` holds, in order.
+
+    The region's ends differ (the caller's splice or run stopped at them),
+    so a run is only found inside: around a :data:`RUN_PROBE`-byte probe at
+    1/2, 1/4 or 3/4 of a region longer than :data:`RUN_SEARCH_ABOVE`,
+    extended both ways as far as the bytes agree; then the side before it is
+    searched the same way, and the side after it next.
+    """
+    while n1 - n0 > RUN_SEARCH_ABOVE:
+        span = n1 - n0 - RUN_PROBE
+        for at in (n0 + span // 2, n0 + span // 4, n0 + 3 * span // 4):
+            hit = old.find(new[at:at + RUN_PROBE], o0, o1)
+            if hit >= 0:
+                break
+        else:
+            return
+        back = _agree(old, hit, new, at, min(hit - o0, at - n0), False)
+        ahead = _agree(old, hit, new, at, min(o1 - hit, n1 - at), True)
+        _copies(old, new, o0, hit - back, n0, at - back, out)
+        out.append((at - back, hit - back, back + ahead))
+        o0, n0 = hit + ahead, at + ahead
+
+
+def _run_list(old: bytes, new: bytes, o0: int, o1: int, n0: int, n1: int) -> Optional[bytes]:
+    """``new[n0:n1]`` as runs against ``old`` when the base holds enough of
+    it, in fewer bytes than the raw middle; None otherwise."""
+    copies: List[Tuple[int, int, int]] = []
+    _copies(old, new, o0, o1, n0, n1, copies)
+    trailing = n1 > (copies[-1][0] + copies[-1][2] if copies else n0)
+    literal = n1 - n0 - sum(length for _at, _source, length in copies)
+    if _RUN.size * (len(copies) + trailing) + literal >= n1 - n0:
+        return None
+    runs, cursor = [], n0
+    for at, source, length in copies:
+        runs += (_RUN.pack(at - cursor, source, length), new[cursor:at])
+        cursor = at + length
+    if trailing:
+        runs += (_RUN.pack(n1 - cursor, 0, 0), new[cursor:n1])
+    return b"".join(runs)
 
 
 def encode_delta(old: bytes, new: bytes) -> bytes:
     """The ``DELTA`` payload that rebuilds ``new`` from ``old``."""
     limit = min(len(old), len(new))
     head_len = min(DELTA_HEAD, limit)
-    prefix = _shared_run(old[head_len:limit], new[head_len:limit], "big")
-    room = limit - head_len - prefix  # the suffix may not overlap the prefix
-    old_tail, new_tail = old[len(old) - room:], new[len(new) - room:]
-    # A pure insert or removal leaves the whole tail shared: one memcmp.
-    suffix = room if old_tail == new_tail else _shared_run(old_tail, new_tail, "little")
-    return (_DELTA_HEADER.pack(head_len, prefix, suffix, zlib.crc32(new))
-            + new[:head_len] + new[head_len + prefix:len(new) - suffix])
+    prefix = _agree(old, head_len, new, head_len, limit - head_len, True)
+    # the suffix may not overlap the prefix
+    suffix = _agree(old, len(old), new, len(new), limit - head_len - prefix, False)
+    middle_start, middle_end = head_len + prefix, len(new) - suffix
+    runs = None
+    # A run's offsets are u16: every page fits, arbitrary bytes may not.
+    if middle_end - middle_start > RUN_SEARCH_ABOVE and max(len(old), len(new)) <= 0xFFFF:
+        runs = _run_list(old, new, middle_start, len(old) - suffix, middle_start, middle_end)
+    flag, middle = (0, new[middle_start:middle_end]) if runs is None else (_RUNS_FLAG, runs)
+    return (_DELTA_HEADER.pack(head_len | flag, prefix, suffix, zlib.crc32(new))
+            + new[:head_len] + middle)
+
+
+def _apply_runs(runs: bytes, start: int, old: bytes) -> List[bytes]:
+    """The pieces a run-list middle (``runs[start:]``) rebuilds from ``old``."""
+    pieces, end = [], len(runs)
+    while start < end:
+        if start + _RUN.size > end:
+            raise JournalError("page delta's run list does not fit its payload")
+        literal, source, length = _RUN.unpack_from(runs, start)
+        start += _RUN.size
+        if start + literal > end or source + length > len(old):
+            raise JournalError("page delta's run does not fit its payload or base")
+        pieces += (runs[start:start + literal], old[source:source + length])
+        start += literal
+    return pieces
 
 
 def apply_delta(delta: bytes, old: bytes) -> bytes:
     """Rebuild the image ``delta`` was encoded for from its base ``old``.
 
-    Raises :class:`~repro.errors.JournalError` when the splice does not fit
-    the base or the result fails the CRC the delta carries — the base is not
-    the image the delta was taken against.
+    Raises :class:`~repro.errors.JournalError` when the splice or a run does
+    not fit the base or the payload, or the result fails the CRC the delta
+    carries — the base is not the image the delta was taken against.
     """
     if len(delta) < _DELTA_HEADER.size:
         raise JournalError("page delta shorter than its header")
-    head_len, prefix, suffix, crc = _DELTA_HEADER.unpack_from(delta, 0)
+    flagged, prefix, suffix, crc = _DELTA_HEADER.unpack_from(delta, 0)
+    head_len = flagged & ~_RUNS_FLAG
     middle_start = _DELTA_HEADER.size + head_len
     if middle_start > len(delta) or head_len + prefix + suffix > len(old):
         raise JournalError("page delta does not fit its base image")
+    if flagged & _RUNS_FLAG:
+        middle = _apply_runs(delta, middle_start, old)
+    else:
+        middle = [delta[middle_start:]]
     new = b"".join((
         delta[_DELTA_HEADER.size:middle_start],
         old[head_len:head_len + prefix],
-        delta[middle_start:],
+        *middle,
         old[len(old) - suffix:],
     ))
     if zlib.crc32(new) != crc:

@@ -139,7 +139,7 @@ class TestWriteCounts:
         return tree
 
     def leaf_keys(self, tree, probe):
-        _page_id, leaf = tree._find_leaf(key(probe))
+        _page_id, leaf, _upper = tree._find_leaf(key(probe))
         return [int(k[1:]) for k in leaf.keys]
 
     def test_a_batch_inside_one_leaf_is_one_write(self):

@@ -21,7 +21,7 @@ def extent_leaf():
         prefix = _EXTENT_PREFIX + struct.pack(">Q", oid)
         first = master.cursor(prefix=prefix).first()
         assert first is not None, f"object {oid} has no extents"
-        page_id, leaf = master._find_leaf(first[0])
+        page_id, leaf, _upper = master._find_leaf(first[0])
         assert all(key in leaf.keys for key, _ in master.cursor(prefix=prefix)), (
             f"object {oid}'s extent run spans leaves"
         )

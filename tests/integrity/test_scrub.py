@@ -100,6 +100,44 @@ class TestRepair:
         assert fs.search_text("searchable") == oids
         fs.close()
 
+    def test_repair_from_a_chain_with_a_run_list_delta(self):
+        from repro.integrity import frame_page
+        from repro.storage.journal import _RUNS_FLAG, TYPE_DATA, TYPE_DELTA
+
+        device, fs = make_fs()
+        words = [f"w{i:02d}" for i in range(40)]
+        oids = []
+        for settle in range(2):
+            # Every document holds every term: a settle adds a row to each
+            # term's block, edits scattered over the leaves they share.
+            for i in range(6):
+                oids.append(fs.create(" ".join(words[i % 3:] + words[:i % 3]).encode(),
+                                      path=f"/s{settle}/{i}.txt"))
+            fs.fulltext_index.index.settle()
+        fs.recovery.journal.sync()
+        chains = {}
+        for _txid, records in fs.recovery.journal.scan():
+            for record in records:
+                chains.setdefault(record.block, []).append(record)
+        store = fs._fulltext_tree.store
+        pages, walk = set(), [fs._fulltext_tree.root_id]
+        while walk:
+            pages.add(walk[-1])
+            node = store.read(walk.pop())
+            walk += [] if node.is_leaf else node.children
+        leaf = next(block for block in sorted(pages & chains.keys())
+                    if chains[block][0].rtype == TYPE_DATA and any(
+                        record.rtype == TYPE_DELTA and record.data[0] & _RUNS_FLAG
+                        for record in chains[block]))
+        expected = frame_page(store.read(leaf).encode())
+        store._consumer.drop_all(write_back=True)  # no cache source
+        device.flip_bit(leaf, 40)
+        report = fs.scrub()
+        assert report.repaired_from_wal == 1 and report.quarantined == 0
+        assert device.read_blocks(leaf, store.page_blocks)[:len(expected)] == expected
+        assert fs.search_text("w07") == oids
+        fs.close()
+
     def test_unrepairable_page_is_quarantined(self):
         device, fs = make_fs()
         populate(fs)

@@ -1,6 +1,8 @@
-"""Page deltas in the journal: the splice codec, when a record becomes a
-delta, and the one fold replay and the scrubber's repair source share."""
+"""Page deltas in the journal: the splice codec and its run lists, when a
+record becomes a delta, and the one fold replay and the scrubber's repair
+source share."""
 
+import base64
 import struct
 import zlib
 
@@ -14,8 +16,11 @@ from repro.errors import JournalError
 from repro.integrity import FRAME_OVERHEAD, frame_page
 from repro.storage import BlockDevice, Journal
 from repro.storage.journal import (
+    _RECORD_HEADER,
+    _RUNS_FLAG,
     DELTA_HEAD,
     RECORD_OVERHEAD,
+    RUN_SEARCH_ABOVE,
     TYPE_COMMIT,
     TYPE_DATA,
     TYPE_DELTA,
@@ -51,6 +56,29 @@ def versions(count, start=20):
     """``count`` successive images of one page: one posting inserted each time."""
     return [page(list(range(0, 2 * start, 2)) + list(range(1, 2 * n, 2)))
             for n in range(count)]
+
+
+def settle_versions(count, terms=24, start=0):
+    """``count`` successive images of one posting leaf: each adds a row to
+    every third term's block — the scattered edits one settle batch makes,
+    which a single splice carries as nearly the whole leaf."""
+    rows = [1 + (term * 7 + start) % 3 for term in range(terms)]
+    images = []
+    for version in range(count):
+        keys = [b"T\x00w%02d\x00" % term + struct.pack(">Q", 0) for term in range(terms)]
+        values = [b"".join(struct.pack(">QI", 1000 * term + row, row + 1)
+                           for row in range(rows[term]))
+                  for term in range(terms)]
+        images.append(frame_page(LeafNode(keys=keys, values=values).encode()))
+        for term in range((version + start) % 3, terms, 3):
+            rows[term] += 1
+    return images
+
+
+def runs_flagged(rtype, payload):
+    """Whether a ``DELTA`` / ``HOME_DELTA`` payload carries a run list."""
+    head_len = payload[4 if rtype == TYPE_HOME_DELTA else 0]  # past crc32(base)
+    return bool(head_len & _RUNS_FLAG)
 
 
 def commit(journal, *writes):
@@ -112,6 +140,86 @@ class TestSpliceCodec:
             apply_delta(delta, second[:40])
         with pytest.raises(JournalError, match="shorter"):
             apply_delta(delta[:5], second)
+
+
+def edited(base, edits):
+    """``base`` after ``(kind, at, piece)`` inserts, deletes and overwrites."""
+    new = bytearray(base)
+    for kind, at, piece in edits:
+        at %= len(new) + 1
+        if kind == "insert":
+            new[at:at] = piece
+        elif kind == "delete":
+            del new[at:at + len(piece)]
+        else:
+            new[at:at + len(piece)] = piece
+    return bytes(new)
+
+
+def posting_rows(rows, step):
+    """Low-entropy bytes shaped like a posting block: ``(oid, tf)`` rows."""
+    return b"".join(struct.pack(">QI", 1000 + step * row, 1 + row % 2) for row in range(rows))
+
+
+PAGES = st.one_of(
+    st.binary(max_size=4096),
+    st.builds(lambda unit, count: (unit * count)[:4096],
+              st.binary(min_size=1, max_size=12), st.integers(0, 400)),
+    st.builds(lambda rows, step: posting_rows(rows, step)[:4096],
+              st.integers(0, 340), st.integers(1, 3)),
+)
+EDITS = st.lists(
+    st.tuples(st.sampled_from(("insert", "delete", "overwrite")),
+              st.integers(0, 4096), st.binary(min_size=1, max_size=64)),
+    max_size=12,
+)
+
+
+class TestRunLists:
+    @settings(max_examples=300, deadline=None)
+    @given(old=PAGES, edits=EDITS)
+    @example(old=posting_rows(300, 1), edits=[("insert", 900, b"r" * 12),
+                                              ("overwrite", 2500, b"w" * 12)])
+    def test_scattered_edits_round_trip(self, old, edits):
+        new = edited(old, edits)
+        delta = encode_delta(old, new)
+        assert apply_delta(delta, old) == new
+        flagged, prefix, suffix, _crc = struct.unpack_from(">BIII", delta)
+        head_len = flagged & ~_RUNS_FLAG
+        middle = len(new) - head_len - prefix - suffix
+        if flagged & _RUNS_FLAG:
+            # Only a long middle is searched, and its run list must be
+            # strictly smaller than the middle carried raw.
+            assert middle > RUN_SEARCH_ABOVE
+            assert len(delta) - 13 - head_len < middle
+        else:
+            assert len(delta) == 13 + head_len + middle
+
+    def test_scattered_row_edits_take_a_run_list(self):
+        images = settle_versions(3)
+        for old, new in zip(images, images[1:]):
+            delta = encode_delta(old, new)
+            assert runs_flagged(TYPE_DELTA, delta)
+            assert len(delta) < len(new) // 3  # a splice would carry ~all of it
+            assert apply_delta(delta, old) == new
+
+    def test_a_malformed_run_list_is_an_error_not_a_page(self):
+        base = bytes(range(200))
+        head = base[:DELTA_HEAD]
+        new = head + b"abc" + base[20:120]
+
+        def delta(*runs):
+            return (struct.pack(">BIII", DELTA_HEAD | _RUNS_FLAG, 0, 0, zlib.crc32(new))
+                    + head + b"".join(runs))
+
+        assert apply_delta(delta(struct.pack(">HHH", 3, 20, 100), b"abc"), base) == new
+        for runs in (
+            (struct.pack(">HHH", 3, 150, 100), b"abc"),       # a copy past the base's end
+            (struct.pack(">HHH", 40, 20, 100), b"abc"),       # a literal past the payload
+            (struct.pack(">HHH", 3, 20, 100), b"abc\x00\x01"),  # trailing bytes
+        ):
+            with pytest.raises(JournalError, match="does not fit"):
+                apply_delta(delta(*runs), base)
 
 
 # ---------------------------------------------------------------- what gets logged
@@ -604,3 +712,133 @@ class TestHomeFold:
         assert journal.latest_page_image(BLOCK) == images[2]
         device.flip_bit(BLOCK, 8 * 200)  # rot under the chain: no image at all
         assert journal.latest_page_image(BLOCK) is None
+
+
+# ---------------------------------------------------------------- run lists through a crash
+
+def record_spans(log):
+    """``(start, end, rtype, payload)`` of each record in a raw log."""
+    spans, at = [], 0
+    while at + RECORD_OVERHEAD <= len(log):
+        _magic, rtype, _txid, _lsn, _block, length, _crc = _RECORD_HEADER.unpack_from(log, at)
+        end = at + RECORD_OVERHEAD + length
+        spans.append((at, end, rtype, log[at + RECORD_OVERHEAD:end]))
+        at = end
+    return spans
+
+
+class TestRunListCrashes:
+    """A crash may cut the log at any byte: at a record boundary, or inside
+    a record (a torn append).  Whatever the cut, replay must leave every
+    page as the last transaction committed before it left it — with
+    run-list ``DELTA`` and ``HOME_DELTA`` records in the chains, and from a
+    home that still holds the base or already the newest such image."""
+
+    @pytest.mark.parametrize("block_size", [512, PAGE])
+    def test_every_cut_of_the_log_replays_the_committed_prefix(self, block_size):
+        device = BlockDevice(num_blocks=256, block_size=block_size)
+        journal = reopen(device)
+        images, others = settle_versions(6), settle_versions(4, start=1)
+        state = {BLOCK: images[0], OTHER: others[0]}
+        for block, image in state.items():  # what the last checkpoint left home
+            device.write_blocks(block, image)
+        homes = device.dump()
+        committed = [(0, dict(state))]  # (log bytes, the pages as they stand)
+        for writes in ([(BLOCK, images[1]), (OTHER, others[1])],
+                       [(BLOCK, images[2]), (BLOCK, images[3])],
+                       [(OTHER, others[2])],
+                       [(BLOCK, images[4]), (OTHER, others[3])],
+                       [(BLOCK, images[5])]):
+            commit(journal, *writes)
+            state.update(writes)
+            committed.append((journal.bytes_used, dict(state)))
+        log = bytes(journal._log)
+        spans = record_spans(log)
+        kinds = {rtype for _start, _end, rtype, payload in spans
+                 if rtype in (TYPE_DELTA, TYPE_HOME_DELTA) and runs_flagged(rtype, payload)}
+        # A page of one block starts its chain from the home, of several from an image.
+        assert kinds == ({TYPE_DELTA, TYPE_HOME_DELTA} if block_size == PAGE else {TYPE_DELTA})
+        cuts = {0, len(log)} | {end for _start, end, *_rest in spans}
+        cuts |= {point for start, end, *_rest in spans
+                 for point in (start + 1, (start + end) // 2, end - 1)}
+        for cut in sorted(cuts):
+            expected = max((entry for entry in committed if entry[0] <= cut),
+                           key=lambda entry: entry[0])[1]
+            for written_back in (False, True):
+                crashed = BlockDevice(num_blocks=256, block_size=block_size)
+                crashed.load(homes)
+                if written_back:  # the pool wrote the newest durable images home
+                    for block, image in expected.items():
+                        crashed.write_blocks(block, image)
+                reopen(crashed)._write_log_region(0, log[:cut])
+                fresh = reopen(crashed)
+                fresh.replay()
+                assert fresh.last_replay_unresolved == []
+                for block, image in expected.items():
+                    assert home(crashed, block, len(image)) == image, (cut, block)
+
+
+# A journal the single-splice encoder wrote (before run lists existed):
+# ``TestParentJournal`` below logs the same transactions.  zlib + base64.
+PARENT_JOURNAL = """
+eNrNmV9IFFEUxkfd9X+ZiTggYurEmpTc3VxdDSRXWcMH08WNtnqoKNuMwCQQAiPzxfIxyoyK
+0oSgAk0EM+zFF8seKiHSKKynzIhKCjOI9uiO57jdblNbziysc9DvzPlkZn9+x/G5SsoipYVX
+WNBxnySZPN+nemY7P9tfJvq/kex/12e/6+/a4qoq9/9wqLbrYj+oZVnCFz1NuP+9skZqZFYi
+kALqiDeojpiiahtVKwuHqEeojnocUEP9BNrVzo2cOXED2Bl3h87J46gTrqA64SpV2zmuklpR
+nXQKXSWdpq7yOXNS6rEz5QidU8BRp25HdaqXqh0cV+mbUZ1egq7SndRVIWdOVjZ2Zq0jc6yM
+o7asQrUlkaqtHFc5s6jO+YqucuaIK6uNMyd3EjtzX9E5vOttG0G17T5V53Fc5fegOr8XXeXf
+pq7snDlF57GzqIPO4V3v4hOoLm6m6gKOK6cP1c6D6MpZR105OHNcVdjpqqZzeNe7woHqikKi
+tjGOq8o1qK7MQFeVmcSVjfdZd0djpzsGOn0c8gROJ/l/edPhraPJzUN7TTVwX5XCbTLQsmtG
+JU+3S2qaJw8TsATqtwFncJj2fzFxGRMfxJhQWcIELIG6E10ldFFXdo6rRcaEyhImYAnUO9BV
+6k7qysFxtciYUFnCBCyBejW6siQRV0sZEx/EmFBZwgQsgfoBurKNUld5HFeLjAmVJUzAEqhP
+oqviFuqqgONqkTGhsoQJWAJ1Ebqq2ERcLWVMfBBj/oAlqtrGceX5gGrPR3Tl+YSuPDPgCogU
+HkSkCHrGjLZuF4jMQbgykcDUe9det1ZFlnNyzPd+AVnmtPWZxxvnkaVoRJZ+UUjRiC/9YpGi
+EWX6RSRFI9b0i0uKRsTpF50UjbjTL0YpGtG3LJGKi0FFCwYp+tSjmZ6lz30tjaJP5WIkos+c
+ODzekAu3eJP/HT385dz1APqaBpsjz9C09luAQT1GE4guMGMaYQZ1G3WrC9iYRrBBXUrd6gI5
+phFyUH+jSUYX4DGNwIO6j7rVBX5MI/ygPkTd6gJCphGEUGfR9Pi/oah28vYC7zPs9I5jp3cC
+3Xqfq6kymJpRZM/tTjl7bzd8ZoAs0Zcnt42ogTHDeimN/neNS01jbKqygJTG2FplAR2NscHK
+AiIaY5uVBRQ0xmYrC8hnjC1XFtBu2TdeLuHkXxGOhkSVZNG003SgPYziTt2LY0hI9NbuWTGn
+PkxoNbU/nQ7g7sXEfns53Y+5DxPUgBrBfbDw95v1vwmmigC9UA/S+YYKqYoAyVA30PmGCqyK
+ANVQ59CYZKjwqggQDvVrOt9QQVYRoB3qC3S+oUKtIkA+1G4631ABVxH8KYA6Vt3jg+kbi/SV
+0o8drX7ov8fNcP0tN8bKbv5E3zCKefUccdRJxy224QcVvAHK
+"""
+
+
+class TestParentJournal:
+    def images(self):
+        """The images the fixture's transactions logged, in order."""
+        images = settle_versions(5)
+        last = images[-1]
+        images.append(last[:-40] + bytes([last[-40] ^ 1]) + last[-39:])  # a one-byte edit
+        return images, settle_versions(3, start=1)
+
+    def test_a_journal_of_single_splices_replays_byte_identically(self):
+        images, others = self.images()
+        device = BlockDevice(num_blocks=256)
+        device.write_block(BLOCK, images[0])
+        device.write_block(OTHER, others[0])
+        log = zlib.decompress(base64.b64decode("".join(PARENT_JOURNAL.split())))
+        reopen(device)._write_log_region(0, log)
+        fresh = reopen(device)
+        assert len(fresh.replay()) == 4
+        assert home(device, BLOCK, len(images[-1])) == images[-1]
+        assert home(device, OTHER, len(others[-1])) == others[-1]
+        assert fresh.last_replay_unresolved == []
+
+    def test_short_deltas_encode_as_they_always_did(self):
+        # Only a long middle may take a run list: every other payload in
+        # the old journal is exactly what today's encoder writes.
+        images, _others = self.images()
+        log = zlib.decompress(base64.b64decode("".join(PARENT_JOURNAL.split())))
+        chain = [payload for start, _end, rtype, payload in record_spans(log)
+                 if rtype == TYPE_DELTA and _RECORD_HEADER.unpack_from(log, start)[4] == BLOCK]
+        pairs = list(zip(images[1:], images[2:]))
+        assert len(chain) == len(pairs) == 4
+        for payload, (old, new) in zip(chain, pairs):
+            assert not runs_flagged(TYPE_DELTA, payload)
+            today = encode_delta(old, new)
+            if runs_flagged(TYPE_DELTA, today):
+                assert len(today) < len(payload)
+            else:
+                assert today == payload
+        assert not runs_flagged(TYPE_DELTA, encode_delta(images[-2], images[-1]))
