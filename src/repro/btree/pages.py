@@ -242,7 +242,7 @@ class DevicePageStore(PageStore):
         self._consumer.invalidate(page_id)
         if self.recovery is not None:
             # The block may be recycled for *unlogged* object data; hold it
-            # until the freeing transaction's commit marker is durable, or a
+            # until the freeing transaction's frame is durable, or a
             # crash could resurrect a tree whose page bytes were overwritten.
             # A partial, not a lambda: fsck reads which block is pending.
             self.recovery.on_durable(partial(self.allocator.free, page_id))

@@ -130,7 +130,7 @@ class HFADFileSystem:
         every commit; larger values trade a bounded loss window for
         throughput — see ``repro.recovery``).
     :param sync_interval_ms: upper bound on how long a group-committed
-        (buffered) commit marker may wait for its covering sync — the WAL
+        (buffered) frame may wait for its covering sync — the WAL
         idle flusher.  ``None`` auto-enables a small default whenever
         ``group_commit > 1`` so a lone writer's commit is durable within
         the interval instead of stranded until the next writer; ``0``
@@ -300,7 +300,7 @@ class HFADFileSystem:
         if self.telemetry.enabled:
             self.recovery.commit_batch_sizes = self.telemetry.metrics.histogram(
                 "wal.group_commit.batch_size",
-                "commit markers covered by each journal sync",
+                "transactions per sync",
             )
         self._install_timed_locks()
         self._register_telemetry()
@@ -347,7 +347,7 @@ class HFADFileSystem:
         and image features re-attach from their persistent index trees
         (recorded in the superblock) without reading any object content —
         mounts cost O(metadata).  Every operation that completed before the crash is
-        visible; every operation that did not reach its commit marker has
+        visible; every operation whose frame did not reach the log has
         vanished whole.
         """
         _require_pool_pages(cache_pages)
@@ -986,7 +986,7 @@ class HFADFileSystem:
     def rename_path(self, old_path: str, new_path: str) -> Optional[int]:
         """Move one path binding atomically; returns the object it names.
 
-        rename(2) semantics need one commit marker: unlink-then-link as two
+        rename(2) semantics need one transaction: unlink-then-link as two
         separate durable operations would let a crash between them strand
         the object with neither name.
         """
@@ -1089,7 +1089,7 @@ class HFADFileSystem:
         crash-atomic WAL transaction.
 
         Every operation inside joins the group's transaction (nesting is
-        flat), and the group commits with one commit marker when the block
+        flat), and the group commits as one journal frame when the block
         exits normally.  The group holds the engine lock exclusively
         throughout, so no other thread's read sees it half done.  The
         abort rule is the recovery manager's: an exception before anything

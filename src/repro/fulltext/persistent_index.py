@@ -69,7 +69,7 @@ the stored prefix of a pathologically long document's occurrence list.
 Mutations bracket themselves in a recovery-manager transaction, so an
 ``add_document`` inside an enclosing filesystem operation *joins* that
 operation's WAL transaction (create = allocate + write + name + index is one
-commit marker): the document's records and the master-tree write they
+journal frame): the document's records and the master-tree write they
 belong to commit together or not at all.  A settle is several transactions
 of its own, with every other writer held at the manager's checkpoint gate.
 """
@@ -670,7 +670,7 @@ class PersistentInvertedIndex:
             while end < len(pairs) and (_settle_group(pairs[end][0])
                                         == _settle_group(pairs[end - 1][0])):
                 end += 1
-            # Nobody waits on a settle: its commit markers ride the next
+            # Nobody waits on a settle: its frames ride the next
             # sync, and a crash before it re-derives the lost part.
             with (self._recovery.transaction(sync=False) if self._recovery is not None
                   else nullcontext()):

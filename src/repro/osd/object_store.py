@@ -452,9 +452,9 @@ class ObjectStore:
         """Free a data chunk — deferred until the freeing commit is durable.
 
         Data blocks are written in place (not logged), so a chunk freed and
-        re-used before its freeing transaction's commit marker reaches the
+        re-used before its freeing transaction's frame reaches the
         device would let new bytes land in blocks that state the crash
-        resurrects still references.  Deferring the free until the marker is
+        resurrects still references.  Deferring the free until the frame is
         durable (which group commit may delay past commit()) closes that
         window.
         """
@@ -475,7 +475,7 @@ class ObjectStore:
         """
         pending = [oid for oid in self._pending_atime if self.exists(oid)]
         if pending:
-            # One bracketing transaction: one commit marker and one journal
+            # One bracketing transaction: one journal frame and one journal
             # sync for the whole batch, not one per object.
             with self._txn():
                 for oid in pending:

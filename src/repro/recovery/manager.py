@@ -16,15 +16,17 @@ into a single write-ahead-logging discipline:
   object id) is logged as ``META`` records.  Records get monotonically
   increasing LSNs and pages are stamped with the LSN of their latest
   record.
-* **No-force.**  Commit does not write pages home; it appends a commit
-  marker and (group-)syncs the log.  Dirty pages linger in the pool and
+* **No-force.**  Commit does not write pages home; it seals the
+  transaction's frame (its records, staged until then, become one frame of
+  the log) and (group-)syncs the log.  Dirty pages linger in the pool and
   reach the device on eviction, flush or checkpoint.
 * **No-steal.**  Pages dirtied by an *open* transaction are pinned until the
   transaction resolves, so an uncommitted page image can never reach its
   home location (redo-only logging has no undo to fix that with).
 * **WAL rule at the choke point.**  The pool's ``wal_hook`` calls
   :meth:`ensure_durable` before any dirty frame is written back, so even
-  group-committed (buffered) records are flushed before their page.
+  group-committed (buffered) frames are flushed before their page, and a
+  page whose transaction has not sealed its frame is refused.
 * **Fuzzy checkpoints.**  When the journal passes
   :data:`CHECKPOINT_THRESHOLD` of its capacity (checked between
   transactions), every dirty page is flushed, the journal is truncated and
@@ -138,8 +140,8 @@ class RecoveryManager:
         durable.  Larger values trade a bounded window of recent commits for
         fewer journal writes (the WAL rule is still enforced, so what *is*
         on the device is always consistent).
-    :param sync_interval_ms: upper bound on how long a buffered commit
-        marker may sit unsynced (the group-commit *idle flush*).  ``None``
+    :param sync_interval_ms: upper bound on how long a committed frame
+        may sit unsynced (the group-commit *idle flush*).  ``None``
         picks :data:`DEFAULT_SYNC_INTERVAL_MS` when ``group_commit > 1``
         and disables the flusher otherwise; ``0`` disables it explicitly
         (a tail batch then waits for the next writer, ``ensure_durable``,
@@ -186,11 +188,11 @@ class RecoveryManager:
         self.stats = RecoveryStats()
         self._txn = _TxnLocal()
         #: actions from *committed* transactions still waiting for their
-        #: commit marker to reach the device (group commit defers the sync).
+        #: frame to reach the device (group commit defers the sync).
         self._deferred_until_durable: List[Tuple[int, object]] = []
         self._unsynced_commits = 0
         #: optional telemetry histogram (duck-typed ``observe(n)``) fed the
-        #: number of commit markers each journal sync covered; installed by
+        #: number of transactions each journal sync covered; installed by
         #: the filesystem facade when telemetry is enabled.
         self.commit_batch_sizes = None
         #: the engine lock: transactions take ``_ENGINE`` exclusively, read
@@ -254,7 +256,7 @@ class RecoveryManager:
         """Open (or nest into) a WAL transaction; returns the nesting depth.
 
         Nesting is flat: inner begin/commit pairs join the outermost
-        transaction, and only the outermost commit writes the commit marker.
+        transaction, and only the outermost commit seals its frame.
         The outermost begin takes the engine lock exclusively, which is what
         serializes the transaction against other threads' transactions and
         read views.  Refused inside the thread's own read view.
@@ -327,8 +329,8 @@ class RecoveryManager:
         """Close one nesting level; the outermost close commits the group.
 
         ``sync=False`` is the path for maintenance transactions nobody
-        waits on (the posting backlog's settle): the commit marker is
-        appended but not synced, and does not count towards a group-commit
+        waits on (the posting backlog's settle): the frame is sealed but
+        not synced, and does not count towards a group-commit
         batch.  The next sync — a foreground commit's, the WAL rule's
         before a write-back, a checkpoint's — covers it; a crash before
         that loses the transaction whole, and its frees wait for that sync.
@@ -340,15 +342,15 @@ class RecoveryManager:
         if txn.depth > 0:
             return
         try:
-            marker_lsn = None
+            frame_lsn = None
             if txn.records:
                 with self._commit_lock:
                     sync_now = sync and self._unsynced_commits + 1 >= self.group_commit
                     try:
-                        marker_lsn = self.journal.commit_txid(txn.txid, sync=sync_now)
+                        frame_lsn = self.journal.commit_txid(txn.txid, sync=sync_now)
                     except BaseException:
-                        # The commit marker never became durable (journal
-                        # full, device fault): the transaction effectively
+                        # The frame never became durable (a device fault
+                        # in the sync): the transaction effectively
                         # aborted after logging — same fail-stop state as an
                         # explicit abort-after-logging.
                         self._fail_open_transaction(txn)
@@ -357,26 +359,26 @@ class RecoveryManager:
                         raise
                     if sync_now:
                         if self.commit_batch_sizes is not None:
-                            # Telemetry: how many commit markers each journal
+                            # Telemetry: how many transactions each journal
                             # sync covered (the group-commit amortization).
                             self.commit_batch_sizes.observe(self._unsynced_commits + 1)
                         self._unsynced_commits = 0
                     elif sync:
                         self._unsynced_commits += 1
-                        # The marker is buffered; arm the idle flusher so it
+                        # The frame is buffered; arm the idle flusher so it
                         # cannot sit stranded past sync_interval_ms.
                         self._maybe_start_flusher()
             self._release_pins(txn)
             actions, txn.on_commit = txn.on_commit, []
             if actions:
                 with self._commit_lock:
-                    if marker_lsn is not None and marker_lsn > self.journal.durable_lsn:
-                        # Group commit left the marker buffered: the
+                    if frame_lsn is not None and frame_lsn > self.journal.durable_lsn:
+                        # Group commit left the frame buffered: the
                         # transaction can still vanish in a crash, so its
                         # irreversible actions (chunk and page frees) must
                         # wait for the covering sync.
                         self._deferred_until_durable.extend(
-                            (marker_lsn, action) for action in actions
+                            (frame_lsn, action) for action in actions
                         )
                         actions = []
             for action in actions:
@@ -485,8 +487,8 @@ class RecoveryManager:
     def _log_record(self, rtype: int, block: int, payload: bytes) -> int:
         """Append one record to the calling thread's transaction; returns
         its LSN.  Outside a transaction this raises :class:`RecoveryError`:
-        a record no commit marker covers would be lost to the next
-        checkpoint's truncation while its page sat only in the pool."""
+        a record no frame seals would be lost to the next checkpoint's
+        truncation while its page sat only in the pool."""
         txn = self._txn
         if txn.depth == 0:
             raise RecoveryError(
@@ -551,7 +553,7 @@ class RecoveryManager:
         self._txn.pins.discard((consumer, page_id))
 
     def on_durable(self, action) -> None:
-        """Run ``action`` once the covering commit marker is *durable*.
+        """Run ``action`` once the transaction's frame is *durable*.
 
         Used to defer irreversible in-memory effects — freeing data chunks
         and btree pages, whose storage may be re-used for unlogged bytes —
@@ -564,12 +566,12 @@ class RecoveryManager:
         self._txn.on_commit.append(action)
 
     def deferred_actions(self) -> List:
-        """Actions committed but waiting for a durable marker (fsck's view)."""
+        """Actions committed but waiting for a durable frame (fsck's view)."""
         with self._commit_lock:
             return [action for _lsn, action in self._deferred_until_durable]
 
     def _run_durable_actions(self) -> None:
-        """Fire deferred actions whose covering marker has reached the device."""
+        """Fire deferred actions whose frame has reached the device."""
         with self._commit_lock:
             if not self._deferred_until_durable:
                 return
@@ -590,11 +592,22 @@ class RecoveryManager:
         the pool) and touches only the journal, which serializes internally.
         Deferred frees are swept at the next commit or checkpoint instead;
         running them later than their covering sync is always safe.
+
+        A sync flushes sealed frames only, so an ``lsn`` still past
+        ``durable_lsn`` after it belongs to a transaction that has not
+        committed: writing its page home would break no-steal, and this
+        raises :class:`RecoveryError` instead.
         """
         if lsn is None or lsn <= self.journal.durable_lsn:
             return
         self.journal.sync()
         self.stats.wal_forced_syncs += 1
+        if lsn > self.journal.durable_lsn:
+            raise RecoveryError(
+                f"a page logged at LSN {lsn} reached write-back before its "
+                f"transaction committed (durable through {self.journal.durable_lsn}): "
+                "no-steal would be broken"
+            )
 
     # ------------------------------------------------------------ durability
 
@@ -629,11 +642,10 @@ class RecoveryManager:
     def flush_commits(self) -> bool:
         """Sync a buffered commit tail now; True if a sync was issued.
 
-        The group-commit idle flush: covers commit markers waiting out a
-        partial batch, and the deferred frees of their transactions.  Safe
-        from any thread — serialized with committing
-        threads by the commit lock, and syncing records of a still-open
-        transaction early is harmless (replay ignores unmarked records).
+        The group-commit idle flush: covers frames waiting out a partial
+        batch, and the deferred frees of their transactions.  Safe from any
+        thread — serialized with committing threads by the commit lock, and
+        a sync never writes a still-open transaction's stage.
         """
         if self.poisoned:
             return False
@@ -756,7 +768,7 @@ class RecoveryManager:
         """The checkpoint body; caller holds the quiescence gate."""
         self.check_usable()
         flushed = self.pool.flush() if self.pool is not None else 0
-        self.journal.sync()  # buffered group-commit markers become durable
+        self.journal.sync()  # buffered group-commit frames become durable
         self._run_durable_actions()
         with self._state_lock:
             self.state["checkpoint_seq"] = self.state.get("checkpoint_seq", 0) + 1
@@ -890,7 +902,7 @@ class RecoveryManager:
         tail.
         """
         committed = self.journal.replay()
-        for _txid, records in committed:
+        for _first_lsn, records in committed:
             for record in records:
                 if record.rtype == TYPE_META:
                     self.state.update(json.loads(record.data.decode("utf-8")))
@@ -916,6 +928,8 @@ class RecoveryManager:
             "journal_bytes_used": journal.bytes_used,
             "journal_capacity_bytes": journal.capacity_bytes,
             "journal_bytes_appended": journal.bytes_appended,
+            "journal_frames": journal.frames,
+            "journal_framing_bytes": journal.framing_bytes,
             "journal_syncs": journal.syncs,
             "transactions_committed": self.stats.transactions_committed,
             "transactions_aborted": self.stats.transactions_aborted,

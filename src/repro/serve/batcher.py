@@ -1,14 +1,14 @@
 """Ack-after-durable write batching for the serving layer.
 
-Group commit (``group_commit > 1``) buffers commit markers so one journal
+Group commit (``group_commit > 1``) buffers committed frames so one journal
 sync covers many transactions — but a server must not *acknowledge* a write
-whose marker is still buffered: the ack is a durability promise, and a
+whose frame is still buffered: the ack is a durability promise, and a
 crash between ack and sync would break it.  :class:`WriteBatcher` closes
 that gap without giving the throughput back:
 
 * the engine call runs on the worker pool and its covering LSN is captured
-  (``journal.last_lsn`` right after the call returns — an upper bound on
-  the transaction's commit marker, so waiting on it is always safe);
+  (``journal.sealed_lsn`` right after the call returns — an upper bound on
+  the transaction's frame, so waiting on it is always safe);
 * if the journal is already durable past that LSN the ack goes out
   immediately (a concurrent writer's sync, or ``group_commit=1``);
 * otherwise the response is parked on an asyncio future keyed by LSN and

@@ -287,9 +287,9 @@ class Server:
                      if ledger is not None else nullcontext())
             with scope:
                 out = fn()
-            # Upper bound on this write's commit-marker LSN: captured after
-            # the call returns, before handing back to the event loop.
-            lsn = recovery.journal.last_lsn
+            # Upper bound on this write's frame LSN: captured after the
+            # call returns, before handing back to the event loop.
+            lsn = recovery.journal.sealed_lsn
             return out, lsn
         started = perf_counter()
         result, lsn = await self.loop.run_in_executor(self.executor, work)

@@ -10,18 +10,19 @@ Design
 ------
 The journal occupies a dedicated region of the shared block device
 (``journal_start`` .. ``journal_start + journal_blocks``).  It is a physical
-redo log with ARIES-style log sequence numbers:
+redo log with ARIES-style log sequence numbers, and one transaction is one
+**frame** of it:
 
-* every record carries a monotonically increasing **LSN**; a transaction is a
-  sequence of data/meta records plus a commit marker;
-* records are serialized with length-prefixed framing and a CRC32 covering
-  the *whole record* (header fields and payload), so a torn append — the
-  classic crash signature — is detected even when only the header survives;
-* records are first buffered in memory; :meth:`sync` makes everything
-  buffered so far durable in **one** device write (group commit: a single
-  flush covers every transaction that committed since the previous flush);
-* ``replay`` scans the journal, replays every *committed* transaction in
-  order and ignores any trailing uncommitted or torn tail;
+* every record carries a monotonically increasing **LSN**; a transaction's
+  records are *staged* by :meth:`append` and sealed into one frame by
+  :meth:`commit_txid`, which carries one CRC32 over the whole frame, so a
+  torn append — the classic crash signature — is detected wherever it cut;
+* sealed frames are first buffered in memory; :meth:`sync` makes every
+  sealed frame durable in **one** device write (group commit: a single
+  flush covers every transaction that committed since the previous flush),
+  and never writes a stage;
+* ``replay`` scans the journal, replays every whole frame in order and
+  ignores the torn or zeroed tail after the last one;
 * ``checkpoint`` truncates the journal once home locations are durable.
 
 Journal I/O is proportional to use.  A scan reads the region in runs of
@@ -38,11 +39,34 @@ rule is enforced at eviction time, and replay happens at mount.  It drives
 and, at mount, :meth:`replay`; the journal itself never writes a home
 location outside a replay.
 
-Record framing
---------------
-``MAGIC | type | txid | lsn | block | length | crc32`` (29 bytes, big-endian)
-followed by ``length`` payload bytes; the CRC covers the header (CRC field
-zeroed) and the payload.  Record types:
+Frames
+------
+The log is a run of frames (big-endian)::
+
+    frame = MAGIC:u32 | first_lsn:u64 | length:u32 | crc32:u32 | entry*
+    entry = type:u8 | block:u32 | length:u32 | payload
+
+A frame's ``length`` counts its entry bytes, and its CRC covers the header
+(CRC field zeroed) and every entry; entry *i* has LSN ``first_lsn + i``.
+The header is 20 bytes, an entry's 9 (:data:`TXN_OVERHEAD`,
+:data:`RECORD_OVERHEAD`).
+
+There is no commit record.  A transaction's records reach the log only when
+it commits, sealed into its frame, so a frame that parses whole *is* a
+committed transaction, and a torn one is dropped whole.  The log needs no
+transaction id either: the engine lock serializes transactions, so their
+records never interleave, and one stage is open at a time.  A record for
+another transaction id abandons the open stage, whose records never reach
+the log and whose images never become delta bases (its transaction aborted
+after logging).
+
+A region that starts with ``hFAD`` — the per-record format before frames,
+where every record carried its own txid, LSN and CRC and a ``COMMIT`` record
+closed each transaction — is refused with a :class:`~repro.errors.JournalError`
+naming that format, before replay writes a block.  A region that starts
+with zeros (a checkpointed journal of either format) is an empty log.
+
+Entry types:
 
 ============  ==========================================================
 ``DATA``        full page image: write ``payload`` at device ``block``
@@ -50,7 +74,6 @@ zeroed) and the payload.  Record types:
 ``HOME_DELTA``  byte splice against the block's home bytes (below)
 ``META``        logical superblock update (JSON), interpreted by recovery
 ``REVOKE``      ``block`` was freed: older page records for it are dead
-``COMMIT``      every earlier record of ``txid`` is committed
 ============  ==========================================================
 
 Page deltas
@@ -70,9 +93,9 @@ there (the checksum frame's length and CRC, the node's entry count), and
 they would otherwise cut the common prefix to nothing.  ``crc32(new)``
 covers the whole reconstructed image, so a splice against the wrong base is
 *surfaced* as a :class:`~repro.errors.JournalError` and never written.  A
-delta is only taken against an image logged by the same transaction or by
-one whose commit marker is already in the log, so a base can never be
-discarded as uncommitted while its delta survives.
+delta is only taken against an image logged by the same transaction or by a
+sealed frame, which precedes it in the log, so a crash can never keep a
+delta and drop its base.
 
 **Run lists.**  One splice carries everything from the first changed byte
 to the last, so a leaf that took several scattered edits (a settle batch
@@ -89,9 +112,9 @@ travels as a run list, flagged by the top bit of ``head_len``::
 bytes).  The search anchors a :data:`RUN_PROBE`-byte piece of the middle,
 taken at 1/2, 1/4 or 3/4 of it, in the base, extends the match both ways and
 searches the two sides the same way.  A short middle is never searched, so
-its delta is the single splice every earlier journal holds, and those
-journals replay unchanged.  A run that reaches past the base or the payload
-is a :class:`~repro.errors.JournalError`, like a splice that does not fit.
+its delta is the single splice the encoder wrote before run lists existed.
+A run that reaches past the base or the payload is a
+:class:`~repro.errors.JournalError`, like a splice that does not fit.
 
 **First touch.**  The first record for a page the log holds no image of —
 after a checkpoint (journal truncation), a ``REVOKE`` or a replay — is a
@@ -121,9 +144,6 @@ its frame fails — a torn or rotten write, which every later read detects —
 the block is reported in :attr:`Journal.last_replay_unresolved` and the
 mount quarantines the page; a valid frame the chain does not know (a lost
 write) raises a :class:`~repro.errors.JournalError` naming the block.
-Journals written before home deltas existed hold no ``HOME_DELTA`` records
-and replay byte-identically; those written before deltas existed hold only
-``DATA`` records and replay unchanged.
 """
 
 from __future__ import annotations
@@ -139,23 +159,26 @@ from repro.integrity.checksum import FRAME_OVERHEAD, verify_frame
 from repro.storage.block_device import PAGE_BYTES, BlockDevice
 from repro.opcontext import current_operation
 
-# Record framing:  MAGIC | type | txid | lsn | block | length | crc32
-# The CRC is computed over the header (with the crc field zeroed) plus the
-# payload, so corruption anywhere in the record is detected, not just in the
-# payload bytes.
-_RECORD_HEADER = struct.Struct(">IBQQQII")
-_MAGIC = 0x68464144  # "hFAD"
-_CRC_OFFSET = _RECORD_HEADER.size - 4
+# A frame:  MAGIC | first_lsn | length | crc32, then ``length`` bytes of
+# entries; the CRC covers the header (crc field zeroed) and the entries.
+_FRAME = struct.Struct(">IQII")
+_FRAME_MAGIC = 0x68465458  # "hFTX"
+# An entry:  type | block | length, then ``length`` payload bytes.
+_ENTRY = struct.Struct(">BII")
 _CRC = struct.Struct(">I")
+# What the per-record format (before frames) began every record with.
+_RECORD_MAGIC = b"hFAD"
 
-#: framing bytes one record adds on top of its payload (header only — the
-#: payload is stored verbatim).  Clients budgeting journal space headroom
-#: (e.g. "one more record plus a commit marker") should use multiples of
-#: this instead of guessing.
-RECORD_OVERHEAD = _RECORD_HEADER.size
+#: framing bytes one record adds on top of its payload (its entry header —
+#: the payload is stored verbatim).  Clients budgeting journal space
+#: headroom should use multiples of this and :data:`TXN_OVERHEAD` instead
+#: of guessing.
+RECORD_OVERHEAD = _ENTRY.size
+#: framing bytes one transaction adds on top of its records (its frame header).
+TXN_OVERHEAD = _FRAME.size
 
 TYPE_DATA = 1
-TYPE_COMMIT = 2
+# 2 was the per-record format's COMMIT record.
 TYPE_META = 3
 #: the block was freed: earlier DATA records for it must not be replayed
 #: (its storage may have been re-used by *unlogged* object data since).
@@ -168,8 +191,7 @@ TYPE_DELTA = 5
 #: docstring, "First touch"); chosen by :meth:`Journal.append`, never passed in.
 TYPE_HOME_DELTA = 6
 
-_KNOWN_TYPES = (TYPE_DATA, TYPE_COMMIT, TYPE_META, TYPE_REVOKE, TYPE_DELTA,
-                TYPE_HOME_DELTA)
+_KNOWN_TYPES = (TYPE_DATA, TYPE_META, TYPE_REVOKE, TYPE_DELTA, TYPE_HOME_DELTA)
 _PAGE_TYPES = (TYPE_DATA, TYPE_DELTA, TYPE_HOME_DELTA, TYPE_REVOKE)
 
 # Delta payload:  head_len | prefix | suffix | crc32(new image)  + head + middle
@@ -332,6 +354,12 @@ def apply_delta(delta: bytes, old: bytes) -> bytes:
     return new
 
 
+def _header_crc(first_lsn: int, length: int) -> int:
+    """The CRC of a frame's header with its CRC field zeroed; the frame's
+    CRC continues it over the entries."""
+    return zlib.crc32(_FRAME.pack(_FRAME_MAGIC, first_lsn, length, 0))
+
+
 def _framed(raw: bytes) -> Optional[bytes]:
     """``raw`` trimmed to its checksum frame, or None when it holds none."""
     try:
@@ -399,6 +427,8 @@ class Journal:
             raise ValueError("journal needs at least two blocks")
         if journal_start < 0 or journal_start + journal_blocks > device.num_blocks:
             raise ValueError("journal region outside the device")
+        if device.num_blocks > 0xFFFFFFFF:
+            raise ValueError("an entry names its block in 32 bits")
         self.device = device
         self.journal_start = journal_start
         self.journal_blocks = journal_blocks
@@ -408,25 +438,36 @@ class Journal:
         self.home_deltas = device.block_size == PAGE_BYTES
         self._next_txid = 1
         self._next_lsn = 1
-        # The in-memory append buffer mirrors the on-device journal contents
-        # between checkpoints; bytes past ``_flushed`` are buffered only and
-        # become durable at the next sync (group commit).
+        # The in-memory log mirrors the on-device journal between
+        # checkpoints: sealed frames up to ``_sealed``, then the open stage's
+        # frame (its header a placeholder until it seals).  Bytes past
+        # ``_flushed`` are buffered only; sealed ones become durable at the
+        # next sync (group commit), staged ones never before they seal.
         self._log = bytearray()
+        self._sealed = 0
         self._flushed = 0
         # The high-water mark (module docstring): unknown until a checkpoint.
         self._dirty_bytes = self.capacity_bytes
         #: highest LSN whose record is durable on the device.
         self.durable_lsn = 0
-        #: highest LSN assigned so far.
+        #: highest LSN assigned so far, staged records included.
         self.last_lsn = 0
+        #: highest LSN of a sealed frame: what the next sync makes durable.
+        self.sealed_lsn = 0
         self.commits = 0
         self.syncs = 0
         self.records_appended = 0
+        #: frames sealed into the log.
+        self.frames = 0
         #: lifetime bytes appended, *monotonic* across checkpoints (unlike
         #: ``bytes_used``, which resets when the journal truncates) — the
         #: registry-side counter the attribution differential compares
-        #: per-operation ``wal_bytes`` against.
+        #: per-operation ``wal_bytes`` against.  A record counts when it is
+        #: staged, its frame header when the frame seals.
         self.bytes_appended = 0
+        #: the part of ``bytes_appended`` that is frame and entry headers;
+        #: the rest is payload.
+        self.framing_bytes = 0
         self.checkpoints = 0
         self.replayed_transactions = 0
         #: pages written home by the last replay (one write per block).
@@ -436,13 +477,15 @@ class Journal:
         #: blocks the last replay left unwritten: their chain starts with a
         #: home delta and their home fails its checksum frame.
         self.last_replay_unresolved: List[int] = []
-        # Delta bases: block -> (txid, image) of the newest page image logged
-        # since the journal last truncated, and the txids that have records
-        # but no commit marker yet (their images are bases only for
-        # themselves).  Blocks allocated or revoked since then have no home
-        # base.  All three are cleared wherever the log truncates or replays.
-        self._bases: Dict[int, Tuple[int, bytes]] = {}
-        self._open_txids: Set[int] = set()
+        # Delta bases: block -> the newest page image sealed since the
+        # journal last truncated; the open stage's own images (None where it
+        # revoked the block) join them when it seals.  Blocks allocated or
+        # revoked since the log truncated have no home base.  All are
+        # cleared wherever the log truncates or replays.
+        self._bases: Dict[int, bytes] = {}
+        self._stage_txid: Optional[int] = None
+        self._stage_lsn = 0
+        self._stage_bases: Dict[int, Optional[bytes]] = {}
         self._reused: Set[int] = set()
         # Serializes append/sync/truncate across threads: the recovery
         # manager's transaction lock orders *transactions*, but the buffer
@@ -456,30 +499,18 @@ class Journal:
         self.on_sync: Optional[Callable[[int], None]] = None
 
     def allocate_txid(self) -> int:
-        """Hand out the next transaction id."""
+        """Hand out the next transaction id: the stage owner's name, never
+        written to the log."""
         with self._mutex:
             txid = self._next_txid
             self._next_txid += 1
             return txid
-
-    # -- encoding -------------------------------------------------------------
-
-    def _encode_record(self, rtype: int, txid: int, block: int, payload: bytes,
-                       lsn: Optional[int] = None) -> bytes:
-        if lsn is None:
-            lsn = self._take_lsn()
-        header = _RECORD_HEADER.pack(_MAGIC, rtype, txid, lsn, block, len(payload), 0)
-        crc = zlib.crc32(payload, zlib.crc32(header))
-        return header[:_CRC_OFFSET] + _CRC.pack(crc) + payload
 
     def _take_lsn(self) -> int:
         lsn = self._next_lsn
         self._next_lsn += 1
         self.last_lsn = lsn
         return lsn
-
-    def _record_size(self, payload: bytes) -> int:
-        return _RECORD_HEADER.size + len(payload)
 
     def _require_capacity(self, nbytes: int) -> None:
         if len(self._log) + nbytes > self.capacity_bytes:
@@ -506,94 +537,137 @@ class Journal:
         except DeviceError:
             return None  # an unreadable home costs a full image, not the write
 
+    def _base(self, txid: int, block: int) -> Optional[bytes]:
+        """The image a record of ``txid`` for ``block`` may be a delta of."""
+        if txid == self._stage_txid and block in self._stage_bases:
+            return self._stage_bases[block]
+        return self._bases.get(block)
+
     def append(self, rtype: int, txid: int, block: int, payload: bytes) -> int:
-        """Buffer one record; returns its LSN.  Not yet durable — see sync.
+        """Stage one record of ``txid``'s transaction; returns its LSN.  It
+        reaches the log when :meth:`commit_txid` seals the frame.
 
         A ``TYPE_DATA`` page image is logged as a ``TYPE_DELTA`` against the
         block's previous logged image, or on first touch as a
         ``TYPE_HOME_DELTA`` against its home bytes, when that is smaller
-        (module docstring, "Page deltas"); callers pass neither.
+        (module docstring, "Page deltas"); callers pass neither.  A record
+        of another ``txid`` than the open stage's abandons that stage.
         """
         if rtype not in _KNOWN_TYPES or rtype in (TYPE_DELTA, TYPE_HOME_DELTA):
             raise JournalError(f"record type {rtype} cannot be appended")
         payload = image = bytes(payload)
         home = None
-        if rtype == TYPE_DATA and block not in self._bases:
+        if rtype == TYPE_DATA and self._base(txid, block) is None:
             # First touch: read the home before taking the mutex, which the
             # pool's forced syncs and the flusher wait on.  Appends are
             # serialized by the engine lock, and a page with no base is
             # clean, so nothing writes its home meanwhile.
             home = self._home_image(block)
         with self._mutex:
+            if txid != self._stage_txid:
+                self._close_stage()  # abandoned: nothing of it was sealed
             if rtype == TYPE_DATA:
-                base_txid, base = self._bases.get(block, (0, None))
+                base = self._base(txid, block)
                 if base is not None:
-                    if base_txid == txid or base_txid not in self._open_txids:
-                        delta = encode_delta(base, image)
-                        if len(delta) < len(image):
-                            rtype, payload = TYPE_DELTA, delta
+                    delta = encode_delta(base, image)
+                    if len(delta) < len(image):
+                        rtype, payload = TYPE_DELTA, delta
                 elif home is not None:
                     delta = _CRC.pack(zlib.crc32(home)) + encode_delta(home, image)
                     if len(delta) < len(image):
                         rtype, payload = TYPE_HOME_DELTA, delta
-            size = self._record_size(payload)
-            self._require_capacity(size)
+            entry = _ENTRY.pack(rtype, block, len(payload))
+            size = len(entry) + len(payload)
+            opening = self._stage_txid is None
+            self._require_capacity(size + (_FRAME.size if opening else 0))
+            if opening:
+                self._stage_txid = txid
+                self._stage_lsn = self._next_lsn
+                self._log += bytes(_FRAME.size)  # the header, written at seal
             lsn = self._take_lsn()
-            self._log += self._encode_record(rtype, txid, block, payload, lsn=lsn)
-            if rtype == TYPE_COMMIT:
-                self._open_txids.discard(txid)
-            else:
-                self._open_txids.add(txid)
+            self._log += entry
+            self._log += payload
             if rtype == TYPE_REVOKE:
-                self._bases.pop(block, None)
+                self._stage_bases[block] = None
                 self._reused.add(block)
-            elif rtype in (TYPE_DATA, TYPE_DELTA, TYPE_HOME_DELTA):
-                self._bases[block] = (txid, image)
+            elif rtype != TYPE_META:
+                self._stage_bases[block] = image
             self.records_appended += 1
-            self.bytes_appended += size
-            op = current_operation()
-            if op is not None:
-                op.wal_records += 1
-                op.wal_bytes += size
+            self._book(size, len(entry), records=1)
             return lsn
 
+    def _book(self, size: int, framing: int, records: int = 0) -> None:
+        """Count ``size`` appended bytes, ``framing`` of them headers, for
+        the journal and the current operation."""
+        self.bytes_appended += size
+        self.framing_bytes += framing
+        op = current_operation()
+        if op is not None:
+            op.wal_records += records
+            op.wal_bytes += size
+
+    def _close_stage(self) -> None:
+        """Forget the open stage: what it staged past the last seal, and
+        its images."""
+        del self._log[self._sealed:]
+        self._stage_txid, self._stage_bases = None, {}
+
     def commit_txid(self, txid: int, sync: bool = True) -> int:
-        """Append the commit marker for ``txid``; optionally flush the log.
+        """Seal ``txid``'s stage into the log as one frame; optionally flush
+        the log.  Returns the frame's last LSN: the transaction is durable
+        once ``durable_lsn`` reaches it.
 
         With ``sync=True`` this is group commit: the single device write
-        covers every record buffered since the last flush, including other
-        transactions' records and commit markers.
+        covers every frame sealed since the last flush, other transactions'
+        included.  A transaction that staged nothing seals no frame.
         """
         with self._mutex:
-            lsn = self.append(TYPE_COMMIT, txid, 0, b"")
+            if txid == self._stage_txid:
+                body = self._sealed + _FRAME.size
+                length = len(self._log) - body
+                with memoryview(self._log) as log:
+                    crc = zlib.crc32(log[body:], _header_crc(self._stage_lsn, length))
+                self._log[self._sealed:body] = _FRAME.pack(
+                    _FRAME_MAGIC, self._stage_lsn, length, crc)
+                self._sealed = len(self._log)
+                self.sealed_lsn = self.last_lsn
+                for block, image in self._stage_bases.items():
+                    if image is None:
+                        self._bases.pop(block, None)
+                    else:
+                        self._bases[block] = image
+                self._close_stage()
+                self.frames += 1
+                self._book(_FRAME.size, _FRAME.size)
             self.commits += 1
             if sync:
                 self.sync()
-            return lsn
+            return self.sealed_lsn
 
     def sync(self) -> int:
-        """Flush buffered records to the journal region; returns bytes written.
+        """Flush sealed frames to the journal region; returns bytes written.
 
-        After a successful sync every record appended so far is durable
-        (``durable_lsn == last_lsn``).
+        After a successful sync every sealed frame is durable
+        (``durable_lsn`` is the last sealed LSN); an open stage is not
+        written.
         """
         with self._mutex:
             before = self.durable_lsn
-            pending = len(self._log) - self._flushed
+            pending = self._sealed - self._flushed
             if pending > 0:
                 # Raised before the write: a failed one may leave bytes behind.
-                self._dirty_bytes = max(self._dirty_bytes, len(self._log))
-                self._write_log_region(self._flushed, bytes(self._log[self._flushed:]))
-                self._flushed = len(self._log)
+                self._dirty_bytes = max(self._dirty_bytes, self._sealed)
+                self._write_log_region(self._flushed, bytes(self._log[self._flushed:self._sealed]))
+                self._flushed = self._sealed
                 self.syncs += 1
                 op = current_operation()
                 if op is not None:
                     op.wal_syncs += 1
-            self.durable_lsn = self.last_lsn
+            self.durable_lsn = self.sealed_lsn
             durable = self.durable_lsn
         if durable != before:
             self._notify_durable(durable)
-        return max(pending, 0)
+        return pending
 
     def _write_log_region(self, offset: int, data: bytes) -> None:
         """Write ``data`` at byte ``offset`` of the journal region."""
@@ -607,60 +681,67 @@ class Journal:
     @staticmethod
     def _parse(raw: bytes, only_block: Optional[int] = None
                ) -> Tuple[List[Tuple[int, List[JournalRecord]]], int, int, bool]:
-        """Group the well-formed records of ``raw`` by committed transaction.
+        """The whole frames at the start of ``raw``.
 
-        Returns ``(committed, max_txid, max_lsn, ran_out)``; see
-        :meth:`scan_detailed`.  ``ran_out`` says the parse stopped at the end
-        of ``raw`` rather than at a bad or zeroed record: more bytes might
+        Returns ``(frames, end, last_lsn, ran_out)``: each frame as
+        ``(first_lsn, records)``, the byte offset where they end, the last
+        LSN they hold, and whether the parse stopped at the end of ``raw``
+        rather than at a torn, corrupt or zeroed frame: more bytes might
         continue the log.  ``only_block`` keeps just the records of one
-        block (the scrubber's question).
+        block (the scrubber's question).  A region in the per-record format
+        raises :class:`~repro.errors.JournalError`.
         """
-        position = 0
-        open_txns: dict = {}
-        committed: List[Tuple[int, List[JournalRecord]]] = []
-        max_txid = 0
-        max_lsn = 0
-        ran_out = True
-        while position + _RECORD_HEADER.size <= len(raw):
-            magic, rtype, txid, lsn, block, length, crc = _RECORD_HEADER.unpack_from(
-                raw, position
+        if raw[:len(_RECORD_MAGIC)] == _RECORD_MAGIC:
+            raise JournalError(
+                "journal region holds the per-record log format (a txid, LSN "
+                "and CRC on every record, a COMMIT record per transaction), "
+                "which this build does not replay: mount the image with the "
+                "build that wrote it and checkpoint, then mount it here"
             )
-            if magic != _MAGIC or rtype not in _KNOWN_TYPES:
-                ran_out = False
-                break
-            payload_start = position + _RECORD_HEADER.size
-            payload_end = payload_start + length
-            if payload_end > len(raw):
-                break  # torn: the length field promises bytes that never made it
-            payload = raw[payload_start:payload_end]
-            header = raw[position:position + _CRC_OFFSET] + b"\x00\x00\x00\x00"
-            if zlib.crc32(payload, zlib.crc32(header)) != crc:
-                ran_out = False
-                break  # torn or bit-flipped record
-            max_txid = max(max_txid, txid)
-            max_lsn = max(max_lsn, lsn)
-            if rtype == TYPE_COMMIT:
-                committed.append((txid, open_txns.pop(txid, [])))
-            elif only_block is None or block == only_block:
-                open_txns.setdefault(txid, []).append(
-                    JournalRecord(block=block, data=payload, lsn=lsn, rtype=rtype)
-                )
-            position = payload_end
-        return committed, max_txid, max_lsn, ran_out
+        frames: List[Tuple[int, List[JournalRecord]]] = []
+        position = last_lsn = 0
+        with memoryview(raw) as view:
+            while position + _FRAME.size <= len(raw):
+                magic, first_lsn, length, crc = _FRAME.unpack_from(raw, position)
+                if magic != _FRAME_MAGIC:
+                    return frames, position, last_lsn, False
+                body = position + _FRAME.size
+                end = body + length
+                if end > len(raw):
+                    # torn, or the length field promises bytes a later read
+                    # may still bring
+                    return frames, position, last_lsn, True
+                if zlib.crc32(view[body:end], _header_crc(first_lsn, length)) != crc:
+                    return frames, position, last_lsn, False  # torn or bit-flipped
+                records, lsn, at = [], first_lsn, body
+                while at < end:
+                    if at + _ENTRY.size > end:
+                        raise JournalError(f"frame at LSN {first_lsn}: an entry overruns it")
+                    rtype, block, size = _ENTRY.unpack_from(raw, at)
+                    at += _ENTRY.size
+                    if rtype not in _KNOWN_TYPES or at + size > end:
+                        raise JournalError(
+                            f"frame at LSN {first_lsn}: entry {lsn - first_lsn} "
+                            f"of type {rtype} does not fit it"
+                        )
+                    if only_block is None or block == only_block:
+                        records.append(JournalRecord(block=block, data=bytes(view[at:at + size]),
+                                                     lsn=lsn, rtype=rtype))
+                    at += size
+                    lsn += 1
+                frames.append((first_lsn, records))
+                last_lsn = max(last_lsn, lsn - 1)
+                position = end
+        return frames, position, last_lsn, True
 
-    def scan_detailed(self) -> Tuple[List[Tuple[int, List[JournalRecord]]], int, int]:
-        """Parse the on-device journal.
+    def _scan_region(self) -> Tuple[List[Tuple[int, List[JournalRecord]]], bytes, int]:
+        """Parse the on-device journal: ``(frames, log, last_lsn)``, where
+        ``log`` is the bytes of those frames.
 
-        Returns ``(committed, max_txid, max_lsn)`` where ``committed`` lists
-        each committed transaction's records (data, delta and meta) in
-        commit order and the maxima cover *every* well-formed record seen,
-        committed or not (so id generators can be advanced past the replayed
-        tail).
-
-        Parsing stops cleanly at the first torn, corrupt or zeroed record —
-        the journal tail left by a crash.  Transactions without a commit
-        marker are discarded.  The region is read in runs of 1, 2, 4, ...
-        blocks, each block once, until a run holds that stopping point.
+        Parsing stops cleanly at the first torn, corrupt or zeroed frame —
+        the journal tail left by a crash.  The region is read in runs of 1,
+        2, 4, ... blocks, each block once, until a run holds that stopping
+        point.
         """
         block_size = self.device.block_size
         raw = bytearray()
@@ -669,15 +750,15 @@ class Journal:
             read = len(raw) // block_size
             run = min(run, self.journal_blocks - read)
             raw += self.device.read_blocks(self.journal_start + read, run)
-            committed, max_txid, max_lsn, ran_out = self._parse(raw)
+            frames, end, last_lsn, ran_out = self._parse(raw)
             if not ran_out or len(raw) == self.capacity_bytes:
-                return committed, max_txid, max_lsn
+                return frames, bytes(raw[:end]), last_lsn
             run *= 2
 
     def scan(self) -> List[Tuple[int, List[JournalRecord]]]:
-        """Parse the on-device journal, returning committed transactions."""
-        committed, _max_txid, _max_lsn = self.scan_detailed()
-        return committed
+        """Parse the on-device journal: each committed transaction (whole
+        frame) as ``(first_lsn, records)``, in log order."""
+        return self._scan_region()[0]
 
     def _fold_pages(self, committed: List[Tuple[int, List[JournalRecord]]]
                     ) -> Tuple[Dict[int, bytes], int, Dict[int, Optional[bytes]]]:
@@ -698,7 +779,7 @@ class Journal:
         object data that replaying would corrupt.  Newer records (the block
         was re-used as a logged page again) still apply.
         """
-        pages = [r for _txid, records in committed for r in records
+        pages = [r for _first, records in committed for r in records
                  if r.rtype in _PAGE_TYPES]
         revoked: Dict[int, int] = {}
         for record in pages:
@@ -760,12 +841,12 @@ class Journal:
         when its home fails its frame, a :class:`~repro.errors.JournalError`
         naming it otherwise, raised before any block is written.  Meta
         records are returned untouched for the recovery manager to
-        interpret.  The in-memory append buffer is rebuilt so new commits go
-        after the replayed tail, the txid/LSN generators are advanced past
-        everything seen in the log, and the delta bases are dropped: the
-        next record for any block starts from its home again.
+        interpret.  The in-memory log becomes the bytes of the replayed
+        frames, so new commits go after them and it matches the device; the
+        LSN generator is advanced past them, and the delta bases are
+        dropped: the next record for any block starts from its home again.
         """
-        committed, max_txid, max_lsn = self.scan_detailed()
+        committed, log, last_lsn = self._scan_region()
         images, self.last_replay_revoked, unresolved = self._fold_pages(committed)
         stale = sorted(block for block, home in unresolved.items() if home is not None)
         if stale:
@@ -778,27 +859,23 @@ class Journal:
         self.last_replay_applied = len(images)
         self.last_replay_unresolved = sorted(unresolved)
         self.replayed_transactions += len(committed)
-        self._next_txid = max(self._next_txid, max_txid + 1)
-        self._next_lsn = max(self._next_lsn, max_lsn + 1)
+        self._next_lsn = max(self._next_lsn, last_lsn + 1)
         self.last_lsn = self._next_lsn - 1
-        # Rebuild the append buffer from the committed prefix; it is already
-        # durable on the device, so nothing is pending.
-        self._log = bytearray()
-        for txid, records in committed:
-            for record in records:
-                self._log += self._encode_record(
-                    record.rtype, txid, record.block, record.data, lsn=record.lsn
-                )
-            self._log += self._encode_record(TYPE_COMMIT, txid, 0, b"", lsn=0)
-        self._flushed = len(self._log)
+        self._restart(log)
         # Past the scan's stopping point the region may hold a torn
         # truncation's leftovers: the next checkpoint zeroes all of it.
         self._dirty_bytes = self.capacity_bytes
-        self._bases.clear()
-        self._open_txids.clear()
-        self._reused.clear()
-        self.durable_lsn = self.last_lsn
         return committed
+
+    def _restart(self, log: bytes) -> None:
+        """Make ``log``, durable on the device, the whole in-memory log:
+        no stage, no delta bases, every LSN so far durable."""
+        self._log = bytearray(log)
+        self._sealed = self._flushed = len(log)
+        self._close_stage()
+        self._bases.clear()
+        self._reused.clear()
+        self.sealed_lsn = self.durable_lsn = self.last_lsn
 
     # -- integrity helpers ----------------------------------------------------
 
@@ -810,15 +887,14 @@ class Journal:
         this image is byte-exact what a healthy write-back would have put
         there.  Only the *flushed* prefix of the in-memory mirror is
         consulted — rewriting a home location from a buffered (not yet
-        durable) record would break the WAL rule — and only transactions
-        whose commit marker is durable count.  The image is rebuilt by the
+        durable) frame would break the WAL rule.  The image is rebuilt by the
         same fold as replay (full image or home, then deltas; a committed
         revoke kills every older record), so a chain that starts from a home
         which has since rotted yields None, never a wrong image.
         """
         with self._mutex:
             raw = bytes(self._log[:self._flushed])
-        committed, _max_txid, _max_lsn, _ran_out = self._parse(raw, only_block=block)
+        committed, _end, _last_lsn, _ran_out = self._parse(raw, only_block=block)
         try:
             images, _revoked, _unresolved = self._fold_pages(committed)
         except DeviceError:
@@ -828,11 +904,11 @@ class Journal:
     def verify_device_region(self) -> dict:
         """Compare the on-device journal against the in-memory mirror.
 
-        The append buffer mirrors the flushed on-device log byte for byte
+        The in-memory log mirrors the flushed on-device log byte for byte
         between checkpoints, so any divergence in that prefix is silent
         corruption of the journal region (bit rot, a misdirected write) —
         exactly the blind spot a structural re-scan cannot see, because a
-        flipped bit simply truncates the scan at a "torn" record.  Returns a
+        flipped bit simply truncates the scan at a "torn" frame.  Returns a
         report dict; never raises (fsck aggregates it).
         """
         with self._mutex:
@@ -867,8 +943,8 @@ class Journal:
         (none when the mark is zero); the rest of the region is zero
         already.  So a crash can tear the truncation only into a zeroed
         *prefix* — which scan reads as an empty log, never as a resurrected
-        stale record.  (Callers persist their checkpoint state *before*
-        truncating; see RecoveryManager.)
+        stale frame.  An open stage is abandoned.  (Callers persist their
+        checkpoint state *before* truncating; see RecoveryManager.)
         """
         with self._mutex:
             before = self.durable_lsn
@@ -876,12 +952,7 @@ class Journal:
             if dirty_blocks:
                 self.device.write_blocks(self.journal_start, b"", nblocks=dirty_blocks)
             self._dirty_bytes = 0
-            self._log = bytearray()
-            self._flushed = 0
-            self._bases.clear()
-            self._open_txids.clear()
-            self._reused.clear()
-            self.durable_lsn = self.last_lsn
+            self._restart(b"")
             durable = self.durable_lsn
             self.checkpoints += 1
         if durable != before:
@@ -901,13 +972,14 @@ class Journal:
 
     @property
     def bytes_used(self) -> int:
-        """Bytes of journal space consumed since the last checkpoint."""
+        """Bytes of journal space consumed since the last checkpoint, the
+        open stage's included."""
         return len(self._log)
 
     @property
     def bytes_unflushed(self) -> int:
-        """Buffered bytes not yet durable (waiting on the next sync)."""
-        return len(self._log) - self._flushed
+        """Sealed bytes not yet durable (waiting on the next sync)."""
+        return self._sealed - self._flushed
 
     @property
     def capacity_bytes(self) -> int:

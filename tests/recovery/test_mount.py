@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.core import HFADFileSystem
-from repro.errors import RecoveryError
+from repro.errors import JournalError, RecoveryError
 from repro.recovery import Superblock
 from repro.storage import BlockDevice
 
@@ -237,6 +237,18 @@ class TestMountErrors:
         store_superblock_fields(image, fields)
         before = image.dump()
         with pytest.raises(RecoveryError, match="max_keys"):
+            HFADFileSystem.mount(image)
+        assert image.dump() == before
+
+    def test_a_journal_of_the_per_record_format_is_refused_untouched(self):
+        # Before frames every record began with "hFAD" and carried its own
+        # txid, LSN and CRC: such a tail is refused before replay writes.
+        device, fs = make_fs()
+        fs.create(b"committed only in the journal", path="/j.txt")
+        image = clone(device)
+        image.write_bytes(Superblock.load(image).journal_start, 0, b"hFAD" + bytes(33))
+        before = image.dump()
+        with pytest.raises(JournalError, match="per-record log format"):
             HFADFileSystem.mount(image)
         assert image.dump() == before
 

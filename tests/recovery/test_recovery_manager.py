@@ -8,6 +8,7 @@ from repro.cache import BufferPool
 from repro.errors import BTreeError, RecoveryError
 from repro.recovery import RecoveryManager
 from repro.storage import BlockDevice, BuddyAllocator
+from repro.storage.journal import RECORD_OVERHEAD, TXN_OVERHEAD
 
 
 def make_stack(cache_pages=8, journal_blocks=32, group_commit=1):
@@ -52,7 +53,7 @@ class TestWalRule:
         assert lsn <= manager.journal.last_lsn
 
     def test_eviction_respects_wal_rule_with_group_commit(self):
-        # group_commit > 1 leaves commit markers buffered; an eviction of a
+        # group_commit > 1 leaves committed frames buffered; an eviction of a
         # dirty page must force the journal flush before the home write.
         device, manager, pool, store = make_stack(cache_pages=2, group_commit=100)
         with manager.transaction():
@@ -62,6 +63,24 @@ class TestWalRule:
         pool.flush_page(store._consumer, page)
         assert manager.journal.durable_lsn >= lsn
         assert manager.stats.wal_forced_syncs >= 1
+
+    def test_a_page_of_an_open_transaction_is_refused_at_write_back(self):
+        # No-steal keeps such a page pinned, but a flush does not evict: a
+        # sync writes sealed frames only, so the WAL rule finds the page's
+        # record still staged and refuses the write instead of letting an
+        # uncommitted image reach its home.
+        device, manager, pool, store = make_stack()
+        manager.begin()
+        page = write_node(store)
+        lsn = store._consumer.page_lsn(page)
+        with pytest.raises(RecoveryError, match=f"LSN {lsn} reached write-back"):
+            pool.flush_page(store._consumer, page)
+        assert manager.journal.durable_lsn < lsn
+        assert pool.dirty_pages == 1
+        assert device.read_blocks(page, store.page_blocks) == bytes(PAGE_BYTES)
+        manager.commit()
+        assert pool.flush_page(store._consumer, page)  # sealed: the rule holds
+        assert manager.journal.durable_lsn >= lsn
 
     def test_an_entry_larger_than_a_page_fails_at_write_and_logs_nothing(self):
         _, manager, pool, store = make_stack()
@@ -93,6 +112,21 @@ class TestWalRule:
         assert manager.journal.bytes_appended == appended
         assert manager.state["next_oid"] == 1
         assert manager.stats.pages_logged == manager.stats.meta_records_logged == 0
+
+
+class TestFraming:
+    def test_stats_split_the_wal_into_framing_and_payload(self):
+        # One transaction is one frame: one header, and an entry header per
+        # record; everything else appended is payload.
+        _, manager, _, store = make_stack()
+        with manager.transaction():
+            write_node(store, b"a")
+            write_node(store, b"b")
+            manager.log_meta({"next_oid": 5})
+        stats = manager.snapshot()
+        assert stats["journal_frames"] == 1
+        assert stats["journal_framing_bytes"] == TXN_OVERHEAD + 3 * RECORD_OVERHEAD
+        assert stats["journal_bytes_appended"] == manager.journal.bytes_used
 
 
 class TestNoSteal:
@@ -170,7 +204,8 @@ class TestCheckpoint:
 
     def test_journal_fill_triggers_auto_checkpoint(self):
         _, manager, _, store = make_stack(journal_blocks=8)
-        for i in range(12):
+        # ~130 logged bytes a transaction: 24 pass the 2 KB threshold.
+        for i in range(24):
             with manager.transaction():
                 write_node(store, b"key-%04d" % i * 8)
         assert manager.stats.auto_checkpoints >= 1
@@ -212,7 +247,7 @@ class TestReplay:
             write_node(store, b"keep")
         manager.begin()
         write_node(store, b"drop")
-        manager.journal.sync()  # records durable, commit marker absent
+        manager.journal.sync()  # the open transaction's frame is not sealed
         fresh = RecoveryManager(device, journal_start=1, journal_blocks=32)
         assert fresh.replay() == 1  # only the committed transaction
 

@@ -4,8 +4,8 @@ A settle batch adds a row to many terms whose blocks share one leaf, so the
 leaf's new image differs from its last one in scattered places: the
 journal logs it as a ``DELTA`` (or, first touched after a checkpoint on a
 4 KB-block device, a ``HOME_DELTA``) whose middle is a run list.  Every
-journal sync of two such settles is cut at each record boundary and inside
-each record — what a crash during that sync leaves — and the image must
+journal sync of two such settles is cut at each frame boundary and inside
+each entry — what a crash during that sync leaves — and the image must
 mount and serve exactly the committed documents, on 512-byte and on 4 KB
 blocks.
 """
@@ -18,9 +18,11 @@ from repro.core import HFADFileSystem
 from repro.storage import BlockDevice
 from repro.storage.block_device import PAGE_BYTES
 from repro.storage.journal import (
-    _RECORD_HEADER,
+    _ENTRY,
+    _FRAME,
     _RUNS_FLAG,
     RECORD_OVERHEAD,
+    TXN_OVERHEAD,
     TYPE_DELTA,
     TYPE_HOME_DELTA,
 )
@@ -34,15 +36,21 @@ def ingest(fs, corpus, documents, rng):
         corpus[fs.create(" ".join(words).encode(), path=f"/d/{len(corpus)}")] = set(words)
 
 
-def record_spans(log):
-    """``(start, end, rtype, payload)`` of each record in a raw log."""
-    spans, at = [], 0
-    while at + RECORD_OVERHEAD <= len(log):
-        _magic, rtype, _txid, _lsn, _block, length, _crc = _RECORD_HEADER.unpack_from(log, at)
-        end = at + RECORD_OVERHEAD + length
-        spans.append((at, end, rtype, log[at + RECORD_OVERHEAD:end]))
+def frame_spans(log):
+    """``(start, end, entries)`` of each frame in a raw log, each entry as
+    ``(start, end, rtype, payload)``."""
+    frames, at = [], 0
+    while at + TXN_OVERHEAD <= len(log):
+        _magic, _first_lsn, length, _crc = _FRAME.unpack_from(log, at)
+        end, entries, position = at + TXN_OVERHEAD + length, [], at + TXN_OVERHEAD
+        while position < end:
+            rtype, _block, size = _ENTRY.unpack_from(log, position)
+            stop = position + RECORD_OVERHEAD + size
+            entries.append((position, stop, rtype, log[position + RECORD_OVERHEAD:stop]))
+            position = stop
+        frames.append((at, end, entries))
         at = end
-    return spans
+    return frames
 
 
 def settle_syncs(fs):
@@ -97,19 +105,22 @@ def test_a_crash_anywhere_in_a_settle_of_run_list_deltas(block_size):
     flagged = set()
     for _corpus, syncs in settles:
         for _image, _offset, data in syncs:
-            for _start, _end, rtype, payload in record_spans(data):
-                if rtype in (TYPE_DELTA, TYPE_HOME_DELTA):
-                    head_len = payload[4 if rtype == TYPE_HOME_DELTA else 0]
-                    if head_len & _RUNS_FLAG:
-                        flagged.add(rtype)
+            for _start, _end, entries in frame_spans(data):
+                for _at, _stop, rtype, payload in entries:
+                    if rtype in (TYPE_DELTA, TYPE_HOME_DELTA):
+                        head_len = payload[4 if rtype == TYPE_HOME_DELTA else 0]
+                        if head_len & _RUNS_FLAG:
+                            flagged.add(rtype)
     # On 512-byte blocks a first touch logs a full image, never a home delta.
     assert flagged == ({TYPE_DELTA, TYPE_HOME_DELTA} if block_size == PAGE_BYTES
                        else {TYPE_DELTA})
     for committed, syncs in settles:
         for image, offset, data in syncs:
-            spans = record_spans(data)
-            cuts = {end for _start, end, *_rest in spans}
-            cuts |= {(start + end) // 2 for start, end, *_rest in spans}
+            frames = frame_spans(data)
+            cuts = {end for _start, end, _entries in frames}
+            cuts |= {point for _start, _end, entries in frames
+                     for start, end, *_rest in entries
+                     for point in (start + 1, (start + end) // 2, end - 1)}
             for cut in sorted(cuts):
                 mounted = HFADFileSystem.mount(crashed_image(fs, image, offset, data, cut))
                 assert mounted.stats()["recovery"]["unresolved_pages"] == 0

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import DeviceError, JournalError, JournalFullError
 from repro.recovery.crash import CrashError, CrashingBlockDevice
 from repro.storage import BlockDevice, FaultPlan, Journal
-from repro.storage.journal import TYPE_DATA
+from repro.storage.journal import RECORD_OVERHEAD, TXN_OVERHEAD, TYPE_DATA
 
 
 def make_journal(journal_blocks=16, num_blocks=256, block_size=512):
@@ -33,8 +33,9 @@ def recover(device):
 
 class TestTransactionLifecycle:
     def test_abort_writes_nothing(self):
-        # An abort is a transaction whose commit marker never comes: durable
-        # records, but no home write — not at append, sync or replay.
+        # An abort is a transaction whose frame never seals: a sync leaves
+        # its stage in memory, and nothing reaches a home — not at append,
+        # sync or replay.
         device, journal = make_journal()
         journal.append(TYPE_DATA, journal.allocate_txid(), 100, b"hello")
         journal.sync()
@@ -43,10 +44,12 @@ class TestTransactionLifecycle:
         assert device.read_block(100) == bytes(512)
 
     def test_empty_transaction_commits(self):
+        # It logged nothing, so it seals no frame.
         device, journal = make_journal()
-        txid = commit(journal)
+        commit(journal)
         assert journal.commits == 1
-        assert Journal(device, 0, 16).scan() == [(txid, [])]
+        assert journal.bytes_used == 0
+        assert Journal(device, 0, 16).scan() == []
 
     def test_oversized_record_rejected(self):
         # One record the whole region cannot hold: typed, and nothing buffered.
@@ -154,7 +157,7 @@ class TestCrashInjection:
 
 
 class TestTornRecords:
-    """CRC-per-record: scan stops cleanly at torn or corrupt bytes."""
+    """One CRC per frame: scan stops cleanly at torn or corrupt bytes."""
 
     def _committed_journal(self):
         device, journal = make_journal()
@@ -185,17 +188,18 @@ class TestTornRecords:
     def test_payload_corruption_detected(self):
         device, journal = self._committed_journal()
         raw = bytearray(device.read_blocks(0, 16))
-        raw[40] ^= 0x10  # inside the payload
+        raw[TXN_OVERHEAD + RECORD_OVERHEAD + 3] ^= 0x10  # inside the payload
         device.write_blocks(0, bytes(raw), nblocks=16)
         fresh = Journal(device, journal_start=0, journal_blocks=16)
         assert fresh.scan() == []
 
     def test_length_field_promising_missing_bytes_is_torn(self):
         device, journal = self._committed_journal()
-        # Forge a record whose length points past the end of the region; it
-        # must read as a torn tail, not crash the scanner.
-        forged = journal._encode_record(1, 99, 50, b"x" * 40)
-        forged = forged[:30]  # cut the payload short
+        # A frame cut short, so its length points past what was written:
+        # it must read as a torn tail, not crash the scanner.
+        _, other = make_journal()
+        commit(other, (50, b"x" * 40))
+        forged = bytes(other._log[:30])
         journal._write_log_region(journal.bytes_used, forged)
         fresh = Journal(device, journal_start=0, journal_blocks=16)
         assert len(fresh.scan()) == 1
@@ -223,13 +227,29 @@ class TestCheckpointRecoverRoundTrips:
         assert device.read_block(100).startswith(b"gen one")
         assert device.read_block(101).startswith(b"gen two")
 
-    def test_recover_advances_txid_and_lsn_generators(self):
+    def test_recover_advances_the_lsn_generator(self):
+        # Transaction ids never reach the log (the engine lock serializes
+        # transactions), so only the LSNs continue past the replayed tail.
         device, journal = make_journal()
         for _ in range(3):
             commit(journal, (100, b"x"))
         fresh, _ = recover(device)
-        assert fresh.allocate_txid() > 3
-        assert fresh.last_lsn >= journal.last_lsn
+        assert fresh.last_lsn == journal.last_lsn == 3
+        assert fresh.append(TYPE_DATA, fresh.allocate_txid(), 100, b"y") == 4
+
+    def test_a_replayed_log_matches_its_device_copy(self):
+        # The in-memory log after a replay is the bytes of the replayed
+        # frames, so fsck's comparison holds until the next checkpoint, and
+        # a commit after the replay extends it exactly.
+        device, journal = make_journal()
+        commit(journal, (100, bytes(range(100))))
+        fresh, _ = recover(device)
+        report = fresh.verify_device_region()
+        assert report == {"flushed_bytes": journal.bytes_used,
+                          "matches_memory": True, "first_divergence": None}
+        commit(fresh, (101, b"after the replay"))
+        assert fresh.verify_device_region()["matches_memory"]
+        assert recover(device)[1] == 2
 
     def test_checkpoint_is_one_device_write(self):
         device, journal = make_journal()
@@ -259,7 +279,7 @@ class TestHighWaterMark:
     def test_checkpoint_zeroes_only_the_blocks_below_the_mark(self):
         device, journal = make_journal()
         journal.checkpoint()  # the first truncation zeroes the whole region
-        session(journal, 100, 2)  # 716 bytes: two 512-byte blocks
+        session(journal, 100, 2)  # 658 bytes: two 512-byte blocks
         before = device.stats.blocks_written
         journal.checkpoint()
         assert device.stats.blocks_written - before == 2
@@ -278,7 +298,7 @@ class TestHighWaterMark:
 
     def test_scan_reads_growing_runs_up_to_the_end_of_the_log(self):
         device, journal = make_journal()
-        session(journal, 100, 6)  # 2,148 bytes: blocks 0-4
+        session(journal, 100, 6)  # 1,974 bytes: blocks 0-3
         before = device.stats.snapshot()
         assert len(Journal(device, 0, 16).scan()) == 6
         delta = device.stats.delta(before)
@@ -286,8 +306,8 @@ class TestHighWaterMark:
         assert (delta.reads, delta.blocks_read) == (3, 7)
 
     def test_long_session_then_short_session_then_crash(self):
-        # Same-sized records: the short session ends exactly where the long
-        # one's second record began, so a record the checkpoint failed to
+        # Same-sized frames: the short session ends exactly where the long
+        # one's second frame began, so a frame the checkpoint failed to
         # zero would parse cleanly and replay as a stale transaction.
         device, journal = make_journal()
         session(journal, 100, 12)
@@ -308,7 +328,7 @@ class TestHighWaterMark:
         device = CrashingBlockDevice(num_blocks=256, block_size=512)
         journal = Journal(device, journal_start=0, journal_blocks=16)
         journal.checkpoint()
-        session(journal, 100, 12)  # 4,296 bytes: blocks 0-8
+        session(journal, 100, 12)  # 3,948 bytes: blocks 0-7
         for i in range(12):
             device.write_block(100 + i, bytes([i + 1]) * 300)
         device.plan_crash(after_writes=0, torn_rng=_TearAfterOneBlock())
@@ -352,6 +372,10 @@ class TestLsnsAndGroupCommit:
     def test_buffered_records_become_durable_on_sync(self):
         device, journal = make_journal()
         lsn = journal.append(TYPE_DATA, 1, 10, b"payload")
+        journal.sync()  # a stage is never written
+        assert journal.durable_lsn < lsn
+        assert journal.bytes_unflushed == 0
+        assert journal.commit_txid(1, sync=False) == lsn
         assert journal.durable_lsn < lsn
         assert journal.bytes_unflushed > 0
         journal.sync()

@@ -16,12 +16,14 @@ from repro.errors import JournalError
 from repro.integrity import FRAME_OVERHEAD, frame_page
 from repro.storage import BlockDevice, Journal
 from repro.storage.journal import (
-    _RECORD_HEADER,
+    _ENTRY,
+    _FRAME,
+    _FRAME_MAGIC,
     _RUNS_FLAG,
     DELTA_HEAD,
     RECORD_OVERHEAD,
     RUN_SEARCH_ABOVE,
-    TYPE_COMMIT,
+    TXN_OVERHEAD,
     TYPE_DATA,
     TYPE_DELTA,
     TYPE_HOME_DELTA,
@@ -91,12 +93,30 @@ def commit(journal, *writes):
 
 
 def logged_types(journal, block=BLOCK):
-    return [record.rtype for _txid, records in journal.scan()
+    return [record.rtype for _first_lsn, records in journal.scan()
             for record in records if record.block == block]
 
 
 def home(device, block, length):
     return device.read_blocks(block, -(-length // device.block_size))[:length]
+
+
+def frame(first_lsn, *records):
+    """Hand-encode one frame of ``(rtype, block, payload)`` records."""
+    body = b"".join(_ENTRY.pack(rtype, block, len(payload)) + payload
+                    for rtype, block, payload in records)
+    crc = zlib.crc32(body, zlib.crc32(_FRAME.pack(_FRAME_MAGIC, first_lsn, len(body), 0)))
+    return _FRAME.pack(_FRAME_MAGIC, first_lsn, len(body), crc) + body
+
+
+def write_log(journal, *transactions):
+    """Hand-encode committed transactions of ``(rtype, block, payload)``,
+    one frame each."""
+    raw, lsn = b"", 1
+    for records in transactions:
+        raw += frame(lsn, *records)
+        lsn += len(records)
+    journal._write_log_region(0, raw)
 
 
 # ---------------------------------------------------------------- the codec
@@ -238,7 +258,7 @@ class TestRecordChoice:
         commit(journal, (BLOCK, first))
         before = journal.bytes_appended
         commit(journal, (BLOCK, second))
-        delta_record = journal.bytes_appended - before - RECORD_OVERHEAD  # minus commit
+        delta_record = journal.bytes_appended - before - TXN_OVERHEAD  # minus the frame
         assert delta_record < RECORD_OVERHEAD + 80 < len(second)
 
     def test_a_delta_that_would_not_be_smaller_stays_a_full_image(self):
@@ -277,17 +297,40 @@ class TestRecordChoice:
         assert logged_types(fresh) == [TYPE_DATA, TYPE_DELTA, TYPE_DATA]
 
     def test_an_uncommitted_image_is_no_base_for_another_transaction(self):
-        # If it were, a crash that drops the open transaction would leave
-        # the other one's committed delta without its base.
+        # If it were, the other transaction's delta would have no base in
+        # the log: the stranded stage never reaches it.  The last sealed
+        # image still is one.
         device, journal = make_journal()
         first, second, third = versions(3)
         commit(journal, (BLOCK, first))
         stranded = journal.allocate_txid()
         journal.append(TYPE_DATA, stranded, BLOCK, second)      # never commits
         commit(journal, (BLOCK, third))
-        assert logged_types(journal) == [TYPE_DATA, TYPE_DATA]
+        assert logged_types(journal) == [TYPE_DATA, TYPE_DELTA]
+        [(_first_lsn, [record])] = reopen(device).scan()[1:]
+        assert apply_delta(record.data, first) == third
         reopen(device).replay()
         assert home(device, BLOCK, len(third)) == third
+
+    def test_an_abandoned_stage_never_reaches_the_log(self):
+        # Its records, its revoke and its images are forgotten whole: the
+        # next transaction deltas against the last sealed image, and a
+        # replay writes none of the stage's blocks.
+        device, journal = make_journal()
+        first, second, third = versions(3)
+        commit(journal, (BLOCK, first))
+        abandoned = journal.allocate_txid()
+        journal.append(TYPE_DATA, abandoned, OTHER, first)
+        journal.append(TYPE_DATA, abandoned, BLOCK, second)
+        journal.append(TYPE_REVOKE, abandoned, BLOCK, b"")
+        used = journal.bytes_used
+        commit(journal, (BLOCK, third))
+        assert journal.bytes_used < used  # the stage's bytes went with it
+        assert logged_types(journal) == [TYPE_DATA, TYPE_DELTA]
+        assert logged_types(journal, block=OTHER) == []
+        assert len(reopen(device).replay()) == 2
+        assert home(device, BLOCK, len(third)) == third
+        assert device.read_block(OTHER) == bytes(512)
 
     def test_a_transaction_deltas_against_its_own_image(self):
         _device, journal = make_journal()
@@ -382,12 +425,8 @@ class TestReplayFold:
     def test_delta_without_a_base_is_surfaced_and_nothing_is_written(self):
         device, journal = make_journal()
         first, second = versions(2)
-        orphan = (
-            journal._encode_record(TYPE_DATA, 1, OTHER, first, lsn=1)
-            + journal._encode_record(TYPE_DELTA, 1, BLOCK, encode_delta(first, second), lsn=2)
-            + journal._encode_record(TYPE_COMMIT, 1, 0, b"", lsn=3)
-        )
-        journal._write_log_region(0, orphan)
+        write_log(journal, [(TYPE_DATA, OTHER, first),
+                            (TYPE_DELTA, BLOCK, encode_delta(first, second))])
         with pytest.raises(JournalError, match="no base image"):
             reopen(device).replay()
         assert device.read_block(BLOCK) == bytes(512)
@@ -435,17 +474,11 @@ class TestReplayFold:
         assert home(device, BLOCK, len(images[-1])) == images[-1]
 
     def test_a_journal_of_plain_data_records_replays_as_before(self):
-        # What every journal written before deltas existed looks like.
+        # Full images only: no record needs a base.
         device, journal = make_journal()
         first, second = versions(2)
-        plain = (
-            journal._encode_record(TYPE_DATA, 1, BLOCK, first, lsn=1)
-            + journal._encode_record(TYPE_COMMIT, 1, 0, b"", lsn=2)
-            + journal._encode_record(TYPE_DATA, 2, BLOCK, second, lsn=3)
-            + journal._encode_record(TYPE_DATA, 2, OTHER, first, lsn=4)
-            + journal._encode_record(TYPE_COMMIT, 2, 0, b"", lsn=5)
-        )
-        journal._write_log_region(0, plain)
+        write_log(journal, [(TYPE_DATA, BLOCK, first)],
+                  [(TYPE_DATA, BLOCK, second), (TYPE_DATA, OTHER, first)])
         assert len(reopen(device).replay()) == 2
         assert home(device, BLOCK, len(second)) == second
         assert home(device, OTHER, len(first)) == first
@@ -511,18 +544,6 @@ def make_page_journal():
 def home_delta(base, new):
     """A hand-encoded ``HOME_DELTA`` payload: ``crc32(base)`` and a splice."""
     return struct.pack(">I", zlib.crc32(base)) + encode_delta(base, new)
-
-
-def write_log(journal, *transactions):
-    """Hand-encode committed transactions of ``(rtype, block, payload)``."""
-    raw, lsn = b"", 0
-    for txid, records in enumerate(transactions, start=1):
-        for rtype, block, payload in records:
-            lsn += 1
-            raw += journal._encode_record(rtype, txid, block, payload, lsn=lsn)
-        lsn += 1
-        raw += journal._encode_record(TYPE_COMMIT, txid, 0, b"", lsn=lsn)
-    journal._write_log_region(0, raw)
 
 
 class TestHomeDeltas:
@@ -716,20 +737,26 @@ class TestHomeFold:
 
 # ---------------------------------------------------------------- run lists through a crash
 
-def record_spans(log):
-    """``(start, end, rtype, payload)`` of each record in a raw log."""
-    spans, at = [], 0
-    while at + RECORD_OVERHEAD <= len(log):
-        _magic, rtype, _txid, _lsn, _block, length, _crc = _RECORD_HEADER.unpack_from(log, at)
-        end = at + RECORD_OVERHEAD + length
-        spans.append((at, end, rtype, log[at + RECORD_OVERHEAD:end]))
+def frame_spans(log):
+    """``(start, end, entries)`` of each frame in a raw log, each entry as
+    ``(start, end, rtype, payload)``."""
+    frames, at = [], 0
+    while at + TXN_OVERHEAD <= len(log):
+        _magic, _first_lsn, length, _crc = _FRAME.unpack_from(log, at)
+        end, entries, position = at + TXN_OVERHEAD + length, [], at + TXN_OVERHEAD
+        while position < end:
+            rtype, _block, size = _ENTRY.unpack_from(log, position)
+            stop = position + RECORD_OVERHEAD + size
+            entries.append((position, stop, rtype, log[position + RECORD_OVERHEAD:stop]))
+            position = stop
+        frames.append((at, end, entries))
         at = end
-    return spans
+    return frames
 
 
 class TestRunListCrashes:
-    """A crash may cut the log at any byte: at a record boundary, or inside
-    a record (a torn append).  Whatever the cut, replay must leave every
+    """A crash may cut the log at any byte: at a frame boundary, or inside
+    a frame (a torn append).  Whatever the cut, replay must leave every
     page as the last transaction committed before it left it — with
     run-list ``DELTA`` and ``HOME_DELTA`` records in the chains, and from a
     home that still holds the base or already the newest such image."""
@@ -753,13 +780,17 @@ class TestRunListCrashes:
             state.update(writes)
             committed.append((journal.bytes_used, dict(state)))
         log = bytes(journal._log)
-        spans = record_spans(log)
-        kinds = {rtype for _start, _end, rtype, payload in spans
+        frames = frame_spans(log)
+        entries = [entry for _start, _end, inside in frames for entry in inside]
+        kinds = {rtype for _start, _end, rtype, payload in entries
                  if rtype in (TYPE_DELTA, TYPE_HOME_DELTA) and runs_flagged(rtype, payload)}
         # A page of one block starts its chain from the home, of several from an image.
         assert kinds == ({TYPE_DELTA, TYPE_HOME_DELTA} if block_size == PAGE else {TYPE_DELTA})
-        cuts = {0, len(log)} | {end for _start, end, *_rest in spans}
-        cuts |= {point for start, end, *_rest in spans
+        # Each frame boundary, inside each frame header, and three points
+        # inside each entry.
+        cuts = {0, len(log)} | {point for start, end, _inside in frames
+                                for point in (start + 1, end)}
+        cuts |= {point for start, end, _rtype, _payload in entries
                  for point in (start + 1, (start + end) // 2, end - 1)}
         for cut in sorted(cuts):
             expected = max((entry for entry in committed if entry[0] <= cut),
@@ -778,8 +809,11 @@ class TestRunListCrashes:
                     assert home(crashed, block, len(image)) == image, (cut, block)
 
 
-# A journal the single-splice encoder wrote (before run lists existed):
-# ``TestParentJournal`` below logs the same transactions.  zlib + base64.
+# A journal the single-splice encoder wrote (before run lists existed), in
+# the per-record format (before frames): ``TestParentJournal`` below logs
+# the same transactions.  zlib + base64.  That format's record header:
+# MAGIC | type | txid | lsn | block | length | crc32.
+_PER_RECORD = struct.Struct(">IBQQQII")
 PARENT_JOURNAL = """
 eNrNmV9IFFEUxkfd9X+ZiTggYurEmpTc3VxdDSRXWcMH08WNtnqoKNuMwCQQAiPzxfIxyoyK
 0oSgAk0EM+zFF8seKiHSKKynzIhKCjOI9uiO57jdblNbziysc9DvzPlkZn9+x/G5SsoipYVX
@@ -804,6 +838,17 @@ ANVQ59CYZKjwqggQDvVrOt9QQVYRoB3qC3S+oUKtIkA+1G4631ABVxH8KYA6Vt3jg+kbi/SV
 """
 
 
+def per_record_spans(log):
+    """``(block, rtype, payload)`` of each record of a per-record-format log."""
+    spans, at = [], 0
+    while at + _PER_RECORD.size <= len(log):
+        _magic, rtype, _txid, _lsn, block, length, _crc = _PER_RECORD.unpack_from(log, at)
+        end = at + _PER_RECORD.size + length
+        spans.append((block, rtype, log[at + _PER_RECORD.size:end]))
+        at = end
+    return spans
+
+
 class TestParentJournal:
     def images(self):
         """The images the fixture's transactions logged, in order."""
@@ -812,26 +857,29 @@ class TestParentJournal:
         images.append(last[:-40] + bytes([last[-40] ^ 1]) + last[-39:])  # a one-byte edit
         return images, settle_versions(3, start=1)
 
-    def test_a_journal_of_single_splices_replays_byte_identically(self):
+    def test_a_per_record_journal_is_refused_untouched(self):
+        # Its records would read as a zeroed log and be lost: the replay
+        # names the format instead, before it writes a block.
         images, others = self.images()
         device = BlockDevice(num_blocks=256)
         device.write_block(BLOCK, images[0])
         device.write_block(OTHER, others[0])
         log = zlib.decompress(base64.b64decode("".join(PARENT_JOURNAL.split())))
         reopen(device)._write_log_region(0, log)
-        fresh = reopen(device)
-        assert len(fresh.replay()) == 4
-        assert home(device, BLOCK, len(images[-1])) == images[-1]
-        assert home(device, OTHER, len(others[-1])) == others[-1]
-        assert fresh.last_replay_unresolved == []
+        before = device.dump()
+        with pytest.raises(JournalError, match="per-record log format"):
+            reopen(device).replay()
+        with pytest.raises(JournalError, match="per-record log format"):
+            reopen(device).scan()
+        assert device.dump() == before
 
     def test_short_deltas_encode_as_they_always_did(self):
         # Only a long middle may take a run list: every other payload in
         # the old journal is exactly what today's encoder writes.
         images, _others = self.images()
         log = zlib.decompress(base64.b64decode("".join(PARENT_JOURNAL.split())))
-        chain = [payload for start, _end, rtype, payload in record_spans(log)
-                 if rtype == TYPE_DELTA and _RECORD_HEADER.unpack_from(log, start)[4] == BLOCK]
+        chain = [payload for block, rtype, payload in per_record_spans(log)
+                 if rtype == TYPE_DELTA and block == BLOCK]
         pairs = list(zip(images[1:], images[2:]))
         assert len(chain) == len(pairs) == 4
         for payload, (old, new) in zip(chain, pairs):
