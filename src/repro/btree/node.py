@@ -5,9 +5,11 @@ link) or *inner* nodes (sorted separator keys with child page ids).  The
 encoding is a simple length-prefixed layout so nodes can be persisted to a
 block device page by :class:`repro.btree.pages.DevicePageStore`:
 
-``[type:1][count:4] { [klen:4][key][vlen:4][value] } * count [next:8]``
+``[type:1][count:4] { [klen:2][key][vlen:2][value] } * count [next:8]``
 
-Inner nodes store ``count`` keys followed by ``count + 1`` child page ids.
+Inner nodes store ``count`` keys (``[klen:2][key]`` each) followed by
+``count + 1`` child page ids.  A length prefix is u16: no entry outgrows a
+:data:`~repro.storage.block_device.PAGE_BYTES` page.
 
 Every node carries ``nbytes``, the length :meth:`encode` would produce.  It
 is taken once when the node is built or decoded and then kept current by the
@@ -26,7 +28,7 @@ from repro.errors import BTreeError
 _LEAF = 1
 _INNER = 2
 
-_U32 = struct.Struct(">I")
+_U16 = struct.Struct(">H")
 _U64 = struct.Struct(">Q")
 _HEADER = struct.Struct(">BI")
 
@@ -38,8 +40,8 @@ NO_PAGE = 0xFFFFFFFFFFFFFFFF
 NODE_OVERHEAD = _HEADER.size + _U64.size
 #: encoded bytes a leaf entry adds to its key and value (two length prefixes),
 #: and an inner separator to its key (length prefix and child pointer).
-LEAF_ENTRY_OVERHEAD = 2 * _U32.size
-INNER_ENTRY_OVERHEAD = _U32.size + _U64.size
+LEAF_ENTRY_OVERHEAD = 2 * _U16.size
+INNER_ENTRY_OVERHEAD = _U16.size + _U64.size
 
 
 @dataclass
@@ -62,9 +64,9 @@ class LeafNode:
     def encode(self) -> bytes:
         parts = [_HEADER.pack(_LEAF, len(self.keys))]
         for key, value in zip(self.keys, self.values):
-            parts.append(_U32.pack(len(key)))
+            parts.append(_U16.pack(len(key)))
             parts.append(key)
-            parts.append(_U32.pack(len(value)))
+            parts.append(_U16.pack(len(value)))
             parts.append(value)
         parts.append(_U64.pack(self.next_leaf))
         return b"".join(parts)
@@ -102,7 +104,7 @@ class InnerNode:
     def encode(self) -> bytes:
         parts = [_HEADER.pack(_INNER, len(self.keys))]
         for key in self.keys:
-            parts.append(_U32.pack(len(key)))
+            parts.append(_U16.pack(len(key)))
             parts.append(key)
         for child in self.children:
             parts.append(_U64.pack(child))
@@ -111,7 +113,7 @@ class InnerNode:
     def encoded_size(self) -> int:
         """Exact byte length :meth:`encode` would produce, summed afresh."""
         return (_HEADER.size + _U64.size * len(self.children)
-                + sum(_U32.size + len(key) for key in self.keys))
+                + sum(_U16.size + len(key) for key in self.keys))
 
     def entry_size(self, index: int) -> int:
         """Encoded bytes separator ``index`` and one child pointer contribute."""
@@ -128,12 +130,12 @@ def decode_node(data: bytes):
         keys: List[bytes] = []
         values: List[bytes] = []
         for _ in range(count):
-            (klen,) = _U32.unpack_from(data, offset)
-            offset += _U32.size
+            (klen,) = _U16.unpack_from(data, offset)
+            offset += _U16.size
             keys.append(bytes(data[offset:offset + klen]))
             offset += klen
-            (vlen,) = _U32.unpack_from(data, offset)
-            offset += _U32.size
+            (vlen,) = _U16.unpack_from(data, offset)
+            offset += _U16.size
             values.append(bytes(data[offset:offset + vlen]))
             offset += vlen
         (next_leaf,) = _U64.unpack_from(data, offset)
@@ -142,8 +144,8 @@ def decode_node(data: bytes):
     if node_type == _INNER:
         keys = []
         for _ in range(count):
-            (klen,) = _U32.unpack_from(data, offset)
-            offset += _U32.size
+            (klen,) = _U16.unpack_from(data, offset)
+            offset += _U16.size
             keys.append(bytes(data[offset:offset + klen]))
             offset += klen
         children: List[int] = []

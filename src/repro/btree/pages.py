@@ -37,6 +37,8 @@ from repro.storage.buddy import BuddyAllocator
 from repro.btree.node import decode_node
 from repro.opcontext import current_operation
 
+assert PAGE_BYTES <= 0xFFFF, "a node entry's key and value lengths are u16"
+
 
 class PageStore:
     """Interface for node storage backends."""

@@ -20,15 +20,27 @@ same crash-atomicity as every other btree, and a re-mount re-attaches the
 index from its persisted root instead of re-reading and re-analyzing every
 object's bytes.
 
-Key layout (one tree, seven record kinds; ``block`` is ``oid >> BLOCK_SHIFT``)::
+Key layout (one tree, seven record kinds; ``block`` is ``oid >> BLOCK_SHIFT``,
+``slot`` is ``oid & (BLOCK_SPAN - 1)``, ``w`` is the document's width)::
 
-    D \x00 oid(8) \x00 seq(4)   -> chunk of: doc_length(4) | { term_len(2) term npos(1) position(4) * npos } ...
-    L \x00 block(8)            -> (doc_length + 1)(4) * BLOCK_SPAN, slot ``oid & (BLOCK_SPAN - 1)``; 0 = not indexed
-    P \x00 oid(8) \x00 seq(4)   -> chunk of: tf(4) per term, in the ``D`` record's term order
+    D \x00 oid(8) \x00 seq(4)   -> chunk of: doc_length(4) | { term_len(2) term npos(1) position(w) * npos } ...
+    L \x00 block(8)            -> (doc_length + 1)(4) * BLOCK_SPAN, by slot; 0 = not indexed
+    P \x00 oid(8) \x00 seq(4)   -> chunk of: tf(w) per term, in the ``D`` record's term order
     R \x00 oid(8) \x00 seq(4)   -> the removed version's ``D`` chunks, verbatim
     S                          -> doc_count(8) | total_token_count(8)
-    T \x00 term \x00 block(8)   -> { oid(8) tf(4) } * n, oids ascending | max_tf(4), exact
-    T \x00 term \x01            -> document_frequency(8) | max_tf(8) | min_len(8)
+    T \x00 term \x00 block(8)   -> { slot(1) tf(4) } * n, slots ascending | max_tf(4), exact
+    T \x00 term \x01            -> document_frequency(8) | max_tf(4) | min_len(4)
+
+* A row names its document by slot: the key's ``block`` is the rest of the
+  oid, so a reader rebuilds the oids from the block's base,
+  ``block << BLOCK_SHIFT``.  Rows and trailer stay fixed-width, so a block's
+  row count is its length over five and a seek bisects decoded slots.
+* A document's own numbers — its positions in ``D`` (and ``R``) and its tfs
+  in ``P`` — are u16 (``w`` = 2) when its length is below 2 ** 16, u32
+  otherwise: no position or tf exceeds the length, which the ``D`` header
+  carries, so no flag byte says which.  (Not "up to 2 ** 16": a
+  65,536-token document of one term has a tf of 65,536.)
+* ``max_tf`` and ``min_len`` are u32 like the lengths ``L`` stores.
 
 * A mutation writes through only the document's own records — ``D``, its
   ``L`` slot, ``S`` and one *backlog* record — as one sorted
@@ -112,9 +124,10 @@ _TERM_STATS_END = b"\x01"
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _STATS = struct.Struct(">QQ")
-_ROW = struct.Struct(">QI")
+#: a ``T`` row: the oid's slot in its block, and the term's frequency there.
+_ROW = struct.Struct(">BI")
 #: a term's statistics: df + the WAND bound inputs (max tf, min document length).
-_DF_RECORD = struct.Struct(">QQQ")
+_DF_RECORD = struct.Struct(">QII")
 
 #: positions stored per posting; term frequency stays exact beyond the cap.
 MAX_STORED_POSITIONS = 64
@@ -122,10 +135,14 @@ MAX_STORED_POSITIONS = 64
 #: the smallest configured btree page.
 DOC_CHUNK_BYTES = 768
 #: block id is ``oid >> BLOCK_SHIFT``: a ``T`` block holds at most BLOCK_SPAN
-#: rows, an ``L`` record that many lengths.  6, not 7: shorter WAL splices
-#: (perfbench ingest, 72 against 81 WAL bytes per user byte) for 5 % more writes.
+#: rows, an ``L`` record that many lengths.  Re-measured on 5-byte rows
+#: (perfbench ``ingest``, seed 1, WAL / stored bytes per user byte): 6 reads
+#: 10.41 / 7.89, 7 reads 10.35 / 7.97 and 8 reads 8.84 / 7.82 — but 8 makes
+#: every block-max bound four times coarser, a trade for ranked queries'
+#: pruning (E13) to measure first.
 BLOCK_SHIFT = 6
 BLOCK_SPAN = 1 << BLOCK_SHIFT
+assert BLOCK_SPAN <= 0x100, "a row's slot is one byte"
 _LENGTHS = struct.Struct(f">{BLOCK_SPAN}I")
 _NO_LENGTHS = bytes(_LENGTHS.size)
 #: edited ``T`` keys at which a commit settles the overlay: ~100 perfbench
@@ -150,13 +167,27 @@ def _encode_term(term: str) -> bytes:
 
 @lru_cache(maxsize=None)
 def _rows(count: int) -> struct.Struct:
-    """Codec for the ``count`` interleaved ``(oid, tf)`` rows of one block."""
-    return struct.Struct(">" + "QI" * count)
+    """Codec for the ``count`` interleaved ``(slot, tf)`` rows of one block."""
+    return struct.Struct(">" + "BI" * count)
 
 
-def _decode_block(raw: bytes) -> Tuple[int, ...]:
-    """A block's rows, flat: ``oid, tf, oid, tf, ...`` (the trailer is skipped)."""
-    return _rows(len(raw) // _ROW.size).unpack_from(raw)
+def _block_base(key: bytes) -> int:
+    """The first oid a ``T`` block key's rows can name."""
+    return _OID.unpack_from(key, len(key) - _OID.size)[0] << BLOCK_SHIFT
+
+
+def _block_rows(raw: bytes) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """A block's ``(slots, tfs)`` (the trailer is skipped: ``len(raw) // 5``
+    rows, as the 4-byte trailer is shorter than one)."""
+    flat = _rows(len(raw) // _ROW.size).unpack_from(raw)
+    return flat[0::2], flat[1::2]
+
+
+def _decode_block(raw: bytes, base: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """A block's ``(oids, tfs)``: its slots rebuilt on ``base``, the first
+    oid its key names (:func:`_block_base`)."""
+    slots, tfs = _block_rows(raw)
+    return tuple([base + slot for slot in slots]), tfs
 
 
 def _edit_block(raw: Optional[bytes], oid: int, tf: int) -> Tuple[Optional[bytes], bool]:
@@ -166,10 +197,11 @@ def _edit_block(raw: Optional[bytes], oid: int, tf: int) -> Tuple[Optional[bytes
     The trailer is recomputed from the rows, so it is always the exact
     maximum — a block bound can only tighten.
     """
-    flat = _decode_block(raw) if raw else ()
-    at = 2 * bisect_left(flat[0::2], oid)
-    present = at < len(flat) and flat[at] == oid
-    flat = flat[:at] + ((oid, tf) if tf else ()) + flat[at + 2 * present:]
+    slot = oid & (BLOCK_SPAN - 1)
+    flat = _rows(len(raw) // _ROW.size).unpack_from(raw) if raw else ()
+    at = 2 * bisect_left(flat[0::2], slot)
+    present = at < len(flat) and flat[at] == slot
+    flat = flat[:at] + ((slot, tf) if tf else ()) + flat[at + 2 * present:]
     if not flat:
         return None, present
     return _rows(len(flat) // 2).pack(*flat) + _U32.pack(max(flat[1::2])), present
@@ -181,17 +213,49 @@ def _chunked(payload: bytes) -> List[bytes]:
             for at in range(0, len(payload), DOC_CHUNK_BYTES)] or [b""]
 
 
+def _width(length: int) -> str:
+    """The struct code of a ``length``-token document's positions and tfs:
+    none exceeds the length, so u16 holds them all below 2 ** 16."""
+    return "H" if length <= 0xFFFF else "I"
+
+
+def _encode_doc(length: int, occurrences: Dict[str, List[int]]) -> bytes:
+    """A ``D`` payload: the length, then each term with its first
+    :data:`MAX_STORED_POSITIONS` positions."""
+    width = _width(length)
+    parts = [_U32.pack(length)]
+    for term, positions in occurrences.items():
+        encoded, kept = _encode_term(term), positions[:MAX_STORED_POSITIONS]
+        parts.append(_U16.pack(len(encoded)) + encoded)
+        parts.append(struct.pack(f">B{len(kept)}{width}", len(kept), *kept))
+    return b"".join(parts)
+
+
 def _parse_doc(chunks: List[bytes]) -> Tuple[int, Dict[str, Tuple[int, ...]]]:
     """``(doc_length, {term: stored positions})`` of a ``D`` (or ``R``) record."""
     payload = b"".join(chunks)
+    length = _U32.unpack_from(payload, 0)[0]
+    width = _width(length)
+    size = struct.calcsize(width)
     positions: Dict[str, Tuple[int, ...]] = {}
     at = _U32.size
     while at < len(payload):
         end = at + _U16.size + _U16.unpack_from(payload, at)[0]
         term = payload[at + _U16.size:end].decode("utf-8")
-        positions[term] = struct.unpack_from(f">{payload[end]}I", payload, end + 1)
-        at = end + 1 + _U32.size * payload[end]
-    return _U32.unpack_from(payload, 0)[0], positions
+        positions[term] = struct.unpack_from(f">{payload[end]}{width}", payload, end + 1)
+        at = end + 1 + size * payload[end]
+    return length, positions
+
+
+def _encode_tfs(length: int, tfs: List[int]) -> bytes:
+    """A ``P`` payload: the tfs of a ``length``-token document, term by term."""
+    return struct.pack(f">{len(tfs)}{_width(length)}", *tfs)
+
+
+def _decode_tfs(length: int, payload: bytes) -> Tuple[int, ...]:
+    """The tfs of a ``length``-token document's ``P`` payload."""
+    width = _width(length)
+    return struct.unpack(f">{len(payload) // struct.calcsize(width)}{width}", payload)
 
 
 def _settle_group(key: bytes) -> bytes:
@@ -287,9 +351,11 @@ class _TermView:
 class _BlockCursor(DocIdCursor):
     """One term's postings in oid order, decoded a block at a time.
 
-    ``next`` steps inside the decoded block; ``seek`` bisects inside it, or
+    ``next`` steps inside the decoded block; ``seek`` bisects its slots, or
     re-descends the tree to the target's block in O(log n).  Every posting
     the cursor lands on is counted as scanned; rows merely decoded are not.
+    A row's oid is the block's base plus its slot, added only for the row
+    the cursor lands on.
     """
 
     def __init__(self, tree: BPlusTree, prefix: bytes, counter: ScanCounter,
@@ -299,24 +365,25 @@ class _BlockCursor(DocIdCursor):
         self._prefix = prefix
         self._counter = counter
         self._estimate = estimate
-        #: the current block: its value, its rows (flat), their oids, our row
-        self._raw, self._flat, self._oids, self._at = b"", (), (), -1
+        #: the current block: its value, its first oid, its rows' slots and
+        #: tfs, our row
+        self._raw, self._base, self._slots, self._tfs, self._at = b"", 0, (), (), -1
         self._doc: Optional[int] = -1  # nothing returned yet; None = exhausted
 
     def _settle(self, at: int) -> int:
         self._at = at
-        self._doc = self._oids[at]
+        self._doc = self._base + self._slots[at]
         self._counter.scanned += 1
         return self._doc
 
     def _land(self, item, target: int = 0) -> Optional[int]:
         """Settle on the first posting ``>= target`` in block ``item`` or after."""
         while item is not None:
-            flat = _decode_block(item[1])
-            oids = flat[0::2]
-            at = bisect_left(oids, target)
-            if at < len(oids):
-                self._raw, self._flat, self._oids = item[1], flat, oids
+            base = _block_base(item[0])
+            slots, tfs = _block_rows(item[1])
+            at = bisect_left(slots, target - base)
+            if at < len(slots):
+                self._raw, self._base, self._slots, self._tfs = item[1], base, slots, tfs
                 return self._settle(at)
             item = self._blocks.next_item()
         self._doc = None
@@ -324,18 +391,18 @@ class _BlockCursor(DocIdCursor):
 
     def _advance(self, target: int) -> Optional[int]:
         """Move to the first posting ``>= target`` (``target`` > current doc)."""
-        oids = self._oids
-        block = target >> BLOCK_SHIFT
-        if not oids or block != oids[-1] >> BLOCK_SHIFT:
-            return self._land(self._blocks.seek(self._prefix + _OID.pack(block)), target)
-        if target > oids[-1]:  # past this block's rows: the tree cursor is there
+        slots, slot = self._slots, target - self._base
+        if not slots or slot >= BLOCK_SPAN:
+            return self._land(self._blocks.seek(self._prefix + _OID.pack(target >> BLOCK_SHIFT)),
+                              target)
+        if slot > slots[-1]:  # past this block's rows: the tree cursor is there
             return self._land(self._blocks.next_item())
-        return self._settle(bisect_left(oids, target, self._at + 1))
+        return self._settle(bisect_left(slots, slot, self._at + 1))
 
     def next(self) -> Optional[int]:
         if self._doc is None:
             return None
-        if self._at + 1 < len(self._oids):
+        if self._at + 1 < len(self._slots):
             return self._settle(self._at + 1)
         return self._land(self._blocks.next_item())
 
@@ -372,7 +439,7 @@ class _PostingScoredCursor(_BlockCursor, ScoredCursor):
         return self._doc
 
     def score(self) -> float:
-        return self._scorer(self._doc, self._flat[2 * self._at + 1])
+        return self._scorer(self._doc, self._tfs[self._at])
 
     next = _BlockCursor.next  # named here: the scored protocol's ``next`` too
 
@@ -389,7 +456,7 @@ class _PostingScoredCursor(_BlockCursor, ScoredCursor):
         block = doc >> BLOCK_SHIFT
         bound = self._bounds.get(block)
         if bound is None:
-            if self._oids and self._oids[0] >> BLOCK_SHIFT == block:
+            if self._slots and self._base >> BLOCK_SHIFT == block:
                 raw = self._raw
             else:
                 raw = self._tree.get(self._prefix + _OID.pack(block))
@@ -498,9 +565,9 @@ class PersistentInvertedIndex:
 
     def _blocks(self, term: str) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
         """``(oids, tfs, trailer max_tf)`` of each of ``term``'s blocks, in order."""
-        for _key, raw in self._view.cursor(self._posting_prefix(term)):
-            flat = _decode_block(raw)
-            yield flat[0::2], flat[1::2], _U32.unpack_from(raw, len(raw) - _U32.size)[0]
+        for key, raw in self._view.cursor(self._posting_prefix(term)):
+            yield (*_decode_block(raw, _block_base(key)),
+                   _U32.unpack_from(raw, len(raw) - _U32.size)[0])
 
     # ------------------------------------------------------------- mutation
 
@@ -573,7 +640,7 @@ class PersistentInvertedIndex:
                         self._set_row(term, doc_id, 0)
                     continue
                 length, positions = _parse_doc(self._doc_chunks(doc_id))
-                tfs = struct.unpack(f">{len(positions)}I", b"".join(chunks))
+                tfs = _decode_tfs(length, b"".join(chunks))
                 for term, tf in zip(positions, tfs):
                     self._set_row(term, doc_id, tf, length)
 
@@ -589,20 +656,16 @@ class PersistentInvertedIndex:
             occurrences: Dict[str, List[int]] = {}
             for term, position in analyzed:
                 occurrences.setdefault(term, []).append(position)
-            parts = [_U32.pack(len(analyzed))]
-            for term, positions in occurrences.items():
-                encoded, kept = _encode_term(term), positions[:MAX_STORED_POSITIONS]
-                parts.append(_U16.pack(len(encoded)) + encoded)
-                parts.append(struct.pack(f">B{len(kept)}I", len(kept), *kept))
+            length = len(analyzed)
             tfs = [len(positions) for positions in occurrences.values()]
             records: Dict[bytes, Optional[bytes]] = {}
-            for kind, payload in ((_DOC_PREFIX, b"".join(parts)),
-                                  (_PENDING_PREFIX, struct.pack(f">{len(tfs)}I", *tfs))):
+            for kind, payload in ((_DOC_PREFIX, _encode_doc(length, occurrences)),
+                                  (_PENDING_PREFIX, _encode_tfs(length, tfs))):
                 for seq, chunk in enumerate(_chunked(payload)):
                     records[self._doc_key(doc_id, seq, kind)] = chunk
-            self._write_through(doc_id, len(analyzed), 1, records)
+            self._write_through(doc_id, length, 1, records)
             for term, tf in zip(occurrences, tfs):
-                self._set_row(term, doc_id, tf, len(analyzed))
+                self._set_row(term, doc_id, tf, length)
             return len(occurrences)
 
     def remove_document(self, doc_id: int) -> bool:

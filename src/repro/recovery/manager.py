@@ -72,7 +72,7 @@ from repro.storage.journal import (
     TYPE_REVOKE,
     Journal,
 )
-from repro.recovery.superblock import Superblock
+from repro.recovery.superblock import FULLTEXT_FORMAT, OSD_FORMAT, Superblock
 
 #: default idle-flush period when ``group_commit > 1`` and the caller did
 #: not pick one: short enough that a lone writer's commit window is
@@ -180,8 +180,8 @@ class RecoveryManager:
             "image_root": 0,
             "content_root": 0,
             "checksum_pages": 1,
-            "fulltext_format": 3,
-            "osd_format": 4,
+            "fulltext_format": FULLTEXT_FORMAT,
+            "osd_format": OSD_FORMAT,
         }
         self.pool = None  # the shared BufferPool, once attached
         self.poisoned = False

@@ -15,7 +15,8 @@ The superblock is the fixed-location record that makes that possible:
   :data:`~repro.storage.block_device.PAGE_BYTES` whatever the device's
   block size, and an image stamped with any other page size is refused;
 * the layout stamps of the trees' contents (``osd_format``,
-  ``fulltext_format``), each refused when it is not the one layout served.
+  ``fulltext_format``), each refused when it is not the one layout served
+  (:data:`OSD_FORMAT`, :data:`FULLTEXT_FORMAT`).
 
 This module is also the one place that knows which on-device formats are
 mountable: :meth:`Superblock.from_bytes` rejects a field set it does not
@@ -46,6 +47,22 @@ SUPERBLOCK_BLOCK = 0
 _MAGIC = b"HFADSB01"
 _PREFIX = struct.Struct(">8sII")  # magic | payload length | crc32(payload)
 
+#: the one full-text tree layout served: posting blocks of 5-byte
+#: ``slot · tf`` rows (the key carries the rest of the oid), 16-byte term
+#: statistics, ``L`` lengths, positions in ``D`` and tfs in ``P`` as u16 for a
+#: document below 2 ** 16 tokens, and the durable posting backlog (``P`` /
+#: ``R`` records; :mod:`repro.fulltext.persistent_index`).  3 was 12-byte
+#: ``oid · tf`` rows, 24-byte statistics and u32 positions and tfs.
+FULLTEXT_FORMAT = 4
+#: the one master tree layout served: every object's extents in the master
+#: tree (``\xffE | oid | D | offset`` keys; :mod:`repro.osd.object_store`),
+#: not in an extent tree per object, each value tagged as a CRC-carrying
+#: chunk or a content-tree entry (:mod:`repro.osd.extent_map`), every name in
+#: one encoding, ``TAG/value`` under ``\xffN | oid`` (a path is
+#: ``POSIX//a/b``), and every btree node's entries with u16 length prefixes
+#: (:mod:`repro.btree.node`).  4 had u32 prefixes.
+OSD_FORMAT = 5
+
 
 @dataclass
 class Superblock:
@@ -73,19 +90,12 @@ class Superblock:
     #: in a CRC32 checksum frame (:mod:`repro.integrity.checksum`) — the
     #: only page format; any other value is refused at mount.
     checksum_pages: int = 1
-    #: full-text tree layout stamp: ``3`` is posting blocks (``T`` blocks,
-    #: ``L`` lengths, positions in ``D``) with the durable posting backlog
-    #: (``P`` / ``R`` records; :mod:`repro.fulltext.persistent_index`) — the
-    #: only layout; any other value is refused at mount.
-    fulltext_format: int = 3
-    #: master tree layout stamp: ``4`` keeps every object's extents in the
-    #: master tree (``\xffE | oid | D | offset`` keys;
-    #: :mod:`repro.osd.object_store`), not in an extent tree per object,
-    #: each value tagged as a CRC-carrying chunk or a content-tree entry
-    #: (:mod:`repro.osd.extent_map`), and every name in one encoding,
-    #: ``TAG/value`` under ``\xffN | oid`` (a path is ``POSIX//a/b``) — the
-    #: only layout; any other value is refused at mount.
-    osd_format: int = 4
+    #: full-text tree layout stamp: :data:`FULLTEXT_FORMAT` is the only
+    #: layout; any other value is refused at mount.
+    fulltext_format: int = FULLTEXT_FORMAT
+    #: master tree and node layout stamp: :data:`OSD_FORMAT` is the only
+    #: layout; any other value is refused at mount.
+    osd_format: int = OSD_FORMAT
 
     # -- serialization --------------------------------------------------------
 
@@ -140,18 +150,20 @@ class Superblock:
                 f"{self.checksum_pages}, but only CRC-framed btree pages "
                 "(checksum_pages=1) are mountable"
             )
-        if self.fulltext_format != 3:
+        if self.fulltext_format != FULLTEXT_FORMAT:
             raise RecoveryError(
                 f"unsupported on-device format: superblock fulltext_format="
-                f"{self.fulltext_format}, but only posting-block full-text "
-                "trees with a posting backlog (fulltext_format=3) are mountable"
+                f"{self.fulltext_format}, but only full-text trees of slot-keyed "
+                "posting rows with a posting backlog (fulltext_format="
+                f"{FULLTEXT_FORMAT}) are mountable"
             )
-        if self.osd_format != 4:
+        if self.osd_format != OSD_FORMAT:
             raise RecoveryError(
                 f"unsupported on-device format: superblock osd_format="
                 f"{self.osd_format}, but only extent maps kept in the master "
                 "tree, naming CRC-carrying chunks or content-tree entries, "
-                "with names spelled TAG/value (osd_format=4) are mountable"
+                "with names spelled TAG/value, in btree nodes of u16 entry "
+                f"lengths (osd_format={OSD_FORMAT}) are mountable"
             )
         for name in ("fulltext_root", "image_root", "content_root"):
             if not getattr(self, name):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.btree import BPlusTree, DevicePageStore
+from repro.btree.node import LEAF_ENTRY_OVERHEAD, NODE_OVERHEAD
 from repro.cache import BufferPool
 from repro.errors import BTreeError, KeyNotFoundError
 from repro.storage import BlockDevice, BuddyAllocator
@@ -338,8 +339,8 @@ class TestByteOccupancy:
 
     def test_a_leaf_holds_a_page_of_entries_whatever_max_keys_says(self):
         tree, store = self.make_tree()
-        entry = 8 + len(key(0)) + 100
-        fits = (store.page_bytes - 13) // entry
+        entry = LEAF_ENTRY_OVERHEAD + len(key(0)) + 100
+        fits = (store.page_bytes - NODE_OVERHEAD) // entry
         for i in range(fits):
             tree.put(key(i), bytes(100))
         assert tree.depth() == 1

@@ -77,7 +77,7 @@ def alpha_block(persistent):
 
 CORRUPTIONS = [
     # The term's max tf claims 1 (the true max is 3).
-    (alpha_stats, lambda raw: raw[:8] + struct.pack(">Q", 1) + raw[16:], "max tf"),
+    (alpha_stats, lambda raw: raw[:8] + struct.pack(">I", 1) + raw[12:], "stored max tf 1 < tf 3"),
     # The term's df claims 3 postings; its blocks hold 2 rows.
     (alpha_stats, lambda raw: struct.pack(">Q", 3) + raw[8:], "df 3 but 2 rows"),
     # The block trailer claims 2 (the rows' max tf is 3) — and 9, too loose.

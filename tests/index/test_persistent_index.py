@@ -176,13 +176,17 @@ def backlog_keys(engine):
             for key, _value in engine.tree.cursor(prefix=kind)]
 
 
+def block_oids(key, raw):
+    """The oids of a ``T`` block's rows, decoded by the module's codec."""
+    return persistent_index._decode_block(raw, persistent_index._block_base(key))[0]
+
+
 def rows_of(engine, doc_id):
     """Every ``T`` block key in the *tree* holding a row of ``doc_id``."""
     found = []
     for key, raw in engine.tree.cursor(prefix=b"T\x00"):
         if b"\x00" in key[2:]:  # a block, not a term's statistics
-            rows = (len(raw) - 4) // 12
-            if doc_id in struct.unpack_from(">" + "QI" * rows, raw)[0::2]:
+            if doc_id in block_oids(key, raw):
                 found.append(key)
     return found
 
@@ -225,7 +229,9 @@ class TestPostingBacklog:
         engine.add_document(7, "alpha beta alpha")
         kinds = sorted({key[:1] for key, _value in engine.tree.items()})
         assert kinds == [b"D", b"L", b"P", b"S"]
-        assert engine.tree.get(engine._doc_key(7, 0, b"P\x00")) == struct.pack(">II", 2, 1)
+        pending = engine.tree.get(engine._doc_key(7, 0, b"P\x00"))
+        assert len(pending) == 4  # a 3-token document's tfs are u16
+        assert persistent_index._decode_tfs(3, pending) == (2, 1)
         assert engine.backlog == (1, 4)  # two terms: a block and its statistics each
         assert engine.search("alpha") == [7] and engine.document_frequency("beta") == 1
 
@@ -276,7 +282,7 @@ class TestPostingBacklog:
         assert crashed.rank("echo") == engine.rank("echo")
         crashed.settle()
         raw = crashed.tree.get(crashed._posting_prefix("echo") + struct.pack(">Q", 0))
-        assert struct.unpack_from(">QI", raw) == (7, 100)
+        assert persistent_index._decode_block(raw, 0) == ((7,), (100,))
 
     def test_a_backlog_record_that_survives_a_settle_is_a_violation(self):
         engine = make_engine()
@@ -303,9 +309,11 @@ class TestPostingBlockLayout:
         return [key for key, _value in engine.tree.cursor(prefix=prefix)]
 
     def block_rows(self, engine, term, block):
+        """A block's rows, flat ``oid, tf, ...``, and its trailer bytes."""
         raw = engine.tree.get(engine._posting_prefix(term) + struct.pack(">Q", block))
-        rows = (len(raw) - 4) // 12
-        return list(struct.unpack_from(">" + "QI" * rows, raw)), raw[-4:]
+        oids, tfs = persistent_index._decode_block(raw, block * BLOCK_SPAN)
+        assert len(raw) == 5 * len(oids) + 4
+        return [number for row in zip(oids, tfs) for number in row], raw[-4:]
 
     def test_oids_straddling_a_block_boundary(self):
         engine = make_engine()

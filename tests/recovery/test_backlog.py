@@ -64,8 +64,8 @@ def rows_of(fs, oid):
     found = []
     for key, raw in fs.fulltext_index.index.tree.cursor(prefix=b"T\x00"):
         if b"\x00" in key[2:]:
-            rows = (len(raw) - 4) // 12
-            if oid in struct.unpack_from(">" + "QI" * rows, raw)[0::2]:
+            oids, _tfs = persistent_index._decode_block(raw, persistent_index._block_base(key))
+            if oid in oids:
                 found.append(key)
     return found
 
@@ -105,7 +105,7 @@ class TestCrashBeforeTheSettle:
         # D keeps 64 positions; the hundred occurrences came through P.
         engine = mounted.fulltext_index.index
         raw = engine.tree.get(engine._posting_prefix("echo") + struct.pack(">Q", loud >> 6))
-        assert struct.unpack_from(">QI", raw) == (loud, 100)
+        assert persistent_index._decode_block(raw, loud >> 6 << 6) == ((loud,), (100,))
         assert mounted.rank("echo")[0].doc_id == loud
         assert mounted.fsck()["clean"]
 
@@ -209,7 +209,7 @@ class TestJournalSizing:
         fs = HFADFileSystem(device=device, journal_blocks=64)
         rng = random.Random(5)
         corpus = {}
-        for number in range(150):
+        for number in range(200):
             words = [f"t{int(rng.random() ** 2 * 4000):04d}" for _ in range(60)]
             corpus[fs.create(" ".join(words).encode(), path=f"/d/{number}")] = set(words)
         engine, journal = fs.fulltext_index.index, fs.recovery.journal

@@ -209,10 +209,11 @@ class TestMountErrors:
             HFADFileSystem.mount(image)
         assert image.dump() == before
 
-    @pytest.mark.parametrize("stamp", [None, 1, 2])
+    @pytest.mark.parametrize("stamp", [None, 1, 2, 3])
     def test_refused_fulltext_format_leaves_the_device_untouched(self, stamp):
         # An image from before posting blocks (no stamp at all, or stamp 1),
-        # or from before the posting backlog (stamp 2).
+        # from before the posting backlog (stamp 2), or of 12-byte posting
+        # rows (stamp 3).
         device, fs = make_fs()
         fs.create(b"committed only in the journal", path="/j.txt")
         image = clone(device)
@@ -465,7 +466,7 @@ class TestPageDeltas:
 
         device, fs = make_fs(BlockDevice(num_blocks=1 << 13))
         oids = [fs.create(f"note {i} on shared words".encode(), path=f"/n/{i}")
-                for i in range(40)]
+                for i in range(60)]
         fs.checkpoint()
         fs.create(b"one more note on shared words", path="/n/last")
         fs._settle()  # an empty backlog: the mount reads no full-text leaf
@@ -476,6 +477,7 @@ class TestPageDeltas:
         # which sort past every range a mount reads (the backlog's).
         tree = fs._fulltext_tree
         torn, node = tree.root_id, tree.store.read(tree.root_id)
+        assert not node.is_leaf  # so the last leaf holds no backlog range
         while not node.is_leaf:
             torn = node.children[-1]
             node = tree.store.read(torn)

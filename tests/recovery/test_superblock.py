@@ -136,7 +136,7 @@ class TestFormatVersions:
             Superblock.from_bytes(encode_fields(fields))
 
     def test_the_per_posting_fulltext_layout_is_refused(self):
-        assert make_superblock().fulltext_format == 3
+        assert make_superblock().fulltext_format == 4
         with pytest.raises(RecoveryError, match="fulltext_format=1"):
             make_superblock(fulltext_format=1).require_mountable(BLOCK_SIZE)
 
@@ -172,7 +172,7 @@ class TestFormatVersions:
 
     def test_the_chunk_per_write_layout_is_refused(self):
         # Stamp 3 extents name untagged, unchecksummed chunks.
-        assert make_superblock().osd_format == 4
+        assert make_superblock().osd_format == 5
         with pytest.raises(RecoveryError, match="osd_format=3"):
             make_superblock(osd_format=3).require_mountable(BLOCK_SIZE)
 
@@ -193,6 +193,35 @@ class TestFormatVersions:
         assert fs.recovery.journal.scan(), "the tail would be replayed"
         before, writes = device.dump(), device.stats.writes
         with pytest.raises(RecoveryError, match="osd_format=3"):
+            HFADFileSystem.mount(device)
+        assert device.stats.writes == writes
+        assert device.dump() == before
+
+    @pytest.mark.parametrize("stamps, named", [
+        ({"fulltext_format": 3, "osd_format": 4}, "fulltext_format=3"),
+        ({"fulltext_format": 3}, "fulltext_format=3"),
+        ({"osd_format": 4}, "osd_format=4"),
+    ], ids=["both-stamps", "fulltext-stamp", "osd-stamp"])
+    def test_an_image_of_wide_index_records_is_refused_untouched(self, stamps, named):
+        # What the code before compact records wrote: ``fulltext_format`` 3
+        # (12-byte ``oid · tf`` rows, 24-byte term statistics, u32 positions
+        # and tfs) and ``osd_format`` 4 (u32 node entry lengths), with a
+        # committed journal tail not yet home.  Its pages would decode as
+        # garbage; it must be refused, naming the stamp, before replay
+        # writes a block.
+        from repro.core import HFADFileSystem
+
+        device = BlockDevice(num_blocks=1 << 14)
+        fs = HFADFileSystem(device=device)
+        for number in range(5):
+            fs.create(b"indexed words of object %d" % number, path=f"/o{number}")
+        fs.checkpoint()
+        fs.create(b"one more indexed object", path="/tail")
+        fields = dict(asdict(Superblock.load(device)), **stamps)
+        device.write_block(SUPERBLOCK_BLOCK, encode_fields(fields))
+        assert fs.recovery.journal.scan(), "the tail would be replayed"
+        before, writes = device.dump(), device.stats.writes
+        with pytest.raises(RecoveryError, match=named):
             HFADFileSystem.mount(device)
         assert device.stats.writes == writes
         assert device.dump() == before

@@ -849,13 +849,36 @@ def per_record_spans(log):
     return spans
 
 
+def parent_home(start):
+    """The home image of the fixture's page ``start`` — ``settle_versions``'s
+    first image as the fixture's format encoded it: u32 node entry lengths
+    and 12-byte ``oid · tf`` rows.  The log holds only deltas against it."""
+    entries = []
+    for term in range(24):
+        key = b"T\x00w%02d\x00" % term + struct.pack(">Q", 0)
+        value = b"".join(struct.pack(">QI", 1000 * term + row, row + 1)
+                         for row in range(1 + (term * 7 + start) % 3))
+        entries.append(struct.pack(">I", len(key)) + key + struct.pack(">I", len(value)) + value)
+    return frame_page(struct.pack(">BI", 1, len(entries)) + b"".join(entries)
+                      + struct.pack(">Q", btree_node.NO_PAGE))
+
+
 class TestParentJournal:
     def images(self):
-        """The images the fixture's transactions logged, in order."""
-        images = settle_versions(5)
-        last = images[-1]
-        images.append(last[:-40] + bytes([last[-40] ^ 1]) + last[-39:])  # a one-byte edit
-        return images, settle_versions(3, start=1)
+        """The images the fixture's transactions logged, in order: each
+        page's home, then what each of its records rebuilt from the one
+        before (the last, a one-byte edit)."""
+        images, others = [parent_home(0)], [parent_home(1)]
+        log = zlib.decompress(base64.b64decode("".join(PARENT_JOURNAL.split())))
+        for block, rtype, payload in per_record_spans(log):
+            chain = images if block == BLOCK else others
+            if rtype == TYPE_HOME_DELTA:
+                assert struct.unpack_from(">I", payload)[0] == zlib.crc32(chain[-1])
+                payload = payload[4:]  # past crc32(base)
+            if rtype in (TYPE_DELTA, TYPE_HOME_DELTA):
+                chain.append(apply_delta(payload, chain[-1]))
+        assert (len(images), len(others)) == (6, 3)
+        return images, others
 
     def test_a_per_record_journal_is_refused_untouched(self):
         # Its records would read as a zeroed log and be lost: the replay
