@@ -21,7 +21,7 @@ index from its persisted root instead of re-reading and re-analyzing every
 object's bytes.
 
 Key layout (one tree, seven record kinds; ``block`` is ``oid >> BLOCK_SHIFT``,
-``slot`` is ``oid & (BLOCK_SPAN - 1)``, ``w`` is the document's width)::
+``slot`` is ``oid & (BLOCK_SPAN - 1)``; ``w`` is 2 or 4, see below)::
 
     D \x00 oid(8) \x00 seq(4)   -> chunk of: doc_length(4) | { term_len(2) term npos(1) position(w) * npos } ...
     L \x00 block(8)            -> (doc_length + 1)(4) * BLOCK_SPAN, by slot; 0 = not indexed
@@ -35,11 +35,15 @@ Key layout (one tree, seven record kinds; ``block`` is ``oid >> BLOCK_SHIFT``,
   oid, so a reader rebuilds the oids from the block's base,
   ``block << BLOCK_SHIFT``.  Rows and trailer stay fixed-width, so a block's
   row count is its length over five and a seek bisects decoded slots.
-* A document's own numbers — its positions in ``D`` (and ``R``) and its tfs
-  in ``P`` — are u16 (``w`` = 2) when its length is below 2 ** 16, u32
-  otherwise: no position or tf exceeds the length, which the ``D`` header
-  carries, so no flag byte says which.  (Not "up to 2 ** 16": a
-  65,536-token document of one term has a tf of 65,536.)
+* A term's stored positions in ``D`` (and ``R``) are u16 unless the last
+  exceeds 0xFFFF; then they are u32 and ``npos`` has its top bit
+  (:data:`_WIDE`) set — ``npos`` is at most 64, so the flag costs no byte.
+  The document's length does not bound its positions: stop words and
+  one-letter tokens advance the position but are not counted.
+* A document's tfs in ``P`` are u16 when its length (the ``D`` header) is
+  below 2 ** 16, u32 otherwise: a tf counts tokens the length counts, so
+  none exceeds it.  (Not "up to 2 ** 16": a 65,536-token document of one
+  term has a tf of 65,536.)
 * ``max_tf`` and ``min_len`` are u32 like the lengths ``L`` stores.
 
 * A mutation writes through only the document's own records — ``D``, its
@@ -131,6 +135,9 @@ _DF_RECORD = struct.Struct(">QII")
 
 #: positions stored per posting; term frequency stays exact beyond the cap.
 MAX_STORED_POSITIONS = 64
+#: set in a ``D`` term's position count: its positions are u32, not u16.
+_WIDE = 0x80
+assert MAX_STORED_POSITIONS < _WIDE
 #: bytes per ``D`` chunk — small enough that a chunk entry always fits even
 #: the smallest configured btree page.
 DOC_CHUNK_BYTES = 768
@@ -176,10 +183,15 @@ def _block_base(key: bytes) -> int:
     return _OID.unpack_from(key, len(key) - _OID.size)[0] << BLOCK_SHIFT
 
 
+def _flat_rows(raw: bytes) -> Tuple[int, ...]:
+    """A block's rows as ``slot, tf, slot, tf, ...`` (the trailer is skipped:
+    ``len(raw) // 5`` rows, as the 4-byte trailer is shorter than one)."""
+    return _rows(len(raw) // _ROW.size).unpack_from(raw)
+
+
 def _block_rows(raw: bytes) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """A block's ``(slots, tfs)`` (the trailer is skipped: ``len(raw) // 5``
-    rows, as the 4-byte trailer is shorter than one)."""
-    flat = _rows(len(raw) // _ROW.size).unpack_from(raw)
+    """A block's ``(slots, tfs)``."""
+    flat = _flat_rows(raw)
     return flat[0::2], flat[1::2]
 
 
@@ -198,7 +210,7 @@ def _edit_block(raw: Optional[bytes], oid: int, tf: int) -> Tuple[Optional[bytes
     maximum — a block bound can only tighten.
     """
     slot = oid & (BLOCK_SPAN - 1)
-    flat = _rows(len(raw) // _ROW.size).unpack_from(raw) if raw else ()
+    flat = _flat_rows(raw) if raw else ()
     at = 2 * bisect_left(flat[0::2], slot)
     present = at < len(flat) and flat[at] == slot
     flat = flat[:at] + ((slot, tf) if tf else ()) + flat[at + 2 * present:]
@@ -213,21 +225,16 @@ def _chunked(payload: bytes) -> List[bytes]:
             for at in range(0, len(payload), DOC_CHUNK_BYTES)] or [b""]
 
 
-def _width(length: int) -> str:
-    """The struct code of a ``length``-token document's positions and tfs:
-    none exceeds the length, so u16 holds them all below 2 ** 16."""
-    return "H" if length <= 0xFFFF else "I"
-
-
 def _encode_doc(length: int, occurrences: Dict[str, List[int]]) -> bytes:
     """A ``D`` payload: the length, then each term with its first
-    :data:`MAX_STORED_POSITIONS` positions."""
-    width = _width(length)
+    :data:`MAX_STORED_POSITIONS` positions, u16 unless one needs u32."""
     parts = [_U32.pack(length)]
     for term, positions in occurrences.items():
         encoded, kept = _encode_term(term), positions[:MAX_STORED_POSITIONS]
+        wide = kept[-1] > 0xFFFF  # positions ascend
         parts.append(_U16.pack(len(encoded)) + encoded)
-        parts.append(struct.pack(f">B{len(kept)}{width}", len(kept), *kept))
+        parts.append(struct.pack(f">B{len(kept)}{'I' if wide else 'H'}",
+                                 len(kept) | (_WIDE if wide else 0), *kept))
     return b"".join(parts)
 
 
@@ -235,26 +242,31 @@ def _parse_doc(chunks: List[bytes]) -> Tuple[int, Dict[str, Tuple[int, ...]]]:
     """``(doc_length, {term: stored positions})`` of a ``D`` (or ``R``) record."""
     payload = b"".join(chunks)
     length = _U32.unpack_from(payload, 0)[0]
-    width = _width(length)
-    size = struct.calcsize(width)
     positions: Dict[str, Tuple[int, ...]] = {}
     at = _U32.size
     while at < len(payload):
         end = at + _U16.size + _U16.unpack_from(payload, at)[0]
         term = payload[at + _U16.size:end].decode("utf-8")
-        positions[term] = struct.unpack_from(f">{payload[end]}{width}", payload, end + 1)
-        at = end + 1 + size * payload[end]
+        count, code = payload[end] & ~_WIDE, "I" if payload[end] & _WIDE else "H"
+        positions[term] = struct.unpack_from(f">{count}{code}", payload, end + 1)
+        at = end + 1 + struct.calcsize(code) * count
     return length, positions
+
+
+def _tf_width(length: int) -> str:
+    """The struct code of a ``length``-token document's ``P`` tfs: no tf
+    exceeds the length, so u16 holds them all below 2 ** 16."""
+    return "H" if length <= 0xFFFF else "I"
 
 
 def _encode_tfs(length: int, tfs: List[int]) -> bytes:
     """A ``P`` payload: the tfs of a ``length``-token document, term by term."""
-    return struct.pack(f">{len(tfs)}{_width(length)}", *tfs)
+    return struct.pack(f">{len(tfs)}{_tf_width(length)}", *tfs)
 
 
 def _decode_tfs(length: int, payload: bytes) -> Tuple[int, ...]:
     """The tfs of a ``length``-token document's ``P`` payload."""
-    width = _width(length)
+    width = _tf_width(length)
     return struct.unpack(f">{len(payload) // struct.calcsize(width)}{width}", payload)
 
 

@@ -49,8 +49,10 @@ _PREFIX = struct.Struct(">8sII")  # magic | payload length | crc32(payload)
 
 #: the one full-text tree layout served: posting blocks of 5-byte
 #: ``slot · tf`` rows (the key carries the rest of the oid), 16-byte term
-#: statistics, ``L`` lengths, positions in ``D`` and tfs in ``P`` as u16 for a
-#: document below 2 ** 16 tokens, and the durable posting backlog (``P`` /
+#: statistics, ``L`` lengths, a term's positions in ``D`` as u16 when all
+#: are below 2 ** 16 (a flag bit in its position count says u32), a
+#: document's tfs in ``P`` as u16 when it has fewer than 2 ** 16 tokens, and
+#: the durable posting backlog (``P`` /
 #: ``R`` records; :mod:`repro.fulltext.persistent_index`).  3 was 12-byte
 #: ``oid · tf`` rows, 24-byte statistics and u32 positions and tfs.
 FULLTEXT_FORMAT = 4

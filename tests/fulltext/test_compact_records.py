@@ -3,10 +3,12 @@
 A ``T`` row is ``slot(1) · tf(4)``: the block key carries the rest of the
 oid, so a decode rebuilds oids from the block's base — slots 0 and 63,
 bases past 2 ** 32.  A term's statistics are ``df(8) · max_tf(4) ·
-min_len(4)``.  A document's own numbers (its ``D`` positions, hence ``R``,
-and its ``P`` tfs) are u16 below 2 ** 16 tokens and u32 from there, read off
-the ``D`` header's length with no flag byte — so documents of 65,535,
-65,536 and 65,537 tokens sit on either side of the switch.
+min_len(4)``.  A term's ``D`` positions (hence ``R``) are u16 unless one
+passes 0xFFFF, flagged in its position count: stop words advance positions
+without counting toward the length, so a short document can hold a position
+past 2 ** 16.  A document's ``P`` tfs are u16 below 2 ** 16 tokens and u32
+from there, read off the ``D`` header's length — so documents of 65,535,
+65,536 and 65,537 tokens sit on either side of that switch.
 """
 
 import random
@@ -41,6 +43,10 @@ TFS = st.one_of(st.sampled_from([1, 0xFFFF, 0x10000, U32_MAX]), st.integers(1, U
 #: document lengths around the u16 / u32 switch, and the extremes.
 LENGTHS = st.one_of(st.sampled_from([1, 0xFFFF, 0x10000, 0x10001, U32_MAX - 1]),
                     st.integers(1, U32_MAX - 1))
+#: a term's last position: around the u16 / u32 switch, and the extremes.
+LAST_POSITIONS = st.one_of(
+    st.sampled_from([0, 0xFFFF, 0x10000, 0xFFFF + MAX_STORED_POSITIONS, U32_MAX]),
+    st.integers(0, U32_MAX))
 
 
 @settings(max_examples=200, deadline=None)
@@ -78,35 +84,35 @@ def test_term_statistics_round_trip(df, max_tf, min_len):
 
 @st.composite
 def documents(draw):
-    """``(length, {term: positions}, tfs)`` of a document of ``length`` tokens."""
+    """``(length, {term: positions}, tfs)`` of a document of ``length``
+    tokens.  Positions are not bounded by the length: the stop words before
+    them advance them but are not counted."""
     length = draw(LENGTHS)
     terms = draw(st.lists(st.text("abcdefghij_0123456789", min_size=2, max_size=12),
                           min_size=0, max_size=6, unique=True))
     occurrences = {}
     for term in terms:
         count = draw(st.integers(1, min(length, 3 * MAX_STORED_POSITIONS)))
-        start = draw(st.integers(0, length - count))
-        spread = draw(st.sampled_from([0, 1]))  # bunched at start, or at the end
-        occurrences[term] = ([start + n for n in range(count)] if not spread else
-                             [length - count + n for n in range(count)])
+        last = max(draw(LAST_POSITIONS), count - 1)
+        occurrences[term] = [last - count + 1 + n for n in range(count)]
     tfs = [draw(st.integers(1, length)) for _ in terms]
     return length, occurrences, tfs
 
 
 @settings(max_examples=300, deadline=None)
 @given(documents())
-def test_a_documents_own_records_round_trip_in_its_width(document):
+def test_a_documents_own_records_round_trip_in_their_widths(document):
     length, occurrences, tfs = document
-    width = 2 if length < 1 << 16 else 4
     payload = _encode_doc(length, occurrences)
     stored = {term: tuple(positions[:MAX_STORED_POSITIONS])
               for term, positions in occurrences.items()}
-    assert len(payload) == 4 + sum(2 + len(term) + 1 + width * len(kept)
+    # Each term's stored positions are u16 unless the last one needs u32.
+    assert len(payload) == 4 + sum(2 + len(term) + 1 + (4 if kept[-1] > 0xFFFF else 2) * len(kept)
                                    for term, kept in stored.items())
     # ``D`` chunks, and ``R`` — the same chunks, verbatim — parse alike.
     assert _parse_doc(_chunked(payload)) == (length, stored)
     pending = _encode_tfs(length, tfs)
-    assert len(pending) == width * len(tfs)
+    assert len(pending) == (2 if length < 1 << 16 else 4) * len(tfs)
     assert _decode_tfs(length, b"".join(_chunked(pending))) == tuple(tfs)
 
 
@@ -198,3 +204,41 @@ def test_documents_on_either_side_of_the_u16_switch():
     after.settle()
     assert [key for key, _value in after.tree.cursor(prefix=b"R\x00")] == []
     assert after.document_ids() == [5]
+
+
+def test_positions_past_the_length_are_stored_wide():
+    # Stop words and one-letter tokens advance positions but not the length:
+    # after 70,000 "the" an "echo" is a one-token document at position
+    # 70,000; "of a" runs push the second document's tail past 2 ** 16.
+    near, far = (1 << 32) + 3, (1 << 32) + BLOCK_SPAN + 4
+    texts = {
+        near: "the " * 70000 + "echo",
+        far: "alpha " + "of a " * 40000 + "echo alpha echo",
+        7: "echo alpha",
+    }
+    engine = PersistentInvertedIndex()
+    for oid, text in texts.items():
+        engine.add_document(oid, text)
+    assert engine._read_doc(near)[:2] == (1, {"echo": (70000,)})
+    assert engine._read_doc(far)[:2] == (
+        4, {"alpha": (0, 80002), "echo": (80001, 80003)})
+
+    def check(index, where, served):
+        assert index.search("echo") == sorted(served), where
+        assert index.search_phrase("alpha echo") == [oid for oid in [far] if oid in served], where
+        assert index.search_phrase("echo alpha") == sorted({7, far} & set(served)), where
+        for query in ("echo", "alpha", "alpha echo"):
+            assert index.rank(query, limit=3) == index.rank_exhaustive(query, limit=3), where
+        assert index.bound_violations() == [], where
+
+    check(engine, "live", texts)
+    crashed = PersistentInvertedIndex(engine.tree)  # P records re-derive the rows
+    check(crashed, "from P", texts)
+    crashed.settle()
+    check(PersistentInvertedIndex(crashed.tree), "settled", texts)
+    crashed.remove_document(far)  # settled: writes an R record of wide positions
+    after = PersistentInvertedIndex(crashed.tree)  # R records re-derive the drops
+    check(after, "from R", [near, 7])
+    after.settle()
+    assert [key for key, _value in after.tree.cursor(prefix=b"R\x00")] == []
+    assert after.document_ids() == [7, near]
