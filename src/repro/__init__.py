@@ -19,7 +19,7 @@ See README.md for the architecture overview, DESIGN.md for the system
 inventory and EXPERIMENTS.md for the experiment-by-experiment results.
 """
 
-from repro.cache import BufferPool, QueryResultCache
+from repro.cache import BufferPool, GenerationMemo
 from repro.core import HFADFileSystem
 from repro.core.query import parse_query
 from repro.recovery import CrashingBlockDevice, RecoveryManager, Superblock
@@ -39,7 +39,7 @@ __version__ = "1.1.0"
 __all__ = [
     "HFADFileSystem",
     "BufferPool",
-    "QueryResultCache",
+    "GenerationMemo",
     "RecoveryManager",
     "Superblock",
     "CrashingBlockDevice",

@@ -1,4 +1,4 @@
-"""The unified caching subsystem: buffer pool + query-result cache.
+"""The unified caching subsystem: buffer pool + generation-checked memos.
 
 The paper's viability argument (Section 3) is that index lookups can match
 hierarchical path traversal *given database-style buffer management*.  This
@@ -10,33 +10,28 @@ block device:
   per-consumer statistics.
   ``DevicePageStore`` (btree layer) and ``ObjectStore`` (OSD layer) are its
   main consumers.
-* :class:`~repro.cache.query_cache.QueryResultCache` — memoised boolean-query
-  results keyed by canonicalized query text, invalidated precisely through
-  per-tag generation counters maintained by the
-  :class:`~repro.index.store.IndexStoreRegistry`.
+* :class:`~repro.cache.query_cache.GenerationMemo` — one locked LRU map from
+  a key to ``(value, token)`` that answers only while the caller's token is
+  current.  Tokens are per-tag generation counters kept by the
+  :class:`~repro.index.store.IndexStoreRegistry`.  Three instances use it:
+  boolean results keyed by canonicalized query text (``fs.query_cache``),
+  ranked answers keyed by ``(text, limit)`` (``fs.ranked_cache``) and the
+  query planner's cardinality estimates.
 
 Knobs (also exposed on :class:`~repro.core.filesystem.HFADFileSystem`):
 ``cache_pages`` — the pool's global page budget, at least 1 (no-steal keeps
-uncommitted pages there); ``query_cache_entries=0`` disables result caching so benchmarks (E1,
+uncommitted pages there); ``query_cache_entries=0`` disables both result memos so benchmarks (E1,
 E7) can measure the index path itself.
 """
 
 from repro.cache.buffer_pool import BufferPool, CacheStats, PoolConsumer
-from repro.cache.query_cache import (
-    QueryCacheStats,
-    QueryResultCache,
-    RankedResultCache,
-    canonical_key,
-    query_tags,
-)
+from repro.cache.query_cache import GenerationMemo, canonical_key, query_tags
 
 __all__ = [
     "BufferPool",
     "CacheStats",
     "PoolConsumer",
-    "QueryResultCache",
-    "RankedResultCache",
-    "QueryCacheStats",
+    "GenerationMemo",
     "canonical_key",
     "query_tags",
 ]

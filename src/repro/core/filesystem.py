@@ -22,7 +22,7 @@ import time
 from contextlib import nullcontext
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.cache import BufferPool, QueryResultCache, RankedResultCache
+from repro.cache import BufferPool, GenerationMemo
 from repro.core.access import ObjectHandle
 from repro.core.naming import NamingInterface, PairLike, as_pair
 from repro.core.query import Query, parse_query
@@ -118,8 +118,9 @@ class HFADFileSystem:
     :param cache_pages: global buffer-pool budget (in pages) shared by every
         btree; at least 1 (no-steal holds uncommitted dirty pages in the
         pool).
-    :param query_cache_entries: capacity of the query-result cache; ``0``
-        disables result caching so every query re-evaluates the indexes.
+    :param query_cache_entries: capacity of each result memo (boolean and
+        ranked); ``0`` disables result caching so every query re-evaluates
+        the indexes.
     :param journal_blocks: size of the WAL region in device blocks (the
         metadata prefix ``superblock + journal`` is rounded up to a power of
         two and reserved out of the data allocator).  Must fit the largest
@@ -277,19 +278,14 @@ class HFADFileSystem:
         # visible so cached results die exactly then.
         self.fulltext_index.on_mutation = lambda: self.registry.touch(TAG_FULLTEXT)
         # Native API.
+        # Result memos (repro.cache.query_cache): boolean answers keyed by
+        # canonical query, ranked answers by (text, limit); one knob sizes
+        # and enables both.
         self.query_cache = (
-            QueryResultCache(self.registry, capacity=query_cache_entries)
-            if query_cache_entries
-            else None
+            GenerationMemo(query_cache_entries) if query_cache_entries else None
         )
-        # Ranked answers get their own cache: one FULLTEXT generation is a
-        # precise validity token for a whole BM25 result (see
-        # RankedResultCache); shares the query-cache enable knob.
         self.ranked_cache = (
-            RankedResultCache(self.registry, TAG_FULLTEXT,
-                              capacity=query_cache_entries)
-            if query_cache_entries
-            else None
+            GenerationMemo(query_cache_entries) if query_cache_entries else None
         )
         self.naming = NamingInterface(
             self.registry,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, List, Optional, Sequence, Union
 
+from repro.cache.query_cache import canonical_key, query_tags
 from repro.errors import NamingError, NoMatchError, QueryError
 from repro.index.store import IndexStoreRegistry
 from repro.index.tags import TAG_FULLTEXT, TagValue
@@ -62,10 +63,11 @@ class NamingStats:
 class NamingInterface:
     """Maps vectors of tag/value pairs to sets of object ids.
 
-    When a :class:`~repro.cache.query_cache.QueryResultCache` is supplied,
-    both naming operations and boolean queries are answered from it on
-    repeats; per-tag generation counters on the registry keep the cache
-    precise across mutations.
+    When a ``query_cache`` (a :class:`~repro.cache.query_cache.GenerationMemo`)
+    is supplied, both naming operations and boolean queries are answered
+    from it on repeats; per-tag generation counters on the registry keep it
+    precise across mutations.  A ``ranked_cache`` does the same for
+    :meth:`rank`.
     """
 
     def __init__(
@@ -79,8 +81,8 @@ class NamingInterface:
         self.registry = registry
         self.planner = planner if planner is not None else QueryPlanner()
         self.query_cache = query_cache
-        #: optional RankedResultCache: memoises rank() answers against the
-        #: FULLTEXT generation (boolean results use query_cache instead).
+        #: optional GenerationMemo of rank() answers, valid for one FULLTEXT
+        #: generation (boolean results use query_cache instead).
         self.ranked_cache = ranked_cache
         self.stats = NamingStats()
         # ``telemetry`` is a repro.telemetry.Telemetry bundle (or None).  The
@@ -125,30 +127,29 @@ class NamingInterface:
                 query.cursor(self.registry, self.planner), limit=limit
             )
             return results
-        key = self.query_cache.canonical_key(query)
-        cached = self.query_cache.lookup(query, key=key)
+        cache = self.query_cache
+        key = canonical_key(query)
+        # The token is taken before evaluating: a mutation that lands
+        # mid-evaluation leaves the stored entry already stale.
+        token = tuple(self.registry.generation(tag)
+                      for tag in sorted(query_tags(query)))
+        cached = cache.lookup(key, token)
         if cached is not None:
             self.stats.cached_results += 1
-            return cached if limit is None else cached[:limit]
+            return list(cached[:limit])
         limited_key = None
         if limit is not None:
             limited_key = f"{key} LIMIT {limit}"
-            cached = self.query_cache.lookup(query, key=limited_key)
+            cached = cache.lookup(limited_key, token)
             if cached is not None:
                 self.stats.cached_results += 1
-                return cached
-        # Snapshot generations before evaluating: a concurrent mutation (e.g.
-        # another thread's create) then prevents the stale result from being
-        # cached under the post-mutation generation.
-        snapshot = self.query_cache.generations_for(query)
+                return list(cached)
         results, exhausted = materialize(
             query.cursor(self.registry, self.planner), limit=limit, probe_exhaustion=True
         )
         # An exhausted stream is the complete answer even when a limit was
         # set, so it may serve unlimited repeats too.
-        store_key = key if exhausted else limited_key
-        self.query_cache.store(query, results, snapshot=snapshot, key=store_key,
-                               limited=not exhausted)
+        cache.store(key if exhausted else limited_key, tuple(results), token)
         return results
 
     # ------------------------------------------------------------- naming
@@ -253,25 +254,24 @@ class NamingInterface:
         the top k are skipped without being scored.  Results bypass the
         *boolean* query cache (scores depend on corpus-wide statistics, so
         per-tag oid sets cannot serve them), but a configured
-        :class:`~repro.cache.query_cache.RankedResultCache` memoises whole
-        answers against the FULLTEXT generation — every mutation of the
-        full-text store bumps it, so a cached answer is valid exactly until
-        the corpus statistics it priced in change.
+        ``ranked_cache`` memoises whole answers under ``(text, limit)``
+        against the FULLTEXT generation — every mutation of the full-text
+        store bumps it, so a cached answer is valid exactly until the corpus
+        statistics it priced in change.
         """
         store = self.registry.store_for(TAG_FULLTEXT)
         self.stats.ranked_queries += 1
         cache = self.ranked_cache
-        generation = None
         if cache is not None:
-            cached = cache.lookup(text, limit)
+            token = self.registry.generation(TAG_FULLTEXT)
+            cached = cache.lookup((text, limit), token)
             if cached is not None:
                 self.stats.cached_results += 1
-                return cached
-            generation = cache.generation()
+                return list(cached)
         if self._tracer is None:
             results = store.rank(text, limit=limit)
             if cache is not None:
-                cache.store(text, limit, results, generation)
+                cache.store((text, limit), tuple(results), token)
             return results
         span = Span("wand", detail=text)
         started = perf_counter()
@@ -280,5 +280,5 @@ class NamingInterface:
         self._rank_latency.observe(elapsed * 1e6)
         self._tracer.record("ranked", text, elapsed, len(results), span=span)
         if cache is not None:
-            cache.store(text, limit, results, generation)
+            cache.store((text, limit), tuple(results), token)
         return results

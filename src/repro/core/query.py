@@ -27,11 +27,10 @@ would require enumerating the universe and is rejected.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.cache.query_cache import GenerationMemo
 from repro.errors import QueryError
 from repro.index.path_index import normalize_path
 from repro.index.store import IndexStoreRegistry
@@ -41,23 +40,9 @@ from repro.query.cursors import (
     DocIdCursor,
     EmptyCursor,
     IntersectCursor,
-    ListCursor,
     UnionCursor,
     materialize,
 )
-
-
-def _registry_cursor(registry, tag: str, value: str) -> DocIdCursor:
-    """Open a streaming cursor through ``registry``, however capable it is.
-
-    Real registries stream (:meth:`IndexStoreRegistry.open_cursor`); anything
-    duck-typed that only offers ``lookup`` gets the materialized-fallback
-    adapter so the cursor pipeline still works.
-    """
-    opener = getattr(registry, "open_cursor", None)
-    if opener is not None:
-        return opener(tag, value)
-    return ListCursor(registry.lookup(tag, value))
 
 
 class Query:
@@ -131,7 +116,7 @@ class TagTerm(Query):
         planner: Optional["QueryPlanner"] = None,
         trace=None,
     ) -> DocIdCursor:
-        cursor = _registry_cursor(registry, self.tag, self.value)
+        cursor = registry.open_cursor(self.tag, self.value)
         if trace is not None:
             return trace.leaf(cursor, "term", str(self))
         return cursor
@@ -240,9 +225,7 @@ class QueryPlanner:
     #: cost assumed for terms whose store offers no estimate.
     DEFAULT_CARDINALITY = 1 << 30
 
-    #: bound on the memoised estimate table; when full, the least recently
-    #: used half is evicted (never the whole table — a hot working set of
-    #: saved queries keeps its estimates).
+    #: bound on the memoised estimate table (least recently used goes first).
     MAX_MEMO_ENTRIES = 4096
 
     def __init__(self, enabled: bool = True) -> None:
@@ -250,13 +233,10 @@ class QueryPlanner:
         #: (term, estimate) pairs recorded for the most recent conjunction —
         #: surfaced by the E7 benchmark to show what the planner decided.
         self.last_plan: List[Tuple[str, int]] = []
-        # Cardinality estimates memoised per (tag, value), validated against
-        # the registry's per-tag mutation generation so a stale estimate is
-        # recomputed rather than trusted.  Ordered so eviction is LRU.
-        self._estimates: "OrderedDict[Tuple[str, str], Tuple[int, int]]" = OrderedDict()
-        #: memo effectiveness counters, surfaced via ``fs.stats()["planner"]``.
-        self.memo_hits = 0
-        self.memo_misses = 0
+        # Cardinality estimates memoised per (tag, value), valid while the
+        # registry's generation of that tag stands; concurrent readers share
+        # one planner, so the memo is the locked one the result caches use.
+        self._memo = GenerationMemo(self.MAX_MEMO_ENTRIES)
         #: conjunctions rewritten by :meth:`push_down_disjunction`.
         self.or_pushdowns = 0
 
@@ -264,23 +244,12 @@ class QueryPlanner:
         if isinstance(term, TagTerm):
             if term.tag == TAG_ID:
                 return 0
+            key = (term.tag, term.value)
             generation = registry.generation(term.tag)
-            memo_key = (term.tag, term.value)
-            memo = self._estimates.get(memo_key)
-            if memo is not None and memo[0] == generation:
-                self.memo_hits += 1
-                self._estimates.move_to_end(memo_key)
-                return memo[1]
-            self.memo_misses += 1
-            estimate = self._estimate_term(term, registry)
-            if memo is None and len(self._estimates) >= self.MAX_MEMO_ENTRIES:
-                # Drop the least recently used half in one sweep; evicting
-                # entry-by-entry would make every insert at the cap pay an
-                # eviction, and clearing wholesale would forget the hot set.
-                for stale_key in list(islice(iter(self._estimates), self.MAX_MEMO_ENTRIES // 2)):
-                    del self._estimates[stale_key]
-            self._estimates[memo_key] = (generation, estimate)
-            self._estimates.move_to_end(memo_key)
+            estimate = self._memo.lookup(key, generation)
+            if estimate is None:
+                estimate = self._estimate_term(term, registry)
+                self._memo.store(key, estimate, generation)
             return estimate
         if isinstance(term, Or):
             return sum(self.estimate(child, registry) for child in term.children)
@@ -360,13 +329,10 @@ class QueryPlanner:
 
     def snapshot(self) -> Dict[str, object]:
         """Planner counters for ``fs.stats()`` / the benchmarks."""
-        accesses = self.memo_hits + self.memo_misses
+        memo = self._memo.snapshot()
         return {
             "enabled": self.enabled,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "memo_entries": len(self._estimates),
-            "memo_hit_ratio": round(self.memo_hits / accesses, 4) if accesses else 0.0,
+            **{f"memo_{name}": value for name, value in memo.items()},
             "or_pushdowns": self.or_pushdowns,
         }
 

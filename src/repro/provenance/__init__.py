@@ -8,8 +8,9 @@ work on provenance-aware systems ("Layering in provenance systems", cited as
 * :class:`~repro.provenance.tagger.ApplicationContext` /
   :class:`~repro.provenance.tagger.ProvenanceTagger` — a context-manager that
   stamps every object created inside it with APP/USER names automatically;
-* a lightweight derivation graph (``derive``) recording which objects were
-  produced from which, with ancestor/descendant queries.
+* a derivation graph (``derive``) recording which objects were produced from
+  which as ``SOURCE/<oid>`` names on the derived object, so lineage is as
+  durable as any other name, with ancestor/descendant queries.
 """
 
 from repro.provenance.tagger import ApplicationContext, ProvenanceRecord, ProvenanceTagger

@@ -9,17 +9,23 @@ Usage::
 
 Every object created through the context carries APP/iphoto and USER/margo
 names (Table 1's "Applications" row), and the derivation edge from the photo
-to its thumbnail is recorded and queryable.
+to its thumbnail is a SOURCE/<photo oid> name on the thumbnail: durable,
+queryable, and there again after a remount.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.filesystem import HFADFileSystem
 from repro.errors import NamingError
 from repro.index.tags import TAG_APP, TAG_USER, TagValue
+
+
+#: the tag of a derivation edge: the derived object carries SOURCE/<oid>
+#: for every object it was produced from.
+TAG_SOURCE = "SOURCE"
 
 
 @dataclass
@@ -33,13 +39,16 @@ class ProvenanceRecord:
 
 
 class ProvenanceTagger:
-    """Wraps a file system with application-context tagging and lineage."""
+    """Wraps a file system with application-context tagging and lineage.
+
+    Everything the tagger knows is a name on the object it describes: APP
+    and USER say who made it, and one SOURCE/<oid> name per source records
+    each derivation edge.  Names are durable, so a tagger over a remounted
+    file system answers exactly as the one that recorded them.
+    """
 
     def __init__(self, fs: HFADFileSystem) -> None:
         self.fs = fs
-        self._records: Dict[int, ProvenanceRecord] = {}
-        self._derived_from: Dict[int, Set[int]] = {}
-        self._derives: Dict[int, Set[int]] = {}
 
     # -------------------------------------------------------------- context
 
@@ -51,50 +60,56 @@ class ProvenanceTagger:
 
     # -------------------------------------------------------------- records
 
-    def record(self, oid: int, application: Optional[str], user: Optional[str]) -> ProvenanceRecord:
-        record = self._records.get(oid)
-        if record is None:
-            record = ProvenanceRecord(oid=oid, application=application, user=user)
-            self._records[oid] = record
-        return record
-
     def provenance_of(self, oid: int) -> Optional[ProvenanceRecord]:
-        return self._records.get(oid)
+        """The object's APP, USER and SOURCE names, or None if it has none.
+
+        An object stamped by several applications reports the first APP
+        (and USER) name in :meth:`HFADFileSystem.names_for` order.
+        """
+        values: Dict[str, List[str]] = {TAG_APP: [], TAG_USER: [], TAG_SOURCE: []}
+        for pair in self.fs.names_for(oid):
+            if pair.tag in values:
+                values[pair.tag].append(pair.value)
+        if not any(values.values()):
+            return None
+        application, user = values[TAG_APP], values[TAG_USER]
+        return ProvenanceRecord(
+            oid=oid,
+            application=application[0] if application else None,
+            user=user[0] if user else None,
+            sources=sorted(int(value) for value in values[TAG_SOURCE]),
+        )
 
     def add_derivation(self, derived: int, sources: Iterable[int]) -> None:
         """Record that ``derived`` was produced from ``sources``."""
         source_set = set(sources)
         if derived in source_set:
             raise NamingError("an object cannot derive from itself")
-        self._derived_from.setdefault(derived, set()).update(source_set)
-        for source in source_set:
-            self._derives.setdefault(source, set()).add(derived)
-        record = self._records.get(derived)
-        if record is not None:
-            record.sources = sorted(self._derived_from[derived])
+        with self.fs.begin():
+            for source in sorted(source_set):
+                self.fs.tag(derived, TAG_SOURCE, str(source))
 
     def ancestors(self, oid: int) -> List[int]:
         """Every transitive source of ``oid`` (sorted)."""
-        seen: Set[int] = set()
-        frontier = list(self._derived_from.get(oid, ()))
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(self._derived_from.get(current, ()))
-        return sorted(seen)
+        return self._closure(oid, lambda current: [
+            int(pair.value) for pair in self.fs.names_for(current)
+            if pair.tag == TAG_SOURCE])
 
     def descendants(self, oid: int) -> List[int]:
         """Every object transitively derived from ``oid`` (sorted)."""
+        return self._closure(
+            oid, lambda current: self.fs.find((TAG_SOURCE, str(current))))
+
+    @staticmethod
+    def _closure(oid: int, step: Callable[[int], Iterable[int]]) -> List[int]:
         seen: Set[int] = set()
-        frontier = list(self._derives.get(oid, ()))
+        frontier = list(step(oid))
         while frontier:
             current = frontier.pop()
             if current in seen:
                 continue
             seen.add(current)
-            frontier.extend(self._derives.get(current, ()))
+            frontier.extend(step(current))
         return sorted(seen)
 
     def objects_by_application(self, application: str) -> List[int]:
@@ -122,7 +137,6 @@ class ApplicationContext:
         kwargs.setdefault("owner", self.user)
         kwargs["application"] = self.application
         oid = self.tagger.fs.create(content, **kwargs)
-        self.tagger.record(oid, application=self.application, user=self.user)
         self.created.append(oid)
         return oid
 
@@ -130,10 +144,13 @@ class ApplicationContext:
         """Stamp an already-existing object with this context's APP/USER names."""
         self.tagger.fs.tag(oid, TAG_APP, self.application)
         self.tagger.fs.tag(oid, TAG_USER, self.user)
-        self.tagger.record(oid, application=self.application, user=self.user)
 
     def derive(self, content: bytes, sources: Sequence[int], **kwargs) -> int:
-        """Create an object derived from ``sources`` (records the lineage)."""
-        oid = self.create(content, **kwargs)
-        self.tagger.add_derivation(oid, sources)
+        """Create an object derived from ``sources`` (records the lineage).
+
+        The object and its SOURCE names commit as one transaction.
+        """
+        with self.tagger.fs.begin():
+            oid = self.create(content, **kwargs)
+            self.tagger.add_derivation(oid, sources)
         return oid

@@ -1,10 +1,11 @@
-"""QueryResultCache: canonical keys, precise generation invalidation, and
+"""The result memo: canonical keys, precise generation invalidation, and
 end-to-end behaviour through the registry and the file-system facade."""
 
 import pytest
 
-from repro.cache import QueryResultCache, canonical_key, query_tags
-from repro.core.query import And, Or, TagTerm, parse_query
+from repro.cache import GenerationMemo, canonical_key, query_tags
+from repro.core.naming import NamingInterface
+from repro.core.query import And, Or, QueryPlanner, TagTerm, parse_query
 from repro.errors import CacheError
 from repro.index import IndexStoreRegistry, KeyValueIndexStore
 
@@ -91,102 +92,111 @@ class TestGenerations:
         assert registry.generation("USER") > before
 
 
-class TestQueryResultCache:
-    def test_miss_store_hit(self, registry):
-        cache = QueryResultCache(registry)
-        query = parse_query("USER/margo")
-        assert cache.lookup(query) is None
-        cache.store(query, [1, 2])
-        assert cache.lookup(query) == [1, 2]
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+class TestGenerationMemo:
+    def test_miss_store_hit(self):
+        memo = GenerationMemo(4)
+        assert memo.lookup("k", 1) is None
+        memo.store("k", (1, 2), 1)
+        assert memo.lookup("k", 1) == (1, 2)
+        assert (memo.hits, memo.misses, memo.stores) == (1, 1, 1)
 
-    def test_result_is_copied_out(self, registry):
-        cache = QueryResultCache(registry)
-        query = parse_query("USER/margo")
-        cache.store(query, [1, 2])
-        result = cache.lookup(query)
+    def test_other_token_drops_the_entry(self):
+        memo = GenerationMemo(4)
+        memo.store("k", (1, 2), 1)
+        assert memo.lookup("k", 2) is None
+        assert memo.stale_drops == 1
+        assert len(memo) == 0
+        # A stale drop is a miss, and the entry stays gone.
+        assert memo.lookup("k", 1) is None
+        assert (memo.hits, memo.misses) == (0, 2)
+
+    def test_lru_bounded(self):
+        memo = GenerationMemo(2)
+        for key in range(5):
+            memo.store(key, key, 0)
+        assert len(memo) == 2
+        assert memo.evictions == 3
+
+    def test_eviction_takes_the_least_recently_used(self):
+        memo = GenerationMemo(2)
+        memo.store("a", 1, 0)
+        memo.store("b", 2, 0)
+        memo.lookup("a", 0)
+        memo.store("c", 3, 0)
+        assert memo.lookup("a", 0) == 1
+        assert memo.lookup("b", 0) is None
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(CacheError):
+            GenerationMemo(0)
+
+    def test_snapshot_shape(self):
+        memo = GenerationMemo(3)
+        memo.store("k", 1, 0)
+        memo.lookup("k", 0)
+        memo.lookup("k", 1)
+        assert memo.snapshot() == {
+            "capacity": 3, "entries": 0, "hits": 1, "misses": 1,
+            "stale_drops": 1, "stores": 1, "evictions": 0, "hit_ratio": 0.5,
+        }
+
+
+def cached_naming(registry, planner=None):
+    return NamingInterface(registry, planner=planner,
+                           query_cache=GenerationMemo(256))
+
+
+class TestBooleanResultMemo:
+    def test_repeat_is_served_and_copied_out(self, registry):
+        naming = cached_naming(registry)
+        assert naming.query("USER/margo") == [1, 2]
+        result = naming.query("USER/margo")
+        assert naming.query_cache.hits == 1
         result.append(99)
-        assert cache.lookup(query) == [1, 2]
+        assert naming.query("USER/margo") == [1, 2]
 
     def test_mutation_invalidates_precisely(self, registry):
-        cache = QueryResultCache(registry)
-        user_q = parse_query("USER/margo")
-        app_q = parse_query("APP/quicken")
-        cache.store(user_q, [1, 2])
-        cache.store(app_q, [2])
+        naming = cached_naming(registry)
+        naming.query("USER/margo")
+        naming.query("APP/quicken")
         registry.insert("USER", "margo", 7)
         # The USER query is stale, the APP query survives.
-        assert cache.lookup(user_q) is None
-        assert cache.lookup(app_q) == [2]
-        assert cache.stats.stale_drops == 1
+        assert naming.query("USER/margo") == [1, 2, 7]
+        assert naming.query("APP/quicken") == [2]
+        assert naming.query_cache.stale_drops == 1
+        assert naming.query_cache.hits == 1
 
     def test_remove_invalidates(self, registry):
-        cache = QueryResultCache(registry)
-        query = parse_query("USER/margo")
-        cache.store(query, [1, 2])
+        naming = cached_naming(registry)
+        naming.query("USER/margo")
         registry.remove("USER", "margo", 1)
-        assert cache.lookup(query) is None
+        assert naming.query("USER/margo") == [2]
 
     def test_conjunction_invalidated_by_any_of_its_tags(self, registry):
-        cache = QueryResultCache(registry)
-        query = parse_query("USER/margo AND NOT APP/quicken")
-        cache.store(query, [1])
+        naming = cached_naming(registry)
+        assert naming.query("USER/margo AND NOT APP/quicken") == [1]
         registry.insert("APP", "quicken", 1)  # only the negated tag changes
-        assert cache.lookup(query) is None
+        assert naming.query("USER/margo AND NOT APP/quicken") == []
 
-    def test_lru_bounded(self, registry):
-        cache = QueryResultCache(registry, capacity=2)
-        for oid in range(5):
-            cache.store(TagTerm("USER", f"u{oid}"), [oid])
-        assert len(cache) == 2
-        assert cache.stats.evictions == 3
+    def test_mutation_during_evaluation_leaves_the_entry_stale(self, registry):
+        # The token is taken before evaluating, so a mutation that lands
+        # mid-evaluation makes the stored answer stale, never current.
+        class RacingPlanner(QueryPlanner):
+            raced = False
 
-    def test_capacity_must_be_positive(self, registry):
-        with pytest.raises(CacheError):
-            QueryResultCache(registry, capacity=0)
+            def order_conjuncts(self, terms, registry):
+                if not self.raced:
+                    self.raced = True
+                    registry.insert("USER", "margo", 9)
+                return super().order_conjuncts(terms, registry)
 
-    def test_store_skipped_when_mutation_raced_the_evaluation(self, registry):
-        # Regression: a mutation landing between evaluation and store must
-        # not cache the (possibly stale) result under the fresh generation.
-        cache = QueryResultCache(registry)
-        query = parse_query("USER/margo")
-        snapshot = cache.generations_for(query)
-        registry.insert("USER", "margo", 99)  # races the evaluation
-        cache.store(query, [1, 2], snapshot=snapshot)
-        assert cache.lookup(query) is None
-        assert cache.stats.racy_skips == 1
-
-    def test_store_with_current_snapshot_succeeds(self, registry):
-        cache = QueryResultCache(registry)
-        query = parse_query("USER/margo")
-        snapshot = cache.generations_for(query)
-        cache.store(query, [1, 2], snapshot=snapshot)
-        assert cache.lookup(query) == [1, 2]
-
-
-class TestAdmission:
-    def test_full_and_limited_admissions_are_counted(self, registry):
-        cache = QueryResultCache(registry)
-        cache.store(parse_query("USER/margo"), [1, 2])
-        cache.store(parse_query("APP/quicken"), [2], limited=True)
-        assert cache.stats.admitted_full == 1
-        assert cache.stats.admitted_limited == 1
-        snap = cache.stats.snapshot()
-        assert snap["admitted_full"] == 1
-        assert snap["admitted_limited"] == 1
-
-    def test_every_admission_decision_is_counted(self, registry):
-        cache = QueryResultCache(registry)
-        user_q = parse_query("USER/margo")
-        cache.store(user_q, [1, 2])
-        cache.store(parse_query("APP/quicken"), [2], limited=True)
-        snapshot = cache.generations_for(user_q)
-        registry.insert("USER", "margo", 99)
-        cache.store(user_q, [1, 2], snapshot=snapshot)
-        # One full admission, one limited, and the racy store admitted neither.
-        assert (cache.stats.admitted_full, cache.stats.admitted_limited,
-                cache.stats.racy_skips, cache.stats.stores) == (1, 1, 1, 2)
+        naming = cached_naming(registry, planner=RacingPlanner())
+        query = "USER/margo AND NOT APP/quicken"
+        naming.query(query)
+        assert naming.query(query) == [1, 9]
+        assert naming.query_cache.stale_drops == 1
+        assert naming.query(query) == [1, 9]
+        assert naming.query_cache.hits == 1
 
 
 class TestThroughFileSystem:

@@ -10,7 +10,7 @@ across a write that might have changed the scores.
 
 import pytest
 
-from repro.cache import RankedResultCache
+from repro.cache import GenerationMemo
 from repro.core import HFADFileSystem
 from repro.errors import CacheError
 
@@ -27,9 +27,9 @@ def fs():
 
 def test_repeat_rank_hits_cache(fs):
     first = fs.rank("beach vacation")
-    hits_before = fs.ranked_cache.stats.hits
+    hits_before = fs.ranked_cache.hits
     second = fs.rank("beach vacation")
-    assert fs.ranked_cache.stats.hits == hits_before + 1
+    assert fs.ranked_cache.hits == hits_before + 1
     assert [(h.doc_id, h.score) for h in first] == \
         [(h.doc_id, h.score) for h in second]
 
@@ -40,7 +40,7 @@ def test_write_invalidates_ranking(fs):
     # generation bump turns the cached entry into a stale drop, never a hit.
     oid = fs.create(b"beach beach beach vacation vacation", owner="d")
     fresh = fs.rank("beach vacation")
-    assert fs.ranked_cache.stats.stale_drops >= 1
+    assert fs.ranked_cache.stale_drops >= 1
     assert oid in [hit.doc_id for hit in fresh]
     assert [(h.doc_id, h.score) for h in stale] != \
         [(h.doc_id, h.score) for h in fresh]
@@ -58,9 +58,9 @@ def test_cached_ranking_equals_uncached(fs):
 
 def test_limit_is_part_of_the_key(fs):
     fs.rank("beach", limit=1)
-    hits_before = fs.ranked_cache.stats.hits
+    hits_before = fs.ranked_cache.hits
     fs.rank("beach", limit=2)  # different key: a miss, not a truncated hit
-    assert fs.ranked_cache.stats.hits == hits_before
+    assert fs.ranked_cache.hits == hits_before
     assert len(fs.rank("beach", limit=2)) <= 2
 
 
@@ -74,9 +74,19 @@ def test_snapshot_and_stats_surface(fs):
     assert "ranked_cache" in fs.stats()
 
 
+def test_three_memos_share_one_stats_shape(fs):
+    fs.rank("beach")
+    fs.query("USER/a")
+    shape = set(fs.query_cache.snapshot())
+    assert set(fs.ranked_cache.snapshot()) == shape
+    planner = fs.stats()["planner"]
+    assert {name[len("memo_"):] for name in planner
+            if name.startswith("memo_")} == shape
+
+
 def test_capacity_eviction_and_validation():
     with pytest.raises(CacheError):
-        RankedResultCache(registry=None, tag="FULLTEXT", capacity=0)
+        GenerationMemo(0)
     fs = HFADFileSystem(query_cache_entries=2)
     try:
         fs.create(b"alpha beta gamma delta", owner="a")

@@ -279,8 +279,6 @@ class TestPlannerMemo:
         term = TagTerm("USER", "margo")
         planner.estimate(term, registry)
         planner.estimate(term, registry)
-        assert planner.memo_misses == 1
-        assert planner.memo_hits == 1
         snapshot = planner.snapshot()
         assert snapshot["memo_hits"] == 1
         assert snapshot["memo_misses"] == 1
@@ -294,22 +292,25 @@ class TestPlannerMemo:
         assert planner.estimate(term, registry) == 2
         registry.insert("USER", "margo", 9)
         assert planner.estimate(term, registry) == 3
-        assert planner.memo_misses == 2
+        assert planner.snapshot()["memo_misses"] == 2
+        assert planner.snapshot()["memo_stale_drops"] == 1
 
-    def test_eviction_drops_oldest_half_only(self, monkeypatch):
+    def test_eviction_drops_least_recently_used(self, monkeypatch):
         registry = make_registry()
-        planner = QueryPlanner()
         monkeypatch.setattr(QueryPlanner, "MAX_MEMO_ENTRIES", 8)
+        planner = QueryPlanner()
         for index in range(8):
             planner.estimate(TagTerm("UDEF", f"value-{index}"), registry)
         assert planner.snapshot()["memo_entries"] == 8
-        # Touch an old entry so LRU keeps it through the eviction sweep.
+        # Touch the oldest entry so LRU keeps it; value-1 goes instead.
         planner.estimate(TagTerm("UDEF", "value-0"), registry)
         planner.estimate(TagTerm("UDEF", "value-8"), registry)
-        entries = planner.snapshot()["memo_entries"]
-        assert entries == 8 // 2 + 1  # survivors + the new entry
+        snapshot = planner.snapshot()
+        assert (snapshot["memo_entries"], snapshot["memo_evictions"]) == (8, 1)
         planner.estimate(TagTerm("UDEF", "value-0"), registry)
-        assert planner.memo_hits >= 2  # value-0 survived the sweep
+        assert planner.snapshot()["memo_hits"] == 2
+        planner.estimate(TagTerm("UDEF", "value-1"), registry)
+        assert planner.snapshot()["memo_hits"] == 2
 
     def test_id_terms_bypass_memo(self):
         registry = make_registry()

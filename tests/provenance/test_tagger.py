@@ -6,6 +6,7 @@ from repro.core import HFADFileSystem
 from repro.errors import NamingError
 from repro.index import TAG_APP, TAG_USER, TagValue
 from repro.provenance import ProvenanceTagger
+from repro.storage import BlockDevice
 
 
 @pytest.fixture
@@ -91,3 +92,38 @@ class TestDerivationGraph:
         b = fs.create(b"b")
         tagger.add_derivation(b, [a])
         assert tagger.ancestors(b) == [a]
+
+
+class TestDurableLineage:
+    def test_lineage_survives_remount(self):
+        device = BlockDevice(num_blocks=1 << 14)
+        fs = HFADFileSystem(device=device)
+        tagger = ProvenanceTagger(fs)
+        with tagger.application("iphoto", user="margo") as app:
+            raw = app.create(b"RAW image data")
+            jpeg = app.derive(b"JPEG render", sources=[raw])
+            other = app.create(b"another RAW")
+            album = app.derive(b"album page", sources=[jpeg, other])
+        fs.close()
+
+        mounted = HFADFileSystem.mount(device)
+        try:
+            fresh = ProvenanceTagger(mounted)
+            assert fresh.ancestors(album) == sorted([raw, jpeg, other])
+            assert fresh.descendants(raw) == [jpeg, album]
+            record = fresh.provenance_of(album)
+            assert (record.application, record.user, record.sources) == \
+                ("iphoto", "margo", sorted([jpeg, other]))
+        finally:
+            mounted.close()
+
+    def test_lineage_is_a_source_name_on_the_derived_object(self, fs):
+        tagger = ProvenanceTagger(fs)
+        a = fs.create(b"a")
+        b = fs.create(b"b")
+        tagger.add_derivation(b, [a])
+        assert TagValue("SOURCE", str(a)) in fs.names_for(b)
+        assert fs.find(("SOURCE", str(a))) == [b]
+        # Deleting the derived object takes its edges with it.
+        fs.delete(b)
+        assert tagger.descendants(a) == []

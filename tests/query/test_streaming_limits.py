@@ -76,7 +76,7 @@ class TestLimitCacheInterplay:
             full = fs.query("USER/margo")  # cached as complete
             assert fs.query("USER/margo", limit=4) == full[:4]
             assert fs.naming.stats.cached_results == 1
-            assert fs.query_cache.stats.hits == 1
+            assert fs.query_cache.hits == 1
 
     def test_truncated_result_cached_under_limit_key(self):
         with make_fs() as fs:
