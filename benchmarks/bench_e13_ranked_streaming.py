@@ -1,22 +1,25 @@
-"""E13 — ranked streaming (WAND/block-max top-k) vs. exhaustive BM25.
+"""E13 — ranked streaming (block-max top-k) vs. exhaustive BM25.
 
 PR 2 taught *boolean* queries to stop early; ``rank()`` still scored every
-document containing any query term.  The scored-cursor pipeline
-(repro.query.scored) closes that gap: per-term cursors carry upper-bound
-scores (the term's statistics record and each posting block's exact
-``max_tf`` trailer), and the WAND merge skips documents — and, by the
-block trailers, whole posting blocks — that provably cannot reach the top k.
+document containing any query term.  The block scorer (repro.query.scored)
+closes that gap: per-term cursors carry upper-bound scores (the term's
+statistics record and each posting block's exact ``max_tf`` trailer), and
+the driver, walking the terms' posting blocks in order, skips blocks and
+terms — and, inside a scored block, documents — that provably cannot reach
+the top k.
 
 This benchmark builds the same kind of deliberately skewed corpus E10 used
 — one term in every document, a rare high-signal term in a sliver of them —
 and asks for the top 10 both ways:
 
-* ``exhaustive`` — score every matching document, sort, cut (the seed
-  behaviour and the ``limit=None`` path);
-* ``wand limit=10`` — the streamed top-k.
+* ``exhaustive`` — score every matching document term at a time, sort, cut
+  (``rank_exhaustive``, the reference);
+* ``wand limit=10`` — ``rank``, the block scorer (its driver class keeps
+  the name ``WandCursor``; the columns keep theirs so the table compares
+  with earlier runs).
 
 Expected shape: identical hits (scores and order, bit for bit — the
-differential harness's invariant) while WAND scores ≥ 5× fewer documents,
+differential harness's invariant) while top-k scores ≥ 5× fewer documents,
 with correspondingly lower latency.
 """
 

@@ -277,8 +277,9 @@ class HFADShell:
     def cmd_rank(self, args: List[str]) -> str:
         """BM25-ranked search: best hits first, with their scores.
 
-        The default top-10 streams through the WAND pruner instead of
-        scoring the whole corpus; ``--limit N`` adjusts k.
+        The default top-10 is scored a posting block at a time with
+        block-max pruning instead of scoring the whole corpus; ``--limit N``
+        adjusts k.
         """
         usage = "rank [--limit N] TEXT..."
         limit, args = self._parse_limit(args, usage)

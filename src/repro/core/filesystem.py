@@ -883,13 +883,14 @@ class HFADFileSystem:
     def rank(self, text: str, limit: Optional[int] = 10):
         """BM25-ranked full-text search, best hit first.
 
-        With a ``limit`` the ranking streams through the WAND/block-max
-        scored-cursor pipeline: documents whose term upper bounds cannot
-        beat the current top-``limit`` are pruned unscored, so a top-10 ask
-        on a large corpus touches a fraction of the matching documents.
-        Results (scores *and* order) are identical to exhaustive BM25 —
-        ``fs.stats()["ranked"]`` reports the work saved.  ``limit=None``
-        ranks every matching document.
+        The ranking scores a posting block at a time: with a ``limit``, a
+        block whose terms' stored maxima cannot beat the current
+        top-``limit`` is skipped undecoded and terms whose summed bounds
+        cannot stop driving the walk, so a top-10 ask on a large corpus
+        scores a fraction of the matching documents.  Results (scores *and*
+        order) are identical to exhaustive BM25 — ``fs.stats()["ranked"]``
+        reports the work saved.  ``limit=None`` ranks every matching
+        document.
         """
         started = time.perf_counter()
         with self._operation("rank", text) as op, self.read_view():

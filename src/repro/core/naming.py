@@ -249,8 +249,8 @@ class NamingInterface:
         """BM25-ranked full-text retrieval over the FULLTEXT store.
 
         Ranked results are *ordered* (best first), unlike the unordered
-        naming operations above, and with a ``limit`` they stream through
-        the WAND scored-cursor merge — documents that provably cannot reach
+        naming operations above, and are scored a posting block at a time —
+        with a ``limit``, blocks and documents that provably cannot reach
         the top k are skipped without being scored.  Results bypass the
         *boolean* query cache (scores depend on corpus-wide statistics, so
         per-tag oid sets cannot serve them), but a configured

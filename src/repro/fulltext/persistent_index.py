@@ -67,7 +67,7 @@ Key layout (one tree, seven record kinds; ``block`` is ``oid >> BLOCK_SHIFT``,
   logs a page as a single splice, so an edit's bytes stay together.
 * ``T`` blocks stream a term's postings in ascending oid order — the cursor
   protocol's contract.  A seek bisects inside the current block or
-  re-descends to the target's block; the trailer is the block-max WAND bound,
+  re-descends to the target's block; the trailer is the ranked block bound,
   readable without decoding a row.  The statistics' ``max_tf`` / ``min_len``
   are the term-wide bound inputs: adds tighten them, removes leave them (a
   stale bound costs pruning, never correctness).
@@ -99,7 +99,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.btree import BPlusTree
 from repro.fulltext.analyzer import Analyzer
@@ -130,7 +130,7 @@ _U32 = struct.Struct(">I")
 _STATS = struct.Struct(">QQ")
 #: a ``T`` row: the oid's slot in its block, and the term's frequency there.
 _ROW = struct.Struct(">BI")
-#: a term's statistics: df + the WAND bound inputs (max tf, min document length).
+#: a term's statistics: df + the ranking bound inputs (max tf, min document length).
 _DF_RECORD = struct.Struct(">QII")
 
 #: positions stored per posting; term frequency stays exact beyond the cap.
@@ -156,6 +156,10 @@ _NO_LENGTHS = bytes(_LENGTHS.size)
 #: documents, ~250 KB of values.  Measured on ``ingest``, not a parameter:
 #: half logs 10 % more WAL, at twice only the harness's checkpoints settle.
 SETTLE_KEYS = 4096
+#: a scored cursor's ``seek`` at most this many block ids ahead steps the
+#: tree cursor instead of re-descending from the root: on E13's corpus a
+#: step to the next block cost 0.5-0.8 us and a re-descent 5.5 us.
+_STEP_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -370,16 +374,14 @@ class _BlockCursor(DocIdCursor):
     the cursor lands on.
     """
 
-    def __init__(self, tree: BPlusTree, prefix: bytes, counter: ScanCounter,
+    def __init__(self, tree: _TermView, prefix: bytes, counter: ScanCounter,
                  estimate: int = 0) -> None:
-        self._tree = tree
         self._blocks = tree.cursor(prefix=prefix)
         self._prefix = prefix
         self._counter = counter
         self._estimate = estimate
-        #: the current block: its value, its first oid, its rows' slots and
-        #: tfs, our row
-        self._raw, self._base, self._slots, self._tfs, self._at = b"", 0, (), (), -1
+        #: the current block: its first oid, its rows' slots, our row
+        self._base, self._slots, self._at = 0, (), -1
         self._doc: Optional[int] = -1  # nothing returned yet; None = exhausted
 
     def _settle(self, at: int) -> int:
@@ -392,10 +394,10 @@ class _BlockCursor(DocIdCursor):
         """Settle on the first posting ``>= target`` in block ``item`` or after."""
         while item is not None:
             base = _block_base(item[0])
-            slots, tfs = _block_rows(item[1])
+            slots = _block_rows(item[1])[0]
             at = bisect_left(slots, target - base)
             if at < len(slots):
-                self._raw, self._base, self._slots, self._tfs = item[1], base, slots, tfs
+                self._base, self._slots = base, slots
                 return self._settle(at)
             item = self._blocks.next_item()
         self._doc = None
@@ -428,57 +430,73 @@ class _BlockCursor(DocIdCursor):
         return self._estimate
 
 
-class _PostingScoredCursor(_BlockCursor, ScoredCursor):
-    """Scored cursor over one term's posting blocks.
+class _PostingScoredCursor(ScoredCursor):
+    """One term's posting blocks for the block scorer
+    (:class:`~repro.query.scored.WandCursor`).
 
-    Holds a position (``seek`` at or before it is a no-op, per the
-    scored-cursor contract) and scores it with the row's tf.  ``block_max``
-    turns a block's trailer into a bound score: the current block's is at
-    hand, any other costs one ``tree.get`` and no row decode.
+    Stands on a block, not a row: ``next`` and ``seek`` move the tree
+    cursor a block at a time and read only the key and the trailer, which
+    ``block_max`` turns into a bound score (memoised per ``max_tf``).  The
+    rows are decoded only for a block the driver scores, once per term.
     """
 
-    def __init__(self, tree: BPlusTree, prefix: bytes, counter: ScanCounter,
-                 scorer: Callable[[int, int], float], upper: float,
+    def __init__(self, view: _TermView, prefix: bytes, counter: ScanCounter,
+                 idf: float, k1: float, upper: float,
                  bound_for: Callable[[int], float]) -> None:
-        super().__init__(tree, prefix, counter)
-        self._scorer = scorer
-        self._upper = upper
+        self._blocks = view.cursor(prefix)
+        self._prefix = prefix
+        self._counter = counter
+        self._idf, self._k1p1 = idf, k1 + 1
+        self.upper = upper
         self._bound_for = bound_for
         self._bounds: Dict[int, float] = {}
-        _BlockCursor.next(self)
+        self._land(self._blocks.next_item())
 
-    def doc(self) -> Optional[int]:
-        return self._doc
+    def _land(self, item: Optional[Tuple[bytes, bytes]]) -> Optional[int]:
+        if item is None:
+            self.block, self._raw = None, b""
+        else:
+            key, self._raw = item
+            self.block = _OID.unpack_from(key, len(key) - _OID.size)[0]
+        return self.block
 
-    def score(self) -> float:
-        return self._scorer(self._doc, self._tfs[self._at])
-
-    next = _BlockCursor.next  # named here: the scored protocol's ``next`` too
+    def next(self) -> Optional[int]:
+        return self._land(self._blocks.next_item())
 
     def seek(self, target: int) -> Optional[int]:
-        if self._doc is None or target <= self._doc:
-            return self._doc
+        block = self.block
+        if block is None or target <= block:
+            return block
         self._counter.seeks += 1
-        return self._advance(target)
+        if target - block > _STEP_BLOCKS:
+            return self._land(self._blocks.seek(self._prefix + _OID.pack(target)))
+        while block is not None and block < target:
+            block = self._land(self._blocks.next_item())
+        return block
 
-    def max_score(self) -> float:
-        return self._upper
-
-    def block_max(self, doc: int) -> float:
-        block = doc >> BLOCK_SHIFT
-        bound = self._bounds.get(block)
+    def block_max(self) -> float:
+        raw = self._raw
+        max_tf = _U32.unpack_from(raw, len(raw) - _U32.size)[0]
+        bound = self._bounds.get(max_tf)
         if bound is None:
-            if self._slots and self._base >> BLOCK_SHIFT == block:
-                raw = self._raw
-            else:
-                raw = self._tree.get(self._prefix + _OID.pack(block))
-            # No block, no postings: nothing in it can score.
-            max_tf = _U32.unpack_from(raw, len(raw) - _U32.size)[0] if raw else 0
-            bound = self._bounds[block] = self._bound_for(max_tf)
+            bound = self._bounds[max_tf] = self._bound_for(max_tf)
         return bound
 
-    def block_end(self, doc: int) -> int:
-        return (((doc >> BLOCK_SHIFT) + 1) << BLOCK_SHIFT) - 1
+    def slots(self) -> bytes:
+        """The block's slots, ascending: every fifth byte of its rows."""
+        raw = self._raw
+        return raw[:len(raw) - _U32.size:_ROW.size]
+
+    def score(self, norms: Dict[int, float],
+              restrict: bool = False) -> Tuple[Sequence[int], List[float]]:
+        slots, tfs = _block_rows(self._raw)
+        if restrict:
+            tf_at = dict(zip(slots, tfs))
+            slots = [slot for slot in norms if slot in tf_at]
+            tfs = [tf_at[slot] for slot in slots]
+        self._counter.scanned += len(slots)  # the postings scored, as a row cursor counts
+        idf, k1p1 = self._idf, self._k1p1
+        return slots, [idf * (tf * k1p1) / (tf + norms[slot]) for slot, tf in zip(slots, tfs)]
 
 
 class PersistentInvertedIndex:
@@ -921,27 +939,39 @@ class PersistentInvertedIndex:
 
         return length_for
 
+    def _block_norms(self, k1: float, b: float,
+                     average_length: float) -> Callable[[int, Sequence[int]], Dict[int, float]]:
+        """``norms(block, slots)``: each slot's BM25 length normaliser
+        ``k1 * (1 - b + b * dl / avg)``, from one ``L`` read per block."""
+        omb, get = 1 - b, self._tree.get
+
+        def norms(block: int, slots: Sequence[int]) -> Dict[int, float]:
+            lengths = _LENGTHS.unpack(get(self._length_key(block)) or _NO_LENGTHS)
+            # stored = length + 1, and an empty document scores as length 1
+            return {slot: k1 * (omb + b * ((lengths[slot] - 1) or 1) / average_length)
+                    for slot in slots}
+
+        return norms
+
     def rank(self, query, limit: Optional[int] = 10, k1: float = 1.5, b: float = 0.75,
              span=None) -> List[SearchHit]:
-        """BM25-ranked disjunctive retrieval.
+        """BM25-ranked disjunctive retrieval, a posting block at a time.
 
-        With a ``limit`` the query streams through a WAND top-k merge
-        (:class:`~repro.query.scored.WandCursor`), refined by the blocks'
-        exact maxima: documents whose summed term upper bounds cannot beat the
-        current k-th best score are skipped without being scored.  The
-        result is identical — same floating-point scores, same order — to
-        :meth:`rank_exhaustive`; only the work differs.  ``limit=None``
-        ranks exhaustively (every matching document is wanted anyway).
+        The query terms' blocks are walked in ascending order by the
+        block-max driver (:class:`~repro.query.scored.WandCursor`): a block
+        whose terms' stored maxima cannot beat the current k-th best score
+        is skipped undecoded, terms whose summed bounds cannot are only
+        sought to the blocks the others reach, and a scored block decodes
+        each term's rows once.  The result is identical — same floating-point
+        scores, same order — to :meth:`rank_exhaustive`; only the work
+        differs.  ``limit=None`` keeps every matching document.
         """
-        if limit is None:
-            return self.rank_exhaustive(query, limit=None, k1=k1, b=b)
         terms = self.analyzer.analyze_query(query)
         total_docs, total_tokens = self._read_stats()
-        if not terms or not total_docs or limit <= 0:
+        if not terms or not total_docs or (limit is not None and limit <= 0):
             return []
         self.ranked.queries += 1
         average_length = total_tokens / total_docs
-        length_for = self._length_memo()
         cursors = []
         for term in terms:
             df, max_tf, min_len = self._df_record(term)
@@ -949,16 +979,15 @@ class PersistentInvertedIndex:
                 continue
             self.term_lookups += 1
             idf = bm25_idf(total_docs, df)
-            upper = bm25_upper_bound(idf, k1, b, max_tf, min_len, average_length)
             # A block stores frequencies only, so the term's minimum length
             # feeds the length term of its bound (looser, never unsafe).
+            bound = (lambda max_tf, idf=idf, min_len=min_len: bm25_upper_bound(
+                idf, k1, b, max_tf, min_len, average_length))
             cursors.append(_PostingScoredCursor(
-                self._view, self._posting_prefix(term), self._scan,
-                bm25_scorer(idf, k1, b, average_length, length_for), upper,
-                lambda max_tf, idf=idf, min_len=min_len: bm25_upper_bound(
-                    idf, k1, b, max_tf, min_len, average_length),
-            ))
-        top = WandCursor(cursors, limit, stats=self.ranked, span=span).top_k()
+                self._view, self._posting_prefix(term), self._scan, idf, k1,
+                bound(max_tf), bound))
+        top = WandCursor(cursors, limit, self._block_norms(k1, b, average_length),
+                         BLOCK_SHIFT, stats=self.ranked, span=span).top_k()
         return [SearchHit(doc_id=doc_id, score=score) for doc_id, score in top]
 
     def rank_exhaustive(
@@ -966,8 +995,9 @@ class PersistentInvertedIndex:
     ) -> List[SearchHit]:
         """BM25 ranking that scores every matching document (no pruning).
 
-        The reference the differential harness holds :meth:`rank` against,
-        and the ``limit=None`` execution path.
+        The reference the differential harness holds :meth:`rank` against:
+        term at a time into a dict, through :func:`bm25_scorer`, sharing no
+        scoring code with the block scorer.
         """
         terms = self.analyzer.analyze_query(query)
         total_docs, total_tokens = self._read_stats()

@@ -112,9 +112,10 @@ class FullTextIndexStore(IndexStore):
         return self.index.document_frequency(value)
 
     def rank(self, query: str, limit: Optional[int] = 10, span=None):
-        """BM25-ranked hits (WAND top-k pruning when ``limit`` is set).
+        """BM25-ranked hits, scored a posting block at a time with block-max
+        pruning (``limit=None`` keeps every match).
 
-        ``span`` is an optional telemetry span the WAND merge stamps with
+        ``span`` is an optional telemetry span the block scorer stamps with
         its work counters (duck-typed; the engine never imports telemetry).
         """
         return self.index.rank(query, limit=limit, span=span)

@@ -20,7 +20,6 @@ from repro.query.cursors import (
     materialize,
 )
 from repro.query.scored import (
-    UNBOUNDED_BLOCK_END,
     RankStats,
     ScoredCursor,
     WandCursor,
@@ -31,7 +30,6 @@ from repro.query.scored import (
 
 __all__ = [
     "UNKNOWN_ESTIMATE",
-    "UNBOUNDED_BLOCK_END",
     "DifferenceCursor",
     "DocIdCursor",
     "EmptyCursor",

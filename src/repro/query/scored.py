@@ -1,52 +1,59 @@
-"""Scored cursors: WAND / block-max streaming top-k ranked retrieval.
+"""Block-max top-k ranked retrieval: score a posting block at a time.
 
 PR 2 gave *boolean* queries a cursor pipeline with top-k early exit, but
 ``rank()`` still scored every document containing any query term.  This
-module is the ranked counterpart: every query term becomes a
-:class:`ScoredCursor` — a stream of ``(doc id, BM25 contribution)`` pairs in
-ascending doc-id order that also knows an *upper bound* on any contribution
-it can ever produce — and :class:`WandCursor` merges them with the WAND
-pruning rule (Broder et al., CIKM '03): maintain a top-k heap; a candidate
-document whose summed term upper bounds cannot beat the current k-th best
-score is skipped without being scored, and whole runs of documents are
-leapt over by seeking the lagging cursors straight to the pivot.
+module is the ranked counterpart.  Every query term becomes a
+:class:`ScoredCursor` that stands on one posting *block* of the term at a
+time (the documents whose ids share ``doc >> shift``) and knows two upper
+bounds: one on any contribution the term can still make, and one, from the
+block's stored maximum frequency, on any contribution inside its current
+block.  :class:`WandCursor` walks the union of the terms' blocks in
+ascending block order with a size-``limit`` heap, and prunes with the
+heap's minimum, the *threshold* (Ding & Suel, "Faster top-k document
+retrieval using block-max indexes", SIGIR '11; Broder et al., CIKM '03,
+for WAND):
 
-The protocol extends the boolean cursor contract with scoring:
+* the terms whose summed term bounds cannot beat the threshold are
+  *non-essential* (Turtle & Flood's MaxScore): they no longer drive the
+  walk, they are sought to the blocks the others reach; once every term is
+  non-essential the walk ends;
+* a block whose present terms' summed block bounds cannot beat the
+  threshold is skipped without decoding a row;
+* otherwise the block's present terms are split the same way by their
+  block bounds, and only slots an essential term hits become candidates:
+  each present term's rows are decoded once, its contributions computed
+  with one comprehension over the block, and each candidate's score summed
+  and offered to the heap.
 
-``doc()``
-    The current document id (``None`` once exhausted).  Unlike
-    :class:`~repro.query.cursors.DocIdCursor`, a scored cursor *holds* a
-    position: ``seek`` to a target at or before the current doc is a no-op,
-    which is what lets the WAND driver probe cursors repeatedly while
-    deciding whether a pivot is worth scoring.
+The cursor protocol (one block at a time):
 
-``score()``
-    The term's BM25 contribution at the current document — computed with
-    exactly the same arithmetic (and the same operand order) as the
-    exhaustive ranking loop, so WAND results are bit-identical to it.
-
+``block``
+    The current block id (``None`` once exhausted); ``upper`` is the term's
+    bound over every remaining block.
 ``next()`` / ``seek(target)``
-    Advance; ``seek`` lands on the first doc ``>= target`` (clamped to the
-    current position, never backward).
+    Move to the next block, or to the first block ``>= target`` (never
+    backward); both return the new block id.
+``block_max()``
+    Upper bound on the term's contribution to any document of the current
+    block.
+``slots()`` / ``score(norms, restrict)``
+    The current block's slots (``doc`` minus the block's first id), and the
+    term's contributions at them: ``norms`` maps a slot to its BM25 length
+    normaliser ``k1 * (1 - b + b * dl / avg)``; with ``restrict`` only rows
+    whose slot is a key of ``norms`` are scored.
 
-``max_score()``
-    Upper bound on ``score()`` over every remaining document.  Bounds may be
-    conservative (stale-high) — that only costs pruning opportunities, never
-    correctness.
-
-``block_max(doc)`` / ``block_end(doc)``
-    Block-max refinement (Ding & Suel, SIGIR '11): a tighter bound that
-    holds over the fixed doc-id block containing ``doc``, and the last doc
-    id of that block.  Cursors without block structure fall back to the
-    global bound over an unbounded block.
-
-Exactness: WAND with these rules returns *exactly* the exhaustive top-k —
-same floating-point scores, same order.  Candidates are fully scored in
-ascending doc-id order and per-document contributions are accumulated in
-query-term order (the exhaustive loop's accumulation order); the heap
-tie-break matches the final ``(-score, doc_id)`` sort; and the prune test is
-strict (``bound <= threshold`` skips) because an equal-scoring later
-document loses the tie anyway.
+Exactness: the result is *exactly* the exhaustive top-k — same
+floating-point scores, same order.  A contribution is
+``idf * (tf * (k1 + 1)) / (tf + norm)``, the exhaustive loop's expression
+with only ``k1 + 1`` and the normaliser evaluated ahead; a candidate's
+score starts at ``0.0`` and adds contributions in query-term order, the
+exhaustive loop's order; candidates are offered in ascending doc-id order
+and the heap keeps the incumbent on a tie, matching the final
+``(-score, doc_id)`` sort.  Every prune test sums bounds in query-term
+order too, so (float addition being monotone) a pruned document's true
+score is at most the tested sum, and the tests are strict (``<=``
+threshold prunes) because an equal-scoring later document loses the tie
+anyway.
 """
 
 from __future__ import annotations
@@ -54,20 +61,14 @@ from __future__ import annotations
 import heapq
 import math
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence, Tuple
-
-#: ``block_end`` sentinel for cursors without block structure: one block
-#: spanning every possible doc id.
-UNBOUNDED_BLOCK_END = (1 << 62) - 1
-
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
 # shared BM25 arithmetic
 #
-# The inverted index routes its exhaustive ranking loop *and* its scored
-# cursors through these helpers, so "WAND equals exhaustive, bit for bit"
-# holds by construction: the same closure performs the same operations in
-# the same order either way.
+# The exhaustive reference ranking and the bound audit score with
+# :func:`bm25_scorer`; the block scorer evaluates the same expression (see
+# the module docstring), and bounds come from :func:`bm25_upper_bound`.
 # ---------------------------------------------------------------------------
 
 
@@ -111,7 +112,7 @@ def bm25_upper_bound(
     lingering in a persisted bound — which merely loosens, never breaks,
     the bound.  The expression mirrors :func:`bm25_scorer` operation for
     operation, so for a posting that *attains* both extremes the bound
-    equals the real contribution bit for bit — and WAND's strict prune test
+    equals the real contribution bit for bit — and the strict prune test
     can then skip whole runs of equal-scoring documents.
     """
     if max_tf <= 0:
@@ -141,15 +142,16 @@ class RankStats:
         self.reset()
 
     def reset(self) -> None:
-        #: WAND-pruned rank() calls / exhaustive (unlimited) rank() calls.
+        #: rank() calls (block scorer) / rank_exhaustive() calls (reference).
         self.queries = 0
         self.exhaustive_queries = 0
         #: documents fully evaluated (every matching term's contribution).
         self.documents_scored = 0
-        #: pivot candidates rejected by the (block-)bound test without being
-        #: scored; documents leapt over wholesale are not even counted.
+        #: slots of a scored block that only non-essential terms hit: left
+        #: unscored by the block-level split.
         self.candidates_pruned = 0
-        #: whole posting blocks skipped by the block-max refinement.
+        #: blocks an essential term reached, skipped on their block bounds
+        #: without decoding a row.
         self.blocks_skipped = 0
 
     def snapshot(self) -> dict:
@@ -168,138 +170,83 @@ class RankStats:
 
 
 class ScoredCursor:
-    """Base class of the scored-cursor protocol (see module docstring)."""
+    """Base class of the block-scored cursor protocol (see module docstring)."""
 
-    def doc(self) -> Optional[int]:
-        """Current document id, or ``None`` once exhausted."""
-        raise NotImplementedError
-
-    def score(self) -> float:
-        """This term's contribution at the current document."""
-        raise NotImplementedError
+    #: current block id, ``None`` once exhausted.
+    block: Optional[int] = None
+    #: bound on the term's contribution over every remaining block.
+    upper: float = 0.0
 
     def next(self) -> Optional[int]:
-        """Advance to the next document; returns it (or ``None``)."""
         raise NotImplementedError
 
     def seek(self, target: int) -> Optional[int]:
-        """Advance to the first doc ``>= target`` (clamped, never backward)."""
-        doc = self.doc()
-        while doc is not None and doc < target:
-            doc = self.next()
-        return doc
-
-    def max_score(self) -> float:
-        """Upper bound on ``score()`` over every remaining document."""
         raise NotImplementedError
 
-    def block_max(self, doc: int) -> float:
-        """Upper bound over the block containing ``doc`` (default: global)."""
-        return self.max_score()
+    def block_max(self) -> float:
+        raise NotImplementedError
 
-    def block_end(self, doc: int) -> int:
-        """Last doc id of the block containing ``doc``."""
-        return UNBOUNDED_BLOCK_END
+    def slots(self) -> Sequence[int]:
+        raise NotImplementedError
+
+    def score(self, norms: Dict[int, float],
+              restrict: bool = False) -> Tuple[Sequence[int], List[float]]:
+        raise NotImplementedError
+
+
+def _non_essential(bounds: Sequence[float], threshold: float) -> List[bool]:
+    """MaxScore's split: flag the terms, smallest bound first, whose bounds
+    summed in query-term order stay ``<= threshold``.
+
+    A document only flagged terms hit scores at most that sum — its own sum
+    runs in the same order over a subset — so it cannot enter the heap.
+    """
+    flags = [False] * len(bounds)
+    for index in sorted(range(len(bounds)), key=bounds.__getitem__):
+        flags[index] = True
+        total = 0.0
+        for bound, flag in zip(bounds, flags):
+            if flag:
+                total += bound
+        if total > threshold:
+            flags[index] = False
+            break
+    return flags
 
 
 # ---------------------------------------------------------------------------
-# the WAND operator
+# the block driver
 # ---------------------------------------------------------------------------
 
 
 class WandCursor:
-    """K-way merge of scored cursors with WAND/block-max top-k pruning.
+    """Block-at-a-time top-k over scored cursors (see the module docstring).
 
-    Maintains a size-``limit`` min-heap of ``(score, -doc_id)`` — the heap
-    minimum is the *threshold*: once the heap is full, a candidate document
-    is only worth scoring if the sum of its terms' upper bounds strictly
-    beats it.  Cursors are kept in query-term order internally so a fully
-    scored document accumulates contributions exactly like the exhaustive
-    loop does.
+    ``norms(block, slots)`` maps each of a block's candidate slots to its
+    BM25 length normaliser (one length read per scored block); a document
+    id is ``(block << shift) + slot``.  ``limit=None`` keeps every scored
+    document.  Cursors are kept in query-term order, the order a candidate's
+    contributions are summed in.
     """
 
     def __init__(
         self,
         cursors: Sequence[ScoredCursor],
-        limit: int,
+        limit: Optional[int],
+        norms: Callable[[int, Sequence[int]], Dict[int, float]],
+        shift: int,
         stats: Optional[RankStats] = None,
         span=None,
     ) -> None:
-        #: query-term order — the scoring accumulation order.
-        self._cursors = [cursor for cursor in cursors if cursor.doc() is not None]
-        self._limit = limit
+        self._cursors = [cursor for cursor in cursors if cursor.block is not None]
+        self._limit = math.inf if limit is None else limit
+        self._norms = norms
+        self._shift = shift
         self._stats = stats if stats is not None else RankStats()
         self._heap: List[Tuple[float, int]] = []
         #: optional telemetry span (duck-typed: elapsed/rows/annotate) stamped
-        #: by :meth:`top_k` with the merge's work counters and wall time.
+        #: by :meth:`top_k` with the walk's work counters and wall time.
         self._span = span
-
-    # ------------------------------------------------------------- helpers
-
-    def _threshold(self) -> Optional[float]:
-        if len(self._heap) < self._limit:
-            return None
-        return self._heap[0][0]
-
-    def _offer(self, doc: int, score: float) -> None:
-        # Candidates arrive in ascending doc order, so on an exact score tie
-        # the incumbent (smaller doc id) must win — hence the strict ``>``.
-        entry = (score, -doc)
-        if len(self._heap) < self._limit:
-            heapq.heappush(self._heap, entry)
-        elif score > self._heap[0][0]:
-            heapq.heapreplace(self._heap, entry)
-
-    def _score_pivot(self, pivot: int) -> None:
-        """Fully evaluate ``pivot`` (contributions in query-term order)."""
-        score = 0.0
-        matched = []
-        for cursor in self._cursors:
-            if cursor.doc() == pivot:
-                score += cursor.score()
-                matched.append(cursor)
-        for cursor in matched:
-            cursor.next()
-        self._stats.documents_scored += 1
-        self._offer(pivot, score)
-
-    def _block_prune(self, live: List[ScoredCursor], pivot: int, threshold: float) -> bool:
-        """Try to reject ``pivot`` on block-level bounds; True if pruned.
-
-        ``live`` is sorted by current doc and ``live[0]`` sits on ``pivot``.
-        Only cursors positioned at ``pivot`` can contribute to it, so their
-        summed block maxima bound its true score.  When even that fails to
-        beat the threshold, a second test over everyone positioned inside
-        the pivot's block decides whether the *entire* rest of the block can
-        be leapt over in one seek.
-        """
-        aligned_upper = 0.0
-        for cursor in live:
-            if cursor.doc() != pivot:
-                break  # sorted: everything after is beyond the pivot
-            aligned_upper += cursor.block_max(pivot)
-        if aligned_upper > threshold:
-            return False
-        end = min(cursor.block_end(pivot) for cursor in live if cursor.doc() == pivot)
-        in_block = [cursor for cursor in live if cursor.doc() <= end]
-        block_upper = 0.0
-        for cursor in in_block:
-            # ``doc() <= end`` keeps every cursor inside the block containing
-            # the pivot, so block_max(pivot) bounds its contribution to any
-            # document up to ``end``.
-            block_upper += cursor.block_max(pivot)
-        if block_upper <= threshold:
-            for cursor in in_block:
-                cursor.seek(end + 1)
-            self._stats.blocks_skipped += 1
-        else:
-            for cursor in live:
-                if cursor.doc() == pivot:
-                    cursor.next()
-            self._stats.candidates_pruned += 1
-        return True
-
-    # ---------------------------------------------------------------- run
 
     def top_k(self) -> List[Tuple[int, float]]:
         """The top-``limit`` ``(doc_id, score)`` pairs, best first.
@@ -329,33 +276,81 @@ class WandCursor:
         return top
 
     def _top_k(self) -> List[Tuple[int, float]]:
-        if self._limit <= 0:
+        heap, limit, stats = self._heap, self._limit, self._stats
+        if limit <= 0:
             return []
-        live = [cursor for cursor in self._cursors if cursor.doc() is not None]
+        live = walk = self._cursors
+        split_at = None  # the threshold ``walk`` was split at
         while live:
-            live.sort(key=lambda cursor: cursor.doc())
-            threshold = self._threshold()
-            upper = 0.0
-            pivot_index = None
-            for index, cursor in enumerate(live):
-                upper += cursor.max_score()
-                if threshold is None or upper > threshold:
-                    pivot_index = index
-                    break
-            if pivot_index is None:
-                break  # all remaining terms together cannot beat the heap
-            pivot = live[pivot_index].doc()
-            if live[0].doc() < pivot:
-                # No document before the pivot can reach the threshold: the
-                # lagging cursors leap straight to it (the WAND skip).
-                for cursor in live[:pivot_index]:
-                    cursor.seek(pivot)
-            elif threshold is not None and self._block_prune(live, pivot, threshold):
-                pass  # pruned (or the whole block skipped) without scoring
+            full = len(heap) >= limit
+            if full:
+                threshold = heap[0][0]
+                if threshold != split_at:
+                    split_at = threshold
+                    lazy = _non_essential([cursor.upper for cursor in live], threshold)
+                    walk = [cursor for cursor, flag in zip(live, lazy) if not flag]
+                if not walk:
+                    break  # no remaining document can beat the heap
+            block = min([cursor.block for cursor in walk])
+            present, ended = [], False
+            for cursor in live:
+                if cursor.block < block:  # only a non-essential term lags
+                    cursor.seek(block)
+                if cursor.block == block:
+                    present.append(cursor)
+                elif cursor.block is None:
+                    ended = True
+            if not full:
+                self._score_block(block, present, [False] * len(present))
             else:
-                self._score_pivot(pivot)
-            live = [cursor for cursor in live if cursor.doc() is not None]
+                flags = _non_essential([cursor.block_max() for cursor in present], threshold)
+                if False in flags:
+                    self._score_block(block, present, flags)
+                else:
+                    stats.blocks_skipped += 1
+            for cursor in present:
+                if cursor.next() is None:
+                    ended = True
+            if ended:
+                live = walk = [cursor for cursor in live if cursor.block is not None]
+                split_at = None
         return sorted(
-            ((-negdoc, score) for score, negdoc in self._heap),
+            ((-negdoc, score) for score, negdoc in heap),
             key=lambda hit: (-hit[1], hit[0]),
         )
+
+    def _score_block(self, block: int, present: List[ScoredCursor],
+                     flags: List[bool]) -> None:
+        """Score the slots an essential term hits and offer them to the heap."""
+        essential = [cursor.slots() for cursor, flag in zip(present, flags) if not flag]
+        candidates = essential[0] if len(essential) == 1 else sorted(set().union(*essential))
+        norms = self._norms(block, candidates)
+        totals = dict.fromkeys(candidates, 0.0)
+        lazy_hits = 0
+        for at, (cursor, flag) in enumerate(zip(present, flags)):  # query-term order
+            slots, contributions = cursor.score(norms, flag)
+            if at == 0:  # 0.0 + c is c, bit for bit
+                totals.update(zip(slots, contributions))
+            else:
+                for slot, contribution in zip(slots, contributions):
+                    totals[slot] += contribution
+            lazy_hits += len(slots) if flag else 0
+        stats = self._stats
+        stats.documents_scored += len(totals)
+        if True in flags:
+            lazy = [cursor.slots() for cursor, flag in zip(present, flags) if flag]
+            stats.candidates_pruned += (len(lazy[0]) - lazy_hits if len(lazy) == 1
+                                        else len(set().union(*lazy).difference(totals)))
+        heap, limit, base = self._heap, self._limit, block << self._shift
+        offers = iter(totals.items())  # ascending doc id
+        if len(heap) < limit:
+            for slot, score in offers:
+                heapq.heappush(heap, (score, -(base + slot)))
+                if len(heap) >= limit:
+                    break
+        threshold = heap[0][0] if heap else 0.0  # no offer is left unless full
+        for slot, score in offers:
+            # On an exact tie the incumbent (smaller doc id) wins: strict ``>``.
+            if score > threshold:
+                heapq.heapreplace(heap, (score, -(base + slot)))
+                threshold = heap[0][0]

@@ -82,6 +82,28 @@ def _require(request: dict, field: str):
         raise RequestError(f"missing field {field!r}", code="bad_request") from None
 
 
+_REQUIRED = object()
+
+
+def _natural(request: dict, field: str, default=_REQUIRED, nullable: bool = False):
+    """A non-negative integer field, checked before any engine call.
+
+    An absent field is ``default`` (or missing, if there is none); ``null``
+    is ``None`` only where ``nullable`` (no limit, no page, to the end).
+    Anything else — a string, a float, a bool, a negative number — is the
+    client's error, answered as ``bad_request``.
+    """
+    value = request.get(field, default)
+    if value is _REQUIRED:
+        raise RequestError(f"missing field {field!r}", code="bad_request")
+    if value is None and nullable:
+        return None
+    if type(value) is not int or value < 0:  # bool is an int subclass
+        raise RequestError(f"field {field!r} must be a non-negative integer, "
+                           f"not {value!r}", code="bad_request")
+    return value
+
+
 class Server:
     """Asyncio session layer over one :class:`HFADFileSystem`."""
 
@@ -309,10 +331,9 @@ class Server:
             session.slow_queries += 1
             self.counters["slow_requests"] += 1
 
-    def _paged(self, session: Session, request: dict, results: List) -> dict:
+    def _paged(self, session: Session, page: Optional[int], results: List) -> dict:
         """Answer a result list, paging through the session when it
-        overflows the requested (or configured) page size."""
-        page = request.get("page", self.config.page_size)
+        overflows ``page``, the requested (or configured) page size."""
         if page is None or len(results) <= page:
             return {"results": results, "total": len(results)}
         rid = session.stash_results(results)
@@ -339,36 +360,36 @@ class Server:
         return {"oid": oid}
 
     async def _op_read(self, session: Session, request: dict) -> dict:
-        oid = int(_require(request, "oid"))
-        offset = int(request.get("offset", 0))
-        length = request.get("length")
+        oid = _natural(request, "oid")
+        offset = _natural(request, "offset", 0)
+        length = _natural(request, "length", None, nullable=True)
         data = await self._run(session, "read", lambda: self.fs.read(
-            oid, offset=offset, length=None if length is None else int(length)))
+            oid, offset=offset, length=length))
         return {"data_b64": base64.b64encode(data).decode("ascii"),
                 "size": len(data)}
 
     async def _op_write(self, session: Session, request: dict) -> dict:
-        oid = int(_require(request, "oid"))
-        offset = int(request.get("offset", 0))
+        oid = _natural(request, "oid")
+        offset = _natural(request, "offset", 0)
         data = _data_bytes(request)
         written = await self._run_mutation(
             session, "write", lambda: self.fs.write(oid, offset, data))
         return {"written": written}
 
     async def _op_append(self, session: Session, request: dict) -> dict:
-        oid = int(_require(request, "oid"))
+        oid = _natural(request, "oid")
         data = _data_bytes(request)
         written = await self._run_mutation(
             session, "append", lambda: self.fs.append(oid, data))
         return {"written": written}
 
     async def _op_delete(self, session: Session, request: dict) -> dict:
-        oid = int(_require(request, "oid"))
+        oid = _natural(request, "oid")
         await self._run_mutation(session, "delete", lambda: self.fs.delete(oid))
         return {"deleted": True}
 
     async def _op_tag(self, session: Session, request: dict) -> dict:
-        oid = int(_require(request, "oid"))
+        oid = _natural(request, "oid")
         tag = str(_require(request, "tag"))
         value = str(_require(request, "value"))
         await self._run_mutation(
@@ -376,7 +397,7 @@ class Server:
         return {"tagged": True}
 
     async def _op_untag(self, session: Session, request: dict) -> dict:
-        oid = int(_require(request, "oid"))
+        oid = _natural(request, "oid")
         tag = str(_require(request, "tag"))
         value = str(_require(request, "value"))
         removed = await self._run_mutation(
@@ -389,28 +410,28 @@ class Server:
             raise RequestError("find needs at least one TAG/value pair",
                                code="bad_request")
         pairs = session.scope_pairs(pairs)
-        limit = request.get("limit")
-        oids = await self._run(session, "find", lambda: self.fs.find(
-            *pairs, limit=None if limit is None else int(limit)))
-        return self._paged(session, request, oids)
+        limit = _natural(request, "limit", None, nullable=True)
+        page = _natural(request, "page", self.config.page_size, nullable=True)
+        oids = await self._run(session, "find", lambda: self.fs.find(*pairs, limit=limit))
+        return self._paged(session, page, oids)
 
     async def _op_query(self, session: Session, request: dict) -> dict:
         query = session.apply_scope(parse_query(str(_require(request, "q"))))
-        limit = request.get("limit")
-        oids = await self._run(session, "query", lambda: self.fs.query(
-            query, limit=None if limit is None else int(limit)))
-        return self._paged(session, request, oids)
+        limit = _natural(request, "limit", None, nullable=True)
+        page = _natural(request, "page", self.config.page_size, nullable=True)
+        oids = await self._run(session, "query", lambda: self.fs.query(query, limit=limit))
+        return self._paged(session, page, oids)
 
     async def _op_search(self, session: Session, request: dict) -> dict:
         text = str(_require(request, "text"))
-        limit = request.get("limit")
-        limit = None if limit is None else int(limit)
+        limit = _natural(request, "limit", None, nullable=True)
+        page = _natural(request, "page", self.config.page_size, nullable=True)
         if session.scope:
             # Scoped search: the FULLTEXT conjunction composes with the
             # session scope like any other query.
             terms = self.fs.fulltext_index.index.analyzer.analyze_query(text)
             if not terms:
-                return self._paged(session, request, [])
+                return self._paged(session, page, [])
             query = session.apply_scope(
                 And([TagTerm("FULLTEXT", term) for term in terms]))
             oids = await self._run(
@@ -419,23 +440,21 @@ class Server:
             oids = await self._run(
                 session, "search",
                 lambda: self.fs.search_text(text, limit=limit))
-        return self._paged(session, request, oids)
+        return self._paged(session, page, oids)
 
     async def _op_rank(self, session: Session, request: dict) -> dict:
         text = str(_require(request, "text"))
-        limit = request.get("limit", 10)
-        hits = await self._run(session, "rank", lambda: self.fs.rank(
-            text, limit=None if limit is None else int(limit)))
+        limit = _natural(request, "limit", 10, nullable=True)
+        hits = await self._run(session, "rank", lambda: self.fs.rank(text, limit=limit))
         return {"hits": [{"oid": hit.doc_id, "score": hit.score}
                          for hit in hits]}
 
     async def _op_fetch(self, session: Session, request: dict) -> dict:
-        rid = int(_require(request, "rid"))
-        offset = int(request.get("offset", 0))
-        count = request.get("count")
+        rid = _natural(request, "rid")
+        offset = _natural(request, "offset", 0)
+        count = _natural(request, "count", None, nullable=True)
         try:
-            page, total = session.fetch(
-                rid, offset, None if count is None else int(count))
+            page, total = session.fetch(rid, offset, count)
         except KeyError:
             raise RequestError(f"no pending result {rid}",
                                code="bad_request") from None
@@ -459,9 +478,12 @@ class Server:
     async def _op_set(self, session: Session, request: dict) -> dict:
         if "slow_ms" in request:
             slow_ms = request["slow_ms"]
+            if slow_ms is not None and (type(slow_ms) not in (int, float) or slow_ms < 0):
+                raise RequestError(f"field 'slow_ms' must be a non-negative number or null, "
+                                   f"not {slow_ms!r}", code="bad_request")
             session.slow_ms = None if slow_ms is None else float(slow_ms)
         if "max_inflight" in request:
-            session.max_inflight = max(1, int(request["max_inflight"]))
+            session.max_inflight = max(1, _natural(request, "max_inflight"))
         return {"slow_ms": session.slow_ms,
                 "max_inflight": session.max_inflight}
 

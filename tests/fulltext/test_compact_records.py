@@ -135,7 +135,7 @@ def assert_serves(engine, corpus, where):
         assert engine.search(word) == sorted(
             oid for oid, stream in terms.items() if word in stream), where
         for query in (word, word + " alpha echo"):
-            for limit in (1, 3, len(corpus) + 1):
+            for limit in (1, 3, len(corpus), len(corpus) + 1, None):
                 assert engine.rank(query, limit=limit) == engine.rank_exhaustive(
                     query, limit=limit), (where, query, limit)
     assert engine.document_ids() == sorted(corpus), where

@@ -151,6 +151,45 @@ def test_unknown_op_and_bad_requests(client):
     assert client.ping()["pong"] is True
 
 
+@pytest.mark.parametrize("op, fields", [
+    ("rank", {"text": "fox", "limit": "ten"}),
+    ("rank", {"text": "fox", "limit": -1}),
+    ("read", {"oid": "x"}),
+    ("read", {"oid": 1, "offset": 1.5}),
+    ("read", {"oid": 1, "length": True}),
+    ("write", {"oid": -3, "data_b64": ""}),
+    ("find", {"pairs": ["USER/root"], "page": "2"}),
+    ("find", {"pairs": ["USER/root"], "limit": [3]}),
+    ("query", {"q": "USER/root", "page": -1}),
+    ("search", {"text": "fox", "limit": "5"}),
+    ("fetch", {"rid": "1"}),
+    ("fetch", {"rid": 1, "count": -2}),
+    ("tag", {"oid": None, "tag": "UDEF", "value": "x"}),
+    ("set", {"max_inflight": "x"}),
+    ("set", {"max_inflight": 2.5}),
+    ("set", {"slow_ms": "fast"}),
+])
+def test_a_malformed_number_is_a_bad_request_before_any_engine_call(
+        fs, server, client, op, fields):
+    calls = []
+    for name in ("rank", "read", "write", "find", "query", "search_text", "tag"):
+        real = getattr(fs, name)
+        setattr(fs, name, lambda *args, _real=real, _name=name, **kwargs: (
+            calls.append(_name), _real(*args, **kwargs))[1])
+    with pytest.raises(RequestError) as excinfo:
+        client.call(op, **fields)
+    assert excinfo.value.code == "bad_request"
+    assert calls == []
+    assert client.ping()["pong"] is True
+
+
+def test_null_numbers_keep_their_meaning(client):
+    oid = client.create(b"the quick brown fox")
+    assert client.call("read", oid=oid, length=None)["size"] == 19
+    assert client.call("rank", text="fox", limit=None)["hits"][0]["oid"] == oid
+    assert client.call("find", pairs=["USER/root"], page=None)["results"] == [oid]
+
+
 def test_a_bad_name_is_an_error_reply_not_a_poisoned_engine(fs, client):
     with pytest.raises(RequestError):
         client.create(b"x", tags=["UDEF/a\x00b"])
