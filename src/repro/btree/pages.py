@@ -17,11 +17,11 @@ page budget (the OSD does this for its master and index btrees).
 Node writes are buffered dirty in the pool and reach the device on eviction
 or :meth:`DevicePageStore.flush` — the classic write-behind buffer cache.
 
-When a :class:`~repro.recovery.manager.RecoveryManager` is attached, every
-node write is logged to the WAL *before* it is buffered, pages are stamped
-with the record's LSN, and pages dirtied by an open transaction are pinned
-until it resolves (no-steal).  Without one the store is plain unlogged
-write-back.
+When a :class:`~repro.recovery.manager.RecoveryManager` is attached, pages
+dirtied by an open transaction are pinned until it resolves (no-steal), and
+each is encoded, framed and logged to the WAL once, as its final image, when
+the transaction seals; the page is then stamped with that record's LSN.
+Without one the store is plain unlogged write-back.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ from repro.btree.node import decode_node
 from repro.opcontext import current_operation
 
 assert PAGE_BYTES <= 0xFFFF, "a node entry's key and value lengths are u16"
+
+
+def page_image(node) -> bytes:
+    """A node's framed on-device bytes: what write-back writes home and the
+    WAL logs, so replay rewrites exactly what a healthy write-back would."""
+    return frame_page(node.encode())
 
 
 class PageStore:
@@ -120,7 +126,7 @@ class DevicePageStore(PageStore):
         holds this store's pages, possibly shared with other stores.
     :param name: consumer name under which pool statistics are reported.
     :param recovery: optional :class:`~repro.recovery.manager.RecoveryManager`;
-        when set, every node write is WAL-logged before it is buffered.
+        when set, every page a transaction writes is WAL-logged when it seals.
     :param integrity: optional :class:`~repro.integrity.IntegrityContext`
         shared across the filesystem's stores — supplies the retrying
         device-read path, the corruption counters and the page quarantine.
@@ -202,34 +208,33 @@ class DevicePageStore(PageStore):
         return node
 
     def write(self, page_id: int, node) -> None:
-        # Validate the encoded size up front although the device write is
-        # deferred — an oversized node must fail at write(), not at eviction.
-        encoded = node.encode()
-        if len(encoded) > self.page_bytes:
+        # Validate the size up front although the device write is deferred
+        # — an oversized node must fail at write(), not at eviction or seal.
+        if node.nbytes > self.page_bytes:
             # The tree splits by bytes, so a node this big holds one entry
             # (or separator) no split can shrink.
             at = max(range(len(node.keys)), key=node.entry_size)
             raise BTreeError(
                 f"entry {node.keys[at][:32]!r} of {node.entry_size(at)} bytes "
                 f"does not fit a page of {self.page_bytes} bytes "
-                f"(encoded node: {len(encoded)} bytes)"
+                f"(encoded node: {node.nbytes} bytes)"
             )
         self.writes += 1
         lsn = None
         if self.recovery is not None:
-            # Write-ahead: the redo record exists before the page is even
-            # buffered, so no path to the device can overtake it.  The
-            # *framed* bytes are logged, so replay (and the scrubber's WAL
-            # repair) rewrite exactly what a healthy write-back would.
-            lsn = self.recovery.log_page(page_id, frame_page(encoded))
+            # Write-ahead: the page's redo record is logged when its
+            # transaction seals, and until then the WAL rule refuses to
+            # write the page home.
+            lsn = self.recovery.unsealed_lsn()
         if self.integrity is not None:
             # A fresh logged write supersedes any rotten on-device bytes:
-            # reads now come from the pool and the WAL holds the new image.
+            # reads now come from the pool and the WAL will hold the image.
             self.integrity.release_page(page_id)
         self._consumer.put(page_id, node, dirty=True, lsn=lsn)
         if self.recovery is not None:
-            # No-steal: keep the uncommitted image out of home locations.
-            self.recovery.protect(self._consumer, page_id)
+            # No-steal: keep the uncommitted image out of home locations,
+            # and stage it to be encoded, framed and logged once at the seal.
+            self.recovery.protect(self._consumer, page_id, node)
 
     def free(self, page_id: int) -> None:
         if self.integrity is not None:
@@ -253,9 +258,7 @@ class DevicePageStore(PageStore):
 
     def _write_page(self, page_id: int, node) -> None:
         """Buffer-pool write-back target: persist a (dirty) node."""
-        self.device.write_blocks(
-            page_id, frame_page(node.encode()), nblocks=self.page_blocks
-        )
+        self.device.write_blocks(page_id, page_image(node), nblocks=self.page_blocks)
         op = current_operation()
         if op is not None:
             # Charged to whichever operation forced the write-back (eviction

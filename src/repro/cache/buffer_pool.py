@@ -145,6 +145,11 @@ class PoolConsumer:
         """LSN stamped on a resident page (None if clean-tracked or absent)."""
         return self.pool._page_lsn(self, page_id)
 
+    def stamp(self, page_id: Hashable, lsn: int) -> None:
+        """Stamp a resident page with ``lsn``, the record that now covers
+        it, without touching eviction state or statistics."""
+        self.pool._stamp(self, page_id, lsn)
+
     def drop_all(self, write_back: bool = True, discard: bool = False) -> None:
         self.pool._drop_consumer(self, write_back=write_back, discard=discard)
 
@@ -393,6 +398,13 @@ class BufferPool:
         with self._lock:
             frame = self._frames.get((consumer.name, page_id))
             return frame.lsn if frame is not None else None
+
+    def _stamp(self, consumer: PoolConsumer, page_id: Hashable, lsn: int) -> None:
+        with self._lock:
+            frame = self._frames.get((consumer.name, page_id))
+            if frame is None:
+                raise CacheError(f"cannot stamp non-resident page {(consumer.name, page_id)!r}")
+            frame.lsn = lsn
 
     def _peek(self, consumer: PoolConsumer, page_id: Hashable):
         with self._lock:

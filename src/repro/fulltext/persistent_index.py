@@ -152,6 +152,8 @@ BLOCK_SPAN = 1 << BLOCK_SHIFT
 assert BLOCK_SPAN <= 0x100, "a row's slot is one byte"
 _LENGTHS = struct.Struct(f">{BLOCK_SPAN}I")
 _NO_LENGTHS = bytes(_LENGTHS.size)
+#: ``L`` records the ranking walk steps over before it seeks instead.
+_LENGTH_STEPS = 8
 #: edited ``T`` keys at which a commit settles the overlay: ~100 perfbench
 #: documents, ~250 KB of values.  Measured on ``ingest``, not a parameter:
 #: half logs 10 % more WAL, at twice only the harness's checkpoints settle.
@@ -942,11 +944,31 @@ class PersistentInvertedIndex:
     def _block_norms(self, k1: float, b: float,
                      average_length: float) -> Callable[[int, Sequence[int]], Dict[int, float]]:
         """``norms(block, slots)``: each slot's BM25 length normaliser
-        ``k1 * (1 - b + b * dl / avg)``, from one ``L`` read per block."""
-        omb, get = 1 - b, self._tree.get
+        ``k1 * (1 - b + b * dl / avg)``, from the block's ``L`` record.
+
+        The ranking walk asks for blocks in ascending order, so one cursor
+        steps along the ``L`` run with it instead of a root-to-leaf read per
+        block; a gap of more than :data:`_LENGTH_STEPS` records, or a step
+        back, is crossed by a seek.
+        """
+        omb, cursor = 1 - b, self._tree.cursor(prefix=_LENGTH_PREFIX)
+        last, item = None, None  # the last key asked for; the cursor's pair
 
         def norms(block: int, slots: Sequence[int]) -> Dict[int, float]:
-            lengths = _LENGTHS.unpack(get(self._length_key(block)) or _NO_LENGTHS)
+            nonlocal last, item
+            key = self._length_key(block)
+            if last is None or key < last:
+                item = cursor.seek(key)
+            else:
+                steps = 0
+                while item is not None and item[0] < key:
+                    if steps == _LENGTH_STEPS:
+                        item = cursor.seek(key)
+                        break
+                    item, steps = cursor.next_item(), steps + 1
+            last = key
+            raw = item[1] if item is not None and item[0] == key else _NO_LENGTHS
+            lengths = _LENGTHS.unpack(raw)
             # stored = length + 1, and an empty document scores as length 1
             return {slot: k1 * (omb + b * ((lengths[slot] - 1) or 1) / average_length)
                     for slot in slots}

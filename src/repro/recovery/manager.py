@@ -7,22 +7,25 @@ transactions in the system.  It unifies three previously independent pieces
 transaction boundaries of every facade operation and ``fs.begin()`` group —
 into a single write-ahead-logging discipline:
 
-* **Redo-only WAL with LSNs.**  Every page mutation of an on-device btree is
-  logged as a physical page record before the page is even buffered (the
-  journal keeps it as a byte-splice ``HOME_DELTA`` against the page's home
-  block on first touch after a checkpoint — a full ``DATA`` image when the
-  home holds no base — and as a ``DELTA`` afterwards); logical state
-  that cannot be rediscovered by walking (the master-tree root, the next
-  object id) is logged as ``META`` records.  Records get monotonically
-  increasing LSNs and pages are stamped with the LSN of their latest
-  record.
+* **Redo-only WAL with LSNs.**  Every page an on-device btree writes in a
+  transaction is logged once, as one physical record of its final image,
+  when the transaction seals (the journal keeps it as a byte-splice
+  ``HOME_DELTA`` against the page's home block on first touch after a
+  checkpoint — a full ``DATA`` image when the home holds no base — and as a
+  ``DELTA`` against its last sealed image afterwards); logical state that
+  cannot be rediscovered by walking (the master-tree root, the next object
+  id) is logged as ``META`` records.  Records get monotonically increasing
+  LSNs and a page is stamped with the LSN of the record that logged it;
+  until its transaction seals, with one past every LSN assigned so far.
 * **No-force.**  Commit does not write pages home; it seals the
   transaction's frame (its records, staged until then, become one frame of
   the log) and (group-)syncs the log.  Dirty pages linger in the pool and
   reach the device on eviction, flush or checkpoint.
 * **No-steal.**  Pages dirtied by an *open* transaction are pinned until the
   transaction resolves, so an uncommitted page image can never reach its
-  home location (redo-only logging has no undo to fix that with).
+  home location (redo-only logging has no undo to fix that with).  That is
+  what lets a page's record wait for the seal: a page written five times in
+  one transaction is encoded and logged once (ARIES, Mohan et al. 1992).
 * **WAL rule at the choke point.**  The pool's ``wal_hook`` calls
   :meth:`ensure_durable` before any dirty frame is written back, so even
   group-committed (buffered) frames are flushed before their page, and a
@@ -60,9 +63,9 @@ import json
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.btree.pages import PAGE_BYTES
+from repro.btree.pages import PAGE_BYTES, page_image
 from repro.errors import CacheError, RecoveryError
 from repro.concurrency.lock_manager import LockManager, LockMode
 from repro.storage.block_device import BlockDevice
@@ -94,7 +97,9 @@ class _TxnLocal(threading.local):
         self.depth = 0
         self.txid: Optional[int] = None
         self.records = 0
-        self.pins: Set[Tuple[object, object]] = set()
+        #: pages the transaction dirtied, ``(consumer, page_id) -> node``:
+        #: pinned until it ends (no-steal), logged once when it seals.
+        self.pages: Dict[Tuple[object, object], object] = {}
         self.on_commit: List = []
         #: the mode this thread holds the engine lock in (None: not held)
         #: and its re-entry depth: the transaction counts once, each read
@@ -287,7 +292,7 @@ class RecoveryManager:
             raise
         txn.txid = self.journal.allocate_txid()
         txn.records = 0
-        txn.pins = set()
+        txn.pages = {}
         txn.on_commit = []
         txn.depth = 1
         return 1
@@ -338,36 +343,15 @@ class RecoveryManager:
         txn = self._txn
         if txn.depth <= 0:
             raise RecoveryError("commit without a matching begin")
-        txn.depth -= 1
-        if txn.depth > 0:
+        if txn.depth > 1:
+            txn.depth -= 1
             return
         try:
-            frame_lsn = None
-            if txn.records:
-                with self._commit_lock:
-                    sync_now = sync and self._unsynced_commits + 1 >= self.group_commit
-                    try:
-                        frame_lsn = self.journal.commit_txid(txn.txid, sync=sync_now)
-                    except BaseException:
-                        # The frame never became durable (a device fault
-                        # in the sync): the transaction effectively
-                        # aborted after logging — same fail-stop state as an
-                        # explicit abort-after-logging.
-                        self._fail_open_transaction(txn)
-                        with self._stats_lock:
-                            self.stats.transactions_aborted += 1
-                        raise
-                    if sync_now:
-                        if self.commit_batch_sizes is not None:
-                            # Telemetry: how many transactions each journal
-                            # sync covered (the group-commit amortization).
-                            self.commit_batch_sizes.observe(self._unsynced_commits + 1)
-                        self._unsynced_commits = 0
-                    elif sync:
-                        self._unsynced_commits += 1
-                        # The frame is buffered; arm the idle flusher so it
-                        # cannot sit stranded past sync_interval_ms.
-                        self._maybe_start_flusher()
+            try:
+                # The staged pages are logged while the transaction is open.
+                frame_lsn = self._seal(txn, sync) if txn.records or txn.pages else None
+            finally:
+                txn.depth = 0
             self._release_pins(txn)
             actions, txn.on_commit = txn.on_commit, []
             if actions:
@@ -392,6 +376,40 @@ class RecoveryManager:
         self.maybe_checkpoint()
         if self.after_commit is not None:
             self.after_commit()
+
+    def _seal(self, txn: _TxnLocal, sync: bool) -> int:
+        """Log each page the transaction dirtied once, as its final image,
+        then seal its frame; returns the frame's last LSN.
+
+        A failure on the way — the journal filling as the pages are logged,
+        a device fault in the sync — leaves a transaction that mutated the
+        trees and never became durable: the fail-stop state of an explicit
+        abort-after-logging.
+        """
+        try:
+            for (consumer, page_id), node in txn.pages.items():
+                # ARIES's page LSN: the record that logged the page's image.
+                consumer.stamp(page_id, self.log_page(page_id, page_image(node)))
+            with self._commit_lock:
+                sync_now = sync and self._unsynced_commits + 1 >= self.group_commit
+                frame_lsn = self.journal.commit_txid(txn.txid, sync=sync_now)
+                if sync_now:
+                    if self.commit_batch_sizes is not None:
+                        # Telemetry: how many transactions each journal
+                        # sync covered (the group-commit amortization).
+                        self.commit_batch_sizes.observe(self._unsynced_commits + 1)
+                    self._unsynced_commits = 0
+                elif sync:
+                    self._unsynced_commits += 1
+                    # The frame is buffered; arm the idle flusher so it
+                    # cannot sit stranded past sync_interval_ms.
+                    self._maybe_start_flusher()
+        except BaseException:
+            self._fail_open_transaction(txn)
+            with self._stats_lock:
+                self.stats.transactions_aborted += 1
+            raise
+        return frame_lsn
 
     def abort(self) -> None:
         """Close one nesting level abnormally.
@@ -420,17 +438,17 @@ class RecoveryManager:
     def _fail_open_transaction(self, txn: _TxnLocal) -> None:
         """Dispose of the outermost transaction's state after a failure.
 
-        If it logged nothing, this is a clean no-op.  Otherwise the manager
-        is poisoned *and* the transaction's dirty frames are discarded from
-        the pool: their uncommitted images must never be stolen to home
-        locations by later (read-only) traffic, which no poisoning check on
-        the mutation path alone would prevent.
+        If it logged nothing and dirtied no page, this is a clean no-op.
+        Otherwise the manager is poisoned *and* the transaction's dirty
+        frames are discarded from the pool: their uncommitted images must
+        never be stolen to home locations by later (read-only) traffic, which
+        no poisoning check on the mutation path alone would prevent.
         """
-        if txn.records:
-            for consumer, page_id in txn.pins:
+        if txn.records or txn.pages:
+            for consumer, page_id in txn.pages:
                 # invalidate() drops the frame and its pin together.
                 consumer.invalidate(page_id)
-            txn.pins = set()
+            txn.pages = {}
             self.poisoned = True
         else:
             self._release_pins(txn)
@@ -469,13 +487,13 @@ class RecoveryManager:
             self._release()
 
     def _release_pins(self, txn: _TxnLocal) -> None:
-        for consumer, page_id in txn.pins:
+        for consumer, page_id in txn.pages:
             try:
                 consumer.unpin(page_id)
             except CacheError:
                 # The page was freed (and invalidated) inside the transaction.
                 pass
-        txn.pins = set()
+        txn.pages = {}
 
     @property
     def in_transaction(self) -> bool:
@@ -484,11 +502,11 @@ class RecoveryManager:
 
     # ------------------------------------------------------------ logging
 
-    def _log_record(self, rtype: int, block: int, payload: bytes) -> int:
-        """Append one record to the calling thread's transaction; returns
-        its LSN.  Outside a transaction this raises :class:`RecoveryError`:
-        a record no frame seals would be lost to the next checkpoint's
-        truncation while its page sat only in the pool."""
+    def _open_transaction(self) -> _TxnLocal:
+        """The calling thread's transaction, to log into.  Outside one this
+        raises :class:`RecoveryError`: a record no frame seals would be lost
+        to the next checkpoint's truncation while its page sat only in the
+        pool."""
         txn = self._txn
         if txn.depth == 0:
             raise RecoveryError(
@@ -496,15 +514,34 @@ class RecoveryManager:
                 "recovery.transaction()"
             )
         self.check_usable()
+        return txn
+
+    def _log_record(self, rtype: int, block: int, payload: bytes) -> int:
+        """Append one record to the calling thread's transaction; returns
+        its LSN."""
+        txn = self._open_transaction()
         txn.records += 1
         return self.journal.append(rtype, txn.txid, block, payload)
+
+    def unsealed_lsn(self) -> int:
+        """The LSN a page dirtied now carries until its transaction seals.
+
+        The page's record is logged at the seal (:meth:`protect`), so until
+        then the pool holds it under an LSN past every one assigned so far,
+        hence past ``sealed_lsn``: the WAL rule (:meth:`ensure_durable`)
+        refuses to write it home, and the record it gets at the seal has an
+        LSN at least this one.  Outside a transaction this raises, as
+        logging does.
+        """
+        self._open_transaction()
+        return self.journal.last_lsn + 1
 
     def log_page(self, block: int, payload: bytes) -> int:
         """Log a physical page image; returns the record's LSN.
 
         The journal decides whether the record holds the whole image or a
-        delta against the block's previous one; either way it counts as one
-        logged page.
+        delta against the block's image from before the transaction; either
+        way it counts as one logged page.
         """
         lsn = self._log_record(TYPE_DATA, block, payload)
         with self._stats_lock:
@@ -537,20 +574,25 @@ class RecoveryManager:
             self.stats.revokes_logged += 1
         return lsn
 
-    def protect(self, consumer, page_id) -> None:
-        """No-steal: pin a page dirtied by the open transaction until it ends."""
-        txn = self._txn
-        if txn.depth == 0:
-            return
+    def protect(self, consumer, page_id, node) -> None:
+        """No-steal: pin a page dirtied by the open transaction until it
+        ends, and stage ``node``, its newest image, to be logged once when
+        the transaction seals.
+
+        No-steal is what lets the record wait: the pinned page cannot reach
+        its home before the seal, and a page written five times in one
+        transaction is encoded, framed and logged once.
+        """
+        pages = self._txn.pages
         key = (consumer, page_id)
-        if key in txn.pins:
-            return
-        consumer.pin(page_id)
-        txn.pins.add(key)
+        if key not in pages:
+            consumer.pin(page_id)
+        pages[key] = node
 
     def forget_page(self, consumer, page_id) -> None:
-        """Drop transaction bookkeeping for a page freed mid-transaction."""
-        self._txn.pins.discard((consumer, page_id))
+        """Drop transaction bookkeeping for a page freed mid-transaction:
+        it is unpinned by its invalidation and logged by no record."""
+        self._txn.pages.pop((consumer, page_id), None)
 
     def on_durable(self, action) -> None:
         """Run ``action`` once the transaction's frame is *durable*.

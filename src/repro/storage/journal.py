@@ -78,9 +78,14 @@ Entry types:
 
 Page deltas
 -----------
-Most page writes change a few dozen bytes of a page whose previous image
+Most transactions change a few dozen bytes of a page whose previous image
 the log already holds, so :meth:`Journal.append` turns a ``DATA`` record
-into a ``DELTA`` whenever that is smaller.  The payload is::
+into a ``DELTA`` whenever that is smaller.  The recovery manager logs each
+page a transaction wrote once, as its final image, when the transaction
+seals, so a record is one delta against the page's image from before the
+transaction: its last sealed image, or its home on first touch (below).  A
+block appended twice in one stage — only a direct caller of the journal
+does that — deltas against the stage's own earlier image.  The payload is::
 
     head_len:u8 | prefix:u32 | suffix:u32 | crc32(new):u32 | head | middle
 
@@ -110,8 +115,10 @@ travels as a run list, flagged by the top bit of ``head_len``::
 
 ``copy_from`` is an absolute offset into the base (a page is at most 65,535
 bytes).  The search anchors a :data:`RUN_PROBE`-byte piece of the middle,
-taken at 1/2, 1/4 or 3/4 of it, in the base, extends the match both ways and
-searches the two sides the same way.  A short middle is never searched, so
+taken at 1/2, 1/4 or 3/4 of it, in the base — within :data:`RUN_WINDOW`
+bytes of its aligned offset first, since on a page of look-alike records
+the first repeat of a piece is seldom its own — extends the match both ways
+and searches the two sides the same way.  A short middle is never searched, so
 its delta is the single splice the encoder wrote before run lists existed.
 A run that reaches past the base or the payload is a
 :class:`~repro.errors.JournalError`, like a splice that does not fit.
@@ -208,6 +215,8 @@ DELTA_HEAD = 17
 RUN_SEARCH_ABOVE = 96
 #: bytes of a long middle looked up in the base to anchor a shared run.
 RUN_PROBE = 24
+#: how far from its aligned offset the base is searched for a probe first.
+RUN_WINDOW = 128
 # A run:  lit_len | copy_from | copy_len  (big-endian u16s), then the literal.
 _RUN = struct.Struct(">HHH")
 # Set in ``head_len`` when the middle is a run list; DELTA_HEAD is below it.
@@ -258,12 +267,20 @@ def _copies(old: bytes, new: bytes, o0: int, o1: int, n0: int, n1: int,
     so a run is only found inside: around a :data:`RUN_PROBE`-byte probe at
     1/2, 1/4 or 3/4 of a region longer than :data:`RUN_SEARCH_ABOVE`,
     extended both ways as far as the bytes agree; then the side before it is
-    searched the same way, and the side after it next.
+    searched the same way, and the side after it next.  A probe is looked
+    for within :data:`RUN_WINDOW` bytes of where it would sit had nothing
+    before it moved, and only then in the whole region: a page of repeated
+    entries holds the probe many times, and the first repeat is rarely the
+    aligned one.
     """
     while n1 - n0 > RUN_SEARCH_ABOVE:
         span = n1 - n0 - RUN_PROBE
         for at in (n0 + span // 2, n0 + span // 4, n0 + 3 * span // 4):
-            hit = old.find(new[at:at + RUN_PROBE], o0, o1)
+            probe, aligned = new[at:at + RUN_PROBE], o0 + at - n0
+            hit = old.find(probe, max(o0, aligned - RUN_WINDOW),
+                           min(o1, aligned + RUN_WINDOW + RUN_PROBE))
+            if hit < 0:
+                hit = old.find(probe, o0, o1)
             if hit >= 0:
                 break
         else:
@@ -548,7 +565,7 @@ class Journal:
         reaches the log when :meth:`commit_txid` seals the frame.
 
         A ``TYPE_DATA`` page image is logged as a ``TYPE_DELTA`` against the
-        block's previous logged image, or on first touch as a
+        block's last sealed image (or this stage's own), or on first touch as a
         ``TYPE_HOME_DELTA`` against its home bytes, when that is smaller
         (module docstring, "Page deltas"); callers pass neither.  A record
         of another ``txid`` than the open stage's abandons that stage.

@@ -396,6 +396,29 @@ class TestByteOccupancy:
         assert 0 < lent < left_keys
         assert tree.depth() == 1 and len(tree) > 0
 
+    def test_every_node_written_knows_its_encoded_size(self, monkeypatch):
+        # A page write checks the page budget against ``nbytes`` and leaves
+        # the encode to the seal or the write-back, so the count kept edit by
+        # edit must be the encoding's length through splits, lends, merges
+        # and values that grow and shrink.
+        tree, _store = self.make_tree()
+        written = []
+        write = DevicePageStore.write
+        monkeypatch.setattr(DevicePageStore, "write",
+                            lambda store, page_id, node: (written.append(node),
+                                                          write(store, page_id, node)))
+        rng = random.Random(7)
+        for _ in range(1500):
+            i = rng.randrange(300)
+            if rng.random() < 0.3:
+                tree.pop(key(i), None)
+            else:
+                tree.put(key(i), bytes(rng.randrange(1, 160)))
+            for node in written:
+                assert node.nbytes == len(node.encode())
+            written.clear()
+        tree.check_invariants()
+
 
 class TestTraversalAccounting:
     def test_node_visits_counted(self):
