@@ -121,8 +121,13 @@ class GenerationMemo:
         self._entries: "OrderedDict[Hashable, Tuple[object, Hashable]]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def lookup(self, key: Hashable, token: Hashable) -> Optional[object]:
-        """The value stored under ``key`` if its token is ``token``, else None."""
+    def lookup(self, key: Hashable, token: Hashable,
+               count_miss: bool = True) -> Optional[object]:
+        """The value stored under ``key`` if its token is ``token``, else None.
+
+        A hit always counts; a miss counts unless ``count_miss`` is False —
+        for a probe whose caller goes on to a lookup that counts it.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -132,7 +137,8 @@ class GenerationMemo:
                     return entry[0]
                 del self._entries[key]
                 self.stale_drops += 1
-            self.misses += 1
+            if count_miss:
+                self.misses += 1
             return None
 
     def store(self, key: Hashable, value: object, token: Hashable) -> None:

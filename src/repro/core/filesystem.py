@@ -292,6 +292,7 @@ class HFADFileSystem:
             query_cache=self.query_cache,
             ranked_cache=self.ranked_cache,
             telemetry=self.telemetry,
+            recovery=self.recovery,
         )
         if self.telemetry.enabled:
             self.recovery.commit_batch_sizes = self.telemetry.metrics.histogram(

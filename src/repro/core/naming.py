@@ -77,6 +77,7 @@ class NamingInterface:
         query_cache=None,
         ranked_cache=None,
         telemetry=None,
+        recovery=None,
     ) -> None:
         self.registry = registry
         self.planner = planner if planner is not None else QueryPlanner()
@@ -84,6 +85,11 @@ class NamingInterface:
         #: optional GenerationMemo of rank() answers, valid for one FULLTEXT
         #: generation (boolean results use query_cache instead).
         self.ranked_cache = ranked_cache
+        #: the engine's RecoveryManager, if any: a read inside the calling
+        #: thread's own transaction sees uncommitted state, so it stores no
+        #: memo entry (other sessions are answered from current entries
+        #: without the engine lock — see the probes below).
+        self._recovery = recovery
         self.stats = NamingStats()
         # ``telemetry`` is a repro.telemetry.Telemetry bundle (or None).  The
         # tracer doubles as the enabled/disabled switch for the timed paths:
@@ -127,30 +133,104 @@ class NamingInterface:
                 query.cursor(self.registry, self.planner), limit=limit
             )
             return results
-        cache = self.query_cache
         key = canonical_key(query)
         # The token is taken before evaluating: a mutation that lands
         # mid-evaluation leaves the stored entry already stale.
-        token = tuple(self.registry.generation(tag)
-                      for tag in sorted(query_tags(query)))
-        cached = cache.lookup(key, token)
+        token = self._token(query)
+        cached = self._memo_answer(key, token, limit, count_miss=True)
         if cached is not None:
             self.stats.cached_results += 1
-            return list(cached[:limit])
-        limited_key = None
-        if limit is not None:
-            limited_key = f"{key} LIMIT {limit}"
-            cached = cache.lookup(limited_key, token)
-            if cached is not None:
-                self.stats.cached_results += 1
-                return list(cached)
+            return cached
         results, exhausted = materialize(
             query.cursor(self.registry, self.planner), limit=limit, probe_exhaustion=True
         )
         # An exhausted stream is the complete answer even when a limit was
         # set, so it may serve unlimited repeats too.
-        cache.store(key if exhausted else limited_key, tuple(results), token)
+        if self._committed_view():
+            self.query_cache.store(key if exhausted else f"{key} LIMIT {limit}",
+                                   tuple(results), token)
         return results
+
+    def _committed_view(self) -> bool:
+        """Whether this thread reads committed state (no open transaction)."""
+        return self._recovery is None or not self._recovery.in_transaction
+
+    def _token(self, query: Query) -> tuple:
+        return tuple(self.registry.generation(tag)
+                     for tag in sorted(query_tags(query)))
+
+    def _memo_answer(self, key: str, token: tuple, limit: Optional[int],
+                     count_miss: bool) -> Optional[List[int]]:
+        """The memo's answer for ``key`` under ``limit``, or None.
+
+        A complete answer under ``key`` serves any limit as a prefix; a
+        truncated one under ``"<key> LIMIT <n>"`` serves only that limit.
+        The two probes count as one lookup: one hit, or (``count_miss``)
+        one miss.
+        """
+        cache = self.query_cache
+        cached = cache.lookup(key, token, count_miss=count_miss and limit is None)
+        if cached is not None:
+            return list(cached[:limit])
+        if limit is None:
+            return None
+        cached = cache.lookup(f"{key} LIMIT {limit}", token, count_miss=count_miss)
+        return None if cached is None else list(cached)
+
+    # ------------------------------------------------------------- probes
+
+    # The serving layer answers a read from the memo on its event loop when
+    # the entry is current, so a repeat never waits for a worker thread or
+    # the engine lock.  A probe takes only the memo's own lock.  It is safe
+    # because every mutator bumps its tags' generations inside its
+    # transaction, before the commit and the ack: while an entry's token is
+    # current, the entry is the committed answer, and reading it orders the
+    # request before any open transaction.  (A writer's reads inside its own
+    # transaction store nothing: ``_committed_view``.)  A probe counts a hit,
+    # never a miss: on None the caller runs the read itself, which counts
+    # the miss.
+
+    def _probe(self, query: Query, limit: Optional[int]) -> Optional[List[int]]:
+        if self.query_cache is None or limit == 0:
+            return None
+        answer = self._memo_answer(canonical_key(query), self._token(query),
+                                   limit, count_miss=False)
+        if answer is not None:
+            self.stats.cached_results += 1
+            if limit is not None:
+                self.stats.limited_queries += 1
+        return answer
+
+    def probe_resolve(self, pairs: Sequence[PairLike],
+                      limit: Optional[int] = None) -> Optional[List[int]]:
+        """:meth:`resolve`'s answer if the memo holds it current, else None."""
+        if not pairs:
+            return None
+        answer = self._probe(self._conjunction(pairs), limit)
+        if answer is not None:
+            self.stats.naming_operations += 1
+        return answer
+
+    def probe_query(self, query: Query,
+                    limit: Optional[int] = None) -> Optional[List[int]]:
+        """:meth:`query`'s answer if the memo holds it current, else None."""
+        answer = self._probe(query, limit)
+        if answer is not None:
+            self.stats.queries += 1
+        return answer
+
+    def probe_rank(self, text: str, limit: Optional[int] = 10) -> Optional[list]:
+        """:meth:`rank`'s answer if the ranked memo holds it current, else None."""
+        cache = self.ranked_cache
+        if cache is None:
+            return None
+        cached = cache.lookup((text, limit), self.registry.generation(TAG_FULLTEXT),
+                              count_miss=False)
+        if cached is None:
+            return None
+        self.stats.ranked_queries += 1
+        self.stats.cached_results += 1
+        return list(cached)
 
     # ------------------------------------------------------------- naming
 
@@ -201,10 +281,7 @@ class NamingInterface:
         if not coerced:
             raise NamingError("a naming operation needs at least one tag/value pair")
         self.stats.naming_operations += 1
-        # Always evaluate through And so the planner runs (and refreshes
-        # last_plan) even for a single pair; the query cache normalizes
-        # single-child conjunctions, so And([t]) and a bare t share a key.
-        query = And([TagTerm.from_pair(pair) for pair in coerced])
+        query = self._conjunction(coerced)
         if self._tracer is None:
             return self._evaluate(query, limit=limit)
         started = perf_counter()
@@ -213,6 +290,13 @@ class NamingInterface:
         self._naming_latency.observe(elapsed * 1e6)
         self._tracer.record("naming", query, elapsed, len(results))
         return results
+
+    @staticmethod
+    def _conjunction(pairs: Sequence[PairLike]) -> And:
+        # Always evaluate through And so the planner runs (and refreshes
+        # last_plan) even for a single pair; the query cache normalizes
+        # single-child conjunctions, so And([t]) and a bare t share a key.
+        return And([TagTerm.from_pair(as_pair(pair)) for pair in pairs])
 
     def resolve_one(self, pairs: Union[PairLike, Sequence[PairLike]]) -> int:
         """Resolve and insist on at least one match (returning the first).
@@ -268,6 +352,8 @@ class NamingInterface:
             if cached is not None:
                 self.stats.cached_results += 1
                 return list(cached)
+        if cache is not None and not self._committed_view():
+            cache = None  # uncommitted corpus statistics: store nothing
         if self._tracer is None:
             results = store.rank(text, limit=limit)
             if cache is not None:

@@ -17,10 +17,12 @@ that gap without giving the throughput back:
   ``sync_interval_ms`` idle flush, an eviction sync, a checkpoint.
 
 So N concurrent writers naturally share one WAL sync (their futures all
-resolve from the same advance), while a lone writer's ack is bounded by the
-idle flusher.  A belt-and-braces fallback forces ``flush_commits()`` if no
-advance lands within ``ack_timeout_s`` — e.g. the flusher was explicitly
-disabled — so an ack can be late, but never stranded.
+resolve from the same advance, handed to the loop as one batch through the
+server's :class:`~repro.serve.completions.Completions`: one wake-up, not one
+per ack), while a lone writer's ack is bounded by the idle flusher.  A
+belt-and-braces fallback forces ``flush_commits()`` if no advance lands
+within ``ack_timeout_s`` — e.g. the flusher was explicitly disabled — so an
+ack can be late, but never stranded.
 """
 
 from __future__ import annotations
@@ -29,14 +31,17 @@ import asyncio
 import threading
 from typing import Dict, List, Tuple
 
+from repro.serve.completions import Completions
+
 
 class WriteBatcher:
     """Resolves "is my write durable yet?" futures off the WAL sync path."""
 
-    def __init__(self, recovery, loop: asyncio.AbstractEventLoop,
+    def __init__(self, recovery, completions: Completions,
                  executor, ack_timeout_s: float = 1.0) -> None:
         self.recovery = recovery
-        self.loop = loop
+        self.completions = completions
+        self.loop = completions.loop
         self.executor = executor
         self.ack_timeout_s = ack_timeout_s
         self._waiters: List[Tuple[int, int, asyncio.Future]] = []
@@ -54,8 +59,8 @@ class WriteBatcher:
         self.recovery.remove_durable_listener(self._on_durable)
         with self._lock:
             waiters, self._waiters = self._waiters, []
-        for _lsn, _seq, future in waiters:
-            self.loop.call_soon_threadsafe(self._resolve_future, future, False)
+        # Unconfirmed: a parked write is answered ack_timeout, never ok.
+        self.completions.resolve((future for _lsn, _seq, future in waiters), False)
 
     # -- durability listener (any thread) -------------------------------------
 
@@ -69,13 +74,7 @@ class WriteBatcher:
             else:
                 ready = [w for w in self._waiters if w[0] <= durable]
                 self._waiters = [w for w in self._waiters if w[0] > durable]
-        for _lsn, _seq, future in ready:
-            self.loop.call_soon_threadsafe(self._resolve_future, future, True)
-
-    @staticmethod
-    def _resolve_future(future: asyncio.Future, value: bool) -> None:
-        if not future.done():
-            future.set_result(value)
+        self.completions.resolve((future for _lsn, _seq, future in ready), True)
 
     # -- the awaitable ack ----------------------------------------------------
 
@@ -95,28 +94,32 @@ class WriteBatcher:
         if recovery.journal.durable_lsn >= lsn:
             self._on_durable(recovery.journal.durable_lsn)
         try:
-            await asyncio.wait_for(asyncio.shield(future), self.ack_timeout_s)
-            self.stats["acks_batched"] += 1
-            return True
+            return self._acked(await asyncio.wait_for(
+                asyncio.shield(future), self.ack_timeout_s))
         except asyncio.TimeoutError:
             # No advance landed (idle flusher disabled or wedged): force the
             # tail sync ourselves and give the listener one more chance.
             self.stats["forced_flushes"] += 1
             try:
-                await self.loop.run_in_executor(self.executor, recovery.flush_commits)
+                await self.completions.submit(self.executor, recovery.flush_commits)
             except Exception:
                 pass  # a dead device fails the durability re-check below
             if recovery.journal.durable_lsn >= lsn:
                 self._on_durable(recovery.journal.durable_lsn)
             try:
-                await asyncio.wait_for(asyncio.shield(future), self.ack_timeout_s)
-                self.stats["acks_batched"] += 1
-                return True
+                return self._acked(await asyncio.wait_for(
+                    asyncio.shield(future), self.ack_timeout_s))
             except asyncio.TimeoutError:
                 self.stats["ack_timeouts"] += 1
                 with self._lock:
                     self._waiters = [w for w in self._waiters if w[2] is not future]
                 return False
+
+    def _acked(self, durable: bool) -> bool:
+        """Book a settled wait: True from a durable advance, False when
+        :meth:`close` gave up on it."""
+        self.stats["acks_batched" if durable else "ack_timeouts"] += 1
+        return durable
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:

@@ -8,9 +8,16 @@ One :class:`Server` multiplexes many connections over one engine:
 * **Pipelining** — the per-connection reader loop admits each request as it
   arrives and answers out of order as engine calls complete; the ``id``
   field re-associates responses.
+* **Memo answers on the loop** — a ``find``, ``query``, ``search`` or
+  ``rank`` whose memoised answer is current (its tags' generations have not
+  moved) is answered on the event loop from the memo, taking only the
+  memo's own lock: no worker, no engine lock, no thread crossing.  Only a
+  miss goes on to the worker pool.
 * **A bounded worker pool** — blocking engine calls run on a
-  ``ThreadPoolExecutor`` behind the engine lock; the event loop
-  never blocks on the device.
+  ``ThreadPoolExecutor`` behind the engine lock; the event loop never
+  blocks on the device.  Completions come back through one
+  :class:`~repro.serve.completions.Completions` channel that wakes the loop
+  once per batch, not once per call.
 * **Group-commit alignment** — mutations are acknowledged through the
   :class:`~repro.serve.batcher.WriteBatcher`: the ack waits for the WAL to
   be durable past the write's covering LSN, so N concurrent writers share
@@ -37,7 +44,9 @@ from typing import Dict, List, Optional
 
 from repro.errors import ProtocolError, ReproError, RequestError
 from repro.core.query import parse_query, And, TagTerm
+from repro.index.tags import TAG_FULLTEXT, TagValue
 from repro.serve.batcher import WriteBatcher
+from repro.serve.completions import Completions
 from repro.serve.protocol import read_frame, write_frame
 from repro.serve.session import Session
 
@@ -112,6 +121,7 @@ class Server:
         self.config = config or ServeConfig()
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self.executor: Optional[ThreadPoolExecutor] = None
+        self.completions: Optional[Completions] = None
         self.batcher: Optional[WriteBatcher] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._sessions: Dict[int, Session] = {}
@@ -127,6 +137,8 @@ class Server:
             "errors": 0,
             "slow_requests": 0,
             "protocol_errors": 0,
+            #: reads answered from a current memo entry on the event loop.
+            "answered_on_loop": 0,
         }
         #: listen address once started: ("unix", path) or (host, port).
         self.address = None
@@ -139,8 +151,9 @@ class Server:
             max_workers=self.config.max_workers,
             thread_name_prefix="hfad-serve",
         )
+        self.completions = Completions(self.loop)
         self.batcher = WriteBatcher(
-            self.fs.recovery, self.loop, self.executor,
+            self.fs.recovery, self.completions, self.executor,
             ack_timeout_s=self.config.ack_timeout_s,
         )
         if self.config.unix_path is not None:
@@ -291,9 +304,45 @@ class Server:
             with scope:
                 return fn()
         started = perf_counter()
-        result = await self.loop.run_in_executor(self.executor, work)
+        result = await self.completions.submit(self.executor, work)
         self._note_latency(session, started)
         return result
+
+    async def _read(self, session: Session, kind: str, probe, call):
+        """A read: answered on the loop when ``probe`` finds its memo entry
+        current, else by ``call`` on the worker pool."""
+        answer = self._answer_on_loop(session, kind, probe)
+        if answer is not None:
+            return answer
+        return await self._run(session, kind, call)
+
+    def _answer_on_loop(self, session: Session, kind: str, probe):
+        """``probe()``'s memo answer, attributed like a worker's call, or None.
+
+        Nothing is answered while the engine is poisoned: the worker's call
+        then raises the typed error a poisoned engine gives.  A probe that
+        raises (a malformed pair) also falls through, so the worker's call
+        reports it as before.
+        """
+        if self.fs.recovery.poisoned:
+            return None
+        started = perf_counter()
+        ledger = self.fs.telemetry.attribution
+        # Built before the probe so its elapsed covers it; recorded only on
+        # an answer, so a miss leaves just the worker's record.
+        scope = (ledger.operation(f"serve.{kind}", f"session={session.sid}")
+                 if ledger is not None else nullcontext())
+        try:
+            answer = probe()
+        except ReproError:
+            return None
+        if answer is None:
+            return None
+        with scope:
+            pass
+        self.counters["answered_on_loop"] += 1
+        self._note_latency(session, started)
+        return answer
 
     async def _run_mutation(self, session: Session, kind: str, fn):
         """One mutating engine call; the return is ack-after-durable."""
@@ -314,7 +363,7 @@ class Server:
             lsn = recovery.journal.sealed_lsn
             return out, lsn
         started = perf_counter()
-        result, lsn = await self.loop.run_in_executor(self.executor, work)
+        result, lsn = await self.completions.submit(self.executor, work)
         session.mutations += 1
         durable = await self.batcher.wait_durable(lsn)
         self._note_latency(session, started)
@@ -412,40 +461,49 @@ class Server:
         pairs = session.scope_pairs(pairs)
         limit = _natural(request, "limit", None, nullable=True)
         page = _natural(request, "page", self.config.page_size, nullable=True)
-        oids = await self._run(session, "find", lambda: self.fs.find(*pairs, limit=limit))
+        oids = await self._read(
+            session, "find", lambda: self.fs.naming.probe_resolve(pairs, limit),
+            lambda: self.fs.find(*pairs, limit=limit))
         return self._paged(session, page, oids)
 
     async def _op_query(self, session: Session, request: dict) -> dict:
         query = session.apply_scope(parse_query(str(_require(request, "q"))))
         limit = _natural(request, "limit", None, nullable=True)
         page = _natural(request, "page", self.config.page_size, nullable=True)
-        oids = await self._run(session, "query", lambda: self.fs.query(query, limit=limit))
+        oids = await self._read(
+            session, "query", lambda: self.fs.naming.probe_query(query, limit),
+            lambda: self.fs.query(query, limit=limit))
         return self._paged(session, page, oids)
 
     async def _op_search(self, session: Session, request: dict) -> dict:
         text = str(_require(request, "text"))
         limit = _natural(request, "limit", None, nullable=True)
         page = _natural(request, "page", self.config.page_size, nullable=True)
+        naming = self.fs.naming
+        terms = self.fs.fulltext_index.index.analyzer.analyze_query(text)
         if session.scope:
             # Scoped search: the FULLTEXT conjunction composes with the
             # session scope like any other query.
-            terms = self.fs.fulltext_index.index.analyzer.analyze_query(text)
             if not terms:
                 return self._paged(session, page, [])
             query = session.apply_scope(
-                And([TagTerm("FULLTEXT", term) for term in terms]))
-            oids = await self._run(
-                session, "search", lambda: self.fs.query(query, limit=limit))
+                And([TagTerm(TAG_FULLTEXT, term) for term in terms]))
+            oids = await self._read(
+                session, "search", lambda: naming.probe_query(query, limit),
+                lambda: self.fs.query(query, limit=limit))
         else:
-            oids = await self._run(
-                session, "search",
+            pairs = [TagValue(TAG_FULLTEXT, term) for term in terms]
+            oids = await self._read(
+                session, "search", lambda: naming.probe_resolve(pairs, limit),
                 lambda: self.fs.search_text(text, limit=limit))
         return self._paged(session, page, oids)
 
     async def _op_rank(self, session: Session, request: dict) -> dict:
         text = str(_require(request, "text"))
         limit = _natural(request, "limit", 10, nullable=True)
-        hits = await self._run(session, "rank", lambda: self.fs.rank(text, limit=limit))
+        hits = await self._read(
+            session, "rank", lambda: self.fs.naming.probe_rank(text, limit),
+            lambda: self.fs.rank(text, limit=limit))
         return {"hits": [{"oid": hit.doc_id, "score": hit.score}
                          for hit in hits]}
 
@@ -515,6 +573,7 @@ class Server:
             "workers": self.config.max_workers,
             "max_inflight": self.config.max_inflight,
             **self.counters,
+            "loop_wakeups": self.completions.wakeups if self.completions else 0,
             "batcher": self.batcher.snapshot() if self.batcher else None,
         }
 
