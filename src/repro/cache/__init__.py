@@ -13,15 +13,17 @@ block device:
 * :class:`~repro.cache.query_cache.GenerationMemo` — one locked LRU map from
   a key to ``(value, token)`` that answers only while the caller's token is
   current.  Tokens are per-tag generation counters kept by the
-  :class:`~repro.index.store.IndexStoreRegistry`.  Three instances use it:
-  boolean results keyed by canonicalized query text (``fs.query_cache``),
-  ranked answers keyed by ``(text, limit)`` (``fs.ranked_cache``) and the
-  query planner's cardinality estimates.
+  :class:`~repro.index.store.IndexStoreRegistry`, or the object store's
+  content generation.  Four instances use it: boolean results keyed by
+  canonicalized query text (``fs.query_cache``), ranked answers keyed by
+  ``(text, limit)`` (``fs.ranked_cache``), the query planner's cardinality
+  estimates and whole objects of at most a page keyed by oid
+  (``fs.content_cache``).
 
 Knobs (also exposed on :class:`~repro.core.filesystem.HFADFileSystem`):
 ``cache_pages`` — the pool's global page budget, at least 1 (no-steal keeps
-uncommitted pages there); ``query_cache_entries=0`` disables both result memos so benchmarks (E1,
-E7) can measure the index path itself.
+uncommitted pages there); ``query_cache_entries=0`` disables both result memos
+and the content memo so benchmarks (E1, E7) can measure the index path itself.
 """
 
 from repro.cache.buffer_pool import BufferPool, CacheStats, PoolConsumer

@@ -93,18 +93,21 @@ class GenerationMemo:
 
     An entry answers :meth:`lookup` only while the caller's current token
     equals the one it was stored with; otherwise it is dropped and the
-    lookup misses.  Tokens are built from the registry's per-tag
-    generations, which only ever grow, so a stale entry never turns valid
+    lookup misses.  Tokens are built from generations that only ever grow
+    (the registry's per-tag ones, the object store's content one), so a
+    stale entry never turns valid
     again.  Callers take the token *before* they evaluate: a mutation that
     lands mid-evaluation then leaves the stored entry already stale, and
     the next lookup drops it instead of serving it.
 
-    The facade keeps three instances with one stats shape (:meth:`snapshot`):
+    The facade keeps four instances with one stats shape (:meth:`snapshot`):
     ``fs.query_cache`` (canonical boolean query → result tuple, token = the
     generations of every tag the query touches), ``fs.ranked_cache``
-    (``(text, limit)`` → ranked hits, token = the FULLTEXT generation) and
-    the planner's estimate memo (``(tag, value)`` → cardinality, token = that
-    tag's generation).  Values are kept as given; callers store immutable
+    (``(text, limit)`` → ranked hits, token = the FULLTEXT generation), the
+    planner's estimate memo (``(tag, value)`` → cardinality, token = that
+    tag's generation) and ``fs.content_cache`` (oid → the bytes of a whole
+    object of at most a page, token = the object store's content
+    generation, which every content mutator bumps).  Values are kept as given; callers store immutable
     ones.  ``None`` is reserved for "no answer".
     """
 

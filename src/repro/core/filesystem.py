@@ -119,8 +119,9 @@ class HFADFileSystem:
         btree; at least 1 (no-steal holds uncommitted dirty pages in the
         pool).
     :param query_cache_entries: capacity of each result memo (boolean and
-        ranked); ``0`` disables result caching so every query re-evaluates
-        the indexes.
+        ranked) and of the content memo (whole objects of at most a page);
+        ``0`` disables all three, so every query re-evaluates the indexes
+        and every read walks the trees.
     :param journal_blocks: size of the WAL region in device blocks (the
         metadata prefix ``superblock + journal`` is rounded up to a power of
         two and reserved out of the data allocator).  Must fit the largest
@@ -182,6 +183,12 @@ class HFADFileSystem:
         #: for every page store.
         self.integrity = IntegrityContext()
         self._scrubber: Optional[Scrubber] = None
+        #: whole-object content memo (oid → bytes of an object of at most a
+        #: page), filled and consulted by ``objects.read``; the server answers
+        #: a current entry on its event loop (``objects.probe_read``).
+        self.content_cache = (
+            GenerationMemo(query_cache_entries) if query_cache_entries else None
+        )
         if _mounted is not None:
             # mount(): the recovery manager has already replayed the journal;
             # re-open the object store from the recovered on-device state.
@@ -196,6 +203,7 @@ class HFADFileSystem:
                 self.recovery,
                 buffer_pool=self.buffer_pool,
                 integrity=self.integrity,
+                content_cache=self.content_cache,
             )
             roots = self.recovery.state
         else:
@@ -229,6 +237,7 @@ class HFADFileSystem:
                 buffer_pool=self.buffer_pool,
                 recovery=self.recovery,
                 integrity=self.integrity,
+                content_cache=self.content_cache,
             )
             roots = {}
         # The btrees backing the full-text and image indexes: re-attached
@@ -1110,6 +1119,10 @@ class HFADFileSystem:
             self.checkpoint()
         except (DeviceError, RecoveryError):
             pass
+        if self.content_cache is not None:
+            # Up to capacity × 4 KB of object bytes: a closed filesystem
+            # that is still referenced must not pin them.
+            self.content_cache.clear()
 
     def __enter__(self) -> "HFADFileSystem":
         return self
@@ -1193,6 +1206,8 @@ class HFADFileSystem:
                             if self.query_cache is not None else None),
             "ranked_cache": (self.ranked_cache.snapshot()
                              if self.ranked_cache is not None else None),
+            "content_cache": (self.content_cache.snapshot()
+                              if self.content_cache is not None else None),
             "persistent_index": self._persistent_index_snapshot(),
             "recovery": self.recovery.snapshot(),
             "integrity": self._integrity_snapshot(),

@@ -27,14 +27,15 @@ are never returned.
 from __future__ import annotations
 
 import struct
+import threading
 import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.btree import BPlusTree, DevicePageStore
-from repro.cache import BufferPool
+from repro.btree import PAGE_BYTES, BPlusTree, DevicePageStore
+from repro.cache import BufferPool, GenerationMemo
 from repro.errors import (
     CorruptionError,
     InvalidRangeError,
@@ -99,6 +100,9 @@ class ObjectStore:
         is atomic across a crash), btree page writes are logged, and the
         store is re-mountable via :meth:`mount`.  Without one (unit tests)
         the store is not crash-safe.
+    :param content_cache: optional :class:`~repro.cache.GenerationMemo` of
+        whole objects of at most a page (oid → bytes): :meth:`read` fills
+        it and answers from it, :meth:`probe_read` answers only from it.
     """
 
     def __init__(
@@ -110,6 +114,7 @@ class ObjectStore:
         buffer_pool: Optional[BufferPool] = None,
         recovery=None,
         integrity=None,
+        content_cache: Optional[GenerationMemo] = None,
     ) -> None:
         if device is None:
             device = BlockDevice(num_blocks=1 << 16)
@@ -123,6 +128,7 @@ class ObjectStore:
             buffer_pool=buffer_pool,
             recovery=recovery,
             integrity=integrity,
+            content_cache=content_cache,
         )
         self.allocator = allocator
         self._master = self._new_tree("osd.master", on_root_change=self._master_root_moved)
@@ -136,6 +142,7 @@ class ObjectStore:
         buffer_pool: Optional[BufferPool],
         recovery,
         integrity=None,
+        content_cache: Optional[GenerationMemo] = None,
     ) -> None:
         """Field initialization shared by ``__init__`` and :meth:`mount`.
 
@@ -158,6 +165,14 @@ class ObjectStore:
         self._clock = 0
         self._live_objects = 0
         self._pending_atime: Dict[int, int] = {}
+        #: guards the clock, the pending access times and ``bytes_read``:
+        #: reads record accesses under a *shared* engine hold (and
+        #: :meth:`probe_read` under none), beside mutators and the flush.
+        self._access_lock = threading.Lock()
+        self.content_cache = content_cache
+        #: the content memo's token: bumped inside the transaction of every
+        #: mutator that can change an object's bytes or size.
+        self._content_generation = 0
         self._mount_inventory = None
         #: the persistent index trees opened through :meth:`open_index_tree`.
         self._index_trees: List[BPlusTree] = []
@@ -172,6 +187,7 @@ class ObjectStore:
         buffer_pool: Optional[BufferPool] = None,
         max_extent_blocks: int = 1024,
         integrity=None,
+        content_cache: Optional[GenerationMemo] = None,
     ) -> "ObjectStore":
         """Re-open a store from its recovered on-device state.
 
@@ -194,6 +210,7 @@ class ObjectStore:
             buffer_pool=buffer_pool,
             recovery=recovery,
             integrity=integrity,
+            content_cache=content_cache,
         )
         store.allocator = BuddyAllocator(total_blocks=device.num_blocks, base=0)
         if state["data_region_start"]:
@@ -472,21 +489,48 @@ class ObjectStore:
         Returns the number of metadata records updated.  Between calls,
         access times ride the next real mutation of their object (relatime);
         a crash loses at most the times recorded since the last flush.
+        Reads go on recording accesses meanwhile: the flush persists a
+        snapshot of the pending times, and an access recorded after it
+        stays pending for the next flush.
         """
-        pending = [oid for oid in self._pending_atime if self.exists(oid)]
-        if pending:
-            # One bracketing transaction: one journal frame and one journal
-            # sync for the whole batch, not one per object.
-            with self._txn():
-                for oid in pending:
+        with self._access_lock:
+            pending = list(self._pending_atime)
+        if not pending:
+            return 0
+        flushed = 0
+        # One bracketing transaction: one journal frame and one journal sync
+        # for the whole batch, not one per object.  Its exclusive hold keeps
+        # every object it checks alive until it is saved.
+        with self._txn():
+            for oid in pending:
+                try:
                     # _require overlays the pending time; saving pops it.
-                    self._save_metadata(oid, self._require(oid))
-        self._pending_atime.clear()
-        return len(pending)
+                    metadata = self._require(oid)
+                except NoSuchObjectError:
+                    # Deleted after the access: there is nothing to persist.
+                    self._pending_atime.pop(oid, None)
+                    continue
+                self._save_metadata(oid, metadata)
+                flushed += 1
+        return flushed
 
     def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
+        with self._access_lock:
+            self._clock += 1
+            return self._clock
+
+    def _note_read(self, oid: int, length: int) -> None:
+        """Record a read of ``length`` bytes of ``oid`` at the next tick.
+
+        relatime: persisting an access time costs a logged page write plus
+        a journal sync per read, so it rides the next real mutation instead
+        (stat() sees it immediately via _require; a crash loses at most
+        recent access times, never data).
+        """
+        with self._access_lock:
+            self._clock += 1
+            self._pending_atime[oid] = self._clock
+            self.stats.bytes_read += length
 
     def _metadata_key(self, oid: int) -> bytes:
         return _OID.pack(oid)
@@ -505,8 +549,11 @@ class ObjectStore:
     def _save_metadata(self, oid: int, metadata: ObjectMetadata) -> None:
         # Every mutator loads metadata through _require, so the record being
         # saved already carries any pending access time: the lazy atime
-        # piggybacks on the next real mutation.
-        self._pending_atime.pop(oid, None)
+        # piggybacks on the next real mutation.  A read recorded since that
+        # load is later than the record, and stays pending.
+        with self._access_lock:
+            if self._pending_atime.get(oid, -1) <= metadata.accessed_at:
+                self._pending_atime.pop(oid, None)
         self._master.put(self._metadata_key(oid), metadata.to_bytes())
 
     def _extent_map(self, oid: int) -> ExtentMap:
@@ -558,6 +605,7 @@ class ObjectStore:
         """Destroy the object and release every data chunk it owns."""
         self._require(oid)
         with self._txn():
+            self._content_generation += 1
             extent_map = self._extent_map(oid)
             self._free_unnamed(extent_map, extent_map.clear())
             for name in self.names(oid):
@@ -802,6 +850,7 @@ class ObjectStore:
         if not data:
             return 0
         with self._txn():
+            self._content_generation += 1
             extent_map = self._extent_map(oid)
             self._free_unnamed(extent_map, extent_map.punch(offset, offset + len(data)))
             self._store_data(extent_map, offset, data)
@@ -818,18 +867,24 @@ class ObjectStore:
         return offset
 
     def read(self, oid: int, offset: int = 0, length: Optional[int] = None) -> bytes:
-        """Read up to ``length`` bytes at ``offset`` (to end-of-object if None)."""
+        """Read up to ``length`` bytes at ``offset`` (to end-of-object if None).
+
+        With a content memo, a current entry answers without a tree read,
+        and a whole-object read of at most a page fills it.
+        """
         if offset < 0:
             raise InvalidRangeError("offset must be non-negative")
+        cache = self.content_cache
+        if cache is not None:
+            # Taken before reading: a mutation that lands mid-read leaves
+            # the stored entry already stale.
+            token = self._content_generation
+            content = cache.lookup(oid, token)
+            if content is not None:
+                return self._memo_read(oid, content, offset, length)
         metadata = self._require(oid)
-        if offset >= metadata.size:
-            return b""
-        if length is None:
-            length = metadata.size - offset
-        if length < 0:
-            raise InvalidRangeError("length must be non-negative")
-        length = min(length, metadata.size - offset)
-        if length == 0:
+        length = self._span(offset, length, metadata.size)
+        if not length:
             return b""
         result = bytearray(length)
         extent_map = self._extent_map(oid)
@@ -840,14 +895,54 @@ class ObjectStore:
                 continue
             result[overlap_start - offset:overlap_end - offset] = self._extent_bytes(
                 oid, extent, overlap_start - extent_offset, overlap_end - overlap_start)
-        metadata.touch_accessed(self._tick())
-        # relatime: persisting an access time costs a logged page write plus
-        # a journal sync per read, so it rides the next real mutation
-        # instead (stat() sees it immediately via _require; a crash loses at
-        # most recent access times, never data).
-        self._pending_atime[oid] = metadata.accessed_at
-        self.stats.bytes_read += length
-        return bytes(result)
+        self._note_read(oid, length)
+        data = bytes(result)
+        # A writer's read of its own open transaction stores nothing: the
+        # entry would answer other sessions before (or without) the commit.
+        if (cache is not None and length == metadata.size <= PAGE_BYTES
+                and (self.recovery is None or not self.recovery.in_transaction)):
+            cache.store(oid, data, token)
+        return data
+
+    def probe_read(self, oid: int, offset: int = 0,
+                   length: Optional[int] = None) -> Optional[bytes]:
+        """:meth:`read`'s answer if the content memo holds ``oid`` current,
+        else None; no tree is read and no engine lock is taken.
+
+        It is safe because every content mutator bumps the memo's token
+        inside its transaction, before the commit: while an entry is
+        current it is the committed content.  A hit records the access as
+        :meth:`read` does; a miss is not counted (the caller goes on to
+        :meth:`read`, which counts it).
+        """
+        cache = self.content_cache
+        if cache is None or offset < 0 or (length is not None and length < 0):
+            return None
+        content = cache.lookup(oid, self._content_generation, count_miss=False)
+        if content is None:
+            return None
+        return self._memo_read(oid, content, offset, length)
+
+    @staticmethod
+    def _span(offset: int, length: Optional[int], size: int) -> int:
+        """How many bytes a read of ``length`` at ``offset`` returns from an
+        object of ``size`` bytes (0: nothing, and no access is recorded)."""
+        if offset >= size:
+            return 0
+        if length is None:
+            return size - offset
+        if length < 0:
+            raise InvalidRangeError("length must be non-negative")
+        return min(length, size - offset)
+
+    def _memo_read(self, oid: int, content: bytes, offset: int,
+                   length: Optional[int]) -> bytes:
+        """A read of ``content``, the memoised whole object."""
+        length = self._span(offset, length, len(content))
+        if not length:
+            return b""
+        self._note_read(oid, length)
+        return content if length == len(content) else content[offset:offset + length]
 
     def insert(self, oid: int, offset: int, data: bytes) -> int:
         """Insert ``data`` at ``offset``, growing the object (paper §3.1.2).
@@ -864,6 +959,7 @@ class ObjectStore:
         if not data:
             return 0
         with self._txn():
+            self._content_generation += 1
             extent_map = self._extent_map(oid)
             extent_map.split_at(offset)
             self.stats.extents_shifted += extent_map.shift(offset, len(data))
@@ -887,6 +983,7 @@ class ObjectStore:
         if offset >= metadata.size or length == 0:
             return 0
         with self._txn():
+            self._content_generation += 1
             end = min(offset + length, metadata.size)
             extent_map = self._extent_map(oid)
             extent_map.split_at(offset)
@@ -910,6 +1007,7 @@ class ObjectStore:
             self.remove_range(oid, new_size, metadata.size - new_size)
         elif new_size > metadata.size:
             with self._txn():
+                self._content_generation += 1
                 metadata = self._require(oid)
                 metadata.size = new_size
                 metadata.touch_modified(self._tick())
@@ -929,6 +1027,7 @@ class ObjectStore:
         metadata = self._require(oid)
         contents = self.read(oid, 0, metadata.size)
         with self._txn():
+            self._content_generation += 1
             extent_map = self._extent_map(oid)
             freed = self._free_unnamed(extent_map, extent_map.clear())
             if contents:

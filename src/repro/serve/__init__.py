@@ -1,7 +1,7 @@
 """repro.serve — the asyncio serving front end over HFADFileSystem.
 
 A Server multiplexes many client sessions over one engine: a read whose
-memoised answer is current is answered on the event loop, other blocking
+memoised answer (or object content) is current is answered on the event loop, other blocking
 engine calls run on a bounded worker pool, mutations are acknowledged only once
 the WAL is durable past their covering LSN (group-commit alignment via the
 WriteBatcher plus the recovery manager's ``sync_interval_ms`` idle flush),

@@ -94,6 +94,20 @@ class WriteBatcher:
         if recovery.journal.durable_lsn >= lsn:
             self._on_durable(recovery.journal.durable_lsn)
         try:
+            return await self._settle(future, lsn)
+        finally:
+            if not future.done():
+                # Unsettled: timed out, or this wait was cancelled (its
+                # client went away).  Nothing will answer it any more, so
+                # it must stop counting as a pending ack.
+                with self._lock:
+                    self._waiters = [w for w in self._waiters if w[2] is not future]
+
+    async def _settle(self, future: asyncio.Future, lsn: int) -> bool:
+        """Wait for ``future``; past ``ack_timeout_s``, force a flush and
+        wait once more."""
+        recovery = self.recovery
+        try:
             return self._acked(await asyncio.wait_for(
                 asyncio.shield(future), self.ack_timeout_s))
         except asyncio.TimeoutError:
@@ -111,8 +125,6 @@ class WriteBatcher:
                     asyncio.shield(future), self.ack_timeout_s))
             except asyncio.TimeoutError:
                 self.stats["ack_timeouts"] += 1
-                with self._lock:
-                    self._waiters = [w for w in self._waiters if w[2] is not future]
                 return False
 
     def _acked(self, durable: bool) -> bool:

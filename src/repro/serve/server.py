@@ -10,9 +10,10 @@ One :class:`Server` multiplexes many connections over one engine:
   field re-associates responses.
 * **Memo answers on the loop** — a ``find``, ``query``, ``search`` or
   ``rank`` whose memoised answer is current (its tags' generations have not
-  moved) is answered on the event loop from the memo, taking only the
-  memo's own lock: no worker, no engine lock, no thread crossing.  Only a
-  miss goes on to the worker pool.
+  moved), and a ``read`` of an object whose memoised content is current (no
+  content mutation since it was read), is answered on the event loop from
+  the memo, taking only the memo's own lock: no worker, no engine lock, no
+  thread crossing.  Only a miss goes on to the worker pool.
 * **A bounded worker pool** — blocking engine calls run on a
   ``ThreadPoolExecutor`` behind the engine lock; the event loop never
   blocks on the device.  Completions come back through one
@@ -412,8 +413,9 @@ class Server:
         oid = _natural(request, "oid")
         offset = _natural(request, "offset", 0)
         length = _natural(request, "length", None, nullable=True)
-        data = await self._run(session, "read", lambda: self.fs.read(
-            oid, offset=offset, length=length))
+        data = await self._read(
+            session, "read", lambda: self.fs.objects.probe_read(oid, offset, length),
+            lambda: self.fs.read(oid, offset=offset, length=length))
         return {"data_b64": base64.b64encode(data).decode("ascii"),
                 "size": len(data)}
 
@@ -574,6 +576,8 @@ class Server:
             "max_inflight": self.config.max_inflight,
             **self.counters,
             "loop_wakeups": self.completions.wakeups if self.completions else 0,
+            "content_cache": (self.fs.content_cache.snapshot()
+                              if self.fs.content_cache is not None else None),
             "batcher": self.batcher.snapshot() if self.batcher else None,
         }
 

@@ -212,7 +212,7 @@ class TestStats:
         layers = ["device", "objects", "naming", "registry", "planner",
                   "keyvalue_entries_scanned", "fulltext_term_lookups",
                   "fulltext_postings_scanned", "ranked", "object_count",
-                  "buffer_pool", "query_cache", "ranked_cache",
+                  "buffer_pool", "query_cache", "ranked_cache", "content_cache",
                   "persistent_index", "recovery", "integrity"]
         with HFADFileSystem(telemetry=False) as off:
             assert list(off.stats()) == layers
@@ -227,6 +227,7 @@ class TestStats:
         assert isinstance(stats["ranked_cache"], dict)
         assert stats["query_cache"] == fs.query_cache.snapshot()
         assert stats["ranked_cache"] == fs.ranked_cache.snapshot()
+        assert stats["content_cache"] == fs.content_cache.snapshot()
 
 
 def test_one_fulltext_engine(fs):

@@ -8,13 +8,14 @@ idle flusher is off, so every ack waits on the batcher's own paths.
 import asyncio
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core import HFADFileSystem
 from repro.errors import RequestError
-from repro.serve import Client, ServeConfig, WriteBatcher, serve_in_thread
+from repro.serve import AsyncClient, Client, ServeConfig, WriteBatcher, serve_in_thread
 from repro.serve.completions import Completions
 from repro.storage.block_device import FaultPlan
 
@@ -82,7 +83,8 @@ def test_close_after_the_loop_is_gone_resolves_parked_acks_without_raising():
     loop.run_until_complete(asyncio.sleep(0))
     wait.cancel()
     loop.run_until_complete(asyncio.gather(wait, return_exceptions=True))
-    assert batcher.snapshot()["pending_acks"] == 1
+    # A cancelled wait is nobody's pending ack any more.
+    assert batcher.snapshot()["pending_acks"] == 0
     loop.close()
     batcher.close()
     assert batcher.snapshot()["pending_acks"] == 0
@@ -176,3 +178,38 @@ def test_a_failing_sync_answers_ack_timeout_and_strands_nothing(lone_writer):
         assert snapshot["ack_timeouts"] == 1
         assert snapshot["pending_acks"] == 0
         assert client.ping()["pong"] is True
+
+
+def test_a_client_that_leaves_mid_pipeline_strands_no_parked_ack(tmp_path):
+    """Writes parked on the batcher when their client disconnects: the
+    server cancels their waits, and none of them stays a pending ack."""
+    fs = HFADFileSystem(journal_blocks=511, num_blocks=1 << 14,
+                        group_commit=4, sync_interval_ms=0)
+    handle = serve_in_thread(fs, ServeConfig(
+        unix_path=str(tmp_path / "leaver.sock"), ack_timeout_s=30))
+    batcher = handle.server.batcher
+
+    def pending() -> int:
+        return batcher.snapshot()["pending_acks"]
+
+    def settle(want: int) -> int:
+        deadline = time.monotonic() + 10
+        while pending() != want and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return pending()
+
+    async def scenario():
+        client = await AsyncClient.connect(handle.address)
+        for i in range(3):  # under the group of 4: no commit syncs
+            await client.send_request("create", text=f"parked {i}")
+        assert await asyncio.get_running_loop().run_in_executor(None, settle, 3) == 3
+        await client.close()
+
+    try:
+        asyncio.run(scenario())
+        assert settle(0) == 0
+        snapshot = batcher.snapshot()
+        assert snapshot["acks_batched"] == snapshot["forced_flushes"] == 0
+    finally:
+        handle.stop()
+        fs.close()
