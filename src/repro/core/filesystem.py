@@ -623,19 +623,20 @@ class HFADFileSystem:
             *([] if path is None else [TagValue(TAG_POSIX, path)]),
         ])
         _reject_reserved_attributes(attributes or ())
+        if index_content:
+            # Flag the object even when it starts empty so that later
+            # writes through the access interfaces keep its index entry
+            # current.
+            attributes = {**(attributes or {}), _ATTR_INDEXED: "1"}
         with self._operation("create", path or ""), self._durable():
-            oid = self.objects.create(owner=owner, attributes=attributes)
-            if content:
-                self.objects.write(oid, 0, content)
+            # One metadata record, and every durable name entry in one batch.
+            oid = self.objects.create(owner=owner, attributes=attributes, content=content,
+                                      names=[str(pair) for pair in names])
             for pair in names:
-                self._add_name(oid, pair)
-            if index_content:
-                # Flag the object even when it starts empty so that later
-                # writes through the access interfaces keep its index entry
-                # current.
-                self.objects.set_attributes(oid, **{_ATTR_INDEXED: "1"})
-                if content:
-                    self.fulltext_index.index_content(oid, content)
+                self._claim_path(oid, pair)
+                self.naming.add_name(oid, pair)
+            if index_content and content:
+                self.fulltext_index.index_content(oid, content)
             return oid
 
     # -- the one name path ----------------------------------------------------
@@ -673,13 +674,16 @@ class HFADFileSystem:
             checked.append(pair)
         return checked
 
-    def _add_name(self, oid: int, pair: TagValue) -> None:
+    def _claim_path(self, oid: int, pair: TagValue) -> None:
         if pair.tag == TAG_POSIX:
             # A path names one object: the displaced holder loses it, index
             # entry and durable entry both, or the mount would hand it back.
             displaced = self._path_holder(pair.value)
             if displaced is not None and displaced != oid:
                 self._remove_name(displaced, pair)
+
+    def _add_name(self, oid: int, pair: TagValue) -> None:
+        self._claim_path(oid, pair)
         self.naming.add_name(oid, pair)
         self.objects.put_name(oid, str(pair))
 
@@ -793,7 +797,7 @@ class HFADFileSystem:
 
     def _reindex_if_tracked(self, oid: int) -> None:
         if self.objects.stat(oid).attributes.get(_ATTR_INDEXED) == "1":
-            self.fulltext_index.index_content(oid, self.objects.read(oid))
+            self.fulltext_index.index_content(oid, self.objects.read(oid, access=False))
 
     def enable_content_indexing(self, oid: int) -> None:
         """Start tracking (and immediately index) the object's content."""
@@ -801,7 +805,7 @@ class HFADFileSystem:
             self._require_object(oid)
             with self._durable():
                 self.objects.set_attributes(oid, **{_ATTR_INDEXED: "1"})
-                self.fulltext_index.index_content(oid, self.objects.read(oid))
+                self.fulltext_index.index_content(oid, self.objects.read(oid, access=False))
 
     def disable_content_indexing(self, oid: int) -> None:
         """Stop tracking the object's content and drop it from the index."""
@@ -950,7 +954,7 @@ class HFADFileSystem:
         for oid in live:
             try:
                 if self.objects.stat(oid).attributes.get(_ATTR_INDEXED) == "1":
-                    content = self.objects.read(oid)
+                    content = self.objects.read(oid, access=False)
                     if content:
                         rescue.index_content(oid, content)
             except (CorruptionError, NoSuchObjectError):

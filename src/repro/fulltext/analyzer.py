@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
@@ -33,8 +34,13 @@ _SUFFIX_RULES: Sequence[Tuple[str, str]] = (
 )
 
 
+@lru_cache(maxsize=1 << 16)
 def light_stem(token: str) -> str:
-    """Strip common English suffixes; never shortens a token below 3 chars."""
+    """Strip common English suffixes; never shortens a token below 3 chars.
+
+    Memoised: a corpus re-stems one vocabulary on every document, and the
+    function is pure, so one bounded memo serves every analyzer and thread.
+    """
     for suffix, replacement in _SUFFIX_RULES:
         if token.endswith(suffix) and len(token) - len(suffix) + len(replacement) >= 3:
             return token[: len(token) - len(suffix)] + replacement

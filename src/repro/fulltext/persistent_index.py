@@ -130,6 +130,8 @@ _U32 = struct.Struct(">I")
 _STATS = struct.Struct(">QQ")
 #: a ``T`` row: the oid's slot in its block, and the term's frequency there.
 _ROW = struct.Struct(">BI")
+#: a block's last row's slot byte, counted from the block's end.
+_LAST_SLOT = _ROW.size + _U32.size
 #: a term's statistics: df + the ranking bound inputs (max tf, min document length).
 _DF_RECORD = struct.Struct(">QII")
 
@@ -630,9 +632,11 @@ class PersistentInvertedIndex:
             if not key.startswith(_DOC_PREFIX):
                 (self._backlog.discard if value is None else self._backlog.add)(key)
 
-    def _set_row(self, term: str, doc_id: int, tf: int, length: int = 0) -> None:
-        """Set (``tf`` > 0) or drop (``tf`` = 0) the document's row of ``term``,
-        and the term's statistics with it, in the overlay.
+    def _set_rows(self, doc_id: int, rows: Iterable[Tuple[str, int]], length: int = 0) -> None:
+        """Set (``tf`` > 0) or drop (``tf`` = 0) the document's row of each
+        ``(term, tf)`` of ``rows``, and each term's statistics with it, in the
+        overlay: one sorted read of every key the document touches, then one
+        edit pass.
 
         Presence-aware: ``df`` moves only when the row appears or disappears
         (``max_tf`` / ``min_len`` only tighten on add and stay on remove — a
@@ -641,22 +645,36 @@ class PersistentInvertedIndex:
         crash between two settle transactions, and the mount's re-derivation
         from the backlog, safe.
         """
-        view, prefix = self._view, self._posting_prefix(term)
-        key = prefix + _OID.pack(doc_id >> BLOCK_SHIFT)
-        stats_key = prefix[:-1] + _TERM_STATS_END  # the key right after the term's blocks
-        raw, raw_stats = view.get_many([key, stats_key])
-        block, present = _edit_block(raw, doc_id, tf)
-        if block != raw:
-            view.put(key, block, prefix)
-        df, max_tf, min_len = _DF_RECORD.unpack(raw_stats) if raw_stats else (0, 0, 0)
-        df += (tf > 0) - present
-        if tf:
-            max_tf = max(max_tf, tf)
-            min_len = length if min_len == 0 else min(min_len, length)
-        # The bounds stay (conservative) until the last posting goes.
-        stats = _DF_RECORD.pack(df, max_tf, min_len) if df else None
-        if stats != raw_stats:
-            view.put(stats_key, stats)
+        view, slot = self._view, doc_id & (BLOCK_SPAN - 1)
+        block_id = _OID.pack(doc_id >> BLOCK_SHIFT)
+        # Sorted by term, a term's block key sorts right before its
+        # statistics key and both before the next term's (see
+        # _TERM_STATS_END): the keys increase, and one get_many reads them.
+        terms = sorted((_TERM_PREFIX + _encode_term(term), tf) for term, tf in rows)
+        keys = [key for term, _tf in terms for key in (term + _SEP + block_id, term + _TERM_STATS_END)]
+        found = iter(zip(keys, view.get_many(keys)))
+        for _term, tf in terms:
+            (key, raw), (stats_key, raw_stats) = next(found), next(found)
+            if tf and raw is None:  # the block's first row
+                block, present = _ROW.pack(slot, tf) + _U32.pack(tf), False
+            elif tf and raw[-_LAST_SLOT] < slot:
+                # Past the block's last row: appended undecoded, and the
+                # trailer stays the exact maximum.
+                top = _U32.unpack_from(raw, len(raw) - _U32.size)[0]
+                block, present = raw[:-_U32.size] + _ROW.pack(slot, tf) + _U32.pack(max(top, tf)), False
+            else:
+                block, present = _edit_block(raw, doc_id, tf)
+            if block != raw:
+                view.put(key, block, key[:-_OID.size])
+            df, max_tf, min_len = _DF_RECORD.unpack(raw_stats) if raw_stats else (0, 0, 0)
+            df += (tf > 0) - present
+            if tf:
+                max_tf = max(max_tf, tf)
+                min_len = length if min_len == 0 else min(min_len, length)
+            # The bounds stay (conservative) until the last posting goes.
+            stats = _DF_RECORD.pack(df, max_tf, min_len) if df else None
+            if stats != raw_stats:
+                view.put(stats_key, stats)
 
     def _load_backlog(self) -> None:
         """Re-derive the overlay a crash lost: the ``R`` range, then the ``P``
@@ -668,13 +686,10 @@ class PersistentInvertedIndex:
                 records.setdefault(_OID.unpack_from(key, len(kind))[0], []).append(value)
             for doc_id, chunks in records.items():
                 if kind == _REMOVED_PREFIX:
-                    for term in _parse_doc(chunks)[1]:
-                        self._set_row(term, doc_id, 0)
+                    self._set_rows(doc_id, [(term, 0) for term in _parse_doc(chunks)[1]])
                     continue
                 length, positions = _parse_doc(self._doc_chunks(doc_id))
-                tfs = _decode_tfs(length, b"".join(chunks))
-                for term, tf in zip(positions, tfs):
-                    self._set_row(term, doc_id, tf, length)
+                self._set_rows(doc_id, zip(positions, _decode_tfs(length, b"".join(chunks))), length)
 
     def add_document(self, doc_id: int, text) -> int:
         """Index ``text`` under ``doc_id``; returns the number of terms stored.
@@ -696,8 +711,7 @@ class PersistentInvertedIndex:
                 for seq, chunk in enumerate(_chunked(payload)):
                     records[self._doc_key(doc_id, seq, kind)] = chunk
             self._write_through(doc_id, length, 1, records)
-            for term, tf in zip(occurrences, tfs):
-                self._set_row(term, doc_id, tf, length)
+            self._set_rows(doc_id, zip(occurrences, tfs), length)
             return len(occurrences)
 
     def remove_document(self, doc_id: int) -> bool:
@@ -723,8 +737,7 @@ class PersistentInvertedIndex:
                 for seq, chunk in enumerate(chunks):
                     records[self._doc_key(doc_id, seq, _REMOVED_PREFIX)] = chunk
             self._write_through(doc_id, length, -1, records)
-            for term in positions:
-                self._set_row(term, doc_id, 0)
+            self._set_rows(doc_id, [(term, 0) for term in positions])
             return True
 
     # --------------------------------------------------------------- settle

@@ -568,12 +568,20 @@ class ObjectStore:
         group: str = "root",
         mode: int = 0o644,
         attributes: Optional[Dict[str, str]] = None,
+        content: bytes = b"",
+        names: Iterable[str] = (),
     ) -> int:
-        """Create an empty object and return its OID."""
+        """Create an object and return its OID.
+
+        ``content`` is its first write and ``names`` its first name entries
+        (checked by the caller, see :meth:`check_name`): the metadata record
+        is written once, with the names in the same sorted master-tree batch.
+        """
         self._check_metadata_record(
             ObjectMetadata(owner=owner, group=group, mode=mode,
                            attributes=dict(attributes or {}))
         )
+        content = bytes(content)
         with self._txn():
             oid = self._next_oid
             self._next_oid += 1
@@ -592,7 +600,18 @@ class ObjectStore:
                 accessed_at=now,
                 attributes=dict(attributes or {}),
             )
-            self._save_metadata(oid, metadata)
+            if content:
+                self._content_generation += 1
+                self._store_data(self._extent_map(oid), 0, content)
+                metadata.size = len(content)
+                metadata.touch_modified(self._tick())
+                self.stats.bytes_written += len(content)
+            record = metadata.to_bytes()
+            # The metadata key (an 8-byte oid) sorts before every name key.
+            self._master.apply_sorted(
+                [(self._metadata_key(oid), lambda _old: record)]
+                + [(key, lambda _old: b"") for key in sorted({self._name_key(oid, name)
+                                                               for name in names})])
             self._live_objects += 1
             self.stats.objects_created += 1
             return oid
@@ -866,15 +885,18 @@ class ObjectStore:
         self.write(oid, offset, data)
         return offset
 
-    def read(self, oid: int, offset: int = 0, length: Optional[int] = None) -> bytes:
+    def read(self, oid: int, offset: int = 0, length: Optional[int] = None,
+             access: bool = True) -> bytes:
         """Read up to ``length`` bytes at ``offset`` (to end-of-object if None).
 
         With a content memo, a current entry answers without a tree read,
-        and a whole-object read of at most a page fills it.
+        and a whole-object read of at most a page fills it.  ``access=False``
+        is the engine's own read (re-indexing what a write just changed): it
+        records no access time and neither consults nor fills the memo.
         """
         if offset < 0:
             raise InvalidRangeError("offset must be non-negative")
-        cache = self.content_cache
+        cache = self.content_cache if access else None
         if cache is not None:
             # Taken before reading: a mutation that lands mid-read leaves
             # the stored entry already stale.
@@ -895,7 +917,8 @@ class ObjectStore:
                 continue
             result[overlap_start - offset:overlap_end - offset] = self._extent_bytes(
                 oid, extent, overlap_start - extent_offset, overlap_end - overlap_start)
-        self._note_read(oid, length)
+        if access:
+            self._note_read(oid, length)
         data = bytes(result)
         # A writer's read of its own open transaction stores nothing: the
         # entry would answer other sessions before (or without) the commit.

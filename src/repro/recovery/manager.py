@@ -233,6 +233,8 @@ class RecoveryManager:
         # stopped at unmount.
         self._flusher: Optional[threading.Thread] = None
         self._flusher_stop = threading.Event()
+        #: set by :meth:`stop_flusher`: no later commit starts another.
+        self._flusher_stopped = False
 
     # ------------------------------------------------------------ wiring
 
@@ -707,7 +709,7 @@ class RecoveryManager:
 
     def _maybe_start_flusher(self) -> None:
         """Start the idle-flush thread once; caller holds ``_commit_lock``."""
-        if self.sync_interval_ms <= 0:
+        if self.sync_interval_ms <= 0 or self._flusher_stopped:
             return
         if self._flusher is not None and self._flusher.is_alive():
             return
@@ -734,14 +736,21 @@ class RecoveryManager:
                     self.stats.flush_errors += 1
 
     def stop_flusher(self, timeout: float = 2.0) -> None:
-        """Stop the idle-flush thread (unmount); idempotent."""
-        flusher = self._flusher
+        """Stop the idle-flush thread for good (unmount); idempotent.
+
+        No later commit starts another — an unmount's own checkpoint commits
+        a transaction that would, and the thread's loop would then keep the
+        whole engine reachable.  A tail left unsynced after this waits for
+        the next sync, checkpoint or ``ensure_durable``.
+        """
+        with self._commit_lock:  # the lock _maybe_start_flusher runs under
+            self._flusher_stopped = True
+            flusher, stop, self._flusher = self._flusher, self._flusher_stop, None
         if flusher is None:
             return
-        self._flusher_stop.set()
+        stop.set()
         if flusher.is_alive():
             flusher.join(timeout)
-        self._flusher = None
 
     # ------------------------------------------------------------ checkpoints
 

@@ -66,6 +66,23 @@ class TestLightStem:
         assert light_stem("is") == "is"
         assert light_stem("bed") == "bed"
 
+    #: every suffix rule, each where it applies and where the three-letter
+    #: floor (or an earlier rule) stops it.
+    STEMS = {
+        "parties": "party", "ies": "ies", "pies": "pie",
+        "classes": "class", "sses": "sse", "asses": "ass",
+        "running": "runn", "ing": "ing", "sing": "sing",
+        "reportedly": "report", "edly": "edly", "fedly": "fedly",
+        "jumped": "jump", "ed": "ed", "bed": "bed",
+        "boxes": "box", "es": "es", "yes": "yes",
+        "photos": "photo", "cats": "cat", "gas": "gas", "is": "is", "s": "s", "ss": "ss",
+    }
+
+    def test_every_suffix_rule_stems_as_before_and_again_from_the_memo(self):
+        for _round in range(2):  # the second round is answered by the memo
+            assert {word: light_stem(word) for word in self.STEMS} == self.STEMS
+        assert light_stem.cache_info().maxsize == 1 << 16
+
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=20))
     def test_stemming_is_idempotent_enough(self, word):
         # Stemming a stem must not crash and must stay non-empty.

@@ -122,7 +122,7 @@ class TestDegradedSearch:
         fs.close()
 
 
-def quarantined_extent_leaf_fs(extent_leaf, count=150):
+def quarantined_extent_leaf_fs(extent_leaf, count=200):
     """A filesystem with its full-text root and the master-tree leaf holding
     a mid-corpus object's extents both quarantined beyond repair; returns
     ``(fs, oids, victims)``, victims being every oid with extents there."""
@@ -134,7 +134,8 @@ def quarantined_extent_leaf_fs(extent_leaf, count=150):
     ]
     fs.checkpoint()  # journal truncated: no WAL repair source
     leaf, victims = extent_leaf(fs, oids[count // 2])
-    # Tens of objects' extents share one 4 KB leaf: the corpus spans several.
+    # Tens of objects' extents share one 4 KB leaf (a full one holds ~90):
+    # the corpus spans several.
     assert 0 < len(victims) < count // 2
     for tree in (fs._fulltext_tree, fs.objects._master):
         tree.store._consumer.drop_all(write_back=True)  # no cached copy

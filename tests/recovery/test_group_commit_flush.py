@@ -12,7 +12,9 @@ with an idle flusher; these tests pin both halves:
   a crash/remount, without waiting for another writer.
 """
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -145,3 +147,29 @@ def test_durable_listener_fires_on_advance():
     assert advances[-1] == fs.recovery.journal.durable_lsn
     fs.recovery.remove_durable_listener(advances.append)
     fs.close()
+
+
+def flusher_threads():
+    return {thread for thread in threading.enumerate() if thread.name == "hfad-wal-flusher"}
+
+
+def test_close_leaves_no_flusher_and_the_filesystem_collectable():
+    """close()'s own checkpoint commits a transaction (the pending access
+    times) that fills no group: it must not re-arm the idle flusher, whose
+    loop would keep the closed filesystem reachable for good."""
+    earlier = flusher_threads()  # another test's unclosed filesystems
+    fs = HFADFileSystem()
+    oid = fs.create(b"hello world")
+    fs.close()
+    mounted = HFADFileSystem.mount(fs.device, group_commit=8)
+    mounted.tag(oid, "UDEF", "x")
+    assert mounted.read(oid) == b"hello world"  # an access time to flush at close
+    mounted.close()
+    assert flusher_threads() <= earlier
+    # Nothing re-arms it after close either.
+    mounted.tag(oid, "UDEF", "y")
+    assert flusher_threads() <= earlier
+    closed = weakref.ref(mounted)
+    del mounted
+    gc.collect()
+    assert closed() is None, "a closed filesystem is still reachable"
