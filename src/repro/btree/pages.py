@@ -17,11 +17,12 @@ page budget (the OSD does this for its master and index btrees).
 Node writes are buffered dirty in the pool and reach the device on eviction
 or :meth:`DevicePageStore.flush` — the classic write-behind buffer cache.
 
-When a :class:`~repro.recovery.manager.RecoveryManager` is attached, pages
-dirtied by an open transaction are pinned until it resolves (no-steal), and
-each is encoded, framed and logged to the WAL once, as its final image, when
-the transaction seals; the page is then stamped with that record's LSN.
-Without one the store is plain unlogged write-back.
+A device store has one configuration, the engine's: every page write joins
+a transaction of its :class:`~repro.recovery.manager.RecoveryManager`, the
+page stays pinned until that transaction resolves (no-steal), and it is
+encoded, framed and logged to the WAL once, as its final image, when the
+transaction seals; the page is then stamped with that record's LSN.  A
+page-in that fails its frame check is quarantined.
 """
 
 from __future__ import annotations
@@ -123,13 +124,14 @@ class DevicePageStore(PageStore):
     :param device: shared block device.
     :param allocator: buddy allocator managing the region pages come from.
     :param buffer_pool: the :class:`~repro.cache.buffer_pool.BufferPool` that
-        holds this store's pages, possibly shared with other stores.
+        holds this store's pages, possibly shared with other stores, with
+        ``recovery``'s WAL hook attached.
+    :param recovery: the :class:`~repro.recovery.manager.RecoveryManager`
+        whose transaction every page write joins (logged at its seal).
+    :param integrity: the :class:`~repro.integrity.IntegrityContext` shared
+        across the filesystem's stores — supplies the retrying device-read
+        path, the corruption counters and the page quarantine.
     :param name: consumer name under which pool statistics are reported.
-    :param recovery: optional :class:`~repro.recovery.manager.RecoveryManager`;
-        when set, every page a transaction writes is WAL-logged when it seals.
-    :param integrity: optional :class:`~repro.integrity.IntegrityContext`
-        shared across the filesystem's stores — supplies the retrying
-        device-read path, the corruption counters and the page quarantine.
     """
 
     def __init__(
@@ -137,9 +139,9 @@ class DevicePageStore(PageStore):
         device: BlockDevice,
         allocator: BuddyAllocator,
         buffer_pool: BufferPool,
+        recovery,
+        integrity,
         name: str = "btree",
-        recovery=None,
-        integrity=None,
     ) -> None:
         if PAGE_BYTES % device.block_size:
             raise ValueError(
@@ -167,9 +169,8 @@ class DevicePageStore(PageStore):
 
     def allocate(self) -> int:
         page_id = self.allocator.allocate(self.page_blocks)
-        if self.recovery is not None:
-            # The home holds a previous owner's bytes: no base for a delta.
-            self.recovery.journal.mark_allocated(page_id)
+        # The home holds a previous owner's bytes: no base for a delta.
+        self.recovery.journal.mark_allocated(page_id)
         return page_id
 
     def read(self, page_id: int):
@@ -181,27 +182,22 @@ class DevicePageStore(PageStore):
             # scrubber's first repair source for a page whose *device* bytes
             # have since rotted.
             return cached
-        if self.integrity is not None and self.integrity.is_quarantined(page_id):
+        if self.integrity.is_quarantined(page_id):
             # Fail fast: the device bytes are known-bad and unrepaired.
             self.integrity.stats.quarantined_reads += 1
             raise CorruptionError(f"page {page_id} is quarantined")
-        if self.integrity is not None:
-            raw = self.integrity.read_blocks(self.device, page_id, self.page_blocks)
-        else:
-            raw = self.device.read_blocks(page_id, self.page_blocks)
+        raw = self.integrity.read_blocks(self.device, page_id, self.page_blocks)
         op = current_operation()
         if op is not None:
             op.pages_read += 1  # a real device page-in (cache hits returned above)
-        if self.integrity is not None:
-            self.integrity.stats.checksum_verifications += 1
+        self.integrity.stats.checksum_verifications += 1
         try:
             raw = verify_frame(raw, context=f"page {page_id}")
         except CorruptionError:
-            if self.integrity is not None:
-                self.integrity.stats.checksum_failures += 1
-                # Remember the damage: re-reads fail fast, the query
-                # layer can degrade, and the scrubber knows to repair.
-                self.integrity.quarantine_page(page_id)
+            self.integrity.stats.checksum_failures += 1
+            # Remember the damage: re-reads fail fast, the query layer can
+            # degrade, and the scrubber knows to repair.
+            self.integrity.quarantine_page(page_id)
             raise
         node = decode_node(raw)
         self._consumer.put(page_id, node)
@@ -220,41 +216,31 @@ class DevicePageStore(PageStore):
                 f"(encoded node: {node.nbytes} bytes)"
             )
         self.writes += 1
-        lsn = None
-        if self.recovery is not None:
-            # Write-ahead: the page's redo record is logged when its
-            # transaction seals, and until then the WAL rule refuses to
-            # write the page home.
-            lsn = self.recovery.unsealed_lsn()
-        if self.integrity is not None:
-            # A fresh logged write supersedes any rotten on-device bytes:
-            # reads now come from the pool and the WAL will hold the image.
-            self.integrity.release_page(page_id)
+        # Write-ahead: the page's redo record is logged when its transaction
+        # seals, and until then the WAL rule refuses to write the page home.
+        lsn = self.recovery.unsealed_lsn()
+        # A fresh logged write supersedes any rotten on-device bytes: reads
+        # now come from the pool and the WAL will hold the image.
+        self.integrity.release_page(page_id)
         self._consumer.put(page_id, node, dirty=True, lsn=lsn)
-        if self.recovery is not None:
-            # No-steal: keep the uncommitted image out of home locations,
-            # and stage it to be encoded, framed and logged once at the seal.
-            self.recovery.protect(self._consumer, page_id, node)
+        # No-steal: keep the uncommitted image out of home locations, and
+        # stage it to be encoded, framed and logged once at the seal.
+        self.recovery.protect(self._consumer, page_id, node)
 
     def free(self, page_id: int) -> None:
-        if self.integrity is not None:
-            # A freed (possibly quarantined) page must not block the block's
-            # next life as a data chunk or another tree's page.
-            self.integrity.release_page(page_id)
-        if self.recovery is not None:
-            self.recovery.forget_page(self._consumer, page_id)
-            # Revoke the page's logged history: its block may be re-used for
-            # unlogged data, which a replay of stale images would corrupt.
-            self.recovery.log_revoke(page_id)
+        # A freed (possibly quarantined) page must not block the block's
+        # next life as a data chunk or another tree's page.
+        self.integrity.release_page(page_id)
+        self.recovery.forget_page(self._consumer, page_id)
+        # Revoke the page's logged history: its block may be re-used for
+        # unlogged data, which a replay of stale images would corrupt.
+        self.recovery.log_revoke(page_id)
         self._consumer.invalidate(page_id)
-        if self.recovery is not None:
-            # The block may be recycled for *unlogged* object data; hold it
-            # until the freeing transaction's frame is durable, or a
-            # crash could resurrect a tree whose page bytes were overwritten.
-            # A partial, not a lambda: fsck reads which block is pending.
-            self.recovery.on_durable(partial(self.allocator.free, page_id))
-        else:
-            self.allocator.free(page_id)
+        # The block may be recycled for *unlogged* object data; hold it until
+        # the freeing transaction's frame is durable, or a crash could
+        # resurrect a tree whose page bytes were overwritten.  A partial,
+        # not a lambda: fsck reads which block is pending.
+        self.recovery.on_durable(partial(self.allocator.free, page_id))
 
     def _write_page(self, page_id: int, node) -> None:
         """Buffer-pool write-back target: persist a (dirty) node."""
@@ -264,9 +250,8 @@ class DevicePageStore(PageStore):
             # Charged to whichever operation forced the write-back (eviction
             # or checkpoint) — deferred I/O is attributed where it happens.
             op.pages_written += 1
-        if self.integrity is not None:
-            # The device now holds verified-good bytes for this page.
-            self.integrity.release_page(page_id)
+        # The device now holds verified-good bytes for this page.
+        self.integrity.release_page(page_id)
 
     # ------------------------------------------------------------ scrub hooks
 

@@ -19,7 +19,7 @@ veneer and the benchmarks use:
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import BufferPool, GenerationMemo
@@ -27,6 +27,7 @@ from repro.core.access import ObjectHandle
 from repro.core.naming import NamingInterface, PairLike, as_pair
 from repro.core.query import Query, parse_query
 from repro.errors import (
+    CacheError,
     CorruptionError,
     DeviceError,
     IndexStoreError,
@@ -78,6 +79,19 @@ _HEALTH_LEVELS = {"ok": 0, "warn": 1, "fail": 2}
 # metadata record's ``hfad.ci`` attribute, read where it is needed.
 _RESERVED_ATTR = "hfad."      # attribute keys only the engine writes
 _ATTR_INDEXED = "hfad.ci"     # content-indexed flag
+_KEYWORD = TAG_FULLTEXT + "/"  # a durable name that joins the full-text document
+
+
+def _fulltext_document(content: Optional[bytes], names: Iterable[str]) -> Optional[bytes]:
+    """An object's full-text document: its ``content`` (``None`` when it is
+    not content-indexed), then the value of each of its ``FULLTEXT/...``
+    ``names``; ``None`` when it has neither.  With no such name it is
+    exactly the content."""
+    keywords = [name[len(_KEYWORD):].encode("utf-8") for name in names
+                if name.startswith(_KEYWORD)]
+    if not keywords:
+        return content
+    return b" ".join(keywords if content is None else [content, *keywords])
 
 
 def _require_pool_pages(cache_pages: int) -> None:
@@ -613,7 +627,7 @@ class HFADFileSystem:
         Automatic names follow Table 1: the creating user (USER/owner), the
         producing application (APP/name) when given, any manual annotations
         (UDEF/...), an optional POSIX path, and — when ``index_content`` is
-        true — the object's full text.
+        true — the object's full text (``FULLTEXT/...`` names join it).
         """
         names = self._check_names([
             TagValue(TAG_USER, owner),
@@ -630,13 +644,16 @@ class HFADFileSystem:
             attributes = {**(attributes or {}), _ATTR_INDEXED: "1"}
         with self._operation("create", path or ""), self._durable():
             # One metadata record, and every durable name entry in one batch.
+            spelled = [str(pair) for pair in names]
             oid = self.objects.create(owner=owner, attributes=attributes, content=content,
-                                      names=[str(pair) for pair in names])
+                                      names=spelled)
             for pair in names:
-                self._claim_path(oid, pair)
-                self.naming.add_name(oid, pair)
-            if index_content and content:
-                self.fulltext_index.index_content(oid, content)
+                if pair.tag != TAG_FULLTEXT:
+                    self._claim_path(oid, pair)
+                    self.naming.add_name(oid, pair)
+            document = _fulltext_document(content if index_content else None, spelled)
+            if document:
+                self.fulltext_index.index_content(oid, document)
             return oid
 
     # -- the one name path ----------------------------------------------------
@@ -645,7 +662,9 @@ class HFADFileSystem:
     # among many possible names", Section 3.1.1).  _add_name / _remove_name
     # are the only code that adds or removes one: the registry indexes it
     # (bumping the tag's generation) and one ``TAG/value`` master-tree entry,
-    # riding the enclosing WAL transaction, makes it survive a re-mount.
+    # riding the enclosing WAL transaction, makes it survive a re-mount.  A
+    # FULLTEXT name's entry is written first, then the object's whole
+    # full-text document is re-indexed from it (_fulltext_document).
 
     @staticmethod
     def _canonical(pair: PairLike) -> TagValue:
@@ -683,11 +702,21 @@ class HFADFileSystem:
                 self._remove_name(displaced, pair)
 
     def _add_name(self, oid: int, pair: TagValue) -> None:
+        if pair.tag == TAG_FULLTEXT:
+            self.objects.put_name(oid, str(pair))
+            self._index_fulltext(oid)
+            return
         self._claim_path(oid, pair)
         self.naming.add_name(oid, pair)
         self.objects.put_name(oid, str(pair))
 
     def _remove_name(self, oid: int, pair: TagValue) -> bool:
+        if pair.tag == TAG_FULLTEXT:
+            # The durable entry answers: the content may share its terms.
+            removed = self.objects.remove_name(oid, str(pair))
+            if removed:
+                self._index_fulltext(oid)
+            return removed
         removed = self.naming.remove_name(oid, pair)
         if removed and self.objects.exists(oid):
             self.objects.remove_name(oid, str(pair))
@@ -795,9 +824,26 @@ class HFADFileSystem:
         _reject_reserved_attributes(attributes)
         self.objects.set_attributes(oid, **attributes)
 
+    def _stored_document(self, oid: int, indexed: Optional[bool] = None) -> Optional[bytes]:
+        """The object's full-text document from its ground truth: its bytes
+        when ``indexed`` (default: its ``hfad.ci`` flag), its durable names."""
+        if indexed is None:
+            indexed = self.objects.stat(oid).attributes.get(_ATTR_INDEXED) == "1"
+        content = self.objects.read(oid, access=False) if indexed else None
+        return _fulltext_document(content, self.objects.names(oid))
+
+    def _index_fulltext(self, oid: int, indexed: Optional[bool] = None) -> None:
+        """Re-index the object's whole full-text document, or drop it from
+        the index when it has none."""
+        document = self._stored_document(oid, indexed)
+        if document is None:
+            self.fulltext_index.drop_content(oid)
+        else:
+            self.fulltext_index.index_content(oid, document)
+
     def _reindex_if_tracked(self, oid: int) -> None:
         if self.objects.stat(oid).attributes.get(_ATTR_INDEXED) == "1":
-            self.fulltext_index.index_content(oid, self.objects.read(oid, access=False))
+            self._index_fulltext(oid, indexed=True)
 
     def enable_content_indexing(self, oid: int) -> None:
         """Start tracking (and immediately index) the object's content."""
@@ -805,15 +851,16 @@ class HFADFileSystem:
             self._require_object(oid)
             with self._durable():
                 self.objects.set_attributes(oid, **{_ATTR_INDEXED: "1"})
-                self.fulltext_index.index_content(oid, self.objects.read(oid, access=False))
+                self._index_fulltext(oid, indexed=True)
 
     def disable_content_indexing(self, oid: int) -> None:
-        """Stop tracking the object's content and drop it from the index."""
+        """Stop tracking the object's content: its document keeps only its
+        ``FULLTEXT`` names, or leaves the index."""
         with self._operation("disable_content_indexing", f"oid={oid}"):
             self._require_object(oid)
             with self._durable():
                 self.objects.remove_attributes(oid, _ATTR_INDEXED)
-                self.fulltext_index.drop_content(oid)
+                self._index_fulltext(oid, indexed=False)
 
     # ------------------------------------------------------------------
     # naming interfaces
@@ -888,11 +935,12 @@ class HFADFileSystem:
         return result
 
     def search_text(self, text: str, limit: Optional[int] = None) -> List[int]:
-        """Full-text conjunction: objects containing every term of ``text``."""
-        terms = self.fulltext_index.index.analyzer.analyze_query(text)
-        if not terms:
+        """Full-text conjunction: objects containing every term of ``text``,
+        one ``FULLTEXT`` pair per kept token, as written (analyzed once)."""
+        tokens = self.fulltext_index.index.analyzer.query_tokens(text)
+        if not tokens:
             return []
-        return self.find(*[TagValue("FULLTEXT", term) for term in terms], limit=limit)
+        return self.find(*[TagValue(TAG_FULLTEXT, token) for token in tokens], limit=limit)
 
     def rank(self, text: str, limit: Optional[int] = 10):
         """BM25-ranked full-text search, best hit first.
@@ -951,25 +999,14 @@ class HFADFileSystem:
             live = self.objects.list_objects()
         except CorruptionError:
             live, partial = [], True
+        # Each object's document, derived as the healthy index's is.
         for oid in live:
             try:
-                if self.objects.stat(oid).attributes.get(_ATTR_INDEXED) == "1":
-                    content = self.objects.read(oid, access=False)
-                    if content:
-                        rescue.index_content(oid, content)
+                document = self._stored_document(oid)
+                if document:
+                    rescue.index_content(oid, document)
             except (CorruptionError, NoSuchObjectError):
                 partial = True
-        # Manual FULLTEXT keywords are persisted as master-tree name entries,
-        # not object content; fold them in so keyword-named objects stay
-        # findable while the posting tree is out of service.
-        try:
-            for oid in live:
-                for entry in self.objects.names(oid):
-                    pair = TagValue.parse(entry)
-                    if pair.tag == TAG_FULLTEXT:
-                        rescue.insert(pair.tag, pair.value, oid)
-        except (CorruptionError, NoSuchObjectError):
-            partial = True
         # The live routing, every store a caller registered and the
         # fallback included, with only the FULLTEXT store swapped for the
         # rescue index.
@@ -1112,7 +1149,8 @@ class HFADFileSystem:
         return self.recovery.transaction()
 
     def close(self) -> None:
-        """Checkpoint (clean unmount).
+        """Checkpoint (clean unmount), then drop the buffer pool's frames and
+        clear the memos.
 
         The checkpoint is best-effort: a dead device or a poisoned recovery
         manager must not turn teardown into a crash — recovery at the next
@@ -1123,10 +1161,16 @@ class HFADFileSystem:
             self.checkpoint()
         except (DeviceError, RecoveryError):
             pass
-        if self.content_cache is not None:
-            # Up to capacity × 4 KB of object bytes: a closed filesystem
-            # that is still referenced must not pin them.
-            self.content_cache.clear()
+        else:
+            # Every frame is clean now: a closed filesystem still referenced
+            # (until a cyclic collection) must not pin its pages, nor memos.
+            for consumer in self.buffer_pool.consumers.values():
+                with suppress(CacheError):  # a straggling writer's dirty page
+                    consumer.drop_all(write_back=False)
+        for memo in (self.content_cache, self.query_cache, self.ranked_cache,
+                     self.naming.planner._memo):
+            if memo is not None:
+                memo.clear()
 
     def __enter__(self) -> "HFADFileSystem":
         return self

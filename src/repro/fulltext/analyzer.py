@@ -70,17 +70,8 @@ class Analyzer:
 
     def analyze(self, text) -> List[str]:
         """Full pipeline: tokenize, drop stop words, stem, length-filter."""
-        tokens: List[str] = []
-        for token in self.tokenize(text):
-            if token in self.stop_words:
-                continue
-            if len(token) < self.min_token_length:
-                continue
-            token = token[: self.max_token_length]
-            if self.stem:
-                token = light_stem(token)
-            tokens.append(token)
-        return tokens
+        tokens = self.query_tokens(text)
+        return [light_stem(token) for token in tokens] if self.stem else tokens
 
     def analyze_with_positions(self, text) -> List[Tuple[str, int]]:
         """Like :meth:`analyze` but keeps each token's position in the stream.
@@ -101,3 +92,10 @@ class Analyzer:
     def analyze_query(self, text) -> List[str]:
         """Analyze a query string with the same pipeline as documents."""
         return self.analyze(text)
+
+    def query_tokens(self, text) -> List[str]:
+        """The tokens :meth:`analyze` keeps, unstemmed: a search's values,
+        which the index analyzes once (``glasses`` -> ``glass`` -> ``glas``:
+        stemming is not idempotent)."""
+        return [token[: self.max_token_length] for token in self.tokenize(text)
+                if token not in self.stop_words and len(token) >= self.min_token_length]

@@ -879,7 +879,11 @@ class PersistentInvertedIndex:
         posting-block cursors; a seek leaves its block by re-descending the
         tree in O(log n), so huge common terms are probed, never scanned.
         """
-        terms = self.analyzer.analyze_query(query)
+        return self._conjunction(self.analyzer.analyze_query(query), counter)
+
+    def _conjunction(self, terms: List[str],
+                     counter: Optional[ScanCounter] = None) -> DocIdCursor:
+        """The streaming intersection of already-analyzed ``terms``."""
         if not terms:
             return EmptyCursor()
         infos = self._query_dfs(terms)
@@ -896,8 +900,9 @@ class PersistentInvertedIndex:
         return list(self.cursor(query))
 
     def search_all(self, terms: Iterable[str]) -> List[int]:
-        """Conjunctive search over pre-split terms."""
-        return self.search(" ".join(terms))
+        """Conjunctive search over already-analyzed terms, taken as given:
+        analyzing a stem again can change it (``glass`` -> ``glas``)."""
+        return list(self._conjunction(list(terms)))
 
     def search_any(self, query) -> List[int]:
         """Disjunctive search: doc ids containing *any* query term."""

@@ -17,9 +17,10 @@ path — register, insert, route IMAGE lookups, conjoin with other tags — is
 identical either way, which is what the reproduction needs.
 
 The features live in one B+-tree, and the tree is their only copy: every
-lookup reads it, so a mount loads nothing.  In the filesystem that tree is
-on the device (its pages ride the buffer pool and the WAL like every other
-tree's); standalone it runs over in-memory pages.  Key layout::
+lookup reads it, so a mount loads nothing.  That tree is the filesystem's
+on-device image tree (its pages ride the buffer pool and the WAL like every
+other tree's), and every mutation is a transaction of the engine's recovery
+manager.  Key layout::
 
     H \\x00 oid(8)               -> 8 float64 histogram buckets (normalized)
     C \\x00 color \\x00 oid(8)    -> b""   (colour membership)
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import math
 import struct
-from contextlib import nullcontext
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.btree import BPlusTree
@@ -82,11 +82,10 @@ def _color_of(value: str) -> Optional[str]:
 class ImageIndexStore(IndexStore):
     """Colour-histogram index serving the IMAGE tag.
 
-    :param tree: the backing tree; a standalone store over in-memory pages
-        when omitted.
-    :param recovery: optional recovery manager; each mutation brackets
-        itself in one of its transactions, joining the enclosing filesystem
-        operation's.
+    :param tree: the backing tree, the filesystem's image tree.
+    :param recovery: the recovery manager logging ``tree``; each mutation
+        brackets itself in one of its transactions, joining the enclosing
+        filesystem operation's.
     :param similarity_threshold: the cosine score ``similar:`` requires.
 
     Similarity lookups must score every histogram before they know their
@@ -96,21 +95,16 @@ class ImageIndexStore(IndexStore):
 
     name = "image"
 
-    def __init__(self, tree: Optional[BPlusTree] = None, recovery=None,
+    def __init__(self, tree: BPlusTree, recovery,
                  similarity_threshold: float = 0.90) -> None:
         if not 0.0 < similarity_threshold <= 1.0:
             raise IndexStoreError("similarity_threshold must be in (0, 1]")
         self.similarity_threshold = similarity_threshold
-        self.tree = tree if tree is not None else BPlusTree()
-        self._recovery = recovery
+        self.tree = tree
+        self._txn = recovery.transaction
 
     def tags(self) -> Sequence[str]:
         return (TAG_IMAGE,)
-
-    def _txn(self):
-        if self._recovery is None:
-            return nullcontext()
-        return self._recovery.transaction()
 
     # ---------------------------------------------------------------- keys
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import struct
 import threading
 import zlib
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -86,20 +85,15 @@ class ObjectStore:
     The master btree (metadata, extent maps, name entries) lives on the
     device too, its pages allocated from the same allocator as the data.
 
-    :param device: block device for object data; a private device is created
-        when omitted.
-    :param allocator: buddy allocator over ``device``; created when omitted.
+    :param device, allocator, buffer_pool, recovery, integrity: the engine's
+        block device, buddy allocator (superblock and journal reserved),
+        shared pool (with the WAL hook), recovery manager and integrity
+        context.  Every public mutator runs as one WAL transaction (so a
+        multi-page update — btree split, extent re-keying, create/delete —
+        is atomic across a crash) and the store is re-mountable via
+        :meth:`mount`.  ``HFADFileSystem`` builds it (tests use that one).
     :param max_extent_blocks: cap on a single extent's size; larger writes are
         split into several extents.
-    :param buffer_pool: shared :class:`~repro.cache.BufferPool` for the
-        master btree; a private pool of the default size is created when
-        omitted.
-    :param recovery: optional :class:`~repro.recovery.manager.RecoveryManager`.
-        When set, every public mutator runs as one WAL transaction (so a
-        multi-page update — btree split, extent re-keying, create/delete —
-        is atomic across a crash), btree page writes are logged, and the
-        store is re-mountable via :meth:`mount`.  Without one (unit tests)
-        the store is not crash-safe.
     :param content_cache: optional :class:`~repro.cache.GenerationMemo` of
         whole objects of at most a page (oid → bytes): :meth:`read` fills
         it and answers from it, :meth:`probe_read` answers only from it.
@@ -107,21 +101,14 @@ class ObjectStore:
 
     def __init__(
         self,
-        device: Optional[BlockDevice] = None,
-        allocator: Optional[BuddyAllocator] = None,
+        device: BlockDevice,
+        allocator: BuddyAllocator,
+        buffer_pool: BufferPool,
+        recovery,
+        integrity,
         max_extent_blocks: int = 1024,
-        data_region_start: int = 0,
-        buffer_pool: Optional[BufferPool] = None,
-        recovery=None,
-        integrity=None,
         content_cache: Optional[GenerationMemo] = None,
     ) -> None:
-        if device is None:
-            device = BlockDevice(num_blocks=1 << 16)
-        if allocator is None:
-            allocator = BuddyAllocator(
-                total_blocks=device.num_blocks - data_region_start, base=data_region_start
-            )
         self._init_shared_state(
             device,
             max_extent_blocks=max_extent_blocks,
@@ -139,25 +126,20 @@ class ObjectStore:
         device: BlockDevice,
         *,
         max_extent_blocks: int,
-        buffer_pool: Optional[BufferPool],
+        buffer_pool: BufferPool,
         recovery,
-        integrity=None,
-        content_cache: Optional[GenerationMemo] = None,
+        integrity,
+        content_cache: Optional[GenerationMemo],
     ) -> None:
-        """Field initialization shared by ``__init__`` and :meth:`mount`.
-
-        The two construction paths used to duplicate ~15 assignments and had
-        started to diverge; everything that must be identical between a
-        fresh store and a re-mounted one lives here.  The allocator and the
-        master tree stay with the callers — those are exactly what mkfs and
-        mount build differently.
-        """
+        """Field initialization shared by ``__init__`` and :meth:`mount`;
+        the allocator and the master tree, which mkfs and mount build
+        differently, stay with the callers."""
         if max_extent_blocks <= 0:
             raise ValueError("max_extent_blocks must be positive")
         self.device = device
         self.max_extent_blocks = max_extent_blocks
         self.stats = ObjectStoreStats()
-        self.buffer_pool = buffer_pool if buffer_pool is not None else BufferPool()
+        self.buffer_pool = buffer_pool
         self.recovery = recovery
         #: shared integrity context (retrying reads, quarantine, counters).
         self.integrity = integrity
@@ -184,9 +166,9 @@ class ObjectStore:
         cls,
         device: BlockDevice,
         recovery,
-        buffer_pool: Optional[BufferPool] = None,
+        buffer_pool: BufferPool,
+        integrity,
         max_extent_blocks: int = 1024,
-        integrity=None,
         content_cache: Optional[GenerationMemo] = None,
     ) -> "ObjectStore":
         """Re-open a store from its recovered on-device state.
@@ -396,7 +378,7 @@ class ObjectStore:
         live = self.allocator
         reachable = BuddyAllocator(live.total_blocks, base=live.base)
         try:
-            if self.recovery is not None and self.recovery.state.get("data_region_start"):
+            if self.recovery.state["data_region_start"]:
                 reachable.reserve(0, self.recovery.state["data_region_start"])
             master_entries = self._reserve_tree_pages(self._master, reachable)
             for tree in self._index_trees:
@@ -405,8 +387,7 @@ class ObjectStore:
         except Exception as error:  # noqa: BLE001 — fsck reports, never raises
             errors.append(f"occupancy walk: {error}")
             return
-        deferred = self.recovery.deferred_actions() if self.recovery is not None else []
-        pending = {action.args[0] for action in deferred
+        pending = {action.args[0] for action in self.recovery.deferred_actions()
                    if getattr(action, "func", None) == live.free}
         have, want = live.live_allocations(), reachable.live_allocations()
         errors.extend(f"allocator: reachable block {block} is not allocated at order {order}"
@@ -424,27 +405,19 @@ class ObjectStore:
             self.device,
             self.allocator,
             self.buffer_pool,
+            self.recovery,
+            self.integrity,
             name=name,
-            recovery=self.recovery,
-            integrity=self.integrity,
         )
         return BPlusTree(store=page_store, **attach)
-
-    def _txn(self):
-        """One WAL transaction per public mutator (no-op without recovery)."""
-        if self.recovery is None:
-            return nullcontext()
-        return self.recovery.transaction()
 
     def _master_root_moved(self, root: int) -> None:
         # The master root is the one page nothing else points at; journal it
         # logically so a mount can find the tree again.
-        if self.recovery is not None:
-            self.recovery.log_meta({"master_root": root})
+        self.recovery.log_meta({"master_root": root})
 
     def _content_root_moved(self, root: int) -> None:
-        if self.recovery is not None:
-            self.recovery.log_meta({"content_root": root})
+        self.recovery.log_meta({"content_root": root})
 
     def _free_unnamed(self, extent_map: ExtentMap, removed: Iterable[ObjectExtent]) -> int:
         """Free each chunk or entry of the ``removed`` extents that no extent
@@ -475,13 +448,9 @@ class ObjectStore:
         durable (which group commit may delay past commit()) closes that
         window.
         """
-        if self.integrity is not None:
-            # A quarantined chunk's damage goes with it.
-            self.integrity.release_page(block)
-        if self.recovery is not None:
-            self.recovery.on_durable(partial(self.allocator.free, block))
-        else:
-            self.allocator.free(block)
+        # A quarantined chunk's damage goes with it.
+        self.integrity.release_page(block)
+        self.recovery.on_durable(partial(self.allocator.free, block))
 
     def flush_access_times(self) -> int:
         """Persist lazily-tracked access times (clean unmount / checkpoint).
@@ -501,7 +470,7 @@ class ObjectStore:
         # One bracketing transaction: one journal frame and one journal sync
         # for the whole batch, not one per object.  Its exclusive hold keeps
         # every object it checks alive until it is saved.
-        with self._txn():
+        with self.recovery.transaction():
             for oid in pending:
                 try:
                     # _require overlays the pending time; saving pops it.
@@ -582,13 +551,12 @@ class ObjectStore:
                            attributes=dict(attributes or {}))
         )
         content = bytes(content)
-        with self._txn():
+        with self.recovery.transaction():
             oid = self._next_oid
             self._next_oid += 1
-            if self.recovery is not None:
-                # next_oid is logical state only the superblock knows; log it
-                # so a crashed-then-replayed mount never reuses the id.
-                self.recovery.log_meta({"next_oid": self._next_oid})
+            # next_oid is logical state only the superblock knows; log it so
+            # a crashed-then-replayed mount never reuses the id.
+            self.recovery.log_meta({"next_oid": self._next_oid})
             now = self._tick()
             metadata = ObjectMetadata(
                 size=0,
@@ -623,7 +591,7 @@ class ObjectStore:
     def delete(self, oid: int) -> None:
         """Destroy the object and release every data chunk it owns."""
         self._require(oid)
-        with self._txn():
+        with self.recovery.transaction():
             self._content_generation += 1
             extent_map = self._extent_map(oid)
             self._free_unnamed(extent_map, extent_map.clear())
@@ -657,12 +625,12 @@ class ObjectStore:
     def put_name(self, oid: int, name: str) -> None:
         """Persist one name entry for the object (idempotent)."""
         self._require(oid)
-        with self._txn():
+        with self.recovery.transaction():
             self._master.put(self._name_key(oid, name), b"")
 
     def remove_name(self, oid: int, name: str) -> bool:
         """Drop one persisted name entry; returns True if it existed."""
-        with self._txn():
+        with self.recovery.transaction():
             try:
                 self._master.delete(self._name_key(oid, name))
                 return True
@@ -725,7 +693,7 @@ class ObjectStore:
         metadata = self._require(oid)
         metadata.attributes.update({key: str(value) for key, value in attributes.items()})
         self._check_metadata_record(metadata)  # before any page is logged
-        with self._txn():
+        with self.recovery.transaction():
             metadata.touch_modified(self._tick())
             self._save_metadata(oid, metadata)
 
@@ -733,7 +701,7 @@ class ObjectStore:
         """Delete free-form attributes; returns how many existed."""
         metadata = self._require(oid)
         removed = 0
-        with self._txn():
+        with self.recovery.transaction():
             for key in keys:
                 if metadata.attributes.pop(key, None) is not None:
                     removed += 1
@@ -749,14 +717,14 @@ class ObjectStore:
         if group is not None:
             metadata.group = group
         self._check_metadata_record(metadata)
-        with self._txn():
+        with self.recovery.transaction():
             metadata.touch_modified(self._tick())
             self._save_metadata(oid, metadata)
 
     def chmod(self, oid: int, mode: int) -> None:
         """Change the object's permission bits."""
         metadata = self._require(oid)
-        with self._txn():
+        with self.recovery.transaction():
             metadata.mode = mode
             metadata.touch_modified(self._tick())
             self._save_metadata(oid, metadata)
@@ -807,7 +775,7 @@ class ObjectStore:
                     f"object {oid}: content entry {extent.block} is missing")
             begin = extent.skip + start
             return value[begin:begin + length]
-        if self.integrity is not None and self.integrity.is_quarantined(extent.block):
+        if self.integrity.is_quarantined(extent.block):
             self.integrity.stats.quarantined_reads += 1
             raise CorruptionError(f"object {oid}: chunk at block {extent.block} is quarantined")
         raw = self.device.read_bytes(extent.block, extent.skip + start, length)
@@ -819,13 +787,11 @@ class ObjectStore:
         """Check ``raw``, all ``extent.size`` bytes of the extent's chunk,
         against its CRC; on a mismatch the chunk is quarantined and
         :class:`CorruptionError` raised."""
-        if self.integrity is not None:
-            self.integrity.stats.chunk_verifications += 1
+        self.integrity.stats.chunk_verifications += 1
         if zlib.crc32(raw) == extent.crc:
             return
-        if self.integrity is not None:
-            self.integrity.stats.chunk_crc_failures += 1
-            self.integrity.quarantine_page(extent.block)
+        self.integrity.stats.chunk_crc_failures += 1
+        self.integrity.quarantine_page(extent.block)
         raise CorruptionError(
             f"object {oid}: chunk at block {extent.block} fails its CRC "
             f"(crc32 {zlib.crc32(raw):08x}, written {extent.crc:08x})")
@@ -847,7 +813,7 @@ class ObjectStore:
             # A quarantined extent leaf: check the chunks found before it.
             errors.append(f"chunk scan stopped: {error}")
         for oid, extent in chunks.values():
-            if self.integrity is not None and self.integrity.is_quarantined(extent.block):
+            if self.integrity.is_quarantined(extent.block):
                 errors.append(f"object {oid}: chunk at block {extent.block} is quarantined")
                 continue
             try:
@@ -868,7 +834,7 @@ class ObjectStore:
         data = bytes(data)
         if not data:
             return 0
-        with self._txn():
+        with self.recovery.transaction():
             self._content_generation += 1
             extent_map = self._extent_map(oid)
             self._free_unnamed(extent_map, extent_map.punch(offset, offset + len(data)))
@@ -923,7 +889,7 @@ class ObjectStore:
         # A writer's read of its own open transaction stores nothing: the
         # entry would answer other sessions before (or without) the commit.
         if (cache is not None and length == metadata.size <= PAGE_BYTES
-                and (self.recovery is None or not self.recovery.in_transaction)):
+                and not self.recovery.in_transaction):
             cache.store(oid, data, token)
         return data
 
@@ -981,7 +947,7 @@ class ObjectStore:
         data = bytes(data)
         if not data:
             return 0
-        with self._txn():
+        with self.recovery.transaction():
             self._content_generation += 1
             extent_map = self._extent_map(oid)
             extent_map.split_at(offset)
@@ -1005,7 +971,7 @@ class ObjectStore:
             raise InvalidRangeError("offset/length must be non-negative")
         if offset >= metadata.size or length == 0:
             return 0
-        with self._txn():
+        with self.recovery.transaction():
             self._content_generation += 1
             end = min(offset + length, metadata.size)
             extent_map = self._extent_map(oid)
@@ -1029,7 +995,7 @@ class ObjectStore:
         if new_size < metadata.size:
             self.remove_range(oid, new_size, metadata.size - new_size)
         elif new_size > metadata.size:
-            with self._txn():
+            with self.recovery.transaction():
                 self._content_generation += 1
                 metadata = self._require(oid)
                 metadata.size = new_size
@@ -1049,7 +1015,7 @@ class ObjectStore:
         """
         metadata = self._require(oid)
         contents = self.read(oid, 0, metadata.size)
-        with self._txn():
+        with self.recovery.transaction():
             self._content_generation += 1
             extent_map = self._extent_map(oid)
             freed = self._free_unnamed(extent_map, extent_map.clear())

@@ -41,12 +41,13 @@ class RefinementSession:
         return self.ls()
 
     def cd_text(self, text: str) -> List[int]:
-        """Push one FULLTEXT constraint per analyzed term of ``text``."""
-        terms = self.fs.fulltext_index.index.analyzer.analyze_query(text)
-        if not terms:
+        """Push one FULLTEXT constraint per token of ``text`` the analyzer
+        keeps, as written (the index analyzes each value once)."""
+        tokens = self.fs.fulltext_index.index.analyzer.query_tokens(text)
+        if not tokens:
             raise NamingError(f"no searchable terms in {text!r}")
-        for term in terms:
-            self._constraints.append(TagValue(TAG_FULLTEXT, term))
+        for token in tokens:
+            self._constraints.append(TagValue(TAG_FULLTEXT, token))
         return self.ls()
 
     def up(self) -> Optional[TagValue]:

@@ -482,19 +482,21 @@ class Server:
         limit = _natural(request, "limit", None, nullable=True)
         page = _natural(request, "page", self.config.page_size, nullable=True)
         naming = self.fs.naming
-        terms = self.fs.fulltext_index.index.analyzer.analyze_query(text)
+        # The pairs HFADFileSystem.search_text builds: one per kept token,
+        # as written, so the probe and the worker ask the same question.
+        tokens = self.fs.fulltext_index.index.analyzer.query_tokens(text)
         if session.scope:
             # Scoped search: the FULLTEXT conjunction composes with the
             # session scope like any other query.
-            if not terms:
+            if not tokens:
                 return self._paged(session, page, [])
             query = session.apply_scope(
-                And([TagTerm(TAG_FULLTEXT, term) for term in terms]))
+                And([TagTerm(TAG_FULLTEXT, token) for token in tokens]))
             oids = await self._read(
                 session, "search", lambda: naming.probe_query(query, limit),
                 lambda: self.fs.query(query, limit=limit))
         else:
-            pairs = [TagValue(TAG_FULLTEXT, term) for term in terms]
+            pairs = [TagValue(TAG_FULLTEXT, token) for token in tokens]
             oids = await self._read(
                 session, "search", lambda: naming.probe_resolve(pairs, limit),
                 lambda: self.fs.search_text(text, limit=limit))

@@ -2,19 +2,19 @@
 
 Held against a dict model over mixed insert / replace / delete / no-op
 batches, on a count-limited tree (splits and merges by key count) and a
-byte-limited one (a device page store, splits by encoded size).
+byte-limited one (a logged device page store, splits by encoded size; each
+batch is one transaction, as each index edit is in the engine).
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BPlusTree, DevicePageStore
-from repro.cache import BufferPool
+from repro.btree import BPlusTree
 from repro.errors import BTreeError
-from repro.storage import BlockDevice, BuddyAllocator
 
 
 def key(i: int) -> bytes:
@@ -25,20 +25,23 @@ def count_limited():
     return BPlusTree(max_keys=4)
 
 
-def byte_limited():
-    device = BlockDevice(num_blocks=1 << 14, block_size=512)
-    store = DevicePageStore(device, BuddyAllocator(total_blocks=1 << 14),
-                            BufferPool(capacity=16))
-    return BPlusTree(store=store)
+def make_tree(kind, logged_stack):
+    """``(tree, transaction)``: a count-limited in-memory tree, or a
+    byte-limited one over a logged device store and its transactions."""
+    if kind == "count_limited":
+        return count_limited(), nullcontext
+    stack = logged_stack(cache_pages=16, journal_blocks=256, num_blocks=1 << 14)
+    return stack.tree(), stack.recovery.transaction
 
 
 def setter(value):
     return lambda _old: value
 
 
-def apply_batch(tree, model, batch):
+def apply_batch(tree, model, batch, txn=nullcontext):
     """Apply ``{key number: new value or None}`` to the tree and to the model."""
-    tree.apply_sorted([(key(i), setter(batch[i])) for i in sorted(batch)])
+    with txn():
+        tree.apply_sorted([(key(i), setter(batch[i])) for i in sorted(batch)])
     for i, value in batch.items():
         if value is None:
             model.pop(key(i), None)
@@ -79,18 +82,18 @@ batches = st.lists(
 
 class TestAgainstDictModel:
     @settings(max_examples=60, deadline=None)
-    @given(batches, st.sampled_from([count_limited, byte_limited]))
-    def test_mixed_batches(self, script, make_tree):
-        tree, model = make_tree(), {}
+    @given(batches, st.sampled_from(["count_limited", "byte_limited"]))
+    def test_mixed_batches(self, logged_stack, script, kind):
+        (tree, txn), model = make_tree(kind, logged_stack), {}
         for batch in script:
-            apply_batch(tree, model, batch)
+            apply_batch(tree, model, batch, txn)
             assert_matches(tree, model)
 
-    @pytest.mark.parametrize("make_tree", [count_limited, byte_limited])
-    def test_seeded_churn_splits_and_underflows(self, make_tree):
+    @pytest.mark.parametrize("kind", ["count_limited", "byte_limited"])
+    def test_seeded_churn_splits_and_underflows(self, logged_stack, kind):
         # Growth then shrinkage: the first batches must split leaves, the
         # last must empty them, and both must have gone through put/delete.
-        tree, model, calls = make_tree(), {}, {"put": 0, "delete": 0}
+        (tree, txn), model, calls = make_tree(kind, logged_stack), {}, {"put": 0, "delete": 0}
         count_fallbacks(tree, calls)
         # Values a count-limited leaf holds four of, and a page a dozen of.
         scale = 1 if tree.node_byte_limit is None else 8
@@ -103,7 +106,7 @@ class TestAgainstDictModel:
                 batch[i] = bytes(scale * rng.randrange(1, 60)) if grow else None
             for i in rng.sample(sorted(model), min(5, len(model))):
                 batch[int(i[1:])] = model[i]  # no-op: the value it already has
-            apply_batch(tree, model, batch)
+            apply_batch(tree, model, batch, txn)
             assert_matches(tree, model)
         assert tree.depth() > 1
         assert calls["put"] > 0 and calls["delete"] > 0

@@ -10,7 +10,6 @@ from repro.btree import BPlusTree, DevicePageStore
 from repro.btree.node import LEAF_ENTRY_OVERHEAD, NODE_OVERHEAD
 from repro.cache import BufferPool
 from repro.errors import BTreeError, KeyNotFoundError
-from repro.storage import BlockDevice, BuddyAllocator
 
 
 def key(i: int) -> bytes:
@@ -240,36 +239,43 @@ class TestCursors:
 
 
 class TestDevicePageStore:
-    def make_device_tree(self, cache_pages=16):
-        device = BlockDevice(num_blocks=1 << 14, block_size=512)
-        allocator = BuddyAllocator(total_blocks=1 << 14)
-        store = DevicePageStore(device, allocator, BufferPool(capacity=cache_pages))
-        return BPlusTree(store=store), device, store
+    @pytest.fixture
+    def make_device_tree(self, logged_stack):
+        def make(cache_pages=16):
+            stack = logged_stack(cache_pages=cache_pages, journal_blocks=256,
+                                 num_blocks=1 << 14)
+            return stack.tree(), stack
+        return make
 
-    def test_roundtrip_through_device(self):
-        tree, device, store = self.make_device_tree()
-        for i in range(200):
-            tree.put(key(i), value(i))
-        store.drop_cache()  # write-back, then a cold pool: lookups page in
+    def test_roundtrip_through_device(self, make_device_tree):
+        tree, stack = make_device_tree()
+        with stack.recovery.transaction():
+            for i in range(200):
+                tree.put(key(i), value(i))
+        reads = stack.device.stats.reads
+        stack.store.drop_cache()  # write-back, then a cold pool: lookups page in
         for i in range(200):
             assert tree.lookup(key(i)) == value(i)
-        assert device.stats.writes > 0
-        assert device.stats.reads > 0
+        assert stack.store._consumer.stats.writebacks > 0
+        assert stack.device.stats.reads > reads
 
-    def test_persistence_is_real_blocks(self):
-        tree, device, store = self.make_device_tree()
-        tree.put(b"durable", b"yes")
-        store.flush()
+    def test_persistence_is_real_blocks(self, make_device_tree):
+        tree, stack = make_device_tree()
+        with stack.recovery.transaction():
+            tree.put(b"durable", b"yes")
+        stack.store.flush()
         # Reading through a second store (a cold pool) over the same device
         # must see the data.
-        fresh_store = DevicePageStore(device, store.allocator, BufferPool(capacity=1))
+        fresh_store = stack.page_store(pool=BufferPool(capacity=1))
         node = fresh_store.read(tree._root_id)
         assert b"durable" in node.keys
 
-    def test_cache_absorbs_repeated_reads(self):
-        tree, device, store = self.make_device_tree(cache_pages=64)
-        for i in range(100):
-            tree.put(key(i), value(i))
+    def test_cache_absorbs_repeated_reads(self, make_device_tree):
+        tree, stack = make_device_tree(cache_pages=64)
+        device, store = stack.device, stack.store
+        with stack.recovery.transaction():
+            for i in range(100):
+                tree.put(key(i), value(i))
         before = device.stats.reads
         for _ in range(10):
             tree.lookup(key(50))
@@ -282,51 +288,61 @@ class TestDevicePageStore:
         uncached_reads = device.stats.reads - before
         assert cached_reads < uncached_reads
 
-    def test_invariants_on_device_tree(self):
-        tree, _device, _store = self.make_device_tree()
-        for i in range(300):
-            tree.put(key(i), value(i))
-        for i in range(0, 300, 3):
-            tree.delete(key(i))
+    def test_invariants_on_device_tree(self, make_device_tree):
+        tree, stack = make_device_tree()
+        with stack.recovery.transaction():
+            for i in range(300):
+                tree.put(key(i), value(i))
+        with stack.recovery.transaction():
+            for i in range(0, 300, 3):
+                tree.delete(key(i))
         tree.check_invariants()
 
-    def test_fat_values_split_by_bytes_instead_of_overflowing(self):
+    def test_fat_values_split_by_bytes_instead_of_overflowing(self, make_device_tree):
         # Nodes used to overflow their page when values were fat; trees over
         # a page store now split on *encoded bytes*, so this just works.
-        tree, _device, store = self.make_device_tree()
-        for i in range(64):
-            tree.put(key(i), bytes(600))
+        tree, stack = make_device_tree()
+        with stack.recovery.transaction():
+            for i in range(64):
+                tree.put(key(i), bytes(600))
         tree.check_invariants()
         for i in range(64):
             assert tree.lookup(key(i)) == bytes(600)
         # Every live node respects the page budget.
-        assert tree.node_byte_limit == store.page_bytes
+        assert tree.node_byte_limit == stack.store.page_bytes
 
-    def test_growing_value_in_place_splits_by_bytes(self):
-        tree, _device, store = self.make_device_tree()
-        for i in range(8):
-            tree.put(key(i), b"small")
-        for i in range(8):  # grow each value in place past a page's worth
-            tree.put(key(i), bytes(store.page_bytes // 4))
+    def test_growing_value_in_place_splits_by_bytes(self, make_device_tree):
+        tree, stack = make_device_tree()
+        page_bytes = stack.store.page_bytes
+        with stack.recovery.transaction():
+            for i in range(8):
+                tree.put(key(i), b"small")
+            for i in range(8):  # grow each value in place past a page's worth
+                tree.put(key(i), bytes(page_bytes // 4))
         tree.check_invariants()
         for i in range(8):
-            assert tree.lookup(key(i)) == bytes(store.page_bytes // 4)
+            assert tree.lookup(key(i)) == bytes(page_bytes // 4)
 
-    def test_single_value_larger_than_page_still_rejected(self):
-        tree, _device, store = self.make_device_tree()
+    def test_single_value_larger_than_page_still_rejected(self, make_device_tree):
+        tree, stack = make_device_tree()
         with pytest.raises(BTreeError):
-            tree.put(b"giant", bytes(store.page_bytes + 1))
+            with stack.recovery.transaction():
+                tree.put(b"giant", bytes(stack.store.page_bytes + 1))
+        # Refused before any page was logged: the engine is still usable.
+        assert not stack.recovery.poisoned
 
 
 class TestByteOccupancy:
     """Over a store with a page size, bytes alone decide when a node splits,
-    underflows, lends and merges; ``max_keys`` plays no part."""
+    underflows, lends and merges; ``max_keys`` plays no part.  Each edit is
+    a transaction of its own, as the engine runs them."""
 
-    def make_tree(self):
-        device = BlockDevice(num_blocks=1 << 14, block_size=512)
-        allocator = BuddyAllocator(total_blocks=1 << 14)
-        store = DevicePageStore(device, allocator, BufferPool(capacity=64))
-        return BPlusTree(store=store, max_keys=3), store
+    @pytest.fixture
+    def make_tree(self, logged_stack):
+        def make():
+            stack = logged_stack(cache_pages=64, journal_blocks=256, num_blocks=1 << 14)
+            return stack.tree(max_keys=3), stack.store, stack.recovery.transaction
+        return make
 
     def non_root_sizes(self, tree):
         sizes, stack = [], [tree.root_id]
@@ -337,54 +353,62 @@ class TestByteOccupancy:
                 sizes.extend(tree.store.read(child).nbytes for child in node.children)
         return sizes
 
-    def test_a_leaf_holds_a_page_of_entries_whatever_max_keys_says(self):
-        tree, store = self.make_tree()
+    def test_a_leaf_holds_a_page_of_entries_whatever_max_keys_says(self, make_tree):
+        tree, store, txn = make_tree()
         entry = LEAF_ENTRY_OVERHEAD + len(key(0)) + 100
         fits = (store.page_bytes - NODE_OVERHEAD) // entry
-        for i in range(fits):
-            tree.put(key(i), bytes(100))
+        with txn():
+            for i in range(fits):
+                tree.put(key(i), bytes(100))
         assert tree.depth() == 1
-        tree.put(key(fits), bytes(100))
+        with txn():
+            tree.put(key(fits), bytes(100))
         assert tree.depth() == 2
         tree.check_invariants()
 
-    def test_deletes_keep_every_node_a_quarter_page(self):
-        tree, store = self.make_tree()
+    def test_deletes_keep_every_node_a_quarter_page(self, make_tree):
+        tree, store, txn = make_tree()
         for i in range(2000):
-            tree.put(key(i), bytes(400))
+            with txn():
+                tree.put(key(i), bytes(400))
         assert tree.depth() == 3
         order = list(range(2000))
         random.Random(3).shuffle(order)
         for done, i in enumerate(order[:-5], 1):
-            tree.delete(key(i))
+            with txn():
+                tree.delete(key(i))
             if done % 100 == 0:
                 tree.check_invariants()
                 # Entries this small never leave a node stuck under a quarter.
                 assert all(size >= store.page_bytes // 4 for size in self.non_root_sizes(tree))
         assert tree.depth() == 1 and len(tree) == 5
 
-    def test_replacing_values_with_smaller_ones_merges_the_leaves(self):
-        tree, store = self.make_tree()
+    def test_replacing_values_with_smaller_ones_merges_the_leaves(self, make_tree):
+        tree, store, txn = make_tree()
         for i in range(300):
-            tree.put(key(i), bytes(200))
+            with txn():
+                tree.put(key(i), bytes(200))
         leaves_before = len(self.non_root_sizes(tree))
         for i in range(300):
-            tree.put(key(i), b"")  # the keys stay: no delete ever runs
+            with txn():
+                tree.put(key(i), b"")  # the keys stay: no delete ever runs
         tree.check_invariants()
         sizes = self.non_root_sizes(tree)
         assert len(sizes) < leaves_before / 4
         assert all(size >= store.page_bytes // 4 for size in sizes)
         assert [k for k, _ in tree.items()] == [key(i) for i in range(300)]
 
-    def test_a_sibling_lends_while_it_keeps_a_quarter_page_then_merges(self):
-        tree, store = self.make_tree()
-        for i in range(50):  # ascending: the split leaves the left leaf half full
-            tree.put(key(i), bytes(100))
+    def test_a_sibling_lends_while_it_keeps_a_quarter_page_then_merges(self, make_tree):
+        tree, store, txn = make_tree()
+        with txn():
+            for i in range(50):  # ascending: the split leaves the left leaf half full
+                tree.put(key(i), bytes(100))
         left_id, right_id = tree.store.read(tree.root_id).children
         left_keys = len(tree.store.read(left_id).keys)
         lent = 0
         for i in reversed(range(50)):  # drain the tree from its right end
-            tree.delete(key(i))
+            with txn():
+                tree.delete(key(i))
             tree.check_invariants()
             if tree.depth() == 1:
                 break
@@ -396,12 +420,12 @@ class TestByteOccupancy:
         assert 0 < lent < left_keys
         assert tree.depth() == 1 and len(tree) > 0
 
-    def test_every_node_written_knows_its_encoded_size(self, monkeypatch):
+    def test_every_node_written_knows_its_encoded_size(self, make_tree, monkeypatch):
         # A page write checks the page budget against ``nbytes`` and leaves
         # the encode to the seal or the write-back, so the count kept edit by
         # edit must be the encoding's length through splits, lends, merges
         # and values that grow and shrink.
-        tree, _store = self.make_tree()
+        tree, _store, txn = make_tree()
         written = []
         write = DevicePageStore.write
         monkeypatch.setattr(DevicePageStore, "write",
@@ -410,10 +434,11 @@ class TestByteOccupancy:
         rng = random.Random(7)
         for _ in range(1500):
             i = rng.randrange(300)
-            if rng.random() < 0.3:
-                tree.pop(key(i), None)
-            else:
-                tree.put(key(i), bytes(rng.randrange(1, 160)))
+            with txn():
+                if rng.random() < 0.3:
+                    tree.pop(key(i), None)
+                else:
+                    tree.put(key(i), bytes(rng.randrange(1, 160)))
             for node in written:
                 assert node.nbytes == len(node.encode())
             written.clear()
@@ -495,29 +520,33 @@ class TestByteBalancedSplits:
     fat boundary entry over the page budget; the byte-balancing split must
     isolate fat entries at either end of the leaf."""
 
-    def make_tree(self):
-        device = BlockDevice(num_blocks=1 << 12, block_size=512)
-        allocator = BuddyAllocator(total_blocks=1 << 12)
-        store = DevicePageStore(device, allocator, BufferPool(capacity=16))
-        return BPlusTree(store=store), store
+    @pytest.fixture
+    def make_tree(self, logged_stack):
+        def make():
+            stack = logged_stack(cache_pages=16, journal_blocks=128)
+            return stack.tree(), stack.store, stack.recovery.transaction
+        return make
 
-    def test_split_isolates_a_fat_trailing_value(self):
-        tree, store = self.make_tree()
+    def test_split_isolates_a_fat_trailing_value(self, make_tree):
+        tree, store, txn = make_tree()
         fat = store.page_bytes // 2 + store.page_bytes // 4
-        for i in range(80):
-            tree.put(key(i), b"tiny")
+        with txn():
+            for i in range(80):
+                tree.put(key(i), b"tiny")
         assert tree.depth() == 1
-        tree.put(b"\xff-last", bytes(fat))  # sorts after every small key
+        with txn():
+            tree.put(b"\xff-last", bytes(fat))  # sorts after every small key
         assert tree.depth() == 2
         tree.check_invariants()
         assert tree.lookup(b"\xff-last") == bytes(fat)
 
-    def test_split_isolates_a_fat_leading_value(self):
-        tree, store = self.make_tree()
+    def test_split_isolates_a_fat_leading_value(self, make_tree):
+        tree, store, txn = make_tree()
         fat = store.page_bytes // 2 + store.page_bytes // 4
-        tree.put(b"\x00-first", bytes(fat))  # sorts before every small key
-        for i in range(80):
-            tree.put(key(i), b"tiny")
+        with txn():
+            tree.put(b"\x00-first", bytes(fat))  # sorts before every small key
+            for i in range(80):
+                tree.put(key(i), b"tiny")
         assert tree.depth() == 2
         tree.check_invariants()
         assert tree.lookup(b"\x00-first") == bytes(fat)

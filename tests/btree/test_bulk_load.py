@@ -10,10 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BPlusTree, DevicePageStore
-from repro.cache import BufferPool
+from repro.btree import BPlusTree
 from repro.errors import BTreeError
-from repro.storage import BlockDevice, BuddyAllocator
 
 MAX_KEYS = (3, 4, 64)
 
@@ -121,13 +119,6 @@ class TestAfterTheBuild:
             assert list(tree.items()) == sorted(model.items())
 
 
-def byte_limited():
-    device = BlockDevice(num_blocks=1 << 12, block_size=512)
-    store = DevicePageStore(device, BuddyAllocator(total_blocks=1 << 12),
-                            BufferPool(capacity=16))
-    return BPlusTree(store=store)
-
-
 class TestRejected:
     @pytest.mark.parametrize("numbers", [[2, 1], [1, 1], [1, 3, 2], [0, 1, 2, 2]])
     def test_unsorted_or_duplicate_keys(self, numbers):
@@ -150,8 +141,11 @@ class TestRejected:
             tree.bulk_load(items_of([2, 3]))
         assert list(tree.keys()) == [key(1)]
 
-    def test_a_store_with_a_page_size(self):
-        tree = byte_limited()
+    def test_a_store_with_a_page_size(self, logged_stack):
+        stack = logged_stack()
+        tree = stack.tree()
         with pytest.raises(BTreeError):
-            tree.bulk_load(items_of([1, 2]))
+            with stack.recovery.transaction():
+                tree.bulk_load(items_of([1, 2]))
         assert len(tree) == 0
+        assert not stack.recovery.poisoned

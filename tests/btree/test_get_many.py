@@ -5,38 +5,33 @@ counted: keys that share a leaf cost one descent, a key past the leaf's
 upper bound one more.
 """
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BPlusTree, DevicePageStore
-from repro.cache import BufferPool
+from repro.btree import BPlusTree
 from repro.errors import BTreeError
-from repro.storage import BlockDevice, BuddyAllocator
 
 
 def key(i: int) -> bytes:
     return b"k%05d" % i
 
 
-def byte_limited():
-    device = BlockDevice(num_blocks=1 << 14, block_size=512)
-    store = DevicePageStore(device, BuddyAllocator(total_blocks=1 << 14),
-                            BufferPool(capacity=16))
-    return BPlusTree(store=store)
-
-
-TREES = [lambda: BPlusTree(max_keys=3), lambda: BPlusTree(max_keys=4),
-         lambda: BPlusTree(max_keys=64), byte_limited]
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(st.integers(0, 300), st.binary(max_size=40), max_size=200),
-       st.sets(st.integers(0, 320), max_size=60), st.sampled_from(TREES))
-def test_matches_one_get_per_key(contents, wanted, make_tree):
-    tree = make_tree()
-    for i, value in contents.items():
-        tree.put(key(i), value)
+       st.sets(st.integers(0, 320), max_size=60), st.sampled_from([3, 4, 64, None]))
+def test_matches_one_get_per_key(logged_stack, contents, wanted, max_keys):
+    # max_keys None: a byte-limited tree over a logged device store.
+    if max_keys is None:
+        stack = logged_stack(cache_pages=16, journal_blocks=256, num_blocks=1 << 14)
+        tree, txn = stack.tree(), stack.recovery.transaction
+    else:
+        tree, txn = BPlusTree(max_keys=max_keys), nullcontext
+    with txn():
+        for i, value in contents.items():
+            tree.put(key(i), value)
     keys = [key(i) for i in sorted(wanted)]
     assert tree.get_many(keys) == [contents.get(i) for i in sorted(wanted)]
     assert tree.get_many(keys) == [tree.get(k) for k in keys]

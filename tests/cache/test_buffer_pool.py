@@ -213,9 +213,9 @@ class TestStats:
     def test_osd_delete_churn_does_not_leak_consumers(self):
         # Regression: object churn must not grow the pool's consumer list
         # (objects once had a tree, and a consumer, each).
-        from repro.osd.object_store import ObjectStore
+        from repro.core import HFADFileSystem
 
-        store = ObjectStore(buffer_pool=BufferPool(capacity=16))
+        store = HFADFileSystem(cache_pages=16).objects
         baseline = len(store.buffer_pool.consumers)
         for _ in range(10):
             oid = store.create()
@@ -226,9 +226,9 @@ class TestStats:
     def test_osd_delete_churn_does_not_leak_device_blocks(self):
         # Regression: a dead object's chunks and the master-tree pages its
         # extents grew must go back to the buddy allocator.
-        from repro.osd.object_store import ObjectStore
+        from repro.core import HFADFileSystem
 
-        store = ObjectStore(buffer_pool=BufferPool(capacity=16))
+        store = HFADFileSystem(cache_pages=16).objects
         oid = store.create()
         store.write(oid, 0, b"prime")
         store.delete(oid)

@@ -67,14 +67,23 @@ class TestFullTextIndexStore:
 
 
 class TestImageIndexStore:
+    @pytest.fixture
+    def make_store(self, logged_stack):
+        """An image store over a tree of a logged device store, as the
+        filesystem builds it."""
+        def make(**kwargs):
+            stack = logged_stack(journal_blocks=64)
+            return ImageIndexStore(stack.tree(), stack.recovery, **kwargs)
+        return make
+
     def red_histogram(self):
         return [10, 0, 0, 0, 0, 0, 0, 1]
 
     def blue_histogram(self):
         return [0, 0, 0, 0, 1, 10, 0, 0]
 
-    def test_index_histogram_and_color_lookup(self):
-        store = ImageIndexStore()
+    def test_index_histogram_and_color_lookup(self, make_store):
+        store = make_store()
         assert store.index_histogram(1, self.red_histogram()) == "red"
         store.index_histogram(2, self.blue_histogram())
         assert store.lookup(TAG_IMAGE, "color:red") == [1]
@@ -83,8 +92,8 @@ class TestImageIndexStore:
         assert store.dominant_color(1) == "red"
         assert store.dominant_color(99) is None
 
-    def test_similarity_query(self):
-        store = ImageIndexStore(similarity_threshold=0.9)
+    def test_similarity_query(self, make_store):
+        store = make_store(similarity_threshold=0.9)
         store.index_histogram(1, [10, 1, 0, 0, 0, 0, 0, 0])
         store.index_histogram(2, [9, 1, 0, 0, 0, 0, 0, 0])     # near-duplicate of 1
         store.index_histogram(3, [0, 0, 0, 10, 0, 0, 0, 0])    # unrelated
@@ -93,16 +102,16 @@ class TestImageIndexStore:
         assert ranked[0][0] == 2
         assert store.similar_to(404) == []
 
-    def test_reindexing_replaces_features(self):
-        store = ImageIndexStore()
+    def test_reindexing_replaces_features(self, make_store):
+        store = make_store()
         store.index_histogram(1, self.red_histogram())
         store.index_histogram(1, self.blue_histogram())
         assert store.lookup(TAG_IMAGE, "color:red") == []
         assert store.lookup(TAG_IMAGE, "color:blue") == [1]
         assert store.indexed_count == 1
 
-    def test_insert_remove_interface(self):
-        store = ImageIndexStore()
+    def test_insert_remove_interface(self, make_store):
+        store = make_store()
         store.insert(TAG_IMAGE, "color:green", 5)
         assert store.lookup(TAG_IMAGE, "color:green") == [5]
         assert store.values_for(5) == [TagValue(TAG_IMAGE, "color:green")]
@@ -110,15 +119,15 @@ class TestImageIndexStore:
         assert not store.remove(TAG_IMAGE, "color:green", 5)
         assert not store.remove(TAG_IMAGE, "nonsense", 5)
 
-    def test_remove_object(self):
-        store = ImageIndexStore()
+    def test_remove_object(self, make_store):
+        store = make_store()
         store.index_histogram(7, self.red_histogram())
         assert store.remove_object(7) == 1
         assert store.remove_object(7) == 0
         assert store.lookup(TAG_IMAGE, "color:red") == []
 
-    def test_validation_errors(self):
-        store = ImageIndexStore()
+    def test_validation_errors(self, make_store):
+        store = make_store()
         with pytest.raises(IndexStoreError):
             store.index_histogram(1, [1, 2, 3])  # wrong bucket count
         with pytest.raises(IndexStoreError):
@@ -134,10 +143,10 @@ class TestImageIndexStore:
         with pytest.raises(IndexStoreError):
             store.lookup(TAG_IMAGE, "weird-query")
         with pytest.raises(IndexStoreError):
-            ImageIndexStore(similarity_threshold=0.0)
+            make_store(similarity_threshold=0.0)
 
-    def test_cardinality(self):
-        store = ImageIndexStore()
+    def test_cardinality(self, make_store):
+        store = make_store()
         store.index_histogram(1, self.red_histogram())
         store.index_histogram(2, self.red_histogram())
         assert store.cardinality(TAG_IMAGE, "color:red") == 2

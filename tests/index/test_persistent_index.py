@@ -410,15 +410,20 @@ class TestPostingBlockLayout:
 
 class TestPersistentImageStore:
     """The tree is the image index's only copy: a second store over the same
-    tree (the mount path) answers what the first one does, loading nothing."""
+    tree (the mount path) answers what the first one does, loading nothing.
+    The tree is a logged device tree, as the filesystem's image tree is."""
 
-    def test_roundtrip_through_tree(self):
-        tree = BPlusTree(max_keys=8)
-        store = ImageIndexStore(tree)
+    @pytest.fixture
+    def stack(self, logged_stack):
+        return logged_stack(journal_blocks=64)
+
+    def test_roundtrip_through_tree(self, stack):
+        tree = stack.tree()
+        store = ImageIndexStore(tree, stack.recovery)
         assert store.index_histogram(1, [0.9, 0.1, 0, 0, 0, 0, 0, 0]) == "red"
         assert store.index_histogram(2, [0, 0, 0, 0.8, 0, 0, 0, 0.2]) == "green"
         store.insert("IMAGE", "color:blue", 3)
-        reloaded = ImageIndexStore(tree)
+        reloaded = ImageIndexStore(tree, stack.recovery)
         assert reloaded.lookup("IMAGE", "color:red") == [1]
         assert reloaded.lookup("IMAGE", "color:green") == [2]
         assert reloaded.lookup("IMAGE", "color:blue") == [3]
@@ -426,9 +431,9 @@ class TestPersistentImageStore:
         assert reloaded.similar_to(1) == store.similar_to(1)
         assert reloaded.indexed_count == 3
 
-    def test_mutations_scrub_tree_records(self):
-        tree = BPlusTree(max_keys=8)
-        store = ImageIndexStore(tree)
+    def test_mutations_scrub_tree_records(self, stack):
+        tree = stack.tree()
+        store = ImageIndexStore(tree, stack.recovery)
         store.index_histogram(1, [0.9, 0.1, 0, 0, 0, 0, 0, 0])
         store.index_histogram(1, [0, 0.9, 0.1, 0, 0, 0, 0, 0])  # re-index moves colour
         assert store.lookup("IMAGE", "color:red") == []
@@ -436,9 +441,9 @@ class TestPersistentImageStore:
         assert store.remove_object(1) == 1
         assert len(tree) == 0
 
-    def test_behaviour_matches_a_dict_model(self):
+    def test_behaviour_matches_a_dict_model(self, stack):
         rng = random.Random(11)
-        store = ImageIndexStore(BPlusTree(max_keys=8))
+        store = ImageIndexStore(stack.tree(), stack.recovery)
         model = {}  # oid -> normalized histogram
         for oid in range(1, 25):
             histogram = [rng.random() for _ in range(8)]

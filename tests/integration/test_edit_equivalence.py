@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.core import HFADFileSystem
 from repro.hierarchical import FFSFileSystem
-from repro.osd import ObjectStore
 
 
 @st.composite
@@ -56,7 +55,7 @@ class TestEditEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(st.binary(min_size=0, max_size=3000), edit_scripts())
     def test_compaction_never_changes_contents(self, initial, script):
-        store = ObjectStore()
+        store = HFADFileSystem().objects
         oid = store.create()
         if initial:
             store.write(oid, 0, initial)

@@ -9,8 +9,8 @@ matching ``lookup``, clamped-forward ``seek``, sticky exhaustion, and an
 
 import pytest
 
+from repro.core import HFADFileSystem
 from repro.index.fulltext_index import FullTextIndexStore
-from repro.index.image_index import ImageIndexStore
 from repro.index.keyvalue_index import KeyValueIndexStore
 from repro.index.store import IndexStoreRegistry
 
@@ -42,7 +42,7 @@ def make_fulltext_multi_term():
 
 
 def make_image():
-    store = ImageIndexStore()
+    store = HFADFileSystem().image_index
     for oid in OIDS:
         store.insert("IMAGE", "color:red", oid)
     store.insert("IMAGE", "color:blue", 999)

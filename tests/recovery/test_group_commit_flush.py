@@ -173,3 +173,20 @@ def test_close_leaves_no_flusher_and_the_filesystem_collectable():
     del mounted
     gc.collect()
     assert closed() is None, "a closed filesystem is still reachable"
+
+
+def test_close_drops_the_pool_frames_and_clears_the_memos():
+    """A closed filesystem stays reachable until a cyclic collection: after
+    its checkpoint, close() lets go of its clean pages and memoised answers."""
+    fs = HFADFileSystem()
+    oid = fs.create(b"hello world", tags=["UDEF/x"])
+    assert fs.read(oid) == b"hello world"
+    assert fs.find(("UDEF", "x")) == [oid]
+    assert fs.query("UDEF/x AND FULLTEXT/hello") == [oid]
+    assert [hit.doc_id for hit in fs.rank("hello")] == [oid]
+    memos = (fs.content_cache, fs.query_cache, fs.ranked_cache, fs.naming.planner._memo)
+    assert len(fs.buffer_pool) and all(len(memo) for memo in memos)
+    fs.close()
+    assert len(fs.buffer_pool) == 0
+    assert [len(memo) for memo in memos] == [0, 0, 0, 0]
+    assert fs.read(oid) == b"hello world"  # pages come back from the device

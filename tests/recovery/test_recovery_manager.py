@@ -2,30 +2,21 @@
 
 import pytest
 
-from repro.btree import PAGE_BYTES, DevicePageStore
+from repro.btree import PAGE_BYTES
 from repro.btree.node import LeafNode
-from repro.cache import BufferPool
 from repro.errors import BTreeError, RecoveryError
 from repro.recovery import RecoveryManager
-from repro.storage import BlockDevice, BuddyAllocator
 from repro.storage.journal import RECORD_OVERHEAD, TXN_OVERHEAD
 
 
-def make_stack(cache_pages=8, journal_blocks=32, group_commit=1):
-    device = BlockDevice(num_blocks=1 << 12, block_size=512)
-    manager = RecoveryManager(
-        device, journal_start=1, journal_blocks=journal_blocks,
-        group_commit=group_commit,
-    )
-    pool = BufferPool(capacity=cache_pages)
-    manager.attach_pool(pool)
-    allocator = BuddyAllocator(total_blocks=1 << 12, base=0)
-    allocator.reserve(0, 1 + journal_blocks)
-    store = DevicePageStore(
-        device, allocator, buffer_pool=pool,
-        recovery=manager, name="t",
-    )
-    return device, manager, pool, store
+@pytest.fixture
+def make_stack(logged_stack):
+    def make(cache_pages=8, journal_blocks=32, group_commit=1):
+        stack = logged_stack(cache_pages=cache_pages, journal_blocks=journal_blocks,
+                             group_commit=group_commit)
+        return stack.device, stack.recovery, stack.pool, stack.store
+
+    return make
 
 
 def write_node(store, key=b"k"):
@@ -35,7 +26,7 @@ def write_node(store, key=b"k"):
 
 
 class TestWalRule:
-    def test_logged_write_back_defers_home_write(self):
+    def test_logged_write_back_defers_home_write(self, make_stack):
         device, manager, pool, store = make_stack()
         with manager.transaction():
             page = write_node(store)
@@ -44,7 +35,7 @@ class TestWalRule:
         assert pool.dirty_pages == 1
         assert device.read_blocks(page, store.page_blocks) == bytes(PAGE_BYTES)
 
-    def test_page_stamped_with_record_lsn(self):
+    def test_page_stamped_with_record_lsn(self, make_stack):
         _, manager, _, store = make_stack()
         with manager.transaction():
             page = write_node(store)
@@ -52,7 +43,7 @@ class TestWalRule:
         assert lsn is not None
         assert lsn <= manager.journal.last_lsn
 
-    def test_eviction_respects_wal_rule_with_group_commit(self):
+    def test_eviction_respects_wal_rule_with_group_commit(self, make_stack):
         # group_commit > 1 leaves committed frames buffered; an eviction of a
         # dirty page must force the journal flush before the home write.
         device, manager, pool, store = make_stack(cache_pages=2, group_commit=100)
@@ -64,7 +55,7 @@ class TestWalRule:
         assert manager.journal.durable_lsn >= lsn
         assert manager.stats.wal_forced_syncs >= 1
 
-    def test_a_page_of_an_open_transaction_is_refused_at_write_back(self):
+    def test_a_page_of_an_open_transaction_is_refused_at_write_back(self, make_stack):
         # No-steal keeps such a page pinned, but a flush does not evict: a
         # sync writes sealed frames only, so the WAL rule finds the page's
         # record still staged and refuses the write instead of letting an
@@ -82,7 +73,7 @@ class TestWalRule:
         assert pool.flush_page(store._consumer, page)  # sealed: the rule holds
         assert manager.journal.durable_lsn >= lsn
 
-    def test_an_entry_larger_than_a_page_fails_at_write_and_logs_nothing(self):
+    def test_an_entry_larger_than_a_page_fails_at_write_and_logs_nothing(self, make_stack):
         _, manager, pool, store = make_stack()
         page = store.allocate()
         appended = manager.journal.bytes_appended
@@ -100,7 +91,7 @@ class TestWalRule:
         assert manager.journal.bytes_appended == appended
         assert pool.dirty_pages == 0
 
-    def test_logging_outside_a_transaction_raises(self):
+    def test_logging_outside_a_transaction_raises(self, make_stack):
         _, manager, _, store = make_stack()
         appended = manager.journal.bytes_appended
         for log in (lambda: write_node(store),
@@ -115,7 +106,7 @@ class TestWalRule:
 
 
 class TestFraming:
-    def test_stats_split_the_wal_into_framing_and_payload(self):
+    def test_stats_split_the_wal_into_framing_and_payload(self, make_stack):
         # One transaction is one frame: one header, and an entry header per
         # record; everything else appended is payload.
         _, manager, _, store = make_stack()
@@ -130,7 +121,7 @@ class TestFraming:
 
 
 class TestNoSteal:
-    def test_uncommitted_dirty_pages_are_pinned(self):
+    def test_uncommitted_dirty_pages_are_pinned(self, make_stack):
         _, manager, pool, store = make_stack(cache_pages=8)
         manager.begin()
         write_node(store)
@@ -138,7 +129,7 @@ class TestNoSteal:
         manager.commit()
         assert pool.pinned_pages == 0
 
-    def test_page_freed_inside_transaction_is_forgotten(self):
+    def test_page_freed_inside_transaction_is_forgotten(self, make_stack):
         _, manager, pool, store = make_stack()
         with manager.transaction():
             page = write_node(store)
@@ -147,7 +138,7 @@ class TestNoSteal:
 
 
 class TestAbortSemantics:
-    def test_abort_before_logging_is_clean(self):
+    def test_abort_before_logging_is_clean(self, make_stack):
         _, manager, _, _store = make_stack()
         with pytest.raises(ValueError):
             with manager.transaction():
@@ -155,7 +146,7 @@ class TestAbortSemantics:
         assert not manager.poisoned
         assert manager.stats.transactions_aborted == 1
 
-    def test_abort_after_logging_poisons_the_manager(self):
+    def test_abort_after_logging_poisons_the_manager(self, make_stack):
         _, manager, _, store = make_stack()
         with pytest.raises(ValueError):
             with manager.transaction():
@@ -165,7 +156,7 @@ class TestAbortSemantics:
         with pytest.raises(RecoveryError):
             write_node(store)
 
-    def test_on_durable_actions_run_after_commit_sync(self):
+    def test_on_durable_actions_run_after_commit_sync(self, make_stack):
         _, manager, _, _store = make_stack()
         ran = []
         with manager.transaction():
@@ -173,7 +164,7 @@ class TestAbortSemantics:
             assert ran == []
         assert ran == ["deferred"]
 
-    def test_on_durable_actions_dropped_on_abort(self):
+    def test_on_durable_actions_dropped_on_abort(self, make_stack):
         _, manager, _, _store = make_stack()
         ran = []
         with pytest.raises(ValueError):
@@ -184,7 +175,7 @@ class TestAbortSemantics:
 
 
 class TestCheckpoint:
-    def test_checkpoint_flushes_truncates_and_persists(self):
+    def test_checkpoint_flushes_truncates_and_persists(self, make_stack):
         device, manager, pool, store = make_stack()
         with manager.transaction():
             page = write_node(store, b"cp")
@@ -195,14 +186,14 @@ class TestCheckpoint:
         assert manager.journal.bytes_used == 0
         assert device.read_blocks(page, store.page_blocks) != bytes(PAGE_BYTES)  # page reached home
 
-    def test_checkpoint_refused_inside_transaction(self):
+    def test_checkpoint_refused_inside_transaction(self, make_stack):
         _, manager, _, _store = make_stack()
         manager.begin()
         with pytest.raises(RecoveryError):
             manager.checkpoint()
         manager.commit()
 
-    def test_journal_fill_triggers_auto_checkpoint(self):
+    def test_journal_fill_triggers_auto_checkpoint(self, make_stack):
         _, manager, _, store = make_stack(journal_blocks=8)
         # ~130 logged bytes a transaction: 24 pass the 2 KB threshold.
         for i in range(24):
@@ -213,7 +204,7 @@ class TestCheckpoint:
 
 
 class TestReplay:
-    def test_replay_restores_unflushed_committed_pages(self):
+    def test_replay_restores_unflushed_committed_pages(self, make_stack):
         device, manager, pool, store = make_stack()
         with manager.transaction():
             page = write_node(store, b"replayed")
@@ -232,7 +223,7 @@ class TestReplay:
 
         assert decode_node(verify_frame(raw)).keys == [b"replayed"]
 
-    def test_replay_applies_meta_records(self):
+    def test_replay_applies_meta_records(self, make_stack):
         device, manager, _, _store = make_stack()
         with manager.transaction():
             manager.log_meta({"master_root": 4242, "next_oid": 77})
@@ -241,7 +232,7 @@ class TestReplay:
         assert fresh.state["master_root"] == 4242
         assert fresh.state["next_oid"] == 77
 
-    def test_uncommitted_tail_not_replayed(self):
+    def test_uncommitted_tail_not_replayed(self, make_stack):
         device, manager, _, store = make_stack()
         with manager.transaction():
             write_node(store, b"keep")
@@ -255,7 +246,7 @@ class TestReplay:
 class TestFailureContainment:
     """Review regressions: failed transactions must not leak onto the device."""
 
-    def test_poisoned_abort_discards_uncommitted_frames(self):
+    def test_poisoned_abort_discards_uncommitted_frames(self, make_stack):
         # An aborted-after-logging transaction's dirty frames must leave the
         # pool: later (read-only) traffic would otherwise steal the
         # uncommitted images to their home locations.
@@ -270,7 +261,7 @@ class TestFailureContainment:
         pool.flush()
         assert device.read_blocks(page, store.page_blocks) == bytes(PAGE_BYTES)
 
-    def test_commit_marker_failure_poisons_instead_of_half_committing(self):
+    def test_commit_marker_failure_poisons_instead_of_half_committing(self, make_stack):
         from repro.errors import DeviceError
         from repro.storage import FaultPlan
 
@@ -288,7 +279,7 @@ class TestFailureContainment:
         fresh = RecoveryManager(device, journal_start=1, journal_blocks=32)
         assert fresh.replay() == 0
 
-    def test_transaction_larger_than_the_pool_oversubscribes(self):
+    def test_transaction_larger_than_the_pool_oversubscribes(self, make_stack):
         # No-steal pins every page an open transaction dirties; a transaction
         # touching more pages than the pool budget must not dead-end.
         _, manager, pool, store = make_stack(cache_pages=2, journal_blocks=64)
@@ -299,7 +290,7 @@ class TestFailureContainment:
         for index, page in enumerate(pages):
             assert store.read(page).keys == [b"%d" % index]
 
-    def test_group_commit_defers_actions_until_the_marker_is_durable(self):
+    def test_group_commit_defers_actions_until_the_marker_is_durable(self, make_stack):
         # Regression: with group commit, a committed-but-unsynced
         # transaction's deferred frees must NOT run at commit() — the
         # transaction can still vanish in a crash while the freed storage
@@ -314,7 +305,7 @@ class TestFailureContainment:
         manager._run_durable_actions()
         assert ran == ["freed"]
 
-    def test_checkpoint_syncs_and_runs_deferred_actions(self):
+    def test_checkpoint_syncs_and_runs_deferred_actions(self, make_stack):
         _, manager, _, store = make_stack(group_commit=100)
         ran = []
         with manager.transaction():
