@@ -824,26 +824,32 @@ class HFADFileSystem:
         _reject_reserved_attributes(attributes)
         self.objects.set_attributes(oid, **attributes)
 
-    def _stored_document(self, oid: int, indexed: Optional[bool] = None) -> Optional[bytes]:
+    def _stored_document(self, oid: int, indexed: Optional[bool] = None,
+                         metadata: Optional[ObjectMetadata] = None) -> Optional[bytes]:
         """The object's full-text document from its ground truth: its bytes
-        when ``indexed`` (default: its ``hfad.ci`` flag), its durable names."""
+        when ``indexed`` (default: its ``hfad.ci`` flag), its durable names.
+        ``metadata`` is its record if the caller has just loaded it."""
         if indexed is None:
             indexed = self.objects.stat(oid).attributes.get(_ATTR_INDEXED) == "1"
-        content = self.objects.read(oid, access=False) if indexed else None
+        content = self.objects.read(oid, access=False, metadata=metadata) if indexed else None
         return _fulltext_document(content, self.objects.names(oid))
 
-    def _index_fulltext(self, oid: int, indexed: Optional[bool] = None) -> None:
+    def _index_fulltext(self, oid: int, indexed: Optional[bool] = None,
+                        metadata: Optional[ObjectMetadata] = None) -> None:
         """Re-index the object's whole full-text document, or drop it from
         the index when it has none."""
-        document = self._stored_document(oid, indexed)
+        document = self._stored_document(oid, indexed, metadata)
         if document is None:
             self.fulltext_index.drop_content(oid)
         else:
             self.fulltext_index.index_content(oid, document)
 
     def _reindex_if_tracked(self, oid: int) -> None:
-        if self.objects.stat(oid).attributes.get(_ATTR_INDEXED) == "1":
-            self._index_fulltext(oid, indexed=True)
+        """After a content write: re-index a content-indexed object, its
+        record decoded once for the flag and the re-read."""
+        metadata = self.objects.stat(oid)
+        if metadata.attributes.get(_ATTR_INDEXED) == "1":
+            self._index_fulltext(oid, indexed=True, metadata=metadata)
 
     def enable_content_indexing(self, oid: int) -> None:
         """Start tracking (and immediately index) the object's content."""

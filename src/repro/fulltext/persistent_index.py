@@ -49,10 +49,22 @@ Key layout (one tree, seven record kinds; ``block`` is ``oid >> BLOCK_SHIFT``,
 * A mutation writes through only the document's own records — ``D``, its
   ``L`` slot, ``S`` and one *backlog* record — as one sorted
   :meth:`~repro.btree.BPlusTree.apply_sorted` batch in the caller's WAL
-  transaction.  Its ``T`` edits go, as final values, to an in-memory overlay
-  every reader sees through (:class:`_TermView`); a *settle* writes the
-  overlay into the tree in key order — one page write per touched leaf per
-  batch of documents, not per document.
+  transaction.  Its ``T`` edits go to an in-memory overlay every reader
+  sees through (:class:`_TermView`); a *settle* writes the overlay into the
+  tree in key order — one page write per touched leaf per batch of
+  documents, not per document — in transactions bounded by the pages they
+  stage, so a leaf is logged once per settle when the journal has room.
+* The overlay holds *final values* and *pending inserts*.  A document with
+  no ``D`` record has no row anywhere, so adding one reads no ``T`` key: per
+  block key its packed rows and their max tf, per statistics key the
+  documents added, their max tf and min length, are queued as inserts known
+  to be absent.  Readers (under the shared engine lock, beside each other) fold
+  them into what they return and never write the overlay; only an exclusive
+  holder folds them into final values — a writer that reads the key (a
+  remove, a replace, the mount's re-derivation) or the settle, in the
+  transaction that writes the key.  Replacing a present document is one
+  pass: its records in one batch, one presence-aware edit of its old and
+  new terms' rows.
 * The backlog makes the overlay durable.  ``P``: this document's postings
   are not in the tree yet (``D`` keeps only the first
   :data:`MAX_STORED_POSITIONS` positions, hence the frequencies).  ``R``:
@@ -93,11 +105,10 @@ of its own, with every other writer held at the manager's checkpoint gate.
 from __future__ import annotations
 
 import struct
-import sys
 from bisect import bisect_left
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -113,6 +124,7 @@ from repro.query.scored import (
     bm25_upper_bound,
 )
 from repro.recovery.manager import CHECKPOINT_THRESHOLD
+from repro.storage.journal import RECORD_OVERHEAD, TXN_OVERHEAD
 
 _OID = struct.Struct(">Q")
 _SEP = b"\x00"
@@ -160,6 +172,9 @@ _LENGTH_STEPS = 8
 #: documents, ~250 KB of values.  Measured on ``ingest``, not a parameter:
 #: half logs 10 % more WAL, at twice only the harness's checkpoints settle.
 SETTLE_KEYS = 4096
+#: pages one settle key may newly stage: its leaf's first touch, and a
+#: split's new sibling and parent.
+_PAGES_PER_KEY = 3
 #: a scored cursor's ``seek`` at most this many block ids ahead steps the
 #: tree cursor instead of re-descending from the root: on E13's corpus a
 #: step to the next block cost 0.5-0.8 us and a re-descent 5.5 us.
@@ -288,26 +303,61 @@ def _settle_group(key: bytes) -> bytes:
     return key[:separator] if separator > 0 else key[:-1]
 
 
+def _fold_rows(raw: Optional[bytes], rows: bytes, top: int) -> bytes:
+    """Block ``raw`` (None: absent) with ``rows`` inserted — rows known absent
+    from it, packed and ascending, whose largest tf is ``top``.  Past the
+    block's last row they are appended undecoded; the trailer stays the
+    exact maximum either way."""
+    if raw is None:
+        return rows + _U32.pack(top)
+    trailer = _U32.unpack_from(raw, len(raw) - _U32.size)[0]
+    if raw[-_LAST_SLOT] < rows[0]:
+        return raw[:-_U32.size] + rows + _U32.pack(max(trailer, top))
+    flat = _flat_rows(raw) + _flat_rows(rows)
+    merged = sorted(zip(flat[0::2], flat[1::2]))
+    return _rows(len(merged)).pack(*[value for row in merged for value in row]) + _U32.pack(
+        max(trailer, top))
+
+
+def _fold_stats(raw: Optional[bytes], added: int, top: int, shortest: int) -> bytes:
+    """Statistics ``raw`` (None: absent) with ``added`` documents added, whose
+    largest tf is ``top`` and shortest length ``shortest``: ``df`` grows by
+    ``added``, the bounds tighten as one add at a time would."""
+    df, max_tf, min_len = _DF_RECORD.unpack(raw) if raw else (0, 0, 0)
+    return _DF_RECORD.pack(df + added, max(max_tf, top),
+                           shortest if min_len == 0 else min(min_len, shortest))
+
+
+def _delete(_old: Optional[bytes]) -> None:
+    """An ``apply_sorted`` edit that drops its key."""
+    return None
+
+
 class _ViewCursor:
-    """A tree prefix cursor merged with the overlay's edits of that prefix:
-    an edit (``keys``, sorted) replaces — or, when None, hides — the tree's
-    pair of the same key.  Speaks what the posting readers use of the btree
-    cursor protocol: ``next_item``, ``seek`` and (fresh-pass) iteration.
+    """A tree prefix cursor merged with the overlay's keys of that prefix
+    (``keys``, sorted): the overlay's value of such a key — its edit or the
+    tree's pair, with its pending inserts folded in — replaces the tree's
+    pair, or, when None, hides it.  Speaks what the posting readers use of
+    the btree cursor protocol: ``next_item``, ``seek`` and (fresh-pass)
+    iteration.
     """
 
-    def __init__(self, cursor, edits: Dict[bytes, Optional[bytes]], keys: List[bytes]) -> None:
-        self._cursor, self._edits, self._keys = cursor, edits, keys
+    def __init__(self, cursor, view: "_TermView", keys: List[bytes]) -> None:
+        self._cursor, self._view, self._keys = cursor, view, keys
         self._position: Optional[Iterator[Tuple[bytes, bytes]]] = None
 
     def _merge_from(self, key: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        keys, edits, at = self._keys, self._edits, bisect_left(self._keys, key)
+        keys, at = self._keys, bisect_left(self._keys, key)
+        edits, folded = self._view.edits, self._view.folded
         item = self._cursor.seek(key)  # clamped to the prefix by the tree cursor
         while at < len(keys) or item is not None:
             if at < len(keys) and (item is None or keys[at] <= item[0]):
-                if item is not None and item[0] == keys[at]:
-                    item = self._cursor.next_item()
-                if edits[keys[at]] is not None:
-                    yield keys[at], edits[keys[at]]
+                key, raw = keys[at], None
+                if item is not None and item[0] == key:
+                    raw, item = item[1], self._cursor.next_item()
+                value = folded(key, edits[key] if key in edits else raw)
+                if value is not None:
+                    yield key, value
                 at += 1
             else:
                 yield item
@@ -327,45 +377,170 @@ class _ViewCursor:
 
 
 class _TermView:
-    """The ``T`` records as every reader must see them: edits over the tree.
+    """The ``T`` records as every reader must see them: the overlay over the tree.
 
     ``edits`` maps a block or statistics key to its *final* value (None =
     deleted) — what writing the mutation through would have left in the
     tree, so answers, scores and scan counts do not depend on what has
-    settled.  With no edits a read costs one ``if`` more than the tree's.
+    settled.  The other maps hold *pending inserts*: rows known absent from
+    a key's value (its edit, else the tree's), queued by :meth:`insert`
+    without reading the key.  A key's value is its edit or the tree's with
+    its pending inserts folded in.  They are bytes and ints in flat maps,
+    not a container per key, so they add nothing for the garbage collector
+    to trace.
+
+    Readers fold into what they return and never write the view (they run
+    beside each other under the shared engine lock); only an exclusive
+    holder moves pending inserts into ``edits`` — :meth:`fold_many` for a
+    writer that reads keys, :meth:`settle_value` for the settle.  With an
+    empty overlay a read costs one ``if`` more than the tree's.
     """
 
     def __init__(self, tree: BPlusTree) -> None:
         self.tree = tree
         self.edits: Dict[bytes, Optional[bytes]] = {}
-        #: posting prefix -> its edited block keys: all a term's cursor merges.
+        #: block key -> its pending rows, packed and ascending, and their max tf.
+        self.rows: Dict[bytes, bytes] = {}
+        self.tops: Dict[bytes, int] = {}
+        #: statistics key -> the documents its pending rows add, their max
+        #: tf and their min length.
+        self.added: Dict[bytes, int] = {}
+        self.max_tfs: Dict[bytes, int] = {}
+        self.min_lens: Dict[bytes, int] = {}
+        #: posting prefix -> its overlay block keys: all a term's cursor merges.
         self._blocks: Dict[bytes, List[bytes]] = {}
+        #: distinct keys in the overlay (edited, pending or both).
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def folded(self, key: bytes, value: Optional[bytes]) -> Optional[bytes]:
+        """``value``, ``key``'s edit or tree value, with its pending inserts."""
+        rows = self.rows.get(key)
+        if rows is not None:
+            return _fold_rows(value, rows, self.tops[key])
+        added = self.added.get(key)
+        if added is None:
+            return value
+        return _fold_stats(value, added, self.max_tfs[key], self.min_lens[key])
+
+    def _take(self, key: bytes, value: Optional[bytes]) -> Optional[bytes]:
+        """:meth:`folded`, dropping ``key``'s pending inserts."""
+        rows = self.rows.pop(key, None)
+        if rows is not None:
+            return _fold_rows(value, rows, self.tops.pop(key))
+        added = self.added.pop(key, None)
+        if added is None:
+            return value
+        return _fold_stats(value, added, self.max_tfs.pop(key), self.min_lens.pop(key))
 
     def get(self, key: bytes) -> Optional[bytes]:
-        return self.edits[key] if key in self.edits else self.tree.get(key)
+        value = self.edits[key] if key in self.edits else self.tree.get(key)
+        return self.folded(key, value) if self.rows or self.added else value
 
     def get_many(self, keys: List[bytes]) -> List[Optional[bytes]]:
         """``get`` of each of ``keys`` (increasing): those the edits miss in
         one :meth:`BPlusTree.get_many`."""
         edits = self.edits
         try:
-            return [edits[key] for key in keys]  # all edited: no tree read
+            values = [edits[key] for key in keys]  # all edited: no tree read
         except KeyError:
             found = iter(self.tree.get_many([key for key in keys if key not in edits]))
-            return [edits[key] if key in edits else next(found) for key in keys]
+            values = [edits[key] if key in edits else next(found) for key in keys]
+        if self.rows or self.added:
+            return [self.folded(key, value) for key, value in zip(keys, values)]
+        return values
+
+    def fold_many(self, keys: List[bytes]) -> List[Optional[bytes]]:
+        """:meth:`get_many` for an exclusive holder about to edit ``keys``:
+        their pending inserts move into ``edits`` first."""
+        rows, added, edits = self.rows, self.added, self.edits
+        if rows or added:
+            pending = [key for key in keys if key in rows or key in added]
+            if pending:
+                found = iter(self.tree.get_many([key for key in pending if key not in edits]))
+                for key in pending:
+                    edits[key] = self._take(key, edits[key] if key in edits else next(found))
+        return self.get_many(keys)
+
+    def settle_value(self, key: bytes, old: Optional[bytes]) -> Optional[bytes]:
+        """The value a settle writes for ``key`` over the tree's ``old`` (an
+        ``apply_sorted`` edit).  Its pending inserts move into ``edits`` in
+        the same transaction, so a reader between two of the settle's
+        transactions does not fold them into the tree's new value again."""
+        value = self.edits[key] if key in self.edits else old
+        if key in self.rows or key in self.added:
+            value = self.edits[key] = self._take(key, value)
+        return value
 
     def put(self, key: bytes, value: Optional[bytes], prefix: Optional[bytes] = None) -> None:
-        """Record ``key``'s final value; ``prefix`` files a block key under its term."""
-        if prefix is not None and key not in self.edits:
-            self._blocks.setdefault(prefix, []).append(key)
+        """Record ``key``'s final value (an exclusive holder that has folded
+        the key); ``prefix`` files a block key under its term."""
+        if key not in self.edits and key not in self.rows and key not in self.added:
+            self._size += 1
+            if prefix is not None:
+                self._blocks.setdefault(prefix, []).append(key)
         self.edits[key] = value
+
+    def insert(self, doc_id: int, rows: Iterable[Tuple[str, int]], length: int) -> None:
+        """Queue ``doc_id``'s ``(term, tf)`` rows (tf > 0) as pending inserts,
+        reading no key: the document has no row anywhere, in the tree or the
+        overlay, so each row is an insert known to be absent and each term's
+        ``df`` grows by one."""
+        edits, pending_rows, tops = self.edits, self.rows, self.tops
+        added, max_tfs, min_lens = self.added, self.max_tfs, self.min_lens
+        slot = doc_id & (BLOCK_SPAN - 1)
+        block_id = _SEP + _OID.pack(doc_id >> BLOCK_SHIFT)
+        for term, tf in rows:
+            term = _TERM_PREFIX + _encode_term(term)
+            key, row = term + block_id, _ROW.pack(slot, tf)
+            pending = pending_rows.get(key)
+            if pending is None:
+                pending_rows[key], tops[key] = row, tf
+                if key not in edits:
+                    self._size += 1
+                    self._blocks.setdefault(term + _SEP, []).append(key)
+            else:
+                if slot > pending[-_ROW.size]:  # past the last pending row: appended
+                    pending_rows[key] = pending + row
+                else:
+                    flat = _flat_rows(pending)
+                    at = 2 * bisect_left(flat[0::2], slot)
+                    pending_rows[key] = _rows(len(flat) // 2 + 1).pack(
+                        *flat[:at], slot, tf, *flat[at:])
+                if tf > tops[key]:
+                    tops[key] = tf
+            key = term + _TERM_STATS_END
+            count = added.get(key)
+            if count is None:
+                added[key], max_tfs[key], min_lens[key] = 1, tf, length
+                if key not in edits:
+                    self._size += 1
+            else:
+                added[key] = count + 1
+                if tf > max_tfs[key]:
+                    max_tfs[key] = tf
+                if length < min_lens[key]:
+                    min_lens[key] = length
+
+    def keys(self) -> List[bytes]:
+        """Every key in the overlay, sorted."""
+        return sorted(self.edits.keys() | self.rows.keys() | self.added.keys())
+
+    def unsettled_bytes(self) -> int:
+        """Key and value bytes a settle would write: each edit, and each
+        pending insert as its rows or statistics (before folding)."""
+        return (sum(len(key) + len(value or b"") for key, value in self.edits.items())
+                + sum(len(key) + len(rows) + _U32.size for key, rows in self.rows.items())
+                + sum(len(key) + _DF_RECORD.size for key in self.added))
 
     def cursor(self, prefix: bytes):
         cursor = self.tree.cursor(prefix=prefix)
-        if not self.edits:
+        if not self._size:
             return cursor
-        keys = self.edits if prefix == _TERM_PREFIX else self._blocks.get(prefix)
-        return _ViewCursor(cursor, self.edits, sorted(keys)) if keys else cursor
+        keys = self.keys() if prefix == _TERM_PREFIX else sorted(self._blocks.get(prefix, ()))
+        return _ViewCursor(cursor, self, keys) if keys else cursor
 
 
 class _BlockCursor(DocIdCursor):
@@ -605,15 +780,18 @@ class PersistentInvertedIndex:
 
     # ------------------------------------------------------------- mutation
 
-    def _write_through(self, doc_id: int, length: int, sign: int,
-                       records: Dict[bytes, Optional[bytes]]) -> None:
-        """Add (``sign`` 1) or drop (-1) a document: everything but its rows.
-
-        One sorted batch: ``records`` (its ``D`` and backlog chunks; None
-        deletes), its ``L`` slot and ``S`` — each leaf is written once.
+    def _write_through(self, doc_id: int, records: Dict[bytes, Optional[bytes]],
+                       length: Optional[int] = None, old_length: Optional[int] = None) -> None:
+        """A document's ``records`` (its ``D`` and backlog chunks; None
+        deletes), its ``L`` slot and ``S`` — everything but its rows — as one
+        sorted batch, so each leaf is written once.  ``length`` is the
+        document's new length (None: it goes), ``old_length`` the one it had
+        (None: it was not indexed).
         """
         slot = (doc_id & (BLOCK_SPAN - 1)) * _U32.size
-        stored = _U32.pack(length + 1 if sign > 0 else 0)
+        stored = _U32.pack(length + 1 if length is not None else 0)
+        count = (length is not None) - (old_length is not None)
+        tokens = (length or 0) - (old_length or 0)
 
         def lengths(raw: Optional[bytes]) -> Optional[bytes]:
             raw = raw or _NO_LENGTHS
@@ -621,8 +799,8 @@ class PersistentInvertedIndex:
             return raw if raw != _NO_LENGTHS else None
 
         def corpus(raw: Optional[bytes]) -> bytes:
-            count, total = _STATS.unpack(raw) if raw else (0, 0)
-            return _STATS.pack(count + sign, total + sign * length)
+            documents, total = _STATS.unpack(raw) if raw else (0, 0)
+            return _STATS.pack(documents + count, total + tokens)
 
         updates = [(key, lambda _old, value=value: value) for key, value in records.items()]
         updates += [(self._length_key(doc_id >> BLOCK_SHIFT), lengths), (_STATS_KEY, corpus)]
@@ -635,8 +813,8 @@ class PersistentInvertedIndex:
     def _set_rows(self, doc_id: int, rows: Iterable[Tuple[str, int]], length: int = 0) -> None:
         """Set (``tf`` > 0) or drop (``tf`` = 0) the document's row of each
         ``(term, tf)`` of ``rows``, and each term's statistics with it, in the
-        overlay: one sorted read of every key the document touches, then one
-        edit pass.
+        overlay: one sorted read of every key the document touches (folding
+        their pending inserts into the edits), then one edit pass.
 
         Presence-aware: ``df`` moves only when the row appears or disappears
         (``max_tf`` / ``min_len`` only tighten on add and stay on remove — a
@@ -652,16 +830,12 @@ class PersistentInvertedIndex:
         # _TERM_STATS_END): the keys increase, and one get_many reads them.
         terms = sorted((_TERM_PREFIX + _encode_term(term), tf) for term, tf in rows)
         keys = [key for term, _tf in terms for key in (term + _SEP + block_id, term + _TERM_STATS_END)]
-        found = iter(zip(keys, view.get_many(keys)))
+        found = iter(zip(keys, view.fold_many(keys)))
         for _term, tf in terms:
             (key, raw), (stats_key, raw_stats) = next(found), next(found)
-            if tf and raw is None:  # the block's first row
-                block, present = _ROW.pack(slot, tf) + _U32.pack(tf), False
-            elif tf and raw[-_LAST_SLOT] < slot:
-                # Past the block's last row: appended undecoded, and the
-                # trailer stays the exact maximum.
-                top = _U32.unpack_from(raw, len(raw) - _U32.size)[0]
-                block, present = raw[:-_U32.size] + _ROW.pack(slot, tf) + _U32.pack(max(top, tf)), False
+            if tf and (raw is None or raw[-_LAST_SLOT] < slot):
+                # The block's first row, or past its last: appended undecoded.
+                block, present = _fold_rows(raw, _ROW.pack(slot, tf), tf), False
             else:
                 block, present = _edit_block(raw, doc_id, tf)
             if block != raw:
@@ -675,6 +849,18 @@ class PersistentInvertedIndex:
             stats = _DF_RECORD.pack(df, max_tf, min_len) if df else None
             if stats != raw_stats:
                 view.put(stats_key, stats)
+
+    def _stored_tfs(self, doc_id: int, terms: Iterable[str]) -> Dict[str, int]:
+        """The document's tf of each of ``terms`` (all of them its own), read
+        off its rows with one sorted :meth:`_TermView.fold_many`."""
+        block_id, slot = _OID.pack(doc_id >> BLOCK_SHIFT), doc_id & (BLOCK_SPAN - 1)
+        terms = sorted(terms)  # in key order, as _set_rows argues
+        tfs = {}
+        for term, raw in zip(terms, self._view.fold_many(
+                [self._posting_prefix(term) + block_id for term in terms])):
+            slots, freqs = _block_rows(raw)
+            tfs[term] = freqs[bisect_left(slots, slot)]
+        return tfs
 
     def _load_backlog(self) -> None:
         """Re-derive the overlay a crash lost: the ``R`` range, then the ``P``
@@ -691,6 +877,52 @@ class PersistentInvertedIndex:
                 length, positions = _parse_doc(self._doc_chunks(doc_id))
                 self._set_rows(doc_id, zip(positions, _decode_tfs(length, b"".join(chunks))), length)
 
+    def _pending_keys(self, doc_id: int) -> List[bytes]:
+        """The document's ``P`` chunk keys (none once its rows have settled)."""
+        keys, key = [], self._doc_key(doc_id, 0, _PENDING_PREFIX)
+        while key in self._backlog:
+            keys.append(key)
+            key = self._doc_key(doc_id, len(keys), _PENDING_PREFIX)
+        return keys
+
+    def _put_document(self, doc_id: int, length: int, occurrences: Dict[str, Sequence[int]],
+                      tfs: List[int]) -> None:
+        """Store the document — ``occurrences`` maps each term to its
+        positions, ``tfs`` are their frequencies in the same order — in
+        place of whatever ``doc_id`` held, in one pass.
+
+        A new document (no ``D`` record) has no row anywhere, so its rows go
+        to the overlay as pending inserts without a key read.  A present one
+        is replaced: its ``D``, backlog, ``L`` and ``S`` records in one sorted
+        batch, and one :meth:`_set_rows` over its old and new terms.  Its
+        backlog is what removing and re-adding it would have left: a pending
+        document's ``P`` is rewritten; a settled one's rows are in the tree,
+        so its old ``D`` chunks become its ``R`` record beside the new ``P``.
+        """
+        records: Dict[bytes, Optional[bytes]] = {}
+        for kind, payload in ((_DOC_PREFIX, _encode_doc(length, occurrences)),
+                              (_PENDING_PREFIX, _encode_tfs(length, tfs))):
+            for seq, chunk in enumerate(_chunked(payload)):
+                records[self._doc_key(doc_id, seq, kind)] = chunk
+        chunks = self._doc_chunks(doc_id)
+        if not chunks:
+            self._write_through(doc_id, records, length)
+            self._view.insert(doc_id, zip(occurrences, tfs), length)
+            return
+        old_length, old_positions = _parse_doc(chunks)
+        for seq in range(len(chunks)):
+            records.setdefault(self._doc_key(doc_id, seq), None)
+        pending = self._pending_keys(doc_id)
+        for key in pending:
+            records.setdefault(key, None)
+        if not pending:
+            for seq, chunk in enumerate(chunks):
+                records[self._doc_key(doc_id, seq, _REMOVED_PREFIX)] = chunk
+        self._write_through(doc_id, records, length, old_length)
+        rows = dict.fromkeys(old_positions, 0)
+        rows.update(zip(occurrences, tfs))
+        self._set_rows(doc_id, rows.items(), length)
+
     def add_document(self, doc_id: int, text) -> int:
         """Index ``text`` under ``doc_id``; returns the number of terms stored.
 
@@ -698,20 +930,12 @@ class PersistentInvertedIndex:
         whole replace is one WAL transaction (or joins an enclosing one).
         """
         with self._txn():
-            self.remove_document(doc_id)
             analyzed = self.analyzer.analyze_with_positions(text)
             occurrences: Dict[str, List[int]] = {}
             for term, position in analyzed:
                 occurrences.setdefault(term, []).append(position)
-            length = len(analyzed)
-            tfs = [len(positions) for positions in occurrences.values()]
-            records: Dict[bytes, Optional[bytes]] = {}
-            for kind, payload in ((_DOC_PREFIX, _encode_doc(length, occurrences)),
-                                  (_PENDING_PREFIX, _encode_tfs(length, tfs))):
-                for seq, chunk in enumerate(_chunked(payload)):
-                    records[self._doc_key(doc_id, seq, kind)] = chunk
-            self._write_through(doc_id, length, 1, records)
-            self._set_rows(doc_id, zip(occurrences, tfs), length)
+            self._put_document(doc_id, len(analyzed), occurrences,
+                               [len(positions) for positions in occurrences.values()])
             return len(occurrences)
 
     def remove_document(self, doc_id: int) -> bool:
@@ -729,14 +953,14 @@ class PersistentInvertedIndex:
             length, positions = _parse_doc(chunks)
             records: Dict[bytes, Optional[bytes]] = {
                 self._doc_key(doc_id, seq): None for seq in range(len(chunks))}
-            seq, key = 0, self._doc_key(doc_id, 0, _PENDING_PREFIX)
-            while key in self._backlog:  # pending: no row of it is in the tree,
-                records[key] = None      # so its backlog record just goes
-                seq, key = seq + 1, self._doc_key(doc_id, seq + 1, _PENDING_PREFIX)
-            if not seq:  # its rows are in the tree until a settle has dropped them
+            pending = self._pending_keys(doc_id)
+            # A pending document has no row in the tree, so its backlog
+            # record just goes; a settled one's rows stay until a settle.
+            records.update(dict.fromkeys(pending))
+            if not pending:
                 for seq, chunk in enumerate(chunks):
                     records[self._doc_key(doc_id, seq, _REMOVED_PREFIX)] = chunk
-            self._write_through(doc_id, length, -1, records)
+            self._write_through(doc_id, records, old_length=length)
             self._set_rows(doc_id, [(term, 0) for term in positions])
             return True
 
@@ -746,12 +970,12 @@ class PersistentInvertedIndex:
     def backlog(self) -> Tuple[int, int]:
         """``(documents with a backlog record, unsettled T keys)``."""
         documents = {key[:len(_PENDING_PREFIX) + _OID.size] for key in tuple(self._backlog)}
-        return len(documents), len(self._view.edits)
+        return len(documents), len(self._view)
 
     @property
     def settle_due(self) -> bool:
         # Not while one runs: its own chunk commits fire the hook too.
-        return not self._settling and len(self._view.edits) >= SETTLE_KEYS
+        return not self._settling and len(self._view) >= SETTLE_KEYS
 
     def _settle_if_due(self) -> None:
         """The threshold trigger, called here only by a standalone index (no
@@ -761,30 +985,41 @@ class PersistentInvertedIndex:
         if self.settle_due:
             self.settle()
 
-    def _apply_chunked(self, pairs: List[Tuple[bytes, Optional[bytes]]]) -> None:
-        """Write sorted ``(key, value)`` pairs (None deletes) into the tree, in
-        WAL transactions the journal has room for: past the checkpoint
-        threshold the next transaction checkpoints first, so each may count
-        on the journal's other part, and a key costs at most a first-touch
-        page image plus a split's.  A cut never splits a :func:`_settle_group`.
+    def _apply_chunked(self, keys: List[bytes], edit: Callable[[bytes], Callable]) -> None:
+        """Apply ``edit(key)``, an ``apply_sorted`` edit, to each of the
+        sorted ``keys`` in WAL transactions the journal has room for, bounded
+        by the pages each has staged.  The edits are made a batch at a time,
+        so a settle holds a batch of them at once, not one per overlay key.
+
+        Past the checkpoint threshold the next transaction checkpoints
+        first, so each may count on the journal's other part: its budget is
+        that many whole page records.  A transaction takes the next run of
+        keys while each key could still stage :data:`_PAGES_PER_KEY` more
+        pages, so a touched leaf is logged once however many keys it takes.
+        A cut never splits a :func:`_settle_group`.
         """
-        limit = sys.maxsize
-        if self._recovery is not None:
-            room = self._recovery.journal.capacity_bytes * (1 - CHECKPOINT_THRESHOLD)
-            limit = max(1, int(room) // (2 * self._tree.node_byte_limit))
+        recovery = self._recovery
+        if recovery is None:
+            self._tree.apply_sorted([(key, edit(key)) for key in keys])
+            return
+        room = recovery.journal.capacity_bytes * (1 - CHECKPOINT_THRESHOLD) - TXN_OVERHEAD
+        # Less one page: room for the root moves and revokes it may log too.
+        budget = int(room) // (self._tree.node_byte_limit + RECORD_OVERHEAD) - 1
         start = 0
-        while start < len(pairs):
-            end = min(start + limit, len(pairs))
-            while end < len(pairs) and (_settle_group(pairs[end][0])
-                                        == _settle_group(pairs[end - 1][0])):
-                end += 1
+        while start < len(keys):
             # Nobody waits on a settle: its frames ride the next
             # sync, and a crash before it re-derives the lost part.
-            with (self._recovery.transaction(sync=False) if self._recovery is not None
-                  else nullcontext()):
-                self._tree.apply_sorted([(key, lambda _old, value=value: value)
-                                         for key, value in pairs[start:end]])
-            start = end
+            with recovery.transaction(sync=False):
+                while start < len(keys):
+                    room = (budget - recovery.staged_pages) // _PAGES_PER_KEY
+                    if room < 1 and recovery.staged_pages:
+                        break
+                    end = min(start + max(room, 1), len(keys))
+                    while end < len(keys) and (_settle_group(keys[end])
+                                               == _settle_group(keys[end - 1])):
+                        end += 1
+                    self._tree.apply_sorted([(key, edit(key)) for key in keys[start:end]])
+                    start = end
 
     def settle(self) -> int:
         """Write the overlay into the tree — one page write per touched leaf —
@@ -793,44 +1028,82 @@ class PersistentInvertedIndex:
         Runs between transactions (a commit crossing :data:`SETTLE_KEYS`,
         checkpoint, close, mount), never inside one, with other writers held
         at the recovery manager's gate so none sees it half done; readers
-        keep the overlay until the tree holds all of it.  ``R`` records go
-        before ``P``: a crash then leaves at worst a ``P`` whose
-        re-derivation is a no-op, never an ``R`` alone dropping rows its
-        document's ``P`` would have put back.
+        keep the overlay until the tree holds all of it.  Pending inserts
+        fold in as each key is written (:meth:`_TermView.settle_value`), in
+        the transaction that writes it.  ``R`` records go before ``P``: a
+        crash then leaves at worst a ``P`` whose re-derivation is a no-op,
+        never an ``R`` alone dropping rows its document's ``P`` would have
+        put back.
         """
-        if not (self._view.edits or self._backlog):
+        if not (len(self._view) or self._backlog):
             return 0
         gate = self._recovery.quiesced() if self._recovery is not None else nullcontext()
         with gate:
-            edits = self._view.edits
-            if not (edits or self._backlog):
+            view = self._view
+            if not (len(view) or self._backlog):
                 return 0  # the settle this thread waited out at the gate did it
             self._settling = True
             try:
-                self._apply_chunked(sorted(edits.items()))
+                keys = view.keys()
+                self._apply_chunked(keys, lambda key: partial(view.settle_value, key))
                 retired = sorted(self._backlog)
                 for kind in (_REMOVED_PREFIX, _PENDING_PREFIX):
-                    self._apply_chunked([(key, None) for key in retired if key.startswith(kind)])
+                    self._apply_chunked([key for key in retired if key.startswith(kind)],
+                                        lambda _key: _delete)
             finally:
                 self._settling = False
             self._view, self._backlog = _TermView(self._tree), set()
             self.settles += 1
-            return len(edits)
+            return len(keys)
 
     def update_document(self, doc_id: int, text) -> int:
         """Alias for :meth:`add_document` (which already replaces)."""
         return self.add_document(doc_id, text)
 
     def append_terms(self, doc_id: int, text) -> int:
-        """Extend the document with ``text``'s terms (manual FULLTEXT tags).
+        """Extend the document with ``text``'s terms (manual FULLTEXT tags);
+        returns the number of terms stored.
 
-        The read (current terms) and the replace are one WAL transaction,
-        so the read cannot race another thread's structural tree mutation —
-        the transaction lock serializes both.
+        Only ``text`` is analyzed: the stored terms keep their positions and
+        frequencies, and ``text``'s positions follow the last stored one, as
+        if it were appended to the document.  The read and the one-pass
+        replace are one WAL transaction, so the read cannot race another
+        thread's structural tree mutation.
         """
         with self._txn():
-            existing = " ".join(self.terms_for(doc_id))
-            return self.add_document(doc_id, (existing + " " + str(text)).strip())
+            doc = self._read_doc(doc_id)
+            if doc is None:
+                return self.add_document(doc_id, text)
+            length, stored, _chunks = doc
+            tfs = self._stored_tfs(doc_id, stored)
+            occurrences = {term: list(positions) for term, positions in stored.items()}
+            start = 1 + max((positions[-1] for positions in stored.values()), default=-1)
+            analyzed = self.analyzer.analyze_with_positions(text)
+            for term, position in analyzed:
+                occurrences.setdefault(term, []).append(start + position)
+                tfs[term] = tfs.get(term, 0) + 1
+            self._put_document(doc_id, length + len(analyzed), occurrences,
+                               [tfs[term] for term in occurrences])
+            return len(occurrences)
+
+    def remove_terms(self, doc_id: int, text) -> bool:
+        """Drop ``text``'s (query-analyzed) terms from the document; returns
+        True if it held any.  The other terms keep their positions and
+        frequencies, and the length loses the dropped terms' frequencies; a
+        document left with no term leaves the index."""
+        with self._txn():
+            doc = self._read_doc(doc_id)
+            dropped = set(self.analyzer.analyze_query(text))
+            if doc is None or dropped.isdisjoint(doc[1]):
+                return False
+            length, stored, _chunks = doc
+            kept = {term: positions for term, positions in stored.items() if term not in dropped}
+            if not kept:
+                return self.remove_document(doc_id)
+            tfs = self._stored_tfs(doc_id, stored)
+            self._put_document(doc_id, length - sum(tfs[term] for term in stored if term in dropped),
+                               kept, [tfs[term] for term in kept])
+            return True
 
     # -------------------------------------------------------------- queries
 

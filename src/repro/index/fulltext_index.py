@@ -64,20 +64,12 @@ class FullTextIndexStore(IndexStore):
     def insert(self, tag: str, value: str, oid: int) -> None:
         # Naming an object with FULLTEXT/term directly (rather than via
         # content indexing) adds just that term — useful for manual keywords.
-        # append_terms makes the read-modify-write atomic inside the engine.
+        # append_terms makes the read-modify-write atomic inside the engine
+        # and analyzes only ``value``: the stored stems stay as they are.
         self.index.append_terms(oid, value)
 
     def remove(self, tag: str, value: str, oid: int) -> bool:
-        terms = self.index.analyzer.analyze_query(value)
-        existing = self.index.terms_for(oid)
-        if not existing or not any(term in existing for term in terms):
-            return False
-        remaining = [term for term in existing if term not in terms]
-        if remaining:
-            self.index.add_document(oid, " ".join(remaining))
-        else:
-            self.index.remove_document(oid)
-        return True
+        return self.index.remove_terms(oid, value)
 
     def lookup(self, tag: str, value: str) -> List[int]:
         return self.index.search(value)

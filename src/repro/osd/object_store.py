@@ -830,7 +830,10 @@ class ObjectStore:
         """
         if offset < 0:
             raise InvalidRangeError("offset must be non-negative")
-        metadata = self._require(oid)
+        return self._write(oid, self._require(oid), offset, data)
+
+    def _write(self, oid: int, metadata: ObjectMetadata, offset: int, data: bytes) -> int:
+        """:meth:`write` of the object whose record the caller has loaded."""
         data = bytes(data)
         if not data:
             return 0
@@ -847,18 +850,21 @@ class ObjectStore:
 
     def append(self, oid: int, data: bytes) -> int:
         """Append ``data`` at the end of the object; returns the write offset."""
-        offset = self.size(oid)
-        self.write(oid, offset, data)
+        metadata = self._require(oid)
+        offset = metadata.size
+        self._write(oid, metadata, offset, data)
         return offset
 
     def read(self, oid: int, offset: int = 0, length: Optional[int] = None,
-             access: bool = True) -> bytes:
+             access: bool = True, metadata: Optional[ObjectMetadata] = None) -> bytes:
         """Read up to ``length`` bytes at ``offset`` (to end-of-object if None).
 
         With a content memo, a current entry answers without a tree read,
         and a whole-object read of at most a page fills it.  ``access=False``
         is the engine's own read (re-indexing what a write just changed): it
         records no access time and neither consults nor fills the memo.
+        ``metadata`` is the object's record if the caller loaded it in its
+        open transaction: it is not read and decoded again.
         """
         if offset < 0:
             raise InvalidRangeError("offset must be non-negative")
@@ -870,7 +876,8 @@ class ObjectStore:
             content = cache.lookup(oid, token)
             if content is not None:
                 return self._memo_read(oid, content, offset, length)
-        metadata = self._require(oid)
+        if metadata is None:
+            metadata = self._require(oid)
         length = self._span(offset, length, metadata.size)
         if not length:
             return b""

@@ -502,6 +502,12 @@ class RecoveryManager:
         """Whether the *calling thread* has an open transaction."""
         return self._txn.depth > 0
 
+    @property
+    def staged_pages(self) -> int:
+        """Pages the calling thread's open transaction has staged: each is
+        one record when it seals, however often it was written."""
+        return len(self._txn.pages)
+
     # ------------------------------------------------------------ logging
 
     def _open_transaction(self) -> _TxnLocal:

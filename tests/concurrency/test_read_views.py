@@ -201,3 +201,86 @@ class TestSettleUnderWriters:
         fs.close()
         assert fs.fulltext_index.index.bound_violations() == []
         assert fs.stats()["persistent_index"]["fulltext_backlog_docs"] == 0
+
+
+class TestPendingInsertsUnderReaders:
+    def test_readers_beside_a_creating_writer_and_threshold_settles(self, monkeypatch):
+        # Every create queues its rows as pending inserts, and a settle every
+        # few creates folds them into the tree a transaction at a time,
+        # while readers on other threads search and rank through the view.
+        # Each answer must be one a serial run passes through, and only the
+        # writer's thread (whose commits run the settles) may write the view.
+        monkeypatch.setattr(persistent_index, "SETTLE_KEYS", 48)
+        view_writers = set()
+        for name in ("insert", "fold_many", "settle_value", "put"):
+            original = getattr(persistent_index._TermView, name)
+
+            def spy(self, *args, _original=original, **kwargs):
+                view_writers.add(threading.get_ident())
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(persistent_index._TermView, name, spy)
+
+        def text(n):
+            return f"shared u{n} g{n % 5} {'rep ' * (n % 4)}".encode()
+
+        fs = HFADFileSystem(num_blocks=1 << 15, journal_blocks=63)
+        engine = fs.fulltext_index.index
+        created, seen, wrong, errors = [], [], [], []
+        writer_done = threading.Event()
+
+        def writer():
+            try:
+                for n in range(120):
+                    created.append(fs.create(text(n)))
+            except Exception as error:  # noqa: BLE001 — reported by the main thread
+                errors.append(error)
+            finally:
+                writer_done.set()
+
+        def reader(seed):
+            step = seed
+            try:
+                while not writer_done.is_set():
+                    published = list(created)
+                    seen.append((len(published), fs.search_text("shared")))
+                    if published:
+                        n = step % len(published)
+                        if fs.search_text(f"u{n}") != [published[n]]:
+                            wrong.append((f"u{n}", fs.search_text(f"u{n}")))
+                    with fs.read_view():
+                        query = f"g{step % 5} rep"
+                        if engine.rank(query, limit=None) != engine.rank_exhaustive(query):
+                            wrong.append(("rank", query))
+                    step += 7
+            except Exception as error:  # noqa: BLE001 — reported by the main thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer, daemon=True)]
+        threads += [threading.Thread(target=reader, args=(seed,), daemon=True) for seed in (1, 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: inside the folds too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive(), "a thread wedged"
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and wrong == []
+        # Creates commit in order: each answer is a prefix of them, holding
+        # at least those published before the query.
+        assert seen and all(found == created[:len(found)] and len(found) >= published
+                            for published, found in seen)
+        assert view_writers == {threads[0].ident}, "a reader wrote the view"
+        assert fs.stats()["persistent_index"]["fulltext_settles"] > 3
+
+        serial = HFADFileSystem(num_blocks=1 << 15, journal_blocks=63)
+        assert [serial.create(text(n)) for n in range(120)] == created
+        for query in ("shared", "u7", "g3 rep", "rep", "u119 g4"):
+            assert fs.search_text(query) == serial.search_text(query), query
+            assert fs.rank(query, limit=None) == serial.rank(query, limit=None), query
+        assert engine.bound_violations() == []
+        fs.close()
+        serial.close()

@@ -111,3 +111,22 @@ def test_reindexing_a_write_records_no_access(fs):
     assert fs.read(oid) == b"HELLO world more"
     assert oid in fs.objects._pending_atime
     assert fs.objects.flush_access_times() == 1
+
+
+@pytest.mark.parametrize("content", [b"small words here", b"chunked " * 400],
+                         ids=["inline", "chunked"])
+def test_a_content_write_of_an_indexed_object_decodes_its_record_twice(fs, monkeypatch,
+                                                                       content):
+    # The append loads the record once for its size and its write; the
+    # re-index decodes it once more for the content-indexed flag and hands
+    # it to the engine's re-read.
+    oid = fs.create(content)
+    decoded, from_bytes = [], ObjectMetadata.from_bytes.__func__
+    monkeypatch.setattr(ObjectMetadata, "from_bytes", classmethod(
+        lambda cls, raw: decoded.append(raw) or from_bytes(cls, raw)))
+    fs.append(oid, b" appended words")
+    assert len(decoded) == 2
+    assert fs.search_text("appended") == [oid] and fs.search_text("small chunked") == []
+    decoded.clear()
+    fs.write(oid, 0, b"rewritten ")
+    assert len(decoded) == 2 and fs.search_text("rewritten") == [oid]

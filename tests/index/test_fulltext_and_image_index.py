@@ -38,6 +38,20 @@ class TestFullTextIndexStore:
         assert store.lookup(TAG_FULLTEXT, "beta") == [1]
         assert not store.remove(TAG_FULLTEXT, "gamma", 1)
 
+    def test_a_manual_keyword_keeps_the_stored_stems(self):
+        # Analyzing a stored stem again can change it (glass -> glas): only
+        # the keyword added or removed is analyzed, the stored terms stay.
+        store = FullTextIndexStore()
+        store.index_content(1, "the glasses near bosses")
+        store.insert(TAG_FULLTEXT, "extra", 1)
+        assert store.index.terms_for(1) == ["glass", "near", "boss", "extra"]
+        assert store.lookup(TAG_FULLTEXT, "glasses") == [1]
+        assert store.lookup(TAG_FULLTEXT, "bosses") == [1]
+        assert store.remove(TAG_FULLTEXT, "near", 1)
+        assert store.index.terms_for(1) == ["glass", "boss", "extra"]
+        assert store.lookup(TAG_FULLTEXT, "glasses") == [1]
+        assert store.index.search_phrase("glasses near") == []
+
     def test_remove_last_term_drops_document(self):
         store = FullTextIndexStore()
         store.insert(TAG_FULLTEXT, "solo", 9)

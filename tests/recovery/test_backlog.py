@@ -16,6 +16,7 @@ import pytest
 from repro.core import HFADFileSystem
 from repro.errors import JournalFullError
 from repro.fulltext import persistent_index
+from repro.recovery.manager import CHECKPOINT_THRESHOLD
 from repro.storage import BlockDevice
 
 VOCABULARY = [f"w{i:03d}" for i in range(300)]
@@ -143,8 +144,10 @@ class TestCrashBeforeTheSettle:
 
 class TestCrashDuringTheSettle:
     def test_removing_a_once_pending_document_after_a_half_settled_crash(self):
+        # A settle's transactions are bounded by the pages they stage, so it
+        # takes 120 documents' rows to need several on this journal.
         device, fs = make_fs()
-        corpus = ingest(fs, 30)
+        corpus = ingest(fs, 120)
         images = settle_recording_images(device, fs)
         assert len(images) > 8  # several chunk transactions, then the retirements
         for image in (images[0], images[len(images) // 3], images[-2]):
@@ -213,7 +216,7 @@ class TestJournalSizing:
             words = [f"t{int(rng.random() ** 2 * 4000):04d}" for _ in range(60)]
             corpus[fs.create(" ".join(words).encode(), path=f"/d/{number}")] = set(words)
         engine, journal = fs.fulltext_index.index, fs.recovery.journal
-        unsettled = sum(len(key) + len(value or b"") for key, value in engine._view.edits.items())
+        unsettled = engine._view.unsettled_bytes()
         assert unsettled > journal.capacity_bytes
         checkpoints = fs.stats()["recovery"]["checkpoints"]
         fs.checkpoint()
@@ -224,6 +227,47 @@ class TestJournalSizing:
             expected = sorted(oid for oid, words in corpus.items() if word in words)
             assert mounted.search_text(word) == expected
         assert mounted.fulltext_index.index.bound_violations() == []
+
+    def test_a_settle_with_room_logs_each_touched_leaf_once(self):
+        # Transactions are bounded by the pages they stage, and a page is
+        # logged once per transaction: with the journal's free half able to
+        # hold every touched leaf, the rows go in one transaction (then one
+        # retires the backlog), so no leaf is logged twice.
+        device, fs = make_fs(cache_pages=1024, journal_blocks=1023)
+        ingest(fs, 60)
+        recovery = fs.recovery
+        logged, log_page, after_commit = [[]], recovery.log_page, recovery.after_commit
+        recovery.log_page = lambda block, payload: logged[-1].append(block) or log_page(block, payload)
+        recovery.after_commit = lambda: logged.append([]) or after_commit()
+        fs.fulltext_index.index.settle()
+        rows, _retirement = [pages for pages in logged if pages]
+        assert len(rows) > 4 and len(set(rows)) == len(rows)
+
+    def test_every_settle_transaction_fits_the_journals_free_half(self, monkeypatch):
+        monkeypatch.setattr(persistent_index, "SETTLE_KEYS", sys.maxsize)
+        device, fs = make_fs(journal_blocks=127)
+        corpus = ingest(fs, 150)
+        recovery, journal = fs.recovery, fs.recovery.journal
+        frames, opened = [], []
+        begin, commit_txid = recovery.begin, journal.commit_txid
+
+        def tracked_begin():
+            depth = begin()
+            if depth == 1:
+                opened.append(journal.bytes_used)
+            return depth
+
+        def tracked_commit(txid, sync=True):
+            frames.append(journal.bytes_used - opened.pop())
+            return commit_txid(txid, sync)
+
+        monkeypatch.setattr(recovery, "begin", tracked_begin)
+        monkeypatch.setattr(journal, "commit_txid", tracked_commit)
+        fs.fulltext_index.index.settle()
+        assert len(frames) > 3  # the rows need several transactions here
+        assert max(frames) <= journal.capacity_bytes * (1 - CHECKPOINT_THRESHOLD)
+        assert not recovery.poisoned
+        assert_serves(HFADFileSystem.mount(clone(device)), corpus)
 
     def test_a_transaction_that_outgrows_the_journal_is_a_typed_error(self):
         device, fs = make_fs(journal_blocks=15)
