@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import operator
 import threading
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import BTreeError, KeyNotFoundError
 from repro.btree.cursor import Cursor
@@ -67,13 +67,24 @@ class BPlusTree:
     :param on_root_change: callback invoked with the new root page id
         whenever the root moves (root split or root collapse); the recovery
         layer uses it to journal the master-tree root.
+    :param append_ranges: key ranges ``(low, high)`` — ``[low, high)``,
+        ``high`` None for no bound — whose new keys arrive in ascending order
+        and whose records do not grow once written.  A leaf that overflows on
+        the insert of a new key ending its range's run (the key after it, in
+        the leaf or past its upper separator, is outside the range or there
+        is none) splits *full*: the left leaf keeps as much as its page
+        holds, the right at least a quarter page (:meth:`_append_split_point`).
+        Every other split is even.  By bytes only: by count a right node
+        keeps half the keys anyway.  Not stored on the device: an owner
+        declares the same ranges at mkfs and at mount.
     """
 
     def __init__(self, store: Optional[PageStore] = None, max_keys: int = 64,
                  root_id: Optional[int] = None,
-                 on_root_change=None) -> None:
+                 on_root_change=None, append_ranges=()) -> None:
         if max_keys < 3:
             raise ValueError("max_keys must be at least 3")
+        self.append_ranges = tuple(append_ranges)
         self.store = store if store is not None else InMemoryPageStore()
         self.max_keys = max_keys
         self.min_keys = max_keys // 2
@@ -224,7 +235,7 @@ class BPlusTree:
         value = self._check_value(value)
         with self._lock:
             root = self.store.read(self._root_id)
-            split = self._insert(self._root_id, root, key, value)
+            split = self._insert(self._root_id, root, key, value, None)
             if split is not None:
                 separator, right_id = split
                 new_root = InnerNode(keys=[separator], children=[self._root_id, right_id])
@@ -234,13 +245,18 @@ class BPlusTree:
             else:
                 self._collapse_root(root)
 
-    def _insert(self, page_id: int, node, key: bytes, value: bytes):
+    def _insert(self, page_id: int, node, key: bytes, value: bytes,
+                upper: Optional[bytes]):
+        """Put ``key`` into the subtree at ``node``, whose keys are all below
+        ``upper`` (None: no bound), as :meth:`_find_leaf` tracks it."""
         if node.is_leaf:
-            return self._insert_into_leaf(page_id, node, key, value)
+            return self._insert_into_leaf(page_id, node, key, value, upper)
         index = bisect.bisect_right(node.keys, key)
+        if index < len(node.keys):
+            upper = node.keys[index]
         child_id = node.children[index]
         child = self.store.read(child_id)
-        split = self._insert(child_id, child, key, value)
+        split = self._insert(child_id, child, key, value, upper)
         if split is None:
             if self._underflowing(child):  # a smaller value replaced a bigger one
                 self._rebalance(page_id, node, index)
@@ -254,9 +270,11 @@ class BPlusTree:
             return None
         return self._split_inner(page_id, node)
 
-    def _insert_into_leaf(self, page_id: int, leaf: LeafNode, key: bytes, value: bytes):
+    def _insert_into_leaf(self, page_id: int, leaf: LeafNode, key: bytes, value: bytes,
+                          upper: Optional[bytes]):
         index = bisect.bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
+        inserted = not (index < len(leaf.keys) and leaf.keys[index] == key)
+        if not inserted:
             # Replacing a value with a bigger one can outgrow the page
             # without changing the key count (growing metadata records do
             # exactly this) — split just like an insert would.
@@ -269,7 +287,17 @@ class BPlusTree:
         if not self._overfull(leaf):
             self.store.write(page_id, leaf)
             return None
-        return self._split_leaf(page_id, leaf)
+        following = leaf.keys[index + 1] if index + 1 < len(leaf.keys) else upper
+        return self._split_leaf(
+            page_id, leaf, inserted and self._ends_append_run(key, following))
+
+    def _ends_append_run(self, key: bytes, following: Optional[bytes]) -> bool:
+        """Whether a new ``key``, with ``following`` the next key in the tree
+        (None: there is none), ends the run of one of :attr:`append_ranges`."""
+        for low, high in self.append_ranges:
+            if low <= key and (high is None or key < high):
+                return following is None or (high is not None and following >= high)
+        return False
 
     def _split_point(self, node) -> Tuple[int, int]:
         """``(index, encoded bytes of the entries before it)`` to split at.
@@ -293,8 +321,32 @@ class BPlusTree:
                     best, best_cost = index, cost
         return best, sum(sizes[:best])
 
-    def _split_leaf(self, page_id: int, leaf: LeafNode):
-        mid, left_bytes = self._split_point(leaf)
+    def _append_split_point(self, node) -> Optional[Tuple[int, int]]:
+        """:meth:`_split_point`'s pair for an append split: the last index
+        leaving the left node within its page and the right one at least a
+        quarter page (so it does not underflow), or None when there is none.
+
+        The left node of an append run takes nothing more, so filling it
+        is all gain; the right one takes the run's next keys.
+        """
+        limit = self.node_byte_limit
+        if limit is None:
+            return None
+        right = NODE_OVERHEAD
+        for index in range(len(node.keys) - 1, 0, -1):
+            right += node.entry_size(index)
+            if right > limit:
+                return None
+            left = node.nbytes - right + NODE_OVERHEAD
+            if right >= limit // 4 and left <= limit:
+                return index, left - NODE_OVERHEAD
+        return None
+
+    def _split_leaf(self, page_id: int, leaf: LeafNode, appended: bool):
+        """Split an overfull leaf: evenly, or — ``appended``, the overflow
+        being a new key that ends an append run — full on the left."""
+        point = self._append_split_point(leaf) if appended else None
+        mid, left_bytes = point or self._split_point(leaf)
         right = LeafNode(
             keys=leaf.keys[mid:],
             values=leaf.values[mid:],
@@ -729,7 +781,7 @@ class BPlusTree:
 
     # ----------------------------------------------------------- invariants
 
-    def check_invariants(self) -> None:
+    def check_invariants(self) -> Dict[str, float]:
         """Verify structural invariants; raises ``AssertionError`` on failure.
 
         Checked: key ordering within and across nodes, uniform leaf depth,
@@ -739,10 +791,15 @@ class BPlusTree:
         is its encoded size and fits the page, and a node under a quarter
         page is one that neither sibling could merge with — which entries
         over half a page can leave, and smaller ones cannot.
+
+        Returns what the walk saw: ``{"leaves", "inner", "fill"}``, ``fill``
+        being the leaves' mean occupancy — bytes over the page, or keys over
+        ``max_keys`` by count.
         """
         leaf_depths: List[int] = []
         keys_by_walk: List[bytes] = []
         limit = self.node_byte_limit
+        shape = {"leaves": 0, "inner": 0, "used": 0}
 
         def check_occupancy(node, parent, index: int) -> None:
             kind = "leaf" if node.is_leaf else "inner"
@@ -777,7 +834,10 @@ class BPlusTree:
                         assert key < high, "leaf key above separator"
                 leaf_depths.append(depth)
                 keys_by_walk.extend(node.keys)
+                shape["leaves"] += 1
+                shape["used"] += len(node.keys) if limit is None else node.nbytes
                 return
+            shape["inner"] += 1
             assert node.keys == sorted(node.keys), "inner keys unsorted"
             assert len(node.children) == len(node.keys) + 1, "child count mismatch"
             if is_root:
@@ -791,3 +851,7 @@ class BPlusTree:
         assert keys_by_walk == sorted(keys_by_walk), "global key order violated"
         chain = [key for key, _ in self._leaf_items_from(None)]
         assert chain == keys_by_walk, "leaf chain disagrees with tree walk"
+        leaves = shape["leaves"]
+        per_leaf = self.max_keys if limit is None else limit
+        return {"leaves": leaves, "inner": shape["inner"],
+                "fill": round(shape["used"] / (leaves * per_leaf), 3)}

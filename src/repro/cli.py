@@ -312,6 +312,12 @@ class HFADShell:
             f"objects checked: {report['objects']}",
             f"extents checked: {report['extents']}",
         ]
+        trees = report["trees"]
+        lines.extend(
+            f"{name} tree: {trees[name]['leaves']} leaves, {trees[name]['inner']} "
+            f"inner, fill {trees[name]['fill']:.1%}"
+            for name in ("master", "content", "fulltext", "image") if name in trees
+        )
         if "journal_committed_transactions" in report:
             lines.append(
                 f"journal: {report['journal_committed_transactions']} committed "

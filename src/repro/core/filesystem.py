@@ -34,7 +34,10 @@ from repro.errors import (
     NoSuchObjectError,
     RecoveryError,
 )
-from repro.fulltext.persistent_index import PersistentInvertedIndex
+from repro.fulltext.persistent_index import (
+    APPEND_RANGES as FULLTEXT_APPEND_RANGES,
+    PersistentInvertedIndex,
+)
 from repro.integrity import IntegrityContext, Scrubber, ScrubReport
 from repro.index.path_index import normalize_path
 from repro.index.tags import normalize_tag
@@ -261,6 +264,7 @@ class HFADFileSystem:
             "index.fulltext",
             root_id=roots.get("fulltext_root"),
             on_root_change=self._fulltext_root_moved,
+            append_ranges=FULLTEXT_APPEND_RANGES,
         )
         self._image_tree = self.objects.open_index_tree(
             "index.image",
@@ -554,27 +558,31 @@ class HFADFileSystem:
         """Integrity audit of the on-device structures.
 
         The OSD audits its own objects (:meth:`ObjectStore.check_consistency`:
-        extent maps, master-tree invariants, allocator); this facade aggregates that with the structures only it
-        knows about — the persistent index trees and the journal.  Returns a
-        report dict with an ``errors`` list — empty on a healthy filesystem.
+        extent maps, master- and content-tree invariants, allocator); this
+        facade aggregates that with the structures only it knows about — the
+        persistent index trees and the journal.  Returns a report dict with
+        an ``errors`` list — empty on a healthy filesystem — and ``trees``:
+        per tree whose invariants hold (``master``, ``content``,
+        ``fulltext``, ``image``), its ``leaves``, ``inner`` nodes and leaf
+        ``fill``, from the invariant walk itself.
         """
         report: Dict[str, object] = self.objects.check_consistency()
         errors: List[str] = report["errors"]
+        for label, name, tree in (("fulltext index", "fulltext", self._fulltext_tree),
+                                  ("image index", "image", self._image_tree)):
+            try:
+                report["trees"][name] = tree.check_invariants()
+            except Exception as error:  # noqa: BLE001 — fsck reports, never raises
+                errors.append(f"{label}: {error}")
         for label, tree, root_key in (
             ("fulltext index", self._fulltext_tree, "fulltext_root"),
             ("image index", self._image_tree, "image_root"),
             ("content tree", self.objects._content, "content_root"),
         ):
-            try:
-                tree.check_invariants()
-                persisted = self.recovery.state.get(root_key, 0)
-                if persisted != tree.root_id:
-                    errors.append(
-                        f"{label}: persisted root {persisted} != live root "
-                        f"{tree.root_id}"
-                    )
-            except Exception as error:  # noqa: BLE001 — fsck reports, never raises
-                errors.append(f"{label}: {error}")
+            persisted = self.recovery.state.get(root_key, 0)
+            if persisted != tree.root_id:
+                errors.append(f"{label}: persisted root {persisted} != live root "
+                              f"{tree.root_id}")
         journal = self.recovery.journal
         try:
             report["journal_committed_transactions"] = len(journal.scan())

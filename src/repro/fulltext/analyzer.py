@@ -23,9 +23,12 @@ DEFAULT_STOP_WORDS = frozenset(
     that the their then there these they this to was will with""".split()
 )
 
+#: first match wins.  A final ``ss`` is kept (``glass``, ``boss``), so a
+#: singular meets its ``sses`` plural instead of losing an ``s``.
 _SUFFIX_RULES: Sequence[Tuple[str, str]] = (
     ("ies", "y"),
     ("sses", "ss"),
+    ("ss", "ss"),
     ("ing", ""),
     ("edly", ""),
     ("ed", ""),
@@ -95,7 +98,7 @@ class Analyzer:
 
     def query_tokens(self, text) -> List[str]:
         """The tokens :meth:`analyze` keeps, unstemmed: a search's values,
-        which the index analyzes once (``glasses`` -> ``glass`` -> ``glas``:
-        stemming is not idempotent)."""
+        which the index analyzes once (``buildings`` -> ``building`` ->
+        ``build``: stemming is not idempotent)."""
         return [token[: self.max_token_length] for token in self.tokenize(text)
                 if token not in self.stop_words and len(token) >= self.min_token_length]

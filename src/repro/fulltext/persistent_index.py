@@ -89,6 +89,11 @@ Key layout (one tree, seven record kinds; ``block`` is ``oid >> BLOCK_SHIFT``,
 * ``D`` is the document's own record, in first-occurrence term order: the
   terms to scrub on remove, the positions phrase search reads for its
   candidates.  Chunked, so one entry can never outgrow a page.
+* The ``D`` run is the tree's one declared append range
+  (:data:`APPEND_RANGES`): documents are created in oid order and their
+  records written once, so a leaf overflowing at the run's end splits full.
+  ``T`` runs are not: a settle appends to every open block of a term, and
+  leaves split full there would split again on the next settle.
 
 Positions are capped at :data:`MAX_STORED_POSITIONS` per posting: term
 frequency stays exact (BM25 is unaffected) but phrase queries only consult
@@ -130,6 +135,8 @@ _OID = struct.Struct(">Q")
 _SEP = b"\x00"
 _STATS_KEY = b"S"
 _DOC_PREFIX = b"D\x00"
+#: the tree's :class:`~repro.btree.BPlusTree` ``append_ranges``: the ``D`` run.
+APPEND_RANGES = ((_DOC_PREFIX, b"D\x01"),)
 _LENGTH_PREFIX = b"L\x00"
 _PENDING_PREFIX = b"P\x00"
 _REMOVED_PREFIX = b"R\x00"
@@ -1174,7 +1181,7 @@ class PersistentInvertedIndex:
 
     def search_all(self, terms: Iterable[str]) -> List[int]:
         """Conjunctive search over already-analyzed terms, taken as given:
-        analyzing a stem again can change it (``glass`` -> ``glas``)."""
+        analyzing a stem again can change it (``building`` -> ``build``)."""
         return list(self._conjunction(list(terms)))
 
     def search_any(self, query) -> List[int]:

@@ -60,9 +60,17 @@ _OID = struct.Struct(">Q")
 # ``\xff`` sorts after every 8-byte OID key, so a metadata scan ends there,
 # and extents get a run of their own instead of fattening metadata leaves
 # (label writes rewrite those).
+#
+# The metadata run is the master tree's declared append range
+# (:class:`~repro.btree.BPlusTree`'s ``append_ranges``): a new oid is one past
+# the largest, so a leaf overflowing on it splits full.  The names run is
+# not: tags on old objects land mid-run.  The content tree's keys are
+# serials (``last + 1``), so its whole key space is one append range.
 _OID_END = b"\xff"
 _EXTENT_PREFIX = b"\xffE"
 _NAME_PREFIX = b"\xffN"
+_MASTER_APPEND_RANGES = ((b"", _OID_END),)
+_CONTENT_APPEND_RANGES = ((b"", None),)
 
 
 @dataclass
@@ -118,7 +126,8 @@ class ObjectStore:
             content_cache=content_cache,
         )
         self.allocator = allocator
-        self._master = self._new_tree("osd.master", on_root_change=self._master_root_moved)
+        self._master = self._new_tree("osd.master", on_root_change=self._master_root_moved,
+                                      append_ranges=_MASTER_APPEND_RANGES)
         self._open_content_tree(None)
 
     def _init_shared_state(
@@ -204,6 +213,7 @@ class ObjectStore:
             "osd.master",
             root_id=state["master_root"],
             on_root_change=store._master_root_moved,
+            append_ranges=_MASTER_APPEND_RANGES,
         )
         master_entries = store._reserve_tree_pages(store._master, store.allocator)
         # The same walk feeds the naming rebuild: name entries are handed
@@ -281,7 +291,7 @@ class ObjectStore:
                     allocator.reserve(extent.block, extent.nblocks)
 
     def open_index_tree(self, name: str, root_id: Optional[int] = None,
-                        on_root_change=None) -> BPlusTree:
+                        on_root_change=None, append_ranges=()) -> BPlusTree:
         """Open an auxiliary on-device btree (the content tree, the
         persistent index trees).
 
@@ -291,9 +301,12 @@ class ObjectStore:
         re-attached to an existing root (the mount path): its pages are
         re-reserved in the allocator — which the mount walk rebuilt from
         reachable structures only — by reading its inner nodes and one
-        leaf, never the rest of its leaves.
+        leaf, never the rest of its leaves.  ``append_ranges`` is the
+        tree's :class:`BPlusTree` split declaration, the same at mkfs and
+        mount.
         """
-        tree = self._new_tree(name, root_id=root_id, on_root_change=on_root_change)
+        tree = self._new_tree(name, root_id=root_id, on_root_change=on_root_change,
+                              append_ranges=append_ranges)
         if root_id is not None:
             self._reserve_tree_pages(tree, self.allocator, read_leaves=False)
         self._index_trees.append(tree)
@@ -303,7 +316,8 @@ class ObjectStore:
         """Create (mkfs) or re-attach (mount) the content tree, whose leaves
         hold the bytes of every write of at most :attr:`inline_limit`."""
         self._content = self.open_index_tree(
-            "osd.content", root_id=root_id, on_root_change=self._content_root_moved)
+            "osd.content", root_id=root_id, on_root_change=self._content_root_moved,
+            append_ranges=_CONTENT_APPEND_RANGES)
         #: the largest write stored in the content tree: a quarter page, so
         #: an entry stays far under the half-page entry budget.
         self.inline_limit = self._content.store.page_bytes // 4
@@ -316,13 +330,17 @@ class ObjectStore:
     def check_consistency(self) -> Dict[str, object]:
         """The per-object half of fsck: audit the on-device OSD structures.
 
-        Walks every object's extent map, checks the master tree's invariants
-        and the allocator, and cross-checks allocator occupancy
-        (:meth:`_check_occupancy`).  Returns ``{"objects", "extents",
-        "errors"}`` — the filesystem facade aggregates this with its own
-        journal and index-tree checks.  Never raises: fsck reports.
+        Walks every object's extent map, checks the master and content
+        trees' invariants and the allocator, and cross-checks allocator
+        occupancy (:meth:`_check_occupancy`).  Returns ``{"objects",
+        "extents", "trees", "errors"}``, ``trees`` holding each tree whose
+        invariants hold, by name (``master``, ``content``), as
+        :meth:`BPlusTree.check_invariants` reports it — the filesystem facade
+        aggregates this with its own journal and index-tree checks.  Never
+        raises: fsck reports.
         """
         errors: List[str] = []
+        trees: Dict[str, Dict[str, float]] = {}
         objects = 0
         extents = 0
         named = set()
@@ -341,9 +359,9 @@ class ObjectStore:
                         named.add(extent.block)
             except Exception as error:  # noqa: BLE001 — fsck reports, never raises
                 errors.append(f"object {oid}: {error}")
-        self._check_content_entries(named, errors)
+        self._check_content_entries(named, trees, errors)
         try:
-            self._master.check_invariants()
+            trees["master"] = self._master.check_invariants()
         except Exception as error:  # noqa: BLE001
             errors.append(f"master tree: {error}")
         try:
@@ -351,13 +369,13 @@ class ObjectStore:
         except Exception as error:  # noqa: BLE001
             errors.append(f"allocator: {error}")
         self._check_occupancy(errors)
-        return {"objects": objects, "extents": extents, "errors": errors}
+        return {"objects": objects, "extents": extents, "trees": trees, "errors": errors}
 
-    def _check_content_entries(self, named: set, errors: List[str]) -> None:
+    def _check_content_entries(self, named: set, trees: Dict, errors: List[str]) -> None:
         """Every content-tree entry is named by an extent, and every named
         entry exists: an unnamed one is a leak, like an unreachable block."""
         try:
-            self._content.check_invariants()
+            trees["content"] = self._content.check_invariants()
             stored = {_OID.unpack(key)[0] for key, _value in self._content.cursor()}
         except Exception as error:  # noqa: BLE001 — fsck reports, never raises
             errors.append(f"content tree: {error}")
@@ -400,7 +418,8 @@ class ObjectStore:
 
     def _new_tree(self, name: str, **attach) -> BPlusTree:
         """A btree over device pages from this store's allocator; ``attach``
-        is :class:`BPlusTree`'s ``root_id`` / ``on_root_change``."""
+        is :class:`BPlusTree`'s ``root_id`` / ``on_root_change`` /
+        ``append_ranges``."""
         page_store = DevicePageStore(
             self.device,
             self.allocator,

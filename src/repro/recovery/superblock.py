@@ -53,9 +53,10 @@ _PREFIX = struct.Struct(">8sII")  # magic | payload length | crc32(payload)
 #: are below 2 ** 16 (a flag bit in its position count says u32), a
 #: document's tfs in ``P`` as u16 when it has fewer than 2 ** 16 tokens, and
 #: the durable posting backlog (``P`` /
-#: ``R`` records; :mod:`repro.fulltext.persistent_index`).  3 was 12-byte
+#: ``R`` records; :mod:`repro.fulltext.persistent_index`), its terms stemmed
+#: keeping a final ``ss``.  4 stemmed ``glass`` to ``glas``; 3 was 12-byte
 #: ``oid · tf`` rows, 24-byte statistics and u32 positions and tfs.
-FULLTEXT_FORMAT = 4
+FULLTEXT_FORMAT = 5
 #: the one master tree layout served: every object's extents in the master
 #: tree (``\xffE | oid | D | offset`` keys; :mod:`repro.osd.object_store`),
 #: not in an extent tree per object, each value tagged as a CRC-carrying
@@ -156,8 +157,8 @@ class Superblock:
             raise RecoveryError(
                 f"unsupported on-device format: superblock fulltext_format="
                 f"{self.fulltext_format}, but only full-text trees of slot-keyed "
-                "posting rows with a posting backlog (fulltext_format="
-                f"{FULLTEXT_FORMAT}) are mountable"
+                "posting rows with a posting backlog, their stems keeping a final "
+                f"'ss' (fulltext_format={FULLTEXT_FORMAT}), are mountable"
             )
         if self.osd_format != OSD_FORMAT:
             raise RecoveryError(

@@ -132,7 +132,7 @@ def test_eviction_follows_global_lru_order():
     assert consumer.get("a") == "a"
 
 
-# 400 objects: the working set (master + full-text pages) must outgrow the
+# 500 objects: the working set (master + full-text pages) must outgrow the
 # 64-page pool, or eviction never has to choose a victim.
 _FIXED_OP_LIST = """
 import json
@@ -140,7 +140,7 @@ from repro.core import HFADFileSystem
 fs = HFADFileSystem(num_blocks=1 << 15, cache_pages=64)
 oids = [fs.create(f"document {i} about topic{i % 7} and word{i % 13}".encode(),
                   owner=f"user{i % 5}", annotations=[f"label{i % 11}"])
-        for i in range(400)]
+        for i in range(500)]
 for i in range(300):
     fs.read(oids[(i * 37) % len(oids)])
     fs.find(("UDEF", f"label{i % 11}"))

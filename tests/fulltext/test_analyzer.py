@@ -71,6 +71,7 @@ class TestLightStem:
     STEMS = {
         "parties": "party", "ies": "ies", "pies": "pie",
         "classes": "class", "sses": "sse", "asses": "ass",
+        "glass": "glass", "boss": "boss", "pass": "pass",
         "running": "runn", "ing": "ing", "sing": "sing",
         "reportedly": "report", "edly": "edly", "fedly": "fedly",
         "jumped": "jump", "ed": "ed", "bed": "bed",

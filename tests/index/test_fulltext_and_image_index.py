@@ -39,18 +39,18 @@ class TestFullTextIndexStore:
         assert not store.remove(TAG_FULLTEXT, "gamma", 1)
 
     def test_a_manual_keyword_keeps_the_stored_stems(self):
-        # Analyzing a stored stem again can change it (glass -> glas): only
-        # the keyword added or removed is analyzed, the stored terms stay.
+        # Analyzing a stored stem again can change it (building -> build):
+        # only the keyword added or removed is analyzed, the stored terms stay.
         store = FullTextIndexStore()
-        store.index_content(1, "the glasses near bosses")
+        store.index_content(1, "the buildings near ceilings")
         store.insert(TAG_FULLTEXT, "extra", 1)
-        assert store.index.terms_for(1) == ["glass", "near", "boss", "extra"]
-        assert store.lookup(TAG_FULLTEXT, "glasses") == [1]
-        assert store.lookup(TAG_FULLTEXT, "bosses") == [1]
+        assert store.index.terms_for(1) == ["building", "near", "ceiling", "extra"]
+        assert store.lookup(TAG_FULLTEXT, "buildings") == [1]
+        assert store.lookup(TAG_FULLTEXT, "ceilings") == [1]
         assert store.remove(TAG_FULLTEXT, "near", 1)
-        assert store.index.terms_for(1) == ["glass", "boss", "extra"]
-        assert store.lookup(TAG_FULLTEXT, "glasses") == [1]
-        assert store.index.search_phrase("glasses near") == []
+        assert store.index.terms_for(1) == ["building", "ceiling", "extra"]
+        assert store.lookup(TAG_FULLTEXT, "buildings") == [1]
+        assert store.index.search_phrase("buildings near") == []
 
     def test_remove_last_term_drops_document(self):
         store = FullTextIndexStore()

@@ -160,3 +160,50 @@ class TestJournalReads:
         # comparison with the in-memory log exactly ``used``.
         assert used < blocks <= 3 * used + 1 < journal.journal_blocks
         fs.close()
+
+
+class TestTreeShapes:
+    """fsck reports each tree's shape from the invariant walk it makes."""
+
+    @staticmethod
+    def trees(fs):
+        return {"master": fs.objects._master, "content": fs.objects._content,
+                "fulltext": fs._fulltext_tree, "image": fs._image_tree}
+
+    def test_each_tree_reports_its_leaves_inner_nodes_and_fill(self, monkeypatch):
+        fs = HFADFileSystem(device=BlockDevice(num_blocks=1 << 15))
+        for number in range(200):
+            fs.create(f"document {number} of words w{number} ".encode() * 8,
+                      path=f"/d/{number}")
+        fs.checkpoint()
+        walks = dict.fromkeys(self.trees(fs), 0)
+        for name, tree in self.trees(fs).items():
+            def counted(walk=tree.check_invariants, name=name):
+                walks[name] += 1
+                return walk()
+            monkeypatch.setattr(tree, "check_invariants", counted)
+        shapes = fs.fsck()["trees"]
+        assert walks == dict.fromkeys(walks, 1)  # one walk per tree, no second
+        for name, tree in self.trees(fs).items():
+            nodes, stack = [], [tree.root_id]
+            while stack:
+                nodes.append(tree.store.read(stack.pop()))
+                stack.extend([] if nodes[-1].is_leaf else nodes[-1].children)
+            leaves = [node for node in nodes if node.is_leaf]
+            fill = sum(leaf.nbytes for leaf in leaves) / (len(leaves) * tree.node_byte_limit)
+            assert shapes[name] == {"leaves": len(leaves), "inner": len(nodes) - len(leaves),
+                                    "fill": round(fill, 3)}, name
+        assert shapes["master"]["inner"] >= 1 and shapes["content"]["leaves"] > 1
+        fs.close()
+
+    def test_a_tree_failing_its_walk_reports_an_error_and_no_shape(self, monkeypatch):
+        _device, fs = make_fs()
+
+        def broken():
+            raise AssertionError("leaf keys unsorted")
+
+        monkeypatch.setattr(fs._image_tree, "check_invariants", broken)
+        report = fs.fsck()
+        assert "image index: leaf keys unsorted" in report["errors"]
+        assert sorted(report["trees"]) == ["content", "fulltext", "master"]
+        fs.close()

@@ -251,11 +251,11 @@ def test_persistent_mount_cost_per_document_does_not_grow_with_the_corpus():
 
 
 def test_mount_reads_grow_only_with_the_master_tree():
-    """The mount's slope: from 0 to 1,400 objects only the master tree's
+    """The mount's slope: from 0 to 1,600 objects only the master tree's
     share of the blocks read grows.  The superblock and the journal tail
     stay at one block each after a clean close, and each index tree costs
     its inner pages plus a probe or two, never its leaves."""
-    runs = [mount_traffic(objects) for objects in (0, 300, 1400)]
+    runs = [mount_traffic(objects) for objects in (0, 300, 1600)]
     for _traffic, reads, shape in runs:
         assert reads["metadata_region"] <= 2, reads
         assert reads["elsewhere"] == 0, reads
@@ -263,7 +263,7 @@ def test_mount_reads_grow_only_with_the_master_tree():
         assert reads["master"] == sum(shape["master"]), (reads, shape)
     (_, empty, _), (_, mid, _), (_, large, large_shape) = runs
     assert empty["master"] < mid["master"] < large["master"]
-    # At 1,400 objects the posting tree holds over a hundred leaves, and
+    # At 1,600 objects the posting tree holds over a hundred leaves, and
     # the mount reads a handful of its pages.
     assert large_shape["fulltext"][1] > 100
     assert large["fulltext"] < 10

@@ -136,7 +136,7 @@ class TestFormatVersions:
             Superblock.from_bytes(encode_fields(fields))
 
     def test_the_per_posting_fulltext_layout_is_refused(self):
-        assert make_superblock().fulltext_format == 4
+        assert make_superblock().fulltext_format == 5
         with pytest.raises(RecoveryError, match="fulltext_format=1"):
             make_superblock(fulltext_format=1).require_mountable(BLOCK_SIZE)
 
@@ -193,6 +193,29 @@ class TestFormatVersions:
         assert fs.recovery.journal.scan(), "the tail would be replayed"
         before, writes = device.dump(), device.stats.writes
         with pytest.raises(RecoveryError, match="osd_format=3"):
+            HFADFileSystem.mount(device)
+        assert device.stats.writes == writes
+        assert device.dump() == before
+
+    def test_an_image_of_ss_dropping_stems_is_refused_untouched(self):
+        # What the code before the stemmer kept a final ``ss`` wrote:
+        # ``fulltext_format`` 4, its ``glass`` stored as ``glas``, with a
+        # committed journal tail not yet home.  Served, its terms would miss
+        # their queries; it must be refused, naming the stamp it has and the
+        # one served, before replay writes a block.
+        from repro.core import HFADFileSystem
+
+        device = BlockDevice(num_blocks=1 << 14)
+        fs = HFADFileSystem(device=device)
+        fs.create(b"a glass", path="/glass")
+        fs.checkpoint()
+        fs.create(b"the boss", path="/boss")
+        fields = dict(asdict(Superblock.load(device)), fulltext_format=4)
+        device.write_block(SUPERBLOCK_BLOCK, encode_fields(fields))
+        assert fs.recovery.journal.scan(), "the tail would be replayed"
+        before, writes = device.dump(), device.stats.writes
+        with pytest.raises(RecoveryError,
+                           match=r"fulltext_format=4, .*\(fulltext_format=5\)"):
             HFADFileSystem.mount(device)
         assert device.stats.writes == writes
         assert device.dump() == before

@@ -1,5 +1,7 @@
 """Tests for the interactive hFAD shell and its command-line entry point."""
 
+import re
+
 import pytest
 
 from repro.cli import HFADShell, ShellError, build_shell, main
@@ -296,6 +298,14 @@ class TestDurabilityCommands:
         report = shell.execute("fsck")
         assert "objects checked: " in report
         assert "clean" in report
+
+    def test_fsck_prints_one_line_per_tree(self, shell):
+        shell.execute("put /ok.txt some contents")
+        lines = shell.execute("fsck").splitlines()
+        trees = [line for line in lines if " tree: " in line]
+        assert [line.split()[0] for line in trees] == ["master", "content", "fulltext", "image"]
+        assert all(re.fullmatch(r"\w+ tree: \d+ leaves, \d+ inner, fill \d+\.\d%", line)
+                   for line in trees), trees
 
     def test_recover_and_checkpoint_on_wal_shell(self):
         shell = build_shell()
