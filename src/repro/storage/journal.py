@@ -84,8 +84,9 @@ into a ``DELTA`` whenever that is smaller.  The recovery manager logs each
 page a transaction wrote once, as its final image, when the transaction
 seals, so a record is one delta against the page's image from before the
 transaction: its last sealed image, or its home on first touch (below).  A
-block appended twice in one stage — only a direct caller of the journal
-does that — deltas against the stage's own earlier image.  The payload is::
+second page image of one block in one stage is a
+:class:`~repro.errors.JournalError`; a block revoked earlier in the stage
+logs a full image.  The payload is::
 
     head_len:u8 | prefix:u32 | suffix:u32 | crc32(new):u32 | head | middle
 
@@ -98,9 +99,8 @@ there (the checksum frame's length and CRC, the node's entry count), and
 they would otherwise cut the common prefix to nothing.  ``crc32(new)``
 covers the whole reconstructed image, so a splice against the wrong base is
 *surfaced* as a :class:`~repro.errors.JournalError` and never written.  A
-delta is only taken against an image logged by the same transaction or by a
-sealed frame, which precedes it in the log, so a crash can never keep a
-delta and drop its base.
+delta is only taken against an image logged by a sealed frame, which
+precedes it in the log, so a crash can never keep a delta and drop its base.
 
 **Run lists.**  One splice carries everything from the first changed byte
 to the last, so a leaf that took several scattered edits (a settle batch
@@ -495,14 +495,14 @@ class Journal:
         #: home delta and their home fails its checksum frame.
         self.last_replay_unresolved: List[int] = []
         # Delta bases: block -> the newest page image sealed since the
-        # journal last truncated; the open stage's own images (None where it
+        # journal last truncated; the open stage's images (None where it
         # revoked the block) join them when it seals.  Blocks allocated or
         # revoked since the log truncated have no home base.  All are
         # cleared wherever the log truncates or replays.
         self._bases: Dict[int, bytes] = {}
         self._stage_txid: Optional[int] = None
         self._stage_lsn = 0
-        self._stage_bases: Dict[int, Optional[bytes]] = {}
+        self._stage_images: Dict[int, Optional[bytes]] = {}
         self._reused: Set[int] = set()
         # Serializes append/sync/truncate across threads: the recovery
         # manager's transaction lock orders *transactions*, but the buffer
@@ -554,10 +554,11 @@ class Journal:
         except DeviceError:
             return None  # an unreadable home costs a full image, not the write
 
-    def _base(self, txid: int, block: int) -> Optional[bytes]:
-        """The image a record of ``txid`` for ``block`` may be a delta of."""
-        if txid == self._stage_txid and block in self._stage_bases:
-            return self._stage_bases[block]
+    def _base(self, block: int) -> Optional[bytes]:
+        """The sealed image a record for ``block`` may be a delta of: none
+        once the open stage revoked the block."""
+        if block in self._stage_images:
+            return None
         return self._bases.get(block)
 
     def append(self, rtype: int, txid: int, block: int, payload: bytes) -> int:
@@ -565,16 +566,17 @@ class Journal:
         reaches the log when :meth:`commit_txid` seals the frame.
 
         A ``TYPE_DATA`` page image is logged as a ``TYPE_DELTA`` against the
-        block's last sealed image (or this stage's own), or on first touch as a
+        block's last sealed image, or on first touch as a
         ``TYPE_HOME_DELTA`` against its home bytes, when that is smaller
-        (module docstring, "Page deltas"); callers pass neither.  A record
-        of another ``txid`` than the open stage's abandons that stage.
+        (module docstring, "Page deltas"); callers pass neither.  A second
+        image of one block in one stage raises :class:`JournalError`.  A
+        record of another ``txid`` than the open stage's abandons that stage.
         """
         if rtype not in _KNOWN_TYPES or rtype in (TYPE_DELTA, TYPE_HOME_DELTA):
             raise JournalError(f"record type {rtype} cannot be appended")
         payload = image = bytes(payload)
         home = None
-        if rtype == TYPE_DATA and self._base(txid, block) is None:
+        if rtype == TYPE_DATA and self._base(block) is None:
             # First touch: read the home before taking the mutex, which the
             # pool's forced syncs and the flusher wait on.  Appends are
             # serialized by the engine lock, and a page with no base is
@@ -584,7 +586,11 @@ class Journal:
             if txid != self._stage_txid:
                 self._close_stage()  # abandoned: nothing of it was sealed
             if rtype == TYPE_DATA:
-                base = self._base(txid, block)
+                if self._stage_images.get(block) is not None:
+                    raise JournalError(
+                        f"block {block} already has a page record in this transaction"
+                    )
+                base = self._base(block)
                 if base is not None:
                     delta = encode_delta(base, image)
                     if len(delta) < len(image):
@@ -605,10 +611,10 @@ class Journal:
             self._log += entry
             self._log += payload
             if rtype == TYPE_REVOKE:
-                self._stage_bases[block] = None
+                self._stage_images[block] = None
                 self._reused.add(block)
             elif rtype != TYPE_META:
-                self._stage_bases[block] = image
+                self._stage_images[block] = image
             self.records_appended += 1
             self._book(size, len(entry), records=1)
             return lsn
@@ -627,7 +633,7 @@ class Journal:
         """Forget the open stage: what it staged past the last seal, and
         its images."""
         del self._log[self._sealed:]
-        self._stage_txid, self._stage_bases = None, {}
+        self._stage_txid, self._stage_images = None, {}
 
     def commit_txid(self, txid: int, sync: bool = True) -> int:
         """Seal ``txid``'s stage into the log as one frame; optionally flush
@@ -648,7 +654,7 @@ class Journal:
                     _FRAME_MAGIC, self._stage_lsn, length, crc)
                 self._sealed = len(self._log)
                 self.sealed_lsn = self.last_lsn
-                for block, image in self._stage_bases.items():
+                for block, image in self._stage_images.items():
                     if image is None:
                         self._bases.pop(block, None)
                     else:

@@ -11,6 +11,18 @@ from repro.integrity import IntegrityContext
 from repro.recovery import RecoveryManager
 from repro.storage import BlockDevice, BuddyAllocator
 
+try:
+    from hypothesis import HealthCheck, Phase, settings
+except ImportError:  # lanes that run no property test do not install it
+    pass
+else:
+    # The torture machine's CI intensity (tests/test_torture.py), loaded with
+    # ``--hypothesis-profile=torture-ci``; the seed is ``--hypothesis-seed``.
+    settings.register_profile(
+        "torture-ci", max_examples=108, stateful_step_count=30, deadline=None,
+        phases=[Phase.generate, Phase.shrink], report_multiple_bugs=False,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
 _EXTENT_PREFIX = b"\xffE"
 
 

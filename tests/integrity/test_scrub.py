@@ -154,6 +154,52 @@ class TestRepair:
             tree.store.read(tree.root_id)
         fs.close()
 
+    @pytest.mark.parametrize("resident", [True, False], ids=["pool", "no-pool"])
+    def test_rot_under_a_home_delta(self, resident):
+        # The WAL holds no image of a page first touched after a checkpoint,
+        # only a delta against its home: once that home rots, the log cannot
+        # rebuild it, and the scrub repairs from the pool or surfaces the page.
+        from repro.integrity import verify_frame
+        from repro.storage.journal import TYPE_HOME_DELTA
+
+        device, fs = make_fs()
+        oids = populate(fs, count=22)
+        fs.checkpoint()
+        fs.close()
+        fs = HFADFileSystem.mount(device, query_cache_entries=0)
+        expected = fs.search_text("searchable")
+        fs.append(oids[3], b" zzfiller")
+        fs.buffer_pool.flush()  # the chain's last image is home, and clean
+        pages = {}
+        for store, root in fs.objects.scrub_sources():
+            walk = [root]
+            while walk:
+                node = store.read(walk[-1])
+                pages[walk.pop()] = store
+                walk += [] if node.is_leaf else node.children
+        pid = next(record.block for _txid, records in fs.recovery.journal.scan()
+                   for record in records
+                   if record.rtype == TYPE_HOME_DELTA and record.block in pages)
+        if not resident:
+            for store, _root in fs.objects.scrub_sources():
+                store.drop_cache()
+        image = fs.recovery.journal.latest_page_image(pid)
+        assert image is not None and verify_frame(image)
+        device.flip_bit(pid, len(image) // 2 * 8)  # inside the frame
+        assert fs.recovery.journal.latest_page_image(pid) is None
+        scrub = fs.scrub()
+        assert scrub.repaired_from_wal == 0
+        if resident:
+            assert scrub.repaired_from_cache == 1 and scrub.quarantined == 0
+            assert device.read_blocks(pid, 1)[:len(image)] == image
+        else:
+            assert scrub.quarantined == 1 and pid in fs.integrity.quarantine
+        # Every answer is still the right one, or surfaced as damage.
+        try:
+            assert fs.search_text("searchable") == expected
+        except CorruptionError:
+            assert not resident
+
     def test_scrub_releases_stale_quarantine(self):
         # A page quarantined earlier whose device bytes are (again) valid —
         # e.g. healed by replay — is released by the next scrub pass.

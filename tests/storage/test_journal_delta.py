@@ -332,11 +332,21 @@ class TestRecordChoice:
         assert home(device, BLOCK, len(third)) == third
         assert device.read_block(OTHER) == bytes(512)
 
-    def test_a_transaction_deltas_against_its_own_image(self):
+    def test_a_second_image_in_one_transaction_is_refused(self):
         _device, journal = make_journal()
         first, second = versions(2)
-        commit(journal, (BLOCK, first), (BLOCK, second))
-        assert logged_types(journal) == [TYPE_DATA, TYPE_DELTA]
+        with pytest.raises(JournalError, match=f"block {BLOCK} already"):
+            commit(journal, (BLOCK, first), (BLOCK, second))
+
+    def test_a_block_revoked_in_its_transaction_logs_a_full_image(self):
+        _device, journal = make_journal()
+        first, second = versions(2)
+        commit(journal, (BLOCK, first))
+        txid = journal.allocate_txid()
+        journal.append(TYPE_REVOKE, txid, BLOCK, b"")
+        journal.append(TYPE_DATA, txid, BLOCK, second)
+        journal.commit_txid(txid)
+        assert logged_types(journal) == [TYPE_DATA, TYPE_REVOKE, TYPE_DATA]
 
     def test_meta_records_are_never_bases(self):
         _device, journal = make_journal()
@@ -772,7 +782,8 @@ class TestRunListCrashes:
         homes = device.dump()
         committed = [(0, dict(state))]  # (log bytes, the pages as they stand)
         for writes in ([(BLOCK, images[1]), (OTHER, others[1])],
-                       [(BLOCK, images[2]), (BLOCK, images[3])],
+                       [(BLOCK, images[2])],
+                       [(BLOCK, images[3])],
                        [(OTHER, others[2])],
                        [(BLOCK, images[4]), (OTHER, others[3])],
                        [(BLOCK, images[5])]):

@@ -70,8 +70,12 @@ class Logged:
         for ops, mode in transactions:
             txid = journal.allocate_txid()
             staged_pages, staged_metas = dict(pages), list(metas)
+            imaged = set()  # a block's page is logged once per transaction
             for rtype, block, arg in ops:
                 if rtype == TYPE_DATA:
+                    if block in imaged:
+                        continue
+                    imaged.add(block)
                     page = image(block, arg, framed)
                     journal.append(TYPE_DATA, txid, block, page)
                     staged_pages[block] = page.ljust(block_size, b"\0")
@@ -81,6 +85,7 @@ class Logged:
                     staged_metas.append(payload)
                 else:
                     journal.append(TYPE_REVOKE, txid, block, b"")
+                    imaged.discard(block)
                     staged_pages[block] = initial[block]  # replay leaves the home alone
             if mode == "abandon":
                 continue  # the next transaction's first record drops the stage
@@ -153,7 +158,7 @@ def test_every_flipped_byte_drops_its_frame_and_the_rest(block_size, transaction
 
 def test_home_deltas_take_part():
     # The 4 KB case logs first touches against the homes it starts with.
-    logged = Logged(PAGE_BYTES, [([(TYPE_DATA, 40, 1), (TYPE_DATA, 40, 2)], "sync")])
-    [(_first_lsn, records)] = logged.frames
-    assert [record.rtype for record in records] == [TYPE_HOME_DELTA, TYPE_DELTA]
+    logged = Logged(PAGE_BYTES, [([(TYPE_DATA, 40, 1)], "sync"), ([(TYPE_DATA, 40, 2)], "sync")])
+    assert [record.rtype for _first_lsn, records in logged.frames
+            for record in records] == [TYPE_HOME_DELTA, TYPE_DELTA]
     logged.check(logged.log, len(logged.log))
