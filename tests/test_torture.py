@@ -32,14 +32,15 @@ in ``reach``, and the test requires the outcomes the contract names.
 Intensity is a settings profile: ``TIER1`` here, or ``torture-ci``
 (registered in ``conftest.py``) with ``--hypothesis-profile=torture-ci``;
 the seed is ``--hypothesis-seed``.  A failure shrinks to a minimal schedule
-that hypothesis prints as calls on the machine: paste them into a test to
-replay it.
+that hypothesis prints as calls on the machine: add its steps to ``SHRUNK``
+to replay it on both block sizes in every run.
 """
 
 import random
 import re
 from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule, run_state_machine_as_test
@@ -490,3 +491,34 @@ def test_torture():
     assert reach["page corruptions"] >= 220
     assert reach["degraded"] and reach["partial"] and reach["surfaced"]
     assert reach["post-repair remounts"]
+
+
+
+# Schedules the shrinker printed for an engine fault, each kept as a fixed
+# replay on both block sizes: the fault it caught, the outcome it must
+# reach, then its steps.
+SHRUNK = {
+    "replay-ignores-revoke": ("revoked block holds chunk data", [
+        ("mkfs", {"corpus": 12, "seed": 1}), ("turnover", {"pick": 0, "seed": 0})]),
+    "page-in-skips-crc": ("surfaced", [
+        ("mkfs", {"corpus": 18, "seed": 0}), ("rot", {"hits": [(0, "padding", 0)]})]),
+    "degraded-find-empty": ("degraded", [
+        ("mkfs", {"corpus": 19, "seed": 1}), ("delete", {"count": 1, "pick": 0}),
+        ("create", {"seed": 0, "size": 180}), ("rot", {"hits": [(0, "padding", 0)]}),
+        ("rot", {"hits": [(0, "padding", 0)]}), ("rot", {"hits": [(1008, "padding", 1)]})]),
+    "partial-unflagged": ("partial", [
+        ("mkfs", {"corpus": 18, "seed": 0}), ("rot", {"hits": [(0, "padding", 0), (4, "padding", 1)]})]),
+    "replay-drops-last-delta": ("crash audits", [
+        ("mkfs", {"corpus": 1, "seed": 0}), ("group", {"pick": 0})]),
+}
+
+
+@pytest.mark.parametrize("machine", [TortureMachine, OneBlockPages], ids=["512", "4k"])
+@pytest.mark.parametrize("fault", SHRUNK)
+def test_shrunk_schedule(fault, machine):
+    reached, steps = SHRUNK[fault]
+    state = machine()
+    for step, arguments in steps:
+        getattr(state, step)(**arguments)
+    state.teardown()
+    assert state.reach[reached], dict(state.reach)
