@@ -13,7 +13,7 @@ re-mounts the surviving image and checks crash invariants:
 * operations that *returned* to a writer before the crash are durable
   (commits sync — group_commit=1 — so a returned create is a promise).
 
-Seeds are pinned via ``CONCURRENCY_CRASH_SEEDS``; each seed samples
+Seeds are pinned via ``CONCURRENCY_TORTURE_SEEDS``; each seed samples
 several crash points inside the threaded run's write window.  The threaded
 schedule is nondeterministic between runs — the point of the exercise is
 that the *invariants* hold on every interleaving the scheduler produces.
@@ -30,8 +30,8 @@ from repro.errors import RecoveryError
 from repro.recovery import CrashError, CrashingBlockDevice
 
 SEEDS = [int(s) for s in
-         os.environ.get("CONCURRENCY_CRASH_SEEDS", "1,2").split(",")]
-POINTS_PER_SEED = int(os.environ.get("CONCURRENCY_CRASH_POINTS", "4"))
+         os.environ.get("CONCURRENCY_TORTURE_SEEDS", "1,2").split(",")]
+POINTS_PER_SEED = int(os.environ.get("CONCURRENCY_TORTURE_POINTS", "4"))
 
 WRITERS = 3
 DOCS_PER_WRITER = 14
@@ -189,8 +189,8 @@ from repro.errors import ProtocolError, RequestError
 from repro.serve import AsyncClient, ServeConfig, serve_in_thread
 
 SERVE_SEEDS = [int(s) for s in
-               os.environ.get("SERVING_CRASH_SEEDS", "11,12").split(",")]
-SERVE_POINTS_PER_SEED = int(os.environ.get("SERVING_CRASH_POINTS", "3"))
+               os.environ.get("SERVING_TORTURE_SEEDS", "11,12").split(",")]
+SERVE_POINTS_PER_SEED = int(os.environ.get("SERVING_TORTURE_POINTS", "3"))
 
 SERVE_CLIENTS = 4
 DOCS_PER_CLIENT = 20

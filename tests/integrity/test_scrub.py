@@ -159,15 +159,27 @@ class TestRepair:
         # The WAL holds no image of a page first touched after a checkpoint,
         # only a delta against its home: once that home rots, the log cannot
         # rebuild it, and the scrub repairs from the pool or surfaces the page.
+        import random
+
         from repro.integrity import verify_frame
         from repro.storage.journal import TYPE_HOME_DELTA
 
+        rng = random.Random(1)
+        vocabulary = ("ember quartz falcon meadow cipher lantern orbit prism "
+                      "tundra velvet willow zephyr basalt cobalt drift echo").split()
         device, fs = make_fs()
-        oids = populate(fs, count=22)
+        oids = [fs.create(" ".join(rng.sample(vocabulary, rng.randint(3, 9))).encode(),
+                          path=f"/obj/{i}.txt", annotations=[f"note{i % 5}"])
+                for i in range(22)]
+        fs.tag(oids[0], "FULLTEXT", "handpicked")
         fs.checkpoint()
+        probes = ("ember", "quartz", "falcon", "meadow", "nosuchword", "handpicked")
+        expected = {word: fs.search_text(word) for word in probes}
+        members = {hit.doc_id for hit in fs.rank("ember", limit=None)}
+        assert expected["handpicked"] == [oids[0]] and members == set(expected["ember"])
         fs.close()
         fs = HFADFileSystem.mount(device, query_cache_entries=0)
-        expected = fs.search_text("searchable")
+        fs.integrity.sleep = lambda _s: None
         fs.append(oids[3], b" zzfiller")
         fs.buffer_pool.flush()  # the chain's last image is home, and clean
         pages = {}
@@ -194,11 +206,19 @@ class TestRepair:
             assert device.read_blocks(pid, 1)[:len(image)] == image
         else:
             assert scrub.quarantined == 1 and pid in fs.integrity.quarantine
-        # Every answer is still the right one, or surfaced as damage.
-        try:
-            assert fs.search_text("searchable") == expected
-        except CorruptionError:
-            assert not resident
+        # Every answer is the right one (after a repair, exactly), a flagged
+        # partial subset, or surfaced as damage.
+        asks = [(word, lambda word=word: fs.search_text(word), expected[word]) for word in probes]
+        asks.append(("rank ember", lambda: {hit.doc_id for hit in fs.rank("ember", limit=None)}, members))
+        for what, call, want in asks:
+            partial = fs.integrity.stats.partial_results
+            try:
+                got = call()
+            except CorruptionError:
+                assert not resident, what
+                continue
+            flagged = fs.integrity.stats.partial_results > partial
+            assert got == want or (flagged and not resident and set(got) <= set(want)), (what, got, want)
 
     def test_scrub_releases_stale_quarantine(self):
         # A page quarantined earlier whose device bytes are (again) valid —
